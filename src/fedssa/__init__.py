@@ -10,21 +10,20 @@ from .config import (ExperimentConfig, PartitionSpec, build_dataset,
                      two_regime_federation)
 from .errors import (ConfigError, ContractError, FedssaError, InfeasibleError,
                      NumericError, ProtocolError, RankError, ShapeError,
-                     SymmetryError, TrainingDivergenceError,
-                     UndefinedMetricError)
+                     TrainingDivergenceError, UndefinedMetricError)
 from .federation import (ClientUpload, RoundMetrics, RunConfig, ServerBroadcast,
                          client_round, evaluate_client, run_federation,
-                         run_federation_detailed, server_round, server_step)
+                         run_federation_detailed, server_step)
 from .graphs import (FederationDataset, LocalGraph, SynthSpec, homophily_ratio,
                      laplacian_powers, load_dataset, load_graph,
                      normalized_laplacian, partition_nonoverlap,
                      partition_overlap, save_dataset, save_graph,
                      stratified_split, synth_dataset)
-from .linalg import min_eigenvalue, qr_thin, sym_eig_small
+from .linalg import qr_thin
 from .metrics import accuracy, auc
 from .models import (ClassGaussian, SpectralGNNParams, VGAEParams, ce_loss,
-                     elbo_loss, gnn_forward, init_params, reparameterize,
-                     spectral_energy, vgae_encode)
+                     elbo_loss, gnn_forward, init_params, spectral_energy,
+                     vgae_encode)
 from .rng import spawn_key, stream
 from .semantic import (GaussianMixture, SemanticClusterMap, cluster_moments,
                        gaussian_kl, gmm_of_cluster, build_semantic_map,
@@ -49,7 +48,7 @@ __all__ = [
     "PartitionSpec", "ProtocolError", "RankError", "RoundMetrics",
     "RunConfig", "SemanticClusterMap", "ServerBroadcast", "ShapeError",
     "SpectralEnergy", "SpectralGNNParams", "StructuralClusterMap",
-    "SymmetryError", "SynthSpec", "Tape", "TrainingDivergenceError",
+    "SynthSpec", "Tape", "TrainingDivergenceError",
     "UndefinedMetricError", "VGAEParams", "Var", "accuracy", "auc",
     "build_dataset", "build_global_graph", "build_semantic_map",
     "build_structural_map", "ce_loss", "chordal_distance", "client_round",
@@ -58,13 +57,13 @@ __all__ = [
     "error_floor", "evaluate_client", "filter_lipschitz_bound", "gaussian_kl",
     "gmm_of_cluster", "gnn_forward", "grad", "homophily_ratio", "init_params",
     "kl_bound_audit", "kmeans", "laplacian_powers", "load_config",
-    "load_dataset", "load_graph", "measure_heterogeneity", "min_eigenvalue",
+    "load_dataset", "load_graph", "measure_heterogeneity",
     "normalized_laplacian", "pairwise_chordal", "parse_config",
     "partition_nonoverlap", "partition_overlap", "projection_embedding",
-    "qr_thin", "reparameterize", "rounds_to_reach", "run_federation",
+    "qr_thin", "rounds_to_reach", "run_federation",
     "run_federation_detailed", "save_dataset", "save_graph",
-    "semantic_alignment_loss", "semantic_cluster", "server_round",
+    "semantic_alignment_loss", "semantic_cluster",
     "server_step", "spawn_key", "spectral_energy", "stratified_split",
-    "stream", "structural_cluster", "sym_eig_small", "synth_dataset",
+    "stream", "structural_cluster", "synth_dataset",
     "two_regime_federation", "vgae_encode",
 ]

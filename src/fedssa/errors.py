@@ -28,10 +28,6 @@ class RankError(FedssaError, ArithmeticError):
     """Matrix is numerically rank-deficient where full rank is required."""
 
 
-class SymmetryError(FedssaError, ValueError):
-    """Matrix expected to be symmetric is not, beyond tolerance."""
-
-
 class NumericError(FedssaError, ArithmeticError):
     """Computation produced non-finite values or lost positive definiteness."""
 

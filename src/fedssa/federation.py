@@ -69,7 +69,6 @@ class RunConfig:
     w_max: float = 5.0
     semantic: bool = True
     structural: bool = True
-    use_mean_clustering: bool = False
 
     def validate(self) -> None:
         if self.method not in METHODS:
@@ -428,7 +427,7 @@ def evaluate_client(state: ClientState) -> dict:
 
 
 def server_step(uploads, k_node: int, k_struct: int, seed: int,
-                expected_clients=None, use_mean_clustering: bool = False) -> ServerRound:
+                expected_clients=None) -> ServerRound:
     """Cluster this round's uploads and assemble per-client broadcasts."""
     if isinstance(uploads, dict):
         upload_list = [uploads[cid] for cid in sorted(uploads)]
@@ -451,8 +450,7 @@ def server_step(uploads, k_node: int, k_struct: int, seed: int,
     semantic_map = None
     sem_inputs = {cid: u.class_gaussians for cid, u in by_id.items() if u.class_gaussians}
     if sem_inputs:
-        semantic_map = build_semantic_map(sem_inputs, k_node, seed,
-                                          use_means=use_mean_clustering)
+        semantic_map = build_semantic_map(sem_inputs, k_node, seed)
     structural_map = None
     energies = [u.spectral_energy for u in by_id.values() if u.spectral_energy is not None]
     distance_ids: tuple = ()
@@ -479,13 +477,6 @@ def server_step(uploads, k_node: int, k_struct: int, seed: int,
     return ServerRound(broadcasts=broadcasts, semantic_map=semantic_map,
                        structural_map=structural_map, distance_ids=distance_ids,
                        distance_matrix=distance_matrix)
-
-
-def server_round(uploads, k_node: int, k_struct: int, seed: int,
-                 expected_clients=None) -> dict:
-    """Documented server contract: uploads in, {client_id: broadcast} out."""
-    return server_step(uploads, k_node, k_struct, seed,
-                       expected_clients=expected_clients).broadcasts
 
 
 def _fedavg_average(states: list) -> dict:
@@ -561,8 +552,7 @@ def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig, seed: in
         if cfg.method == "fedssa":
             server = server_step(uploads, cfg.k_node, cfg.k_struct,
                                  spawn_key(seed, "server", round_index),
-                                 expected_clients=range(m),
-                                 use_mean_clustering=cfg.use_mean_clustering)
+                                 expected_clients=range(m))
             broadcasts = server.broadcasts
             for cid, up in uploads.items():
                 bytes_up[cid] = payload_nbytes(upload_payload(up))

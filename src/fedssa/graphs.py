@@ -324,19 +324,15 @@ def _greedy_assignment(n: int, edges: np.ndarray, num_parts: int,
 def _induce(g: LocalGraph, nodes: np.ndarray, split_rng: np.random.Generator) -> tuple:
     """Induced subgraph on sorted global node ids, with fresh splits."""
     nodes = np.sort(np.asarray(nodes, dtype=np.int64))
-    pos = {int(v): i for i, v in enumerate(nodes)}
-    kept = []
-    dropped = 0
-    for u, v in g.edges:
-        u, v = int(u), int(v)
-        if u in pos and v in pos:
-            kept.append((pos[u], pos[v]))
-        elif u in pos or v in pos:
-            dropped += 1
+    pos = np.full(g.n, -1, dtype=np.int64)
+    pos[nodes] = np.arange(nodes.size)
+    local = pos[g.edges]
+    inside = local >= 0
+    both = inside.all(axis=1)
+    dropped = int(np.count_nonzero(inside.any(axis=1) & ~both))
     labels = g.labels[nodes]
     train, val, test = stratified_split(labels, split_rng)
-    sub = LocalGraph(g.features[nodes], labels, np.asarray(kept, dtype=np.int64).reshape(-1, 2),
-                     train, val, test)
+    sub = LocalGraph(g.features[nodes], labels, local[both], train, val, test)
     return sub, nodes, dropped
 
 

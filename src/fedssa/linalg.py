@@ -1,20 +1,16 @@
 """Dense linear algebra kernels used by the server-side protocol.
 
-Matrices are plain 2-D float64 ndarrays in row-major order. The two
-factorizations here are written out longhand rather than delegated so that
-their conventions are pinned down: the thin QR fixes diag(R) >= 0, making
-the orthonormal frame unique for full-rank input, and the symmetric
-eigensolver returns eigenvalues in ascending order. Both are small-matrix
-routines; the eigensolver refuses inputs larger than 64x64.
+Matrices are plain 2-D float64 ndarrays in row-major order. The thin QR
+delegates to numpy and then pins down the convention the structural channel
+relies on: diag(R) >= 0, which makes the orthonormal frame unique for
+full-rank input, and a RankError for numerically dependent columns.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, NumericError, RankError, ShapeError, SymmetryError
-
-_EIG_MAX_DIM = 64
+from .errors import NumericError, RankError, ShapeError
 
 
 def as_matrix(a) -> np.ndarray:
@@ -27,118 +23,22 @@ def as_matrix(a) -> np.ndarray:
     return np.ascontiguousarray(out)
 
 
-def matmul(a, b) -> np.ndarray:
-    """Strict matrix product with shape validation."""
-    am = as_matrix(a)
-    bm = as_matrix(b)
-    if am.shape[1] != bm.shape[0]:
-        raise ShapeError(f"matmul mismatch: {am.shape} @ {bm.shape}")
-    out = am @ bm
-    if not np.isfinite(out).all():
-        raise NumericError("matmul produced non-finite entries")
-    return out
-
-
 def qr_thin(s) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR factorization by Householder reflections.
+    """Thin QR factorization with a nonnegative diagonal in R.
 
     Returns (q, r) with q of shape (m, n), r upper triangular (n, n),
     diag(r) >= 0. Raises RankError naming the first numerically dependent
-    column when the input is rank deficient.
+    column when |r_jj| <= m * eps * max(1, ||s||).
     """
     a = as_matrix(s)
     m, n = a.shape
     if m < n:
         raise ShapeError(f"qr_thin needs rows >= cols, got {a.shape}")
-    r = a.copy()
-    reflectors: list[np.ndarray] = []
-    scale = max(1.0, float(np.linalg.norm(a)))
-    tol = m * np.finfo(np.float64).eps * scale
-    for j in range(n):
-        x = r[j:, j].copy()
-        norm_x = float(np.sqrt(np.dot(x, x)))
-        if norm_x <= tol:
-            raise RankError(f"column {j} is numerically dependent on earlier columns")
-        alpha = -norm_x if x[0] >= 0 else norm_x
-        v = x
-        v[0] -= alpha
-        v_norm = float(np.sqrt(np.dot(v, v)))
-        if v_norm > 0:
-            v /= v_norm
-            r[j:, j:] -= 2.0 * np.outer(v, v @ r[j:, j:])
-        reflectors.append(v)
-        r[j, j] = alpha if v_norm > 0 else r[j, j]
-        r[j + 1:, j] = 0.0
-    q = np.eye(m, n)
-    for j in range(n - 1, -1, -1):
-        v = reflectors[j]
-        q[j:, :] -= 2.0 * np.outer(v, v @ q[j:, :])
-    # Sign convention: flip columns so every diagonal entry of R is >= 0.
-    for j in range(n):
-        if r[j, j] < 0:
-            r[j, j:] = -r[j, j:]
-            q[:, j] = -q[:, j]
-    r = np.triu(r[:n, :])
-    return np.ascontiguousarray(q), np.ascontiguousarray(r)
-
-
-def sym_eig_small(mat) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a small symmetric matrix by cyclic Jacobi.
-
-    Returns (w, v) with eigenvalues w ascending and eigenvectors in the
-    columns of v satisfying mat @ v = v @ diag(w). Inputs must be symmetric
-    within 1e-9 (max absolute deviation) and at most 64x64.
-    """
-    a = as_matrix(mat)
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"eigendecomposition needs a square matrix, got {a.shape}")
-    if n > _EIG_MAX_DIM:
-        raise ContractError(f"sym_eig_small supports dim <= {_EIG_MAX_DIM}, got {n}")
-    skew = float(np.max(np.abs(a - a.T))) if n else 0.0
-    if skew > 1e-9:
-        raise SymmetryError(f"matrix deviates from symmetry by {skew:.3e}")
-    a = 0.5 * (a + a.T)
-    v = np.eye(n)
-    if n <= 1:
-        return a.diagonal().copy(), v
-    scale = max(1.0, float(np.linalg.norm(a)))
-    for _sweep in range(100):
-        off = np.sqrt(np.sum(np.square(a - np.diag(a.diagonal()))))
-        if off <= 1e-14 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    w = a.diagonal().copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], np.ascontiguousarray(v[:, order])
-
-
-def min_eigenvalue(mat) -> float:
-    """Smallest eigenvalue of a small symmetric matrix."""
-    w, _ = sym_eig_small(mat)
-    return float(w[0])
+    q, r = np.linalg.qr(a, mode="reduced")
+    diag = r.diagonal()
+    tol = m * np.finfo(np.float64).eps * max(1.0, float(np.linalg.norm(a)))
+    dependent = np.flatnonzero(np.abs(diag) <= tol)
+    if dependent.size:
+        raise RankError(f"column {dependent[0]} is numerically dependent on earlier columns")
+    signs = np.where(diag < 0, -1.0, 1.0)
+    return np.ascontiguousarray(q * signs), np.ascontiguousarray(r * signs[:, None])

@@ -20,9 +20,9 @@ from typing import Optional
 import numpy as np
 
 from . import tape as tp
-from .errors import ConfigError, ContractError, NumericError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 from .graphs import LocalGraph
-from .linalg import qr_thin, sym_eig_small
+from .linalg import qr_thin
 from .structural import SpectralEnergy
 
 LOGVAR_MIN = -10.0
@@ -373,18 +373,6 @@ def elbo_loss(params: VGAEParams, g: LocalGraph, sample_eps,
     mu, logvar = encoder_path(leaves, encoder_input(g, num_classes))
     nonedges = np.zeros((0, 2), dtype=np.int64) if nonedges is None else nonedges
     return float(elbo_path(mu, logvar, g, sample_eps, nonedges).value[0, 0])
-
-
-def reparameterize(gaussian: ClassGaussian, eps) -> np.ndarray:
-    """Draw mean + cov^(1/2) eps using the symmetric square root."""
-    eps = np.asarray(eps, dtype=np.float64).reshape(-1)
-    if eps.size != gaussian.dim:
-        raise ShapeError(f"eps dim {eps.size} != gaussian dim {gaussian.dim}")
-    w, v = sym_eig_small(gaussian.cov)
-    if w[0] < -1e-9:
-        raise NumericError(f"covariance has eigenvalue {w[0]:.3e} < -1e-9")
-    root = v @ np.diag(np.sqrt(np.maximum(w, 0.0))) @ v.T
-    return gaussian.mean + root @ eps
 
 
 def spectral_energy(params: SpectralGNNParams, powers: list, client_id: int,

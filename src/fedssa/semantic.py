@@ -1,11 +1,10 @@
 """Semantic knowledge sharing: clustering class Gaussians across clients.
 
 For every class label the server gathers each holder's latent Gaussian,
-draws one reparameterized sample per holder as the clustering feature,
-k-means them into at most k_node groups, and collapses every group into a
-single moment-matched Gaussian weighted by sample counts. Clients then pull
-their own group's representative toward their local class posterior with a
-closed-form Gaussian KL.
+k-means the holders' class means into at most k_node groups, and collapses
+every group into a single moment-matched Gaussian weighted by sample counts.
+Clients then pull their own group's representative toward their local class
+posterior with a closed-form Gaussian KL.
 
 All clustering is canonicalized by ascending client id, so results are
 invariant to message arrival order.
@@ -20,8 +19,7 @@ import numpy as np
 from . import tape as tp
 from .cluster import kmeans
 from .errors import ConfigError, ContractError, NumericError, ShapeError
-from .linalg import sym_eig_small
-from .models import COV_FLOOR, ClassGaussian, reparameterize
+from .models import COV_FLOOR, ClassGaussian
 from .rng import stream
 
 
@@ -93,7 +91,7 @@ def cluster_moments(mixture: GaussianMixture) -> ClassGaussian:
         cov = cov + wgt * (m.cov + np.outer(m.mean, m.mean))
     cov = cov - np.outer(mean, mean)
     cov = 0.5 * (cov + cov.T)
-    eigvals, eigvecs = sym_eig_small(cov)
+    eigvals, eigvecs = np.linalg.eigh(cov)
     floored = eigvecs @ np.diag(np.maximum(eigvals, COV_FLOOR)) @ eigvecs.T
     floored = 0.5 * (floored + floored.T)
     count = int(sum(m.count for m in members))
@@ -133,9 +131,8 @@ def _holders(class_gaussians: dict) -> dict:
     return by_class
 
 
-def semantic_cluster(class_gaussians: dict, k_node: int, seed: int,
-                     use_means: bool = False) -> dict:
-    """Per-class k-means over one reparameterized draw per holder.
+def semantic_cluster(class_gaussians: dict, k_node: int, seed: int) -> dict:
+    """Per-class k-means over the holders' class means.
 
     class_gaussians maps client id to that client's ClassGaussian list.
     Returns {label: {client_id: cluster_index}}. The effective number of
@@ -145,25 +142,17 @@ def semantic_cluster(class_gaussians: dict, k_node: int, seed: int,
         raise ConfigError(f"k_node must be >= 1, got {k_node}")
     assignments: dict = {}
     for label, holders in sorted(_holders(class_gaussians).items()):
-        points = []
-        for client_id, gaussian in holders:
-            if use_means:
-                points.append(gaussian.mean)
-            else:
-                eps = stream(seed, "sem-draw", int(label), int(client_id)) \
-                    .standard_normal(gaussian.dim)
-                points.append(reparameterize(gaussian, eps))
-        labels = kmeans(np.stack(points), min(k_node, len(holders)),
+        points = np.stack([gaussian.mean for _, gaussian in holders])
+        labels = kmeans(points, min(k_node, len(holders)),
                         stream(seed, "kmeans-sem", int(label)))
         assignments[int(label)] = {client_id: int(c)
                                    for (client_id, _), c in zip(holders, labels)}
     return assignments
 
 
-def build_semantic_map(class_gaussians: dict, k_node: int, seed: int,
-                       use_means: bool = False) -> SemanticClusterMap:
+def build_semantic_map(class_gaussians: dict, k_node: int, seed: int) -> SemanticClusterMap:
     """Cluster every class and moment-match each cluster's representative."""
-    assignments = semantic_cluster(class_gaussians, k_node, seed, use_means)
+    assignments = semantic_cluster(class_gaussians, k_node, seed)
     by_class = _holders(class_gaussians)
     representatives = {}
     for label, by_client in assignments.items():

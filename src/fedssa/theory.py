@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .linalg import min_eigenvalue
 from .models import ClassGaussian
 from .semantic import SemanticClusterMap, gaussian_kl
 from .structural import StructuralClusterMap, chordal_distance
@@ -105,7 +104,7 @@ def measure_heterogeneity(class_gaussians: dict, energies: list,
                 members = [by_class[label][cid] for cid in sorted(by_client)
                            if by_client[cid] == cluster]
                 rep = semantic_map.representatives[(label, cluster)]
-                sig = min_eigenvalue(rep.cov)
+                sig = float(np.linalg.eigvalsh(rep.cov)[0])
                 sigma_min_sq = min(sigma_min_sq, sig)
                 semantic_stats.append(SemanticClusterStats(
                     label=int(label), cluster=int(cluster), size=len(members),
@@ -290,7 +289,7 @@ def kl_bound_audit(members: dict, representative: ClassGaussian) -> KLAudit:
             raise ContractError("member class label differs from representative")
     delta_mu = _max_pairwise_mu(gaussians)
     delta_sigma = _max_pairwise_sigma(gaussians)
-    sigma_min_sq = min_eigenvalue(representative.cov)
+    sigma_min_sq = float(np.linalg.eigvalsh(representative.cov)[0])
     precondition_ok = (delta_sigma + delta_mu ** 2) <= sigma_min_sq / 2.0
     d = representative.dim
     bound = (delta_mu ** 2 / (2.0 * sigma_min_sq)

@@ -88,3 +88,22 @@ def random_spd(rng, d: int, scale: float = 1.0) -> np.ndarray:
     """Random symmetric positive definite matrix with eigenvalues >= 0.1."""
     a = rng.standard_normal((d, d))
     return scale * (a @ a.T + 0.1 * np.eye(d))
+
+
+def induced_edges_loop(edges: np.ndarray, nodes: np.ndarray) -> tuple:
+    """Edge-by-edge induced subgraph on sorted node ids.
+
+    Returns (kept, dropped): kept holds the local (row-position) endpoints
+    of edges with both ends in nodes, in the input edge order; dropped
+    counts edges with exactly one end in nodes.
+    """
+    pos = {int(v): i for i, v in enumerate(np.sort(nodes))}
+    kept = []
+    dropped = 0
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if u in pos and v in pos:
+            kept.append((pos[u], pos[v]))
+        elif u in pos or v in pos:
+            dropped += 1
+    return np.asarray(kept, dtype=np.int64).reshape(-1, 2), dropped

@@ -342,7 +342,7 @@ def _ordering_cell(seed, method, semantic=True, structural=True):
     cfg = RunConfig(method=method, rounds=50, epochs=2, order=3, k_node=2,
                     k_struct=2, lambda1=1e-3, lambda2=1e-3, lr=0.15,
                     latent_dim=8, hidden=16, semantic=semantic,
-                    structural=structural, use_mean_clustering=True)
+                    structural=structural)
     return run_federation(dataset, cfg, seed)
 
 

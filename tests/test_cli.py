@@ -95,6 +95,14 @@ def test_run_seed_override(tmp_path):
     assert (a / "metrics.csv").read_bytes() != (b / "metrics.csv").read_bytes()
 
 
+def test_run_with_latent_dim_above_64(tmp_path):
+    raw = dict(TWO_REGIME, hyperparams=dict(TWO_REGIME["hyperparams"], T=1, d_z=65))
+    cfg = _write_cfg(tmp_path, raw)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["rounds"] == 1
+
+
 def test_run_dump_distances(tmp_path):
     cfg = _write_cfg(tmp_path, TWO_REGIME)
     out = tmp_path / "out"

@@ -12,8 +12,8 @@ from fedssa.errors import (ConfigError, ContractError, ProtocolError,
                            ShapeError, TrainingDivergenceError)
 from fedssa.federation import (ClientUpload, RunConfig, client_round,
                                init_client_state, run_federation,
-                               run_federation_detailed, server_round,
-                               server_step, upload_payload)
+                               run_federation_detailed, server_step,
+                               upload_payload)
 from fedssa.graphs import FederationDataset, SynthSpec, synth_dataset
 from fedssa.linalg import qr_thin
 from fedssa.models import ClassGaussian, init_params
@@ -290,9 +290,9 @@ def test_server_recovers_semantic_groups():
     assert abs(reps[2].mean[0] - 50.0) < 1.0
 
 
-def test_server_round_returns_broadcast_dict():
+def test_server_step_returns_broadcast_dict():
     uploads = _hand_uploads()
-    broadcasts = server_round(uploads, k_node=2, k_struct=2, seed=0)
+    broadcasts = server_step(uploads, k_node=2, k_struct=2, seed=0).broadcasts
     assert sorted(broadcasts) == [0, 1, 2, 3]
 
 

@@ -16,6 +16,7 @@ from fedssa.graphs import (FederationDataset, LocalGraph, SynthSpec,
                            save_dataset, save_graph, stratified_split,
                            synth_dataset)
 from fedssa.rng import stream
+from helpers import induced_edges_loop
 
 
 def _graph(features, labels, edges, train=None, val=None, test=None):
@@ -277,6 +278,20 @@ def test_partition_overlap_clients_differ():
     assert ds.num_clients == 5
     maps = [tuple(map(int, nm)) for nm in ds.node_maps]
     assert len(set(maps)) > 1
+
+
+def test_partition_edges_match_loop_oracle():
+    g = synth_dataset(SynthSpec(120, 3, 4, 0.15, 0.05), 5)
+    for seed in range(3):
+        for scheme, num_clients, cut_sides in ((partition_nonoverlap, 4, 2),
+                                              (partition_overlap, 10, 1)):
+            ds = scheme(g, num_clients, seed=seed)
+            dropped = 0
+            for sub, nodes in zip(ds.clients, ds.node_maps):
+                kept, cut = induced_edges_loop(g.edges, nodes)
+                assert np.array_equal(sub.edges, kept)
+                dropped += cut
+            assert ds.dropped_edges == dropped // cut_sides
 
 
 def test_partition_overlap_errors():

@@ -1,15 +1,13 @@
-"""Dense linear algebra checks against numpy oracles: Householder QR
-(reconstruction, orthonormality, sign convention, rank detection) and the
-Jacobi symmetric eigensolver (against numpy.linalg.eigh)."""
+"""Thin QR contract checks: reconstruction, orthonormality, sign convention
+and rank detection."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedssa.errors import ContractError, RankError, ShapeError, SymmetryError
-from fedssa.linalg import min_eigenvalue, qr_thin, sym_eig_small
-from helpers import random_spd
+from fedssa.errors import RankError, ShapeError
+from fedssa.linalg import qr_thin
 
 
 def _qr_checks(a, tol=1e-10):
@@ -84,75 +82,3 @@ def test_qr_property_random(seed, m, n_raw):
     a = rng.standard_normal((m, n))
     _qr_checks(a)
 
-
-# --- symmetric eigensolver -----------------------------------------------------
-
-
-def test_eig_matches_numpy_oracle():
-    rng = np.random.default_rng(3)
-    for trial in range(200):
-        d = int(rng.integers(1, 10))
-        a = rng.standard_normal((d, d))
-        sym = (a + a.T) / 2.0
-        vals, vecs = sym_eig_small(sym)
-        ref = np.linalg.eigvalsh(sym)
-        assert np.allclose(vals, ref, atol=1e-9 * max(1.0, np.abs(ref).max()))
-        # eigen-equation residual, basis-independent
-        assert np.linalg.norm(sym @ vecs - vecs * vals[None, :]) <= \
-            1e-8 * max(1.0, np.linalg.norm(sym))
-        assert np.linalg.norm(vecs.T @ vecs - np.eye(d)) <= 1e-9
-        assert np.all(np.diff(vals) >= -1e-12)
-
-
-def test_eig_diagonal_exact():
-    vals, vecs = sym_eig_small(np.diag([3.0, -1.0, 2.0]))
-    assert np.allclose(vals, [-1.0, 2.0, 3.0])
-    recon = vecs @ np.diag(vals) @ vecs.T
-    assert np.allclose(recon, np.diag([3.0, -1.0, 2.0]))
-
-
-def test_eig_known_two_by_two():
-    # [[2, 1], [1, 2]] has eigenvalues 1 and 3
-    vals, _ = sym_eig_small(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.allclose(vals, [1.0, 3.0])
-
-
-def test_eig_spd_positive(seed=4):
-    rng = np.random.default_rng(seed)
-    spd = random_spd(rng, 6)
-    vals, _ = sym_eig_small(spd)
-    assert np.all(vals > 0)
-    assert min_eigenvalue(spd) == pytest.approx(vals[0])
-
-
-def test_eig_rejects_asymmetric():
-    a = np.array([[1.0, 2.0], [0.0, 1.0]])
-    with pytest.raises(SymmetryError):
-        sym_eig_small(a)
-
-
-def test_eig_rejects_nonsquare():
-    with pytest.raises(ShapeError):
-        sym_eig_small(np.ones((2, 3)))
-
-
-def test_eig_rejects_oversize():
-    with pytest.raises(ContractError):
-        sym_eig_small(np.eye(65))
-
-
-def test_eig_size_boundary_ok():
-    vals, _ = sym_eig_small(np.eye(64))
-    assert np.allclose(vals, 1.0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8))
-def test_eig_property_random(seed, d):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((d, d))
-    sym = (a + a.T) / 2.0
-    vals, vecs = sym_eig_small(sym)
-    assert np.allclose(np.sum(vals), np.trace(sym), atol=1e-9 * max(1.0, d))
-    assert np.linalg.norm(sym @ vecs - vecs * vals[None, :]) <= \
-        1e-8 * max(1.0, np.linalg.norm(sym))

@@ -1,20 +1,19 @@
 """Model checks: spectral filter forward pass against a direct numpy
 recompute, cross entropy hand values, encoder moment matching (exact for
 singleton classes), negative-ELBO value/gradient against numpy and finite
-differences, reparameterization, and spectral-energy frames."""
+differences, and spectral-energy frames."""
 
 import numpy as np
 import pytest
 
 from fedssa import tape as tp
-from fedssa.errors import (ConfigError, ContractError, NumericError,
-                           ShapeError)
+from fedssa.errors import ConfigError, ContractError, ShapeError
 from fedssa.graphs import LocalGraph, SynthSpec, laplacian_powers, synth_dataset
 from fedssa.models import (COV_FLOOR, LOGVAR_MAX, LOGVAR_MIN, VGAE_LEAVES,
                            ClassGaussian, SpectralGNNParams, VGAEParams,
                            ce_loss, ce_path, elbo_loss, elbo_path,
                            encoder_input, encoder_path, gnn_forward,
-                           init_params, logits_path, reparameterize,
+                           init_params, logits_path,
                            sample_nonedges, spectral_energy, stack_powers,
                            vgae_encode)
 from fedssa.rng import stream
@@ -284,7 +283,7 @@ def test_sample_nonedges_complete_graph_empty():
     assert sample_nonedges(g, 5, stream(0, "ne")).shape == (0, 2)
 
 
-# --- class Gaussians and reparameterization --------------------------------------
+# --- class Gaussians ----------------------------------------------------------------
 
 
 def test_class_gaussian_contracts():
@@ -296,35 +295,6 @@ def test_class_gaussian_contracts():
         ClassGaussian(-1, np.zeros(2), np.eye(2), 1)
     with pytest.raises(ContractError):
         ClassGaussian(0, np.zeros(2), np.eye(2), 0)
-
-
-def test_reparameterize_zero_eps_returns_mean():
-    gau = ClassGaussian(0, np.array([1.0, -2.0]), np.diag([4.0, 9.0]), 3)
-    assert np.allclose(reparameterize(gau, np.zeros(2)), gau.mean)
-
-
-def test_reparameterize_diagonal_hand_value():
-    gau = ClassGaussian(0, np.array([1.0, -2.0]), np.diag([4.0, 9.0]), 3)
-    out = reparameterize(gau, np.array([1.0, -1.0]))
-    assert np.allclose(out, [3.0, -5.0])
-
-
-def test_reparameterize_sample_covariance_full():
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((3, 3))
-    cov = a @ a.T + 0.5 * np.eye(3)
-    cov = (cov + cov.T) / 2.0
-    gau = ClassGaussian(0, np.zeros(3), cov, 5)
-    draws = np.array([reparameterize(gau, rng.standard_normal(3))
-                      for _ in range(4000)])
-    sample_cov = np.cov(draws.T)
-    assert np.linalg.norm(sample_cov - cov) / np.linalg.norm(cov) < 0.15
-
-
-def test_reparameterize_dim_mismatch():
-    gau = ClassGaussian(0, np.zeros(2), np.eye(2), 1)
-    with pytest.raises(ShapeError):
-        reparameterize(gau, np.zeros(3))
 
 
 # --- spectral energy ---------------------------------------------------------------

@@ -158,12 +158,6 @@ def test_semantic_cluster_recovers_planted_groups():
         assert left != right
 
 
-def test_semantic_cluster_mean_feature_variant():
-    assignments = semantic_cluster(_planted_gaussians(), 2, 0, use_means=True)
-    groups = assignments[0]
-    assert {groups[0], groups[1], groups[2]} != {groups[3], groups[4], groups[5]}
-
-
 def test_semantic_cluster_caps_k_at_holders():
     gaussians = {0: [_gauss(0, [0.0], [[1.0]])], 1: [_gauss(0, [5.0], [[1.0]])]}
     assignments = semantic_cluster(gaussians, 10, 0)

@@ -158,6 +158,19 @@ def test_semantic_cluster_recovers_planted_groups():
         assert left != right
 
 
+def test_semantic_cluster_mean_feature_variant():
+    assignments = semantic_cluster(_planted_gaussians(), 2, 0)
+    groups = assignments[0]
+    assert {groups[0], groups[1], groups[2]} != {groups[3], groups[4], groups[5]}
+    # Clustering reads the class means only: swapping in far wider covariances
+    # leaves the assignment unchanged.
+    widened = {
+        cid: [_gauss(0, g.mean, 1e4 * np.eye(2), count=10) for g in gs]
+        for cid, gs in _planted_gaussians().items()
+    }
+    assert semantic_cluster(widened, 2, 0) == assignments
+
+
 def test_semantic_cluster_caps_k_at_holders():
     gaussians = {0: [_gauss(0, [0.0], [[1.0]])], 1: [_gauss(0, [5.0], [[1.0]])]}
     assignments = semantic_cluster(gaussians, 10, 0)

@@ -35,7 +35,7 @@ from .metrics import accuracy, auc
 from .models import (ClassGaussian, SpectralGNNParams, VGAEParams, ce_path,
                      class_stat_paths, elbo_path, encoder_input, encoder_path,
                      gnn_forward, init_params, logits_path, params_to_leaves,
-                     spectral_energy, stack_powers, vgae_encode)
+                     sample_nonedges, spectral_energy, stack_powers, vgae_encode)
 from .rng import spawn_key, stream
 from .semantic import SemanticClusterMap, alignment_path, build_semantic_map
 from .structural import (SpectralEnergy, StructuralClusterMap,
@@ -118,7 +118,6 @@ class ClientState:
     powers: list
     h_stack: np.ndarray
     x_in: np.ndarray
-    nonedge_pool: np.ndarray
     last_losses: dict = field(default_factory=dict)
 
 
@@ -248,18 +247,6 @@ def payload_nbytes(obj) -> int:
 # --- client side ------------------------------------------------------------
 
 
-def _nonedge_candidates(g: LocalGraph) -> np.ndarray:
-    if g.n < 2:
-        return np.zeros((0, 2), dtype=np.int64)
-    iu, ju = np.triu_indices(g.n, k=1)
-    absent = np.ones(iu.size, dtype=bool)
-    if g.edges.size:
-        flat_edges = g.edges[:, 0] * g.n + g.edges[:, 1]
-        flat_pairs = iu * g.n + ju
-        absent = ~np.isin(flat_pairs, flat_edges)
-    return np.column_stack([iu[absent], ju[absent]])
-
-
 def init_client_state(client_id: int, graph: LocalGraph, num_classes: int, task: str,
                       cfg: RunConfig, gnn: SpectralGNNParams,
                       vgae: VGAEParams) -> ClientState:
@@ -270,7 +257,6 @@ def init_client_state(client_id: int, graph: LocalGraph, num_classes: int, task:
         adam=AdamState.fresh(_param_arrays(gnn, vgae)),
         powers=powers, h_stack=stack_powers(powers),
         x_in=encoder_input(graph, num_classes),
-        nonedge_pool=_nonedge_candidates(graph),
     )
     return state
 
@@ -296,14 +282,6 @@ def _adam_step(arrays: dict, grads: dict, st: AdamState, lr: float) -> None:
         st.v[name] = ADAM_BETA2 * st.v[name] + (1.0 - ADAM_BETA2) * (g * g)
         step = lr * (st.m[name] / correct1) / (np.sqrt(st.v[name] / correct2) + ADAM_EPS)
         arr -= step
-
-
-def _sample_pool(pool: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    if count <= 0 or pool.shape[0] == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    take = min(count, pool.shape[0])
-    pick = np.sort(rng.choice(pool.shape[0], size=take, replace=False))
-    return pool[pick]
 
 
 def _loss_parts(state: ClientState, broadcast: Optional[ServerBroadcast],
@@ -355,8 +333,8 @@ def client_round(state: ClientState, broadcast: Optional[ServerBroadcast],
     arrays = _param_arrays(state.gnn, state.vgae)
     for epoch in range(cfg.epochs):
         eps = stream(seed, "train-eps", round_index, epoch).standard_normal((n, dz))
-        nonedges = _sample_pool(state.nonedge_pool, g.edges.shape[0],
-                                stream(seed, "train-nonedges", round_index, epoch))
+        nonedges = sample_nonedges(g, g.edges.shape[0],
+                                   stream(seed, "train-nonedges", round_index, epoch))
         try:
             tape, leaves, parts = _loss_parts(state, broadcast, cfg, eps, nonedges)
             loss = parts["total"]
@@ -373,8 +351,8 @@ def client_round(state: ClientState, broadcast: Optional[ServerBroadcast],
                 out=state.gnn.coefficients)
     # One evaluation pass on its own streams, recorded for round metrics.
     eval_eps = stream(seed, "eval-eps", round_index).standard_normal((n, dz))
-    eval_nonedges = _sample_pool(state.nonedge_pool, g.edges.shape[0],
-                                 stream(seed, "eval-nonedges", round_index))
+    eval_nonedges = sample_nonedges(g, g.edges.shape[0],
+                                    stream(seed, "eval-nonedges", round_index))
     _tape, _leaves, parts = _loss_parts(state, broadcast, cfg, eval_eps, eval_nonedges)
     state.last_losses = {
         "ce": float(parts["ce"].value[0, 0]),

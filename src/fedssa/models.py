@@ -173,14 +173,6 @@ def params_to_leaves(tape: tp.Tape, gnn: SpectralGNNParams, vgae: VGAEParams) ->
     return leaves
 
 
-def selection_matrix(rows, n: int) -> np.ndarray:
-    """Constant 0/1 matrix that picks the given rows, in the given order."""
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-    sel = np.zeros((rows.size, n))
-    sel[np.arange(rows.size), rows] = 1.0
-    return sel
-
-
 def stack_powers(powers: list) -> np.ndarray:
     """Row-major stack of the propagated features, one row per hop."""
     return np.stack([h.ravel() for h in powers])
@@ -190,11 +182,8 @@ def logits_path(leaves: dict, h_stack: np.ndarray, n: int, d: int) -> tuple[tp.V
     """Tape nodes for the propagated features P and the class logits."""
     p_flat = tp.matmul(leaves["w"], h_stack)
     p = tp.reshape(p_flat, (n, d))
-    ones = np.ones((n, 1))
-    hidden = tp.tanh(tp.add(tp.matmul(p, leaves["head_w1"]),
-                            tp.matmul(ones, leaves["head_b1"])))
-    logits = tp.add(tp.matmul(hidden, leaves["head_w2"]),
-                    tp.matmul(ones, leaves["head_b2"]))
+    hidden = tp.tanh(tp.add_row(tp.matmul(p, leaves["head_w1"]), leaves["head_b1"]))
+    logits = tp.add_row(tp.matmul(hidden, leaves["head_w2"]), leaves["head_b2"])
     return p, logits
 
 
@@ -207,9 +196,7 @@ def ce_path(logits: tp.Var, labels: np.ndarray, mask: np.ndarray,
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     if np.any(labels[mask] >= num_classes):
         raise ContractError("label outside the class range")
-    n = logits.value.shape[0]
-    sel = selection_matrix(mask, n)
-    picked = tp.matmul(sel, logits)
+    picked = tp.take_rows(logits, mask)
     # The row-max shift is a frozen constant; gradients are unaffected.
     shift = picked.value.max(axis=1, keepdims=True)
     shifted = tp.add(picked, -(shift @ np.ones((1, num_classes))))
@@ -231,13 +218,9 @@ def encoder_input(g: LocalGraph, num_classes: int) -> np.ndarray:
 
 def encoder_path(leaves: dict, x_in: np.ndarray) -> tuple[tp.Var, tp.Var]:
     """Tape nodes for per-node posterior mean and clamped log-variance."""
-    n = x_in.shape[0]
-    ones = np.ones((n, 1))
-    hidden = tp.tanh(tp.add(tp.matmul(x_in, leaves["enc_w1"]),
-                            tp.matmul(ones, leaves["enc_b1"])))
-    mu = tp.add(tp.matmul(hidden, leaves["mu_w"]), tp.matmul(ones, leaves["mu_b"]))
-    logvar = tp.clip(tp.add(tp.matmul(hidden, leaves["logvar_w"]),
-                            tp.matmul(ones, leaves["logvar_b"])),
+    hidden = tp.tanh(tp.add_row(tp.matmul(x_in, leaves["enc_w1"]), leaves["enc_b1"]))
+    mu = tp.add_row(tp.matmul(hidden, leaves["mu_w"]), leaves["mu_b"])
+    logvar = tp.clip(tp.add_row(tp.matmul(hidden, leaves["logvar_w"]), leaves["logvar_b"]),
                      LOGVAR_MIN, LOGVAR_MAX)
     return mu, logvar
 
@@ -249,33 +232,37 @@ def class_stat_paths(mu: tp.Var, logvar: tp.Var, g: LocalGraph) -> dict:
     to the average posterior mean, and variance equal to the average
     posterior variance plus the population variance of the means.
     """
-    n = mu.value.shape[0]
     stats = {}
     for c in np.unique(g.labels[g.train_idx]) if g.train_idx.size else []:
         rows = g.train_idx[g.labels[g.train_idx] == c]
-        sel = selection_matrix(rows, n)
-        mu_c = tp.matmul(sel, mu)
+        mu_c = tp.take_rows(mu, rows)
         mean_c = tp.mean_rows(mu_c)
         spread = tp.add(tp.mean_rows(tp.square(mu_c)), tp.scale(tp.square(mean_c), -1.0))
-        avg_var = tp.mean_rows(tp.exp(tp.matmul(sel, logvar)))
+        avg_var = tp.mean_rows(tp.exp(tp.take_rows(logvar, rows)))
         var_c = tp.add(avg_var, spread)
         stats[int(c)] = (mean_c, var_c, rows.size)
     return stats
 
 
 def sample_nonedges(g: LocalGraph, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample of absent node pairs (i < j), without replacement."""
-    if count <= 0 or g.n < 2:
+    """Uniform sample of absent node pairs (i < j), without replacement.
+
+    Draws positions among the absent pairs in row-major upper-triangle order
+    and maps each back to (i, j) in closed form: the edges are sorted, so
+    flat(edge k) - k absent pairs precede edge k.
+    """
+    n = g.n
+    absent = n * (n - 1) // 2 - g.edges.shape[0]
+    if count <= 0 or absent <= 0:
         return np.zeros((0, 2), dtype=np.int64)
-    iu, ju = np.triu_indices(g.n, k=1)
-    present = set(map(tuple, g.edges.tolist()))
-    keep = np.array([(u, v) not in present for u, v in zip(iu, ju)])
-    candidates = np.column_stack([iu[keep], ju[keep]])
-    if candidates.shape[0] == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    take = min(count, candidates.shape[0])
-    pick = np.sort(rng.choice(candidates.shape[0], size=take, replace=False))
-    return candidates[pick]
+    pick = np.sort(rng.choice(absent, size=min(count, absent), replace=False))
+    heads = np.arange(n - 1)
+    row_start = heads * n - heads * (heads + 1) // 2
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    absent_before_edge = row_start[u] + (v - u - 1) - np.arange(u.size)
+    flat = pick + np.searchsorted(absent_before_edge, pick, side="right")
+    rows = np.searchsorted(row_start, flat, side="right") - 1
+    return np.column_stack([rows, flat - row_start[rows] + rows + 1])
 
 
 def elbo_path(mu: tp.Var, logvar: tp.Var, g: LocalGraph, eps: np.ndarray,
@@ -294,9 +281,7 @@ def elbo_path(mu: tp.Var, logvar: tp.Var, g: LocalGraph, eps: np.ndarray,
     if pairs.size:
         y = np.concatenate([np.ones((g.edges.shape[0], 1)),
                             np.zeros((nonedges.shape[0] if nonedges.size else 0, 1))])
-        su = selection_matrix(pairs[:, 0], n)
-        sv = selection_matrix(pairs[:, 1], n)
-        scores = tp.matmul(tp.mul(tp.matmul(su, z), tp.matmul(sv, z)),
+        scores = tp.matmul(tp.mul(tp.take_rows(z, pairs[:, 0]), tp.take_rows(z, pairs[:, 1])),
                            np.ones((dz, 1)))
         bce = tp.add(tp.softplus(scores), tp.scale(tp.mul(scores, y), -1.0))
         recon = tp.scale(tp.sum_all(bce), 1.0 / pairs.shape[0])

@@ -10,11 +10,14 @@ same order.
 All values are 2-D float64 arrays (scalars are 1x1). Inputs to an op may be
 other Vars or plain ndarrays; plain arrays are closed-over constants that
 receive no gradient, which is how frozen server broadcasts enter local
-losses without being differentiated.
+losses without being differentiated. Row gathers (`take_rows`) and bias
+rows (`add_row`) need no O(rows x n) constant. A Var refers to its tape
+weakly, so reference counting frees a tape once the caller drops it.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -38,17 +41,24 @@ def _as_matrix(value) -> np.ndarray:
 class Var:
     """One tape node: a value plus the recipe that produced it."""
 
-    __slots__ = ("tape", "index", "value", "op", "inputs", "aux", "name")
+    __slots__ = ("_tape_ref", "index", "value", "op", "inputs", "aux", "name")
 
     def __init__(self, tape: "Tape", index: int, value: np.ndarray, op: str,
                  inputs: tuple, aux: dict, name: Optional[str]):
-        self.tape = tape
+        self._tape_ref = weakref.ref(tape)
         self.index = index
         self.value = value
         self.op = op
         self.inputs = inputs
         self.aux = aux
         self.name = name
+
+    @property
+    def tape(self) -> "Tape":
+        tape = self._tape_ref()
+        if tape is None:
+            raise ContractError(f"{self!r} belongs to a tape that was freed")
+        return tape
 
     @property
     def shape(self) -> tuple:
@@ -226,6 +236,10 @@ def _fw_sum_all(vals, aux):
     return np.array([[vals[0].sum()]])
 
 
+def _fw_take_rows(vals, aux):
+    return vals[0][aux["rows"]]
+
+
 _FORWARD: dict[str, Callable] = {
     "matmul": _fw_matmul,
     "add": _fw_add,
@@ -244,82 +258,95 @@ _FORWARD: dict[str, Callable] = {
     "clip": _fw_clip,
     "mean_rows": _fw_mean_rows,
     "sum_all": _fw_sum_all,
+    "take_rows": _fw_take_rows,
+    "add_row": _fw_add,
 }
 
 
-# Backward rules: given input values, aux, output value and output adjoint,
-# return one adjoint per input (None for constant inputs).
+# Backward rules: given input values, aux, output value, output adjoint and
+# which inputs are tape variables, return one adjoint per input (None for
+# constant inputs, whose adjoints are never computed).
 
-def _bw_matmul(vals, aux, out, g):
+def _bw_matmul(vals, aux, out, g, need):
     a, b = vals
-    return (g @ b.T, a.T @ g)
+    return (g @ b.T if need[0] else None, a.T @ g if need[1] else None)
 
 
-def _bw_add(vals, aux, out, g):
+def _bw_add(vals, aux, out, g, need):
     return (g, g)
 
 
-def _bw_scale(vals, aux, out, g):
+def _bw_scale(vals, aux, out, g, need):
     return (g * aux["alpha"],)
 
 
-def _bw_mul(vals, aux, out, g):
+def _bw_mul(vals, aux, out, g, need):
     a, b = vals
-    return (g * b, g * a)
+    return (g * b if need[0] else None, g * a if need[1] else None)
 
 
-def _bw_transpose(vals, aux, out, g):
+def _bw_transpose(vals, aux, out, g, need):
     return (np.ascontiguousarray(g.T),)
 
 
-def _bw_reshape(vals, aux, out, g):
+def _bw_reshape(vals, aux, out, g, need):
     return (g.reshape(vals[0].shape),)
 
 
-def _bw_log(vals, aux, out, g):
+def _bw_log(vals, aux, out, g, need):
     return (g / vals[0],)
 
 
-def _bw_exp(vals, aux, out, g):
+def _bw_exp(vals, aux, out, g, need):
     return (g * out,)
 
 
-def _bw_sqrt(vals, aux, out, g):
+def _bw_sqrt(vals, aux, out, g, need):
     return (g * 0.5 / out,)
 
 
-def _bw_square(vals, aux, out, g):
+def _bw_square(vals, aux, out, g, need):
     return (g * 2.0 * vals[0],)
 
 
-def _bw_absval(vals, aux, out, g):
+def _bw_absval(vals, aux, out, g, need):
     return (g * np.sign(vals[0]),)
 
 
-def _bw_tanh(vals, aux, out, g):
+def _bw_tanh(vals, aux, out, g, need):
     return (g * (1.0 - out * out),)
 
 
-def _bw_sigmoid(vals, aux, out, g):
+def _bw_sigmoid(vals, aux, out, g, need):
     return (g * out * (1.0 - out),)
 
 
-def _bw_softplus(vals, aux, out, g):
+def _bw_softplus(vals, aux, out, g, need):
     return (g * _fw_sigmoid((vals[0],), {}),)
 
 
-def _bw_clip(vals, aux, out, g):
+def _bw_clip(vals, aux, out, g, need):
     inside = (vals[0] > aux["lo"]) & (vals[0] < aux["hi"])
     return (g * inside,)
 
 
-def _bw_mean_rows(vals, aux, out, g):
+def _bw_mean_rows(vals, aux, out, g, need):
     n = vals[0].shape[0]
     return (np.broadcast_to(g / n, vals[0].shape),)
 
 
-def _bw_sum_all(vals, aux, out, g):
+def _bw_sum_all(vals, aux, out, g, need):
     return (np.full(vals[0].shape, g[0, 0]),)
+
+
+def _bw_take_rows(vals, aux, out, g, need):
+    acc = np.zeros_like(vals[0])
+    np.add.at(acc, aux["rows"], g)
+    return (acc,)
+
+
+def _bw_add_row(vals, aux, out, g, need):
+    return (g, g.sum(axis=0, keepdims=True) if need[1] else None)
 
 
 _BACKWARD: dict[str, Callable] = {
@@ -340,6 +367,8 @@ _BACKWARD: dict[str, Callable] = {
     "clip": _bw_clip,
     "mean_rows": _bw_mean_rows,
     "sum_all": _bw_sum_all,
+    "take_rows": _bw_take_rows,
+    "add_row": _bw_add_row,
 }
 
 
@@ -351,34 +380,39 @@ def _unary(op: str, a: Var, aux: Optional[dict] = None) -> Var:
     return a.tape._record(op, (a,), aux, value)
 
 
-def matmul(a: ArrayLike, b: ArrayLike) -> Var:
+def _binary(op: str, a: ArrayLike, b: ArrayLike, fits: Callable) -> Var:
     tape = _tape_of(a, b)
-    av = _value(a) if isinstance(a, Var) else _as_matrix(a)
-    bv = _value(b) if isinstance(b, Var) else _as_matrix(b)
-    if av.shape[1] != bv.shape[0]:
-        raise ShapeError(f"matmul mismatch: {av.shape} @ {bv.shape}")
+    av = a.value if isinstance(a, Var) else _as_matrix(a)
+    bv = b.value if isinstance(b, Var) else _as_matrix(b)
+    if not fits(av.shape, bv.shape):
+        raise ShapeError(f"{op} mismatch: {av.shape} and {bv.shape}")
     inputs = (a if isinstance(a, Var) else av, b if isinstance(b, Var) else bv)
-    return tape._record("matmul", inputs, {}, av @ bv)
+    return tape._record(op, inputs, {}, _FORWARD[op]((av, bv), {}))
+
+
+def matmul(a: ArrayLike, b: ArrayLike) -> Var:
+    return _binary("matmul", a, b, lambda sa, sb: sa[1] == sb[0])
 
 
 def add(a: ArrayLike, b: ArrayLike) -> Var:
-    tape = _tape_of(a, b)
-    av = _value(a) if isinstance(a, Var) else _as_matrix(a)
-    bv = _value(b) if isinstance(b, Var) else _as_matrix(b)
-    if av.shape != bv.shape:
-        raise ShapeError(f"add mismatch: {av.shape} + {bv.shape}")
-    inputs = (a if isinstance(a, Var) else av, b if isinstance(b, Var) else bv)
-    return tape._record("add", inputs, {}, av + bv)
+    return _binary("add", a, b, lambda sa, sb: sa == sb)
 
 
 def mul(a: ArrayLike, b: ArrayLike) -> Var:
-    tape = _tape_of(a, b)
-    av = _value(a) if isinstance(a, Var) else _as_matrix(a)
-    bv = _value(b) if isinstance(b, Var) else _as_matrix(b)
-    if av.shape != bv.shape:
-        raise ShapeError(f"mul mismatch: {av.shape} * {bv.shape}")
-    inputs = (a if isinstance(a, Var) else av, b if isinstance(b, Var) else bv)
-    return tape._record("mul", inputs, {}, av * bv)
+    return _binary("mul", a, b, lambda sa, sb: sa == sb)
+
+
+def add_row(a: ArrayLike, b: ArrayLike) -> Var:
+    """a plus the 1 x k row b added to every row (a bias broadcast)."""
+    return _binary("add_row", a, b, lambda sa, sb: sb == (1, sa[1]))
+
+
+def take_rows(a: Var, rows) -> Var:
+    """Rows of a in the given order; repeated rows accumulate their adjoints."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    if isinstance(a, Var) and rows.size and (rows.min() < 0 or rows.max() >= a.shape[0]):
+        raise ShapeError(f"row index out of range for {a.shape[0]} rows")
+    return _unary("take_rows", a, {"rows": rows})
 
 
 def scale(a: Var, alpha: float) -> Var:
@@ -463,7 +497,8 @@ def grad(tape: Tape, loss: Var) -> dict:
         if g is None:
             continue
         vals = tuple(_value(x) for x in node.inputs)
-        contribs = _BACKWARD[node.op](vals, node.aux, node.value, g)
+        need = tuple(isinstance(x, Var) for x in node.inputs)
+        contribs = _BACKWARD[node.op](vals, node.aux, node.value, g, need)
         for inp, contrib in zip(node.inputs, contribs):
             if not isinstance(inp, Var) or contrib is None:
                 continue

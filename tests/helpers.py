@@ -107,3 +107,24 @@ def induced_edges_loop(edges: np.ndarray, nodes: np.ndarray) -> tuple:
         elif u in pos or v in pos:
             dropped += 1
     return np.asarray(kept, dtype=np.int64).reshape(-1, 2), dropped
+
+
+def nonedge_pool(g) -> np.ndarray:
+    """Every absent pair (i < j) of a graph, in row-major upper-triangle order."""
+    if g.n < 2:
+        return np.zeros((0, 2), dtype=np.int64)
+    iu, ju = np.triu_indices(g.n, k=1)
+    absent = np.ones(iu.size, dtype=bool)
+    if g.edges.size:
+        flat_edges = g.edges[:, 0] * g.n + g.edges[:, 1]
+        absent = ~np.isin(iu * g.n + ju, flat_edges)
+    return np.column_stack([iu[absent], ju[absent]])
+
+
+def pool_draw(g, count: int, rng) -> np.ndarray:
+    """Sorted draw of count rows of nonedge_pool(g), without replacement."""
+    pool = nonedge_pool(g)
+    if count <= 0 or pool.shape[0] == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    take = min(count, pool.shape[0])
+    return pool[np.sort(rng.choice(pool.shape[0], size=take, replace=False))]

@@ -10,13 +10,13 @@ import pytest
 
 from fedssa.errors import (ConfigError, ContractError, ProtocolError,
                            ShapeError, TrainingDivergenceError)
-from fedssa.federation import (ClientUpload, RunConfig, client_round,
+from fedssa.federation import (ClientUpload, RunConfig, _loss_parts, client_round,
                                init_client_state, run_federation,
                                run_federation_detailed, server_step,
                                upload_payload)
 from fedssa.graphs import FederationDataset, SynthSpec, synth_dataset
 from fedssa.linalg import qr_thin
-from fedssa.models import ClassGaussian, init_params
+from fedssa.models import ClassGaussian, init_params, sample_nonedges
 from fedssa.rng import stream
 from fedssa.structural import SpectralEnergy
 
@@ -48,6 +48,33 @@ def _client_state(graph, cfg, seed=0, client_id=0):
     gnn, vgae = init_params(DIM, 2, cfg.order, cfg.hidden, cfg.latent_dim,
                             cfg.w_max, stream(seed, "init"))
     return init_client_state(client_id, graph, 2, "multiclass", cfg, gnn, vgae)
+
+
+# --- training memory -----------------------------------------------------------
+
+
+def test_training_tape_holds_no_rows_by_nodes_constant():
+    n = 1000
+    graph = synth_dataset(SynthSpec(num_nodes=n, num_classes=2, feature_dim=DIM,
+                                    p_intra=0.01, p_inter=0.002), 0)
+    num_edges = graph.edges.shape[0]
+    assert num_edges > 1000
+    cfg = _tiny_cfg(latent_dim=8, hidden=16)
+    state = _client_state(graph, cfg)
+    eps = stream(0, "eps").standard_normal((n, cfg.latent_dim))
+    nonedges = sample_nonedges(graph, num_edges, stream(0, "ne"))
+    tape, _leaves, _parts = _loss_parts(state, None, cfg, eps, nonedges)
+    arrays = {}
+    for node in tape.nodes:
+        constants = [x for x in node.inputs if isinstance(x, np.ndarray)]
+        constants += [x for x in node.aux.values() if isinstance(x, np.ndarray)]
+        for x in constants:
+            rows, cols = np.atleast_2d(x).shape
+            assert not (cols >= n and rows >= num_edges), \
+                f"{node.op} holds a {x.shape} constant"
+            arrays[id(x)] = x.nbytes
+        arrays[id(node.value)] = node.value.nbytes
+    assert sum(arrays.values()) < 10 * 2 ** 20
 
 
 # --- determinism and schedule invariance -------------------------------------

@@ -17,7 +17,7 @@ from fedssa.models import (COV_FLOOR, LOGVAR_MAX, LOGVAR_MIN, VGAE_LEAVES,
                            sample_nonedges, spectral_energy, stack_powers,
                            vgae_encode)
 from fedssa.rng import stream
-from helpers import central_diff, rel_err
+from helpers import central_diff, pool_draw, rel_err
 
 
 def _small_graph(seed=0, n=20, c=3, d=5):
@@ -281,6 +281,49 @@ def test_sample_nonedges_complete_graph_empty():
     g = LocalGraph(np.eye(3), [0, 1, 0], [[0, 1], [0, 2], [1, 2]],
                    train_idx=[0], val_idx=[], test_idx=[])
     assert sample_nonedges(g, 5, stream(0, "ne")).shape == (0, 2)
+
+
+def _graph_from_edges(n, edges):
+    return LocalGraph(np.zeros((n, 1)), np.zeros(n, dtype=np.int64),
+                      np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+                      train_idx=[], val_idx=[], test_idx=[])
+
+
+def _assert_matches_pool(g, count, seed):
+    got = sample_nonedges(g, count, stream(seed, "ne"))
+    want = pool_draw(g, count, stream(seed, "ne"))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sample_nonedges_matches_pool_draw(seed):
+    rng = np.random.default_rng(500 + seed)
+    n = int(rng.integers(2, 40))
+    density = float(rng.uniform(0.0, 1.0))
+    iu, ju = np.triu_indices(n, k=1)
+    hit = rng.random(iu.size) < density
+    g = _graph_from_edges(n, np.column_stack([iu[hit], ju[hit]]))
+    absent = n * (n - 1) // 2 - g.edges.shape[0]
+    for count in (g.edges.shape[0], int(rng.integers(1, absent + 2)), absent, absent + 7):
+        _assert_matches_pool(g, count, seed)
+
+
+def test_sample_nonedges_matches_pool_draw_edge_cases():
+    n = 9
+    iu, ju = np.triu_indices(n, k=1)
+    complete = _graph_from_edges(n, np.column_stack([iu, ju]))
+    edgeless = _graph_from_edges(n, [])
+    path = _graph_from_edges(n, [[i, i + 1] for i in range(n - 1)])
+    cases = [(_graph_from_edges(0, []), 3), (_graph_from_edges(1, []), 3),
+             (edgeless, 5), (edgeless, 36), (edgeless, 100), (complete, 4),
+             (path, 0), (path, -2), (path, 28), (path, 29), (path, 500)]
+    for seed in range(10):
+        for g, count in cases:
+            _assert_matches_pool(g, count, seed)
+    assert sample_nonedges(edgeless, 100, stream(0, "ne")).shape == (36, 2)
+    assert sample_nonedges(complete, 4, stream(0, "ne")).shape == (0, 2)
+    assert sample_nonedges(path, 0, stream(0, "ne")).shape == (0, 2)
 
 
 # --- class Gaussians ----------------------------------------------------------------

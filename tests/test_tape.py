@@ -1,5 +1,9 @@
 """Autodiff engine checks: forward values against loop oracles, gradients
-against central finite differences, bit-identical replay, and error paths."""
+against central finite differences, bit-identical replay, tape lifetime, and
+error paths."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -36,6 +40,18 @@ def test_elementwise_forward_values():
     assert np.allclose(tp.softplus(v).value, np.logaddexp(0.0, x))
     assert np.allclose(tp.mean_rows(v).value, x.mean(axis=0, keepdims=True))
     assert np.allclose(tp.sum_all(v).value, np.array([[x.sum()]]))
+
+
+def test_take_rows_and_add_row_forward_values():
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((4, 3))
+    b = rng.standard_normal((1, 3))
+    t = tp.Tape()
+    v = t.leaf(x, "x")
+    rows = [2, 0, 2, 3]
+    assert np.array_equal(tp.take_rows(v, rows).value, x[rows])
+    assert np.array_equal(tp.add_row(v, t.leaf(b, "b")).value, x + np.ones((4, 1)) @ b)
+    assert np.array_equal(tp.add_row(v, b).value, x + b)
 
 
 def test_sigmoid_is_stable_for_large_inputs():
@@ -169,9 +185,47 @@ def test_grad_constant_operand_gets_no_gradient():
     assert rel_err(g[v], want["a"]) < 1e-6
 
 
+def test_grad_take_rows_repeated_and_out_of_order():
+    rng = np.random.default_rng(12)
+    arrays = {"a": rng.standard_normal((5, 3)), "m": rng.standard_normal((3, 2))}
+    _grad_check(lambda t, lv: tp.sum_all(tp.tanh(tp.matmul(
+        tp.take_rows(lv["a"], [4, 1, 4, 0, 1, 4]), lv["m"]))), arrays)
+
+
+def test_grad_take_rows_single_row():
+    rng = np.random.default_rng(13)
+    arrays = {"a": rng.standard_normal((4, 3))}
+    _grad_check(lambda t, lv: tp.sum_all(tp.square(tp.take_rows(lv["a"], [2]))), arrays)
+
+
+def test_grad_add_row_bias():
+    rng = np.random.default_rng(14)
+    arrays = {"a": rng.standard_normal((4, 3)), "b": rng.standard_normal((1, 3))}
+    _grad_check(lambda t, lv: tp.sum_all(tp.mul(tp.tanh(tp.add_row(lv["a"], lv["b"])),
+                                                tp.add_row(lv["a"], lv["b"]))), arrays)
+
+
+def test_grad_add_row_constant_sides():
+    rng = np.random.default_rng(15)
+    a = rng.standard_normal((4, 3))
+    b = rng.standard_normal((1, 3))
+    _grad_check(lambda t, lv: tp.sum_all(tp.square(tp.add_row(lv["a"], b))), {"a": a})
+    _grad_check(lambda t, lv: tp.sum_all(tp.square(tp.add_row(a, lv["b"]))), {"b": b})
+
+
+def test_constant_operand_adjoint_is_not_computed():
+    a = np.ones((2, 3))
+    b = np.ones((3, 4))
+    g = np.ones((2, 4))
+    ga, gb = tp._BACKWARD["matmul"]((a, b), {}, a @ b, g, (True, False))
+    assert gb is None and np.array_equal(ga, g @ b.T)
+    ga, gb = tp._BACKWARD["mul"]((a, a), {}, a * a, np.ones((2, 3)), (False, True))
+    assert ga is None and np.array_equal(gb, a)
+
+
 RANDOM_OPS = ("add", "mul", "tanh", "sigmoid", "softplus", "square",
               "scale", "transpose", "exp_damped", "log_safe", "sqrt_safe",
-              "absval", "matmul_const")
+              "absval", "matmul_const", "take_rows", "add_row")
 
 
 def _random_composition(rng):
@@ -181,6 +235,9 @@ def _random_composition(rng):
     b0 = rng.standard_normal(shape)
     ops = [RANDOM_OPS[int(rng.integers(len(RANDOM_OPS)))] for _ in range(6)]
     consts = {i: rng.standard_normal() for i in range(6)}
+    # Row draws, reduced modulo the row count at build time; repeats and
+    # out-of-order rows are the common case.
+    row_draws = {i: rng.integers(0, 1 << 30, size=int(rng.integers(1, 6))) for i in range(6)}
     mats = {}
 
     def build(t, lv):
@@ -207,6 +264,14 @@ def _random_composition(rng):
                     mats[key] = np.random.default_rng(100 + i).standard_normal(
                         (x.shape[1], x.shape[1]))
                 x = tp.matmul(x, mats[key])
+            elif op == "take_rows":
+                x = tp.take_rows(x, row_draws[i] % x.shape[0])
+            elif op == "add_row":
+                if x.shape[1] == other.shape[1]:
+                    row = tp.take_rows(other, row_draws[i][:1] % other.shape[0])
+                else:
+                    row = np.full((1, x.shape[1]), consts[i])
+                x = tp.add_row(x, row)
             else:
                 x = getattr(tp, op)(x)
         return tp.sum_all(tp.mean_rows(x))
@@ -247,6 +312,33 @@ def test_grad_is_deterministic():
     g2 = tp.grad(t, loss)
     for leaf in leaves.values():
         assert g1[leaf].tobytes() == g2[leaf].tobytes()
+
+
+# --- tape lifetime ----------------------------------------------------------------
+
+
+def test_finished_tape_is_freed_by_reference_counting():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        t = tp.Tape()
+        a = t.leaf(np.ones((3, 2)), "a")
+        loss = tp.sum_all(tp.square(tp.add_row(a, np.ones((1, 2)))))
+        grads = tp.grad(t, loss)
+        alive = weakref.ref(t)
+        del t, a, loss, grads
+        assert alive() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_var_of_freed_tape_raises():
+    t = tp.Tape()
+    a = t.leaf(np.ones((2, 2)), "a")
+    del t
+    with pytest.raises(ContractError):
+        tp.square(a)
 
 
 # --- error paths ----------------------------------------------------------------
@@ -297,6 +389,24 @@ def test_grad_rejects_foreign_tape():
     loss = tp.sum_all(a)
     with pytest.raises(ContractError):
         tp.grad(t2, loss)
+
+
+def test_take_rows_rejects_out_of_range():
+    t = tp.Tape()
+    a = t.leaf(np.ones((3, 2)), "a")
+    with pytest.raises(ShapeError):
+        tp.take_rows(a, [0, 3])
+    with pytest.raises(ShapeError):
+        tp.take_rows(a, [-1])
+
+
+def test_add_row_rejects_non_row_bias():
+    t = tp.Tape()
+    a = t.leaf(np.ones((3, 2)), "a")
+    with pytest.raises(ShapeError):
+        tp.add_row(a, np.ones((3, 2)))
+    with pytest.raises(ShapeError):
+        tp.add_row(a, t.leaf(np.ones((1, 3)), "b"))
 
 
 def test_mixing_tapes_raises():

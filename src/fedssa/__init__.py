@@ -21,9 +21,8 @@ from .graphs import (FederationDataset, LocalGraph, SynthSpec, homophily_ratio,
                      stratified_split, synth_dataset)
 from .linalg import qr_thin
 from .metrics import accuracy, auc
-from .models import (ClassGaussian, SpectralGNNParams, VGAEParams, ce_loss,
-                     elbo_loss, gnn_forward, init_params, spectral_energy,
-                     vgae_encode)
+from .models import (ClassGaussian, SpectralGNNParams, VGAEParams, init_params,
+                     spectral_energy)
 from .rng import spawn_key, stream
 from .semantic import (GaussianMixture, SemanticClusterMap, cluster_moments,
                        gaussian_kl, gmm_of_cluster, build_semantic_map,
@@ -51,11 +50,11 @@ __all__ = [
     "SynthSpec", "Tape", "TrainingDivergenceError",
     "UndefinedMetricError", "VGAEParams", "Var", "accuracy", "auc",
     "build_dataset", "build_global_graph", "build_semantic_map",
-    "build_structural_map", "ce_loss", "chordal_distance", "client_round",
+    "build_structural_map", "chordal_distance", "client_round",
     "cluster_moments", "coeff_perturb_bound", "coefficient_alignment_loss",
-    "coefficient_regularizer", "contraction_simulate", "elbo_loss",
-    "error_floor", "evaluate_client", "filter_lipschitz_bound", "gaussian_kl",
-    "gmm_of_cluster", "gnn_forward", "grad", "homophily_ratio", "init_params",
+    "coefficient_regularizer", "contraction_simulate", "error_floor",
+    "evaluate_client", "filter_lipschitz_bound", "gaussian_kl",
+    "gmm_of_cluster", "grad", "homophily_ratio", "init_params",
     "kl_bound_audit", "kmeans", "laplacian_powers", "load_config",
     "load_dataset", "load_graph", "measure_heterogeneity",
     "normalized_laplacian", "pairwise_chordal", "parse_config",
@@ -65,5 +64,5 @@ __all__ = [
     "semantic_alignment_loss", "semantic_cluster",
     "server_step", "spawn_key", "spectral_energy", "stratified_split",
     "stream", "structural_cluster", "synth_dataset",
-    "two_regime_federation", "vgae_encode",
+    "two_regime_federation",
 ]

@@ -8,8 +8,9 @@ Subcommands:
   diagnose   contraction analysis from a finished run's error floor
   report     print a human summary of a run or ablation directory
 
-Exit codes: 0 success, 2 invalid configuration or infeasible request,
-3 training divergence.
+Exit codes: 0 success, 2 invalid configuration, infeasible request or
+missing file, 3 training divergence, 4 any other FedssaError (printed as
+"error: <Class>: message").
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, build_dataset, load_config, synth_spec_from
-from .errors import ConfigError, InfeasibleError, TrainingDivergenceError
+from .errors import ConfigError, FedssaError, InfeasibleError, TrainingDivergenceError
 from .federation import RunConfig, params_payload, run_federation_detailed
 from .graphs import save_dataset, save_graph, synth_dataset
 from .theory import contraction_simulate, rounds_to_reach
@@ -316,6 +317,9 @@ def main(argv=None) -> int:
     except (ConfigError, InfeasibleError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except FedssaError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def entry() -> None:

@@ -14,7 +14,7 @@ Methods:
   local   - isolated training; no messages exist at all.
 
 Uploads carry only statistics: filter coefficients, class-wise latent
-Gaussians, and the spectral-energy summary. Raw features, labels and edges
+Gaussians, and the spectral-energy frame. Raw features, labels and edges
 never leave the client.
 """
 
@@ -33,9 +33,9 @@ from .errors import (ConfigError, ContractError, NumericError, ProtocolError,
 from .graphs import FederationDataset, LocalGraph, laplacian_powers
 from .metrics import accuracy, auc
 from .models import (ClassGaussian, SpectralGNNParams, VGAEParams, ce_path,
-                     class_stat_paths, elbo_path, encoder_input, encoder_path,
-                     gnn_forward, init_params, logits_path, params_to_leaves,
-                     sample_nonedges, spectral_energy, stack_powers, vgae_encode)
+                     class_gaussians, class_stat_paths, elbo_path, encoder_input,
+                     encoder_path, init_params, logits_path, params_to_leaves,
+                     sample_nonedges, spectral_energy, stack_powers)
 from .rng import spawn_key, stream
 from .semantic import SemanticClusterMap, alignment_path, build_semantic_map
 from .structural import (SpectralEnergy, StructuralClusterMap,
@@ -115,10 +115,11 @@ class ClientState:
     gnn: SpectralGNNParams
     vgae: VGAEParams
     adam: AdamState
-    powers: list
     h_stack: np.ndarray
     x_in: np.ndarray
+    energy: Optional[SpectralEnergy]
     last_losses: dict = field(default_factory=dict)
+    last_metrics: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,7 @@ def _gaussian_payload(g: ClassGaussian) -> dict:
 
 
 def _energy_payload(e: SpectralEnergy) -> dict:
-    return {"client_id": e.client_id, "s": e.s.tolist(), "q": e.q.tolist()}
+    return {"client_id": e.client_id, "q": e.q.tolist()}
 
 
 def upload_payload(u: ClientUpload) -> dict:
@@ -250,15 +251,18 @@ def payload_nbytes(obj) -> int:
 def init_client_state(client_id: int, graph: LocalGraph, num_classes: int, task: str,
                       cfg: RunConfig, gnn: SpectralGNNParams,
                       vgae: VGAEParams) -> ClientState:
+    """Fresh client state; fedssa with the structural branch also fixes the frame."""
     powers = laplacian_powers(graph, cfg.order)
-    state = ClientState(
+    energy = None
+    if cfg.method == "fedssa" and cfg.structural:
+        energy = spectral_energy(powers, client_id)
+    return ClientState(
         client_id=client_id, graph=graph, num_classes=num_classes, task=task,
         gnn=gnn, vgae=vgae,
         adam=AdamState.fresh(_param_arrays(gnn, vgae)),
-        powers=powers, h_stack=stack_powers(powers),
-        x_in=encoder_input(graph, num_classes),
+        h_stack=stack_powers(powers),
+        x_in=encoder_input(graph, num_classes), energy=energy,
     )
-    return state
 
 
 def _param_arrays(gnn: SpectralGNNParams, vgae: VGAEParams) -> dict:
@@ -286,7 +290,11 @@ def _adam_step(arrays: dict, grads: dict, st: AdamState, lr: float) -> None:
 
 def _loss_parts(state: ClientState, broadcast: Optional[ServerBroadcast],
                 cfg: RunConfig, eps: np.ndarray, nonedges: np.ndarray) -> tuple:
-    """Assemble one forward pass; returns (tape, leaves, parts dict)."""
+    """Assemble one forward pass; returns (tape, leaves, parts dict).
+
+    Besides the loss terms, parts holds the logits and, for fedssa with the
+    semantic branch, the class statistics (None otherwise).
+    """
     g = state.graph
     n, d = g.features.shape
     tape = tp.Tape()
@@ -296,14 +304,15 @@ def _loss_parts(state: ClientState, broadcast: Optional[ServerBroadcast],
     mu, logvar = encoder_path(leaves, state.x_in)
     vgae_term = elbo_path(mu, logvar, g, eps, nonedges)
     total = tp.add(ce, vgae_term)
+    stats = None
     node_term = None
     struct_term = None
-    if cfg.method == "fedssa" and cfg.semantic and broadcast is not None \
-            and broadcast.class_representatives:
+    if cfg.method == "fedssa" and cfg.semantic:
         stats = class_stat_paths(mu, logvar, g)
-        node_term = alignment_path(stats, broadcast.class_representatives)
-        if node_term is not None:
-            total = tp.add(total, node_term)
+        if broadcast is not None and broadcast.class_representatives:
+            node_term = alignment_path(stats, broadcast.class_representatives)
+            if node_term is not None:
+                total = tp.add(total, node_term)
     if cfg.method == "fedssa" and cfg.structural:
         struct_term = regularizer_var(leaves["w"], cfg.lambda1, cfg.lambda2)
         if broadcast is not None and broadcast.cluster_coefficients is not None:
@@ -312,7 +321,7 @@ def _loss_parts(state: ClientState, broadcast: Optional[ServerBroadcast],
                 struct_term)
         total = tp.add(total, struct_term)
     parts = {"ce": ce, "vgae": vgae_term, "node": node_term,
-             "struct": struct_term, "total": total}
+             "struct": struct_term, "total": total, "logits": logits, "stats": stats}
     return tape, leaves, parts
 
 
@@ -321,8 +330,11 @@ def client_round(state: ClientState, broadcast: Optional[ServerBroadcast],
                  round_index: int) -> tuple[ClientState, Optional[ClientUpload]]:
     """Train E local epochs, evaluate, and build this round's upload.
 
-    A non-finite loss or gradient rolls parameters and optimizer state back
-    to their values at round entry and raises TrainingDivergenceError.
+    One evaluation forward gives the logged losses, the split metrics and
+    the upload's class Gaussians; the upload's frame is the one fixed at
+    setup. A non-finite loss or gradient rolls parameters and optimizer
+    state back to their values at round entry and raises
+    TrainingDivergenceError.
     With epochs == 0 the parameters are untouched and the upload reflects
     the current state. Method "local" never constructs an upload.
     """
@@ -360,33 +372,24 @@ def client_round(state: ClientState, broadcast: Optional[ServerBroadcast],
         "node": float(parts["node"].value[0, 0]) if parts["node"] is not None else 0.0,
         "struct": float(parts["struct"].value[0, 0]) if parts["struct"] is not None else 0.0,
     }
-    if cfg.method == "local":
+    state.last_metrics = evaluate_client(state, parts["logits"].value)
+    if cfg.method != "fedssa":
         return state, None
-    if cfg.method == "fedavg":
-        return state, None
-    gaussians: tuple = ()
     counts: dict = {}
     if g.train_idx.size:
         train_labels = g.labels[g.train_idx]
         counts = {int(c): int((train_labels == c).sum()) for c in np.unique(train_labels)}
-    if cfg.semantic:
-        gaussians = vgae_encode(state.vgae, g, state.num_classes).gaussians
-    energy = None
-    if cfg.structural:
-        energy = spectral_energy(state.gnn, state.powers, state.client_id,
-                                 stream(seed, "energy-jitter", round_index, state.client_id))
     return state, ClientUpload(
         client_id=state.client_id,
         coefficients=state.gnn.coefficients.copy(),
-        class_gaussians=gaussians,
-        spectral_energy=energy,
+        class_gaussians=class_gaussians(parts["stats"]) if cfg.semantic else (),
+        spectral_energy=state.energy,
         sample_counts=counts,
     )
 
 
-def evaluate_client(state: ClientState) -> dict:
-    """Accuracy (or AUC for binary tasks) on each split; nan when undefined."""
-    _p, logits = gnn_forward(state.gnn, state.powers)
+def evaluate_client(state: ClientState, logits: np.ndarray) -> dict:
+    """Accuracy (or AUC for binary tasks) of the logits per split; nan when undefined."""
     out = {}
     for split in ("train", "val", "test"):
         mask = state.graph.split(split)
@@ -494,10 +497,6 @@ def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig, seed: in
     cfg.validate()
     if dataset.num_clients < 1:
         raise ContractError("federation needs at least one client")
-    if cfg.method == "fedssa" and cfg.structural \
-            and dataset.feature_dim < cfg.order + 1:
-        raise ConfigError(f"feature dim {dataset.feature_dim} must be >= order+1"
-                          f" = {cfg.order + 1} for spectral-energy frames")
     m = dataset.num_clients
     order = list(range(m)) if client_order is None else [int(i) for i in client_order]
     if sorted(order) != list(range(m)):
@@ -513,14 +512,12 @@ def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig, seed: in
     for round_index in range(1, cfg.rounds + 1):
         t_start = time.perf_counter()
         uploads: dict = {}
-        split_metrics: dict = {}
         for cid in order:
             state, upload = client_round(states[cid], broadcasts.get(cid), cfg,
                                          seed, round_index)
             states[cid] = state
             if upload is not None:
                 uploads[cid] = upload
-            split_metrics[cid] = evaluate_client(state)
         bytes_up = {cid: 0 for cid in range(m)}
         bytes_down = {cid: 0 for cid in range(m)}
         heterogeneity = None
@@ -558,7 +555,7 @@ def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig, seed: in
         per_client = {}
         for cid in range(m):
             losses = states[cid].last_losses
-            metric = split_metrics[cid]
+            metric = states[cid].last_metrics
             per_client[cid] = ClientRoundStats(
                 ce=losses["ce"], vgae=losses["vgae"], node=losses["node"],
                 struct=losses["struct"], train_metric=metric["train"],
@@ -566,8 +563,8 @@ def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig, seed: in
                 bytes_up=bytes_up[cid], bytes_down=bytes_down[cid])
         means = {}
         for split in ("train", "val", "test"):
-            vals = [split_metrics[cid][split] for cid in range(m)
-                    if np.isfinite(split_metrics[cid][split])]
+            vals = [states[cid].last_metrics[split] for cid in range(m)
+                    if np.isfinite(states[cid].last_metrics[split])]
             means[split] = float(np.mean(vals)) if vals else float("nan")
         history.append(RoundMetrics(
             round_index=round_index, per_client=per_client,

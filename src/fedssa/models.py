@@ -7,20 +7,19 @@ into per-node diagonal Gaussians and reconstructs edges with an
 inner-product decoder; its class-wise latent statistics are the semantic
 payload each client shares.
 
-Both components are expressed as tape builders so training, evaluation and
-upload construction all run the exact same numpy operations; the public
-functions wrap the builders in a fresh tape and return plain arrays.
+Both components are expressed as tape builders. A client's evaluation pass
+records them once per round; its logits give the split metrics and its
+class statistics give the upload's class Gaussians.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import tape as tp
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, RankError, ShapeError
 from .graphs import LocalGraph
 from .linalg import qr_thin
 from .structural import SpectralEnergy
@@ -111,15 +110,6 @@ class VGAEParams:
                           self.mu_b.copy(), self.logvar_w.copy(), self.logvar_b.copy())
 
 
-@dataclass(frozen=True)
-class EncodeResult:
-    """Per-node posterior parameters and class-wise latent summaries."""
-
-    mu: np.ndarray
-    logvar: np.ndarray
-    gaussians: tuple
-
-
 def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) * np.sqrt(2.0 / (rows + cols))
 
@@ -157,19 +147,11 @@ VGAE_LEAVES = ("enc_w1", "enc_b1", "mu_w", "mu_b", "logvar_w", "logvar_b")
 
 def params_to_leaves(tape: tp.Tape, gnn: SpectralGNNParams, vgae: VGAEParams) -> dict:
     """Register every trainable array as a named tape leaf."""
-    leaves = {
-        "w": tape.leaf(gnn.coefficients.reshape(1, -1), "w"),
-        "head_w1": tape.leaf(gnn.head_w1, "head_w1"),
-        "head_b1": tape.leaf(gnn.head_b1, "head_b1"),
-        "head_w2": tape.leaf(gnn.head_w2, "head_w2"),
-        "head_b2": tape.leaf(gnn.head_b2, "head_b2"),
-        "enc_w1": tape.leaf(vgae.enc_w1, "enc_w1"),
-        "enc_b1": tape.leaf(vgae.enc_b1, "enc_b1"),
-        "mu_w": tape.leaf(vgae.mu_w, "mu_w"),
-        "mu_b": tape.leaf(vgae.mu_b, "mu_b"),
-        "logvar_w": tape.leaf(vgae.logvar_w, "logvar_w"),
-        "logvar_b": tape.leaf(vgae.logvar_b, "logvar_b"),
-    }
+    leaves = {"w": tape.leaf(gnn.coefficients.reshape(1, -1), "w")}
+    for name in GNN_LEAVES[1:]:
+        leaves[name] = tape.leaf(getattr(gnn, name), name)
+    for name in VGAE_LEAVES:
+        leaves[name] = tape.leaf(getattr(vgae, name), name)
     return leaves
 
 
@@ -300,83 +282,36 @@ def elbo_path(mu: tp.Var, logvar: tp.Var, g: LocalGraph, eps: np.ndarray,
     return total
 
 
-# --- public single-shot wrappers -------------------------------------------
-
-
-def gnn_forward(params: SpectralGNNParams, powers: list) -> tuple[np.ndarray, np.ndarray]:
-    """Propagated features and logits for the given Laplacian powers."""
-    if len(powers) != params.order + 1:
-        raise ShapeError(f"need {params.order + 1} propagated matrices, got {len(powers)}")
-    n, d = powers[0].shape
-    tape = tp.Tape()
-    leaves = {
-        "w": tape.leaf(params.coefficients.reshape(1, -1), "w"),
-        "head_w1": tape.leaf(params.head_w1, "head_w1"),
-        "head_b1": tape.leaf(params.head_b1, "head_b1"),
-        "head_w2": tape.leaf(params.head_w2, "head_w2"),
-        "head_b2": tape.leaf(params.head_b2, "head_b2"),
-    }
-    p, logits = logits_path(leaves, stack_powers(powers), n, d)
-    return p.value.copy(), logits.value.copy()
-
-
-def ce_loss(logits, labels, mask) -> float:
-    """Mean cross entropy of the masked rows."""
-    logits = np.asarray(logits, dtype=np.float64)
-    tape = tp.Tape()
-    var = tape.leaf(logits, "logits")
-    return float(ce_path(var, labels, mask, logits.shape[1]).value[0, 0])
-
-
-def vgae_encode(params: VGAEParams, g: LocalGraph, num_classes: Optional[int] = None) -> EncodeResult:
-    """Posterior parameters for every node plus moment-matched class summaries."""
-    num_classes = num_classes if num_classes is not None else \
-        params.enc_w1.shape[0] - g.feature_dim
-    if num_classes < 1 or params.enc_w1.shape[0] != g.feature_dim + num_classes:
-        raise ShapeError("encoder input width does not match features plus classes")
-    tape = tp.Tape()
-    leaves = {name: tape.leaf(getattr(params, name), name) for name in VGAE_LEAVES}
-    mu, logvar = encoder_path(leaves, encoder_input(g, num_classes))
-    stats = class_stat_paths(mu, logvar, g)
+def class_gaussians(stats: dict) -> tuple:
+    """ClassGaussians, sorted by label, from the values of class_stat_paths."""
     gaussians = []
     for c in sorted(stats):
         mean_c, var_c, count = stats[c]
         variances = np.maximum(var_c.value.reshape(-1), COV_FLOOR)
         gaussians.append(ClassGaussian(c, mean_c.value.reshape(-1).copy(),
                                        np.diag(variances), count))
-    return EncodeResult(mu.value.copy(), logvar.value.copy(), tuple(gaussians))
+    return tuple(gaussians)
 
 
-def elbo_loss(params: VGAEParams, g: LocalGraph, sample_eps,
-              nonedges: Optional[np.ndarray] = None,
-              num_classes: Optional[int] = None) -> float:
-    """Negative ELBO at the given reparameterization draw and non-edge sample."""
-    num_classes = num_classes if num_classes is not None else \
-        params.enc_w1.shape[0] - g.feature_dim
-    tape = tp.Tape()
-    leaves = {name: tape.leaf(getattr(params, name), name) for name in VGAE_LEAVES}
-    mu, logvar = encoder_path(leaves, encoder_input(g, num_classes))
-    nonedges = np.zeros((0, 2), dtype=np.int64) if nonedges is None else nonedges
-    return float(elbo_path(mu, logvar, g, sample_eps, nonedges).value[0, 0])
+def spectral_energy(powers: list, client_id: int) -> SpectralEnergy:
+    """Orthonormal frame Q of the spectral-energy columns mean(L^k X), k = 0..K.
 
-
-def spectral_energy(params: SpectralGNNParams, powers: list, client_id: int,
-                    rng: np.random.Generator) -> SpectralEnergy:
-    """Spectral-energy matrix S and its orthonormal frame Q.
-
-    Column k of S is the feature-wise mean of w_k H^k. A tiny jitter
-    (1e-12 relative scale) breaks exact column ties before the QR so the
-    frame is always well defined for generic inputs.
+    For filter coefficients w with no zero entry, the columns w_k mean(L^k X)
+    span the same subspace, so the frame is a constant of the client's data.
+    Dependent columns have no frame and are rejected: an edgeless graph
+    (L = I) repeats mean(X), and a regular graph (1^T L = 0) has
+    mean(L^k X) = 0 for every k >= 1.
     """
-    if len(powers) != params.order + 1:
-        raise ShapeError(f"need {params.order + 1} propagated matrices, got {len(powers)}")
+    order = len(powers) - 1
     d = powers[0].shape[1]
-    if d < params.order + 1:
-        raise ConfigError(f"feature dim {d} must be >= order+1 = {params.order + 1}"
-                          " for an orthonormal energy frame")
-    cols = [params.coefficients[k] * powers[k].mean(axis=0)
-            for k in range(params.order + 1)]
-    s = np.column_stack(cols)
-    jitter = 1e-12 * max(1.0, float(np.linalg.norm(s))) * rng.standard_normal(s.shape)
-    q, _ = qr_thin(s + jitter)
-    return SpectralEnergy(client_id, s, q)
+    if d < order + 1:
+        raise ConfigError(f"feature dim {d} must be >= order+1 = {order + 1}"
+                          " for spectral-energy frames")
+    try:
+        q, _ = qr_thin(np.column_stack([h.mean(axis=0) for h in powers]))
+    except RankError as exc:
+        raise ConfigError(f"client {client_id} has rank-deficient spectral-energy"
+                          f" columns mean(L^k X) ({exc}); set structural: false"
+                          " (YAML ablations.structural) or a lower order"
+                          " (YAML hyperparams.K)") from exc
+    return SpectralEnergy(client_id, q)

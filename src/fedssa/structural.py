@@ -1,12 +1,13 @@
 """Structural knowledge sharing: spectral-energy subspaces and filter bounds.
 
 Each client summarizes its propagation behavior as a spectral-energy matrix
-S whose k-th column is the feature-wise mean of the k-hop term of its
-filter. The orthonormal frame Q of S spans a subspace on the Stiefel
-manifold; clients are compared by the chordal distance between those
-subspaces and grouped by k-means on the Grassmann projection embedding
-Q Q^T, which is an isometry of chordal distance up to a factor sqrt(2) and
-is invariant to the basis chosen for each frame.
+S whose k-th column is the feature-wise mean of L^k X: the k-hop term of its
+filter without the coefficient w_k, since a nonzero scale does not change
+the span. The orthonormal frame Q of S, computed once per run, spans a
+subspace on the Stiefel manifold; clients are compared by the chordal
+distance between those subspaces and grouped by k-means on the Grassmann
+projection embedding Q Q^T, which is an isometry of chordal distance up to
+a factor sqrt(2) and is invariant to the basis chosen for each frame.
 
 The filter bounds quantify how coefficient perturbations move the filter:
 a Lipschitz bound on the polynomial derivative over the Laplacian spectral
@@ -27,24 +28,20 @@ from .rng import stream
 
 @dataclass(frozen=True)
 class SpectralEnergy:
-    """Per-client spectral summary: energy matrix S and orthonormal frame Q."""
+    """Per-client spectral summary: the orthonormal frame Q of S."""
 
     client_id: int
-    s: np.ndarray
     q: np.ndarray
 
     def __post_init__(self):
-        s = np.ascontiguousarray(np.asarray(self.s, dtype=np.float64))
         q = np.ascontiguousarray(np.asarray(self.q, dtype=np.float64))
-        if s.ndim != 2 or q.ndim != 2 or s.shape != q.shape:
-            raise ShapeError(f"S and Q must be matching matrices, got {s.shape} and {q.shape}")
+        if q.ndim != 2:
+            raise ShapeError(f"Q must be a matrix, got shape {q.shape}")
         gram = q.T @ q
         err = float(np.max(np.abs(gram - np.eye(q.shape[1]))))
         if err > 1e-8:
             raise ContractError(f"Q columns are not orthonormal (deviation {err:.3e})")
-        s.setflags(write=False)
         q.setflags(write=False)
-        object.__setattr__(self, "s", s)
         object.__setattr__(self, "q", q)
 
     @property

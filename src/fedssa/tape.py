@@ -2,10 +2,7 @@
 
 The design is a flat tape: every operation eagerly computes its value with
 numpy and appends a node recording the op name, its inputs and any static
-attributes. `grad` walks the tape once in reverse accumulating adjoints,
-and `Tape.replay` re-executes the recorded forward pass, which must agree
-bit-for-bit with the stored values because the same numpy calls run in the
-same order.
+attributes. `grad` walks the tape once in reverse accumulating adjoints.
 
 All values are 2-D float64 arrays (scalars are 1x1). Inputs to an op may be
 other Vars or plain ndarrays; plain arrays are closed-over constants that
@@ -125,23 +122,6 @@ class Tape:
         self.nodes.append(var)
         return var
 
-    def replay(self) -> list[np.ndarray]:
-        """Re-run the recorded forward pass and return all recomputed values.
-
-        Leaves reproduce their stored values; every interior node is
-        recomputed from the replayed values of its inputs with the same
-        numpy call that built it, so the result is bit-identical.
-        """
-        replayed: list[np.ndarray] = []
-        for node in self.nodes:
-            if node.op == "leaf":
-                replayed.append(node.value.copy())
-                continue
-            vals = tuple(replayed[x.index] if isinstance(x, Var) else x
-                         for x in node.inputs)
-            replayed.append(_FORWARD[node.op](vals, node.aux))
-        return replayed
-
 
 def _tape_of(*operands) -> Tape:
     tape = None
@@ -160,7 +140,7 @@ def _value(item) -> np.ndarray:
     return item.value if isinstance(item, Var) else item
 
 
-# Forward rules, shared by the eager path and replay.
+# Forward rules of the eager ops.
 
 def _fw_matmul(vals, aux):
     return vals[0] @ vals[1]

@@ -133,8 +133,8 @@ def test_a02_chordal_distance_matches_principal_angles():
         k = int(rng.integers(1, min(6, d)))
         qa, _ = qr_thin(rng.standard_normal((d, k)))
         qb, _ = qr_thin(rng.standard_normal((d, k)))
-        ea = SpectralEnergy(0, qa, qa)
-        eb = SpectralEnergy(1, qb, qb)
+        ea = SpectralEnergy(0, qa)
+        eb = SpectralEnergy(1, qb)
         dist = chordal_distance(ea, eb)
         worst_dist = max(worst_dist, abs(dist - svd_chordal(qa, qb)))
         gap = np.linalg.norm(projection_embedding(ea) - projection_embedding(eb))

@@ -1,15 +1,21 @@
-"""End-to-end CLI checks: exit codes, artifact layout, byte-identical reruns,
-the ablation grid, and the diagnose/report readers."""
+"""End-to-end CLI checks: exit codes (2 for configuration, 3 for divergence,
+4 for any other package error), artifact layout, byte-identical reruns, the
+ablation grid, and the diagnose/report readers."""
 
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import yaml
 
+from fedssa import cli
 from fedssa.cli import main
-from fedssa.graphs import load_graph
+from fedssa.config import load_config, two_regime_federation
+from fedssa.errors import (ContractError, NumericError, ProtocolError, RankError,
+                           ShapeError, UndefinedMetricError)
+from fedssa.graphs import FederationDataset, LocalGraph, load_graph, save_dataset
 
 TWO_REGIME = {
     "dataset": {"kind": "two-regime", "clients_per_regime": 1,
@@ -156,6 +162,35 @@ def test_divergence_exits_3(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, raw)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     assert "diverged" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edges", ["edgeless", "cycle"])
+def test_rank_deficient_client_exits_2(tmp_path, capsys, edges):
+    good = two_regime_federation(load_config(_write_cfg(tmp_path, TWO_REGIME)).dataset, 11)
+    g = good.clients[1]
+    ring = [[i, (i + 1) % g.n] for i in range(g.n)]
+    odd = LocalGraph(g.features, g.labels, ring if edges == "cycle" else np.zeros((0, 2)),
+                     g.train_idx, g.val_idx, g.test_idx)
+    save_dataset(FederationDataset((good.clients[0], odd), good.num_classes,
+                                   good.feature_dim, good.task), tmp_path / "data")
+    raw = dict(TWO_REGIME, dataset={"kind": "file", "path": str(tmp_path / "data")})
+    cfg = _write_cfg(tmp_path, raw)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: client 1 ") and "structural: false" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("error", [ProtocolError, ShapeError, RankError, NumericError,
+                                   ContractError, UndefinedMetricError])
+def test_other_package_errors_exit_4(tmp_path, capsys, monkeypatch, error):
+    def failing_run(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "run_federation_detailed", failing_run)
+    cfg = _write_cfg(tmp_path, TWO_REGIME)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err == f"error: {error.__name__}: boom\n"
 
 
 # --- synth and partition ------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Federation loop checks: schedule invariance, bit-reproducibility, upload
-privacy, fedavg fixed points, divergence rollback, server protocol errors,
-and structural cluster recovery from hand-built uploads."""
+privacy, fixed spectral-energy frames and the rank-deficient client rule,
+fedavg fixed points, divergence rollback, server protocol errors, and
+structural cluster recovery from hand-built uploads."""
 
 import dataclasses
 import json
@@ -8,13 +9,14 @@ import json
 import numpy as np
 import pytest
 
+from fedssa import federation
 from fedssa.errors import (ConfigError, ContractError, ProtocolError,
                            ShapeError, TrainingDivergenceError)
 from fedssa.federation import (ClientUpload, RunConfig, _loss_parts, client_round,
                                init_client_state, run_federation,
                                run_federation_detailed, server_step,
                                upload_payload)
-from fedssa.graphs import FederationDataset, SynthSpec, synth_dataset
+from fedssa.graphs import FederationDataset, LocalGraph, SynthSpec, synth_dataset
 from fedssa.linalg import qr_thin
 from fedssa.models import ClassGaussian, init_params, sample_nonedges
 from fedssa.rng import stream
@@ -213,6 +215,49 @@ def test_byte_accounting_by_method():
     assert len(down) == 1  # everyone receives the same averaged parameters
 
 
+# --- spectral-energy frames -------------------------------------------------------
+
+
+@pytest.mark.parametrize("epochs", [0, 1])
+def test_upload_frame_is_identical_in_every_round(monkeypatch, epochs):
+    frames = []
+    step = federation.server_step
+
+    def recording_step(uploads, *args, **kwargs):
+        frames.append({cid: u.spectral_energy.q.tobytes() for cid, u in uploads.items()})
+        return step(uploads, *args, **kwargs)
+
+    monkeypatch.setattr(federation, "server_step", recording_step)
+    run_federation(_tiny_dataset(), _tiny_cfg(rounds=4, epochs=epochs), seed=2)
+    assert len(frames) == 4
+    assert all(f == frames[0] for f in frames)
+
+
+def _edgeless_client(seed):
+    g = _tiny_dataset(num_clients=1, seed=seed).clients[0]
+    return LocalGraph(g.features, g.labels, np.zeros((0, 2), dtype=np.int64),
+                      g.train_idx, g.val_idx, g.test_idx)
+
+
+def _cycle_client(seed):
+    g = _tiny_dataset(num_clients=1, seed=seed).clients[0]
+    ring = [[i, (i + 1) % g.n] for i in range(g.n)]
+    return LocalGraph(g.features, g.labels, ring, g.train_idx, g.val_idx, g.test_idx)
+
+
+@pytest.mark.parametrize("odd_client", [_edgeless_client, _cycle_client],
+                         ids=["edgeless", "cycle"])
+def test_rank_deficient_client_rejected_at_run_start(odd_client):
+    good = _tiny_dataset(num_clients=2).clients
+    ds = FederationDataset(clients=good + (odd_client(7),), num_classes=2,
+                           feature_dim=DIM, task="multiclass")
+    with pytest.raises(ConfigError, match=r"client 2 .*structural: false.*lower order"):
+        run_federation(ds, _tiny_cfg(), seed=0)
+    # the frame is the only use of the rank, so either remedy lets the run go on
+    assert len(run_federation(ds, _tiny_cfg(structural=False), seed=0)) == 2
+    assert len(run_federation(ds, _tiny_cfg(order=0), seed=0)) == 2
+
+
 # --- fedavg fixed point ---------------------------------------------------------
 
 
@@ -266,9 +311,8 @@ def test_divergence_propagates_from_run_federation():
 
 
 def _frame(rng, base):
-    s = base + 1e-3 * rng.standard_normal(base.shape)
-    q, _ = qr_thin(s)
-    return s, q
+    q, _ = qr_thin(base + 1e-3 * rng.standard_normal(base.shape))
+    return q
 
 
 def _hand_uploads(seed=0):
@@ -282,10 +326,9 @@ def _hand_uploads(seed=0):
     for cid in range(4):
         base = base_a if cid < 2 else base_b
         w = (w_a if cid < 2 else w_b) + 0.01 * cid
-        s, q = _frame(rng, base)
         uploads.append(ClientUpload(client_id=cid, coefficients=w,
                                     class_gaussians=(),
-                                    spectral_energy=SpectralEnergy(cid, s, q),
+                                    spectral_energy=SpectralEnergy(cid, _frame(rng, base)),
                                     sample_counts={}))
     return uploads
 

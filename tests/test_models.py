@@ -1,7 +1,7 @@
-"""Model checks: spectral filter forward pass against a direct numpy
-recompute, cross entropy hand values, encoder moment matching (exact for
-singleton classes), negative-ELBO value/gradient against numpy and finite
-differences, and spectral-energy frames."""
+"""Model checks on the tape builders: spectral filter forward pass against a
+direct numpy recompute, cross entropy hand values, encoder moment matching
+(exact for singleton classes), negative-ELBO value/gradient against numpy
+and finite differences, and spectral-energy frames."""
 
 import numpy as np
 import pytest
@@ -9,13 +9,13 @@ import pytest
 from fedssa import tape as tp
 from fedssa.errors import ConfigError, ContractError, ShapeError
 from fedssa.graphs import LocalGraph, SynthSpec, laplacian_powers, synth_dataset
+from fedssa.linalg import qr_thin
 from fedssa.models import (COV_FLOOR, LOGVAR_MAX, LOGVAR_MIN, VGAE_LEAVES,
-                           ClassGaussian, SpectralGNNParams, VGAEParams,
-                           ce_loss, ce_path, elbo_loss, elbo_path,
-                           encoder_input, encoder_path, gnn_forward,
-                           init_params, logits_path,
-                           sample_nonedges, spectral_energy, stack_powers,
-                           vgae_encode)
+                           ClassGaussian, SpectralGNNParams, ce_path,
+                           class_gaussians, class_stat_paths, elbo_path,
+                           encoder_input, encoder_path, init_params,
+                           logits_path, params_to_leaves, sample_nonedges,
+                           spectral_energy, stack_powers)
 from fedssa.rng import stream
 from helpers import central_diff, pool_draw, rel_err
 
@@ -29,14 +29,38 @@ def _params(g, order=2, hidden=6, dz=4, seed=0):
                        stream(seed, "test-init"))
 
 
+def _forward(g, gnn, vgae, powers):
+    """Propagated features and logits from the tape builders."""
+    t = tp.Tape()
+    leaves = params_to_leaves(t, gnn, vgae)
+    p, logits = logits_path(leaves, stack_powers(powers), g.n, g.feature_dim)
+    return p.value, logits.value
+
+
+def _ce(logits, labels, mask):
+    logits = np.asarray(logits, dtype=np.float64)
+    t = tp.Tape()
+    var = t.leaf(logits, "logits")
+    return float(ce_path(var, labels, mask, logits.shape[1]).value[0, 0])
+
+
+def _encode(vgae, g, num_classes):
+    """Posterior mean, log-variance and class Gaussians from the tape builders."""
+    t = tp.Tape()
+    leaves = {name: t.leaf(getattr(vgae, name), name) for name in VGAE_LEAVES}
+    mu, logvar = encoder_path(leaves, encoder_input(g, num_classes))
+    gaussians = class_gaussians(class_stat_paths(mu, logvar, g))
+    return mu.value, logvar.value, gaussians
+
+
 # --- spectral GNN forward -------------------------------------------------------
 
 
 def test_gnn_forward_matches_numpy_recompute():
     g = _small_graph()
-    gnn, _ = _params(g)
+    gnn, vgae = _params(g)
     powers = laplacian_powers(g, gnn.order)
-    p, logits = gnn_forward(gnn, powers)
+    p, logits = _forward(g, gnn, vgae, powers)
     p_ref = sum(gnn.coefficients[k] * powers[k] for k in range(gnn.order + 1))
     assert rel_err(p, p_ref) < 1e-12
     hidden = np.tanh(p_ref @ gnn.head_w1 + gnn.head_b1)
@@ -46,17 +70,17 @@ def test_gnn_forward_matches_numpy_recompute():
 
 def test_gnn_forward_identity_filter_passes_features():
     g = _small_graph()
-    gnn, _ = _params(g, order=3)
+    gnn, vgae = _params(g, order=3)
     # fresh filter is e_0, so P == X exactly
-    p, _ = gnn_forward(gnn, laplacian_powers(g, 3))
+    p, _ = _forward(g, gnn, vgae, laplacian_powers(g, 3))
     assert np.array_equal(p, g.features)
 
 
 def test_gnn_forward_rejects_wrong_power_count():
     g = _small_graph()
-    gnn, _ = _params(g, order=2)
+    gnn, vgae = _params(g, order=2)
     with pytest.raises(ShapeError):
-        gnn_forward(gnn, laplacian_powers(g, 1))
+        _forward(g, gnn, vgae, laplacian_powers(g, 1))
 
 
 def test_coefficients_magnitude_contract():
@@ -81,27 +105,27 @@ def test_init_params_deterministic():
 
 
 def test_ce_hand_values():
-    assert ce_loss(np.array([[0.0, 0.0]]), np.array([0]), np.array([0])) == \
+    assert _ce(np.array([[0.0, 0.0]]), np.array([0]), np.array([0])) == \
         pytest.approx(np.log(2.0))
     logits = np.array([[1.0, 0.0], [0.0, 1.0]])
     want = float(np.log(1.0 + np.exp(-1.0)))
-    assert ce_loss(logits, np.array([0, 1]), np.arange(2)) == pytest.approx(want)
-    assert ce_loss(logits, np.array([1, 0]), np.arange(2)) == \
+    assert _ce(logits, np.array([0, 1]), np.arange(2)) == pytest.approx(want)
+    assert _ce(logits, np.array([1, 0]), np.arange(2)) == \
         pytest.approx(float(np.log(1.0 + np.exp(1.0))))
 
 
 def test_ce_is_shift_stable():
     logits = np.array([[1000.0, 0.0], [0.0, 1000.0]])
-    val = ce_loss(logits, np.array([0, 1]), np.arange(2))
+    val = _ce(logits, np.array([0, 1]), np.arange(2))
     assert np.isfinite(val)
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ce_contract_errors():
     with pytest.raises(ContractError):
-        ce_loss(np.zeros((2, 2)), np.array([0, 1]), np.zeros(0, dtype=int))
+        _ce(np.zeros((2, 2)), np.array([0, 1]), np.zeros(0, dtype=int))
     with pytest.raises(ContractError):
-        ce_loss(np.zeros((2, 2)), np.array([0, 2]), np.arange(2))
+        _ce(np.zeros((2, 2)), np.array([0, 2]), np.arange(2))
 
 
 def test_ce_gradient_matches_softmax_formula():
@@ -173,13 +197,13 @@ def test_encode_singleton_class_is_exact():
     g = LocalGraph(feats, [0, 1, 0, 1], [[0, 1], [2, 3]],
                    train_idx=[0, 1], val_idx=[2], test_idx=[3])
     _, vgae = init_params(2, 2, 1, 4, 3, 5.0, stream(9, "init"))
-    res = vgae_encode(vgae, g, num_classes=2)
-    assert len(res.gaussians) == 2
-    for gau, row in zip(res.gaussians, (0, 1)):
+    mu, logvar, gaussians = _encode(vgae, g, 2)
+    assert len(gaussians) == 2
+    for gau, row in zip(gaussians, (0, 1)):
         assert gau.label == row
         assert gau.count == 1
-        assert np.allclose(gau.mean, res.mu[row])
-        want_var = np.maximum(np.exp(res.logvar[row]), COV_FLOOR)
+        assert np.allclose(gau.mean, mu[row])
+        want_var = np.maximum(np.exp(logvar[row]), COV_FLOOR)
         assert np.allclose(np.diag(gau.cov), want_var)
         assert np.allclose(gau.cov, np.diag(np.diag(gau.cov)))
 
@@ -187,11 +211,11 @@ def test_encode_singleton_class_is_exact():
 def test_encode_moment_matching_two_members():
     g = _small_graph(n=24, c=2, d=4, seed=3)
     _, vgae = init_params(4, 2, 1, 6, 3, 5.0, stream(10, "init"))
-    res = vgae_encode(vgae, g, num_classes=2)
-    for gau in res.gaussians:
+    mu, logvar, gaussians = _encode(vgae, g, 2)
+    for gau in gaussians:
         rows = g.train_idx[g.labels[g.train_idx] == gau.label]
-        mu_rows = res.mu[rows]
-        var_rows = np.exp(res.logvar[rows])
+        mu_rows = mu[rows]
+        var_rows = np.exp(logvar[rows])
         want_mean = mu_rows.mean(axis=0)
         want_var = var_rows.mean(axis=0) + mu_rows.var(axis=0)
         assert np.allclose(gau.mean, want_mean)
@@ -203,9 +227,9 @@ def test_logvar_is_clamped():
     g = _small_graph(n=8, c=2, d=3, seed=1)
     _, vgae = init_params(3, 2, 1, 4, 2, 5.0, stream(11, "init"))
     vgae.logvar_w[...] = 100.0
-    res = vgae_encode(vgae, g, num_classes=2)
-    assert res.logvar.max() <= LOGVAR_MAX
-    assert res.logvar.min() >= LOGVAR_MIN
+    _mu, logvar, _gaussians = _encode(vgae, g, 2)
+    assert logvar.max() <= LOGVAR_MAX
+    assert logvar.min() >= LOGVAR_MIN
 
 
 # --- negative ELBO ---------------------------------------------------------------
@@ -238,7 +262,10 @@ def test_elbo_matches_numpy_recompute():
     _, vgae = init_params(4, 2, 1, 5, 3, 5.0, stream(12, "init"))
     eps = stream(0, "eps").standard_normal((g.n, 3))
     nonedges = sample_nonedges(g, g.edges.shape[0], stream(0, "ne"))
-    got = elbo_loss(vgae, g, eps, nonedges, num_classes=2)
+    t = tp.Tape()
+    leaves = {name: t.leaf(getattr(vgae, name), name) for name in VGAE_LEAVES}
+    mu, logvar = encoder_path(leaves, encoder_input(g, 2))
+    got = float(elbo_path(mu, logvar, g, eps, nonedges).value[0, 0])
     want = _elbo_numpy(vgae, g, eps, nonedges, 2)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -345,29 +372,64 @@ def test_class_gaussian_contracts():
 
 def test_spectral_energy_values_and_frame():
     g = _small_graph(n=18, c=2, d=6, seed=9)
-    gnn, _ = _params(g, order=3)
-    gnn.coefficients[...] = np.array([1.0, -0.5, 0.25, 0.1])
     powers = laplacian_powers(g, 3)
-    se = spectral_energy(gnn, powers, client_id=2, rng=stream(3, "jit"))
+    se = spectral_energy(powers, client_id=2)
     assert se.client_id == 2
-    assert se.s.shape == (6, 4)
-    for k in range(4):
-        want = gnn.coefficients[k] * powers[k].mean(axis=0)
-        assert np.allclose(se.s[:, k], want)
+    assert se.q.shape == (6, 4)
     assert np.linalg.norm(se.q.T @ se.q - np.eye(4)) < 1e-8
+    # column k of S is mean(L^k X); Q is its thin-QR frame with diag(R) >= 0,
+    # so S = Q R with R = Q^T S upper triangular
+    s = np.column_stack([powers[k].mean(axis=0) for k in range(4)])
+    r = se.q.T @ s
+    assert np.allclose(se.q @ r, s, rtol=0, atol=1e-12)
+    assert np.allclose(np.tril(r, -1), 0.0, atol=1e-12)
+    assert np.all(np.diag(r) > 0)
 
 
 def test_spectral_energy_deterministic():
     g = _small_graph(n=18, c=2, d=6, seed=9)
-    gnn, _ = _params(g, order=2)
     powers = laplacian_powers(g, 2)
-    a = spectral_energy(gnn, powers, 0, stream(5, "jit"))
-    b = spectral_energy(gnn, powers, 0, stream(5, "jit"))
+    a = spectral_energy(powers, 0)
+    b = spectral_energy(powers, 0)
     assert a.q.tobytes() == b.q.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_spectral_frame_ignores_nonzero_coefficients(seed):
+    rng = np.random.default_rng(700 + seed)
+    order = int(rng.integers(1, 5))
+    g = _small_graph(n=int(rng.integers(12, 30)), c=2, d=int(rng.integers(order + 1, 9)),
+                     seed=seed)
+    powers = laplacian_powers(g, order)
+    setup = spectral_energy(powers, 0).q
+    for _ in range(5):
+        w = rng.choice([-1.0, 1.0], order + 1) * rng.uniform(0.05, 5.0, order + 1)
+        q, _ = qr_thin(np.column_stack([w[k] * powers[k].mean(axis=0)
+                                        for k in range(order + 1)]))
+        # chordal distance as ||P_a - P_b||_F / sqrt(2) on the projections,
+        # which keeps full precision where sqrt(sum sin^2) loses half of it
+        chordal = np.linalg.norm(q @ q.T - setup @ setup.T) / np.sqrt(2.0)
+        assert chordal <= 1e-8
 
 
 def test_spectral_energy_requires_wide_features():
     g = _small_graph(n=10, c=2, d=3, seed=2)
-    gnn, _ = _params(g, order=3)
     with pytest.raises(ConfigError):
-        spectral_energy(gnn, laplacian_powers(g, 3), 0, stream(0, "jit"))
+        spectral_energy(laplacian_powers(g, 3), 0)
+
+
+def _cycle(n, d, seed):
+    rng = np.random.default_rng(seed)
+    edges = [[i, i + 1] for i in range(n - 1)] + [[0, n - 1]]
+    return LocalGraph(rng.standard_normal((n, d)), np.arange(n) % 2, edges,
+                      train_idx=np.arange(n), val_idx=[], test_idx=[])
+
+
+def test_spectral_energy_rejects_rank_deficient_clients():
+    rng = np.random.default_rng(4)
+    edgeless = LocalGraph(rng.standard_normal((9, 5)), np.arange(9) % 2,
+                          np.zeros((0, 2), dtype=np.int64),
+                          train_idx=np.arange(9), val_idx=[], test_idx=[])
+    for g in (edgeless, _cycle(9, 5, 5)):
+        with pytest.raises(ConfigError, match="client 7 .*structural: false"):
+            spectral_energy(laplacian_powers(g, 2), 7)

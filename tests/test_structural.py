@@ -22,7 +22,7 @@ from helpers import grid_filter_sup, rel_err, svd_chordal
 
 def _energy(client_id, mat):
     q, _ = qr_thin(np.asarray(mat, dtype=float))
-    return SpectralEnergy(client_id, q.copy(), q)
+    return SpectralEnergy(client_id, q)
 
 
 def _random_energy(client_id, rng, d=8, k1=3):
@@ -55,7 +55,7 @@ def test_chordal_invariant_to_orthogonal_rebasing():
     b = _random_energy(1, rng, d=8, k1=3)
     # re-express b's frame in a rotated basis of the same subspace
     rot, _ = qr_thin(rng.standard_normal((3, 3)))
-    b_rot = SpectralEnergy(1, b.q @ rot, b.q @ rot)
+    b_rot = SpectralEnergy(1, b.q @ rot)
     assert chordal_distance(a, b_rot) == pytest.approx(chordal_distance(a, b),
                                                        abs=1e-9)
 
@@ -63,8 +63,8 @@ def test_chordal_invariant_to_orthogonal_rebasing():
 def test_chordal_orthogonal_subspaces_hit_max():
     q1 = np.eye(6)[:, :2]
     q2 = np.eye(6)[:, 2:4]
-    a = SpectralEnergy(0, q1, q1)
-    b = SpectralEnergy(1, q2, q2)
+    a = SpectralEnergy(0, q1)
+    b = SpectralEnergy(1, q2)
     assert chordal_distance(a, b) == pytest.approx(np.sqrt(2.0))
 
 
@@ -108,9 +108,9 @@ def test_projection_embedding_isometry_factor():
 
 def test_spectral_energy_contract():
     with pytest.raises(ContractError):
-        SpectralEnergy(0, np.ones((4, 2)), np.ones((4, 2)))
+        SpectralEnergy(0, np.ones((4, 2)))
     with pytest.raises(ShapeError):
-        SpectralEnergy(0, np.ones((4, 2)), np.eye(4))
+        SpectralEnergy(0, np.ones(4))
 
 
 # --- clustering -------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Autodiff engine checks: forward values against loop oracles, gradients
-against central finite differences, bit-identical replay, tape lifetime, and
-error paths."""
+against central finite differences, deterministic gradients, tape lifetime,
+and error paths."""
 
 import gc
 import weakref
@@ -286,20 +286,7 @@ def test_grad_random_composition_battery(seed):
     _grad_check(build, arrays, tol=1e-4)
 
 
-# --- replay and determinism ----------------------------------------------------
-
-
-def test_replay_is_bit_identical():
-    rng = np.random.default_rng(9)
-    build, arrays = _random_composition(rng)
-    t = tp.Tape()
-    leaves = {k: t.leaf(v, k) for k, v in arrays.items()}
-    loss = build(t, leaves)
-    before = [node.value.tobytes() for node in t.nodes]
-    replayed = t.replay()
-    after = [v.tobytes() for v in replayed]
-    assert before == after
-    assert loss.value.tobytes() == replayed[loss.index].tobytes()
+# --- determinism ------------------------------------------------------------------
 
 
 def test_grad_is_deterministic():

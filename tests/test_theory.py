@@ -213,7 +213,7 @@ def test_kl_audit_singleton_member_of_its_own_cluster():
 
 def _frame(client_id, mat):
     q, _ = qr_thin(np.asarray(mat, dtype=float))
-    return SpectralEnergy(client_id, q.copy(), q)
+    return SpectralEnergy(client_id, q)
 
 
 def test_measure_heterogeneity_end_to_end():

@@ -334,9 +334,9 @@ def client_round(state: ClientState, broadcast: Optional[ServerBroadcast],
     the upload's class Gaussians; the upload's frame is the one fixed at
     setup. A non-finite loss or gradient rolls parameters and optimizer
     state back to their values at round entry and raises
-    TrainingDivergenceError.
-    With epochs == 0 the parameters are untouched and the upload reflects
-    the current state. Method "local" never constructs an upload.
+    TrainingDivergenceError. With epochs == 0 the parameters are untouched
+    and the upload reflects the current state. Only method "fedssa"
+    constructs an upload.
     """
     g = state.graph
     n = g.n
@@ -361,7 +361,7 @@ def client_round(state: ClientState, broadcast: Optional[ServerBroadcast],
         _adam_step(arrays, named, state.adam, cfg.lr)
         np.clip(state.gnn.coefficients, -state.gnn.w_max, state.gnn.w_max,
                 out=state.gnn.coefficients)
-    # One evaluation pass on its own streams, recorded for round metrics.
+    # One evaluation pass on its own streams, for round metrics and the upload.
     eval_eps = stream(seed, "eval-eps", round_index).standard_normal((n, dz))
     eval_nonedges = sample_nonedges(g, g.edges.shape[0],
                                     stream(seed, "eval-nonedges", round_index))

@@ -1,8 +1,8 @@
 """Plain Lloyd k-means with k-means++ seeding.
 
-Both server-side clustering steps (semantic draws and structural subspace
-embeddings) reduce to Euclidean k-means on a handful of points, so one
-deterministic implementation serves both. Ties in seeding, assignment and
+Both server-side clustering steps (semantic class means and structural
+subspace embeddings) reduce to Euclidean k-means on a handful of points, so
+one deterministic implementation serves both. Ties in seeding, assignment and
 empty-cluster repair all break toward the lowest index, which together with
 generator-driven seeding makes the outcome a pure function of (points, k,
 rng stream).

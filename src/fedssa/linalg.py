@@ -4,6 +4,9 @@ Matrices are plain 2-D float64 ndarrays in row-major order. The thin QR
 delegates to numpy and then pins down the convention the structural channel
 relies on: diag(R) >= 0, which makes the orthonormal frame unique for
 full-rank input, and a RankError for numerically dependent columns.
+Every pairwise spread the server and its diagnostics report (chordal
+distances between frames, distances between class means and covariances)
+comes from the one distance-matrix kernel here.
 """
 
 from __future__ import annotations
@@ -42,3 +45,19 @@ def qr_thin(s) -> tuple[np.ndarray, np.ndarray]:
         raise RankError(f"column {dependent[0]} is numerically dependent on earlier columns")
     signs = np.where(diag < 0, -1.0, 1.0)
     return np.ascontiguousarray(q * signs), np.ascontiguousarray(r * signs[:, None])
+
+
+def pairwise_distances(points) -> np.ndarray:
+    """Euclidean distance matrix between the flattened rows of points.
+
+    Built one row at a time, so memory stays O(M p) rather than the O(M^2 p)
+    of a broadcast difference block. Only the upper triangle is computed and
+    mirrored, so the result is exactly symmetric with a zero diagonal.
+    """
+    flat = np.asarray(points, dtype=np.float64)
+    m = len(flat)
+    dist = np.zeros((m, m))
+    for i in range(m - 1):
+        diff = (flat[i + 1:] - flat[i]).reshape(m - i - 1, -1)
+        dist[i, i + 1:] = np.linalg.norm(diff, axis=1)
+    return dist + dist.T

@@ -4,10 +4,10 @@ Each client summarizes its propagation behavior as a spectral-energy matrix
 S whose k-th column is the feature-wise mean of L^k X: the k-hop term of its
 filter without the coefficient w_k, since a nonzero scale does not change
 the span. The orthonormal frame Q of S, computed once per run, spans a
-subspace on the Stiefel manifold; clients are compared by the chordal
-distance between those subspaces and grouped by k-means on the Grassmann
-projection embedding Q Q^T, which is an isometry of chordal distance up to
-a factor sqrt(2) and is invariant to the basis chosen for each frame.
+subspace on the Stiefel manifold. Clients are compared (chordal distance)
+and grouped (k-means) on the Grassmann projection embedding Q Q^T, whose
+Euclidean distance is sqrt(2) times the chordal distance between the
+subspaces and which is invariant to the basis chosen for each frame.
 
 The filter bounds quantify how coefficient perturbations move the filter:
 a Lipschitz bound on the polynomial derivative over the Laplacian spectral
@@ -23,6 +23,7 @@ import numpy as np
 from . import tape as tp
 from .cluster import kmeans
 from .errors import ConfigError, ContractError, ShapeError
+from .linalg import pairwise_distances
 from .rng import stream
 
 
@@ -63,33 +64,39 @@ class StructuralClusterMap:
         return self.mean_coefficients[self.assignments[client_id]]
 
 
-def chordal_distance(a: SpectralEnergy, b: SpectralEnergy) -> float:
-    """Chordal distance sqrt(K+1 - ||Qa^T Qb||_F^2) between client subspaces."""
-    if a.q.shape != b.q.shape:
-        raise ShapeError(f"frame shapes differ: {a.q.shape} vs {b.q.shape}")
-    overlap = float(np.sum(np.square(a.q.T @ b.q)))
-    k_plus_1 = a.q.shape[1]
-    return float(np.sqrt(max(0.0, k_plus_1 - overlap)))
-
-
-def pairwise_chordal(energies: list) -> tuple[list, np.ndarray]:
-    """Full symmetric chordal distance matrix over clients sorted by id."""
-    ordered = sorted(energies, key=lambda e: e.client_id)
-    ids = [e.client_id for e in ordered]
-    m = len(ordered)
-    dist = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = chordal_distance(ordered[i], ordered[j])
-            dist[i, j] = d
-            dist[j, i] = d
-    return ids, dist
-
-
 def projection_embedding(e: SpectralEnergy) -> np.ndarray:
     """Flattened projection matrix Q Q^T; basis-invariant subspace embedding."""
     p = e.q @ e.q.T
     return p.ravel()
+
+
+def chordal_distance(a: SpectralEnergy, b: SpectralEnergy) -> float:
+    """Chordal distance ||Qa Qa^T - Qb Qb^T||_F / sqrt(2) between client subspaces.
+
+    It equals sqrt(K+1 - ||Qa^T Qb||_F^2), without that form's cancellation,
+    which costs about sqrt(eps) for nearby subspaces.
+    """
+    if a.q.shape != b.q.shape:
+        raise ShapeError(f"frame shapes differ: {a.q.shape} vs {b.q.shape}")
+    diff = projection_embedding(a) - projection_embedding(b)
+    return float(np.linalg.norm(diff) / np.sqrt(2.0))
+
+
+def _sorted_embeddings(energies: list) -> tuple[list, np.ndarray]:
+    """Client ids in ascending order and their stacked projection embeddings."""
+    ordered = sorted(energies, key=lambda e: e.client_id)
+    for e in ordered:
+        if e.q.shape != ordered[0].q.shape:
+            raise ShapeError(f"client {e.client_id} frame shape {e.q.shape}"
+                             f" != {ordered[0].q.shape}")
+    points = np.array([projection_embedding(e) for e in ordered])
+    return [e.client_id for e in ordered], points
+
+
+def pairwise_chordal(energies: list) -> tuple[list, np.ndarray]:
+    """Full symmetric chordal distance matrix over clients sorted by id."""
+    ids, points = _sorted_embeddings(energies)
+    return ids, pairwise_distances(points) / np.sqrt(2.0)
 
 
 def structural_cluster(energies: list, k_struct: int, seed: int) -> dict:
@@ -102,15 +109,9 @@ def structural_cluster(energies: list, k_struct: int, seed: int) -> dict:
         raise ContractError("structural_cluster needs at least one client")
     if k_struct < 1:
         raise ConfigError(f"k_struct must be >= 1, got {k_struct}")
-    ordered = sorted(energies, key=lambda e: e.client_id)
-    ids = [e.client_id for e in ordered]
+    ids, points = _sorted_embeddings(energies)
     if len(set(ids)) != len(ids):
         raise ContractError("duplicate client ids in structural_cluster")
-    shape = ordered[0].q.shape
-    for e in ordered:
-        if e.q.shape != shape:
-            raise ShapeError(f"client {e.client_id} frame shape {e.q.shape} != {shape}")
-    points = np.stack([projection_embedding(e) for e in ordered])
     labels = kmeans(points, k_struct, stream(seed, "kmeans-struct"))
     return {cid: int(lab) for cid, lab in zip(ids, labels)}
 

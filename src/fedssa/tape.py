@@ -140,107 +140,14 @@ def _value(item) -> np.ndarray:
     return item.value if isinstance(item, Var) else item
 
 
-# Forward rules of the eager ops.
-
-def _fw_matmul(vals, aux):
-    return vals[0] @ vals[1]
-
-
-def _fw_add(vals, aux):
-    return vals[0] + vals[1]
-
-
-def _fw_scale(vals, aux):
-    return vals[0] * aux["alpha"]
-
-
-def _fw_mul(vals, aux):
-    return vals[0] * vals[1]
-
-
-def _fw_transpose(vals, aux):
-    return np.ascontiguousarray(vals[0].T)
-
-
-def _fw_reshape(vals, aux):
-    return np.ascontiguousarray(vals[0].reshape(aux["shape"]))
-
-
-def _fw_log(vals, aux):
-    return np.log(vals[0])
-
-
-def _fw_exp(vals, aux):
-    return np.exp(vals[0])
-
-
-def _fw_sqrt(vals, aux):
-    return np.sqrt(vals[0])
-
-
-def _fw_square(vals, aux):
-    return np.square(vals[0])
-
-
-def _fw_absval(vals, aux):
-    return np.abs(vals[0])
-
-
-def _fw_tanh(vals, aux):
-    return np.tanh(vals[0])
-
-
-def _fw_sigmoid(vals, aux):
-    x = vals[0]
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function, split by sign so neither branch overflows."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def _fw_softplus(vals, aux):
-    return np.logaddexp(0.0, vals[0])
-
-
-def _fw_clip(vals, aux):
-    return np.clip(vals[0], aux["lo"], aux["hi"])
-
-
-def _fw_mean_rows(vals, aux):
-    return vals[0].mean(axis=0, keepdims=True)
-
-
-def _fw_sum_all(vals, aux):
-    return np.array([[vals[0].sum()]])
-
-
-def _fw_take_rows(vals, aux):
-    return vals[0][aux["rows"]]
-
-
-_FORWARD: dict[str, Callable] = {
-    "matmul": _fw_matmul,
-    "add": _fw_add,
-    "scale": _fw_scale,
-    "mul": _fw_mul,
-    "transpose": _fw_transpose,
-    "reshape": _fw_reshape,
-    "log": _fw_log,
-    "exp": _fw_exp,
-    "sqrt": _fw_sqrt,
-    "square": _fw_square,
-    "absval": _fw_absval,
-    "tanh": _fw_tanh,
-    "sigmoid": _fw_sigmoid,
-    "softplus": _fw_softplus,
-    "clip": _fw_clip,
-    "mean_rows": _fw_mean_rows,
-    "sum_all": _fw_sum_all,
-    "take_rows": _fw_take_rows,
-    "add_row": _fw_add,
-}
 
 
 # Backward rules: given input values, aux, output value, output adjoint and
@@ -302,7 +209,7 @@ def _bw_sigmoid(vals, aux, out, g, need):
 
 
 def _bw_softplus(vals, aux, out, g, need):
-    return (g * _fw_sigmoid((vals[0],), {}),)
+    return (g * _sigmoid(vals[0]),)
 
 
 def _bw_clip(vals, aux, out, g, need):
@@ -352,39 +259,38 @@ _BACKWARD: dict[str, Callable] = {
 }
 
 
-def _unary(op: str, a: Var, aux: Optional[dict] = None) -> Var:
+def _unary(op: str, a: Var, forward: Callable, aux: Optional[dict] = None) -> Var:
     if not isinstance(a, Var):
         raise ContractError(f"{op} expects a tape variable")
-    aux = aux or {}
-    value = _FORWARD[op]((a.value,), aux)
-    return a.tape._record(op, (a,), aux, value)
+    return a.tape._record(op, (a,), aux or {}, forward(a.value))
 
 
-def _binary(op: str, a: ArrayLike, b: ArrayLike, fits: Callable) -> Var:
+def _binary(op: str, a: ArrayLike, b: ArrayLike, fits: Callable,
+            forward: Callable) -> Var:
     tape = _tape_of(a, b)
     av = a.value if isinstance(a, Var) else _as_matrix(a)
     bv = b.value if isinstance(b, Var) else _as_matrix(b)
     if not fits(av.shape, bv.shape):
         raise ShapeError(f"{op} mismatch: {av.shape} and {bv.shape}")
     inputs = (a if isinstance(a, Var) else av, b if isinstance(b, Var) else bv)
-    return tape._record(op, inputs, {}, _FORWARD[op]((av, bv), {}))
+    return tape._record(op, inputs, {}, forward(av, bv))
 
 
 def matmul(a: ArrayLike, b: ArrayLike) -> Var:
-    return _binary("matmul", a, b, lambda sa, sb: sa[1] == sb[0])
+    return _binary("matmul", a, b, lambda sa, sb: sa[1] == sb[0], np.matmul)
 
 
 def add(a: ArrayLike, b: ArrayLike) -> Var:
-    return _binary("add", a, b, lambda sa, sb: sa == sb)
+    return _binary("add", a, b, lambda sa, sb: sa == sb, np.add)
 
 
 def mul(a: ArrayLike, b: ArrayLike) -> Var:
-    return _binary("mul", a, b, lambda sa, sb: sa == sb)
+    return _binary("mul", a, b, lambda sa, sb: sa == sb, np.multiply)
 
 
 def add_row(a: ArrayLike, b: ArrayLike) -> Var:
     """a plus the 1 x k row b added to every row (a bias broadcast)."""
-    return _binary("add_row", a, b, lambda sa, sb: sb == (1, sa[1]))
+    return _binary("add_row", a, b, lambda sa, sb: sb == (1, sa[1]), np.add)
 
 
 def take_rows(a: Var, rows) -> Var:
@@ -392,15 +298,16 @@ def take_rows(a: Var, rows) -> Var:
     rows = np.asarray(rows, dtype=np.int64).reshape(-1)
     if isinstance(a, Var) and rows.size and (rows.min() < 0 or rows.max() >= a.shape[0]):
         raise ShapeError(f"row index out of range for {a.shape[0]} rows")
-    return _unary("take_rows", a, {"rows": rows})
+    return _unary("take_rows", a, lambda x: x[rows], {"rows": rows})
 
 
 def scale(a: Var, alpha: float) -> Var:
-    return _unary("scale", a, {"alpha": float(alpha)})
+    alpha = float(alpha)
+    return _unary("scale", a, lambda x: x * alpha, {"alpha": alpha})
 
 
 def transpose(a: Var) -> Var:
-    return _unary("transpose", a)
+    return _unary("transpose", a, lambda x: np.ascontiguousarray(x.T))
 
 
 def reshape(a: Var, shape: tuple) -> Var:
@@ -409,55 +316,57 @@ def reshape(a: Var, shape: tuple) -> Var:
         raise ShapeError(f"reshape target must be 2-D, got {shape}")
     if shape[0] * shape[1] != a.value.size:
         raise ShapeError(f"cannot reshape {a.value.shape} to {shape}")
-    return _unary("reshape", a, {"shape": shape})
+    return _unary("reshape", a, lambda x: np.ascontiguousarray(x.reshape(shape)),
+                  {"shape": shape})
 
 
 def log(a: Var) -> Var:
     if np.any(a.value <= 0):
         raise NumericError("log requires strictly positive entries")
-    return _unary("log", a)
+    return _unary("log", a, np.log)
 
 
 def exp(a: Var) -> Var:
-    return _unary("exp", a)
+    return _unary("exp", a, np.exp)
 
 
 def sqrt(a: Var) -> Var:
     if np.any(a.value < 0):
         raise NumericError("sqrt requires nonnegative entries")
-    return _unary("sqrt", a)
+    return _unary("sqrt", a, np.sqrt)
 
 
 def square(a: Var) -> Var:
-    return _unary("square", a)
+    return _unary("square", a, np.square)
 
 
 def absval(a: Var) -> Var:
-    return _unary("absval", a)
+    return _unary("absval", a, np.abs)
 
 
 def tanh(a: Var) -> Var:
-    return _unary("tanh", a)
+    return _unary("tanh", a, np.tanh)
 
 
 def sigmoid(a: Var) -> Var:
-    return _unary("sigmoid", a)
+    return _unary("sigmoid", a, _sigmoid)
 
 
 def softplus(a: Var) -> Var:
-    return _unary("softplus", a)
+    return _unary("softplus", a, lambda x: np.logaddexp(0.0, x))
 
 
 def clip(a: Var, lo: float, hi: float) -> Var:
-    return _unary("clip", a, {"lo": float(lo), "hi": float(hi)})
+    lo, hi = float(lo), float(hi)
+    return _unary("clip", a, lambda x: np.clip(x, lo, hi), {"lo": lo, "hi": hi})
 
 
 def mean_rows(a: Var) -> Var:
-    return _unary("mean_rows", a)
+    return _unary("mean_rows", a, lambda x: x.mean(axis=0, keepdims=True))
 
 
 def sum_all(a: Var) -> Var:
-    return _unary("sum_all", a)
+    return _unary("sum_all", a, lambda x: np.array([[x.sum()]]))
 
 
 def grad(tape: Tape, loss: Var) -> dict:

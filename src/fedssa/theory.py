@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError
+from .linalg import pairwise_distances
 from .models import ClassGaussian
 from .semantic import SemanticClusterMap, gaussian_kl
-from .structural import StructuralClusterMap, chordal_distance
+from .structural import StructuralClusterMap, pairwise_chordal
 
 
 @dataclass(frozen=True)
@@ -57,28 +58,12 @@ class HeterogeneityReport:
     global_eps_u: float
 
 
-def _max_pairwise_mu(gaussians: list) -> float:
-    worst = 0.0
-    for i in range(len(gaussians)):
-        for j in range(i + 1, len(gaussians)):
-            worst = max(worst, float(np.linalg.norm(gaussians[i].mean - gaussians[j].mean)))
-    return worst
-
-
-def _max_pairwise_sigma(gaussians: list) -> float:
-    worst = 0.0
-    for i in range(len(gaussians)):
-        for j in range(i + 1, len(gaussians)):
-            worst = max(worst, float(np.linalg.norm(gaussians[i].cov - gaussians[j].cov)))
-    return worst
-
-
-def _max_pairwise_chordal(energies: list) -> float:
-    worst = 0.0
-    for i in range(len(energies)):
-        for j in range(i + 1, len(energies)):
-            worst = max(worst, chordal_distance(energies[i], energies[j]))
-    return worst
+def _spreads(gaussians: list) -> tuple[float, float]:
+    """(delta_mu, delta_sigma): the largest distance between any two members'
+    means, and between any two members' covariances (Frobenius)."""
+    delta_mu = pairwise_distances([g.mean for g in gaussians]).max(initial=0.0)
+    delta_sigma = pairwise_distances([g.cov for g in gaussians]).max(initial=0.0)
+    return float(delta_mu), float(delta_sigma)
 
 
 def measure_heterogeneity(class_gaussians: dict, energies: list,
@@ -91,42 +76,36 @@ def measure_heterogeneity(class_gaussians: dict, energies: list,
     fields ignore cluster structure (max over all holder pairs), which is
     the baseline the clustered values are compared against.
     """
+    by_class: dict = {}
+    for client_id, gaussians in class_gaussians.items():
+        for g in gaussians:
+            by_class.setdefault(g.label, {})[client_id] = g
     semantic_stats = []
     sigma_min_sq = math.inf
     if semantic_map is not None:
-        by_class: dict = {}
-        for client_id, gaussians in class_gaussians.items():
-            for g in gaussians:
-                by_class.setdefault(g.label, {})[client_id] = g
         for label in sorted(semantic_map.assignments):
             by_client = semantic_map.assignments[label]
             for cluster in sorted(set(by_client.values())):
                 members = [by_class[label][cid] for cid in sorted(by_client)
                            if by_client[cid] == cluster]
+                delta_mu, delta_sigma = _spreads(members)
                 rep = semantic_map.representatives[(label, cluster)]
                 sig = float(np.linalg.eigvalsh(rep.cov)[0])
                 sigma_min_sq = min(sigma_min_sq, sig)
                 semantic_stats.append(SemanticClusterStats(
                     label=int(label), cluster=int(cluster), size=len(members),
-                    delta_mu=_max_pairwise_mu(members),
-                    delta_sigma=_max_pairwise_sigma(members),
-                    sigma_min_sq=sig))
+                    delta_mu=delta_mu, delta_sigma=delta_sigma, sigma_min_sq=sig))
+    ids, chordal = pairwise_chordal(energies)
     structural_stats = []
     if structural_map is not None and energies:
-        by_id = {e.client_id: e for e in energies}
+        row = {cid: i for i, cid in enumerate(ids)}
         for cluster in sorted(set(structural_map.assignments.values())):
-            members = [by_id[cid] for cid in sorted(structural_map.assignments)
-                       if structural_map.assignments[cid] == cluster]
+            rows = [row[cid] for cid in sorted(structural_map.assignments)
+                    if structural_map.assignments[cid] == cluster]
             structural_stats.append(StructuralClusterStats(
-                cluster=int(cluster), size=len(members),
-                eps_u=_max_pairwise_chordal(members)))
-    global_mu = 0.0
-    global_sigma = 0.0
-    labels = {g.label for gs in class_gaussians.values() for g in gs}
-    for label in sorted(labels):
-        holders = [g for gs in class_gaussians.values() for g in gs if g.label == label]
-        global_mu = max(global_mu, _max_pairwise_mu(holders))
-        global_sigma = max(global_sigma, _max_pairwise_sigma(holders))
+                cluster=int(cluster), size=len(rows),
+                eps_u=float(chordal[np.ix_(rows, rows)].max())))
+    global_spreads = [_spreads(list(by_class[label].values())) for label in sorted(by_class)]
     return HeterogeneityReport(
         semantic=tuple(semantic_stats),
         structural=tuple(structural_stats),
@@ -134,9 +113,9 @@ def measure_heterogeneity(class_gaussians: dict, energies: list,
         worst_delta_mu=max((s.delta_mu for s in semantic_stats), default=0.0),
         worst_delta_sigma=max((s.delta_sigma for s in semantic_stats), default=0.0),
         worst_eps_u=max((s.eps_u for s in structural_stats), default=0.0),
-        global_delta_mu=global_mu,
-        global_delta_sigma=global_sigma,
-        global_eps_u=_max_pairwise_chordal(list(energies)) if energies else 0.0,
+        global_delta_mu=max((mu for mu, _ in global_spreads), default=0.0),
+        global_delta_sigma=max((sigma for _, sigma in global_spreads), default=0.0),
+        global_eps_u=float(chordal.max(initial=0.0)),
     )
 
 
@@ -287,8 +266,7 @@ def kl_bound_audit(members: dict, representative: ClassGaussian) -> KLAudit:
     for g in gaussians:
         if g.label != representative.label:
             raise ContractError("member class label differs from representative")
-    delta_mu = _max_pairwise_mu(gaussians)
-    delta_sigma = _max_pairwise_sigma(gaussians)
+    delta_mu, delta_sigma = _spreads(gaussians)
     sigma_min_sq = float(np.linalg.eigvalsh(representative.cov)[0])
     precondition_ok = (delta_sigma + delta_mu ** 2) <= sigma_min_sq / 2.0
     d = representative.dim

@@ -1,5 +1,5 @@
 """Thin QR contract checks: reconstruction, orthonormality, sign convention
-and rank detection."""
+and rank detection; the pairwise distance kernel against a pair loop."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedssa.errors import RankError, ShapeError
-from fedssa.linalg import qr_thin
+from fedssa.linalg import pairwise_distances, qr_thin
 
 
 def _qr_checks(a, tol=1e-10):
@@ -82,3 +82,16 @@ def test_qr_property_random(seed, m, n_raw):
     a = rng.standard_normal((m, n))
     _qr_checks(a)
 
+
+@pytest.mark.parametrize("shape", [(0, 3), (1, 3), (6, 4), (9, 3, 3)])
+def test_pairwise_distances_matches_pair_loop(shape):
+    points = np.random.default_rng(11).standard_normal(shape)
+    dist = pairwise_distances(points)
+    m = shape[0]
+    assert dist.shape == (m, m)
+    assert np.array_equal(dist, dist.T)
+    assert np.all(np.diag(dist) == 0.0)
+    for i in range(m):
+        for j in range(m):
+            want = np.linalg.norm((points[i] - points[j]).ravel())
+            assert abs(dist[i, j] - want) <= 1e-12

@@ -43,10 +43,24 @@ def test_chordal_matches_svd_principal_angle_oracle():
 
 
 def test_chordal_identical_subspace_is_zero():
-    # sqrt amplifies the K+1 - ||Q^T Q||^2 cancellation to ~sqrt(eps)
     rng = np.random.default_rng(1)
     a = _random_energy(0, rng)
-    assert chordal_distance(a, a) == pytest.approx(0.0, abs=1e-7)
+    assert chordal_distance(a, a) == 0.0
+
+
+@pytest.mark.parametrize("angle", [1e-8, 1e-10])
+def test_chordal_resolves_nearby_subspaces(angle):
+    # sqrt(K+1 - ||Qa^T Qb||^2) cancels to ~sqrt(eps) here; the projection
+    # form keeps the distance to a few ulps of the residual ||(I - Pa) Qb||_F
+    rng = np.random.default_rng(7)
+    basis, _ = qr_thin(rng.standard_normal((8, 8)))
+    qa = basis[:, :3]
+    qb = qa.copy()
+    qb[:, 0] = np.cos(angle) * basis[:, 0] + np.sin(angle) * basis[:, 5]
+    want = float(np.linalg.norm(qb - qa @ (qa.T @ qb)))
+    a, b = SpectralEnergy(0, qa), SpectralEnergy(1, qb)
+    assert abs(chordal_distance(a, b) - want) <= 1e-12
+    assert abs(pairwise_chordal([a, b])[1][0, 1] - want) <= 1e-12
 
 
 def test_chordal_invariant_to_orthogonal_rebasing():
@@ -91,8 +105,21 @@ def test_pairwise_chordal_sorted_symmetric():
     assert ids == [0, 2, 3]
     assert np.array_equal(dist, dist.T)
     assert np.all(np.diag(dist) == 0.0)
-    assert dist[0, 1] == pytest.approx(
-        chordal_distance(energies[2], energies[1]), abs=1e-12)
+    by_id = {e.client_id: e for e in energies}
+    for i, a in enumerate(ids):
+        for j, b in enumerate(ids):
+            assert abs(dist[i, j] - chordal_distance(by_id[a], by_id[b])) <= 1e-12
+
+
+def test_pairwise_chordal_contract():
+    ids, dist = pairwise_chordal([])
+    assert ids == [] and dist.shape == (0, 0)
+    rng = np.random.default_rng(8)
+    ids, dist = pairwise_chordal([_random_energy(4, rng)])
+    assert ids == [4] and dist.tolist() == [[0.0]]
+    with pytest.raises(ShapeError):
+        pairwise_chordal([_random_energy(0, rng, d=6, k1=2),
+                          _random_energy(1, rng, d=6, k1=3)])
 
 
 def test_projection_embedding_isometry_factor():

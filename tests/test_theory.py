@@ -1,7 +1,7 @@
 """Theory diagnostics checks: error-floor arithmetic, the contraction
 recursion against closed-form bounds and against real gradient descent on a
 quadratic, the round schedule, KL bound audits with planted clusters, and
-heterogeneity measurement."""
+heterogeneity measurement, each spread also against a brute-force pair loop."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,10 @@ import pytest
 from fedssa.errors import ConfigError, ContractError
 from fedssa.linalg import qr_thin
 from fedssa.models import ClassGaussian
-from fedssa.semantic import build_semantic_map, cluster_moments, gmm_of_cluster
-from fedssa.structural import SpectralEnergy, build_structural_map
+from fedssa.semantic import (SemanticClusterMap, build_semantic_map, cluster_moments,
+                             gmm_of_cluster)
+from fedssa.structural import (SpectralEnergy, StructuralClusterMap, build_structural_map,
+                               chordal_distance)
 from fedssa.theory import (ErrorFloorReport, contraction_simulate, error_floor,
                            kl_bound_audit, measure_heterogeneity,
                            rounds_to_reach)
@@ -264,3 +266,67 @@ def test_error_floor_from_report():
     assert floor.delta_mu == pytest.approx(report.worst_delta_mu)
     assert floor.total == pytest.approx(floor.semantic_term + floor.reg_term)
     assert floor.structural_term == 0.0
+
+
+def _pair_max(items, dist):
+    return max((dist(a, b) for i, a in enumerate(items) for b in items[i + 1:]), default=0.0)
+
+
+def _mean_gap(a, b):
+    return float(np.linalg.norm(a.mean - b.mean))
+
+
+def _cov_gap(a, b):
+    return float(np.linalg.norm(a.cov - b.cov))
+
+
+@pytest.mark.parametrize("m", [1, 2, 9, 40])
+def test_heterogeneity_and_kl_audit_match_pair_loops(m):
+    rng = np.random.default_rng(500 + m)
+    d = 3
+    class_gaussians = {
+        cid: [ClassGaussian(lab, rng.standard_normal(d), random_spd(rng, d, 0.2), 3)
+              for lab in (0, 1, 2) if lab == 0 or rng.random() < 0.6]
+        for cid in range(m)}
+    # class 3 has a single holder
+    class_gaussians[m - 1].append(ClassGaussian(3, np.ones(d), np.eye(d), 2))
+    energies = [_frame(int(cid), rng.standard_normal((8, 3))) for cid in rng.permutation(m)]
+
+    def clusters(ids):
+        # the first id sits alone in cluster 0; the rest spread over 1..3
+        return {cid: 0 if cid == ids[0] else int(rng.integers(1, 4)) for cid in ids}
+
+    holders = {lab: {cid: g for cid, gs in class_gaussians.items() for g in gs
+                     if g.label == lab} for lab in range(4)}
+    sem_assign = {lab: clusters(sorted(holders[lab])) for lab in range(4)}
+    cells = {(lab, c): [holders[lab][cid] for cid in sorted(by_client)
+                        if by_client[cid] == c]
+             for lab, by_client in sem_assign.items() for c in set(by_client.values())}
+    reps = {key: cluster_moments(gmm_of_cluster(members)) for key, members in cells.items()}
+    struct_assign = clusters(list(range(m)))
+    report = measure_heterogeneity(class_gaussians, energies,
+                                   SemanticClusterMap(sem_assign, reps),
+                                   StructuralClusterMap(struct_assign, {}))
+
+    assert sorted((s.label, s.cluster) for s in report.semantic) == sorted(cells)
+    for stats in report.semantic:
+        members = cells[(stats.label, stats.cluster)]
+        assert stats.size == len(members)
+        assert abs(stats.delta_mu - _pair_max(members, _mean_gap)) <= 1e-12
+        assert abs(stats.delta_sigma - _pair_max(members, _cov_gap)) <= 1e-12
+        audit = kl_bound_audit(dict(enumerate(members)), reps[(stats.label, stats.cluster)])
+        assert abs(audit.delta_mu - _pair_max(members, _mean_gap)) <= 1e-12
+        assert abs(audit.delta_sigma - _pair_max(members, _cov_gap)) <= 1e-12
+    by_id = {e.client_id: e for e in energies}
+    assert [s.cluster for s in report.structural] == sorted(set(struct_assign.values()))
+    for stats in report.structural:
+        members = [by_id[cid] for cid in sorted(struct_assign)
+                   if struct_assign[cid] == stats.cluster]
+        assert stats.size == len(members)
+        assert abs(stats.eps_u - _pair_max(members, chordal_distance)) <= 1e-12
+    assert report.structural[0].size == 1 and report.structural[0].eps_u == 0.0
+    assert abs(report.global_eps_u - _pair_max(energies, chordal_distance)) <= 1e-12
+    global_mu = max(_pair_max(list(h.values()), _mean_gap) for h in holders.values())
+    global_sigma = max(_pair_max(list(h.values()), _cov_gap) for h in holders.values())
+    assert abs(report.global_delta_mu - global_mu) <= 1e-12
+    assert abs(report.global_delta_sigma - global_sigma) <= 1e-12

@@ -16,9 +16,8 @@ from .federation import (ClientUpload, RoundMetrics, RunConfig, ServerBroadcast,
                          run_federation_detailed, server_step)
 from .graphs import (FederationDataset, LocalGraph, SynthSpec, homophily_ratio,
                      laplacian_powers, load_dataset, load_graph,
-                     normalized_laplacian, partition_nonoverlap,
-                     partition_overlap, save_dataset, save_graph,
-                     stratified_split, synth_dataset)
+                     partition_nonoverlap, partition_overlap, save_dataset,
+                     save_graph, stratified_split, synth_dataset)
 from .linalg import qr_thin
 from .metrics import accuracy, auc
 from .models import (ClassGaussian, SpectralGNNParams, VGAEParams, init_params,
@@ -57,7 +56,7 @@ __all__ = [
     "gmm_of_cluster", "grad", "homophily_ratio", "init_params",
     "kl_bound_audit", "kmeans", "laplacian_powers", "load_config",
     "load_dataset", "load_graph", "measure_heterogeneity",
-    "normalized_laplacian", "pairwise_chordal", "parse_config",
+    "pairwise_chordal", "parse_config",
     "partition_nonoverlap", "partition_overlap", "projection_embedding",
     "qr_thin", "rounds_to_reach", "run_federation",
     "run_federation_detailed", "save_dataset", "save_graph",

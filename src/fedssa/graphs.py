@@ -28,6 +28,10 @@ from .rng import stream
 
 SPLIT_FRACTIONS = (0.2, 0.4, 0.4)
 TASKS = ("multiclass", "binary-auc")
+# synth_dataset draws its node-pair uniforms this many at a time, in blocks
+# of whole rows: consecutive row blocks of one stream give the same doubles
+# as a single (n, n) draw, so the edges do not depend on the block size.
+PAIR_BLOCK = 1 << 17
 
 
 def _index_array(values, n: int, what: str) -> np.ndarray:
@@ -135,42 +139,28 @@ class FederationDataset:
         return len(self.clients)
 
 
-def adjacency(g: LocalGraph) -> np.ndarray:
-    """Dense symmetric 0/1 adjacency matrix."""
-    a = np.zeros((g.n, g.n))
-    if g.edges.size:
-        a[g.edges[:, 0], g.edges[:, 1]] = 1.0
-        a[g.edges[:, 1], g.edges[:, 0]] = 1.0
-    return a
-
-
-def normalized_laplacian(g: LocalGraph) -> np.ndarray:
-    """Symmetric normalized Laplacian I - D^{-1/2} A D^{-1/2}.
-
-    Isolated nodes get a unit diagonal entry, which falls out of the
-    construction because their scaling factor is zero and the graph has no
-    self loops. The result is exactly symmetric: the off-diagonal part is
-    built as an elementwise product of two exactly symmetric matrices.
-    """
-    a = adjacency(g)
-    deg = a.sum(axis=1)
-    inv_sqrt = np.zeros_like(deg)
-    pos = deg > 0
-    inv_sqrt[pos] = 1.0 / np.sqrt(deg[pos])
-    weight = np.outer(inv_sqrt, inv_sqrt)
-    lap = -(weight * a)
-    np.fill_diagonal(lap, 1.0)
-    return lap
-
-
 def laplacian_powers(g: LocalGraph, order: int) -> list[np.ndarray]:
-    """Propagated features [X, L X, L^2 X, ..., L^order X]."""
+    """Propagated features [X, L X, L^2 X, ..., L^order X].
+
+    L = I - D^{-1/2} A D^{-1/2} is applied from the edge list: each edge
+    (u, v) of weight w = 1/sqrt(deg_u deg_v) moves w·x[v] out of row u and
+    w·x[u] out of row v. Isolated nodes keep the unit diagonal.
+    """
     if order < 0:
         raise ContractError(f"order must be >= 0, got {order}")
-    lap = normalized_laplacian(g)
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    deg = np.bincount(g.edges.ravel(), minlength=g.n)
+    inv_sqrt = np.zeros(g.n)
+    pos = deg > 0
+    inv_sqrt[pos] = 1.0 / np.sqrt(deg[pos])
+    weight = (inv_sqrt[u] * inv_sqrt[v])[:, None]
     powers = [np.ascontiguousarray(g.features.copy())]
     for _ in range(order):
-        powers.append(lap @ powers[-1])
+        x = powers[-1]
+        nxt = x.copy()
+        np.add.at(nxt, u, -weight * x[v])
+        np.add.at(nxt, v, -weight * x[u])
+        powers.append(nxt)
     return powers
 
 
@@ -248,8 +238,9 @@ def synth_dataset(spec: SynthSpec, seed: int) -> LocalGraph:
 
     Labels are balanced up to remainder and shuffled; features are the
     class mean plus isotropic noise; each node pair draws an edge with
-    probability p_intra (same label) or p_inter (otherwise). Splits are
-    stratified 20/40/40. Deterministic given (spec, seed).
+    probability p_intra (same label) or p_inter (otherwise), from one
+    uniform per entry of a row-major n x n draw taken a row block at a time.
+    Splits are stratified 20/40/40. Deterministic given (spec, seed).
     """
     rng = stream(seed, "synth")
     c, d, n = spec.num_classes, spec.feature_dim, spec.num_nodes
@@ -260,17 +251,20 @@ def synth_dataset(spec: SynthSpec, seed: int) -> LocalGraph:
     labels = np.tile(np.arange(c), (n + c - 1) // c)[:n]
     rng.shuffle(labels)
     features = means[labels] + spec.noise * rng.standard_normal((n, d))
-    draws = rng.random((n, n))
-    same = labels[:, None] == labels[None, :]
-    prob = np.where(same, spec.p_intra, spec.p_inter)
-    iu, ju = np.triu_indices(n, k=1)
-    hit = draws[iu, ju] < prob[iu, ju]
-    edges = np.column_stack([iu[hit], ju[hit]])
+    step = max(1, PAIR_BLOCK // n)
+    parts = []
+    for start in range(0, n, step):
+        rows = labels[start:start + step]
+        draws = rng.random((rows.size, n))
+        prob = np.where(rows[:, None] == labels[None, :], spec.p_intra, spec.p_inter)
+        hi, hj = np.nonzero(np.triu(draws < prob, k=start + 1))
+        parts.append(np.column_stack([start + hi, hj]))
+    edges = np.concatenate(parts)
     train, val, test = stratified_split(labels, stream(seed, "synth-split"))
     return LocalGraph(features, labels, edges, train, val, test)
 
 
-def _adjacency_lists(n: int, edges: np.ndarray) -> list[list[int]]:
+def _neighbor_lists(n: int, edges: np.ndarray) -> list[list[int]]:
     neighbors: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         neighbors[int(u)].append(int(v))
@@ -302,7 +296,7 @@ def _greedy_assignment(n: int, edges: np.ndarray, num_parts: int,
     """Streaming greedy partition with per-part quotas differing by <= 1."""
     base, rem = divmod(n, num_parts)
     quotas = np.array([base + (1 if i < rem else 0) for i in range(num_parts)])
-    neighbors = _adjacency_lists(n, edges)
+    neighbors = _neighbor_lists(n, edges)
     order = _bfs_order(n, neighbors, int(rng.integers(n)))
     assign = np.full(n, -1, dtype=np.int64)
     sizes = np.zeros(num_parts, dtype=np.int64)

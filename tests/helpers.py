@@ -2,13 +2,17 @@
 
 Everything here is deliberately written against a different algorithmic
 route than the library code (loops instead of BLAS, finite differences
-instead of the tape, SVD principal angles instead of Gram norms, Monte
-Carlo instead of closed forms) so agreement is evidence, not tautology.
+instead of the tape, projection residuals instead of projector
+differences, dense matrices instead of edge lists, Monte Carlo instead of
+closed forms) so agreement is evidence, not tautology.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from fedssa.graphs import LocalGraph, stratified_split
+from fedssa.rng import stream
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -52,11 +56,14 @@ def rel_err(approx: np.ndarray, ref: np.ndarray) -> float:
     return diff / scale
 
 
-def svd_chordal(q1: np.ndarray, q2: np.ndarray) -> float:
-    """Chordal distance via SVD principal angles: sqrt(sum sin^2 theta_i)."""
-    sigma = np.linalg.svd(q1.T @ q2, compute_uv=False)
-    sigma = np.clip(sigma, -1.0, 1.0)
-    return float(np.sqrt(np.sum(1.0 - sigma ** 2)))
+def residual_chordal(q1: np.ndarray, q2: np.ndarray) -> float:
+    """Chordal distance sqrt(sum sin^2 theta_i) as ||(I - Q1 Q1^T) Q2||_F.
+
+    The residual of Q2 after projecting onto span(Q1) carries the sines of
+    the principal angles directly, so nearby subspaces lose no digits to
+    the cancellation in 1 - cos^2 theta.
+    """
+    return float(np.linalg.norm(q2 - q1 @ (q1.T @ q2)))
 
 
 def mc_gaussian_kl(mu_p, cov_p, mu_q, cov_q, n: int, rng) -> float:
@@ -128,3 +135,52 @@ def pool_draw(g, count: int, rng) -> np.ndarray:
         return np.zeros((0, 2), dtype=np.int64)
     take = min(count, pool.shape[0])
     return pool[np.sort(rng.choice(pool.shape[0], size=take, replace=False))]
+
+
+def adjacency(g) -> np.ndarray:
+    """Dense symmetric 0/1 adjacency matrix."""
+    a = np.zeros((g.n, g.n))
+    if g.edges.size:
+        a[g.edges[:, 0], g.edges[:, 1]] = 1.0
+        a[g.edges[:, 1], g.edges[:, 0]] = 1.0
+    return a
+
+
+def normalized_laplacian(g) -> np.ndarray:
+    """Dense symmetric normalized Laplacian I - D^{-1/2} A D^{-1/2}.
+
+    Isolated nodes get a unit diagonal entry, which falls out of the
+    construction because their scaling factor is zero and the graph has no
+    self loops. The result is exactly symmetric: the off-diagonal part is
+    built as an elementwise product of two exactly symmetric matrices.
+    """
+    a = adjacency(g)
+    deg = a.sum(axis=1)
+    inv_sqrt = np.zeros_like(deg)
+    pos = deg > 0
+    inv_sqrt[pos] = 1.0 / np.sqrt(deg[pos])
+    weight = np.outer(inv_sqrt, inv_sqrt)
+    lap = -(weight * a)
+    np.fill_diagonal(lap, 1.0)
+    return lap
+
+
+def dense_synth_dataset(spec, seed: int):
+    """synth_dataset from one (n, n) uniform draw and full n x n masks."""
+    rng = stream(seed, "synth")
+    c, d, n = spec.num_classes, spec.feature_dim, spec.num_nodes
+    if spec.class_means is not None:
+        means = spec.class_means
+    else:
+        means = spec.mean_scale * rng.standard_normal((c, d))
+    labels = np.tile(np.arange(c), (n + c - 1) // c)[:n]
+    rng.shuffle(labels)
+    features = means[labels] + spec.noise * rng.standard_normal((n, d))
+    draws = rng.random((n, n))
+    same = labels[:, None] == labels[None, :]
+    prob = np.where(same, spec.p_intra, spec.p_inter)
+    iu, ju = np.triu_indices(n, k=1)
+    hit = draws[iu, ju] < prob[iu, ju]
+    edges = np.column_stack([iu[hit], ju[hit]])
+    train, val, test = stratified_split(labels, stream(seed, "synth-split"))
+    return LocalGraph(features, labels, edges, train, val, test)

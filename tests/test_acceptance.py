@@ -30,7 +30,7 @@ from fedssa.structural import (SpectralEnergy, alignment_loss_var,
                                regularizer_var)
 from fedssa.theory import contraction_simulate, kl_bound_audit, rounds_to_reach
 from helpers import (central_diff, grid_filter_sup, random_spd, rel_err,
-                     svd_chordal)
+                     residual_chordal)
 
 GRAD_TOL = 1e-4
 EXACT_TOL = 1e-9
@@ -136,7 +136,7 @@ def test_a02_chordal_distance_matches_principal_angles():
         ea = SpectralEnergy(0, qa)
         eb = SpectralEnergy(1, qb)
         dist = chordal_distance(ea, eb)
-        worst_dist = max(worst_dist, abs(dist - svd_chordal(qa, qb)))
+        worst_dist = max(worst_dist, abs(dist - residual_chordal(qa, qb)))
         gap = np.linalg.norm(projection_embedding(ea) - projection_embedding(eb))
         worst_iso = max(worst_iso, abs(gap - np.sqrt(2.0) * dist))
     elapsed = time.monotonic() - t0

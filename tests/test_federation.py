@@ -5,6 +5,7 @@ structural cluster recovery from hand-built uploads."""
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from fedssa.federation import (ClientUpload, RunConfig, _loss_parts, client_roun
                                init_client_state, run_federation,
                                run_federation_detailed, server_step,
                                upload_payload)
-from fedssa.graphs import FederationDataset, LocalGraph, SynthSpec, synth_dataset
+from fedssa.graphs import (FederationDataset, LocalGraph, SynthSpec,
+                           stratified_split, synth_dataset)
 from fedssa.linalg import qr_thin
 from fedssa.models import ClassGaussian, init_params, sample_nonedges
 from fedssa.rng import stream
@@ -77,6 +79,36 @@ def test_training_tape_holds_no_rows_by_nodes_constant():
             arrays[id(x)] = x.nbytes
         arrays[id(node.value)] = node.value.nbytes
     assert sum(arrays.values()) < 10 * 2 ** 20
+
+
+def test_setup_and_round_memory_targets():
+    # dataset setup of the 4,800-node benchmark graph, then one 10,000-node
+    # client (60k edges) through setup and a training round; a dense n x n
+    # float matrix alone would be 184 MB and 800 MB
+    spec = SynthSpec(num_nodes=4800, num_classes=4, feature_dim=24,
+                     p_intra=0.006, p_inter=0.0012, mean_scale=1.0)
+    n, m, d, c = 10_000, 60_000, 24, 4
+    rng = np.random.default_rng(0)
+    labels = rng.integers(0, c, n)
+    edges = rng.integers(0, n, (m, 2))
+    graph = LocalGraph(rng.standard_normal((n, d)), labels,
+                       edges[edges[:, 0] != edges[:, 1]],
+                       *stratified_split(labels, rng))
+    cfg = _tiny_cfg(epochs=1, latent_dim=8, hidden=16)
+    gnn, vgae = init_params(d, c, cfg.order, cfg.hidden, cfg.latent_dim,
+                            cfg.w_max, stream(0, "init"))
+    tracemalloc.start()
+    try:
+        synth_dataset(spec, 0)
+        synth_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        state = init_client_state(0, graph, c, "multiclass", cfg, gnn, vgae)
+        client_round(state, None, cfg, 0, 1)
+        client_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert synth_peak < 32 * 2 ** 20, f"synth_dataset peak {synth_peak / 2 ** 20:.1f} MB"
+    assert client_peak < 200 * 2 ** 20, f"10k-node client peak {client_peak / 2 ** 20:.1f} MB"
 
 
 # --- determinism and schedule invariance -------------------------------------

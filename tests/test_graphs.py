@@ -1,22 +1,23 @@
 """Graph substrate checks: Laplacian hand values and spectral range,
+edge-list powers and row-blocked synthesis against dense references,
 split/partition properties, SBM synthesis determinism, strict JSON I/O."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedssa.errors import ConfigError, ContractError, InfeasibleError
-from fedssa.graphs import (FederationDataset, LocalGraph, SynthSpec,
-                           adjacency, graph_from_dict, graph_to_dict,
+from fedssa.graphs import (PAIR_BLOCK, FederationDataset, LocalGraph,
+                           SynthSpec, graph_from_dict, graph_to_dict,
                            homophily_ratio, laplacian_powers, load_dataset,
-                           load_graph, normalized_laplacian,
-                           partition_nonoverlap, partition_overlap,
+                           load_graph, partition_nonoverlap, partition_overlap,
                            save_dataset, save_graph, stratified_split,
                            synth_dataset)
 from fedssa.rng import stream
-from helpers import induced_edges_loop
+from helpers import dense_synth_dataset, induced_edges_loop, normalized_laplacian
 
 
 def _graph(features, labels, edges, train=None, val=None, test=None):
@@ -35,14 +36,20 @@ def _two_nodes_one_edge():
 # --- Laplacian ------------------------------------------------------------------
 
 
+def _laplacian(g):
+    """L itself: one propagation step of identity features."""
+    assert np.array_equal(g.features, np.eye(g.n))
+    return laplacian_powers(g, 1)[1]
+
+
 def test_laplacian_single_edge_hand_value():
-    lap = normalized_laplacian(_two_nodes_one_edge())
+    lap = _laplacian(_two_nodes_one_edge())
     assert np.array_equal(lap, np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 def test_laplacian_path_graph_hand_value():
     g = _graph(np.eye(3), [0, 0, 0], [[0, 1], [1, 2]])
-    lap = normalized_laplacian(g)
+    lap = _laplacian(g)
     s = 1.0 / np.sqrt(2.0)
     want = np.array([[1.0, -s, 0.0], [-s, 1.0, -s], [0.0, -s, 1.0]])
     assert np.allclose(lap, want)
@@ -51,15 +58,15 @@ def test_laplacian_path_graph_hand_value():
 
 def test_laplacian_isolated_node_unit_diagonal():
     g = _graph(np.eye(3), [0, 0, 1], [[0, 1]])
-    lap = normalized_laplacian(g)
+    lap = _laplacian(g)
     assert lap[2, 2] == 1.0
     assert np.all(lap[2, :2] == 0.0) and np.all(lap[:2, 2] == 0.0)
 
 
 def test_laplacian_exactly_symmetric_and_spectrum_in_range():
     for seed in range(10):
-        g = synth_dataset(SynthSpec(40, 3, 4, 0.2, 0.05), seed)
-        lap = normalized_laplacian(g)
+        sbm = synth_dataset(SynthSpec(40, 3, 4, 0.2, 0.05), seed)
+        lap = _laplacian(_graph(np.eye(sbm.n), sbm.labels, sbm.edges))
         assert np.array_equal(lap, lap.T)
         assert np.all(np.diag(lap) == 1.0)
         vals = np.linalg.eigvalsh(lap)
@@ -68,14 +75,44 @@ def test_laplacian_exactly_symmetric_and_spectrum_in_range():
 
 
 def test_laplacian_powers_path_hand_value():
-    lap = normalized_laplacian(_two_nodes_one_edge())
     g = _graph(np.array([[1.0], [0.0]]), [0, 1], [[0, 1]])
     powers = laplacian_powers(g, 2)
     assert np.allclose(powers[0], [[1.0], [0.0]])
     assert np.allclose(powers[1], [[1.0], [-1.0]])
     assert np.allclose(powers[2], [[2.0], [-2.0]])
     assert len(powers) == 3
-    del lap
+
+
+def _random_graph(rng, n, num_edges, isolated=0):
+    """Graph on n nodes whose last `isolated` nodes touch no edge."""
+    reach = n - isolated
+    edges = rng.integers(0, reach, (num_edges, 2)) if reach >= 2 else np.zeros((0, 2))
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    return _graph(rng.standard_normal((n, 5)), rng.integers(0, 3, n), edges)
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_laplacian_powers_match_dense_reference(case):
+    rng = np.random.default_rng(300 + case)
+    n = int(rng.integers(2, 60))
+    if case == 0:
+        g = _random_graph(rng, n, 0)
+    elif case == 1:
+        g = _graph(rng.standard_normal((n, 5)), [0] * n, [[0, n - 1]])
+    elif case == 2:
+        g = _graph(rng.standard_normal((1, 5)), [0], np.zeros((0, 2)))
+    else:
+        g = _random_graph(rng, n, int(rng.integers(1, 3 * n)),
+                          isolated=int(rng.integers(0, n // 2 + 1)) if case % 2 else 0)
+    lap = normalized_laplacian(g)
+    want = [g.features]
+    for _ in range(4):
+        want.append(lap @ want[-1])
+    got = laplacian_powers(g, 4)
+    assert len(got) == 5
+    assert np.array_equal(got[0], g.features)
+    for k in range(1, 5):
+        assert np.max(np.abs(got[k] - want[k])) <= 1e-12
 
 
 def test_laplacian_powers_rejects_negative_order():
@@ -198,6 +235,27 @@ def test_synth_spec_validation():
         SynthSpec(10, 2, 3, 1.5, 0.1)
     with pytest.raises(ConfigError):
         SynthSpec(0, 2, 3, 0.1, 0.1)
+
+
+# synth_dataset draws PAIR_BLOCK // n rows of uniforms at a time; at n = SIDE
+# one block holds exactly all n rows.
+SIDE = math.isqrt(PAIR_BLOCK)
+
+
+@pytest.mark.parametrize("n,p_intra,p_inter", [
+    (1, 0.3, 0.1), (2, 1.0, 1.0), (2, 0.0, 0.0),
+    (SIDE - 1, 0.05, 0.01), (SIDE, 1.0, 0.0), (SIDE + 1, 0.0, 1.0),
+    (SIDE + 1, 1.0, 1.0), (SIDE + 1, 0.0, 0.0),
+    (512, 0.05, 0.005), (4 * SIDE, 0.01, 0.002),
+])
+def test_synth_matches_dense_reference(n, p_intra, p_inter):
+    assert PAIR_BLOCK // SIDE == SIDE
+    spec = SynthSpec(n, 3, 4, p_intra, p_inter)
+    got, want = synth_dataset(spec, n), dense_synth_dataset(spec, n)
+    for name in ("edges", "features", "labels", "train_idx", "val_idx", "test_idx"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
 
 
 # --- partitioning ---------------------------------------------------------------
@@ -376,12 +434,3 @@ def test_dataset_manifest_rejects_unknown_key(tmp_path):
 def test_load_graph_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_graph(tmp_path / "absent.json")
-
-
-def test_adjacency_is_symmetric_binary():
-    g = synth_dataset(SynthSpec(20, 2, 3, 0.3, 0.1), 0)
-    a = adjacency(g)
-    assert np.array_equal(a, a.T)
-    assert set(np.unique(a)) <= {0.0, 1.0}
-    assert np.all(np.diag(a) == 0.0)
-    assert a.sum() == 2 * g.edges.shape[0]

@@ -17,7 +17,7 @@ from fedssa.structural import (SpectralEnergy, alignment_loss_var,
                                filter_lipschitz_bound, pairwise_chordal,
                                projection_embedding, regularizer_var,
                                structural_cluster)
-from helpers import grid_filter_sup, rel_err, svd_chordal
+from helpers import grid_filter_sup, rel_err, residual_chordal
 
 
 def _energy(client_id, mat):
@@ -38,7 +38,7 @@ def test_chordal_matches_svd_principal_angle_oracle():
         a = _random_energy(0, rng)
         b = _random_energy(1, rng)
         got = chordal_distance(a, b)
-        want = svd_chordal(a.q, b.q)
+        want = residual_chordal(a.q, b.q)
         assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -57,7 +57,7 @@ def test_chordal_resolves_nearby_subspaces(angle):
     qa = basis[:, :3]
     qb = qa.copy()
     qb[:, 0] = np.cos(angle) * basis[:, 0] + np.sin(angle) * basis[:, 5]
-    want = float(np.linalg.norm(qb - qa @ (qa.T @ qb)))
+    want = residual_chordal(qa, qb)
     a, b = SpectralEnergy(0, qa), SpectralEnergy(1, qb)
     assert abs(chordal_distance(a, b) - want) <= 1e-12
     assert abs(pairwise_chordal([a, b])[1][0, 1] - want) <= 1e-12

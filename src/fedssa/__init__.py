@@ -25,10 +25,9 @@ from .models import (ClassGaussian, SpectralGNNParams, VGAEParams, init_params,
 from .rng import spawn_key, stream
 from .semantic import (GaussianMixture, SemanticClusterMap, cluster_moments,
                        gaussian_kl, gmm_of_cluster, build_semantic_map,
-                       semantic_alignment_loss, semantic_cluster)
+                       semantic_cluster)
 from .structural import (SpectralEnergy, StructuralClusterMap, chordal_distance,
                          build_structural_map, coeff_perturb_bound,
-                         coefficient_alignment_loss, coefficient_regularizer,
                          filter_lipschitz_bound, pairwise_chordal,
                          projection_embedding, structural_cluster)
 from .tape import Tape, Var, grad
@@ -50,8 +49,8 @@ __all__ = [
     "UndefinedMetricError", "VGAEParams", "Var", "accuracy", "auc",
     "build_dataset", "build_global_graph", "build_semantic_map",
     "build_structural_map", "chordal_distance", "client_round",
-    "cluster_moments", "coeff_perturb_bound", "coefficient_alignment_loss",
-    "coefficient_regularizer", "contraction_simulate", "error_floor",
+    "cluster_moments", "coeff_perturb_bound", "contraction_simulate",
+    "error_floor",
     "evaluate_client", "filter_lipschitz_bound", "gaussian_kl",
     "gmm_of_cluster", "grad", "homophily_ratio", "init_params",
     "kl_bound_audit", "kmeans", "laplacian_powers", "load_config",
@@ -60,7 +59,7 @@ __all__ = [
     "partition_nonoverlap", "partition_overlap", "projection_embedding",
     "qr_thin", "rounds_to_reach", "run_federation",
     "run_federation_detailed", "save_dataset", "save_graph",
-    "semantic_alignment_loss", "semantic_cluster",
+    "semantic_cluster",
     "server_step", "spawn_key", "spectral_energy", "stratified_split",
     "stream", "structural_cluster", "synth_dataset",
     "two_regime_federation",

@@ -37,7 +37,8 @@ from .models import (ClassGaussian, SpectralGNNParams, VGAEParams, ce_path,
                      encoder_path, init_params, logits_path, params_to_leaves,
                      sample_nonedges, spectral_energy, stack_powers)
 from .rng import spawn_key, stream
-from .semantic import SemanticClusterMap, alignment_path, build_semantic_map
+from .semantic import (KLTargets, SemanticClusterMap, alignment_path,
+                       build_semantic_map, kl_targets)
 from .structural import (SpectralEnergy, StructuralClusterMap,
                          alignment_loss_var, build_structural_map,
                          pairwise_chordal, regularizer_var)
@@ -289,11 +290,13 @@ def _adam_step(arrays: dict, grads: dict, st: AdamState, lr: float) -> None:
 
 
 def _loss_parts(state: ClientState, broadcast: Optional[ServerBroadcast],
-                cfg: RunConfig, eps: np.ndarray, nonedges: np.ndarray) -> tuple:
+                cfg: RunConfig, eps: np.ndarray, nonedges: np.ndarray,
+                targets: Optional[KLTargets] = None) -> tuple:
     """Assemble one forward pass; returns (tape, leaves, parts dict).
 
-    Besides the loss terms, parts holds the logits and, for fedssa with the
-    semantic branch, the class statistics (None otherwise).
+    targets are the broadcast's class representatives prepared by
+    kl_targets. Besides the loss terms, parts holds the logits and, for
+    fedssa with the semantic branch, the class statistics (None otherwise).
     """
     g = state.graph
     n, d = g.features.shape
@@ -309,8 +312,8 @@ def _loss_parts(state: ClientState, broadcast: Optional[ServerBroadcast],
     struct_term = None
     if cfg.method == "fedssa" and cfg.semantic:
         stats = class_stat_paths(mu, logvar, g)
-        if broadcast is not None and broadcast.class_representatives:
-            node_term = alignment_path(stats, broadcast.class_representatives)
+        if targets is not None:
+            node_term = alignment_path(stats, targets)
             if node_term is not None:
                 total = tp.add(total, node_term)
     if cfg.method == "fedssa" and cfg.structural:
@@ -332,10 +335,12 @@ def client_round(state: ClientState, broadcast: Optional[ServerBroadcast],
 
     One evaluation forward gives the logged losses, the split metrics and
     the upload's class Gaussians; the upload's frame is the one fixed at
-    setup. A non-finite loss or gradient rolls parameters and optimizer
-    state back to their values at round entry and raises
-    TrainingDivergenceError. With epochs == 0 the parameters are untouched
-    and the upload reflects the current state. Only method "fedssa"
+    setup. The broadcast's representatives are prepared for the alignment
+    KL once, on receipt. A representative that is not positive definite, or
+    a non-finite loss or gradient, rolls parameters and optimizer state
+    back to their values at round entry and raises TrainingDivergenceError.
+    With epochs == 0 the parameters are untouched and the upload reflects
+    the current state. Only method "fedssa"
     constructs an upload.
     """
     g = state.graph
@@ -343,29 +348,34 @@ def client_round(state: ClientState, broadcast: Optional[ServerBroadcast],
     dz = cfg.latent_dim
     snapshot = (state.gnn.copy(), state.vgae.copy(), state.adam.copy())
     arrays = _param_arrays(state.gnn, state.vgae)
-    for epoch in range(cfg.epochs):
-        eps = stream(seed, "train-eps", round_index, epoch).standard_normal((n, dz))
-        nonedges = sample_nonedges(g, g.edges.shape[0],
-                                   stream(seed, "train-nonedges", round_index, epoch))
-        try:
-            tape, leaves, parts = _loss_parts(state, broadcast, cfg, eps, nonedges)
+    targets = None
+    try:
+        if broadcast is not None and broadcast.class_representatives:
+            targets = kl_targets(broadcast.class_representatives)
+        for epoch in range(cfg.epochs):
+            eps = stream(seed, "train-eps", round_index, epoch).standard_normal((n, dz))
+            nonedges = sample_nonedges(g, g.edges.shape[0],
+                                       stream(seed, "train-nonedges", round_index, epoch))
+            tape, leaves, parts = _loss_parts(state, broadcast, cfg, eps, nonedges,
+                                              targets)
             loss = parts["total"]
             if not np.isfinite(loss.value).all():
                 raise NumericError("non-finite loss")
             grads = tp.grad(tape, loss)
-        except NumericError as exc:
-            state.gnn, state.vgae, state.adam = snapshot
-            raise TrainingDivergenceError(
-                f"client {state.client_id} diverged in round {round_index}: {exc}") from exc
-        named = {name: grads[var] for name, var in leaves.items()}
-        _adam_step(arrays, named, state.adam, cfg.lr)
-        np.clip(state.gnn.coefficients, -state.gnn.w_max, state.gnn.w_max,
-                out=state.gnn.coefficients)
+            named = {name: grads[var] for name, var in leaves.items()}
+            _adam_step(arrays, named, state.adam, cfg.lr)
+            np.clip(state.gnn.coefficients, -state.gnn.w_max, state.gnn.w_max,
+                    out=state.gnn.coefficients)
+    except NumericError as exc:
+        state.gnn, state.vgae, state.adam = snapshot
+        raise TrainingDivergenceError(
+            f"client {state.client_id} diverged in round {round_index}: {exc}") from exc
     # One evaluation pass on its own streams, for round metrics and the upload.
     eval_eps = stream(seed, "eval-eps", round_index).standard_normal((n, dz))
     eval_nonedges = sample_nonedges(g, g.edges.shape[0],
                                     stream(seed, "eval-nonedges", round_index))
-    _tape, _leaves, parts = _loss_parts(state, broadcast, cfg, eval_eps, eval_nonedges)
+    _tape, _leaves, parts = _loss_parts(state, broadcast, cfg, eval_eps,
+                                        eval_nonedges, targets)
     state.last_losses = {
         "ce": float(parts["ce"].value[0, 0]),
         "vgae": float(parts["vgae"].value[0, 0]),

@@ -144,23 +144,28 @@ def laplacian_powers(g: LocalGraph, order: int) -> list[np.ndarray]:
 
     L = I - D^{-1/2} A D^{-1/2} is applied from the edge list: each edge
     (u, v) of weight w = 1/sqrt(deg_u deg_v) moves w·x[v] out of row u and
-    w·x[u] out of row v. Isolated nodes keep the unit diagonal.
+    w·x[u] out of row v. Isolated nodes keep the unit diagonal. One
+    `np.bincount` over flattened (row·d + column) slots sums, per slot, x
+    and then the row-u and row-v terms in edge order.
     """
     if order < 0:
         raise ContractError(f"order must be >= 0, got {order}")
+    n, d = g.features.shape
     u, v = g.edges[:, 0], g.edges[:, 1]
-    deg = np.bincount(g.edges.ravel(), minlength=g.n)
-    inv_sqrt = np.zeros(g.n)
+    deg = np.bincount(g.edges.ravel(), minlength=n)
+    inv_sqrt = np.zeros(n)
     pos = deg > 0
     inv_sqrt[pos] = 1.0 / np.sqrt(deg[pos])
     weight = (inv_sqrt[u] * inv_sqrt[v])[:, None]
+    cols = np.arange(d)
+    slots = np.concatenate([np.arange(n * d), (u[:, None] * d + cols).ravel(),
+                            (v[:, None] * d + cols).ravel()])
     powers = [np.ascontiguousarray(g.features.copy())]
     for _ in range(order):
         x = powers[-1]
-        nxt = x.copy()
-        np.add.at(nxt, u, -weight * x[v])
-        np.add.at(nxt, v, -weight * x[u])
-        powers.append(nxt)
+        terms = np.concatenate([x.ravel(), (-weight * x[v]).ravel(),
+                                (-weight * x[u]).ravel()])
+        powers.append(np.bincount(slots, weights=terms, minlength=n * d).reshape(n, d))
     return powers
 
 

@@ -207,23 +207,32 @@ def encoder_path(leaves: dict, x_in: np.ndarray) -> tuple[tp.Var, tp.Var]:
     return mu, logvar
 
 
-def class_stat_paths(mu: tp.Var, logvar: tp.Var, g: LocalGraph) -> dict:
-    """Moment-matched class Gaussians over train rows, as tape nodes.
+@dataclass(frozen=True)
+class ClassStats:
+    """Class-wise latent moments over the train rows, as one tape node.
+
+    labels ascend; row c of moments is [mean | var] of class labels[c], and
+    counts[c] is that class's number of train rows.
+    """
+
+    labels: np.ndarray
+    counts: np.ndarray
+    moments: tp.Var
+
+
+def class_stat_paths(mu: tp.Var, logvar: tp.Var, g: LocalGraph) -> ClassStats:
+    """Moment-matched class Gaussians over train rows, as one tape node.
 
     For class c the mixture of per-node diagonal posteriors has mean equal
     to the average posterior mean, and variance equal to the average
     posterior variance plus the population variance of the means.
     """
-    stats = {}
-    for c in np.unique(g.labels[g.train_idx]) if g.train_idx.size else []:
-        rows = g.train_idx[g.labels[g.train_idx] == c]
-        mu_c = tp.take_rows(mu, rows)
-        mean_c = tp.mean_rows(mu_c)
-        spread = tp.add(tp.mean_rows(tp.square(mu_c)), tp.scale(tp.square(mean_c), -1.0))
-        avg_var = tp.mean_rows(tp.exp(tp.take_rows(logvar, rows)))
-        var_c = tp.add(avg_var, spread)
-        stats[int(c)] = (mean_c, var_c, rows.size)
-    return stats
+    train_labels = g.labels[g.train_idx]
+    order = np.argsort(train_labels, kind="stable")
+    labels, starts, counts = np.unique(train_labels[order], return_index=True,
+                                       return_counts=True)
+    groups = np.split(g.train_idx[order], starts[1:]) if labels.size else []
+    return ClassStats(labels, counts, tp.segment_moments(mu, logvar, groups))
 
 
 def sample_nonedges(g: LocalGraph, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -258,21 +267,12 @@ def elbo_path(mu: tp.Var, logvar: tp.Var, g: LocalGraph, eps: np.ndarray,
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != (n, dz):
         raise ShapeError(f"eps must have shape {(n, dz)}, got {eps.shape}")
-    z = tp.add(mu, tp.mul(tp.sqrt(tp.exp(logvar)), eps))
-    pairs = np.concatenate([g.edges, nonedges]) if nonedges.size else g.edges
-    if pairs.size:
-        y = np.concatenate([np.ones((g.edges.shape[0], 1)),
-                            np.zeros((nonedges.shape[0] if nonedges.size else 0, 1))])
-        scores = tp.matmul(tp.mul(tp.take_rows(z, pairs[:, 0]), tp.take_rows(z, pairs[:, 1])),
-                           np.ones((dz, 1)))
-        bce = tp.add(tp.softplus(scores), tp.scale(tp.mul(scores, y), -1.0))
-        recon = tp.scale(tp.sum_all(bce), 1.0 / pairs.shape[0])
-    else:
-        recon = None
-    inner = tp.add(tp.add(tp.square(mu), tp.exp(logvar)),
-                   tp.add(tp.scale(logvar, -1.0), -np.ones((n, dz))))
-    kl = tp.scale(tp.sum_all(inner), 0.5 / n)
-    total = kl if recon is None else tp.add(recon, kl)
+    total = tp.prior_kl(mu, logvar)
+    if g.edges.size or nonedges.size:
+        z = tp.add(mu, tp.mul(tp.sqrt(tp.exp(logvar)), eps))
+        pairs = np.concatenate([g.edges, nonedges.reshape(-1, 2)])
+        y = np.repeat([1.0, 0.0], [g.edges.shape[0], pairs.shape[0] - g.edges.shape[0]])
+        total = tp.add(tp.pair_bce(z, pairs, y), total)
     if g.train_idx.size:
         train_labels = g.labels[g.train_idx]
         counts = np.bincount(train_labels)
@@ -282,15 +282,13 @@ def elbo_path(mu: tp.Var, logvar: tp.Var, g: LocalGraph, eps: np.ndarray,
     return total
 
 
-def class_gaussians(stats: dict) -> tuple:
+def class_gaussians(stats: ClassStats) -> tuple:
     """ClassGaussians, sorted by label, from the values of class_stat_paths."""
-    gaussians = []
-    for c in sorted(stats):
-        mean_c, var_c, count = stats[c]
-        variances = np.maximum(var_c.value.reshape(-1), COV_FLOOR)
-        gaussians.append(ClassGaussian(c, mean_c.value.reshape(-1).copy(),
-                                       np.diag(variances), count))
-    return tuple(gaussians)
+    d = stats.moments.shape[1] // 2
+    return tuple(ClassGaussian(int(label), row[:d].copy(),
+                               np.diag(np.maximum(row[d:], COV_FLOOR)), int(count))
+                 for label, count, row in zip(stats.labels, stats.counts,
+                                              stats.moments.value))
 
 
 def spectral_energy(powers: list, client_id: int) -> SpectralEnergy:

@@ -3,8 +3,8 @@
 For every class label the server gathers each holder's latent Gaussian,
 k-means the holders' class means into at most k_node groups, and collapses
 every group into a single moment-matched Gaussian weighted by sample counts.
-Clients then pull their own group's representative toward their local class
-posterior with a closed-form Gaussian KL.
+Clients then pull their local class posteriors toward their own group's
+representative with a closed-form Gaussian KL, recorded as one tape node.
 
 All clustering is canonicalized by ascending client id, so results are
 invariant to message arrival order.
@@ -19,7 +19,7 @@ import numpy as np
 from . import tape as tp
 from .cluster import kmeans
 from .errors import ConfigError, ContractError, NumericError, ShapeError
-from .models import COV_FLOOR, ClassGaussian
+from .models import COV_FLOOR, ClassGaussian, ClassStats
 from .rng import stream
 
 
@@ -164,41 +164,46 @@ def build_semantic_map(class_gaussians: dict, k_node: int, seed: int) -> Semanti
     return SemanticClusterMap(assignments, representatives)
 
 
-def semantic_alignment_loss(local_gaussians, representatives: dict) -> float:
-    """Sum of KL(local class posterior || broadcast representative)."""
-    total = 0.0
-    for gaussian in local_gaussians:
-        rep = representatives.get(gaussian.label)
-        if rep is not None:
-            total += gaussian_kl(gaussian, rep)
-    return float(total)
+@dataclass(frozen=True)
+class KLTargets:
+    """Frozen representatives prepared for the alignment KL, by ascending label.
+
+    Each representative's symmetrised precision and covariance
+    log-determinant are computed once, when its broadcast is received.
+    """
+
+    labels: np.ndarray
+    means: np.ndarray
+    precisions: np.ndarray
+    logdets: np.ndarray
 
 
-def alignment_path(stats: dict, representatives: dict) -> tp.Var | None:
+def kl_targets(representatives: dict) -> KLTargets:
+    """Precision and log-determinant of each {label: ClassGaussian} representative."""
+    labels = sorted(representatives)
+    if not labels:
+        return KLTargets(np.zeros(0, dtype=np.int64), np.zeros((0, 0)),
+                         np.zeros((0, 0, 0)), np.zeros(0))
+    covs = np.stack([representatives[c].cov for c in labels])
+    signs, logdets = np.linalg.slogdet(covs)
+    if np.any(signs <= 0):
+        raise NumericError("representative covariance is not positive definite")
+    precisions = np.linalg.inv(covs)
+    precisions = 0.5 * (precisions + np.swapaxes(precisions, 1, 2))
+    means = np.stack([representatives[c].mean for c in labels])
+    return KLTargets(np.array(labels, dtype=np.int64), means, precisions, logdets)
+
+
+def alignment_path(stats: ClassStats, targets: KLTargets) -> tp.Var | None:
     """Tape node summing KL(local diagonal posterior || frozen representative).
 
-    stats maps label -> (mean_var, var_var, count) from class_stat_paths;
-    representatives maps label -> ClassGaussian. Classes without a
-    representative contribute nothing. Returns None when no class matches.
+    stats comes from class_stat_paths and targets from kl_targets. Classes
+    without a representative contribute nothing. Returns None when no class
+    matches.
     """
-    total = None
-    for label in sorted(stats):
-        rep = representatives.get(label)
-        if rep is None:
-            continue
-        mean_var, var_var, _count = stats[label]
-        d = rep.dim
-        sign, logdet_q = np.linalg.slogdet(rep.cov)
-        if sign <= 0:
-            raise NumericError("representative covariance is not positive definite")
-        precision = np.linalg.inv(rep.cov)
-        precision = 0.5 * (precision + precision.T)
-        trace_term = tp.sum_all(tp.mul(var_var, np.diag(precision).reshape(1, -1)))
-        delta = tp.add(mean_var, -rep.mean.reshape(1, -1))
-        quad = tp.matmul(tp.matmul(delta, precision), tp.transpose(delta))
-        logdet_p = tp.sum_all(tp.log(var_var))
-        const = np.full((1, 1), float(logdet_q) - float(d))
-        kl = tp.scale(tp.add(tp.add(trace_term, quad),
-                             tp.add(tp.scale(logdet_p, -1.0), const)), 0.5)
-        total = kl if total is None else tp.add(total, kl)
-    return total
+    _common, rows, picked = np.intersect1d(stats.labels, targets.labels,
+                                           assume_unique=True, return_indices=True)
+    if rows.size == 0:
+        return None
+    return tp.diag_gaussian_kl(stats.moments, rows, targets.means[picked],
+                               targets.precisions[picked], targets.logdets[picked])

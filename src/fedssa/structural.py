@@ -139,23 +139,6 @@ def build_structural_map(energies: list, coefficients: dict, k_struct: int,
     return StructuralClusterMap(assignments, mean_coeffs)
 
 
-def coefficient_alignment_loss(w, w_bar) -> float:
-    """L1 pull of local coefficients toward the cluster mean."""
-    wv = np.asarray(w, dtype=np.float64).reshape(-1)
-    bv = np.asarray(w_bar, dtype=np.float64).reshape(-1)
-    if wv.size != bv.size:
-        raise ShapeError(f"coefficient length mismatch: {wv.size} vs {bv.size}")
-    return float(np.sum(np.abs(wv - bv)))
-
-
-def coefficient_regularizer(w, lam1: float, lam2: float) -> float:
-    """Elastic-net style penalty lam1*||w||_1 + lam2/2*||w||_2^2."""
-    if lam1 < 0 or lam2 < 0:
-        raise ConfigError(f"regularizer weights must be >= 0, got {lam1}, {lam2}")
-    wv = np.asarray(w, dtype=np.float64).reshape(-1)
-    return float(lam1 * np.sum(np.abs(wv)) + 0.5 * lam2 * np.sum(np.square(wv)))
-
-
 def alignment_loss_var(w_var: tp.Var, w_bar: np.ndarray) -> tp.Var:
     """Tape node for the L1 alignment loss; subgradient 0 at exact matches."""
     target = np.asarray(w_bar, dtype=np.float64).reshape(w_var.value.shape)

@@ -10,6 +10,13 @@ receive no gradient, which is how frozen server broadcasts enter local
 losses without being differentiated. Row gathers (`take_rows`) and bias
 rows (`add_row`) need no O(rows x n) constant. A Var refers to its tape
 weakly, so reference counting frees a tape once the caller drops it.
+
+Four fused ops record the VGAE's per-class and per-pair terms as one node
+each, with closed-form backward rules: `segment_moments` (class-wise
+[mean | var] of the posterior mixture), `diag_gaussian_kl` (summed KL from
+diagonal class posteriors to frozen full-covariance targets), `pair_bce`
+(mean inner-product decoder BCE over node pairs) and `prior_kl` (mean KL
+from the per-node posteriors to N(0, I)).
 """
 
 from __future__ import annotations
@@ -140,6 +147,17 @@ def _value(item) -> np.ndarray:
     return item.value if isinstance(item, Var) else item
 
 
+def _matrix(item) -> np.ndarray:
+    return item.value if isinstance(item, Var) else _as_matrix(item)
+
+
+def _index_vector(rows, size: int, what: str) -> np.ndarray:
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    if rows.size and (rows.min() < 0 or rows.max() >= size):
+        raise ShapeError(f"{what} index out of range for {size} rows")
+    return rows
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function, split by sign so neither branch overflows."""
     out = np.empty_like(x)
@@ -236,6 +254,50 @@ def _bw_add_row(vals, aux, out, g, need):
     return (g, g.sum(axis=0, keepdims=True) if need[1] else None)
 
 
+def _bw_segment_moments(vals, aux, out, g, need):
+    mu, logvar = vals
+    rows, seg = aux["rows"], aux["seg"]
+    d = mu.shape[1]
+    inv = 1.0 / aux["counts"][:, None]
+    g_mean = (g[:, :d] * inv)[seg]
+    g_var = (g[:, d:] * inv)[seg]
+    d_mu = d_logvar = None
+    # Groups are disjoint, so each row receives exactly one contribution.
+    if need[0]:
+        d_mu = np.zeros_like(mu)
+        d_mu[rows] = g_mean + 2.0 * g_var * aux["centered"]
+    if need[1]:
+        d_logvar = np.zeros_like(logvar)
+        d_logvar[rows] = g_var * aux["var_rows"]
+    return (d_mu, d_logvar)
+
+
+def _bw_diag_gaussian_kl(vals, aux, out, g, need):
+    stats = vals[0]
+    rows, d = aux["rows"], stats.shape[1] // 2
+    acc = np.zeros_like(stats)
+    acc[rows, :d] = g[0, 0] * aux["p_delta"]
+    acc[rows, d:] = g[0, 0] * 0.5 * (aux["p_diag"] - 1.0 / stats[rows, d:])
+    return (acc,)
+
+
+def _bw_pair_bce(vals, aux, out, g, need):
+    z = vals[0]
+    n, d = z.shape
+    heads, tails = aux["pairs"][:, 0], aux["pairs"][:, 1]
+    coef = (g[0, 0] / heads.size) * (_sigmoid(aux["scores"]) - aux["y"])[:, None]
+    slots = (np.concatenate([heads, tails])[:, None] * d + np.arange(d)).ravel()
+    weights = np.concatenate([coef * z[tails], coef * z[heads]]).ravel()
+    return (np.bincount(slots, weights=weights, minlength=n * d).reshape(n, d),)
+
+
+def _bw_prior_kl(vals, aux, out, g, need):
+    mu, logvar = vals
+    per_node = g[0, 0] / mu.shape[0]
+    return (per_node * mu if need[0] else None,
+            per_node * 0.5 * (np.exp(logvar) - 1.0) if need[1] else None)
+
+
 _BACKWARD: dict[str, Callable] = {
     "matmul": _bw_matmul,
     "add": _bw_add,
@@ -256,6 +318,10 @@ _BACKWARD: dict[str, Callable] = {
     "sum_all": _bw_sum_all,
     "take_rows": _bw_take_rows,
     "add_row": _bw_add_row,
+    "segment_moments": _bw_segment_moments,
+    "diag_gaussian_kl": _bw_diag_gaussian_kl,
+    "pair_bce": _bw_pair_bce,
+    "prior_kl": _bw_prior_kl,
 }
 
 
@@ -268,8 +334,7 @@ def _unary(op: str, a: Var, forward: Callable, aux: Optional[dict] = None) -> Va
 def _binary(op: str, a: ArrayLike, b: ArrayLike, fits: Callable,
             forward: Callable) -> Var:
     tape = _tape_of(a, b)
-    av = a.value if isinstance(a, Var) else _as_matrix(a)
-    bv = b.value if isinstance(b, Var) else _as_matrix(b)
+    av, bv = _matrix(a), _matrix(b)
     if not fits(av.shape, bv.shape):
         raise ShapeError(f"{op} mismatch: {av.shape} and {bv.shape}")
     inputs = (a if isinstance(a, Var) else av, b if isinstance(b, Var) else bv)
@@ -295,9 +360,7 @@ def add_row(a: ArrayLike, b: ArrayLike) -> Var:
 
 def take_rows(a: Var, rows) -> Var:
     """Rows of a in the given order; repeated rows accumulate their adjoints."""
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-    if isinstance(a, Var) and rows.size and (rows.min() < 0 or rows.max() >= a.shape[0]):
-        raise ShapeError(f"row index out of range for {a.shape[0]} rows")
+    rows = _index_vector(rows, np.shape(_value(a))[0], "row")
     return _unary("take_rows", a, lambda x: x[rows], {"rows": rows})
 
 
@@ -367,6 +430,109 @@ def mean_rows(a: Var) -> Var:
 
 def sum_all(a: Var) -> Var:
     return _unary("sum_all", a, lambda x: np.array([[x.sum()]]))
+
+
+def _fused(op: str, operands: tuple, value: np.ndarray, aux: dict) -> Var:
+    """Record one node of a fused op over Var or constant-array operands."""
+    tape = _tape_of(*operands)
+    inputs = tuple(x if isinstance(x, Var) else _as_matrix(x) for x in operands)
+    return tape._record(op, inputs, aux, value)
+
+
+def segment_moments(mu: ArrayLike, logvar: ArrayLike, groups) -> Var:
+    """Mixture moments [mean | var] of diagonal Gaussians, one row per group.
+
+    groups is a sequence of disjoint, nonempty row-index arrays. Row c holds
+    the mean of mu over group c and the mixture variance: the mean of
+    exp(logvar) plus the population variance of mu, computed about the group
+    mean (so a one-row group has exactly its own variance).
+    """
+    mu_v, lv_v = _matrix(mu), _matrix(logvar)
+    n, d = mu_v.shape
+    if lv_v.shape != (n, d):
+        raise ShapeError(f"logvar shape {lv_v.shape} does not match mu {mu_v.shape}")
+    counts = np.array([len(rows) for rows in groups], dtype=np.int64)
+    if np.any(counts < 1):
+        raise ContractError("segment_moments needs nonempty groups")
+    rows = _index_vector(np.concatenate(groups) if groups else [], n, "group")
+    if np.unique(rows).size != rows.size:
+        raise ContractError("segment_moments groups must be disjoint")
+    seg = np.repeat(np.arange(counts.size), counts)
+    starts = np.cumsum(counts) - counts
+    picked = mu_v[rows]
+    var_rows = np.exp(lv_v[rows])
+    value = np.zeros((counts.size, 2 * d))
+    centered = picked
+    if counts.size:
+        inv = 1.0 / counts[:, None]
+        mean = np.add.reduceat(picked, starts, axis=0) * inv
+        centered = picked - mean[seg]
+        spread = np.add.reduceat(var_rows + centered * centered, starts, axis=0) * inv
+        value = np.concatenate([mean, spread], axis=1)
+    return _fused("segment_moments", (mu, logvar), value,
+                  {"rows": rows, "seg": seg, "counts": counts.astype(np.float64),
+                   "centered": centered, "var_rows": var_rows})
+
+
+def diag_gaussian_kl(stats: Var, rows, means: np.ndarray, precisions: np.ndarray,
+                     logdets: np.ndarray) -> Var:
+    """Sum over k of KL(N(mean_k, diag var_k) || N(means[k], precisions[k]^-1)).
+
+    stats is a (C, 2d) [mean | var] node and rows picks, for each frozen
+    target k, the distinct stats row it is compared with. precisions must
+    be symmetric and logdets are the targets' covariance log-determinants.
+    A nonpositive variance raises NumericError.
+    """
+    sv = _matrix(stats)
+    d = sv.shape[1] // 2
+    rows = _index_vector(rows, sv.shape[0], "stats")
+    if np.unique(rows).size != rows.size:
+        raise ContractError("diag_gaussian_kl rows must be distinct")
+    means = np.asarray(means, dtype=np.float64)
+    precisions = np.asarray(precisions, dtype=np.float64)
+    logdets = np.asarray(logdets, dtype=np.float64).reshape(-1)
+    k = rows.size
+    if (means.shape != (k, d) or precisions.shape != (k, d, d)
+            or logdets.shape != (k,) or sv.shape[1] != 2 * d):
+        raise ShapeError(f"targets {means.shape}, {precisions.shape}, {logdets.shape}"
+                         f" do not match {k} rows of stats {sv.shape}")
+    var = sv[rows, d:]
+    if np.any(var <= 0):
+        raise NumericError("diagonal class variances must be positive")
+    delta = sv[rows, :d] - means
+    p_delta = np.matmul(precisions, delta[:, :, None])[:, :, 0]
+    p_diag = np.diagonal(precisions, axis1=1, axis2=2)
+    total = (np.sum(var * p_diag) + np.sum(delta * p_delta) - k * d
+             + np.sum(logdets) - np.sum(np.log(var)))
+    return _fused("diag_gaussian_kl", (stats,), np.array([[0.5 * total]]),
+                  {"rows": rows, "p_delta": p_delta, "p_diag": p_diag})
+
+
+def pair_bce(z: Var, pairs, y) -> Var:
+    """Mean binary cross entropy of inner-product scores z_i . z_j over pairs.
+
+    pairs is an (P, 2) index array with P >= 1 and y the (P,) 0/1 targets.
+    """
+    zv = _matrix(z)
+    pairs = _index_vector(pairs, zv.shape[0], "pair").reshape(-1, 2)
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    if pairs.shape[0] == 0 or y.size != pairs.shape[0]:
+        raise ShapeError(f"need one target per pair and at least one pair,"
+                         f" got {y.size} targets for {pairs.shape[0]} pairs")
+    scores = np.sum(zv[pairs[:, 0]] * zv[pairs[:, 1]], axis=1)
+    value = np.mean(np.logaddexp(0.0, scores) - y * scores)
+    return _fused("pair_bce", (z,), np.array([[value]]),
+                  {"pairs": pairs, "y": y, "scores": scores})
+
+
+def prior_kl(mu: ArrayLike, logvar: ArrayLike) -> Var:
+    """Mean over rows of KL(N(mu_i, diag exp(logvar_i)) || N(0, I))."""
+    mu_v, lv_v = _matrix(mu), _matrix(logvar)
+    if mu_v.shape != lv_v.shape:
+        raise ShapeError(f"prior_kl mismatch: {mu_v.shape} and {lv_v.shape}")
+    inner = mu_v * mu_v + np.exp(lv_v) - lv_v - 1.0
+    value = np.array([[0.5 * inner.sum() / mu_v.shape[0]]])
+    return _fused("prior_kl", (mu, logvar), value, {})
 
 
 def grad(tape: Tape, loss: Var) -> dict:

@@ -23,7 +23,7 @@ from fedssa.models import (ClassGaussian, ce_path, class_stat_paths,
                            elbo_path, encoder_input, encoder_path,
                            logits_path, sample_nonedges, stack_powers)
 from fedssa.semantic import (alignment_path, cluster_moments, gaussian_kl,
-                             gmm_of_cluster)
+                             gmm_of_cluster, kl_targets)
 from fedssa.structural import (SpectralEnergy, alignment_loss_var,
                                chordal_distance, coeff_perturb_bound,
                                filter_lipschitz_bound, projection_embedding,
@@ -94,13 +94,13 @@ def test_a01_loss_gradients_match_central_differences():
         worst = max(worst, _grad_vs_fd(vgae_loss, {k: v.copy() for k, v in enc.items()}))
 
         # class-statistic alignment KL through the posterior mean/variance
-        reps = {label: ClassGaussian(label, rng.standard_normal(dz),
-                                     random_spd(rng, dz), 5)
-                for label in range(c)}
+        targets = kl_targets({label: ClassGaussian(label, rng.standard_normal(dz),
+                                                   random_spd(rng, dz), 5)
+                              for label in range(c)})
 
         def node_loss(lv):
             mu, logvar = encoder_path(lv, x_in)
-            term = alignment_path(class_stat_paths(mu, logvar, g), reps)
+            term = alignment_path(class_stat_paths(mu, logvar, g), targets)
             assert term is not None
             return term
 

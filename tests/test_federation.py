@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fedssa import federation
+from fedssa.config import two_regime_federation
 from fedssa.errors import (ConfigError, ContractError, ProtocolError,
                            ShapeError, TrainingDivergenceError)
 from fedssa.federation import (ClientUpload, RunConfig, _loss_parts, client_round,
@@ -22,6 +23,7 @@ from fedssa.graphs import (FederationDataset, LocalGraph, SynthSpec,
 from fedssa.linalg import qr_thin
 from fedssa.models import ClassGaussian, init_params, sample_nonedges
 from fedssa.rng import stream
+from fedssa.semantic import kl_targets
 from fedssa.structural import SpectralEnergy
 
 ORDER = 3
@@ -79,6 +81,30 @@ def test_training_tape_holds_no_rows_by_nodes_constant():
             arrays[id(x)] = x.nbytes
         arrays[id(node.value)] = node.value.nbytes
     assert sum(arrays.values()) < 10 * 2 ** 20
+
+
+def test_training_forward_records_at_most_70_tape_nodes():
+    # a quickstart-sized fedssa client (150 nodes, 4 classes, 24 features,
+    # K = 3, d_z = 8, h = 16) whose broadcast turns on both alignment terms
+    ds = two_regime_federation({
+        "clients_per_regime": 1, "nodes_per_client": 150, "classes": 4,
+        "features": 24, "p_intra_a": 0.10, "p_inter_a": 0.01, "p_intra_b": 0.01,
+        "p_inter_b": 0.10, "mean_scale": 1.0, "noise": 1.0, "task": "multiclass"}, 0)
+    cfg = RunConfig(method="fedssa", rounds=1, epochs=1, order=3, k_node=2,
+                    k_struct=2, lr=0.15, latent_dim=8, hidden=16)
+    gnn, vgae = init_params(24, 4, cfg.order, cfg.hidden, cfg.latent_dim, cfg.w_max,
+                            stream(0, "init"))
+    states = [init_client_state(i, g, 4, "multiclass", cfg, gnn.copy(), vgae.copy())
+              for i, g in enumerate(ds.clients)]
+    uploads = {i: client_round(s, None, cfg, 0, 1)[1] for i, s in enumerate(states)}
+    broadcast = server_step(uploads, cfg.k_node, cfg.k_struct, 0).broadcasts[0]
+    graph = states[0].graph
+    eps = stream(0, "eps").standard_normal((graph.n, cfg.latent_dim))
+    nonedges = sample_nonedges(graph, graph.edges.shape[0], stream(0, "ne"))
+    tape, _leaves, parts = _loss_parts(states[0], broadcast, cfg, eps, nonedges,
+                                       kl_targets(broadcast.class_representatives))
+    assert parts["node"] is not None and broadcast.cluster_coefficients is not None
+    assert len(tape.nodes) <= 70, f"{len(tape.nodes)} tape nodes per forward"
 
 
 def test_setup_and_round_memory_targets():
@@ -330,6 +356,52 @@ def test_divergence_rolls_back_and_raises():
     assert state.vgae.mu_w.tobytes() == before["mu_w"].tobytes()
     assert state.adam.t == 0
     assert all(not m.any() for m in state.adam.m.values())
+
+
+def _semantic_round_inputs():
+    """Client 0 of a two-client fedssa run, its config and its round-2 broadcast."""
+    ds = _tiny_dataset(num_clients=2)
+    cfg = _tiny_cfg()
+    states = [_client_state(g, cfg, client_id=i) for i, g in enumerate(ds.clients)]
+    uploads = {i: client_round(s, None, cfg, 0, 1)[1] for i, s in enumerate(states)}
+    broadcast = server_step(uploads, cfg.k_node, cfg.k_struct, 0).broadcasts[0]
+    assert broadcast.class_representatives
+    return states[0], cfg, broadcast
+
+
+def _assert_rolled_back(state, before):
+    assert state.vgae.mu_w.tobytes() == before[0]
+    assert state.gnn.head_w1.tobytes() == before[1]
+    assert state.adam.t == before[2]
+
+
+def test_nonpositive_class_variance_rolls_back(monkeypatch):
+    state, cfg, broadcast = _semantic_round_inputs()
+    real = federation.class_stat_paths
+
+    def zero_variances(mu, logvar, g):
+        stats = real(mu, logvar, g)
+        stats.moments.value[:, cfg.latent_dim:] = 0.0
+        return stats
+
+    monkeypatch.setattr(federation, "class_stat_paths", zero_variances)
+    before = (state.vgae.mu_w.tobytes(), state.gnn.head_w1.tobytes(), state.adam.t)
+    with pytest.raises(TrainingDivergenceError, match="variances must be positive"):
+        client_round(state, broadcast, cfg, seed=0, round_index=2)
+    _assert_rolled_back(state, before)
+
+
+def test_indefinite_representative_rolls_back():
+    state, cfg, broadcast = _semantic_round_inputs()
+    dz = cfg.latent_dim
+    indefinite = np.eye(dz) + 2.0 * (np.ones((dz, dz)) - np.eye(dz))
+    bad = dataclasses.replace(broadcast, class_representatives={
+        label: ClassGaussian(label, np.zeros(dz), indefinite, 1)
+        for label in broadcast.class_representatives})
+    before = (state.vgae.mu_w.tobytes(), state.gnn.head_w1.tobytes(), state.adam.t)
+    with pytest.raises(TrainingDivergenceError, match="positive definite"):
+        client_round(state, bad, cfg, seed=0, round_index=2)
+    _assert_rolled_back(state, before)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -17,6 +17,7 @@ from fedssa.models import (COV_FLOOR, LOGVAR_MAX, LOGVAR_MIN, VGAE_LEAVES,
                            logits_path, params_to_leaves, sample_nonedges,
                            spectral_energy, stack_powers)
 from fedssa.rng import stream
+from fedssa.semantic import alignment_path, kl_targets
 from helpers import central_diff, pool_draw, rel_err
 
 
@@ -221,6 +222,51 @@ def test_encode_moment_matching_two_members():
         assert np.allclose(gau.mean, want_mean)
         assert np.allclose(np.diag(gau.cov), np.maximum(want_var, COV_FLOOR))
         assert gau.count == rows.size
+
+
+def test_class_stat_paths_match_numpy_recompute():
+    g = _small_graph(n=40, c=3, d=4, seed=4)
+    _, vgae = init_params(4, 3, 1, 6, 3, 5.0, stream(14, "init"))
+    t = tp.Tape()
+    leaves = {name: t.leaf(getattr(vgae, name), name) for name in VGAE_LEAVES}
+    mu, logvar = encoder_path(leaves, encoder_input(g, 3))
+    stats = class_stat_paths(mu, logvar, g)
+    assert np.array_equal(stats.labels, np.unique(g.labels[g.train_idx]))
+    assert stats.moments.shape == (stats.labels.size, 6)
+    for label, count, row in zip(stats.labels, stats.counts, stats.moments.value):
+        rows = g.train_idx[g.labels[g.train_idx] == label]
+        mu_rows = mu.value[rows]
+        want = np.concatenate([mu_rows.mean(axis=0),
+                               np.exp(logvar.value[rows]).mean(axis=0) + mu_rows.var(axis=0)])
+        assert rel_err(row, want) < 1e-12
+        assert count == rows.size
+
+
+def test_class_stat_paths_singleton_spread_is_exactly_zero():
+    feats = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.2, 0.8], [0.9, 0.3]])
+    g = LocalGraph(feats, [0, 1, 0, 1, 1], [[0, 1], [2, 3], [1, 4]],
+                   train_idx=[0, 1, 4], val_idx=[2], test_idx=[3])
+    _, vgae = init_params(2, 2, 1, 4, 3, 5.0, stream(15, "init"))
+    t = tp.Tape()
+    leaves = {name: t.leaf(getattr(vgae, name), name) for name in VGAE_LEAVES}
+    mu, logvar = encoder_path(leaves, encoder_input(g, 2))
+    moments = class_stat_paths(mu, logvar, g).moments.value
+    assert np.array_equal(moments[0], np.concatenate([mu.value[0], np.exp(logvar.value[0])]))
+
+
+def test_class_stat_paths_without_train_rows():
+    feats = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+    g = LocalGraph(feats, [0, 1, 0], [[0, 1], [1, 2]],
+                   train_idx=[], val_idx=[0], test_idx=[1, 2])
+    _, vgae = init_params(2, 2, 1, 4, 3, 5.0, stream(16, "init"))
+    t = tp.Tape()
+    leaves = {name: t.leaf(getattr(vgae, name), name) for name in VGAE_LEAVES}
+    mu, logvar = encoder_path(leaves, encoder_input(g, 2))
+    stats = class_stat_paths(mu, logvar, g)
+    assert stats.labels.size == 0 and stats.moments.shape == (0, 6)
+    assert class_gaussians(stats) == ()
+    reps = {0: ClassGaussian(0, np.zeros(3), np.eye(3), 1)}
+    assert alignment_path(stats, kl_targets(reps)) is None
 
 
 def test_logvar_is_clamped():

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from fedssa import tape as tp
-from fedssa.errors import ContractError, ShapeError
-from fedssa.models import COV_FLOOR, ClassGaussian
+from fedssa.errors import ContractError, NumericError, ShapeError
+from fedssa.models import COV_FLOOR, ClassGaussian, ClassStats
 from fedssa.rng import stream
 from fedssa.semantic import (alignment_path, build_semantic_map,
                              cluster_moments, gaussian_kl, gmm_of_cluster,
-                             semantic_alignment_loss, semantic_cluster)
-from helpers import mc_gaussian_kl, random_spd
+                             kl_targets, semantic_cluster)
+from helpers import central_diff, mc_gaussian_kl, random_spd, rel_err
 
 
 def _gauss(label, mean, cov, count=1):
@@ -208,12 +208,23 @@ def test_representative_counts_accumulate():
 # --- alignment losses ------------------------------------------------------------------
 
 
+def _stats(tape, labels, means, variances):
+    """ClassStats over one [mean | var] leaf, one row per label."""
+    moments = tape.leaf(np.concatenate([np.atleast_2d(means), np.atleast_2d(variances)],
+                                       axis=1), "moments")
+    return ClassStats(np.asarray(labels, dtype=np.int64),
+                      np.ones(len(labels), dtype=np.int64), moments)
+
+
 def test_semantic_alignment_loss_sums_matching_classes():
     local = [_gauss(0, [0.0], [[1.0]]), _gauss(1, [1.0], [[1.0]])]
     reps = {0: _gauss(0, [0.5], [[1.0]])}
     want = gaussian_kl(local[0], reps[0])
-    assert semantic_alignment_loss(local, reps) == pytest.approx(want)
-    assert semantic_alignment_loss(local, {}) == 0.0
+    t = tp.Tape()
+    stats = _stats(t, [0, 1], [[0.0], [1.0]], [[1.0], [1.0]])
+    loss = alignment_path(stats, kl_targets(reps))
+    assert float(loss.value[0, 0]) == pytest.approx(want)
+    assert alignment_path(stats, kl_targets({})) is None
 
 
 def test_alignment_path_matches_closed_form():
@@ -221,51 +232,60 @@ def test_alignment_path_matches_closed_form():
     d = 3
     reps = {0: _gauss(0, rng.standard_normal(d), random_spd(rng, d)),
             1: _gauss(1, rng.standard_normal(d), random_spd(rng, d))}
+    means = rng.standard_normal((2, d))
+    variances = 0.5 + rng.random((2, d))
     t = tp.Tape()
-    stats = {}
-    locals_ = {}
-    for label in (0, 1):
-        mean = rng.standard_normal(d)
-        var = 0.5 + rng.random(d)
-        mv = t.leaf(mean.reshape(1, -1), f"mean{label}")
-        vv = t.leaf(var.reshape(1, -1), f"var{label}")
-        stats[label] = (mv, vv, 4)
-        locals_[label] = _gauss(label, mean, np.diag(var))
-    loss = alignment_path(stats, reps)
-    want = sum(gaussian_kl(locals_[c], reps[c]) for c in (0, 1))
+    loss = alignment_path(_stats(t, [0, 1], means, variances), kl_targets(reps))
+    want = sum(gaussian_kl(_gauss(c, means[c], np.diag(variances[c])), reps[c])
+               for c in (0, 1))
     assert float(loss.value[0, 0]) == pytest.approx(want, rel=1e-10)
 
 
 def test_alignment_path_skips_unmatched_and_returns_none():
     t = tp.Tape()
-    mv = t.leaf(np.zeros((1, 2)), "m")
-    vv = t.leaf(np.ones((1, 2)), "v")
-    assert alignment_path({0: (mv, vv, 1)}, {}) is None
+    one = _stats(t, [0], np.zeros((1, 2)), np.ones((1, 2)))
+    assert alignment_path(one, kl_targets({})) is None
     reps = {0: _gauss(0, np.zeros(2), np.eye(2))}
-    out = alignment_path({0: (mv, vv, 1), 5: (mv, vv, 1)}, reps)
+    assert alignment_path(_stats(t, [3], np.zeros((1, 2)), np.ones((1, 2))),
+                          kl_targets(reps)) is None
+    # label 5 has no representative: no value and no gradient
+    two = _stats(t, [0, 5], np.zeros((2, 2)), [[1.0, 1.0], [2.0, 3.0]])
+    out = alignment_path(two, kl_targets(reps))
     assert out is not None
     assert float(out.value[0, 0]) == pytest.approx(0.0, abs=1e-12)
+    g = tp.grad(t, out)[two.moments]
+    assert np.array_equal(g[1], np.zeros(4))
+
+
+def test_alignment_path_rejects_nonpositive_variance():
+    reps = kl_targets({0: _gauss(0, np.zeros(2), np.eye(2))})
+    for bad in (0.0, -1e-3):
+        t = tp.Tape()
+        stats = _stats(t, [0], np.zeros((1, 2)), [[1.0, bad]])
+        with pytest.raises(NumericError):
+            alignment_path(stats, reps)
+
+
+def test_kl_targets_rejects_indefinite_representative():
+    with pytest.raises(NumericError):
+        kl_targets({0: _gauss(0, np.zeros(2), [[1.0, 2.0], [2.0, 1.0]])})
 
 
 def test_alignment_path_gradient_matches_finite_differences():
     rng = np.random.default_rng(6)
     d = 2
-    rep = _gauss(0, rng.standard_normal(d), random_spd(rng, d))
-    arrays = {"mean": rng.standard_normal((1, d)),
-              "var": 0.5 + rng.random((1, d))}
+    targets = kl_targets({0: _gauss(0, rng.standard_normal(d), random_spd(rng, d))})
+    arrays = {"moments": np.concatenate([rng.standard_normal((1, d)),
+                                         0.5 + rng.random((1, d))], axis=1)}
 
-    def value(vals):
-        t = tp.Tape()
-        mv = t.leaf(vals["mean"], "mean")
-        vv = t.leaf(vals["var"], "var")
-        return float(alignment_path({0: (mv, vv, 1)}, {0: rep}).value[0, 0])
+    def build(t, moments):
+        stats = ClassStats(np.array([0]), np.array([1]), t.leaf(moments, "moments"))
+        return stats, alignment_path(stats, targets)
 
     t = tp.Tape()
-    mv = t.leaf(arrays["mean"], "mean")
-    vv = t.leaf(arrays["var"], "var")
-    loss = alignment_path({0: (mv, vv, 1)}, {0: rep})
-    got = tp.grad(t, loss)
-    from helpers import central_diff, rel_err
-    want = central_diff(value, arrays)
-    assert rel_err(got[mv], want["mean"]) < 1e-6
-    assert rel_err(got[vv], want["var"]) < 1e-6
+    stats, loss = build(t, arrays["moments"])
+    got = tp.grad(t, loss)[stats.moments]
+    want = central_diff(lambda vals: float(build(tp.Tape(), vals["moments"])[1].value[0, 0]),
+                        arrays)["moments"]
+    assert rel_err(got[:, :d], want[:, :d]) < 1e-6
+    assert rel_err(got[:, d:], want[:, d:]) < 1e-6

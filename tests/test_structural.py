@@ -12,8 +12,7 @@ from fedssa.linalg import qr_thin
 from fedssa.structural import (SpectralEnergy, alignment_loss_var,
                                build_structural_map, chordal_distance,
                                cluster_coeff_mean, coeff_perturb_bound,
-                               coefficient_alignment_loss,
-                               coefficient_regularizer, filter_derivative_sup,
+                               filter_derivative_sup,
                                filter_lipschitz_bound, pairwise_chordal,
                                projection_embedding, regularizer_var,
                                structural_cluster)
@@ -205,18 +204,24 @@ def test_cluster_coeff_mean_contracts():
 # --- coefficient losses --------------------------------------------------------------
 
 
+def _coefficient_loss(build, w):
+    t = tp.Tape()
+    return float(build(t.leaf(np.asarray(w, dtype=float).reshape(1, -1), "w")).value[0, 0])
+
+
 def test_coefficient_alignment_loss_hand_value():
-    assert coefficient_alignment_loss([1.0, -2.0], [0.5, -1.0]) == \
-        pytest.approx(1.5)
-    assert coefficient_alignment_loss([1.0], [1.0]) == 0.0
+    assert _coefficient_loss(lambda wv: alignment_loss_var(wv, np.array([0.5, -1.0])),
+                             [1.0, -2.0]) == pytest.approx(1.5)
+    assert _coefficient_loss(lambda wv: alignment_loss_var(wv, np.array([1.0])),
+                             [1.0]) == 0.0
 
 
 def test_coefficient_regularizer_hand_value():
     w = np.array([1.0, -2.0])
-    assert coefficient_regularizer(w, 0.1, 0.2) == \
+    assert _coefficient_loss(lambda wv: regularizer_var(wv, 0.1, 0.2), w) == \
         pytest.approx(0.1 * 3.0 + 0.1 * 5.0)
     with pytest.raises(ConfigError):
-        coefficient_regularizer(w, -0.1, 0.0)
+        _coefficient_loss(lambda wv: regularizer_var(wv, -0.1, 0.0), w)
 
 
 def test_tape_losses_match_numeric_forms():
@@ -226,10 +231,10 @@ def test_tape_losses_match_numeric_forms():
     wv = t.leaf(w, "w")
     align = alignment_loss_var(wv, w_bar)
     assert float(align.value[0, 0]) == pytest.approx(
-        coefficient_alignment_loss(w, w_bar), rel=1e-12)
+        float(np.sum(np.abs(w.ravel() - w_bar))), rel=1e-12)
     reg = regularizer_var(wv, 0.3, 0.7)
     assert float(reg.value[0, 0]) == pytest.approx(
-        coefficient_regularizer(w, 0.3, 0.7), rel=1e-12)
+        0.3 * float(np.sum(np.abs(w))) + 0.35 * float(np.sum(w * w)), rel=1e-12)
 
 
 def test_alignment_var_gradient_is_sign():

@@ -1,8 +1,9 @@
 """Autodiff engine checks: forward values against loop oracles, gradients
-against central finite differences, deterministic gradients, tape lifetime,
-and error paths."""
+against central finite differences (every backward rule included),
+deterministic gradients, tape lifetime, and error paths."""
 
 import gc
+import inspect
 import weakref
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from fedssa import tape as tp
 from fedssa.errors import ContractError, NumericError, ShapeError
-from helpers import central_diff, naive_matmul, rel_err
+from helpers import central_diff, naive_matmul, random_spd, rel_err
 
 # --- forward values -----------------------------------------------------------
 
@@ -52,6 +53,48 @@ def test_take_rows_and_add_row_forward_values():
     assert np.array_equal(tp.take_rows(v, rows).value, x[rows])
     assert np.array_equal(tp.add_row(v, t.leaf(b, "b")).value, x + np.ones((4, 1)) @ b)
     assert np.array_equal(tp.add_row(v, b).value, x + b)
+
+
+def _fused_inputs(seed=16):
+    """Posterior rows, class groups, [mean | var] stats, KL targets and pairs."""
+    rng = np.random.default_rng(seed)
+    mu = rng.standard_normal((7, 3))
+    logvar = 0.5 * rng.standard_normal((7, 3))
+    groups = [np.array([4, 0]), np.array([2]), np.array([5, 1, 3])]
+    stats = np.concatenate([rng.standard_normal((3, 3)), 0.5 + rng.random((3, 3))], axis=1)
+    covs = np.stack([random_spd(rng, 3) for _ in range(2)])
+    targets = (np.array([2, 0]), rng.standard_normal((2, 3)), np.linalg.inv(covs),
+               np.linalg.slogdet(covs)[1])
+    pairs = np.array([[0, 1], [1, 2], [0, 1], [4, 3], [2, 2], [6, 0]])
+    y = np.array([1.0, 1.0, 0.0, 1.0, 0.0, 0.0])
+    return mu, logvar, groups, stats, covs, targets, pairs, y
+
+
+def test_fused_ops_forward_match_loop_oracles():
+    mu, logvar, groups, stats, covs, targets, pairs, y = _fused_inputs()
+    t = tp.Tape()
+    m, lv, st = t.leaf(mu, "mu"), t.leaf(logvar, "logvar"), t.leaf(stats, "stats")
+    moments = tp.segment_moments(m, lv, groups).value
+    for c, rows in enumerate(groups):
+        mean = sum(mu[r] for r in rows) / len(rows)
+        var = sum(np.exp(logvar[r]) + (mu[r] - mean) ** 2 for r in rows) / len(rows)
+        assert rel_err(moments[c], np.concatenate([mean, var])) < 1e-12
+    rows, means, precisions, logdets = targets
+    want = 0.0
+    for k, r in enumerate(rows):
+        mean, var = stats[r, :3], stats[r, 3:]
+        delta = means[k] - mean
+        want += 0.5 * (np.trace(np.linalg.solve(covs[k], np.diag(var)))
+                       + delta @ np.linalg.solve(covs[k], delta) - 3
+                       + np.linalg.slogdet(covs[k])[1] - np.sum(np.log(var)))
+    got = tp.diag_gaussian_kl(st, rows, means, precisions, logdets).value[0, 0]
+    assert got == pytest.approx(want, rel=1e-12)
+    bce = [np.logaddexp(0.0, mu[i] @ mu[j]) - yk * (mu[i] @ mu[j])
+           for (i, j), yk in zip(pairs, y)]
+    assert tp.pair_bce(m, pairs, y).value[0, 0] == pytest.approx(np.mean(bce), rel=1e-12)
+    prior = [0.5 * np.sum(mu[i] ** 2 + np.exp(logvar[i]) - logvar[i] - 1.0)
+             for i in range(mu.shape[0])]
+    assert tp.prior_kl(m, lv).value[0, 0] == pytest.approx(np.mean(prior), rel=1e-12)
 
 
 def test_sigmoid_is_stable_for_large_inputs():
@@ -119,14 +162,11 @@ def test_grad_log_exp_sqrt():
     arrays = {"a": rng.standard_normal((3, 3))}
 
     def build(t, lv):
-        pos = tp.add(tp.softplus(lv["a"]), t.leaf(np.full((3, 3), 0.1), "c_shift"))
-        return tp.sum_all(tp.add(tp.log(pos), tp.sqrt(pos)))
-
-    def build_outer(t, lv):
         pos = tp.add(tp.softplus(lv["a"]), 0.1 * np.ones((3, 3)))
-        return tp.sum_all(tp.add(tp.log(pos), tp.sqrt(pos)))
+        return tp.sum_all(tp.add(tp.add(tp.log(pos), tp.sqrt(pos)),
+                                 tp.exp(tp.scale(lv["a"], 0.5))))
 
-    _grad_check(build_outer, arrays)
+    _grad_check(build, arrays)
 
 
 def test_grad_tanh_sigmoid_softplus_mean():
@@ -211,6 +251,62 @@ def test_grad_add_row_constant_sides():
     b = rng.standard_normal((1, 3))
     _grad_check(lambda t, lv: tp.sum_all(tp.square(tp.add_row(lv["a"], b))), {"a": a})
     _grad_check(lambda t, lv: tp.sum_all(tp.square(tp.add_row(a, lv["b"]))), {"b": b})
+
+
+def test_grad_segment_moments():
+    mu, logvar, groups, *_ = _fused_inputs(17)
+    weights = np.random.default_rng(18).standard_normal((3, 6))
+    _grad_check(lambda t, lv: tp.sum_all(tp.mul(tp.tanh(
+        tp.segment_moments(lv["mu"], lv["logvar"], groups)), weights)),
+        {"mu": mu, "logvar": logvar}, tol=1e-4)
+    # constant log-variances: only the means side is differentiated
+    _grad_check(lambda t, lv: tp.sum_all(tp.mul(
+        tp.segment_moments(lv["mu"], logvar, groups), weights)), {"mu": mu}, tol=1e-4)
+
+
+def test_grad_diag_gaussian_kl():
+    *_, stats, _covs, (rows, means, precisions, logdets), _pairs, _y = _fused_inputs(19)
+    _grad_check(lambda t, lv: tp.diag_gaussian_kl(lv["stats"], rows, means, precisions,
+                                                  logdets), {"stats": stats}, tol=1e-4)
+
+
+def test_grad_diag_gaussian_kl_through_segment_moments():
+    mu, logvar, groups, _stats, _covs, (rows, means, precisions, logdets), *_ = \
+        _fused_inputs(20)
+    _grad_check(lambda t, lv: tp.diag_gaussian_kl(
+        tp.segment_moments(lv["mu"], lv["logvar"], groups), rows, means, precisions,
+        logdets), {"mu": mu, "logvar": logvar}, tol=1e-4)
+
+
+def test_grad_pair_bce_with_repeated_and_self_pairs():
+    mu, *_, pairs, y = _fused_inputs(21)
+    _grad_check(lambda t, lv: tp.pair_bce(lv["z"], pairs, y), {"z": mu}, tol=1e-4)
+
+
+def test_grad_prior_kl():
+    mu, logvar, *_ = _fused_inputs(22)
+    _grad_check(lambda t, lv: tp.prior_kl(lv["mu"], lv["logvar"]),
+                {"mu": mu, "logvar": logvar}, tol=1e-4)
+    _grad_check(lambda t, lv: tp.prior_kl(mu, lv["logvar"]), {"logvar": logvar}, tol=1e-4)
+
+
+def test_every_backward_rule_is_gradient_checked(monkeypatch):
+    # Runs this module's unparametrised test_grad_* checks and collects the
+    # ops of every tape they differentiate; an op without a check fails here.
+    seen = set()
+    real_grad = tp.grad
+
+    def recording_grad(tape, loss):
+        out = real_grad(tape, loss)
+        seen.update(node.op for node in tape.nodes)
+        return out
+
+    monkeypatch.setattr(tp, "grad", recording_grad)
+    checks = [fn for name, fn in sorted(globals().items())
+              if name.startswith("test_grad_") and not inspect.signature(fn).parameters]
+    for check in checks:
+        check()
+    assert set(tp._BACKWARD) - seen == set()
 
 
 def test_constant_operand_adjoint_is_not_computed():
@@ -403,3 +499,32 @@ def test_mixing_tapes_raises():
     b = t2.leaf(np.ones((2, 2)), "b")
     with pytest.raises(ContractError):
         tp.add(a, b)
+
+
+def test_fused_ops_reject_bad_inputs():
+    mu, logvar, _groups, stats, _covs, (rows, means, precisions, logdets), pairs, y = \
+        _fused_inputs()
+    t = tp.Tape()
+    m, lv = t.leaf(mu, "mu"), t.leaf(logvar, "logvar")
+    with pytest.raises(ContractError):
+        tp.segment_moments(m, lv, [np.array([0, 1]), np.array([1])])
+    with pytest.raises(ContractError):
+        tp.segment_moments(m, lv, [np.array([0]), np.array([], dtype=np.int64)])
+    with pytest.raises(ShapeError):
+        tp.segment_moments(m, lv, [np.array([7])])
+    with pytest.raises(ShapeError):
+        tp.segment_moments(m, t.leaf(logvar[:, :2], "short"), [np.array([0])])
+    assert tp.segment_moments(m, lv, []).shape == (0, 6)
+    with pytest.raises(ShapeError):
+        tp.pair_bce(m, pairs[:0], y[:0])
+    with pytest.raises(ShapeError):
+        tp.pair_bce(m, pairs, y[:-1])
+    st = t.leaf(stats, "stats")
+    with pytest.raises(ShapeError):
+        tp.diag_gaussian_kl(st, rows, means[:, :2], precisions, logdets)
+    with pytest.raises(ContractError):
+        tp.diag_gaussian_kl(st, [0, 0], means, precisions, logdets)
+    bad = stats.copy()
+    bad[rows[0], 4] = 0.0
+    with pytest.raises(NumericError):
+        tp.diag_gaussian_kl(t.leaf(bad, "bad"), rows, means, precisions, logdets)

@@ -32,16 +32,17 @@ from .errors import (ConfigError, ContractError, NumericError, ProtocolError,
                      ShapeError, TrainingDivergenceError, UndefinedMetricError)
 from .graphs import FederationDataset, LocalGraph, laplacian_powers
 from .metrics import accuracy, auc
-from .models import (ClassGaussian, SpectralGNNParams, VGAEParams, ce_path,
-                     class_gaussians, class_stat_paths, elbo_path, encoder_input,
-                     encoder_path, init_params, logits_path, params_to_leaves,
-                     sample_nonedges, spectral_energy, stack_powers)
+from .models import (ClassGaussian, ClientPlan, SpectralGNNParams, VGAEParams,
+                     ce_path, class_gaussians, class_stat_paths, client_plan,
+                     elbo_path, encoder_input, encoder_path, init_params,
+                     logits_path, params_to_leaves, sample_nonedges,
+                     spectral_energy, stack_powers)
 from .rng import spawn_key, stream
 from .semantic import (KLTargets, SemanticClusterMap, alignment_path,
                        build_semantic_map, kl_targets)
 from .structural import (SpectralEnergy, StructuralClusterMap,
-                         alignment_loss_var, build_structural_map,
-                         pairwise_chordal, regularizer_var)
+                         build_structural_map, coefficient_penalty_var,
+                         pairwise_chordal)
 from .theory import (ErrorFloorReport, HeterogeneityReport, error_floor,
                      measure_heterogeneity)
 
@@ -118,6 +119,7 @@ class ClientState:
     adam: AdamState
     h_stack: np.ndarray
     x_in: np.ndarray
+    plan: ClientPlan
     energy: Optional[SpectralEnergy]
     last_losses: dict = field(default_factory=dict)
     last_metrics: dict = field(default_factory=dict)
@@ -252,7 +254,10 @@ def payload_nbytes(obj) -> int:
 def init_client_state(client_id: int, graph: LocalGraph, num_classes: int, task: str,
                       cfg: RunConfig, gnn: SpectralGNNParams,
                       vgae: VGAEParams) -> ClientState:
-    """Fresh client state; fedssa with the structural branch also fixes the frame."""
+    """Fresh client state with its forward plan; fedssa with the structural
+    branch also fixes the frame. A label outside the class range or
+    overlapping class groups raise ContractError naming the client."""
+    plan = client_plan(client_id, graph, num_classes)
     powers = laplacian_powers(graph, cfg.order)
     energy = None
     if cfg.method == "fedssa" and cfg.structural:
@@ -262,7 +267,7 @@ def init_client_state(client_id: int, graph: LocalGraph, num_classes: int, task:
         gnn=gnn, vgae=vgae,
         adam=AdamState.fresh(_param_arrays(gnn, vgae)),
         h_stack=stack_powers(powers),
-        x_in=encoder_input(graph, num_classes), energy=energy,
+        x_in=encoder_input(graph, num_classes), plan=plan, energy=energy,
     )
 
 
@@ -303,25 +308,23 @@ def _loss_parts(state: ClientState, broadcast: Optional[ServerBroadcast],
     tape = tp.Tape()
     leaves = params_to_leaves(tape, state.gnn, state.vgae)
     _p, logits = logits_path(leaves, state.h_stack, n, d)
-    ce = ce_path(logits, g.labels, g.train_idx, state.num_classes)
+    ce = ce_path(logits, state.plan)
     mu, logvar = encoder_path(leaves, state.x_in)
-    vgae_term = elbo_path(mu, logvar, g, eps, nonedges)
+    vgae_term = elbo_path(mu, logvar, state.plan, eps, nonedges)
     total = tp.add(ce, vgae_term)
     stats = None
     node_term = None
     struct_term = None
     if cfg.method == "fedssa" and cfg.semantic:
-        stats = class_stat_paths(mu, logvar, g)
+        stats = class_stat_paths(mu, logvar, state.plan)
         if targets is not None:
             node_term = alignment_path(stats, targets)
             if node_term is not None:
                 total = tp.add(total, node_term)
     if cfg.method == "fedssa" and cfg.structural:
-        struct_term = regularizer_var(leaves["w"], cfg.lambda1, cfg.lambda2)
-        if broadcast is not None and broadcast.cluster_coefficients is not None:
-            struct_term = tp.add(
-                alignment_loss_var(leaves["w"], broadcast.cluster_coefficients),
-                struct_term)
+        w_bar = broadcast.cluster_coefficients if broadcast is not None else None
+        struct_term = coefficient_penalty_var(leaves["w"], w_bar, cfg.lambda1,
+                                              cfg.lambda2)
         total = tp.add(total, struct_term)
     parts = {"ce": ce, "vgae": vgae_term, "node": node_term,
              "struct": struct_term, "total": total, "logits": logits, "stats": stats}
@@ -354,7 +357,7 @@ def client_round(state: ClientState, broadcast: Optional[ServerBroadcast],
             targets = kl_targets(broadcast.class_representatives)
         for epoch in range(cfg.epochs):
             eps = stream(seed, "train-eps", round_index, epoch).standard_normal((n, dz))
-            nonedges = sample_nonedges(g, g.edges.shape[0],
+            nonedges = sample_nonedges(state.plan, g.edges.shape[0],
                                        stream(seed, "train-nonedges", round_index, epoch))
             tape, leaves, parts = _loss_parts(state, broadcast, cfg, eps, nonedges,
                                               targets)
@@ -372,7 +375,7 @@ def client_round(state: ClientState, broadcast: Optional[ServerBroadcast],
             f"client {state.client_id} diverged in round {round_index}: {exc}") from exc
     # One evaluation pass on its own streams, for round metrics and the upload.
     eval_eps = stream(seed, "eval-eps", round_index).standard_normal((n, dz))
-    eval_nonedges = sample_nonedges(g, g.edges.shape[0],
+    eval_nonedges = sample_nonedges(state.plan, g.edges.shape[0],
                                     stream(seed, "eval-nonedges", round_index))
     _tape, _leaves, parts = _loss_parts(state, broadcast, cfg, eval_eps,
                                         eval_nonedges, targets)
@@ -385,10 +388,8 @@ def client_round(state: ClientState, broadcast: Optional[ServerBroadcast],
     state.last_metrics = evaluate_client(state, parts["logits"].value)
     if cfg.method != "fedssa":
         return state, None
-    counts: dict = {}
-    if g.train_idx.size:
-        train_labels = g.labels[g.train_idx]
-        counts = {int(c): int((train_labels == c).sum()) for c in np.unique(train_labels)}
+    counts = dict(zip(state.plan.class_labels.tolist(),
+                      state.plan.classes.counts.tolist()))
     return state, ClientUpload(
         client_id=state.client_id,
         coefficients=state.gnn.coefficients.copy(),

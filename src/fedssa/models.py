@@ -7,14 +7,21 @@ into per-node diagonal Gaussians and reconstructs edges with an
 inner-product decoder; its class-wise latent statistics are the semantic
 payload each client shares.
 
-Both components are expressed as tape builders. A client's evaluation pass
-records them once per round; its logits give the split metrics and its
-class statistics give the upload's class Gaussians.
+Both components are expressed as tape builders over fused ops: each head,
+trunk and encoder layer is one `dense` node, the cross entropy one
+`softmax_ce` node and the reparameterised draw one `gaussian_sample` node.
+A `ClientPlan`, built once per client by `client_plan`, holds what every
+forward reads from the client's data: the cross-entropy rows and one-hot
+targets, the train rows grouped by class, the ELBO's constant label term
+and the non-edge sampler's offset tables. A client's evaluation pass
+records the builders once per round; its logits give the split metrics and
+its class statistics give the upload's class Gaussians.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -160,34 +167,75 @@ def stack_powers(powers: list) -> np.ndarray:
     return np.stack([h.ravel() for h in powers])
 
 
+@dataclass(frozen=True)
+class ClientPlan:
+    """Index arrays and constants of one client's data, built once at setup.
+
+    ce_rows are the train rows and ce_onehot their one-hot labels. classes
+    groups the train rows by ascending class label (class_labels) for
+    segment_moments. label_term is the ELBO's constant -mean log empirical
+    class frequency, or None without train rows. row_start[i] is the
+    row-major upper-triangle position of pair (i, i + 1), and
+    absent_before_edge[k] counts the absent pairs before edge k.
+    """
+
+    graph: LocalGraph
+    ce_rows: np.ndarray
+    ce_onehot: np.ndarray
+    class_labels: np.ndarray
+    classes: tp.Segments
+    label_term: Optional[float]
+    row_start: np.ndarray
+    absent_before_edge: np.ndarray
+
+
+def client_plan(client_id: int, g: LocalGraph, num_classes: int) -> ClientPlan:
+    """Validate and lay out one client's data for its forwards.
+
+    Raises ContractError naming the client when a train label falls outside
+    range(num_classes) or the class groups overlap.
+    """
+    rows = g.train_idx
+    train_labels = g.labels[rows]
+    if np.any(train_labels >= num_classes):
+        raise ContractError(f"client {client_id}: train label {int(train_labels.max())}"
+                            f" outside the class range 0..{num_classes - 1}")
+    onehot = np.zeros((rows.size, num_classes))
+    onehot[np.arange(rows.size), train_labels] = 1.0
+    order = np.argsort(train_labels, kind="stable")
+    labels, starts = np.unique(train_labels[order], return_index=True)
+    try:
+        classes = tp.segments(np.split(rows[order], starts[1:]) if labels.size else [],
+                              g.n)
+    except ContractError as exc:
+        raise ContractError(f"client {client_id}: {exc}") from exc
+    label_term = None
+    if rows.size:
+        freqs = np.bincount(train_labels)[train_labels] / train_labels.size
+        label_term = -float(np.mean(np.log(freqs)))
+    n = g.n
+    heads = np.arange(n - 1)
+    row_start = heads * n - heads * (heads + 1) // 2
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    absent_before_edge = row_start[u] + (v - u - 1) - np.arange(u.size)
+    return ClientPlan(g, rows, onehot, labels, classes, label_term, row_start,
+                      absent_before_edge)
+
+
 def logits_path(leaves: dict, h_stack: np.ndarray, n: int, d: int) -> tuple[tp.Var, tp.Var]:
     """Tape nodes for the propagated features P and the class logits."""
     p_flat = tp.matmul(leaves["w"], h_stack)
     p = tp.reshape(p_flat, (n, d))
-    hidden = tp.tanh(tp.add_row(tp.matmul(p, leaves["head_w1"]), leaves["head_b1"]))
-    logits = tp.add_row(tp.matmul(hidden, leaves["head_w2"]), leaves["head_b2"])
+    hidden = tp.dense(p, leaves["head_w1"], leaves["head_b1"], tanh=True)
+    logits = tp.dense(hidden, leaves["head_w2"], leaves["head_b2"])
     return p, logits
 
 
-def ce_path(logits: tp.Var, labels: np.ndarray, mask: np.ndarray,
-            num_classes: int) -> tp.Var:
-    """Mean cross entropy over the masked rows, stabilized by a frozen shift."""
-    mask = np.asarray(mask, dtype=np.int64).reshape(-1)
-    if mask.size == 0:
+def ce_path(logits: tp.Var, plan: ClientPlan) -> tp.Var:
+    """Mean cross entropy over the client's train rows, as one tape node."""
+    if plan.ce_rows.size == 0:
         raise ContractError("cross entropy needs a nonempty mask")
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if np.any(labels[mask] >= num_classes):
-        raise ContractError("label outside the class range")
-    picked = tp.take_rows(logits, mask)
-    # The row-max shift is a frozen constant; gradients are unaffected.
-    shift = picked.value.max(axis=1, keepdims=True)
-    shifted = tp.add(picked, -(shift @ np.ones((1, num_classes))))
-    z = tp.matmul(tp.exp(shifted), np.ones((num_classes, 1)))
-    lse = tp.add(tp.log(z), shift)
-    onehot = np.zeros((mask.size, num_classes))
-    onehot[np.arange(mask.size), labels[mask]] = 1.0
-    correct = tp.matmul(tp.mul(picked, onehot), np.ones((num_classes, 1)))
-    return tp.scale(tp.sum_all(tp.add(lse, tp.scale(correct, -1.0))), 1.0 / mask.size)
+    return tp.softmax_ce(logits, plan.ce_rows, plan.ce_onehot)
 
 
 def encoder_input(g: LocalGraph, num_classes: int) -> np.ndarray:
@@ -200,9 +248,9 @@ def encoder_input(g: LocalGraph, num_classes: int) -> np.ndarray:
 
 def encoder_path(leaves: dict, x_in: np.ndarray) -> tuple[tp.Var, tp.Var]:
     """Tape nodes for per-node posterior mean and clamped log-variance."""
-    hidden = tp.tanh(tp.add_row(tp.matmul(x_in, leaves["enc_w1"]), leaves["enc_b1"]))
-    mu = tp.add_row(tp.matmul(hidden, leaves["mu_w"]), leaves["mu_b"])
-    logvar = tp.clip(tp.add_row(tp.matmul(hidden, leaves["logvar_w"]), leaves["logvar_b"]),
+    hidden = tp.dense(x_in, leaves["enc_w1"], leaves["enc_b1"], tanh=True)
+    mu = tp.dense(hidden, leaves["mu_w"], leaves["mu_b"])
+    logvar = tp.clip(tp.dense(hidden, leaves["logvar_w"], leaves["logvar_b"]),
                      LOGVAR_MIN, LOGVAR_MAX)
     return mu, logvar
 
@@ -220,43 +268,35 @@ class ClassStats:
     moments: tp.Var
 
 
-def class_stat_paths(mu: tp.Var, logvar: tp.Var, g: LocalGraph) -> ClassStats:
+def class_stat_paths(mu: tp.Var, logvar: tp.Var, plan: ClientPlan) -> ClassStats:
     """Moment-matched class Gaussians over train rows, as one tape node.
 
     For class c the mixture of per-node diagonal posteriors has mean equal
     to the average posterior mean, and variance equal to the average
     posterior variance plus the population variance of the means.
     """
-    train_labels = g.labels[g.train_idx]
-    order = np.argsort(train_labels, kind="stable")
-    labels, starts, counts = np.unique(train_labels[order], return_index=True,
-                                       return_counts=True)
-    groups = np.split(g.train_idx[order], starts[1:]) if labels.size else []
-    return ClassStats(labels, counts, tp.segment_moments(mu, logvar, groups))
+    return ClassStats(plan.class_labels, plan.classes.counts,
+                      tp.segment_moments(mu, logvar, plan.classes))
 
 
-def sample_nonedges(g: LocalGraph, count: int, rng: np.random.Generator) -> np.ndarray:
+def sample_nonedges(plan: ClientPlan, count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform sample of absent node pairs (i < j), without replacement.
 
     Draws positions among the absent pairs in row-major upper-triangle order
     and maps each back to (i, j) in closed form: the edges are sorted, so
     flat(edge k) - k absent pairs precede edge k.
     """
-    n = g.n
-    absent = n * (n - 1) // 2 - g.edges.shape[0]
+    n = plan.graph.n
+    absent = n * (n - 1) // 2 - plan.graph.edges.shape[0]
     if count <= 0 or absent <= 0:
         return np.zeros((0, 2), dtype=np.int64)
     pick = np.sort(rng.choice(absent, size=min(count, absent), replace=False))
-    heads = np.arange(n - 1)
-    row_start = heads * n - heads * (heads + 1) // 2
-    u, v = g.edges[:, 0], g.edges[:, 1]
-    absent_before_edge = row_start[u] + (v - u - 1) - np.arange(u.size)
-    flat = pick + np.searchsorted(absent_before_edge, pick, side="right")
-    rows = np.searchsorted(row_start, flat, side="right") - 1
-    return np.column_stack([rows, flat - row_start[rows] + rows + 1])
+    flat = pick + np.searchsorted(plan.absent_before_edge, pick, side="right")
+    rows = np.searchsorted(plan.row_start, flat, side="right") - 1
+    return np.column_stack([rows, flat - plan.row_start[rows] + rows + 1])
 
 
-def elbo_path(mu: tp.Var, logvar: tp.Var, g: LocalGraph, eps: np.ndarray,
+def elbo_path(mu: tp.Var, logvar: tp.Var, plan: ClientPlan, eps: np.ndarray,
               nonedges: np.ndarray) -> tp.Var:
     """Negative ELBO: mean edge BCE + mean prior KL - mean label log-prob.
 
@@ -267,18 +307,15 @@ def elbo_path(mu: tp.Var, logvar: tp.Var, g: LocalGraph, eps: np.ndarray,
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != (n, dz):
         raise ShapeError(f"eps must have shape {(n, dz)}, got {eps.shape}")
+    edges = plan.graph.edges
     total = tp.prior_kl(mu, logvar)
-    if g.edges.size or nonedges.size:
-        z = tp.add(mu, tp.mul(tp.sqrt(tp.exp(logvar)), eps))
-        pairs = np.concatenate([g.edges, nonedges.reshape(-1, 2)])
-        y = np.repeat([1.0, 0.0], [g.edges.shape[0], pairs.shape[0] - g.edges.shape[0]])
+    if edges.size or nonedges.size:
+        z = tp.gaussian_sample(mu, logvar, eps)
+        pairs = np.concatenate([edges, nonedges.reshape(-1, 2)])
+        y = np.repeat([1.0, 0.0], [edges.shape[0], pairs.shape[0] - edges.shape[0]])
         total = tp.add(tp.pair_bce(z, pairs, y), total)
-    if g.train_idx.size:
-        train_labels = g.labels[g.train_idx]
-        counts = np.bincount(train_labels)
-        freqs = counts[train_labels] / train_labels.size
-        label_term = -float(np.mean(np.log(freqs)))
-        total = tp.add(total, np.full((1, 1), label_term))
+    if plan.label_term is not None:
+        total = tp.add(total, np.full((1, 1), plan.label_term))
     return total
 
 

@@ -9,6 +9,10 @@ and grouped (k-means) on the Grassmann projection embedding Q Q^T, whose
 Euclidean distance is sqrt(2) times the chordal distance between the
 subspaces and which is invariant to the basis chosen for each frame.
 
+Locally, one tape node (`coefficient_penalty_var`) holds the coefficient
+loss: the L1 pull toward the cluster's mean coefficients, when a broadcast
+carries them, plus the elastic-net regulariser.
+
 The filter bounds quantify how coefficient perturbations move the filter:
 a Lipschitz bound on the polynomial derivative over the Laplacian spectral
 range [0, 2], and a Frobenius bound on the propagated-feature change.
@@ -17,6 +21,7 @@ range [0, 2], and a Frobenius bound on the propagated-feature change.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -139,19 +144,16 @@ def build_structural_map(energies: list, coefficients: dict, k_struct: int,
     return StructuralClusterMap(assignments, mean_coeffs)
 
 
-def alignment_loss_var(w_var: tp.Var, w_bar: np.ndarray) -> tp.Var:
-    """Tape node for the L1 alignment loss; subgradient 0 at exact matches."""
-    target = np.asarray(w_bar, dtype=np.float64).reshape(w_var.value.shape)
-    return tp.sum_all(tp.absval(tp.add(w_var, -target)))
+def coefficient_penalty_var(w_var: tp.Var, w_bar: Optional[np.ndarray], lam1: float,
+                            lam2: float) -> tp.Var:
+    """Tape node for the coefficient loss ||w - w_bar||_1 + lam1 ||w||_1 + lam2/2 ||w||^2.
 
-
-def regularizer_var(w_var: tp.Var, lam1: float, lam2: float) -> tp.Var:
-    """Tape node for the coefficient regularizer."""
+    The L1 alignment term is left out when w_bar is None; the subgradient
+    is 0 where w equals w_bar and, for the regulariser's L1 term, where w is 0.
+    """
     if lam1 < 0 or lam2 < 0:
         raise ConfigError(f"regularizer weights must be >= 0, got {lam1}, {lam2}")
-    l1 = tp.scale(tp.sum_all(tp.absval(w_var)), lam1)
-    l2 = tp.scale(tp.sum_all(tp.square(w_var)), 0.5 * lam2)
-    return tp.add(l1, l2)
+    return tp.coefficient_penalty(w_var, w_bar, lam1, lam2)
 
 
 def filter_lipschitz_bound(w) -> float:

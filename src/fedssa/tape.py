@@ -7,21 +7,31 @@ attributes. `grad` walks the tape once in reverse accumulating adjoints.
 All values are 2-D float64 arrays (scalars are 1x1). Inputs to an op may be
 other Vars or plain ndarrays; plain arrays are closed-over constants that
 receive no gradient, which is how frozen server broadcasts enter local
-losses without being differentiated. Row gathers (`take_rows`) and bias
-rows (`add_row`) need no O(rows x n) constant. A Var refers to its tape
-weakly, so reference counting frees a tape once the caller drops it.
+losses without being differentiated. A Var refers to its tape weakly, so
+reference counting frees a tape once the caller drops it.
 
-Four fused ops record the VGAE's per-class and per-pair terms as one node
-each, with closed-form backward rules: `segment_moments` (class-wise
-[mean | var] of the posterior mixture), `diag_gaussian_kl` (summed KL from
-diagonal class posteriors to frozen full-covariance targets), `pair_bce`
-(mean inner-product decoder BCE over node pairs) and `prior_kl` (mean KL
-from the per-node posteriors to N(0, I)).
+Besides `matmul`, `add`, `reshape` and `clip`, every op is a fused layer
+or loss: one tape node with a closed-form backward rule, written in the
+arithmetic order of the elementwise chain it stands for, so its gradients
+match that chain bit for bit.
+
+- `dense`: x @ W plus a bias row, optionally followed by tanh.
+- `softmax_ce`: mean softmax cross entropy over a set of logit rows.
+- `gaussian_sample`: the reparameterised draw mu + exp(logvar)^(1/2) * eps.
+- `coefficient_penalty`: the filter coefficients' L1 pull toward a
+  broadcast plus their elastic-net regulariser.
+- `segment_moments`: class-wise [mean | var] of the posterior mixture, over
+  row groups validated once as `Segments`.
+- `diag_gaussian_kl`: summed KL from diagonal class posteriors to frozen
+  full-covariance targets.
+- `pair_bce`: mean inner-product decoder BCE over node pairs.
+- `prior_kl`: mean KL from the per-node posteriors to N(0, I).
 """
 
 from __future__ import annotations
 
 import weakref
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -83,25 +93,6 @@ class Var:
 
     def __radd__(self, other: np.ndarray) -> "Var":
         return add(self, other)
-
-    def __sub__(self, other: ArrayLike) -> "Var":
-        if isinstance(other, Var):
-            return add(self, scale(other, -1.0))
-        return add(self, -_as_matrix(other))
-
-    def __rsub__(self, other: np.ndarray) -> "Var":
-        return add(scale(self, -1.0), _as_matrix(other))
-
-    def __mul__(self, other) -> "Var":
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other) -> "Var":
-        return self.__mul__(other)
-
-    def __neg__(self) -> "Var":
-        return scale(self, -1.0)
 
 
 class Tape:
@@ -168,6 +159,34 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class Segments:
+    """Disjoint, nonempty row groups of an n-row matrix, laid out for segment_moments.
+
+    rows lists the members group by group, seg gives each member's group,
+    and counts and starts give each group's size and offset in rows.
+    """
+
+    n: int
+    rows: np.ndarray
+    seg: np.ndarray
+    counts: np.ndarray
+    starts: np.ndarray
+
+
+def segments(groups, n: int) -> Segments:
+    """Validate a sequence of row-index groups once; raises ContractError on
+    an empty or overlapping group and ShapeError on a row outside range(n)."""
+    counts = np.array([len(rows) for rows in groups], dtype=np.int64)
+    if np.any(counts < 1):
+        raise ContractError("segment groups must be nonempty")
+    rows = _index_vector(np.concatenate(groups) if len(groups) else [], n, "group")
+    if np.unique(rows).size != rows.size:
+        raise ContractError("segment groups must be disjoint")
+    return Segments(int(n), rows, np.repeat(np.arange(counts.size), counts), counts,
+                    np.cumsum(counts) - counts)
+
+
 # Backward rules: given input values, aux, output value, output adjoint and
 # which inputs are tape variables, return one adjoint per input (None for
 # constant inputs, whose adjoints are never computed).
@@ -181,53 +200,8 @@ def _bw_add(vals, aux, out, g, need):
     return (g, g)
 
 
-def _bw_scale(vals, aux, out, g, need):
-    return (g * aux["alpha"],)
-
-
-def _bw_mul(vals, aux, out, g, need):
-    a, b = vals
-    return (g * b if need[0] else None, g * a if need[1] else None)
-
-
-def _bw_transpose(vals, aux, out, g, need):
-    return (np.ascontiguousarray(g.T),)
-
-
 def _bw_reshape(vals, aux, out, g, need):
     return (g.reshape(vals[0].shape),)
-
-
-def _bw_log(vals, aux, out, g, need):
-    return (g / vals[0],)
-
-
-def _bw_exp(vals, aux, out, g, need):
-    return (g * out,)
-
-
-def _bw_sqrt(vals, aux, out, g, need):
-    return (g * 0.5 / out,)
-
-
-def _bw_square(vals, aux, out, g, need):
-    return (g * 2.0 * vals[0],)
-
-
-def _bw_absval(vals, aux, out, g, need):
-    return (g * np.sign(vals[0]),)
-
-
-def _bw_tanh(vals, aux, out, g, need):
-    return (g * (1.0 - out * out),)
-
-
-def _bw_sigmoid(vals, aux, out, g, need):
-    return (g * out * (1.0 - out),)
-
-
-def _bw_softplus(vals, aux, out, g, need):
-    return (g * _sigmoid(vals[0]),)
 
 
 def _bw_clip(vals, aux, out, g, need):
@@ -235,40 +209,54 @@ def _bw_clip(vals, aux, out, g, need):
     return (g * inside,)
 
 
-def _bw_mean_rows(vals, aux, out, g, need):
-    n = vals[0].shape[0]
-    return (np.broadcast_to(g / n, vals[0].shape),)
+def _bw_dense(vals, aux, out, g, need):
+    x, w, _b = vals
+    if aux["tanh"]:
+        g = g * (1.0 - out * out)
+    return (g @ w.T if need[0] else None, x.T @ g if need[1] else None,
+            g.sum(axis=0, keepdims=True) if need[2] else None)
 
 
-def _bw_sum_all(vals, aux, out, g, need):
-    return (np.full(vals[0].shape, g[0, 0]),)
-
-
-def _bw_take_rows(vals, aux, out, g, need):
+def _bw_softmax_ce(vals, aux, out, g, need):
+    # d/dlogits of mean(lse - correct): -onehot plus softmax, per picked row
+    per_row = g[0, 0] * aux["scale"]
+    picked = (per_row * -1.0) * aux["onehot"] + (per_row / aux["z"]) * aux["e"]
     acc = np.zeros_like(vals[0])
-    np.add.at(acc, aux["rows"], g)
+    np.add.at(acc, aux["rows"], picked)
     return (acc,)
 
 
-def _bw_add_row(vals, aux, out, g, need):
-    return (g, g.sum(axis=0, keepdims=True) if need[1] else None)
+def _bw_gaussian_sample(vals, aux, out, g, need):
+    d_logvar = None
+    if need[1]:
+        d_logvar = (g * aux["eps"]) * 0.5 / aux["std"] * aux["var"]
+    return (g if need[0] else None, d_logvar)
+
+
+def _bw_coefficient_penalty(vals, aux, out, g, need):
+    w = vals[0]
+    g = g[0, 0]
+    d_w = (g * aux["half_lam2"]) * 2.0 * w
+    if aux["diff"] is not None:
+        d_w = g * np.sign(aux["diff"]) + d_w
+    return (d_w + (g * aux["lam1"]) * np.sign(w),)
 
 
 def _bw_segment_moments(vals, aux, out, g, need):
     mu, logvar = vals
-    rows, seg = aux["rows"], aux["seg"]
+    groups = aux["segments"]
     d = mu.shape[1]
-    inv = 1.0 / aux["counts"][:, None]
-    g_mean = (g[:, :d] * inv)[seg]
-    g_var = (g[:, d:] * inv)[seg]
+    inv = 1.0 / groups.counts[:, None]
+    g_mean = (g[:, :d] * inv)[groups.seg]
+    g_var = (g[:, d:] * inv)[groups.seg]
     d_mu = d_logvar = None
     # Groups are disjoint, so each row receives exactly one contribution.
     if need[0]:
         d_mu = np.zeros_like(mu)
-        d_mu[rows] = g_mean + 2.0 * g_var * aux["centered"]
+        d_mu[groups.rows] = g_mean + 2.0 * g_var * aux["centered"]
     if need[1]:
         d_logvar = np.zeros_like(logvar)
-        d_logvar[rows] = g_var * aux["var_rows"]
+        d_logvar[groups.rows] = g_var * aux["var_rows"]
     return (d_mu, d_logvar)
 
 
@@ -301,23 +289,12 @@ def _bw_prior_kl(vals, aux, out, g, need):
 _BACKWARD: dict[str, Callable] = {
     "matmul": _bw_matmul,
     "add": _bw_add,
-    "scale": _bw_scale,
-    "mul": _bw_mul,
-    "transpose": _bw_transpose,
     "reshape": _bw_reshape,
-    "log": _bw_log,
-    "exp": _bw_exp,
-    "sqrt": _bw_sqrt,
-    "square": _bw_square,
-    "absval": _bw_absval,
-    "tanh": _bw_tanh,
-    "sigmoid": _bw_sigmoid,
-    "softplus": _bw_softplus,
     "clip": _bw_clip,
-    "mean_rows": _bw_mean_rows,
-    "sum_all": _bw_sum_all,
-    "take_rows": _bw_take_rows,
-    "add_row": _bw_add_row,
+    "dense": _bw_dense,
+    "softmax_ce": _bw_softmax_ce,
+    "gaussian_sample": _bw_gaussian_sample,
+    "coefficient_penalty": _bw_coefficient_penalty,
     "segment_moments": _bw_segment_moments,
     "diag_gaussian_kl": _bw_diag_gaussian_kl,
     "pair_bce": _bw_pair_bce,
@@ -349,30 +326,6 @@ def add(a: ArrayLike, b: ArrayLike) -> Var:
     return _binary("add", a, b, lambda sa, sb: sa == sb, np.add)
 
 
-def mul(a: ArrayLike, b: ArrayLike) -> Var:
-    return _binary("mul", a, b, lambda sa, sb: sa == sb, np.multiply)
-
-
-def add_row(a: ArrayLike, b: ArrayLike) -> Var:
-    """a plus the 1 x k row b added to every row (a bias broadcast)."""
-    return _binary("add_row", a, b, lambda sa, sb: sb == (1, sa[1]), np.add)
-
-
-def take_rows(a: Var, rows) -> Var:
-    """Rows of a in the given order; repeated rows accumulate their adjoints."""
-    rows = _index_vector(rows, np.shape(_value(a))[0], "row")
-    return _unary("take_rows", a, lambda x: x[rows], {"rows": rows})
-
-
-def scale(a: Var, alpha: float) -> Var:
-    alpha = float(alpha)
-    return _unary("scale", a, lambda x: x * alpha, {"alpha": alpha})
-
-
-def transpose(a: Var) -> Var:
-    return _unary("transpose", a, lambda x: np.ascontiguousarray(x.T))
-
-
 def reshape(a: Var, shape: tuple) -> Var:
     shape = tuple(int(s) for s in shape)
     if len(shape) != 2:
@@ -383,53 +336,9 @@ def reshape(a: Var, shape: tuple) -> Var:
                   {"shape": shape})
 
 
-def log(a: Var) -> Var:
-    if np.any(a.value <= 0):
-        raise NumericError("log requires strictly positive entries")
-    return _unary("log", a, np.log)
-
-
-def exp(a: Var) -> Var:
-    return _unary("exp", a, np.exp)
-
-
-def sqrt(a: Var) -> Var:
-    if np.any(a.value < 0):
-        raise NumericError("sqrt requires nonnegative entries")
-    return _unary("sqrt", a, np.sqrt)
-
-
-def square(a: Var) -> Var:
-    return _unary("square", a, np.square)
-
-
-def absval(a: Var) -> Var:
-    return _unary("absval", a, np.abs)
-
-
-def tanh(a: Var) -> Var:
-    return _unary("tanh", a, np.tanh)
-
-
-def sigmoid(a: Var) -> Var:
-    return _unary("sigmoid", a, _sigmoid)
-
-
-def softplus(a: Var) -> Var:
-    return _unary("softplus", a, lambda x: np.logaddexp(0.0, x))
-
-
 def clip(a: Var, lo: float, hi: float) -> Var:
     lo, hi = float(lo), float(hi)
     return _unary("clip", a, lambda x: np.clip(x, lo, hi), {"lo": lo, "hi": hi})
-
-
-def mean_rows(a: Var) -> Var:
-    return _unary("mean_rows", a, lambda x: x.mean(axis=0, keepdims=True))
-
-
-def sum_all(a: Var) -> Var:
-    return _unary("sum_all", a, lambda x: np.array([[x.sum()]]))
 
 
 def _fused(op: str, operands: tuple, value: np.ndarray, aux: dict) -> Var:
@@ -439,39 +348,103 @@ def _fused(op: str, operands: tuple, value: np.ndarray, aux: dict) -> Var:
     return tape._record(op, inputs, aux, value)
 
 
-def segment_moments(mu: ArrayLike, logvar: ArrayLike, groups) -> Var:
+def dense(x: ArrayLike, w: ArrayLike, b: ArrayLike, tanh: bool = False) -> Var:
+    """x @ w plus the 1 x k row b added to every row, then tanh when asked."""
+    xv, wv, bv = _matrix(x), _matrix(w), _matrix(b)
+    if xv.shape[1] != wv.shape[0] or bv.shape != (1, wv.shape[1]):
+        raise ShapeError(f"dense mismatch: x {xv.shape}, w {wv.shape}, b {bv.shape}")
+    value = np.add(np.matmul(xv, wv), bv)
+    if tanh:
+        value = np.tanh(value)
+    return _fused("dense", (x, w, b), value, {"tanh": bool(tanh)})
+
+
+def softmax_ce(logits: Var, rows, onehot: np.ndarray) -> Var:
+    """Mean softmax cross entropy of logits[rows] against one-hot targets.
+
+    rows may repeat; onehot holds one target row per entry of rows. Each
+    row is shifted by its own maximum, a frozen constant, before exp.
+    """
+    lv = _matrix(logits)
+    rows = _index_vector(rows, lv.shape[0], "row")
+    onehot = np.asarray(onehot, dtype=np.float64)
+    classes = lv.shape[1]
+    if rows.size == 0 or onehot.shape != (rows.size, classes):
+        raise ShapeError(f"need one-hot targets of shape {(rows.size, classes)}"
+                         f" for at least one row, got {onehot.shape}")
+    picked = lv[rows]
+    shift = picked.max(axis=1, keepdims=True)
+    sum_cols = np.ones((classes, 1))
+    e = np.exp(picked - shift)
+    z = e @ sum_cols
+    lse = np.log(z) + shift
+    correct = (picked * onehot) @ sum_cols
+    scale = 1.0 / rows.size
+    value = np.array([[np.add(lse, correct * -1.0).sum()]]) * scale
+    return _fused("softmax_ce", (logits,), value,
+                  {"rows": rows, "onehot": onehot, "e": e, "z": z, "scale": scale})
+
+
+def gaussian_sample(mu: ArrayLike, logvar: ArrayLike, eps) -> Var:
+    """Reparameterised draw mu + sqrt(exp(logvar)) * eps with fixed noise eps."""
+    mu_v, lv_v = _matrix(mu), _matrix(logvar)
+    eps = _as_matrix(eps)
+    if lv_v.shape != mu_v.shape or eps.shape != mu_v.shape:
+        raise ShapeError(f"gaussian_sample mismatch: mu {mu_v.shape},"
+                         f" logvar {lv_v.shape}, eps {eps.shape}")
+    var = np.exp(lv_v)
+    std = np.sqrt(var)
+    return _fused("gaussian_sample", (mu, logvar), np.add(mu_v, std * eps),
+                  {"eps": eps, "std": std, "var": var})
+
+
+def coefficient_penalty(w: ArrayLike, w_bar, lam1: float, lam2: float) -> Var:
+    """sum|w - w_bar| + lam1 * sum|w| + (lam2 / 2) * sum w^2, as one node.
+
+    The first term is left out when w_bar is None. Its subgradient is 0
+    where w equals w_bar, and the L1 term's is 0 where w is 0.
+    """
+    wv = _matrix(w)
+    lam1, half_lam2 = float(lam1), float(0.5 * lam2)
+    value = (np.array([[np.abs(wv).sum()]]) * lam1
+             + np.array([[np.square(wv).sum()]]) * half_lam2)
+    diff = None
+    if w_bar is not None:
+        target = np.asarray(w_bar, dtype=np.float64)
+        if target.size != wv.size:
+            raise ShapeError(f"w_bar has {target.size} entries, w has {wv.size}")
+        diff = wv - target.reshape(wv.shape)
+        value = np.array([[np.abs(diff).sum()]]) + value
+    return _fused("coefficient_penalty", (w,), value,
+                  {"diff": diff, "lam1": lam1, "half_lam2": half_lam2})
+
+
+def segment_moments(mu: ArrayLike, logvar: ArrayLike, groups: Segments) -> Var:
     """Mixture moments [mean | var] of diagonal Gaussians, one row per group.
 
-    groups is a sequence of disjoint, nonempty row-index arrays. Row c holds
-    the mean of mu over group c and the mixture variance: the mean of
-    exp(logvar) plus the population variance of mu, computed about the group
-    mean (so a one-row group has exactly its own variance).
+    Row c holds the mean of mu over group c and the mixture variance: the
+    mean of exp(logvar) plus the population variance of mu, computed about
+    the group mean (so a one-row group has exactly its own variance).
     """
     mu_v, lv_v = _matrix(mu), _matrix(logvar)
     n, d = mu_v.shape
-    if lv_v.shape != (n, d):
-        raise ShapeError(f"logvar shape {lv_v.shape} does not match mu {mu_v.shape}")
-    counts = np.array([len(rows) for rows in groups], dtype=np.int64)
-    if np.any(counts < 1):
-        raise ContractError("segment_moments needs nonempty groups")
-    rows = _index_vector(np.concatenate(groups) if groups else [], n, "group")
-    if np.unique(rows).size != rows.size:
-        raise ContractError("segment_moments groups must be disjoint")
-    seg = np.repeat(np.arange(counts.size), counts)
-    starts = np.cumsum(counts) - counts
-    picked = mu_v[rows]
-    var_rows = np.exp(lv_v[rows])
+    if lv_v.shape != (n, d) or groups.n != n:
+        raise ShapeError(f"mu {mu_v.shape} and logvar {lv_v.shape} do not match"
+                         f" segments over {groups.n} rows")
+    counts = groups.counts
+    picked = mu_v[groups.rows]
+    var_rows = np.exp(lv_v[groups.rows])
     value = np.zeros((counts.size, 2 * d))
     centered = picked
     if counts.size:
         inv = 1.0 / counts[:, None]
-        mean = np.add.reduceat(picked, starts, axis=0) * inv
-        centered = picked - mean[seg]
-        spread = np.add.reduceat(var_rows + centered * centered, starts, axis=0) * inv
+        mean = np.add.reduceat(picked, groups.starts, axis=0) * inv
+        centered = picked - mean[groups.seg]
+        spread = np.add.reduceat(var_rows + centered * centered, groups.starts,
+                                 axis=0) * inv
         value = np.concatenate([mean, spread], axis=1)
     return _fused("segment_moments", (mu, logvar), value,
-                  {"rows": rows, "seg": seg, "counts": counts.astype(np.float64),
-                   "centered": centered, "var_rows": var_rows})
+                  {"segments": groups, "centered": centered, "var_rows": var_rows})
 
 
 def diag_gaussian_kl(stats: Var, rows, means: np.ndarray, precisions: np.ndarray,

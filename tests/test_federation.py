@@ -68,7 +68,7 @@ def test_training_tape_holds_no_rows_by_nodes_constant():
     cfg = _tiny_cfg(latent_dim=8, hidden=16)
     state = _client_state(graph, cfg)
     eps = stream(0, "eps").standard_normal((n, cfg.latent_dim))
-    nonedges = sample_nonedges(graph, num_edges, stream(0, "ne"))
+    nonedges = sample_nonedges(state.plan, num_edges, stream(0, "ne"))
     tape, _leaves, _parts = _loss_parts(state, None, cfg, eps, nonedges)
     arrays = {}
     for node in tape.nodes:
@@ -83,7 +83,7 @@ def test_training_tape_holds_no_rows_by_nodes_constant():
     assert sum(arrays.values()) < 10 * 2 ** 20
 
 
-def test_training_forward_records_at_most_70_tape_nodes():
+def test_training_forward_records_at_most_35_tape_nodes():
     # a quickstart-sized fedssa client (150 nodes, 4 classes, 24 features,
     # K = 3, d_z = 8, h = 16) whose broadcast turns on both alignment terms
     ds = two_regime_federation({
@@ -100,11 +100,44 @@ def test_training_forward_records_at_most_70_tape_nodes():
     broadcast = server_step(uploads, cfg.k_node, cfg.k_struct, 0).broadcasts[0]
     graph = states[0].graph
     eps = stream(0, "eps").standard_normal((graph.n, cfg.latent_dim))
-    nonedges = sample_nonedges(graph, graph.edges.shape[0], stream(0, "ne"))
+    nonedges = sample_nonedges(states[0].plan, graph.edges.shape[0], stream(0, "ne"))
     tape, _leaves, parts = _loss_parts(states[0], broadcast, cfg, eps, nonedges,
                                        kl_targets(broadcast.class_representatives))
     assert parts["node"] is not None and broadcast.cluster_coefficients is not None
-    assert len(tape.nodes) <= 70, f"{len(tape.nodes)} tape nodes per forward"
+    assert len(tape.nodes) <= 35, f"{len(tape.nodes)} tape nodes per forward"
+
+
+def test_forward_reads_the_plan_built_at_setup():
+    cfg = _tiny_cfg()
+    state = _client_state(_tiny_dataset(1).clients[0], cfg)
+    plan = state.plan
+    eps = stream(0, "eps").standard_normal((state.graph.n, cfg.latent_dim))
+    nonedges = sample_nonedges(plan, state.graph.edges.shape[0], stream(0, "ne"))
+    tape, _leaves, parts = _loss_parts(state, None, cfg, eps, nonedges)
+    by_op = {node.op: node for node in tape.nodes}
+    assert by_op["softmax_ce"].aux["onehot"] is plan.ce_onehot
+    assert by_op["segment_moments"].aux["segments"] is plan.classes
+    assert parts["stats"].labels is plan.class_labels
+    client_round(state, None, cfg, 0, 1)
+    assert state.plan is plan
+
+
+def test_client_plan_checks_fire_at_setup_and_name_the_client():
+    cfg = _tiny_cfg()
+    graph = _tiny_dataset(1).clients[0]
+    labels = graph.labels.copy()
+    labels[graph.train_idx[0]] = 2
+    wide = LocalGraph(graph.features, labels, graph.edges, graph.train_idx,
+                      graph.val_idx, graph.test_idx)
+    with pytest.raises(ContractError, match="client 4: train label 2 outside"):
+        _client_state(wide, cfg, client_id=4)
+    # a LocalGraph rejects duplicate train rows, so corrupt one after the fact
+    overlapping = LocalGraph(graph.features, graph.labels, graph.edges,
+                             graph.train_idx, graph.val_idx, graph.test_idx)
+    object.__setattr__(overlapping, "train_idx",
+                       np.concatenate([graph.train_idx, graph.train_idx[:1]]))
+    with pytest.raises(ContractError, match="client 5: segment groups must be disjoint"):
+        _client_state(overlapping, cfg, client_id=5)
 
 
 def test_setup_and_round_memory_targets():
@@ -379,8 +412,8 @@ def test_nonpositive_class_variance_rolls_back(monkeypatch):
     state, cfg, broadcast = _semantic_round_inputs()
     real = federation.class_stat_paths
 
-    def zero_variances(mu, logvar, g):
-        stats = real(mu, logvar, g)
+    def zero_variances(mu, logvar, plan):
+        stats = real(mu, logvar, plan)
         stats.moments.value[:, cfg.latent_dim:] = 0.0
         return stats
 

@@ -12,7 +12,8 @@ from fedssa.graphs import LocalGraph, SynthSpec, laplacian_powers, synth_dataset
 from fedssa.linalg import qr_thin
 from fedssa.models import (COV_FLOOR, LOGVAR_MAX, LOGVAR_MIN, VGAE_LEAVES,
                            ClassGaussian, SpectralGNNParams, ce_path,
-                           class_gaussians, class_stat_paths, elbo_path,
+                           class_gaussians, class_stat_paths, client_plan,
+                           elbo_path,
                            encoder_input, encoder_path, init_params,
                            logits_path, params_to_leaves, sample_nonedges,
                            spectral_energy, stack_powers)
@@ -38,11 +39,22 @@ def _forward(g, gnn, vgae, powers):
     return p.value, logits.value
 
 
+def _plan(g, num_classes=None):
+    return client_plan(0, g, g.num_classes() if num_classes is None else num_classes)
+
+
+def _ce_plan(labels, mask, num_classes):
+    """Plan of a featureless graph whose train rows are mask."""
+    n = len(labels)
+    g = LocalGraph(np.zeros((n, 1)), labels, [], train_idx=mask, val_idx=[], test_idx=[])
+    return client_plan(0, g, num_classes)
+
+
 def _ce(logits, labels, mask):
     logits = np.asarray(logits, dtype=np.float64)
     t = tp.Tape()
     var = t.leaf(logits, "logits")
-    return float(ce_path(var, labels, mask, logits.shape[1]).value[0, 0])
+    return float(ce_path(var, _ce_plan(labels, mask, logits.shape[1])).value[0, 0])
 
 
 def _encode(vgae, g, num_classes):
@@ -50,7 +62,7 @@ def _encode(vgae, g, num_classes):
     t = tp.Tape()
     leaves = {name: t.leaf(getattr(vgae, name), name) for name in VGAE_LEAVES}
     mu, logvar = encoder_path(leaves, encoder_input(g, num_classes))
-    gaussians = class_gaussians(class_stat_paths(mu, logvar, g))
+    gaussians = class_gaussians(class_stat_paths(mu, logvar, _plan(g, num_classes)))
     return mu.value, logvar.value, gaussians
 
 
@@ -136,7 +148,7 @@ def test_ce_gradient_matches_softmax_formula():
     mask = np.array([0, 2, 4])
     t = tp.Tape()
     var = t.leaf(logits_v, "logits")
-    loss = ce_path(var, labels, mask, 3)
+    loss = ce_path(var, _ce_plan(labels, mask, 3))
     g = tp.grad(t, loss)[var]
     # softmax minus onehot on masked rows, zero elsewhere
     want = np.zeros_like(logits_v)
@@ -153,6 +165,7 @@ def test_full_classifier_gradient_matches_finite_differences():
     gnn, _ = _params(g, order=2, hidden=5)
     powers = laplacian_powers(g, 2)
     h_stack = stack_powers(powers)
+    plan = _plan(g, 2)
     arrays = {"w": gnn.coefficients.reshape(1, -1).copy(),
               "head_w1": gnn.head_w1.copy(), "head_b1": gnn.head_b1.copy(),
               "head_w2": gnn.head_w2.copy(), "head_b2": gnn.head_b2.copy()}
@@ -161,12 +174,12 @@ def test_full_classifier_gradient_matches_finite_differences():
         t = tp.Tape()
         leaves = {k: t.leaf(v, k) for k, v in vals.items()}
         _, logits = logits_path(leaves, h_stack, g.n, g.feature_dim)
-        return float(ce_path(logits, g.labels, g.train_idx, 2).value[0, 0])
+        return float(ce_path(logits, plan).value[0, 0])
 
     t = tp.Tape()
     leaves = {k: t.leaf(v, k) for k, v in arrays.items()}
     _, logits = logits_path(leaves, h_stack, g.n, g.feature_dim)
-    loss = ce_path(logits, g.labels, g.train_idx, 2)
+    loss = ce_path(logits, plan)
     got = tp.grad(t, loss)
     want = central_diff(value, arrays)
     worst = max(rel_err(got[leaves[k]], want[k]) for k in arrays)
@@ -230,7 +243,7 @@ def test_class_stat_paths_match_numpy_recompute():
     t = tp.Tape()
     leaves = {name: t.leaf(getattr(vgae, name), name) for name in VGAE_LEAVES}
     mu, logvar = encoder_path(leaves, encoder_input(g, 3))
-    stats = class_stat_paths(mu, logvar, g)
+    stats = class_stat_paths(mu, logvar, _plan(g, 3))
     assert np.array_equal(stats.labels, np.unique(g.labels[g.train_idx]))
     assert stats.moments.shape == (stats.labels.size, 6)
     for label, count, row in zip(stats.labels, stats.counts, stats.moments.value):
@@ -250,7 +263,7 @@ def test_class_stat_paths_singleton_spread_is_exactly_zero():
     t = tp.Tape()
     leaves = {name: t.leaf(getattr(vgae, name), name) for name in VGAE_LEAVES}
     mu, logvar = encoder_path(leaves, encoder_input(g, 2))
-    moments = class_stat_paths(mu, logvar, g).moments.value
+    moments = class_stat_paths(mu, logvar, _plan(g, 2)).moments.value
     assert np.array_equal(moments[0], np.concatenate([mu.value[0], np.exp(logvar.value[0])]))
 
 
@@ -262,7 +275,7 @@ def test_class_stat_paths_without_train_rows():
     t = tp.Tape()
     leaves = {name: t.leaf(getattr(vgae, name), name) for name in VGAE_LEAVES}
     mu, logvar = encoder_path(leaves, encoder_input(g, 2))
-    stats = class_stat_paths(mu, logvar, g)
+    stats = class_stat_paths(mu, logvar, _plan(g, 2))
     assert stats.labels.size == 0 and stats.moments.shape == (0, 6)
     assert class_gaussians(stats) == ()
     reps = {0: ClassGaussian(0, np.zeros(3), np.eye(3), 1)}
@@ -307,11 +320,12 @@ def test_elbo_matches_numpy_recompute():
     g = _small_graph(n=15, c=2, d=4, seed=6)
     _, vgae = init_params(4, 2, 1, 5, 3, 5.0, stream(12, "init"))
     eps = stream(0, "eps").standard_normal((g.n, 3))
-    nonedges = sample_nonedges(g, g.edges.shape[0], stream(0, "ne"))
+    plan = _plan(g, 2)
+    nonedges = sample_nonedges(plan, g.edges.shape[0], stream(0, "ne"))
     t = tp.Tape()
     leaves = {name: t.leaf(getattr(vgae, name), name) for name in VGAE_LEAVES}
     mu, logvar = encoder_path(leaves, encoder_input(g, 2))
-    got = float(elbo_path(mu, logvar, g, eps, nonedges).value[0, 0])
+    got = float(elbo_path(mu, logvar, plan, eps, nonedges).value[0, 0])
     want = _elbo_numpy(vgae, g, eps, nonedges, 2)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -320,7 +334,8 @@ def test_elbo_gradient_matches_finite_differences():
     g = _small_graph(n=10, c=2, d=3, seed=7)
     _, vgae = init_params(3, 2, 1, 4, 2, 5.0, stream(13, "init"))
     eps = stream(1, "eps").standard_normal((g.n, 2))
-    nonedges = sample_nonedges(g, 6, stream(1, "ne"))
+    plan = _plan(g, 2)
+    nonedges = sample_nonedges(plan, 6, stream(1, "ne"))
     arrays = {name: getattr(vgae, name).copy() for name in VGAE_LEAVES}
     x_in = encoder_input(g, 2)
 
@@ -328,12 +343,12 @@ def test_elbo_gradient_matches_finite_differences():
         t = tp.Tape()
         leaves = {k: t.leaf(v, k) for k, v in vals.items()}
         mu, logvar = encoder_path(leaves, x_in)
-        return float(elbo_path(mu, logvar, g, eps, nonedges).value[0, 0])
+        return float(elbo_path(mu, logvar, plan, eps, nonedges).value[0, 0])
 
     t = tp.Tape()
     leaves = {k: t.leaf(v, k) for k, v in arrays.items()}
     mu, logvar = encoder_path(leaves, x_in)
-    loss = elbo_path(mu, logvar, g, eps, nonedges)
+    loss = elbo_path(mu, logvar, plan, eps, nonedges)
     got = tp.grad(t, loss)
     want = central_diff(value, arrays)
     worst = max(rel_err(got[leaves[k]], want[k]) for k in arrays)
@@ -342,7 +357,7 @@ def test_elbo_gradient_matches_finite_differences():
 
 def test_sample_nonedges_are_absent_pairs():
     g = _small_graph(n=12, c=2, d=3, seed=8)
-    ne = sample_nonedges(g, 10, stream(2, "ne"))
+    ne = sample_nonedges(_plan(g), 10, stream(2, "ne"))
     present = set(map(tuple, g.edges.tolist()))
     for u, v in ne.tolist():
         assert u < v
@@ -353,7 +368,7 @@ def test_sample_nonedges_are_absent_pairs():
 def test_sample_nonedges_complete_graph_empty():
     g = LocalGraph(np.eye(3), [0, 1, 0], [[0, 1], [0, 2], [1, 2]],
                    train_idx=[0], val_idx=[], test_idx=[])
-    assert sample_nonedges(g, 5, stream(0, "ne")).shape == (0, 2)
+    assert sample_nonedges(_plan(g), 5, stream(0, "ne")).shape == (0, 2)
 
 
 def _graph_from_edges(n, edges):
@@ -363,7 +378,7 @@ def _graph_from_edges(n, edges):
 
 
 def _assert_matches_pool(g, count, seed):
-    got = sample_nonedges(g, count, stream(seed, "ne"))
+    got = sample_nonedges(_plan(g, 1), count, stream(seed, "ne"))
     want = pool_draw(g, count, stream(seed, "ne"))
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
@@ -394,9 +409,9 @@ def test_sample_nonedges_matches_pool_draw_edge_cases():
     for seed in range(10):
         for g, count in cases:
             _assert_matches_pool(g, count, seed)
-    assert sample_nonedges(edgeless, 100, stream(0, "ne")).shape == (36, 2)
-    assert sample_nonedges(complete, 4, stream(0, "ne")).shape == (0, 2)
-    assert sample_nonedges(path, 0, stream(0, "ne")).shape == (0, 2)
+    assert sample_nonedges(_plan(edgeless, 1), 100, stream(0, "ne")).shape == (36, 2)
+    assert sample_nonedges(_plan(complete, 1), 4, stream(0, "ne")).shape == (0, 2)
+    assert sample_nonedges(_plan(path, 1), 0, stream(0, "ne")).shape == (0, 2)
 
 
 # --- class Gaussians ----------------------------------------------------------------

@@ -9,12 +9,11 @@ from fedssa import tape as tp
 from fedssa.errors import ConfigError, ContractError, ShapeError
 from fedssa.graphs import SynthSpec, laplacian_powers, synth_dataset
 from fedssa.linalg import qr_thin
-from fedssa.structural import (SpectralEnergy, alignment_loss_var,
-                               build_structural_map, chordal_distance,
-                               cluster_coeff_mean, coeff_perturb_bound,
-                               filter_derivative_sup,
-                               filter_lipschitz_bound, pairwise_chordal,
-                               projection_embedding, regularizer_var,
+from fedssa.structural import (SpectralEnergy, build_structural_map,
+                               chordal_distance, cluster_coeff_mean,
+                               coeff_perturb_bound, coefficient_penalty_var,
+                               filter_derivative_sup, filter_lipschitz_bound,
+                               pairwise_chordal, projection_embedding,
                                structural_cluster)
 from helpers import grid_filter_sup, rel_err, residual_chordal
 
@@ -210,18 +209,19 @@ def _coefficient_loss(build, w):
 
 
 def test_coefficient_alignment_loss_hand_value():
-    assert _coefficient_loss(lambda wv: alignment_loss_var(wv, np.array([0.5, -1.0])),
-                             [1.0, -2.0]) == pytest.approx(1.5)
-    assert _coefficient_loss(lambda wv: alignment_loss_var(wv, np.array([1.0])),
+    assert _coefficient_loss(
+        lambda wv: coefficient_penalty_var(wv, np.array([0.5, -1.0]), 0.0, 0.0),
+        [1.0, -2.0]) == pytest.approx(1.5)
+    assert _coefficient_loss(lambda wv: coefficient_penalty_var(wv, np.array([1.0]), 0.0, 0.0),
                              [1.0]) == 0.0
 
 
 def test_coefficient_regularizer_hand_value():
     w = np.array([1.0, -2.0])
-    assert _coefficient_loss(lambda wv: regularizer_var(wv, 0.1, 0.2), w) == \
+    assert _coefficient_loss(lambda wv: coefficient_penalty_var(wv, None, 0.1, 0.2), w) == \
         pytest.approx(0.1 * 3.0 + 0.1 * 5.0)
     with pytest.raises(ConfigError):
-        _coefficient_loss(lambda wv: regularizer_var(wv, -0.1, 0.0), w)
+        _coefficient_loss(lambda wv: coefficient_penalty_var(wv, None, -0.1, 0.0), w)
 
 
 def test_tape_losses_match_numeric_forms():
@@ -229,18 +229,20 @@ def test_tape_losses_match_numeric_forms():
     w_bar = np.array([0.0, -1.0, 2.5])
     t = tp.Tape()
     wv = t.leaf(w, "w")
-    align = alignment_loss_var(wv, w_bar)
-    assert float(align.value[0, 0]) == pytest.approx(
-        float(np.sum(np.abs(w.ravel() - w_bar))), rel=1e-12)
-    reg = regularizer_var(wv, 0.3, 0.7)
-    assert float(reg.value[0, 0]) == pytest.approx(
-        0.3 * float(np.sum(np.abs(w))) + 0.35 * float(np.sum(w * w)), rel=1e-12)
+    align = float(np.sum(np.abs(w.ravel() - w_bar)))
+    reg = 0.3 * float(np.sum(np.abs(w))) + 0.35 * float(np.sum(w * w))
+    assert float(coefficient_penalty_var(wv, w_bar, 0.0, 0.0).value[0, 0]) == \
+        pytest.approx(align, rel=1e-12)
+    assert float(coefficient_penalty_var(wv, None, 0.3, 0.7).value[0, 0]) == \
+        pytest.approx(reg, rel=1e-12)
+    assert float(coefficient_penalty_var(wv, w_bar, 0.3, 0.7).value[0, 0]) == \
+        pytest.approx(align + reg, rel=1e-12)
 
 
 def test_alignment_var_gradient_is_sign():
     t = tp.Tape()
     wv = t.leaf(np.array([[1.0, -1.0, 0.5]]), "w")
-    loss = alignment_loss_var(wv, np.array([0.0, 0.0, 0.5]))
+    loss = coefficient_penalty_var(wv, np.array([0.0, 0.0, 0.5]), 0.0, 0.0)
     g = tp.grad(t, loss)[wv]
     assert np.array_equal(g, np.array([[1.0, -1.0, 0.0]]))
 

@@ -28,31 +28,57 @@ def test_matmul_matches_triple_loop_oracle():
         assert rel_err(out.value, naive_matmul(a, b)) < 1e-12
 
 
+def _total(x):
+    """Sum of every entry of a tape variable, as two matmuls with constants."""
+    rows, cols = x.shape
+    return tp.matmul(tp.matmul(np.ones((1, rows)), x), np.ones((cols, 1)))
+
+
 def test_elementwise_forward_values():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((3, 4))
+    y = rng.standard_normal((3, 4))
+    eps = rng.standard_normal((3, 4))
     t = tp.Tape()
-    v = t.leaf(x, "x")
-    assert np.allclose(tp.exp(v).value, np.exp(x))
-    assert np.allclose(tp.tanh(v).value, np.tanh(x))
-    assert np.allclose(tp.square(v).value, x * x)
-    assert np.allclose(tp.absval(v).value, np.abs(x))
-    assert np.allclose(tp.sigmoid(v).value, 1.0 / (1.0 + np.exp(-x)))
-    assert np.allclose(tp.softplus(v).value, np.logaddexp(0.0, x))
-    assert np.allclose(tp.mean_rows(v).value, x.mean(axis=0, keepdims=True))
-    assert np.allclose(tp.sum_all(v).value, np.array([[x.sum()]]))
+    v, w = t.leaf(x, "x"), t.leaf(y, "y")
+    assert np.array_equal(tp.add(v, w).value, x + y)
+    assert np.array_equal(tp.clip(v, -0.5, 0.5).value, np.clip(x, -0.5, 0.5))
+    assert np.array_equal(tp.gaussian_sample(v, w, eps).value, x + np.sqrt(np.exp(y)) * eps)
 
 
-def test_take_rows_and_add_row_forward_values():
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal((4, 3))
-    b = rng.standard_normal((1, 3))
+def _ce_loop(logits, rows, labels):
+    """Mean over rows of logsumexp(logits[r]) - logits[r, label], one row at a time."""
+    total = 0.0
+    for r, label in zip(rows, labels):
+        shift = max(logits[r])
+        total += shift + np.log(sum(np.exp(v - shift) for v in logits[r])) - logits[r][label]
+    return total / len(rows)
+
+
+def test_fused_layer_ops_forward_match_unfused_chains():
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((5, 3))
+    w = rng.standard_normal((3, 4))
+    b = rng.standard_normal((1, 4))
     t = tp.Tape()
-    v = t.leaf(x, "x")
-    rows = [2, 0, 2, 3]
-    assert np.array_equal(tp.take_rows(v, rows).value, x[rows])
-    assert np.array_equal(tp.add_row(v, t.leaf(b, "b")).value, x + np.ones((4, 1)) @ b)
-    assert np.array_equal(tp.add_row(v, b).value, x + b)
+    xv, wv, bv = t.leaf(x, "x"), t.leaf(w, "w"), t.leaf(b, "b")
+    # the unfused chains: matmul, then add_row, then tanh
+    assert np.array_equal(tp.dense(xv, wv, bv).value, np.add(x @ w, b))
+    assert np.array_equal(tp.dense(x, wv, bv, tanh=True).value, np.tanh(np.add(x @ w, b)))
+    rows = np.array([4, 1, 4, 0])
+    labels = np.array([2, 0, 2, 3])
+    onehot = np.eye(4)[labels]
+    logits = 3.0 * rng.standard_normal((5, 4))
+    got = tp.softmax_ce(t.leaf(logits, "logits"), rows, onehot).value[0, 0]
+    assert got == pytest.approx(_ce_loop(logits, rows, labels), rel=1e-12)
+    coeffs = np.array([[0.5, -1.5, 0.0, 2.0]])
+    w_bar = np.array([0.5, 1.0, -0.25, 1.5])
+    wc = t.leaf(coeffs, "coeffs")
+    reg = 0.3 * np.sum(np.abs(coeffs)) + 0.35 * np.sum(coeffs ** 2)
+    assert tp.coefficient_penalty(wc, None, 0.3, 0.7).value[0, 0] == \
+        pytest.approx(reg, rel=1e-12)
+    assert tp.coefficient_penalty(wc, w_bar, 0.3, 0.7).value[0, 0] == \
+        pytest.approx(np.sum(np.abs(coeffs - w_bar)) + reg, rel=1e-12)
 
 
 def _fused_inputs(seed=16):
@@ -60,7 +86,7 @@ def _fused_inputs(seed=16):
     rng = np.random.default_rng(seed)
     mu = rng.standard_normal((7, 3))
     logvar = 0.5 * rng.standard_normal((7, 3))
-    groups = [np.array([4, 0]), np.array([2]), np.array([5, 1, 3])]
+    groups = tp.segments([np.array([4, 0]), np.array([2]), np.array([5, 1, 3])], 7)
     stats = np.concatenate([rng.standard_normal((3, 3)), 0.5 + rng.random((3, 3))], axis=1)
     covs = np.stack([random_spd(rng, 3) for _ in range(2)])
     targets = (np.array([2, 0]), rng.standard_normal((2, 3)), np.linalg.inv(covs),
@@ -75,7 +101,7 @@ def test_fused_ops_forward_match_loop_oracles():
     t = tp.Tape()
     m, lv, st = t.leaf(mu, "mu"), t.leaf(logvar, "logvar"), t.leaf(stats, "stats")
     moments = tp.segment_moments(m, lv, groups).value
-    for c, rows in enumerate(groups):
+    for c, rows in enumerate(np.split(groups.rows, groups.starts[1:])):
         mean = sum(mu[r] for r in rows) / len(rows)
         var = sum(np.exp(logvar[r]) + (mu[r] - mean) ** 2 for r in rows) / len(rows)
         assert rel_err(moments[c], np.concatenate([mean, var])) < 1e-12
@@ -98,21 +124,20 @@ def test_fused_ops_forward_match_loop_oracles():
 
 
 def test_sigmoid_is_stable_for_large_inputs():
-    t = tp.Tape()
-    v = t.leaf(np.array([[800.0, -800.0]]), "x")
-    out = tp.sigmoid(v).value
+    out = tp._sigmoid(np.array([[800.0, -800.0]]))
     assert np.all(np.isfinite(out))
     assert out[0, 0] == pytest.approx(1.0)
     assert out[0, 1] == pytest.approx(0.0)
 
 
 def test_softplus_is_stable_for_large_inputs():
+    # pair_bce's softplus(score) - y * score at scores of +800 and -800
+    root = np.sqrt(800.0)
     t = tp.Tape()
-    v = t.leaf(np.array([[800.0, -800.0]]), "x")
-    out = tp.softplus(v).value
-    assert np.all(np.isfinite(out))
-    assert out[0, 0] == pytest.approx(800.0)
-    assert out[0, 1] == pytest.approx(0.0)
+    z = t.leaf(np.array([[root], [root], [-root]]), "z")
+    loss = tp.pair_bce(z, np.array([[0, 1], [0, 2]]), np.array([0.0, 1.0]))
+    assert loss.value[0, 0] == pytest.approx(800.0)
+    assert np.all(np.isfinite(tp.grad(t, loss)[z]))
 
 
 # --- gradient battery against finite differences ------------------------------
@@ -138,58 +163,47 @@ def _grad_check(build, arrays, tol=1e-6):
 def test_grad_matmul_chain():
     rng = np.random.default_rng(2)
     arrays = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal((4, 2))}
-    _grad_check(lambda t, lv: tp.sum_all(tp.matmul(lv["a"], lv["b"])), arrays)
-
-
-def test_grad_add_mul_scale():
-    rng = np.random.default_rng(3)
-    arrays = {"a": rng.standard_normal((2, 3)), "b": rng.standard_normal((2, 3))}
-    _grad_check(
-        lambda t, lv: tp.sum_all(tp.scale(tp.mul(tp.add(lv["a"], lv["b"]), lv["a"]), 0.7)),
-        arrays)
-
-
-def test_grad_transpose_reshape():
-    rng = np.random.default_rng(4)
-    arrays = {"a": rng.standard_normal((2, 6))}
-    _grad_check(
-        lambda t, lv: tp.sum_all(tp.square(tp.reshape(tp.transpose(lv["a"]), (3, 4)))),
-        arrays)
+    _grad_check(lambda t, lv: _total(tp.matmul(lv["a"], lv["b"])), arrays)
 
 
 def test_grad_log_exp_sqrt():
+    # softmax_ce's log-sum-exp over gaussian_sample's sqrt(exp(logvar))
     rng = np.random.default_rng(5)
-    arrays = {"a": rng.standard_normal((3, 3))}
-
-    def build(t, lv):
-        pos = tp.add(tp.softplus(lv["a"]), 0.1 * np.ones((3, 3)))
-        return tp.sum_all(tp.add(tp.add(tp.log(pos), tp.sqrt(pos)),
-                                 tp.exp(tp.scale(lv["a"], 0.5))))
-
-    _grad_check(build, arrays)
+    eps = rng.standard_normal((4, 3))
+    labels = np.array([2, 0, 1, 1])
+    _grad_check(lambda t, lv: tp.softmax_ce(tp.gaussian_sample(lv["mu"], lv["logvar"], eps),
+                                            [3, 1, 0, 3], np.eye(3)[labels]),
+                {"mu": rng.standard_normal((4, 3)), "logvar": 0.5 * rng.standard_normal((4, 3))},
+                tol=1e-4)
 
 
 def test_grad_tanh_sigmoid_softplus_mean():
+    # a tanh dense layer into pair_bce, whose value is a mean of softplus
+    # terms and whose backward uses the sigmoid
     rng = np.random.default_rng(6)
-    arrays = {"a": rng.standard_normal((4, 3))}
-    _grad_check(
-        lambda t, lv: tp.sum_all(tp.mean_rows(
-            tp.mul(tp.tanh(lv["a"]), tp.sigmoid(tp.softplus(lv["a"]))))),
-        arrays)
+    pairs = np.array([[0, 1], [2, 3], [1, 3], [0, 0]])
+    y = np.array([1.0, 0.0, 1.0, 0.0])
+    _grad_check(lambda t, lv: tp.pair_bce(tp.dense(lv["a"], lv["m"], lv["b"], tanh=True),
+                                          pairs, y),
+                {"a": rng.standard_normal((4, 3)), "m": rng.standard_normal((3, 2)),
+                 "b": rng.standard_normal((1, 2))}, tol=1e-4)
 
 
 def test_grad_absval_away_from_kink():
+    # the absolute values inside coefficient_penalty, entries away from 0
+    # and from w_bar
     rng = np.random.default_rng(7)
     a = rng.standard_normal((3, 3))
     a[np.abs(a) < 0.2] = 0.5
-    _grad_check(lambda t, lv: tp.sum_all(tp.absval(lv["a"])), {"a": a})
+    w_bar = a.ravel() + np.where(rng.random(9) < 0.5, -0.3, 0.3)
+    _grad_check(lambda t, lv: tp.coefficient_penalty(lv["a"], w_bar, 0.4, 0.0), {"a": a})
 
 
 def test_grad_clip_strict_interior_and_exterior():
     a = np.array([[-2.0, -0.5, 0.3, 0.9, 2.5]])
     t = tp.Tape()
     v = t.leaf(a, "a")
-    loss = tp.sum_all(tp.clip(v, -1.0, 1.0))
+    loss = _total(tp.clip(v, -1.0, 1.0))
     g = tp.grad(t, loss)[v]
     assert np.array_equal(g, np.array([[0.0, 1.0, 1.0, 1.0, 0.0]]))
 
@@ -198,7 +212,7 @@ def test_grad_unused_leaf_is_zero():
     t = tp.Tape()
     a = t.leaf(np.ones((2, 2)), "a")
     b = t.leaf(np.ones((3, 1)), "b")
-    loss = tp.sum_all(tp.square(a))
+    loss = _total(tp.add(a, a))
     g = tp.grad(t, loss)
     assert np.array_equal(g[b], np.zeros((3, 1)))
     assert np.array_equal(g[a], 2.0 * np.ones((2, 2)))
@@ -206,7 +220,7 @@ def test_grad_unused_leaf_is_zero():
 
 def test_grad_leaf_used_twice_accumulates():
     arrays = {"a": np.array([[1.5, -0.4], [0.2, 2.0]])}
-    _grad_check(lambda t, lv: tp.sum_all(tp.mul(lv["a"], lv["a"])), arrays)
+    _grad_check(lambda t, lv: _total(tp.matmul(lv["a"], lv["a"])), arrays)
 
 
 def test_grad_constant_operand_gets_no_gradient():
@@ -215,52 +229,115 @@ def test_grad_constant_operand_gets_no_gradient():
     const = rng.standard_normal((3, 2))
     t = tp.Tape()
     v = t.leaf(a, "a")
-    loss = tp.sum_all(tp.matmul(v, const))
+    loss = _total(tp.matmul(v, const))
     g = tp.grad(t, loss)
     assert set(g.keys()) == {v}
-    want = central_diff(lambda vals: float(vals["a"] @ const @ np.ones((2, 1))
-                                           @ np.ones((1, 1))
-                                           if False else (vals["a"] @ const).sum()),
-                        {"a": a})
+    want = central_diff(lambda vals: float((vals["a"] @ const).sum()), {"a": a})
     assert rel_err(g[v], want["a"]) < 1e-6
 
 
+def _logit_layer(t, lv, rows, labels):
+    """softmax_ce over the given rows of tanh-dense logits."""
+    return tp.softmax_ce(tp.dense(lv["a"], lv["m"], np.zeros((1, 3)), tanh=True), rows,
+                         np.eye(3)[labels])
+
+
 def test_grad_take_rows_repeated_and_out_of_order():
+    # softmax_ce's row gather: repeated rows accumulate their adjoints
     rng = np.random.default_rng(12)
-    arrays = {"a": rng.standard_normal((5, 3)), "m": rng.standard_normal((3, 2))}
-    _grad_check(lambda t, lv: tp.sum_all(tp.tanh(tp.matmul(
-        tp.take_rows(lv["a"], [4, 1, 4, 0, 1, 4]), lv["m"]))), arrays)
+    arrays = {"a": rng.standard_normal((5, 3)), "m": rng.standard_normal((3, 3))}
+    _grad_check(lambda t, lv: _logit_layer(t, lv, [4, 1, 4, 0, 1, 4], [0, 2, 1, 1, 0, 2]),
+                arrays)
 
 
 def test_grad_take_rows_single_row():
     rng = np.random.default_rng(13)
-    arrays = {"a": rng.standard_normal((4, 3))}
-    _grad_check(lambda t, lv: tp.sum_all(tp.square(tp.take_rows(lv["a"], [2]))), arrays)
+    arrays = {"a": rng.standard_normal((4, 3)), "m": rng.standard_normal((3, 3))}
+    _grad_check(lambda t, lv: _logit_layer(t, lv, [2], [1]), arrays)
 
 
 def test_grad_add_row_bias():
+    # dense's bias row, with and without the tanh
     rng = np.random.default_rng(14)
-    arrays = {"a": rng.standard_normal((4, 3)), "b": rng.standard_normal((1, 3))}
-    _grad_check(lambda t, lv: tp.sum_all(tp.mul(tp.tanh(tp.add_row(lv["a"], lv["b"])),
-                                                tp.add_row(lv["a"], lv["b"]))), arrays)
+    arrays = {"a": rng.standard_normal((4, 3)), "w": rng.standard_normal((3, 2)),
+              "b": rng.standard_normal((1, 2))}
+    out = rng.standard_normal((2, 3))
+    for tanh in (True, False):
+        _grad_check(lambda t, lv: _total(tp.dense(
+            tp.dense(lv["a"], lv["w"], lv["b"], tanh=tanh), out, np.zeros((1, 3)),
+            tanh=True)), arrays, tol=1e-4)
 
 
 def test_grad_add_row_constant_sides():
+    # dense over a constant input, as the encoder reads [X | onehot(y)], and
+    # with a constant bias or weight
     rng = np.random.default_rng(15)
-    a = rng.standard_normal((4, 3))
-    b = rng.standard_normal((1, 3))
-    _grad_check(lambda t, lv: tp.sum_all(tp.square(tp.add_row(lv["a"], b))), {"a": a})
-    _grad_check(lambda t, lv: tp.sum_all(tp.square(tp.add_row(a, lv["b"]))), {"b": b})
+    x = np.concatenate([rng.standard_normal((4, 3)), np.eye(4)[:, :2]], axis=1)
+    x[2:, 3:] = 0.0
+    w = rng.standard_normal((5, 2))
+    b = rng.standard_normal((1, 2))
+    for tanh in (True, False):
+        _grad_check(lambda t, lv: _total(tp.dense(x, lv["w"], lv["b"], tanh=tanh)),
+                    {"w": w, "b": b}, tol=1e-4)
+        _grad_check(lambda t, lv: _total(tp.dense(x, lv["w"], b, tanh=tanh)), {"w": w},
+                    tol=1e-4)
+        _grad_check(lambda t, lv: _total(tp.dense(x, w, lv["b"], tanh=tanh)), {"b": b},
+                    tol=1e-4)
+
+
+def test_grad_softmax_ce():
+    rng = np.random.default_rng(24)
+    labels = np.array([3, 0, 0, 2, 1])
+    _grad_check(lambda t, lv: tp.softmax_ce(lv["logits"], [0, 2, 3, 5, 1], np.eye(4)[labels]),
+                {"logits": 2.0 * rng.standard_normal((6, 4))}, tol=1e-4)
+
+
+def test_grad_gaussian_sample():
+    rng = np.random.default_rng(25)
+    mu, logvar = rng.standard_normal((5, 3)), 0.5 * rng.standard_normal((5, 3))
+    eps = rng.standard_normal((5, 3))
+    m = rng.standard_normal((3, 2))
+    _grad_check(lambda t, lv: _total(tp.dense(tp.gaussian_sample(lv["mu"], lv["logvar"], eps),
+                                              m, np.zeros((1, 2)), tanh=True)),
+                {"mu": mu, "logvar": logvar}, tol=1e-4)
+    # constant mean: only the log-variance side is differentiated
+    _grad_check(lambda t, lv: _total(tp.dense(tp.gaussian_sample(mu, lv["logvar"], eps),
+                                              m, np.zeros((1, 2)), tanh=True)),
+                {"logvar": logvar}, tol=1e-4)
+
+
+def test_grad_coefficient_penalty():
+    rng = np.random.default_rng(26)
+    w = np.sign(rng.standard_normal((1, 5))) * (0.2 + np.abs(rng.standard_normal((1, 5))))
+    w_bar = (w + np.sign(rng.standard_normal((1, 5))) * 0.3).ravel()
+    for target in (None, w_bar):
+        _grad_check(lambda t, lv: tp.coefficient_penalty(lv["w"], target, 0.7, 1.3),
+                    {"w": w}, tol=1e-4)
+
+
+def test_coefficient_penalty_subgradient_is_zero_at_kinks():
+    # entries 0 and 2 sit exactly at w_bar, entries 1 and 2 exactly at 0
+    w = np.array([[0.5, 0.0, 0.0, -1.5]])
+    w_bar = np.array([0.5, 1.0, 0.0, 2.0])
+    lam1, lam2 = 0.3, 0.7
+    smooth = lam2 * w + lam1 * np.sign(w)
+    for target, pull in ((None, 0.0), (w_bar, np.sign(w - w_bar))):
+        t = tp.Tape()
+        v = t.leaf(w, "w")
+        g = tp.grad(t, tp.coefficient_penalty(v, target, lam1, lam2))[v]
+        assert np.allclose(g, pull + smooth, rtol=0.0, atol=1e-15)
+    assert np.array_equal(np.sign(w - w_bar)[0, [0, 2]], [0.0, 0.0])
+    assert np.array_equal(smooth[0, [1, 2]], [0.0, 0.0])
 
 
 def test_grad_segment_moments():
     mu, logvar, groups, *_ = _fused_inputs(17)
-    weights = np.random.default_rng(18).standard_normal((3, 6))
-    _grad_check(lambda t, lv: tp.sum_all(tp.mul(tp.tanh(
-        tp.segment_moments(lv["mu"], lv["logvar"], groups)), weights)),
-        {"mu": mu, "logvar": logvar}, tol=1e-4)
+    weights = np.random.default_rng(18).standard_normal((6, 2))
+    _grad_check(lambda t, lv: _total(tp.dense(
+        tp.segment_moments(lv["mu"], lv["logvar"], groups), weights, np.zeros((1, 2)),
+        tanh=True)), {"mu": mu, "logvar": logvar}, tol=1e-4)
     # constant log-variances: only the means side is differentiated
-    _grad_check(lambda t, lv: tp.sum_all(tp.mul(
+    _grad_check(lambda t, lv: _total(tp.matmul(
         tp.segment_moments(lv["mu"], logvar, groups), weights)), {"mu": mu}, tol=1e-4)
 
 
@@ -315,64 +392,79 @@ def test_constant_operand_adjoint_is_not_computed():
     g = np.ones((2, 4))
     ga, gb = tp._BACKWARD["matmul"]((a, b), {}, a @ b, g, (True, False))
     assert gb is None and np.array_equal(ga, g @ b.T)
-    ga, gb = tp._BACKWARD["mul"]((a, a), {}, a * a, np.ones((2, 3)), (False, True))
-    assert ga is None and np.array_equal(gb, a)
+    bias = np.zeros((1, 4))
+    gx, gw, gbias = tp._BACKWARD["dense"]((a, b, bias), {"tanh": False}, a @ b, g,
+                                          (False, True, False))
+    assert gx is None and gbias is None and np.array_equal(gw, a.T @ g)
 
 
-RANDOM_OPS = ("add", "mul", "tanh", "sigmoid", "softplus", "square",
-              "scale", "transpose", "exp_damped", "log_safe", "sqrt_safe",
-              "absval", "matmul_const", "take_rows", "add_row")
+RANDOM_OPS = ("add", "matmul_const", "matmul_var", "dense", "dense_tanh", "reshape",
+              "clip", "gaussian_sample", "segment_moments")
+REDUCTIONS = ("total", "softmax_ce", "prior_kl", "pair_bce", "coefficient_penalty")
 
 
 def _random_composition(rng):
-    """Random chain of 6 ops over two leaves, reduced to a scalar."""
+    """Random chain of 6 ops over three leaves, reduced to a scalar by a random loss."""
     shape = (int(rng.integers(2, 5)), int(rng.integers(2, 5)))
     a0 = rng.standard_normal(shape)
     b0 = rng.standard_normal(shape)
+    c0 = rng.standard_normal((1, shape[1]))
     ops = [RANDOM_OPS[int(rng.integers(len(RANDOM_OPS)))] for _ in range(6)]
-    consts = {i: rng.standard_normal() for i in range(6)}
+    reduction = REDUCTIONS[int(rng.integers(len(REDUCTIONS)))]
     # Row draws, reduced modulo the row count at build time; repeats and
     # out-of-order rows are the common case.
-    row_draws = {i: rng.integers(0, 1 << 30, size=int(rng.integers(1, 6))) for i in range(6)}
+    row_draws = {i: rng.integers(0, 1 << 30, size=int(rng.integers(1, 6))) for i in range(7)}
+    noise = rng.standard_normal((16, 16))
+    w_bar = rng.standard_normal(16 * 16)
     mats = {}
+
+    def const(key, rows, cols):
+        if (key, rows, cols) not in mats:
+            mats[key, rows, cols] = np.random.default_rng(100 + key).standard_normal(
+                (rows, cols)) / np.sqrt(rows)
+        return mats[key, rows, cols]
 
     def build(t, lv):
         x = lv["a"]
         other = lv["b"]
         for i, op in enumerate(ops):
+            r, c = x.shape
+            same = x.shape == other.shape
             if op == "add":
-                x = tp.add(x, other) if x.shape == other.shape else tp.tanh(x)
-            elif op == "mul":
-                x = tp.mul(x, other) if x.shape == other.shape else tp.sigmoid(x)
-            elif op == "scale":
-                x = tp.scale(x, consts[i])
-            elif op == "transpose":
-                x = tp.transpose(x)
-            elif op == "exp_damped":
-                x = tp.exp(tp.scale(tp.tanh(x), 0.5))
-            elif op == "log_safe":
-                x = tp.log(tp.add(tp.softplus(x), 0.1 * np.ones(x.shape)))
-            elif op == "sqrt_safe":
-                x = tp.sqrt(tp.add(tp.square(x), 0.1 * np.ones(x.shape)))
+                x = tp.add(x, other if same else x)
             elif op == "matmul_const":
-                key = (i, x.shape[1])
-                if key not in mats:
-                    mats[key] = np.random.default_rng(100 + i).standard_normal(
-                        (x.shape[1], x.shape[1]))
-                x = tp.matmul(x, mats[key])
-            elif op == "take_rows":
-                x = tp.take_rows(x, row_draws[i] % x.shape[0])
-            elif op == "add_row":
-                if x.shape[1] == other.shape[1]:
-                    row = tp.take_rows(other, row_draws[i][:1] % other.shape[0])
-                else:
-                    row = np.full((1, x.shape[1]), consts[i])
-                x = tp.add_row(x, row)
+                x = tp.matmul(x, const(i, c, c))
+            elif op == "matmul_var":
+                x = tp.matmul(x, other) if c == other.shape[0] else tp.matmul(const(i, r, r), x)
+            elif op in ("dense", "dense_tanh"):
+                bias = lv["c"] if c == lv["c"].shape[1] else np.zeros((1, c))
+                x = tp.dense(x, const(i, c, c), bias, tanh=op == "dense_tanh")
+            elif op == "reshape":
+                x = tp.reshape(x, (c, r))
+            elif op == "clip":
+                # bounds far outside the values: the interior branch
+                x = tp.clip(x, -50.0, 50.0)
+            elif op == "gaussian_sample":
+                logvar = other if same else np.zeros((r, c))
+                x = tp.gaussian_sample(x, logvar, noise[:r, :c])
             else:
-                x = getattr(tp, op)(x)
-        return tp.sum_all(tp.mean_rows(x))
+                rows = np.unique(row_draws[i] % r)
+                groups = tp.segments([rows[:1], rows[1:]] if rows.size > 1 else [rows], r)
+                x = tp.segment_moments(x, other if same else np.zeros((r, c)), groups)
+        r, c = x.shape
+        rows = row_draws[6] % r
+        if reduction == "softmax_ce":
+            return tp.softmax_ce(x, rows, np.eye(c)[rows % c])
+        if reduction == "prior_kl":
+            return tp.prior_kl(x, other if x.shape == other.shape else np.zeros((r, c)))
+        if reduction == "pair_bce":
+            pairs = np.column_stack([rows, rows[::-1]])
+            return tp.pair_bce(x, pairs, (np.arange(rows.size) % 2).astype(float))
+        if reduction == "coefficient_penalty":
+            return tp.coefficient_penalty(x, w_bar[:r * c] if rows.size % 2 else None, 0.5, 0.8)
+        return _total(x)
 
-    return build, {"a": a0, "b": b0}
+    return build, {"a": a0, "b": b0, "c": c0}
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -406,7 +498,7 @@ def test_finished_tape_is_freed_by_reference_counting():
     try:
         t = tp.Tape()
         a = t.leaf(np.ones((3, 2)), "a")
-        loss = tp.sum_all(tp.square(tp.add_row(a, np.ones((1, 2)))))
+        loss = _total(tp.dense(a, np.ones((2, 2)), np.ones((1, 2)), tanh=True))
         grads = tp.grad(t, loss)
         alive = weakref.ref(t)
         del t, a, loss, grads
@@ -421,7 +513,7 @@ def test_var_of_freed_tape_raises():
     a = t.leaf(np.ones((2, 2)), "a")
     del t
     with pytest.raises(ContractError):
-        tp.square(a)
+        tp.add(a, a)
 
 
 # --- error paths ----------------------------------------------------------------
@@ -443,24 +535,10 @@ def test_matmul_shape_mismatch():
         tp.matmul(a, b)
 
 
-def test_log_rejects_nonpositive():
-    t = tp.Tape()
-    a = t.leaf(np.array([[0.0, 1.0]]), "a")
-    with pytest.raises(NumericError):
-        tp.log(a)
-
-
-def test_sqrt_rejects_negative():
-    t = tp.Tape()
-    a = t.leaf(np.array([[-1e-12]]), "a")
-    with pytest.raises(NumericError):
-        tp.sqrt(a)
-
-
 def test_grad_requires_scalar_loss():
     t = tp.Tape()
     a = t.leaf(np.ones((2, 2)), "a")
-    out = tp.square(a)
+    out = tp.add(a, a)
     with pytest.raises(ShapeError):
         tp.grad(t, out)
 
@@ -469,27 +547,30 @@ def test_grad_rejects_foreign_tape():
     t1 = tp.Tape()
     t2 = tp.Tape()
     a = t1.leaf(np.ones((1, 1)), "a")
-    loss = tp.sum_all(a)
+    loss = tp.add(a, a)
     with pytest.raises(ContractError):
         tp.grad(t2, loss)
 
 
 def test_take_rows_rejects_out_of_range():
+    # softmax_ce's row gather
     t = tp.Tape()
     a = t.leaf(np.ones((3, 2)), "a")
     with pytest.raises(ShapeError):
-        tp.take_rows(a, [0, 3])
+        tp.softmax_ce(a, [0, 3], np.eye(2))
     with pytest.raises(ShapeError):
-        tp.take_rows(a, [-1])
+        tp.softmax_ce(a, [-1], np.eye(2)[:1])
 
 
 def test_add_row_rejects_non_row_bias():
+    # dense's bias row
     t = tp.Tape()
     a = t.leaf(np.ones((3, 2)), "a")
+    w = np.ones((2, 2))
     with pytest.raises(ShapeError):
-        tp.add_row(a, np.ones((3, 2)))
+        tp.dense(a, w, np.ones((3, 2)))
     with pytest.raises(ShapeError):
-        tp.add_row(a, t.leaf(np.ones((1, 3)), "b"))
+        tp.dense(a, w, t.leaf(np.ones((1, 3)), "b"))
 
 
 def test_mixing_tapes_raises():
@@ -506,15 +587,25 @@ def test_fused_ops_reject_bad_inputs():
         _fused_inputs()
     t = tp.Tape()
     m, lv = t.leaf(mu, "mu"), t.leaf(logvar, "logvar")
-    with pytest.raises(ContractError):
-        tp.segment_moments(m, lv, [np.array([0, 1]), np.array([1])])
-    with pytest.raises(ContractError):
-        tp.segment_moments(m, lv, [np.array([0]), np.array([], dtype=np.int64)])
+    with pytest.raises(ContractError, match="disjoint"):
+        tp.segments([np.array([0, 1]), np.array([1])], 7)
+    with pytest.raises(ContractError, match="nonempty"):
+        tp.segments([np.array([0]), np.array([], dtype=np.int64)], 7)
     with pytest.raises(ShapeError):
-        tp.segment_moments(m, lv, [np.array([7])])
+        tp.segments([np.array([7])], 7)
     with pytest.raises(ShapeError):
-        tp.segment_moments(m, t.leaf(logvar[:, :2], "short"), [np.array([0])])
-    assert tp.segment_moments(m, lv, []).shape == (0, 6)
+        tp.segment_moments(m, t.leaf(logvar[:, :2], "short"), tp.segments([[0]], 7))
+    with pytest.raises(ShapeError):
+        tp.segment_moments(m, lv, tp.segments([[0]], 8))
+    assert tp.segment_moments(m, lv, tp.segments([], 7)).shape == (0, 6)
+    with pytest.raises(ShapeError):
+        tp.softmax_ce(m, [], np.zeros((0, 3)))
+    with pytest.raises(ShapeError):
+        tp.softmax_ce(m, [0, 1], np.eye(3)[:1])
+    with pytest.raises(ShapeError):
+        tp.gaussian_sample(m, lv, np.zeros((7, 2)))
+    with pytest.raises(ShapeError):
+        tp.coefficient_penalty(m, np.zeros(20), 0.1, 0.1)
     with pytest.raises(ShapeError):
         tp.pair_bce(m, pairs[:0], y[:0])
     with pytest.raises(ShapeError):

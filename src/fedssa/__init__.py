@@ -12,7 +12,7 @@ from .errors import (ConfigError, ContractError, FedssaError, InfeasibleError,
                      NumericError, ProtocolError, RankError, ShapeError,
                      TrainingDivergenceError, UndefinedMetricError)
 from .federation import (ClientUpload, RoundMetrics, RunConfig, ServerBroadcast,
-                         client_round, evaluate_client, run_federation,
+                         client_round, evaluate_client,
                          run_federation_detailed, server_step)
 from .graphs import (FederationDataset, LocalGraph, SynthSpec, homophily_ratio,
                      laplacian_powers, load_dataset, load_graph,
@@ -57,9 +57,8 @@ __all__ = [
     "load_dataset", "load_graph", "measure_heterogeneity",
     "pairwise_chordal", "parse_config",
     "partition_nonoverlap", "partition_overlap", "projection_embedding",
-    "qr_thin", "rounds_to_reach", "run_federation",
-    "run_federation_detailed", "save_dataset", "save_graph",
-    "semantic_cluster",
+    "qr_thin", "rounds_to_reach", "run_federation_detailed", "save_dataset",
+    "save_graph", "semantic_cluster",
     "server_step", "spawn_key", "spectral_energy", "stratified_split",
     "stream", "structural_cluster", "synth_dataset",
     "two_regime_federation",

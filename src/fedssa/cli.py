@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one federation experiment")
     add_common(p)
     p.add_argument("--dump-distances", action="store_true",
-                   help="write per-round chordal distance matrices")
+                   help="write round 1's chordal distance matrix")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("ablate", help="run the 2x2 semantic/structural grid")

@@ -2,10 +2,12 @@
 
 One round proceeds in lockstep: every client trains E local epochs against
 the representatives it received last round, evaluates, and produces an
-upload; the server then reclusters from scratch and broadcasts fresh
-per-client representatives for the next round. Client work is keyed by
-client id, never by execution order, so permuting the schedule cannot
-change any result.
+upload; the server then clusters the class Gaussians afresh and broadcasts
+per-client representatives for the next round. Spectral-energy frames are
+fixed at setup, so they travel in round 1 only: the server groups them
+once and later rounds reuse those groups. Client work is keyed by client
+id, never by execution order, so permuting the schedule cannot change any
+result.
 
 Methods:
   fedssa  - the full protocol (semantic and structural branches can be
@@ -14,8 +16,8 @@ Methods:
   local   - isolated training; no messages exist at all.
 
 Uploads carry only statistics: filter coefficients, class-wise latent
-Gaussians, and the spectral-energy frame. Raw features, labels and edges
-never leave the client.
+Gaussians with their sample counts, and (in round 1) the spectral-energy
+frame. Raw features, labels and edges never leave the client.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .semantic import (KLTargets, SemanticClusterMap, alignment_path,
                        build_semantic_map, kl_targets)
 from .structural import (SpectralEnergy, StructuralClusterMap,
                          build_structural_map, coefficient_penalty_var,
-                         pairwise_chordal)
+                         pairwise_chordal, structural_cluster)
 from .theory import (ErrorFloorReport, HeterogeneityReport, error_floor,
                      measure_heterogeneity)
 
@@ -133,7 +135,6 @@ class ClientUpload:
     coefficients: np.ndarray
     class_gaussians: tuple
     spectral_energy: Optional[SpectralEnergy]
-    sample_counts: dict
 
 
 @dataclass(frozen=True)
@@ -218,7 +219,6 @@ def upload_payload(u: ClientUpload) -> dict:
         "class_gaussians": [_gaussian_payload(g) for g in u.class_gaussians],
         "spectral_energy": _energy_payload(u.spectral_energy)
         if u.spectral_energy is not None else None,
-        "sample_counts": {str(k): int(v) for k, v in sorted(u.sample_counts.items())},
     }
 
 
@@ -337,9 +337,9 @@ def client_round(state: ClientState, broadcast: Optional[ServerBroadcast],
     """Train E local epochs, evaluate, and build this round's upload.
 
     One evaluation forward gives the logged losses, the split metrics and
-    the upload's class Gaussians; the upload's frame is the one fixed at
-    setup. The broadcast's representatives are prepared for the alignment
-    KL once, on receipt. A representative that is not positive definite, or
+    the upload's class Gaussians; the frame fixed at setup goes into the
+    round-1 upload only. The broadcast's representatives are prepared for
+    the alignment KL once, on receipt. A representative that is not positive definite, or
     a non-finite loss or gradient, rolls parameters and optimizer state
     back to their values at round entry and raises TrainingDivergenceError.
     With epochs == 0 the parameters are untouched and the upload reflects
@@ -388,14 +388,11 @@ def client_round(state: ClientState, broadcast: Optional[ServerBroadcast],
     state.last_metrics = evaluate_client(state, parts["logits"].value)
     if cfg.method != "fedssa":
         return state, None
-    counts = dict(zip(state.plan.class_labels.tolist(),
-                      state.plan.classes.counts.tolist()))
     return state, ClientUpload(
         client_id=state.client_id,
         coefficients=state.gnn.coefficients.copy(),
         class_gaussians=class_gaussians(parts["stats"]) if cfg.semantic else (),
-        spectral_energy=state.energy,
-        sample_counts=counts,
+        spectral_energy=state.energy if round_index == 1 else None,
     )
 
 
@@ -419,8 +416,13 @@ def evaluate_client(state: ClientState, logits: np.ndarray) -> dict:
 
 
 def server_step(uploads, k_node: int, k_struct: int, seed: int,
-                expected_clients=None) -> ServerRound:
-    """Cluster this round's uploads and assemble per-client broadcasts."""
+                expected_clients=None, structure: Optional[dict] = None) -> ServerRound:
+    """Cluster this round's uploads and assemble per-client broadcasts.
+
+    Uploads that carry frames are grouped by k-means, and only then is their
+    chordal distance matrix returned. Frameless uploads keep `structure`, an
+    earlier round's {client_id: cluster}; every clustered client must upload.
+    """
     if isinstance(uploads, dict):
         upload_list = [uploads[cid] for cid in sorted(uploads)]
     else:
@@ -430,10 +432,9 @@ def server_step(uploads, k_node: int, k_struct: int, seed: int,
         if u.client_id in by_id:
             raise ProtocolError(f"duplicate upload from client {u.client_id}")
         by_id[u.client_id] = u
-    if expected_clients is not None:
-        missing = sorted(set(expected_clients) - set(by_id))
-        if missing:
-            raise ProtocolError(f"missing upload from client {missing[0]}")
+    missing = sorted(set(expected_clients or ()).union(structure or ()) - set(by_id))
+    if missing:
+        raise ProtocolError(f"missing upload from client {missing[0]}")
     if not by_id:
         raise ProtocolError("server_step received no uploads")
     lengths = {u.coefficients.size for u in by_id.values()}
@@ -448,11 +449,12 @@ def server_step(uploads, k_node: int, k_struct: int, seed: int,
     distance_ids: tuple = ()
     distance_matrix = None
     if energies:
-        coefficients = {u.client_id: u.coefficients for u in by_id.values()
-                        if u.spectral_energy is not None}
-        structural_map = build_structural_map(energies, coefficients, k_struct, seed)
+        structure = structural_cluster(energies, k_struct, seed)
         ids, distance_matrix = pairwise_chordal(energies)
         distance_ids = tuple(ids)
+    if structure is not None:
+        structural_map = build_structural_map(
+            structure, {cid: by_id[cid].coefficients for cid in structure})
     broadcasts = {}
     for cid in sorted(by_id):
         reps = {}
@@ -519,6 +521,8 @@ def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig, seed: in
                                 gnn0.copy(), vgae0.copy())
               for i, g in enumerate(dataset.clients)]
     broadcasts: dict = {}
+    structure = None  # round 1's structural clusters, kept for the run
+    chordal = None  # round 1's (ids, chordal distance matrix)
     history: list[RoundMetrics] = []
     for round_index in range(1, cfg.rounds + 1):
         t_start = time.perf_counter()
@@ -538,17 +542,18 @@ def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig, seed: in
         if cfg.method == "fedssa":
             server = server_step(uploads, cfg.k_node, cfg.k_struct,
                                  spawn_key(seed, "server", round_index),
-                                 expected_clients=range(m))
+                                 expected_clients=range(m), structure=structure)
             broadcasts = server.broadcasts
+            if server.distance_matrix is not None:
+                chordal = (server.distance_ids, server.distance_matrix)
+                structure = server.structural_map.assignments
             for cid, up in uploads.items():
                 bytes_up[cid] = payload_nbytes(upload_payload(up))
             for cid, bc in broadcasts.items():
                 bytes_down[cid] = payload_nbytes(broadcast_payload(bc))
             heterogeneity = measure_heterogeneity(
                 {cid: up.class_gaussians for cid, up in uploads.items()},
-                [up.spectral_energy for up in uploads.values()
-                 if up.spectral_energy is not None],
-                server.semantic_map, server.structural_map)
+                chordal, server.semantic_map, server.structural_map)
             floor = error_floor(heterogeneity, cfg.order, cfg.lambda1, cfg.lambda2)
             if dump_distances:
                 distance_ids = server.distance_ids
@@ -584,10 +589,3 @@ def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig, seed: in
             floor=floor, distance_ids=distance_ids, distance_matrix=distance_matrix,
             wall_ms=(time.perf_counter() - t_start) * 1e3))
     return FederationResult(history=history, states=states)
-
-
-def run_federation(dataset: FederationDataset, cfg: RunConfig, seed: int,
-                   client_order=None, dump_distances: bool = False) -> list:
-    """Run T synchronous rounds and return the per-round metrics list."""
-    return run_federation_detailed(dataset, cfg, seed, client_order=client_order,
-                                   dump_distances=dump_distances).history

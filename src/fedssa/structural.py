@@ -8,6 +8,8 @@ subspace on the Stiefel manifold. Clients are compared (chordal distance)
 and grouped (k-means) on the Grassmann projection embedding Q Q^T, whose
 Euclidean distance is sqrt(2) times the chordal distance between the
 subspaces and which is invariant to the basis chosen for each frame.
+Because the frames are fixed, the server groups them once per run; every
+later round only averages coefficients within those groups.
 
 Locally, one tape node (`coefficient_penalty_var`) holds the coefficient
 loss: the L1 pull toward the cluster's mean coefficients, when a broadcast
@@ -133,10 +135,8 @@ def cluster_coeff_mean(coefficients: list) -> np.ndarray:
     return np.mean(np.stack(arrs), axis=0)
 
 
-def build_structural_map(energies: list, coefficients: dict, k_struct: int,
-                         seed: int) -> StructuralClusterMap:
-    """Cluster clients and average coefficients within each cluster."""
-    assignments = structural_cluster(energies, k_struct, seed)
+def build_structural_map(assignments: dict, coefficients: dict) -> StructuralClusterMap:
+    """Average the coefficients of each cluster of a fixed assignment."""
     mean_coeffs = {}
     for cluster in sorted(set(assignments.values())):
         members = [cid for cid in sorted(assignments) if assignments[cid] == cluster]

@@ -19,7 +19,7 @@ from .errors import ConfigError, ContractError
 from .linalg import pairwise_distances
 from .models import ClassGaussian
 from .semantic import SemanticClusterMap, gaussian_kl
-from .structural import StructuralClusterMap, pairwise_chordal
+from .structural import StructuralClusterMap
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,14 @@ def _spreads(gaussians: list) -> tuple[float, float]:
     return float(delta_mu), float(delta_sigma)
 
 
-def measure_heterogeneity(class_gaussians: dict, energies: list,
+def measure_heterogeneity(class_gaussians: dict, chordal: tuple | None,
                           semantic_map: SemanticClusterMap | None,
                           structural_map: StructuralClusterMap | None) -> HeterogeneityReport:
     """Summarize divergences per cluster and over the whole federation.
 
     class_gaussians maps client id to that client's ClassGaussian list;
-    energies is the list of uploaded spectral summaries. The global_*
+    chordal is the (ids, matrix) pair of `pairwise_chordal` over the
+    clients' frames, or None without a structural branch. The global_*
     fields ignore cluster structure (max over all holder pairs), which is
     the baseline the clustered values are compared against.
     """
@@ -95,16 +96,16 @@ def measure_heterogeneity(class_gaussians: dict, energies: list,
                 semantic_stats.append(SemanticClusterStats(
                     label=int(label), cluster=int(cluster), size=len(members),
                     delta_mu=delta_mu, delta_sigma=delta_sigma, sigma_min_sq=sig))
-    ids, chordal = pairwise_chordal(energies)
+    ids, matrix = chordal if chordal is not None else ((), np.zeros((0, 0)))
     structural_stats = []
-    if structural_map is not None and energies:
+    if structural_map is not None and chordal is not None:
         row = {cid: i for i, cid in enumerate(ids)}
         for cluster in sorted(set(structural_map.assignments.values())):
             rows = [row[cid] for cid in sorted(structural_map.assignments)
                     if structural_map.assignments[cid] == cluster]
             structural_stats.append(StructuralClusterStats(
                 cluster=int(cluster), size=len(rows),
-                eps_u=float(chordal[np.ix_(rows, rows)].max())))
+                eps_u=float(matrix[np.ix_(rows, rows)].max())))
     global_spreads = [_spreads(list(by_class[label].values())) for label in sorted(by_class)]
     return HeterogeneityReport(
         semantic=tuple(semantic_stats),
@@ -115,7 +116,7 @@ def measure_heterogeneity(class_gaussians: dict, energies: list,
         worst_eps_u=max((s.eps_u for s in structural_stats), default=0.0),
         global_delta_mu=max((mu for mu, _ in global_spreads), default=0.0),
         global_delta_sigma=max((sigma for _, sigma in global_spreads), default=0.0),
-        global_eps_u=float(chordal.max(initial=0.0)),
+        global_eps_u=float(matrix.max(initial=0.0)),
     )
 
 
@@ -151,11 +152,6 @@ class ErrorFloorReport:
         object.__setattr__(self, "structural_term", structural)
         object.__setattr__(self, "reg_term", reg)
         object.__setattr__(self, "total", semantic + structural + reg)
-
-    def recompute(self) -> float:
-        return (self.c1 * (self.delta_mu + self.delta_mu ** 2 + self.delta_sigma)
-                + self.c2 * (self.order + 1) * self.eps_u
-                + self.lambda1 * self.c3 + self.lambda2 * self.c4)
 
 
 def error_floor(report: HeterogeneityReport, order: int, lambda1: float, lambda2: float,

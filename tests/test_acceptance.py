@@ -16,7 +16,7 @@ import yaml
 import fedssa.tape as tp
 from fedssa.cli import main
 from fedssa.config import two_regime_federation
-from fedssa.federation import RunConfig, run_federation
+from fedssa.federation import RunConfig, run_federation_detailed
 from fedssa.graphs import (SynthSpec, laplacian_powers, partition_nonoverlap,
                            partition_overlap, synth_dataset)
 from fedssa.linalg import qr_thin
@@ -346,7 +346,7 @@ def _ordering_cell(seed, method, semantic=True, structural=True):
                     k_struct=2, lambda1=1e-3, lambda2=1e-3, lr=0.15,
                     latent_dim=8, hidden=16, semantic=semantic,
                     structural=structural)
-    return run_federation(dataset, cfg, seed)
+    return run_federation_detailed(dataset, cfg, seed).history
 
 
 @pytest.mark.slow

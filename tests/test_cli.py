@@ -114,11 +114,12 @@ def test_run_dump_distances(tmp_path):
     out = tmp_path / "out"
     code = main(["run", "--config", cfg, "--out", str(out), "--dump-distances"])
     assert code == 0
-    for r in (1, 2):
-        header, rows = _read_rows(out / "distances" / f"distances_r{r:04d}.csv")
-        assert header == ["client", "0", "1"]
-        assert len(rows) == 2
-        assert float(rows[0][1]) == 0.0  # zero diagonal
+    # the frames travel in round 1 only, so one matrix covers the run
+    assert sorted(p.name for p in (out / "distances").iterdir()) == ["distances_r0001.csv"]
+    header, rows = _read_rows(out / "distances" / "distances_r0001.csv")
+    assert header == ["client", "0", "1"]
+    assert len(rows) == 2
+    assert float(rows[0][1]) == 0.0  # zero diagonal
 
 
 def test_run_uses_config_out_dir_by_default(tmp_path):

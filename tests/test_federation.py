@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 
 from fedssa import federation
-from fedssa.config import two_regime_federation
+from fedssa.config import build_dataset, parse_config, two_regime_federation
 from fedssa.errors import (ConfigError, ContractError, ProtocolError,
                            ShapeError, TrainingDivergenceError)
 from fedssa.federation import (ClientUpload, RunConfig, _loss_parts, client_round,
-                               init_client_state, run_federation,
-                               run_federation_detailed, server_step,
-                               upload_payload)
+                               init_client_state, run_federation_detailed,
+                               server_step, upload_payload)
 from fedssa.graphs import (FederationDataset, LocalGraph, SynthSpec,
                            stratified_split, synth_dataset)
 from fedssa.linalg import qr_thin
@@ -186,22 +185,22 @@ def test_rerun_is_bit_reproducible():
 
 def test_client_order_cannot_change_results():
     ds = _tiny_dataset()
-    fwd = run_federation(ds, _tiny_cfg(), seed=3, client_order=[0, 1, 2])
-    rev = run_federation(ds, _tiny_cfg(), seed=3, client_order=[2, 1, 0])
-    assert _signatures(fwd) == _signatures(rev)
+    fwd = run_federation_detailed(ds, _tiny_cfg(), seed=3, client_order=[0, 1, 2])
+    rev = run_federation_detailed(ds, _tiny_cfg(), seed=3, client_order=[2, 1, 0])
+    assert _signatures(fwd.history) == _signatures(rev.history)
 
 
 def test_seed_changes_results():
     ds = _tiny_dataset()
-    a = run_federation(ds, _tiny_cfg(), seed=1)
-    b = run_federation(ds, _tiny_cfg(), seed=2)
+    a = run_federation_detailed(ds, _tiny_cfg(), seed=1).history
+    b = run_federation_detailed(ds, _tiny_cfg(), seed=2).history
     assert _signatures(a) != _signatures(b)
 
 
 def test_bad_client_order_rejected():
     ds = _tiny_dataset()
     with pytest.raises(ContractError):
-        run_federation(ds, _tiny_cfg(), seed=0, client_order=[0, 0, 1])
+        run_federation_detailed(ds, _tiny_cfg(), seed=0, client_order=[0, 0, 1])
 
 
 def test_zero_epochs_leaves_parameters_untouched():
@@ -217,7 +216,7 @@ def test_zero_epochs_leaves_parameters_untouched():
 
 def test_history_shape_and_round_indexing():
     ds = _tiny_dataset()
-    history = run_federation(ds, _tiny_cfg(rounds=3), seed=0)
+    history = run_federation_detailed(ds, _tiny_cfg(rounds=3), seed=0).history
     assert [r.round_index for r in history] == [1, 2, 3]
     for r in history:
         assert sorted(r.per_client) == [0, 1, 2]
@@ -229,14 +228,16 @@ def test_history_shape_and_round_indexing():
 def test_order_too_high_for_feature_dim_rejected():
     ds = _tiny_dataset()
     with pytest.raises(ConfigError):
-        run_federation(ds, _tiny_cfg(order=DIM), seed=0)
+        run_federation_detailed(ds, _tiny_cfg(order=DIM), seed=0)
 
 
 def test_distance_dump_only_on_request():
     ds = _tiny_dataset()
-    plain = run_federation(ds, _tiny_cfg(rounds=1), seed=0)
-    dumped = run_federation(ds, _tiny_cfg(rounds=1), seed=0, dump_distances=True)
-    assert plain[0].distance_matrix is None
+    plain = run_federation_detailed(ds, _tiny_cfg(), seed=0).history
+    dumped = run_federation_detailed(ds, _tiny_cfg(), seed=0, dump_distances=True).history
+    assert all(r.distance_matrix is None for r in plain)
+    # the frames travel once, so only round 1 has a matrix to dump
+    assert dumped[1].distance_matrix is None and dumped[1].distance_ids == ()
     mat = dumped[0].distance_matrix
     assert dumped[0].distance_ids == (0, 1, 2)
     assert mat.shape == (3, 3)
@@ -254,7 +255,7 @@ def test_upload_carries_only_statistics():
     state, upload = client_round(state, None, cfg, seed=0, round_index=1)
     field_names = {f.name for f in dataclasses.fields(ClientUpload)}
     assert field_names == {"client_id", "coefficients", "class_gaussians",
-                           "spectral_energy", "sample_counts"}
+                           "spectral_energy"}
     payload = upload_payload(upload)
     assert set(payload) == field_names
     blob = json.dumps(payload)
@@ -265,7 +266,7 @@ def test_upload_carries_only_statistics():
     for g in upload.class_gaussians:
         assert g.mean.shape == (cfg.latent_dim,)
     assert upload.spectral_energy.q.shape == (DIM, cfg.order + 1)
-    assert sum(upload.sample_counts.values()) == ds.clients[0].train_idx.size
+    assert sum(g.count for g in upload.class_gaussians) == ds.clients[0].train_idx.size
 
 
 def test_local_and_fedavg_clients_never_build_uploads():
@@ -293,9 +294,9 @@ def test_ablated_uploads_shrink():
 
 def test_byte_accounting_by_method():
     ds = _tiny_dataset()
-    fedssa = run_federation(ds, _tiny_cfg(rounds=1), seed=0)[0]
-    local = run_federation(ds, _tiny_cfg(method="local", rounds=1), seed=0)[0]
-    fedavg = run_federation(ds, _tiny_cfg(method="fedavg", rounds=1), seed=0)[0]
+    fedssa, local, fedavg = (
+        run_federation_detailed(ds, _tiny_cfg(method=method, rounds=1), seed=0).history[0]
+        for method in ("fedssa", "local", "fedavg"))
     for cid in range(3):
         assert fedssa.per_client[cid].bytes_up > 0
         assert fedssa.per_client[cid].bytes_down > 0
@@ -309,19 +310,53 @@ def test_byte_accounting_by_method():
 # --- spectral-energy frames -------------------------------------------------------
 
 
-@pytest.mark.parametrize("epochs", [0, 1])
-def test_upload_frame_is_identical_in_every_round(monkeypatch, epochs):
-    frames = []
+# The many-clients benchmark workload at seed 0 for 3 rounds: 100 overlapping
+# 75-node clients whose bit-identical frames k-means split differently in
+# every round while the server reclustered them with each round's seed.
+MANY_CLIENTS = {
+    "seed": 0, "method": "fedssa",
+    "dataset": {"kind": "synthetic", "nodes": 3000, "classes": 4, "features": 24,
+                "p_intra": 0.02, "p_inter": 0.002, "mean_scale": 2.0, "noise": 1.0},
+    "partition": {"scheme": "overlap", "clients": 100},
+    "hyperparams": {"T": 3, "E": 2, "K": 3, "k_node": 2, "k_struct": 2,
+                    "lambda1": 1e-3, "lambda2": 1e-3, "lr": 0.15, "d_z": 8, "h": 16},
+}
+
+
+def test_frames_travel_once_and_structural_clusters_stay_fixed(monkeypatch):
+    cfg = parse_config(MANY_CLIENTS)
+    rounds = []
     step = federation.server_step
 
     def recording_step(uploads, *args, **kwargs):
-        frames.append({cid: u.spectral_energy.q.tobytes() for cid, u in uploads.items()})
-        return step(uploads, *args, **kwargs)
+        out = step(uploads, *args, **kwargs)
+        rounds.append((dict(uploads), out))
+        return out
 
+    calls = []
+
+    def counted(name):
+        real = getattr(federation, name)
+
+        def counting(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(federation, name, counting)
+
+    counted("structural_cluster")
+    counted("pairwise_chordal")
     monkeypatch.setattr(federation, "server_step", recording_step)
-    run_federation(_tiny_dataset(), _tiny_cfg(rounds=4, epochs=epochs), seed=2)
-    assert len(frames) == 4
-    assert all(f == frames[0] for f in frames)
+    run_federation_detailed(build_dataset(cfg, cfg.seed), cfg.run, cfg.seed)
+    assert len(rounds) == 3
+    assert calls == ["structural_cluster", "pairwise_chordal"]
+    first = rounds[0][1].structural_map.assignments
+    assert sorted(first) == list(range(100)) and len(set(first.values())) == 2
+    for index, (uploads, server) in enumerate(rounds, start=1):
+        framed = {cid for cid, u in uploads.items() if u.spectral_energy is not None}
+        assert framed == (set(uploads) if index == 1 else set())
+        assert (server.distance_matrix is not None) == (index == 1)
+        assert server.structural_map.assignments == first
 
 
 def _edgeless_client(seed):
@@ -343,10 +378,10 @@ def test_rank_deficient_client_rejected_at_run_start(odd_client):
     ds = FederationDataset(clients=good + (odd_client(7),), num_classes=2,
                            feature_dim=DIM, task="multiclass")
     with pytest.raises(ConfigError, match=r"client 2 .*structural: false.*lower order"):
-        run_federation(ds, _tiny_cfg(), seed=0)
+        run_federation_detailed(ds, _tiny_cfg(), seed=0)
     # the frame is the only use of the rank, so either remedy lets the run go on
-    assert len(run_federation(ds, _tiny_cfg(structural=False), seed=0)) == 2
-    assert len(run_federation(ds, _tiny_cfg(order=0), seed=0)) == 2
+    for cfg in (_tiny_cfg(structural=False), _tiny_cfg(order=0)):
+        assert len(run_federation_detailed(ds, cfg, seed=0).history) == 2
 
 
 # --- fedavg fixed point ---------------------------------------------------------
@@ -441,7 +476,7 @@ def test_indefinite_representative_rolls_back():
 def test_divergence_propagates_from_run_federation():
     ds = _tiny_dataset(num_clients=1)
     with pytest.raises(TrainingDivergenceError):
-        run_federation(ds, _tiny_cfg(method="local", epochs=2, lr=1e200), seed=0)
+        run_federation_detailed(ds, _tiny_cfg(method="local", epochs=2, lr=1e200), seed=0)
 
 
 # --- server protocol ------------------------------------------------------------
@@ -465,8 +500,7 @@ def _hand_uploads(seed=0):
         w = (w_a if cid < 2 else w_b) + 0.01 * cid
         uploads.append(ClientUpload(client_id=cid, coefficients=w,
                                     class_gaussians=(),
-                                    spectral_energy=SpectralEnergy(cid, _frame(rng, base)),
-                                    sample_counts={}))
+                                    spectral_energy=SpectralEnergy(cid, _frame(rng, base))))
     return uploads
 
 
@@ -486,8 +520,8 @@ def test_server_recovers_semantic_groups():
     def gaussians(center):
         return (ClassGaussian(0, np.full(3, center), 0.05 * np.eye(3), 10),)
 
-    uploads = [ClientUpload(cid, np.ones(4), gaussians(-50.0 if cid < 2 else 50.0),
-                            None, {0: 10}) for cid in range(4)]
+    uploads = [ClientUpload(cid, np.ones(4), gaussians(-50.0 if cid < 2 else 50.0), None)
+               for cid in range(4)]
     server = server_step(uploads, k_node=2, k_struct=2, seed=0)
     assert server.structural_map is None
     reps = {cid: server.broadcasts[cid].class_representatives[0] for cid in range(4)}
@@ -495,6 +529,22 @@ def test_server_recovers_semantic_groups():
     assert np.allclose(reps[2].mean, reps[3].mean)
     assert abs(reps[0].mean[0] - (-50.0)) < 1.0
     assert abs(reps[2].mean[0] - 50.0) < 1.0
+
+
+def test_server_step_keeps_given_clusters_for_frameless_uploads():
+    framed = _hand_uploads()
+    frameless = [dataclasses.replace(u, spectral_energy=None) for u in framed]
+    structure = {0: 1, 1: 0, 2: 1, 3: 0}  # not the regimes the frames hold
+    server = server_step(frameless, k_node=2, k_struct=2, seed=0, structure=structure)
+    assert server.structural_map.assignments == structure
+    assert server.distance_matrix is None and server.distance_ids == ()
+    for cid in range(4):
+        members = [c for c in sorted(structure) if structure[c] == structure[cid]]
+        want = np.mean([framed[c].coefficients for c in members], axis=0)
+        assert np.allclose(server.broadcasts[cid].cluster_coefficients, want)
+    with pytest.raises(ProtocolError, match="missing upload from client 3"):
+        server_step(frameless[:3], 2, 2, 0, structure=structure)
+    assert server_step(frameless, 2, 2, 0).structural_map is None
 
 
 def test_server_step_returns_broadcast_dict():
@@ -511,7 +561,7 @@ def test_server_protocol_errors():
         server_step(uploads + [uploads[0]], 2, 2, 0)
     with pytest.raises(ProtocolError):
         server_step([], 2, 2, 0)
-    short = ClientUpload(9, np.ones(3), (), None, {})
+    short = ClientUpload(9, np.ones(3), (), None)
     with pytest.raises(ShapeError, match="lengths differ"):
         server_step(uploads + [short], 2, 2, 0)
 
@@ -542,7 +592,7 @@ def test_run_config_validation():
 
 def test_binary_auc_task_runs():
     ds = _tiny_dataset(task="binary-auc")
-    history = run_federation(ds, _tiny_cfg(rounds=1), seed=0)
+    history = run_federation_detailed(ds, _tiny_cfg(rounds=1), seed=0).history
     val = history[0].mean_val_metric
     assert np.isnan(val) or 0.0 <= val <= 1.0
     assert 0.0 <= history[0].mean_train_metric <= 1.0

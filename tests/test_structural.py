@@ -184,7 +184,7 @@ def test_build_structural_map_mean_coefficients():
     rng = np.random.default_rng(9)
     energies = _planted_energies(rng, per_group=3)
     coeffs = {cid: np.full(4, float(cid)) for cid in range(6)}
-    smap = build_structural_map(energies, coeffs, 2, seed=1)
+    smap = build_structural_map(structural_cluster(energies, 2, 1), coeffs)
     for cluster, members in ((smap.cluster_of(0), [0, 1, 2]),
                              (smap.cluster_of(3), [3, 4, 5])):
         want = np.mean([coeffs[c] for c in members], axis=0)

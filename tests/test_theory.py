@@ -12,7 +12,7 @@ from fedssa.models import ClassGaussian
 from fedssa.semantic import (SemanticClusterMap, build_semantic_map, cluster_moments,
                              gmm_of_cluster)
 from fedssa.structural import (SpectralEnergy, StructuralClusterMap, build_structural_map,
-                               chordal_distance)
+                               chordal_distance, pairwise_chordal, structural_cluster)
 from fedssa.theory import (ErrorFloorReport, contraction_simulate, error_floor,
                            kl_bound_audit, measure_heterogeneity,
                            rounds_to_reach)
@@ -40,7 +40,6 @@ def test_error_floor_full_decomposition():
     assert rep.reg_term == pytest.approx(0.3)
     assert rep.total == pytest.approx(rep.semantic_term + rep.structural_term
                                       + rep.reg_term)
-    assert rep.recompute() == pytest.approx(rep.total)
 
 
 def test_error_floor_monotone_in_divergence():
@@ -231,9 +230,9 @@ def test_measure_heterogeneity_end_to_end():
     energies = [_frame(cid, (base_a if cid < 2 else base_b)
                        + 1e-3 * rng.standard_normal((6, 2))) for cid in range(4)]
     smap = build_semantic_map(class_gaussians, 2, seed=0)
-    stmap = build_structural_map(energies,
-                                 {cid: np.ones(2) for cid in range(4)}, 2, seed=0)
-    report = measure_heterogeneity(class_gaussians, energies, smap, stmap)
+    stmap = build_structural_map(structural_cluster(energies, 2, seed=0),
+                                 {cid: np.ones(2) for cid in range(4)})
+    report = measure_heterogeneity(class_gaussians, pairwise_chordal(energies), smap, stmap)
     # clustered spreads are tiny, global spreads are huge
     assert report.worst_delta_mu < 0.1
     assert report.global_delta_mu > 10.0
@@ -249,7 +248,7 @@ def test_measure_heterogeneity_end_to_end():
 def test_measure_heterogeneity_without_maps():
     class_gaussians = {0: [ClassGaussian(0, np.zeros(2), np.eye(2), 1)],
                        1: [ClassGaussian(0, np.ones(2), np.eye(2), 1)]}
-    report = measure_heterogeneity(class_gaussians, [], None, None)
+    report = measure_heterogeneity(class_gaussians, None, None, None)
     assert report.semantic == ()
     assert report.structural == ()
     assert np.isnan(report.sigma_min_sq)
@@ -261,7 +260,7 @@ def test_error_floor_from_report():
     class_gaussians = {0: [ClassGaussian(0, np.zeros(2), np.eye(2), 1)],
                        1: [ClassGaussian(0, np.ones(2), np.eye(2), 1)]}
     smap = build_semantic_map(class_gaussians, 1, seed=0)
-    report = measure_heterogeneity(class_gaussians, [], smap, None)
+    report = measure_heterogeneity(class_gaussians, None, smap, None)
     floor = error_floor(report, order=2, lambda1=0.01, lambda2=0.02)
     assert floor.delta_mu == pytest.approx(report.worst_delta_mu)
     assert floor.total == pytest.approx(floor.semantic_term + floor.reg_term)
@@ -304,7 +303,7 @@ def test_heterogeneity_and_kl_audit_match_pair_loops(m):
              for lab, by_client in sem_assign.items() for c in set(by_client.values())}
     reps = {key: cluster_moments(gmm_of_cluster(members)) for key, members in cells.items()}
     struct_assign = clusters(list(range(m)))
-    report = measure_heterogeneity(class_gaussians, energies,
+    report = measure_heterogeneity(class_gaussians, pairwise_chordal(energies),
                                    SemanticClusterMap(sem_assign, reps),
                                    StructuralClusterMap(struct_assign, {}))
 

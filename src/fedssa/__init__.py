@@ -20,8 +20,7 @@ from .graphs import (FederationDataset, LocalGraph, SynthSpec, homophily_ratio,
                      save_graph, stratified_split, synth_dataset)
 from .linalg import qr_thin
 from .metrics import accuracy, auc
-from .models import (ClassGaussian, SpectralGNNParams, VGAEParams, init_params,
-                     spectral_energy)
+from .models import ClassGaussian, init_params, spectral_energy
 from .rng import spawn_key, stream
 from .semantic import (GaussianMixture, SemanticClusterMap, cluster_moments,
                        gaussian_kl, gmm_of_cluster, build_semantic_map,
@@ -44,9 +43,9 @@ __all__ = [
     "InfeasibleError", "KLAudit", "LocalGraph", "NumericError",
     "PartitionSpec", "ProtocolError", "RankError", "RoundMetrics",
     "RunConfig", "SemanticClusterMap", "ServerBroadcast", "ShapeError",
-    "SpectralEnergy", "SpectralGNNParams", "StructuralClusterMap",
+    "SpectralEnergy", "StructuralClusterMap",
     "SynthSpec", "Tape", "TrainingDivergenceError",
-    "UndefinedMetricError", "VGAEParams", "Var", "accuracy", "auc",
+    "UndefinedMetricError", "Var", "accuracy", "auc",
     "build_dataset", "build_global_graph", "build_semantic_map",
     "build_structural_map", "chordal_distance", "client_round",
     "cluster_moments", "coeff_perturb_bound", "contraction_simulate",

@@ -26,7 +26,7 @@ import numpy as np
 from .config import ExperimentConfig, build_dataset, load_config, synth_spec_from
 from .errors import ConfigError, FedssaError, InfeasibleError, TrainingDivergenceError
 from .federation import RunConfig, params_payload, run_federation_detailed
-from .graphs import save_dataset, save_graph, synth_dataset
+from .graphs import dump_json, save_dataset, save_graph, synth_dataset
 from .theory import contraction_simulate, rounds_to_reach
 
 METRICS_HEADER = ("round", "client", "ce", "vgae", "node", "struct",
@@ -66,9 +66,7 @@ def write_run_artifacts(out_dir: Path, history, states, seed: int,
     for rm in history:
         for cid in sorted(rm.per_client):
             s = rm.per_client[cid]
-            rows.append((rm.round_index, cid, s.ce, s.vgae, s.node, s.struct,
-                         s.train_metric, s.val_metric, s.test_metric,
-                         s.bytes_up, s.bytes_down))
+            rows.append((rm.round_index, cid) + s.as_tuple())
             total_up += s.bytes_up
             total_down += s.bytes_down
     _write_csv(out_dir / "metrics.csv", METRICS_HEADER, rows)
@@ -104,11 +102,10 @@ def write_run_artifacts(out_dir: Path, history, states, seed: int,
     checkpoint = {
         "seed": seed,
         "rounds_completed": len(history),
-        "clients": [dict(params_payload(st.gnn, st.vgae), client_id=st.client_id)
+        "clients": [dict(params_payload(st.params, run_cfg.w_max), client_id=st.client_id)
                     for st in states],
     }
-    (out_dir / "checkpoint.json").write_text(
-        json.dumps(checkpoint, sort_keys=True, separators=(",", ":")) + "\n")
+    dump_json(checkpoint, out_dir / "checkpoint.json")
 
     best_round = None
     if history:
@@ -132,8 +129,7 @@ def write_run_artifacts(out_dir: Path, history, states, seed: int,
         "total_bytes_up": total_up,
         "total_bytes_down": total_down,
     }
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n")
+    dump_json(summary, out_dir / "summary.json")
     return summary
 
 
@@ -219,7 +215,7 @@ def cmd_diagnose(args) -> int:
         "schedule_rounds": {repr(k): v for k, v in schedule.items()},
     }
     out = run_dir / "diagnose.json"
-    out.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    dump_json(payload, out)
     print(f"rho={result.rho} fixed_point={result.fixed_point} floor={floor}")
     for xi, t in schedule.items():
         print(f"rounds to reach {xi}: {t}")

@@ -12,7 +12,8 @@ result.
 Methods:
   fedssa  - the full protocol (semantic and structural branches can be
             ablated independently; uploads shrink accordingly).
-  fedavg  - uniform averaging of all parameters every round.
+  fedavg  - uniform averaging, every round, of each array in the clients'
+            parameter dicts (models.init_params names them).
   local   - isolated training; no messages exist at all.
 
 Uploads carry only statistics: filter coefficients, class-wise latent
@@ -22,9 +23,8 @@ frame. Raw features, labels and edges never leave the client.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -32,12 +32,11 @@ import numpy as np
 from . import tape as tp
 from .errors import (ConfigError, ContractError, NumericError, ProtocolError,
                      ShapeError, TrainingDivergenceError, UndefinedMetricError)
-from .graphs import FederationDataset, LocalGraph, laplacian_powers
+from .graphs import FederationDataset, LocalGraph, canonical_json, laplacian_powers
 from .metrics import accuracy, auc
-from .models import (ClassGaussian, ClientPlan, SpectralGNNParams, VGAEParams,
-                     ce_path, class_gaussians, class_stat_paths, client_plan,
-                     elbo_path, encoder_input, encoder_path, init_params,
-                     logits_path, params_to_leaves, sample_nonedges,
+from .models import (ClassGaussian, ClientPlan, ce_path, class_gaussians,
+                     class_stat_paths, client_plan, elbo_path, encoder_input,
+                     encoder_path, init_params, logits_path, sample_nonedges,
                      spectral_energy, stack_powers)
 from .rng import spawn_key, stream
 from .semantic import (KLTargets, SemanticClusterMap, alignment_path,
@@ -88,8 +87,9 @@ class RunConfig:
             raise ConfigError("lambda1 and lambda2 must be >= 0")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.w_max <= 0:
-            raise ConfigError(f"w_max must be positive, got {self.w_max}")
+        if self.w_max < 1:
+            raise ConfigError(f"w_max must be >= 1, the filter's starting"
+                              f" coefficient, got {self.w_max}")
 
 
 @dataclass
@@ -110,14 +110,16 @@ class AdamState:
 
 @dataclass
 class ClientState:
-    """One client's graph, parameters, optimizer state and caches."""
+    """One client's graph, parameters, optimizer state and caches.
+
+    params holds the trainable arrays from init_params, keyed by tape-leaf
+    name; Adam's moments use the same keys.
+    """
 
     client_id: int
     graph: LocalGraph
-    num_classes: int
     task: str
-    gnn: SpectralGNNParams
-    vgae: VGAEParams
+    params: dict
     adam: AdamState
     h_stack: np.ndarray
     x_in: np.ndarray
@@ -169,8 +171,8 @@ class ClientRoundStats:
     bytes_down: int
 
     def as_tuple(self) -> tuple:
-        return (self.ce, self.vgae, self.node, self.struct, self.train_metric,
-                self.val_metric, self.test_metric, self.bytes_up, self.bytes_down)
+        """Field values in declaration order, which is the metrics.csv column order."""
+        return astuple(self)
 
 
 @dataclass
@@ -231,55 +233,41 @@ def broadcast_payload(b: ServerBroadcast) -> dict:
     }
 
 
-def params_payload(gnn: SpectralGNNParams, vgae: VGAEParams) -> dict:
-    return {
-        "K": gnn.order,
-        "w": gnn.coefficients.tolist(),
-        "head": {"w1": gnn.head_w1.tolist(), "b1": gnn.head_b1.tolist(),
-                 "w2": gnn.head_w2.tolist(), "b2": gnn.head_b2.tolist(),
-                 "w_max": gnn.w_max},
-        "encoder": {"w1": vgae.enc_w1.tolist(), "b1": vgae.enc_b1.tolist(),
-                    "mu_w": vgae.mu_w.tolist(), "mu_b": vgae.mu_b.tolist(),
-                    "logvar_w": vgae.logvar_w.tolist(), "logvar_b": vgae.logvar_b.tolist()},
-    }
+def params_payload(params: dict, w_max: float) -> dict:
+    """Checkpoint (and FedAvg message) form of one client's parameter dict:
+    the flat filter row, the head_* arrays and the encoder arrays."""
+    head = {name[len("head_"):]: a.tolist() for name, a in params.items()
+            if name.startswith("head_")}
+    encoder = {name.removeprefix("enc_"): a.tolist() for name, a in params.items()
+               if name != "w" and not name.startswith("head_")}
+    return {"K": params["w"].size - 1, "w": params["w"].ravel().tolist(),
+            "head": dict(head, w_max=w_max), "encoder": encoder}
 
 
 def payload_nbytes(obj) -> int:
-    return len(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+    return len(canonical_json(obj).encode("utf-8"))
 
 
 # --- client side ------------------------------------------------------------
 
 
 def init_client_state(client_id: int, graph: LocalGraph, num_classes: int, task: str,
-                      cfg: RunConfig, gnn: SpectralGNNParams,
-                      vgae: VGAEParams) -> ClientState:
-    """Fresh client state with its forward plan; fedssa with the structural
-    branch also fixes the frame. A label outside the class range or
-    overlapping class groups raise ContractError naming the client."""
+                      cfg: RunConfig, params: dict) -> ClientState:
+    """Fresh client state with its own copy of params and its forward plan;
+    fedssa with the structural branch also fixes the frame. A label outside
+    the class range or overlapping class groups raise ContractError naming
+    the client."""
     plan = client_plan(client_id, graph, num_classes)
     powers = laplacian_powers(graph, cfg.order)
     energy = None
     if cfg.method == "fedssa" and cfg.structural:
         energy = spectral_energy(powers, client_id)
     return ClientState(
-        client_id=client_id, graph=graph, num_classes=num_classes, task=task,
-        gnn=gnn, vgae=vgae,
-        adam=AdamState.fresh(_param_arrays(gnn, vgae)),
-        h_stack=stack_powers(powers),
+        client_id=client_id, graph=graph, task=task,
+        params={name: a.copy() for name, a in params.items()},
+        adam=AdamState.fresh(params), h_stack=stack_powers(powers),
         x_in=encoder_input(graph, num_classes), plan=plan, energy=energy,
     )
-
-
-def _param_arrays(gnn: SpectralGNNParams, vgae: VGAEParams) -> dict:
-    return {
-        "w": gnn.coefficients.reshape(1, -1),
-        "head_w1": gnn.head_w1, "head_b1": gnn.head_b1,
-        "head_w2": gnn.head_w2, "head_b2": gnn.head_b2,
-        "enc_w1": vgae.enc_w1, "enc_b1": vgae.enc_b1,
-        "mu_w": vgae.mu_w, "mu_b": vgae.mu_b,
-        "logvar_w": vgae.logvar_w, "logvar_b": vgae.logvar_b,
-    }
 
 
 def _adam_step(arrays: dict, grads: dict, st: AdamState, lr: float) -> None:
@@ -306,7 +294,7 @@ def _loss_parts(state: ClientState, broadcast: Optional[ServerBroadcast],
     g = state.graph
     n, d = g.features.shape
     tape = tp.Tape()
-    leaves = params_to_leaves(tape, state.gnn, state.vgae)
+    leaves = {name: tape.leaf(a, name) for name, a in state.params.items()}
     _p, logits = logits_path(leaves, state.h_stack, n, d)
     ce = ce_path(logits, state.plan)
     mu, logvar = encoder_path(leaves, state.x_in)
@@ -349,8 +337,7 @@ def client_round(state: ClientState, broadcast: Optional[ServerBroadcast],
     g = state.graph
     n = g.n
     dz = cfg.latent_dim
-    snapshot = (state.gnn.copy(), state.vgae.copy(), state.adam.copy())
-    arrays = _param_arrays(state.gnn, state.vgae)
+    snapshot = ({name: a.copy() for name, a in state.params.items()}, state.adam.copy())
     targets = None
     try:
         if broadcast is not None and broadcast.class_representatives:
@@ -366,11 +353,10 @@ def client_round(state: ClientState, broadcast: Optional[ServerBroadcast],
                 raise NumericError("non-finite loss")
             grads = tp.grad(tape, loss)
             named = {name: grads[var] for name, var in leaves.items()}
-            _adam_step(arrays, named, state.adam, cfg.lr)
-            np.clip(state.gnn.coefficients, -state.gnn.w_max, state.gnn.w_max,
-                    out=state.gnn.coefficients)
+            _adam_step(state.params, named, state.adam, cfg.lr)
+            np.clip(state.params["w"], -cfg.w_max, cfg.w_max, out=state.params["w"])
     except NumericError as exc:
-        state.gnn, state.vgae, state.adam = snapshot
+        state.params, state.adam = snapshot
         raise TrainingDivergenceError(
             f"client {state.client_id} diverged in round {round_index}: {exc}") from exc
     # One evaluation pass on its own streams, for round metrics and the upload.
@@ -390,7 +376,7 @@ def client_round(state: ClientState, broadcast: Optional[ServerBroadcast],
         return state, None
     return state, ClientUpload(
         client_id=state.client_id,
-        coefficients=state.gnn.coefficients.copy(),
+        coefficients=state.params["w"].flatten(),
         class_gaussians=class_gaussians(parts["stats"]) if cfg.semantic else (),
         spectral_energy=state.energy if round_index == 1 else None,
     )
@@ -473,20 +459,6 @@ def server_step(uploads, k_node: int, k_struct: int, seed: int,
                        distance_matrix=distance_matrix)
 
 
-def _fedavg_average(states: list) -> dict:
-    """Uniform mean of every named parameter array across clients."""
-    names = _param_arrays(states[0].gnn, states[0].vgae).keys()
-    stacked = {name: np.mean([_param_arrays(s.gnn, s.vgae)[name] for s in states], axis=0)
-               for name in names}
-    return stacked
-
-
-def _apply_params(state: ClientState, mean: dict) -> None:
-    arrays = _param_arrays(state.gnn, state.vgae)
-    for name, arr in arrays.items():
-        arr[...] = mean[name]
-
-
 # --- top-level loop ----------------------------------------------------------
 
 
@@ -514,11 +486,9 @@ def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig, seed: in
     order = list(range(m)) if client_order is None else [int(i) for i in client_order]
     if sorted(order) != list(range(m)):
         raise ContractError("client_order must be a permutation of range(num_clients)")
-    init_rng = stream(seed, "init")
-    gnn0, vgae0 = init_params(dataset.feature_dim, dataset.num_classes, cfg.order,
-                              cfg.hidden, cfg.latent_dim, cfg.w_max, init_rng)
-    states = [init_client_state(i, g, dataset.num_classes, dataset.task, cfg,
-                                gnn0.copy(), vgae0.copy())
+    params0 = init_params(dataset.feature_dim, dataset.num_classes, cfg.order,
+                          cfg.hidden, cfg.latent_dim, stream(seed, "init"))
+    states = [init_client_state(i, g, dataset.num_classes, dataset.task, cfg, params0)
               for i, g in enumerate(dataset.clients)]
     broadcasts: dict = {}
     structure = None  # round 1's structural clusters, kept for the run
@@ -559,13 +529,14 @@ def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig, seed: in
                 distance_ids = server.distance_ids
                 distance_matrix = server.distance_matrix
         elif cfg.method == "fedavg":
-            mean = _fedavg_average(states)
             for cid in range(m):
-                bytes_up[cid] = payload_nbytes(params_payload(states[cid].gnn,
-                                                              states[cid].vgae))
-            for state in states:
-                _apply_params(state, mean)
-            size = payload_nbytes(params_payload(states[0].gnn, states[0].vgae))
+                bytes_up[cid] = payload_nbytes(params_payload(states[cid].params,
+                                                              cfg.w_max))
+            for name in states[0].params:
+                mean = np.mean([s.params[name] for s in states], axis=0)
+                for s in states:
+                    s.params[name][...] = mean
+            size = payload_nbytes(params_payload(states[0].params, cfg.w_max))
             for cid in range(m):
                 bytes_down[cid] = size
         per_client = {}

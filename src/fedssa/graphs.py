@@ -450,11 +450,16 @@ def graph_from_dict(obj: dict, where: str = "graph file") -> LocalGraph:
                       masks["train"], masks["val"], masks["test"])
 
 
+def canonical_json(obj) -> str:
+    """Canonical JSON text: sorted keys, no whitespace."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def dump_json(obj, path: Path) -> None:
-    """Canonical JSON dump: sorted keys, no whitespace, trailing newline."""
+    """Write canonical_json(obj) with a trailing newline, creating parent dirs."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    path.write_text(canonical_json(obj) + "\n")
 
 
 def save_graph(g: LocalGraph, path) -> None:

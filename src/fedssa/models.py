@@ -7,6 +7,10 @@ into per-node diagonal Gaussians and reconstructs edges with an
 inner-product decoder; its class-wise latent statistics are the semantic
 payload each client shares.
 
+A client's trainable state is one dict of arrays from `init_params`. Its
+keys (`w`, `head_w1` ... `logvar_b`) name the tape leaves, the Adam
+moments and the arrays FedAvg averages alike.
+
 Both components are expressed as tape builders over fused ops: each head,
 trunk and encoder layer is one `dense` node, the cross entropy one
 `softmax_ce` node and the reparameterised draw one `gaussian_sample` node.
@@ -69,97 +73,34 @@ class ClassGaussian:
         return self.mean.size
 
 
-@dataclass
-class SpectralGNNParams:
-    """Filter coefficients plus classifier head weights."""
-
-    coefficients: np.ndarray
-    head_w1: np.ndarray
-    head_b1: np.ndarray
-    head_w2: np.ndarray
-    head_b2: np.ndarray
-    w_max: float = 5.0
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=np.float64).reshape(-1)
-        if self.w_max <= 0:
-            raise ConfigError(f"w_max must be positive, got {self.w_max}")
-        if np.any(np.abs(self.coefficients) > self.w_max + 1e-12):
-            raise ContractError(f"coefficients exceed the box bound {self.w_max}")
-
-    @property
-    def order(self) -> int:
-        return self.coefficients.size - 1
-
-    def copy(self) -> "SpectralGNNParams":
-        return SpectralGNNParams(self.coefficients.copy(), self.head_w1.copy(),
-                                 self.head_b1.copy(), self.head_w2.copy(),
-                                 self.head_b2.copy(), self.w_max)
-
-
-@dataclass
-class VGAEParams:
-    """Conditional encoder weights: shared trunk plus mean/logvar heads."""
-
-    enc_w1: np.ndarray
-    enc_b1: np.ndarray
-    mu_w: np.ndarray
-    mu_b: np.ndarray
-    logvar_w: np.ndarray
-    logvar_b: np.ndarray
-
-    @property
-    def latent_dim(self) -> int:
-        return self.mu_w.shape[1]
-
-    def copy(self) -> "VGAEParams":
-        return VGAEParams(self.enc_w1.copy(), self.enc_b1.copy(), self.mu_w.copy(),
-                          self.mu_b.copy(), self.logvar_w.copy(), self.logvar_b.copy())
-
-
 def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) * np.sqrt(2.0 / (rows + cols))
 
 
 def init_params(feature_dim: int, num_classes: int, order: int, hidden: int,
-                latent_dim: int, w_max: float,
-                rng: np.random.Generator) -> tuple[SpectralGNNParams, VGAEParams]:
-    """Fresh parameters; the filter starts as the identity (w = e_0)."""
+                latent_dim: int, rng: np.random.Generator) -> dict:
+    """Fresh trainable arrays keyed by their tape-leaf names.
+
+    w is the 1 x (order+1) filter row, starting as the identity e_0; the
+    head_* arrays are the classifier head and the rest the VGAE encoder.
+    """
     if order < 0 or hidden < 1 or latent_dim < 1:
         raise ConfigError("order must be >= 0 and widths >= 1")
-    coeffs = np.zeros(order + 1)
-    coeffs[0] = 1.0
-    gnn = SpectralGNNParams(
-        coefficients=coeffs,
-        head_w1=_glorot(rng, feature_dim, hidden),
-        head_b1=np.zeros((1, hidden)),
-        head_w2=_glorot(rng, hidden, num_classes),
-        head_b2=np.zeros((1, num_classes)),
-        w_max=w_max,
-    )
-    vgae = VGAEParams(
-        enc_w1=_glorot(rng, feature_dim + num_classes, hidden),
-        enc_b1=np.zeros((1, hidden)),
-        mu_w=_glorot(rng, hidden, latent_dim),
-        mu_b=np.zeros((1, latent_dim)),
-        logvar_w=_glorot(rng, hidden, latent_dim),
-        logvar_b=np.zeros((1, latent_dim)),
-    )
-    return gnn, vgae
-
-
-GNN_LEAVES = ("w", "head_w1", "head_b1", "head_w2", "head_b2")
-VGAE_LEAVES = ("enc_w1", "enc_b1", "mu_w", "mu_b", "logvar_w", "logvar_b")
-
-
-def params_to_leaves(tape: tp.Tape, gnn: SpectralGNNParams, vgae: VGAEParams) -> dict:
-    """Register every trainable array as a named tape leaf."""
-    leaves = {"w": tape.leaf(gnn.coefficients.reshape(1, -1), "w")}
-    for name in GNN_LEAVES[1:]:
-        leaves[name] = tape.leaf(getattr(gnn, name), name)
-    for name in VGAE_LEAVES:
-        leaves[name] = tape.leaf(getattr(vgae, name), name)
-    return leaves
+    w = np.zeros((1, order + 1))
+    w[0, 0] = 1.0
+    return {
+        "w": w,
+        "head_w1": _glorot(rng, feature_dim, hidden),
+        "head_b1": np.zeros((1, hidden)),
+        "head_w2": _glorot(rng, hidden, num_classes),
+        "head_b2": np.zeros((1, num_classes)),
+        "enc_w1": _glorot(rng, feature_dim + num_classes, hidden),
+        "enc_b1": np.zeros((1, hidden)),
+        "mu_w": _glorot(rng, hidden, latent_dim),
+        "mu_b": np.zeros((1, latent_dim)),
+        "logvar_w": _glorot(rng, hidden, latent_dim),
+        "logvar_b": np.zeros((1, latent_dim)),
+    }
 
 
 def stack_powers(powers: list) -> np.ndarray:

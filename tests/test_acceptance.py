@@ -400,7 +400,8 @@ def test_a10_repeated_runs_are_byte_identical(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(out_a)]) == 0
     assert main(["run", "--config", str(cfg), "--out", str(out_b)]) == 0
     names = ["metrics.csv", "diagnostics_semantic.csv",
-             "diagnostics_structural.csv", "diagnostics_floor.csv"]
+             "diagnostics_structural.csv", "diagnostics_floor.csv",
+             "checkpoint.json", "summary.json"]
     for name in names:
         left = (out_a / name).read_bytes()
         right = (out_b / name).read_bytes()

@@ -3,19 +3,23 @@
 ablation grid, and the diagnose/report readers."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import fedssa
 from fedssa import cli
 from fedssa.cli import main
-from fedssa.config import load_config, two_regime_federation
+from fedssa.config import build_dataset, load_config, two_regime_federation
 from fedssa.errors import (ContractError, NumericError, ProtocolError, RankError,
                            ShapeError, UndefinedMetricError)
 from fedssa.graphs import FederationDataset, LocalGraph, load_graph, save_dataset
+from helpers import normalized_laplacian
 
 TWO_REGIME = {
     "dataset": {"kind": "two-regime", "clients_per_regime": 1,
@@ -80,6 +84,35 @@ def test_run_writes_all_artifacts(tmp_path):
     assert summary["total_bytes_up"] > 0
     assert len(summary["error_floor_trajectory"]) == 2
     assert not (out / "distances").exists()
+
+
+def test_checkpoint_reproduces_last_round_metrics(tmp_path):
+    # a plain numpy forward from the checkpoint's w and head over dense
+    # L^k X must give every client's last-round split metrics exactly
+    raw = dict(TWO_REGIME, dataset=dict(TWO_REGIME["dataset"], clients_per_regime=2,
+                                        nodes_per_client=40))
+    cfg = _write_cfg(tmp_path, raw)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    dataset = build_dataset(load_config(cfg), raw["seed"])
+    header, rows = _read_rows(out / "metrics.csv")
+    last = {int(r[1]): dict(zip(header, r)) for r in rows
+            if int(r[0]) == raw["hyperparams"]["T"]}
+    checkpoint = json.loads((out / "checkpoint.json").read_text())
+    assert [c["client_id"] for c in checkpoint["clients"]] == [0, 1, 2, 3]
+    for params in checkpoint["clients"]:
+        cid = params["client_id"]
+        g = dataset.clients[cid]
+        w = np.asarray(params["w"])
+        head = {k: np.asarray(params["head"][k]) for k in ("w1", "b1", "w2", "b2")}
+        lap = normalized_laplacian(g)
+        p = sum(wk * np.linalg.matrix_power(lap, k) @ g.features for k, wk in enumerate(w))
+        pred = np.argmax(np.tanh(p @ head["w1"] + head["b1"]) @ head["w2"] + head["b2"],
+                         axis=1)
+        for split in ("train", "val", "test"):
+            idx = g.split(split)
+            assert float(np.mean(pred[idx] == g.labels[idx])) == \
+                float(last[cid][f"{split}_metric"]), f"client {cid} {split}"
 
 
 def test_run_artifacts_are_byte_identical_across_reruns(tmp_path):
@@ -151,6 +184,14 @@ def test_missing_config_exits_2(tmp_path, capsys):
 def test_invalid_config_exits_2(tmp_path):
     cfg = _write_cfg(tmp_path, dict(TWO_REGIME, typo_key=1))
     assert main(["run", "--config", cfg]) == 2
+
+
+def test_w_max_below_one_exits_2(tmp_path, capsys):
+    raw = dict(TWO_REGIME, hyperparams=dict(TWO_REGIME["hyperparams"], w_max=0.5))
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write_cfg(tmp_path, raw), "--out", str(out)]) == 2
+    assert "w_max must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -293,7 +334,11 @@ def test_report_run_and_ablation(tmp_path, capsys):
 
 
 def test_module_invocation():
+    # the child imports the package this suite imported, installed or not
+    src = str(Path(fedssa.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "fedssa.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "synth" in proc.stdout and "diagnose" in proc.stdout

@@ -116,6 +116,13 @@ def test_invalid_hyperparams_rejected_by_run_validation():
         parse_config(_minimal(hyperparams={"lr": -0.1}))
 
 
+def test_w_max_below_the_identity_start_is_rejected():
+    # the filter starts at w = e_0, so a box bound below 1 excludes the start
+    with pytest.raises(ConfigError, match="w_max must be >= 1"):
+        parse_config(_minimal(hyperparams={"w_max": 0.5}))
+    assert parse_config(_minimal(hyperparams={"w_max": 1.0})).run.w_max == 1.0
+
+
 def test_load_config_file_handling(tmp_path):
     with pytest.raises(ConfigError, match="config file not found"):
         load_config(tmp_path / "missing.yaml")

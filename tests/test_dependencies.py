@@ -1,4 +1,5 @@
-"""The package imports only the standard library, numpy and PyYAML."""
+"""Package surface: the package imports only the standard library, numpy
+and PyYAML, and every name it exports resolves."""
 
 import ast
 import sys
@@ -24,3 +25,11 @@ def test_package_imports_only_stdlib_numpy_and_yaml():
             foreign += [f"{path.name}: {m}" for m in modules
                         if m.split(".")[0] not in ALLOWED]
     assert not foreign, f"imports outside stdlib, numpy and yaml: {foreign}"
+
+
+def test_every_export_resolves_once():
+    names = fedssa.__all__
+    assert len(names) == len(set(names)), \
+        f"repeated exports: {sorted({n for n in names if names.count(n) > 1})}"
+    missing = [name for name in names if not hasattr(fedssa, name)]
+    assert not missing, f"exports that do not resolve: {missing}"

@@ -50,9 +50,9 @@ def _signatures(history) -> tuple:
 
 
 def _client_state(graph, cfg, seed=0, client_id=0):
-    gnn, vgae = init_params(DIM, 2, cfg.order, cfg.hidden, cfg.latent_dim,
-                            cfg.w_max, stream(seed, "init"))
-    return init_client_state(client_id, graph, 2, "multiclass", cfg, gnn, vgae)
+    params = init_params(DIM, 2, cfg.order, cfg.hidden, cfg.latent_dim,
+                         stream(seed, "init"))
+    return init_client_state(client_id, graph, 2, "multiclass", cfg, params)
 
 
 # --- training memory -----------------------------------------------------------
@@ -91,9 +91,8 @@ def test_training_forward_records_at_most_35_tape_nodes():
         "p_inter_b": 0.10, "mean_scale": 1.0, "noise": 1.0, "task": "multiclass"}, 0)
     cfg = RunConfig(method="fedssa", rounds=1, epochs=1, order=3, k_node=2,
                     k_struct=2, lr=0.15, latent_dim=8, hidden=16)
-    gnn, vgae = init_params(24, 4, cfg.order, cfg.hidden, cfg.latent_dim, cfg.w_max,
-                            stream(0, "init"))
-    states = [init_client_state(i, g, 4, "multiclass", cfg, gnn.copy(), vgae.copy())
+    params = init_params(24, 4, cfg.order, cfg.hidden, cfg.latent_dim, stream(0, "init"))
+    states = [init_client_state(i, g, 4, "multiclass", cfg, params)
               for i, g in enumerate(ds.clients)]
     uploads = {i: client_round(s, None, cfg, 0, 1)[1] for i, s in enumerate(states)}
     broadcast = server_step(uploads, cfg.k_node, cfg.k_struct, 0).broadcasts[0]
@@ -153,14 +152,13 @@ def test_setup_and_round_memory_targets():
                        edges[edges[:, 0] != edges[:, 1]],
                        *stratified_split(labels, rng))
     cfg = _tiny_cfg(epochs=1, latent_dim=8, hidden=16)
-    gnn, vgae = init_params(d, c, cfg.order, cfg.hidden, cfg.latent_dim,
-                            cfg.w_max, stream(0, "init"))
+    params = init_params(d, c, cfg.order, cfg.hidden, cfg.latent_dim, stream(0, "init"))
     tracemalloc.start()
     try:
         synth_dataset(spec, 0)
         synth_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        state = init_client_state(0, graph, c, "multiclass", cfg, gnn, vgae)
+        state = init_client_state(0, graph, c, "multiclass", cfg, params)
         client_round(state, None, cfg, 0, 1)
         client_peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -179,8 +177,8 @@ def test_rerun_is_bit_reproducible():
     b = run_federation_detailed(ds, _tiny_cfg(), seed=5)
     assert _signatures(a.history) == _signatures(b.history)
     for sa, sb in zip(a.states, b.states):
-        assert sa.gnn.coefficients.tobytes() == sb.gnn.coefficients.tobytes()
-        assert sa.vgae.mu_w.tobytes() == sb.vgae.mu_w.tobytes()
+        assert sa.params["w"].tobytes() == sb.params["w"].tobytes()
+        assert sa.params["mu_w"].tobytes() == sb.params["mu_w"].tobytes()
 
 
 def test_client_order_cannot_change_results():
@@ -209,9 +207,10 @@ def test_zero_epochs_leaves_parameters_untouched():
                                    seed=9)
     after = run_federation_detailed(ds, _tiny_cfg(method="local", rounds=1,
                                                   epochs=0), seed=9)
-    want = init.states[0].gnn.coefficients.tobytes()
-    assert after.states[0].gnn.coefficients.tobytes() == want
-    assert after.states[0].vgae.enc_w1.tobytes() == init.states[0].vgae.enc_w1.tobytes()
+    want = init.states[0].params["w"].tobytes()
+    assert after.states[0].params["w"].tobytes() == want
+    assert after.states[0].params["enc_w1"].tobytes() == \
+        init.states[0].params["enc_w1"].tobytes()
 
 
 def test_history_shape_and_round_indexing():
@@ -400,10 +399,10 @@ def test_fedavg_with_identical_clients_matches_solo_training():
     one = run_federation_detailed(solo, _tiny_cfg(method="local", rounds=3),
                                   seed=4)
     a, b = avg.states
-    assert a.gnn.coefficients.tobytes() == b.gnn.coefficients.tobytes()
-    assert a.vgae.mu_w.tobytes() == b.vgae.mu_w.tobytes()
-    assert a.gnn.coefficients.tobytes() == one.states[0].gnn.coefficients.tobytes()
-    assert a.gnn.head_w1.tobytes() == one.states[0].gnn.head_w1.tobytes()
+    assert a.params["w"].tobytes() == b.params["w"].tobytes()
+    assert a.params["mu_w"].tobytes() == b.params["mu_w"].tobytes()
+    assert a.params["w"].tobytes() == one.states[0].params["w"].tobytes()
+    assert a.params["head_w1"].tobytes() == one.states[0].params["head_w1"].tobytes()
 
 
 # --- divergence rollback --------------------------------------------------------
@@ -414,14 +413,11 @@ def test_divergence_rolls_back_and_raises():
     ds = _tiny_dataset(num_clients=1)
     cfg = _tiny_cfg(method="local", epochs=2, lr=1e200)
     state = _client_state(ds.clients[0], cfg)
-    before = {"w": state.gnn.coefficients.copy(),
-              "head_w1": state.gnn.head_w1.copy(),
-              "mu_w": state.vgae.mu_w.copy()}
+    before = {name: state.params[name].copy() for name in ("w", "head_w1", "mu_w")}
     with pytest.raises(TrainingDivergenceError, match="client 0"):
         client_round(state, None, cfg, seed=0, round_index=1)
-    assert state.gnn.coefficients.tobytes() == before["w"].tobytes()
-    assert state.gnn.head_w1.tobytes() == before["head_w1"].tobytes()
-    assert state.vgae.mu_w.tobytes() == before["mu_w"].tobytes()
+    for name, arr in before.items():
+        assert state.params[name].tobytes() == arr.tobytes()
     assert state.adam.t == 0
     assert all(not m.any() for m in state.adam.m.values())
 
@@ -438,8 +434,8 @@ def _semantic_round_inputs():
 
 
 def _assert_rolled_back(state, before):
-    assert state.vgae.mu_w.tobytes() == before[0]
-    assert state.gnn.head_w1.tobytes() == before[1]
+    assert state.params["mu_w"].tobytes() == before[0]
+    assert state.params["head_w1"].tobytes() == before[1]
     assert state.adam.t == before[2]
 
 
@@ -453,7 +449,8 @@ def test_nonpositive_class_variance_rolls_back(monkeypatch):
         return stats
 
     monkeypatch.setattr(federation, "class_stat_paths", zero_variances)
-    before = (state.vgae.mu_w.tobytes(), state.gnn.head_w1.tobytes(), state.adam.t)
+    before = (state.params["mu_w"].tobytes(), state.params["head_w1"].tobytes(),
+              state.adam.t)
     with pytest.raises(TrainingDivergenceError, match="variances must be positive"):
         client_round(state, broadcast, cfg, seed=0, round_index=2)
     _assert_rolled_back(state, before)
@@ -466,7 +463,8 @@ def test_indefinite_representative_rolls_back():
     bad = dataclasses.replace(broadcast, class_representatives={
         label: ClassGaussian(label, np.zeros(dz), indefinite, 1)
         for label in broadcast.class_representatives})
-    before = (state.vgae.mu_w.tobytes(), state.gnn.head_w1.tobytes(), state.adam.t)
+    before = (state.params["mu_w"].tobytes(), state.params["head_w1"].tobytes(),
+              state.adam.t)
     with pytest.raises(TrainingDivergenceError, match="positive definite"):
         client_round(state, bad, cfg, seed=0, round_index=2)
     _assert_rolled_back(state, before)

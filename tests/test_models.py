@@ -10,12 +10,10 @@ from fedssa import tape as tp
 from fedssa.errors import ConfigError, ContractError, ShapeError
 from fedssa.graphs import LocalGraph, SynthSpec, laplacian_powers, synth_dataset
 from fedssa.linalg import qr_thin
-from fedssa.models import (COV_FLOOR, LOGVAR_MAX, LOGVAR_MIN, VGAE_LEAVES,
-                           ClassGaussian, SpectralGNNParams, ce_path,
-                           class_gaussians, class_stat_paths, client_plan,
-                           elbo_path,
-                           encoder_input, encoder_path, init_params,
-                           logits_path, params_to_leaves, sample_nonedges,
+from fedssa.models import (COV_FLOOR, LOGVAR_MAX, LOGVAR_MIN, ClassGaussian,
+                           ce_path, class_gaussians, class_stat_paths,
+                           client_plan, elbo_path, encoder_input, encoder_path,
+                           init_params, logits_path, sample_nonedges,
                            spectral_energy, stack_powers)
 from fedssa.rng import stream
 from fedssa.semantic import alignment_path, kl_targets
@@ -26,16 +24,22 @@ def _small_graph(seed=0, n=20, c=3, d=5):
     return synth_dataset(SynthSpec(n, c, d, 0.3, 0.05), seed)
 
 
+ENCODER = ("enc_w1", "enc_b1", "mu_w", "mu_b", "logvar_w", "logvar_b")
+
+
 def _params(g, order=2, hidden=6, dz=4, seed=0):
-    return init_params(g.feature_dim, g.num_classes(), order, hidden, dz, 5.0,
+    return init_params(g.feature_dim, g.num_classes(), order, hidden, dz,
                        stream(seed, "test-init"))
 
 
-def _forward(g, gnn, vgae, powers):
+def _leaves(t, params):
+    return {name: t.leaf(a, name) for name, a in params.items()}
+
+
+def _forward(g, params, powers):
     """Propagated features and logits from the tape builders."""
     t = tp.Tape()
-    leaves = params_to_leaves(t, gnn, vgae)
-    p, logits = logits_path(leaves, stack_powers(powers), g.n, g.feature_dim)
+    p, logits = logits_path(_leaves(t, params), stack_powers(powers), g.n, g.feature_dim)
     return p.value, logits.value
 
 
@@ -57,11 +61,10 @@ def _ce(logits, labels, mask):
     return float(ce_path(var, _ce_plan(labels, mask, logits.shape[1])).value[0, 0])
 
 
-def _encode(vgae, g, num_classes):
+def _encode(params, g, num_classes):
     """Posterior mean, log-variance and class Gaussians from the tape builders."""
     t = tp.Tape()
-    leaves = {name: t.leaf(getattr(vgae, name), name) for name in VGAE_LEAVES}
-    mu, logvar = encoder_path(leaves, encoder_input(g, num_classes))
+    mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, num_classes))
     gaussians = class_gaussians(class_stat_paths(mu, logvar, _plan(g, num_classes)))
     return mu.value, logvar.value, gaussians
 
@@ -71,47 +74,40 @@ def _encode(vgae, g, num_classes):
 
 def test_gnn_forward_matches_numpy_recompute():
     g = _small_graph()
-    gnn, vgae = _params(g)
-    powers = laplacian_powers(g, gnn.order)
-    p, logits = _forward(g, gnn, vgae, powers)
-    p_ref = sum(gnn.coefficients[k] * powers[k] for k in range(gnn.order + 1))
+    params = _params(g)
+    w = params["w"][0]
+    powers = laplacian_powers(g, w.size - 1)
+    p, logits = _forward(g, params, powers)
+    p_ref = sum(w[k] * powers[k] for k in range(w.size))
     assert rel_err(p, p_ref) < 1e-12
-    hidden = np.tanh(p_ref @ gnn.head_w1 + gnn.head_b1)
-    logits_ref = hidden @ gnn.head_w2 + gnn.head_b2
+    hidden = np.tanh(p_ref @ params["head_w1"] + params["head_b1"])
+    logits_ref = hidden @ params["head_w2"] + params["head_b2"]
     assert rel_err(logits, logits_ref) < 1e-12
 
 
 def test_gnn_forward_identity_filter_passes_features():
     g = _small_graph()
-    gnn, vgae = _params(g, order=3)
+    params = _params(g, order=3)
     # fresh filter is e_0, so P == X exactly
-    p, _ = _forward(g, gnn, vgae, laplacian_powers(g, 3))
+    p, _ = _forward(g, params, laplacian_powers(g, 3))
     assert np.array_equal(p, g.features)
 
 
 def test_gnn_forward_rejects_wrong_power_count():
     g = _small_graph()
-    gnn, vgae = _params(g, order=2)
+    params = _params(g, order=2)
     with pytest.raises(ShapeError):
-        _forward(g, gnn, vgae, laplacian_powers(g, 1))
-
-
-def test_coefficients_magnitude_contract():
-    with pytest.raises(ContractError):
-        SpectralGNNParams(coefficients=np.array([6.0, 0.0]),
-                          head_w1=np.zeros((2, 2)), head_b1=np.zeros((1, 2)),
-                          head_w2=np.zeros((2, 2)), head_b2=np.zeros((1, 2)),
-                          w_max=5.0)
+        _forward(g, params, laplacian_powers(g, 1))
 
 
 def test_init_params_deterministic():
     g = _small_graph()
-    a, av = _params(g, seed=4)
-    b, bv = _params(g, seed=4)
-    assert a.head_w1.tobytes() == b.head_w1.tobytes()
-    assert av.mu_w.tobytes() == bv.mu_w.tobytes()
-    c, _ = _params(g, seed=5)
-    assert a.head_w1.tobytes() != c.head_w1.tobytes()
+    a = _params(g, seed=4)
+    b = _params(g, seed=4)
+    assert a["head_w1"].tobytes() == b["head_w1"].tobytes()
+    assert a["mu_w"].tobytes() == b["mu_w"].tobytes()
+    c = _params(g, seed=5)
+    assert a["head_w1"].tobytes() != c["head_w1"].tobytes()
 
 
 # --- cross entropy --------------------------------------------------------------
@@ -162,13 +158,11 @@ def test_ce_gradient_matches_softmax_formula():
 
 def test_full_classifier_gradient_matches_finite_differences():
     g = _small_graph(n=12, c=2, d=4)
-    gnn, _ = _params(g, order=2, hidden=5)
+    params = _params(g, order=2, hidden=5)
     powers = laplacian_powers(g, 2)
     h_stack = stack_powers(powers)
     plan = _plan(g, 2)
-    arrays = {"w": gnn.coefficients.reshape(1, -1).copy(),
-              "head_w1": gnn.head_w1.copy(), "head_b1": gnn.head_b1.copy(),
-              "head_w2": gnn.head_w2.copy(), "head_b2": gnn.head_b2.copy()}
+    arrays = {k: params[k].copy() for k in ("w", "head_w1", "head_b1", "head_w2", "head_b2")}
 
     def value(vals):
         t = tp.Tape()
@@ -210,8 +204,8 @@ def test_encode_singleton_class_is_exact():
     feats = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.2, 0.8]])
     g = LocalGraph(feats, [0, 1, 0, 1], [[0, 1], [2, 3]],
                    train_idx=[0, 1], val_idx=[2], test_idx=[3])
-    _, vgae = init_params(2, 2, 1, 4, 3, 5.0, stream(9, "init"))
-    mu, logvar, gaussians = _encode(vgae, g, 2)
+    params = init_params(2, 2, 1, 4, 3, stream(9, "init"))
+    mu, logvar, gaussians = _encode(params, g, 2)
     assert len(gaussians) == 2
     for gau, row in zip(gaussians, (0, 1)):
         assert gau.label == row
@@ -224,8 +218,8 @@ def test_encode_singleton_class_is_exact():
 
 def test_encode_moment_matching_two_members():
     g = _small_graph(n=24, c=2, d=4, seed=3)
-    _, vgae = init_params(4, 2, 1, 6, 3, 5.0, stream(10, "init"))
-    mu, logvar, gaussians = _encode(vgae, g, 2)
+    params = init_params(4, 2, 1, 6, 3, stream(10, "init"))
+    mu, logvar, gaussians = _encode(params, g, 2)
     for gau in gaussians:
         rows = g.train_idx[g.labels[g.train_idx] == gau.label]
         mu_rows = mu[rows]
@@ -239,10 +233,9 @@ def test_encode_moment_matching_two_members():
 
 def test_class_stat_paths_match_numpy_recompute():
     g = _small_graph(n=40, c=3, d=4, seed=4)
-    _, vgae = init_params(4, 3, 1, 6, 3, 5.0, stream(14, "init"))
+    params = init_params(4, 3, 1, 6, 3, stream(14, "init"))
     t = tp.Tape()
-    leaves = {name: t.leaf(getattr(vgae, name), name) for name in VGAE_LEAVES}
-    mu, logvar = encoder_path(leaves, encoder_input(g, 3))
+    mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, 3))
     stats = class_stat_paths(mu, logvar, _plan(g, 3))
     assert np.array_equal(stats.labels, np.unique(g.labels[g.train_idx]))
     assert stats.moments.shape == (stats.labels.size, 6)
@@ -259,10 +252,9 @@ def test_class_stat_paths_singleton_spread_is_exactly_zero():
     feats = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.2, 0.8], [0.9, 0.3]])
     g = LocalGraph(feats, [0, 1, 0, 1, 1], [[0, 1], [2, 3], [1, 4]],
                    train_idx=[0, 1, 4], val_idx=[2], test_idx=[3])
-    _, vgae = init_params(2, 2, 1, 4, 3, 5.0, stream(15, "init"))
+    params = init_params(2, 2, 1, 4, 3, stream(15, "init"))
     t = tp.Tape()
-    leaves = {name: t.leaf(getattr(vgae, name), name) for name in VGAE_LEAVES}
-    mu, logvar = encoder_path(leaves, encoder_input(g, 2))
+    mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, 2))
     moments = class_stat_paths(mu, logvar, _plan(g, 2)).moments.value
     assert np.array_equal(moments[0], np.concatenate([mu.value[0], np.exp(logvar.value[0])]))
 
@@ -271,10 +263,9 @@ def test_class_stat_paths_without_train_rows():
     feats = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
     g = LocalGraph(feats, [0, 1, 0], [[0, 1], [1, 2]],
                    train_idx=[], val_idx=[0], test_idx=[1, 2])
-    _, vgae = init_params(2, 2, 1, 4, 3, 5.0, stream(16, "init"))
+    params = init_params(2, 2, 1, 4, 3, stream(16, "init"))
     t = tp.Tape()
-    leaves = {name: t.leaf(getattr(vgae, name), name) for name in VGAE_LEAVES}
-    mu, logvar = encoder_path(leaves, encoder_input(g, 2))
+    mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, 2))
     stats = class_stat_paths(mu, logvar, _plan(g, 2))
     assert stats.labels.size == 0 and stats.moments.shape == (0, 6)
     assert class_gaussians(stats) == ()
@@ -284,9 +275,9 @@ def test_class_stat_paths_without_train_rows():
 
 def test_logvar_is_clamped():
     g = _small_graph(n=8, c=2, d=3, seed=1)
-    _, vgae = init_params(3, 2, 1, 4, 2, 5.0, stream(11, "init"))
-    vgae.logvar_w[...] = 100.0
-    _mu, logvar, _gaussians = _encode(vgae, g, 2)
+    params = init_params(3, 2, 1, 4, 2, stream(11, "init"))
+    params["logvar_w"][...] = 100.0
+    _mu, logvar, _gaussians = _encode(params, g, 2)
     assert logvar.max() <= LOGVAR_MAX
     assert logvar.min() >= LOGVAR_MIN
 
@@ -294,15 +285,15 @@ def test_logvar_is_clamped():
 # --- negative ELBO ---------------------------------------------------------------
 
 
-def _elbo_numpy(vgae, g, eps, nonedges, num_classes):
+def _elbo_numpy(params, g, eps, nonedges, num_classes):
     """Independent numpy recompute of the negative ELBO."""
     x = np.concatenate([g.features, np.zeros((g.n, num_classes))], axis=1)
     onehot = np.zeros((g.n, num_classes))
     onehot[g.train_idx, g.labels[g.train_idx]] = 1.0
     x[:, g.feature_dim:] = onehot
-    hidden = np.tanh(x @ vgae.enc_w1 + vgae.enc_b1)
-    mu = hidden @ vgae.mu_w + vgae.mu_b
-    logvar = np.clip(hidden @ vgae.logvar_w + vgae.logvar_b,
+    hidden = np.tanh(x @ params["enc_w1"] + params["enc_b1"])
+    mu = hidden @ params["mu_w"] + params["mu_b"]
+    logvar = np.clip(hidden @ params["logvar_w"] + params["logvar_b"],
                      LOGVAR_MIN, LOGVAR_MAX)
     z = mu + np.sqrt(np.exp(logvar)) * eps
     pairs = np.concatenate([g.edges, nonedges]) if nonedges.size else g.edges
@@ -318,25 +309,24 @@ def _elbo_numpy(vgae, g, eps, nonedges, num_classes):
 
 def test_elbo_matches_numpy_recompute():
     g = _small_graph(n=15, c=2, d=4, seed=6)
-    _, vgae = init_params(4, 2, 1, 5, 3, 5.0, stream(12, "init"))
+    params = init_params(4, 2, 1, 5, 3, stream(12, "init"))
     eps = stream(0, "eps").standard_normal((g.n, 3))
     plan = _plan(g, 2)
     nonedges = sample_nonedges(plan, g.edges.shape[0], stream(0, "ne"))
     t = tp.Tape()
-    leaves = {name: t.leaf(getattr(vgae, name), name) for name in VGAE_LEAVES}
-    mu, logvar = encoder_path(leaves, encoder_input(g, 2))
+    mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, 2))
     got = float(elbo_path(mu, logvar, plan, eps, nonedges).value[0, 0])
-    want = _elbo_numpy(vgae, g, eps, nonedges, 2)
+    want = _elbo_numpy(params, g, eps, nonedges, 2)
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_elbo_gradient_matches_finite_differences():
     g = _small_graph(n=10, c=2, d=3, seed=7)
-    _, vgae = init_params(3, 2, 1, 4, 2, 5.0, stream(13, "init"))
+    params = init_params(3, 2, 1, 4, 2, stream(13, "init"))
     eps = stream(1, "eps").standard_normal((g.n, 2))
     plan = _plan(g, 2)
     nonedges = sample_nonedges(plan, 6, stream(1, "ne"))
-    arrays = {name: getattr(vgae, name).copy() for name in VGAE_LEAVES}
+    arrays = {name: params[name].copy() for name in ENCODER}
     x_in = encoder_input(g, 2)
 
     def value(vals):

@@ -29,7 +29,15 @@ class RankError(FedssaError, ArithmeticError):
 
 
 class NumericError(FedssaError, ArithmeticError):
-    """Computation produced non-finite values or lost positive definiteness."""
+    """Computation produced non-finite values or lost positive definiteness.
+
+    members lists the members at fault when the failing computation knows
+    them: leading-axis rows of a stacked tape value, or client ids.
+    """
+
+    def __init__(self, message: str = "", members=()):
+        super().__init__(message)
+        self.members = tuple(int(m) for m in members)
 
 
 class InfeasibleError(FedssaError, ValueError):

@@ -3,9 +3,13 @@
 One round proceeds in lockstep: every client trains E local epochs against
 the representatives it received last round, evaluates, and produces an
 upload; the server then clusters the class Gaussians afresh and broadcasts
-per-client representatives for the next round. Spectral-energy frames are
-fixed at setup, so they travel in round 1 only: the server groups them
-once and later rounds reuse those groups. Client work is keyed by client
+per-client representatives for the next round. Clients with the same
+(n, d) train together: `group_clients` stacks them, in client order, into
+groups of at most STACK_ROWS node rows, and each group records one tape
+per epoch (`train_group`). `client_round` then finishes each client's
+round from its slice of the group's evaluation forward. Spectral-energy
+frames are fixed at setup, so they travel in round 1 only: the server
+groups them once and later rounds reuse those groups. Client work is keyed by client
 id, never by execution order, so permuting the schedule cannot change any
 result.
 
@@ -34,13 +38,13 @@ from .errors import (ConfigError, ContractError, NumericError, ProtocolError,
                      ShapeError, TrainingDivergenceError, UndefinedMetricError)
 from .graphs import FederationDataset, LocalGraph, canonical_json, laplacian_powers
 from .metrics import accuracy, auc
-from .models import (ClassGaussian, ClientPlan, ce_path, class_gaussians,
+from .models import (ClassGaussian, ClientPlan, GroupPlan, ce_path, class_gaussians,
                      class_stat_paths, client_plan, elbo_path, encoder_input,
-                     encoder_path, init_params, logits_path, sample_nonedges,
-                     spectral_energy, stack_powers)
+                     encoder_path, group_plan, init_params, logits_path,
+                     sample_nonedges, spectral_energy, stack_powers)
 from .rng import spawn_key, stream
-from .semantic import (KLTargets, SemanticClusterMap, alignment_path,
-                       build_semantic_map, kl_targets)
+from .semantic import (SemanticClusterMap, alignment_path, build_semantic_map,
+                       client_kl_targets)
 from .structural import (SpectralEnergy, StructuralClusterMap,
                          build_structural_map, coefficient_penalty_var,
                          pairwise_chordal, structural_cluster)
@@ -52,6 +56,9 @@ METHODS = ("fedssa", "fedavg", "local")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# Most node rows one stacked training tape holds; a larger client trains alone.
+STACK_ROWS = 1024
 
 
 @dataclass
@@ -110,23 +117,55 @@ class AdamState:
 
 @dataclass
 class ClientState:
-    """One client's graph, parameters, optimizer state and caches.
+    """One client's graph, parameters and caches.
 
     params holds the trainable arrays from init_params, keyed by tape-leaf
-    name; Adam's moments use the same keys.
+    name. Once group_clients stacks the client, params, h_stack and x_in
+    are views of its row of the group's stacks, and the group holds the
+    Adam moments.
     """
 
     client_id: int
     graph: LocalGraph
     task: str
     params: dict
-    adam: AdamState
     h_stack: np.ndarray
     x_in: np.ndarray
     plan: ClientPlan
     energy: Optional[SpectralEnergy]
     last_losses: dict = field(default_factory=dict)
     last_metrics: dict = field(default_factory=dict)
+
+
+@dataclass
+class ClientGroup:
+    """Clients with one (n, d), trained on one stacked tape per epoch.
+
+    params, adam, h_stack and x_in hold one leading row per member, in the
+    order of states; each member's ClientState arrays are views of its row.
+    """
+
+    states: list
+    plan: GroupPlan
+    params: dict
+    adam: AdamState
+    h_stack: np.ndarray
+    x_in: np.ndarray
+
+
+@dataclass(frozen=True)
+class GroupEvaluation:
+    """What a group's evaluation forward leaves for its members' client_round.
+
+    losses maps ce, vgae, node and struct to one value per member (0 for a
+    term the run does not use), logits stacks the members' logits, and
+    class_moments (None without the semantic branch) holds the class
+    [mean | var] rows that the group plan's class_bounds split by member.
+    """
+
+    losses: dict
+    logits: np.ndarray
+    class_moments: Optional[np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -265,9 +304,42 @@ def init_client_state(client_id: int, graph: LocalGraph, num_classes: int, task:
     return ClientState(
         client_id=client_id, graph=graph, task=task,
         params={name: a.copy() for name, a in params.items()},
-        adam=AdamState.fresh(params), h_stack=stack_powers(powers),
-        x_in=encoder_input(graph, num_classes), plan=plan, energy=energy,
+        h_stack=stack_powers(powers), x_in=encoder_input(graph, num_classes),
+        plan=plan, energy=energy,
     )
+
+
+def group_clients(states: list, order) -> list[ClientGroup]:
+    """Stack the states, taken in `order`, into training groups.
+
+    A group holds clients of one (n, d) and at most STACK_ROWS node rows; a
+    client with more rows trains as a group of one. Stacking re-points each
+    state's params, h_stack and x_in at its row of the group's arrays and
+    starts the group's Adam moments at zero.
+    """
+    by_shape: dict = {}
+    members: list = []
+    for index in order:
+        state = states[index]
+        shape = state.graph.features.shape
+        group = by_shape.get(shape)
+        if group is None or (len(group) + 1) * shape[0] > STACK_ROWS:
+            group = by_shape[shape] = []
+            members.append(group)
+        group.append(state)
+    return [_stack(group) for group in members]
+
+
+def _stack(states: list) -> ClientGroup:
+    params = {name: np.stack([s.params[name] for s in states]) for name in states[0].params}
+    h_stack = np.stack([s.h_stack for s in states])
+    x_in = np.stack([s.x_in for s in states])
+    for i, s in enumerate(states):
+        s.params = {name: a[i] for name, a in params.items()}
+        s.h_stack, s.x_in = h_stack[i], x_in[i]
+    return ClientGroup(states=states, plan=group_plan([s.plan for s in states]),
+                       params=params, adam=AdamState.fresh(params),
+                       h_stack=h_stack, x_in=x_in)
 
 
 def _adam_step(arrays: dict, grads: dict, st: AdamState, lr: float) -> None:
@@ -282,35 +354,33 @@ def _adam_step(arrays: dict, grads: dict, st: AdamState, lr: float) -> None:
         arr -= step
 
 
-def _loss_parts(state: ClientState, broadcast: Optional[ServerBroadcast],
-                cfg: RunConfig, eps: np.ndarray, nonedges: np.ndarray,
-                targets: Optional[KLTargets] = None) -> tuple:
-    """Assemble one forward pass; returns (tape, leaves, parts dict).
+def _loss_parts(group: ClientGroup, w_bar: Optional[np.ndarray], cfg: RunConfig,
+                eps: np.ndarray, nonedges: list, targets: list) -> tuple:
+    """Assemble one stacked forward pass; returns (tape, leaves, parts dict).
 
-    targets are the broadcast's class representatives prepared by
-    kl_targets. Besides the loss terms, parts holds the logits and, for
-    fedssa with the semantic branch, the class statistics (None otherwise).
+    w_bar stacks the members' broadcast coefficients (or is None), and
+    targets holds each member's KLTargets or None. Besides the per-member
+    loss terms, parts holds the logits and, for fedssa with the semantic
+    branch, the class statistics (None otherwise).
     """
-    g = state.graph
-    n, d = g.features.shape
+    plan = group.plan
     tape = tp.Tape()
-    leaves = {name: tape.leaf(a, name) for name, a in state.params.items()}
-    _p, logits = logits_path(leaves, state.h_stack, n, d)
-    ce = ce_path(logits, state.plan)
-    mu, logvar = encoder_path(leaves, state.x_in)
-    vgae_term = elbo_path(mu, logvar, state.plan, eps, nonedges)
+    leaves = {name: tape.leaf(a, name) for name, a in group.params.items()}
+    _p, logits = logits_path(leaves, group.h_stack, plan.n,
+                             group.h_stack.shape[-1] // plan.n)
+    ce = ce_path(logits, plan)
+    mu, logvar = encoder_path(leaves, group.x_in)
+    vgae_term = elbo_path(mu, logvar, plan, eps, nonedges)
     total = tp.add(ce, vgae_term)
     stats = None
     node_term = None
     struct_term = None
     if cfg.method == "fedssa" and cfg.semantic:
-        stats = class_stat_paths(mu, logvar, state.plan)
-        if targets is not None:
-            node_term = alignment_path(stats, targets)
-            if node_term is not None:
-                total = tp.add(total, node_term)
+        stats = class_stat_paths(mu, logvar, plan)
+        node_term = alignment_path(stats, targets)
+        if node_term is not None:
+            total = tp.add(total, node_term)
     if cfg.method == "fedssa" and cfg.structural:
-        w_bar = broadcast.cluster_coefficients if broadcast is not None else None
         struct_term = coefficient_penalty_var(leaves["w"], w_bar, cfg.lambda1,
                                               cfg.lambda2)
         total = tp.add(total, struct_term)
@@ -319,65 +389,136 @@ def _loss_parts(state: ClientState, broadcast: Optional[ServerBroadcast],
     return tape, leaves, parts
 
 
-def client_round(state: ClientState, broadcast: Optional[ServerBroadcast],
-                 cfg: RunConfig, seed: int,
-                 round_index: int) -> tuple[ClientState, Optional[ClientUpload]]:
-    """Train E local epochs, evaluate, and build this round's upload.
+def _cluster_coefficients(group: ClientGroup, broadcasts: dict) -> Optional[np.ndarray]:
+    """The members' broadcast filter coefficients, stacked, or None before any."""
+    rows = [getattr(broadcasts.get(s.client_id), "cluster_coefficients", None)
+            for s in group.states]
+    if all(r is None for r in rows):
+        return None
+    if any(r is None for r in rows):
+        raise ContractError("cluster coefficients reached only some clients of a group")
+    return np.stack(rows)
 
-    One evaluation forward gives the logged losses, the split metrics and
-    the upload's class Gaussians; the frame fixed at setup goes into the
-    round-1 upload only. The broadcast's representatives are prepared for
-    the alignment KL once, on receipt. A representative that is not positive definite, or
-    a non-finite loss or gradient, rolls parameters and optimizer state
-    back to their values at round entry and raises TrainingDivergenceError.
-    With epochs == 0 the parameters are untouched and the upload reflects
-    the current state. Only method "fedssa"
-    constructs an upload.
+
+def _samples(plan: GroupPlan, seed: int, *path) -> list:
+    """Each member's non-edge draw, one per edge, from the stream at path."""
+    return [sample_nonedges(p, p.graph.edges.shape[0], stream(seed, *path))
+            for p in plan.members]
+
+
+def train_group(group: ClientGroup, broadcasts: dict, targets: dict, cfg: RunConfig,
+                seed: int, round_index: int) -> GroupEvaluation:
+    """Train E local epochs on one stacked tape per epoch, then evaluate.
+
+    broadcasts and targets map client ids to last round's ServerBroadcast
+    and its representatives prepared by client_kl_targets. Every member
+    reads the same train-eps and eval-eps draw, and samples its own
+    non-edges. A non-finite loss or gradient, or a nonpositive class
+    variance, in any member rolls every member's parameters and the
+    group's Adam state back to their values at round entry and raises
+    TrainingDivergenceError naming the lowest-id diverging client. With
+    epochs == 0 the parameters are untouched.
     """
-    g = state.graph
-    n = g.n
-    dz = cfg.latent_dim
-    snapshot = ({name: a.copy() for name, a in state.params.items()}, state.adam.copy())
-    targets = None
+    plan = group.plan
+    shape = (plan.n, cfg.latent_dim)
+    snapshot = ({name: a.copy() for name, a in group.params.items()}, group.adam.copy())
+    member_targets = [targets.get(s.client_id) for s in group.states]
     try:
-        if broadcast is not None and broadcast.class_representatives:
-            targets = kl_targets(broadcast.class_representatives)
+        w_bar = _cluster_coefficients(group, broadcasts)
         for epoch in range(cfg.epochs):
-            eps = stream(seed, "train-eps", round_index, epoch).standard_normal((n, dz))
-            nonedges = sample_nonedges(state.plan, g.edges.shape[0],
-                                       stream(seed, "train-nonedges", round_index, epoch))
-            tape, leaves, parts = _loss_parts(state, broadcast, cfg, eps, nonedges,
-                                              targets)
-            loss = parts["total"]
-            if not np.isfinite(loss.value).all():
-                raise NumericError("non-finite loss")
-            grads = tp.grad(tape, loss)
-            named = {name: grads[var] for name, var in leaves.items()}
-            _adam_step(state.params, named, state.adam, cfg.lr)
-            np.clip(state.params["w"], -cfg.w_max, cfg.w_max, out=state.params["w"])
+            eps = stream(seed, "train-eps", round_index, epoch).standard_normal(shape)
+            _train_step(group, w_bar, cfg, eps,
+                        _samples(plan, seed, "train-nonedges", round_index, epoch),
+                        member_targets)
     except NumericError as exc:
-        state.params, state.adam = snapshot
-        raise TrainingDivergenceError(
-            f"client {state.client_id} diverged in round {round_index}: {exc}") from exc
-    # One evaluation pass on its own streams, for round metrics and the upload.
-    eval_eps = stream(seed, "eval-eps", round_index).standard_normal((n, dz))
-    eval_nonedges = sample_nonedges(state.plan, g.edges.shape[0],
-                                    stream(seed, "eval-nonedges", round_index))
-    _tape, _leaves, parts = _loss_parts(state, broadcast, cfg, eval_eps,
-                                        eval_nonedges, targets)
-    state.last_losses = {
-        "ce": float(parts["ce"].value[0, 0]),
-        "vgae": float(parts["vgae"].value[0, 0]),
-        "node": float(parts["node"].value[0, 0]) if parts["node"] is not None else 0.0,
-        "struct": float(parts["struct"].value[0, 0]) if parts["struct"] is not None else 0.0,
-    }
-    state.last_metrics = evaluate_client(state, parts["logits"].value)
+        for name, arr in snapshot[0].items():
+            group.params[name][...] = arr
+        group.adam = snapshot[1]
+        ids = [group.states[m].client_id for m in exc.members or range(len(group.states))]
+        raise _diverged(ids, round_index, exc) from exc
+    # One evaluation pass on its own streams, for round metrics and the uploads.
+    eval_eps = stream(seed, "eval-eps", round_index).standard_normal(shape)
+    _tape, _leaves, parts = _loss_parts(group, w_bar, cfg, eval_eps,
+                                        _samples(plan, seed, "eval-nonedges", round_index),
+                                        member_targets)
+    members = len(group.states)
+    losses = {name: np.zeros(members) if parts[name] is None
+              else parts[name].value.reshape(-1) for name in ("ce", "vgae", "node", "struct")}
+    return GroupEvaluation(
+        losses=losses, logits=parts["logits"].value,
+        class_moments=parts["stats"].moments.value if parts["stats"] is not None else None)
+
+
+def _train_step(group: ClientGroup, w_bar: Optional[np.ndarray], cfg: RunConfig,
+                eps: np.ndarray, nonedges: list, targets: list) -> None:
+    """One stacked forward, backward and Adam step; the tape dies on return,
+    before the next forward is recorded."""
+    tape, leaves, parts = _loss_parts(group, w_bar, cfg, eps, nonedges, targets)
+    loss = parts["total"].value
+    if not np.isfinite(loss).all():
+        raise NumericError("non-finite loss",
+                           members=np.flatnonzero(~np.isfinite(loss.reshape(-1))))
+    grads = tp.grad(tape, parts["total"])
+    _adam_step(group.params, {name: grads[var] for name, var in leaves.items()},
+               group.adam, cfg.lr)
+    np.clip(group.params["w"], -cfg.w_max, cfg.w_max, out=group.params["w"])
+
+
+def local_round(groups: list, broadcasts: dict, cfg: RunConfig, seed: int,
+                round_index: int) -> dict:
+    """The client side of one round: train every group, then finish each
+    client's round with client_round; returns {client_id: upload}.
+
+    Each distinct representative in the broadcasts is prepared for the
+    alignment KL once; one that is not positive definite raises
+    TrainingDivergenceError naming the lowest-id client receiving it,
+    before any client trains.
+    """
+    received = {cid: bc.class_representatives for cid, bc in broadcasts.items()
+                if bc.class_representatives}
+    try:
+        targets = client_kl_targets(received)
+    except NumericError as exc:
+        raise _diverged(exc.members, round_index, exc) from exc
+    uploads: dict = {}
+    for group in groups:
+        evaluation = train_group(group, broadcasts, targets, cfg, seed, round_index)
+        for member, state in enumerate(group.states):
+            upload = client_round(group, member, evaluation, cfg, round_index)
+            if upload is not None:
+                uploads[state.client_id] = upload
+    return uploads
+
+
+def _diverged(client_ids, round_index: int, exc: Exception) -> TrainingDivergenceError:
+    return TrainingDivergenceError(
+        f"client {min(client_ids)} diverged in round {round_index}: {exc}")
+
+
+def client_round(group: ClientGroup, member: int, evaluation: GroupEvaluation,
+                 cfg: RunConfig, round_index: int) -> Optional[ClientUpload]:
+    """Finish one client's round from its row of the group's evaluation.
+
+    Sets the client's logged losses and split metrics and, for method
+    "fedssa", builds its upload: filter coefficients, the class Gaussians
+    of its class statistics, and the frame fixed at setup in round 1 only.
+    """
+    state = group.states[member]
+    state.last_losses = {name: float(values[member])
+                         for name, values in evaluation.losses.items()}
+    state.last_metrics = evaluate_client(state, evaluation.logits[member])
     if cfg.method != "fedssa":
-        return state, None
-    return state, ClientUpload(
+        return None
+    gaussians = ()
+    if evaluation.class_moments is not None:
+        a, b = group.plan.class_bounds[member:member + 2]
+        gaussians = class_gaussians(group.plan.class_labels[a:b],
+                                    group.plan.classes.counts[a:b],
+                                    evaluation.class_moments[a:b])
+    return ClientUpload(
         client_id=state.client_id,
         coefficients=state.params["w"].flatten(),
-        class_gaussians=class_gaussians(parts["stats"]) if cfg.semantic else (),
+        class_gaussians=gaussians,
         spectral_energy=state.energy if round_index == 1 else None,
     )
 
@@ -490,19 +631,14 @@ def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig, seed: in
                           cfg.hidden, cfg.latent_dim, stream(seed, "init"))
     states = [init_client_state(i, g, dataset.num_classes, dataset.task, cfg, params0)
               for i, g in enumerate(dataset.clients)]
+    groups = group_clients(states, order)
     broadcasts: dict = {}
     structure = None  # round 1's structural clusters, kept for the run
     chordal = None  # round 1's (ids, chordal distance matrix)
     history: list[RoundMetrics] = []
     for round_index in range(1, cfg.rounds + 1):
         t_start = time.perf_counter()
-        uploads: dict = {}
-        for cid in order:
-            state, upload = client_round(states[cid], broadcasts.get(cid), cfg,
-                                         seed, round_index)
-            states[cid] = state
-            if upload is not None:
-                uploads[cid] = upload
+        uploads = local_round(groups, broadcasts, cfg, seed, round_index)
         bytes_up = {cid: 0 for cid in range(m)}
         bytes_down = {cid: 0 for cid in range(m)}
         heterogeneity = None

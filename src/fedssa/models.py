@@ -17,9 +17,14 @@ trunk and encoder layer is one `dense` node, the cross entropy one
 A `ClientPlan`, built once per client by `client_plan`, holds what every
 forward reads from the client's data: the cross-entropy rows and one-hot
 targets, the train rows grouped by class, the ELBO's constant label term
-and the non-edge sampler's offset tables. A client's evaluation pass
-records the builders once per round; its logits give the split metrics and
-its class statistics give the upload's class Gaussians.
+and the non-edge sampler's offset tables. Clients with the same node count
+train on one stacked tape: `group_plan` lays their plans out once over the
+stacked rows, with member bounds for the ragged losses and each member's
+edge pairs and edge/non-edge split. Every builder takes either plan; with
+a `GroupPlan` the values carry a leading member axis and each loss holds
+one value per member. A group's evaluation pass records the builders once
+per round; its logits give the split metrics and its class statistics give
+the uploads' class Gaussians.
 """
 
 from __future__ import annotations
@@ -129,6 +134,24 @@ class ClientPlan:
     row_start: np.ndarray
     absent_before_edge: np.ndarray
 
+    # A single client's plan is not stacked: its losses see one member.
+    ce_bounds = None
+    class_bounds = None
+
+    def pair_batch(self, nonedges: np.ndarray) -> tuple:
+        """(pairs, 0/1 targets, None) for the edges followed by the sampled non-edges."""
+        nonedges = _checked_nonedges(nonedges, self.graph.n)
+        edges = self.graph.edges
+        return (np.concatenate([edges, nonedges]),
+                np.repeat([1.0, 0.0], [edges.shape[0], nonedges.shape[0]]), None)
+
+
+def _checked_nonedges(nonedges, n: int) -> np.ndarray:
+    nonedges = np.asarray(nonedges, dtype=np.int64).reshape(-1, 2)
+    if nonedges.size and (nonedges.min() < 0 or nonedges.max() >= n):
+        raise ShapeError(f"non-edge index out of range for {n} nodes")
+    return nonedges
+
 
 def client_plan(client_id: int, g: LocalGraph, num_classes: int) -> ClientPlan:
     """Validate and lay out one client's data for its forwards.
@@ -163,20 +186,105 @@ def client_plan(client_id: int, g: LocalGraph, num_classes: int) -> ClientPlan:
                       absent_before_edge)
 
 
+@dataclass(frozen=True)
+class GroupPlan:
+    """Stacked layout of clients with the same node count n, built once per run.
+
+    Row r of member m is row m * n + r of the stacked rows, which ce_rows,
+    classes and the pairs index. ce_bounds, class_bounds and pair_bounds
+    split the ce rows, the class groups and the pairs by member, as the
+    ragged tape ops expect. class_labels lists every member's labels in
+    member order. label_term holds each member's ELBO constant as a
+    (G, 1, 1) array, or is None when no member has train rows. edges holds
+    each member's edge list in stacked rows, nonedge_counts how many
+    non-edges each member samples per forward, and pair_y the 0/1 targets
+    of the pairs that pair_batch lays out.
+    """
+
+    members: tuple
+    n: int
+    ce_rows: np.ndarray
+    ce_onehot: np.ndarray
+    ce_bounds: np.ndarray
+    class_labels: np.ndarray
+    classes: tp.Segments
+    class_bounds: np.ndarray
+    label_term: Optional[np.ndarray]
+    edges: tuple
+    nonedge_counts: tuple
+    pair_y: np.ndarray
+    pair_bounds: np.ndarray
+
+    def pair_batch(self, nonedges) -> tuple:
+        """(pairs, 0/1 targets, bounds) from one sampled non-edge array per member.
+
+        Each member's edges, then its non-edges, in stacked rows; only the
+        sampled non-edges are checked.
+        """
+        parts = []
+        for m, (edges, sampled, count) in enumerate(zip(self.edges, nonedges,
+                                                        self.nonedge_counts)):
+            sampled = _checked_nonedges(sampled, self.n)
+            if sampled.shape[0] != count:
+                raise ShapeError(f"member {m} sampled {sampled.shape[0]} non-edges,"
+                                 f" its plan holds {count}")
+            parts += [edges, sampled + m * self.n]
+        return np.concatenate(parts), self.pair_y, self.pair_bounds
+
+
+def _offsets(sizes) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+
+
+def group_plan(plans) -> GroupPlan:
+    """Lay the plans of clients with one node count out over their stacked rows."""
+    n = plans[0].graph.n
+    if any(p.graph.n != n for p in plans):
+        raise ShapeError("a group's clients must have the same node count")
+    offsets = [m * n for m in range(len(plans))]
+    groups = [p.classes.rows[start:start + count] + off
+              for p, off in zip(plans, offsets)
+              for start, count in zip(p.classes.starts, p.classes.counts)]
+    label_term = None
+    if any(p.label_term is not None for p in plans):
+        label_term = np.array([p.label_term or 0.0 for p in plans]).reshape(-1, 1, 1)
+    edge_counts = [p.graph.edges.shape[0] for p in plans]
+    nonedge_counts = tuple(min(e, n * (n - 1) // 2 - e) for e in edge_counts)
+    return GroupPlan(
+        members=tuple(plans), n=n,
+        ce_rows=np.concatenate([p.ce_rows + off for p, off in zip(plans, offsets)]),
+        ce_onehot=np.concatenate([p.ce_onehot for p in plans]),
+        ce_bounds=_offsets([p.ce_rows.size for p in plans]),
+        class_labels=np.concatenate([p.class_labels for p in plans]),
+        classes=tp.segments(groups, n * len(plans)),
+        class_bounds=_offsets([p.class_labels.size for p in plans]),
+        label_term=label_term,
+        edges=tuple(p.graph.edges + off for p, off in zip(plans, offsets)),
+        nonedge_counts=nonedge_counts,
+        pair_y=np.concatenate([np.repeat([1.0, 0.0], [e, c])
+                               for e, c in zip(edge_counts, nonedge_counts)]),
+        pair_bounds=_offsets([e + c for e, c in zip(edge_counts, nonedge_counts)]),
+    )
+
+
 def logits_path(leaves: dict, h_stack: np.ndarray, n: int, d: int) -> tuple[tp.Var, tp.Var]:
-    """Tape nodes for the propagated features P and the class logits."""
+    """Tape nodes for the propagated features P and the class logits.
+
+    h_stack may stack one (order+1, n*d) block per member under stacked leaves.
+    """
     p_flat = tp.matmul(leaves["w"], h_stack)
-    p = tp.reshape(p_flat, (n, d))
+    p = tp.reshape(p_flat, h_stack.shape[:-2] + (n, d))
     hidden = tp.dense(p, leaves["head_w1"], leaves["head_b1"], tanh=True)
     logits = tp.dense(hidden, leaves["head_w2"], leaves["head_b2"])
     return p, logits
 
 
-def ce_path(logits: tp.Var, plan: ClientPlan) -> tp.Var:
-    """Mean cross entropy over the client's train rows, as one tape node."""
-    if plan.ce_rows.size == 0:
+def ce_path(logits: tp.Var, plan) -> tp.Var:
+    """Mean cross entropy over each client's train rows, as one tape node."""
+    counts = [plan.ce_rows.size] if plan.ce_bounds is None else np.diff(plan.ce_bounds)
+    if min(counts) == 0:
         raise ContractError("cross entropy needs a nonempty mask")
-    return tp.softmax_ce(logits, plan.ce_rows, plan.ce_onehot)
+    return tp.softmax_ce(logits, plan.ce_rows, plan.ce_onehot, plan.ce_bounds)
 
 
 def encoder_input(g: LocalGraph, num_classes: int) -> np.ndarray:
@@ -200,16 +308,19 @@ def encoder_path(leaves: dict, x_in: np.ndarray) -> tuple[tp.Var, tp.Var]:
 class ClassStats:
     """Class-wise latent moments over the train rows, as one tape node.
 
-    labels ascend; row c of moments is [mean | var] of class labels[c], and
-    counts[c] is that class's number of train rows.
+    Row c of moments is [mean | var] of class labels[c], and counts[c] is
+    that class's number of train rows. With bounds (a group's forward),
+    rows bounds[m]:bounds[m + 1] belong to member m; each member's labels
+    ascend.
     """
 
     labels: np.ndarray
     counts: np.ndarray
     moments: tp.Var
+    bounds: Optional[np.ndarray] = None
 
 
-def class_stat_paths(mu: tp.Var, logvar: tp.Var, plan: ClientPlan) -> ClassStats:
+def class_stat_paths(mu: tp.Var, logvar: tp.Var, plan) -> ClassStats:
     """Moment-matched class Gaussians over train rows, as one tape node.
 
     For class c the mixture of per-node diagonal posteriors has mean equal
@@ -217,7 +328,7 @@ def class_stat_paths(mu: tp.Var, logvar: tp.Var, plan: ClientPlan) -> ClassStats
     posterior variance plus the population variance of the means.
     """
     return ClassStats(plan.class_labels, plan.classes.counts,
-                      tp.segment_moments(mu, logvar, plan.classes))
+                      tp.segment_moments(mu, logvar, plan.classes), plan.class_bounds)
 
 
 def sample_nonedges(plan: ClientPlan, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -237,36 +348,35 @@ def sample_nonedges(plan: ClientPlan, count: int, rng: np.random.Generator) -> n
     return np.column_stack([rows, flat - plan.row_start[rows] + rows + 1])
 
 
-def elbo_path(mu: tp.Var, logvar: tp.Var, plan: ClientPlan, eps: np.ndarray,
-              nonedges: np.ndarray) -> tp.Var:
+def elbo_path(mu: tp.Var, logvar: tp.Var, plan, eps: np.ndarray, nonedges) -> tp.Var:
     """Negative ELBO: mean edge BCE + mean prior KL - mean label log-prob.
 
-    The label term uses empirical train-split class frequencies; it is
-    constant in the parameters and only shifts the reported value.
+    eps is one (n, d_z) draw, shared by every member of a group; nonedges
+    is one sampled array for a ClientPlan and one per member for a
+    GroupPlan. The label term uses empirical train-split class frequencies;
+    it is constant in the parameters and only shifts the reported value.
     """
-    n, dz = mu.value.shape
+    n, dz = mu.value.shape[-2:]
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != (n, dz):
         raise ShapeError(f"eps must have shape {(n, dz)}, got {eps.shape}")
-    edges = plan.graph.edges
     total = tp.prior_kl(mu, logvar)
-    if edges.size or nonedges.size:
+    pairs, y, bounds = plan.pair_batch(nonedges)
+    if pairs.size:
         z = tp.gaussian_sample(mu, logvar, eps)
-        pairs = np.concatenate([edges, nonedges.reshape(-1, 2)])
-        y = np.repeat([1.0, 0.0], [edges.shape[0], pairs.shape[0] - edges.shape[0]])
-        total = tp.add(tp.pair_bce(z, pairs, y), total)
+        total = tp.add(tp.pair_bce(z, pairs, y, bounds), total)
     if plan.label_term is not None:
-        total = tp.add(total, np.full((1, 1), plan.label_term))
+        total = tp.add(total, np.full(total.shape, plan.label_term))
     return total
 
 
-def class_gaussians(stats: ClassStats) -> tuple:
-    """ClassGaussians, sorted by label, from the values of class_stat_paths."""
-    d = stats.moments.shape[1] // 2
+def class_gaussians(labels: np.ndarray, counts: np.ndarray, moments: np.ndarray) -> tuple:
+    """ClassGaussians, in label order, from one client's class labels, train-row
+    counts and [mean | var] rows (the values of class_stat_paths)."""
+    d = moments.shape[1] // 2
     return tuple(ClassGaussian(int(label), row[:d].copy(),
                                np.diag(np.maximum(row[d:], COV_FLOOR)), int(count))
-                 for label, count, row in zip(stats.labels, stats.counts,
-                                              stats.moments.value))
+                 for label, count, row in zip(labels, counts, moments))
 
 
 def spectral_energy(powers: list, client_id: int) -> SpectralEnergy:

@@ -180,30 +180,70 @@ class KLTargets:
 
 def kl_targets(representatives: dict) -> KLTargets:
     """Precision and log-determinant of each {label: ClassGaussian} representative."""
-    labels = sorted(representatives)
-    if not labels:
-        return KLTargets(np.zeros(0, dtype=np.int64), np.zeros((0, 0)),
-                         np.zeros((0, 0, 0)), np.zeros(0))
-    covs = np.stack([representatives[c].cov for c in labels])
-    signs, logdets = np.linalg.slogdet(covs)
-    if np.any(signs <= 0):
-        raise NumericError("representative covariance is not positive definite")
-    precisions = np.linalg.inv(covs)
-    precisions = 0.5 * (precisions + np.swapaxes(precisions, 1, 2))
-    means = np.stack([representatives[c].mean for c in labels])
-    return KLTargets(np.array(labels, dtype=np.int64), means, precisions, logdets)
+    return client_kl_targets({0: representatives})[0]
 
 
-def alignment_path(stats: ClassStats, targets: KLTargets) -> tp.Var | None:
+def client_kl_targets(received: dict) -> dict:
+    """KLTargets per client from {client_id: {label: ClassGaussian}}.
+
+    Clients of one semantic cluster receive the same representative
+    objects, so each distinct object is inverted and its log-determinant
+    taken once. A representative that is not positive definite raises
+    NumericError whose members are the ids of the clients receiving it.
+    """
+    distinct = {id(rep): rep for reps in received.values() for rep in reps.values()}
+    slot = {key: i for i, key in enumerate(distinct)}
+    if distinct:
+        covs = np.stack([rep.cov for rep in distinct.values()])
+        signs, logdets = np.linalg.slogdet(covs)
+        if np.any(signs <= 0):
+            bad = {key for key, i in slot.items() if signs[i] <= 0}
+            raise NumericError("representative covariance is not positive definite",
+                               members=sorted(cid for cid, reps in received.items()
+                                              if any(id(r) in bad for r in reps.values())))
+        precisions = np.linalg.inv(covs)
+        precisions = 0.5 * (precisions + np.swapaxes(precisions, 1, 2))
+    out = {}
+    for cid, reps in received.items():
+        labels = sorted(reps)
+        if not labels:
+            out[cid] = KLTargets(np.zeros(0, dtype=np.int64), np.zeros((0, 0)),
+                                 np.zeros((0, 0, 0)), np.zeros(0))
+            continue
+        picked = [slot[id(reps[c])] for c in labels]
+        out[cid] = KLTargets(np.array(labels, dtype=np.int64),
+                             np.stack([reps[c].mean for c in labels]),
+                             precisions[picked], logdets[picked])
+    return out
+
+
+def alignment_path(stats: ClassStats, targets) -> tp.Var | None:
     """Tape node summing KL(local diagonal posterior || frozen representative).
 
-    stats comes from class_stat_paths and targets from kl_targets. Classes
-    without a representative contribute nothing. Returns None when no class
-    matches.
+    stats comes from class_stat_paths and targets from kl_targets: one
+    KLTargets for a single client's stats, or one KLTargets or None per
+    member for a group's. Classes without a representative contribute
+    nothing. Returns None when no class of any member matches.
     """
-    _common, rows, picked = np.intersect1d(stats.labels, targets.labels,
-                                           assume_unique=True, return_indices=True)
-    if rows.size == 0:
+    per_member, bounds = (([targets], [0, stats.labels.size]) if stats.bounds is None
+                          else (targets, stats.bounds))
+    rows, picks, sizes = [], [], []
+    for m, member in enumerate(per_member):
+        a = bounds[m]
+        local = np.zeros(0, dtype=np.int64)
+        if member is not None:
+            _common, local, picked = np.intersect1d(
+                stats.labels[a:bounds[m + 1]], member.labels, assume_unique=True,
+                return_indices=True)
+            if local.size:
+                picks.append((member, picked))
+        rows.append(local + a)
+        sizes.append(local.size)
+    if sum(sizes) == 0:
         return None
-    return tp.diag_gaussian_kl(stats.moments, rows, targets.means[picked],
-                               targets.precisions[picked], targets.logdets[picked])
+    return tp.diag_gaussian_kl(
+        stats.moments, np.concatenate(rows),
+        np.concatenate([t.means[p] for t, p in picks]),
+        np.concatenate([t.precisions[p] for t, p in picks]),
+        np.concatenate([t.logdets[p] for t, p in picks]),
+        None if stats.bounds is None else np.concatenate([[0], np.cumsum(sizes)]))

@@ -4,11 +4,19 @@ The design is a flat tape: every operation eagerly computes its value with
 numpy and appends a node recording the op name, its inputs and any static
 attributes. `grad` walks the tape once in reverse accumulating adjoints.
 
-All values are 2-D float64 arrays (scalars are 1x1). Inputs to an op may be
-other Vars or plain ndarrays; plain arrays are closed-over constants that
-receive no gradient, which is how frozen server broadcasts enter local
-losses without being differentiated. A Var refers to its tape weakly, so
-reference counting frees a tape once the caller drops it.
+Values are 2-D float64 matrices (scalars are 1x1) or stacks of them with a
+leading member axis, one member per client of equal shape. Products, bias
+sums and per-member reductions act on the last two axes, so member m of a
+stacked node holds exactly the bits a 2-D tape of member m alone would
+hold. Ragged ops take flat row indices into the stacked rows (row r of
+member m is row m * n + r) plus a `bounds` table: entries
+bounds[m]:bounds[m + 1] of the index list belong to member m, and the op's
+value is one 1x1 loss per member. Without bounds an op sees one 2-D member.
+Inputs to an op may be other Vars or plain ndarrays; plain arrays are
+closed-over constants that receive no gradient, which is how frozen server
+broadcasts enter local losses without being differentiated. A Var refers to
+its tape weakly, so reference counting frees a tape once the caller drops
+it.
 
 Besides `matmul`, `add`, `reshape` and `clip`, every op is a fused layer
 or loss: one tape node with a closed-form backward rule, written in the
@@ -47,9 +55,20 @@ def _as_matrix(value) -> np.ndarray:
         out = out.reshape(1, 1)
     elif out.ndim == 1:
         out = out.reshape(1, -1)
-    if out.ndim != 2:
-        raise ShapeError(f"expected a matrix, got array of ndim {out.ndim}")
+    if out.ndim not in (2, 3):
+        raise ShapeError(f"expected a matrix or a stack of matrices, got array of"
+                         f" ndim {out.ndim}")
     return np.ascontiguousarray(out)
+
+
+def _nonfinite_members(x: np.ndarray) -> tuple:
+    """Leading-axis members of a stacked value holding a non-finite entry
+    ((0,) for a 2-D value that holds one)."""
+    if np.isfinite(x).all():
+        return ()
+    if x.ndim == 2:
+        return (0,)
+    return tuple(int(m) for m in np.flatnonzero(~np.isfinite(x).all(axis=(1, 2))))
 
 
 class Var:
@@ -82,18 +101,6 @@ class Var:
         label = self.name or self.op
         return f"Var({label}, shape={self.value.shape})"
 
-    def __matmul__(self, other: ArrayLike) -> "Var":
-        return matmul(self, other)
-
-    def __rmatmul__(self, other: np.ndarray) -> "Var":
-        return matmul(other, self)
-
-    def __add__(self, other: ArrayLike) -> "Var":
-        return add(self, other)
-
-    def __radd__(self, other: np.ndarray) -> "Var":
-        return add(self, other)
-
 
 class Tape:
     """Ordered record of one forward computation."""
@@ -103,13 +110,15 @@ class Tape:
         self.leaves: list[Var] = []
 
     def leaf(self, value, name: Optional[str] = None) -> Var:
-        """Register a differentiable input. Must already be a 2-D array."""
-        if np.asarray(value).ndim != 2:
-            raise ShapeError(f"leaf {name!r} must be 2-D,"
+        """Register a differentiable input: a 2-D array or a stack of them."""
+        if np.asarray(value).ndim not in (2, 3):
+            raise ShapeError(f"leaf {name!r} must be 2-D or 3-D,"
                              f" got ndim {np.asarray(value).ndim}")
         mat = _as_matrix(value).copy()
-        if not np.isfinite(mat).all():
-            raise NumericError(f"leaf {name or len(self.leaves)} has non-finite entries")
+        bad = _nonfinite_members(mat)
+        if bad:
+            raise NumericError(f"leaf {name or len(self.leaves)} has non-finite entries",
+                               members=bad)
         var = Var(self, len(self.nodes), mat, "leaf", (), {}, name)
         self.nodes.append(var)
         self.leaves.append(var)
@@ -147,6 +156,28 @@ def _index_vector(rows, size: int, what: str) -> np.ndarray:
     if rows.size and (rows.min() < 0 or rows.max() >= size):
         raise ShapeError(f"{what} index out of range for {size} rows")
     return rows
+
+
+def _bounds(bounds, size: int, what: str) -> np.ndarray:
+    """Validated member offsets into an index list of `size` entries; None
+    means one member that owns them all."""
+    if bounds is None:
+        return np.array([0, size], dtype=np.int64)
+    bounds = np.asarray(bounds, dtype=np.int64).reshape(-1)
+    if (bounds.size < 2 or bounds[0] != 0 or bounds[-1] != size
+            or np.any(np.diff(bounds) < 0)):
+        raise ShapeError(f"{what} bounds must rise from 0 to {size}")
+    return bounds
+
+
+def _per_member(bounds: np.ndarray) -> np.ndarray:
+    """Member index of every entry of the index list that bounds splits."""
+    return np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+
+
+def _loss_shape(bounds, stacked: bool) -> tuple:
+    """(1, 1) for one 2-D member, else one 1x1 loss per member."""
+    return (bounds.size - 1, 1, 1) if stacked else (1, 1)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -191,9 +222,14 @@ def segments(groups, n: int) -> Segments:
 # which inputs are tape variables, return one adjoint per input (None for
 # constant inputs, whose adjoints are never computed).
 
+def _t(x: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes (x.T for a matrix)."""
+    return np.swapaxes(x, -1, -2)
+
+
 def _bw_matmul(vals, aux, out, g, need):
     a, b = vals
-    return (g @ b.T if need[0] else None, a.T @ g if need[1] else None)
+    return (g @ _t(b) if need[0] else None, _t(a) @ g if need[1] else None)
 
 
 def _bw_add(vals, aux, out, g, need):
@@ -213,16 +249,16 @@ def _bw_dense(vals, aux, out, g, need):
     x, w, _b = vals
     if aux["tanh"]:
         g = g * (1.0 - out * out)
-    return (g @ w.T if need[0] else None, x.T @ g if need[1] else None,
-            g.sum(axis=0, keepdims=True) if need[2] else None)
+    return (g @ _t(w) if need[0] else None, _t(x) @ g if need[1] else None,
+            g.sum(axis=-2, keepdims=True) if need[2] else None)
 
 
 def _bw_softmax_ce(vals, aux, out, g, need):
     # d/dlogits of mean(lse - correct): -onehot plus softmax, per picked row
-    per_row = g[0, 0] * aux["scale"]
+    per_row = (g.reshape(-1) * aux["scale"])[aux["member"]][:, None]
     picked = (per_row * -1.0) * aux["onehot"] + (per_row / aux["z"]) * aux["e"]
     acc = np.zeros_like(vals[0])
-    np.add.at(acc, aux["rows"], picked)
+    np.add.at(acc.reshape(-1, acc.shape[-1]), aux["rows"], picked)
     return (acc,)
 
 
@@ -235,7 +271,6 @@ def _bw_gaussian_sample(vals, aux, out, g, need):
 
 def _bw_coefficient_penalty(vals, aux, out, g, need):
     w = vals[0]
-    g = g[0, 0]
     d_w = (g * aux["half_lam2"]) * 2.0 * w
     if aux["diff"] is not None:
         d_w = g * np.sign(aux["diff"]) + d_w
@@ -245,7 +280,7 @@ def _bw_coefficient_penalty(vals, aux, out, g, need):
 def _bw_segment_moments(vals, aux, out, g, need):
     mu, logvar = vals
     groups = aux["segments"]
-    d = mu.shape[1]
+    d = mu.shape[-1]
     inv = 1.0 / groups.counts[:, None]
     g_mean = (g[:, :d] * inv)[groups.seg]
     g_var = (g[:, d:] * inv)[groups.seg]
@@ -253,35 +288,48 @@ def _bw_segment_moments(vals, aux, out, g, need):
     # Groups are disjoint, so each row receives exactly one contribution.
     if need[0]:
         d_mu = np.zeros_like(mu)
-        d_mu[groups.rows] = g_mean + 2.0 * g_var * aux["centered"]
+        d_mu.reshape(-1, d)[groups.rows] = g_mean + 2.0 * g_var * aux["centered"]
     if need[1]:
         d_logvar = np.zeros_like(logvar)
-        d_logvar[groups.rows] = g_var * aux["var_rows"]
+        d_logvar.reshape(-1, d)[groups.rows] = g_var * aux["var_rows"]
     return (d_mu, d_logvar)
 
 
 def _bw_diag_gaussian_kl(vals, aux, out, g, need):
     stats = vals[0]
     rows, d = aux["rows"], stats.shape[1] // 2
+    per_row = g.reshape(-1)[aux["member"]][:, None]
     acc = np.zeros_like(stats)
-    acc[rows, :d] = g[0, 0] * aux["p_delta"]
-    acc[rows, d:] = g[0, 0] * 0.5 * (aux["p_diag"] - 1.0 / stats[rows, d:])
+    acc[rows, :d] = per_row * aux["p_delta"]
+    acc[rows, d:] = per_row * 0.5 * (aux["p_diag"] - 1.0 / stats[rows, d:])
     return (acc,)
 
 
 def _bw_pair_bce(vals, aux, out, g, need):
     z = vals[0]
-    n, d = z.shape
-    heads, tails = aux["pairs"][:, 0], aux["pairs"][:, 1]
-    coef = (g[0, 0] / heads.size) * (_sigmoid(aux["scores"]) - aux["y"])[:, None]
-    slots = (np.concatenate([heads, tails])[:, None] * d + np.arange(d)).ravel()
-    weights = np.concatenate([coef * z[tails], coef * z[heads]]).ravel()
-    return (np.bincount(slots, weights=weights, minlength=n * d).reshape(n, d),)
+    n, d = z.shape[-2:]
+    bounds = aux["bounds"]
+    per_pair = (g.reshape(-1) / np.maximum(np.diff(bounds), 1))[_per_member(bounds)]
+    coefs = per_pair[:, None] * (_sigmoid(aux["scores"]) - aux["y"])[:, None]
+    flat = z.reshape(-1, d)
+    acc = np.zeros_like(z)
+    by_member = acc.reshape(-1, n * d)
+    # One member at a time, so the slot and weight arrays stay member-sized.
+    for m, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if a == b:
+            continue
+        heads, tails = aux["pairs"][a:b, 0], aux["pairs"][a:b, 1]
+        coef = coefs[a:b]
+        local = np.concatenate([heads, tails]) - m * n
+        slots = (local[:, None] * d + np.arange(d)).ravel()
+        weights = np.concatenate([coef * flat[tails], coef * flat[heads]]).ravel()
+        by_member[m] = np.bincount(slots, weights=weights, minlength=n * d)
+    return (acc,)
 
 
 def _bw_prior_kl(vals, aux, out, g, need):
     mu, logvar = vals
-    per_node = g[0, 0] / mu.shape[0]
+    per_node = g / mu.shape[-2]
     return (per_node * mu if need[0] else None,
             per_node * 0.5 * (np.exp(logvar) - 1.0) if need[1] else None)
 
@@ -319,7 +367,9 @@ def _binary(op: str, a: ArrayLike, b: ArrayLike, fits: Callable,
 
 
 def matmul(a: ArrayLike, b: ArrayLike) -> Var:
-    return _binary("matmul", a, b, lambda sa, sb: sa[1] == sb[0], np.matmul)
+    """Matrix product, member by member for stacks of equal length."""
+    return _binary("matmul", a, b, lambda sa, sb: len(sa) == len(sb)
+                   and sa[:-2] == sb[:-2] and sa[-1] == sb[-2], np.matmul)
 
 
 def add(a: ArrayLike, b: ArrayLike) -> Var:
@@ -328,9 +378,9 @@ def add(a: ArrayLike, b: ArrayLike) -> Var:
 
 def reshape(a: Var, shape: tuple) -> Var:
     shape = tuple(int(s) for s in shape)
-    if len(shape) != 2:
-        raise ShapeError(f"reshape target must be 2-D, got {shape}")
-    if shape[0] * shape[1] != a.value.size:
+    if len(shape) not in (2, 3):
+        raise ShapeError(f"reshape target must be 2-D or 3-D, got {shape}")
+    if int(np.prod(shape)) != a.value.size:
         raise ShapeError(f"cannot reshape {a.value.shape} to {shape}")
     return _unary("reshape", a, lambda x: np.ascontiguousarray(x.reshape(shape)),
                   {"shape": shape})
@@ -348,10 +398,23 @@ def _fused(op: str, operands: tuple, value: np.ndarray, aux: dict) -> Var:
     return tape._record(op, inputs, aux, value)
 
 
+def _member_count(value: np.ndarray, bounds: np.ndarray, what: str) -> None:
+    members = value.shape[0] if value.ndim == 3 else 1
+    if bounds.size - 1 != members:
+        raise ShapeError(f"{what} bounds split {bounds.size - 1} members,"
+                         f" the value stacks {members}")
+
+
+def _sums(x: np.ndarray) -> np.ndarray:
+    """Sum of each member's last two axes, kept as a 1x1 per member."""
+    return x.sum(axis=(-2, -1), keepdims=True)
+
+
 def dense(x: ArrayLike, w: ArrayLike, b: ArrayLike, tanh: bool = False) -> Var:
     """x @ w plus the 1 x k row b added to every row, then tanh when asked."""
     xv, wv, bv = _matrix(x), _matrix(w), _matrix(b)
-    if xv.shape[1] != wv.shape[0] or bv.shape != (1, wv.shape[1]):
+    if (xv.shape[:-2] != wv.shape[:-2] or bv.shape[:-2] != wv.shape[:-2]
+            or xv.shape[-1] != wv.shape[-2] or bv.shape[-2:] != (1, wv.shape[-1])):
         raise ShapeError(f"dense mismatch: x {xv.shape}, w {wv.shape}, b {bv.shape}")
     value = np.add(np.matmul(xv, wv), bv)
     if tanh:
@@ -359,37 +422,46 @@ def dense(x: ArrayLike, w: ArrayLike, b: ArrayLike, tanh: bool = False) -> Var:
     return _fused("dense", (x, w, b), value, {"tanh": bool(tanh)})
 
 
-def softmax_ce(logits: Var, rows, onehot: np.ndarray) -> Var:
-    """Mean softmax cross entropy of logits[rows] against one-hot targets.
+def softmax_ce(logits: Var, rows, onehot: np.ndarray, bounds=None) -> Var:
+    """Mean softmax cross entropy of logits[rows] against one-hot targets,
+    one mean per member.
 
-    rows may repeat; onehot holds one target row per entry of rows. Each
-    row is shifted by its own maximum, a frozen constant, before exp.
+    rows may repeat; onehot holds one target row per entry of rows, and
+    every member needs at least one. Each row is shifted by its own
+    maximum, a frozen constant, before exp.
     """
     lv = _matrix(logits)
-    rows = _index_vector(rows, lv.shape[0], "row")
+    classes = lv.shape[-1]
+    flat = lv.reshape(-1, classes)
+    rows = _index_vector(rows, flat.shape[0], "row")
+    bounds = _bounds(bounds, rows.size, "row")
+    _member_count(lv, bounds, "row")
     onehot = np.asarray(onehot, dtype=np.float64)
-    classes = lv.shape[1]
-    if rows.size == 0 or onehot.shape != (rows.size, classes):
+    counts = np.diff(bounds)
+    if counts.min() == 0 or onehot.shape != (rows.size, classes):
         raise ShapeError(f"need one-hot targets of shape {(rows.size, classes)}"
-                         f" for at least one row, got {onehot.shape}")
-    picked = lv[rows]
+                         f" for at least one row per member, got {onehot.shape}")
+    picked = flat[rows]
     shift = picked.max(axis=1, keepdims=True)
     sum_cols = np.ones((classes, 1))
     e = np.exp(picked - shift)
     z = e @ sum_cols
     lse = np.log(z) + shift
     correct = (picked * onehot) @ sum_cols
-    scale = 1.0 / rows.size
-    value = np.array([[np.add(lse, correct * -1.0).sum()]]) * scale
-    return _fused("softmax_ce", (logits,), value,
-                  {"rows": rows, "onehot": onehot, "e": e, "z": z, "scale": scale})
+    terms = np.add(lse, correct * -1.0)
+    scale = 1.0 / counts
+    value = np.array([terms[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])]) * scale
+    return _fused("softmax_ce", (logits,), value.reshape(_loss_shape(bounds, lv.ndim == 3)),
+                  {"rows": rows, "onehot": onehot, "e": e, "z": z, "scale": scale,
+                   "member": _per_member(bounds)})
 
 
 def gaussian_sample(mu: ArrayLike, logvar: ArrayLike, eps) -> Var:
-    """Reparameterised draw mu + sqrt(exp(logvar)) * eps with fixed noise eps."""
+    """Reparameterised draw mu + sqrt(exp(logvar)) * eps with fixed noise eps,
+    which a stack of members may share as one matrix."""
     mu_v, lv_v = _matrix(mu), _matrix(logvar)
     eps = _as_matrix(eps)
-    if lv_v.shape != mu_v.shape or eps.shape != mu_v.shape:
+    if lv_v.shape != mu_v.shape or eps.shape not in (mu_v.shape, mu_v.shape[-2:]):
         raise ShapeError(f"gaussian_sample mismatch: mu {mu_v.shape},"
                          f" logvar {lv_v.shape}, eps {eps.shape}")
     var = np.exp(lv_v)
@@ -399,22 +471,21 @@ def gaussian_sample(mu: ArrayLike, logvar: ArrayLike, eps) -> Var:
 
 
 def coefficient_penalty(w: ArrayLike, w_bar, lam1: float, lam2: float) -> Var:
-    """sum|w - w_bar| + lam1 * sum|w| + (lam2 / 2) * sum w^2, as one node.
+    """sum|w - w_bar| + lam1 * sum|w| + (lam2 / 2) * sum w^2 per member, as one node.
 
     The first term is left out when w_bar is None. Its subgradient is 0
     where w equals w_bar, and the L1 term's is 0 where w is 0.
     """
     wv = _matrix(w)
     lam1, half_lam2 = float(lam1), float(0.5 * lam2)
-    value = (np.array([[np.abs(wv).sum()]]) * lam1
-             + np.array([[np.square(wv).sum()]]) * half_lam2)
+    value = _sums(np.abs(wv)) * lam1 + _sums(np.square(wv)) * half_lam2
     diff = None
     if w_bar is not None:
         target = np.asarray(w_bar, dtype=np.float64)
         if target.size != wv.size:
             raise ShapeError(f"w_bar has {target.size} entries, w has {wv.size}")
         diff = wv - target.reshape(wv.shape)
-        value = np.array([[np.abs(diff).sum()]]) + value
+        value = _sums(np.abs(diff)) + value
     return _fused("coefficient_penalty", (w,), value,
                   {"diff": diff, "lam1": lam1, "half_lam2": half_lam2})
 
@@ -424,16 +495,18 @@ def segment_moments(mu: ArrayLike, logvar: ArrayLike, groups: Segments) -> Var:
 
     Row c holds the mean of mu over group c and the mixture variance: the
     mean of exp(logvar) plus the population variance of mu, computed about
-    the group mean (so a one-row group has exactly its own variance).
+    the group mean (so a one-row group has exactly its own variance). For
+    stacked inputs the groups index the flat stacked rows and the value is
+    one 2-D table over every member's groups.
     """
     mu_v, lv_v = _matrix(mu), _matrix(logvar)
-    n, d = mu_v.shape
-    if lv_v.shape != (n, d) or groups.n != n:
+    d = mu_v.shape[-1]
+    if lv_v.shape != mu_v.shape or groups.n * d != mu_v.size:
         raise ShapeError(f"mu {mu_v.shape} and logvar {lv_v.shape} do not match"
                          f" segments over {groups.n} rows")
     counts = groups.counts
-    picked = mu_v[groups.rows]
-    var_rows = np.exp(lv_v[groups.rows])
+    picked = mu_v.reshape(-1, d)[groups.rows]
+    var_rows = np.exp(lv_v.reshape(-1, d)[groups.rows])
     value = np.zeros((counts.size, 2 * d))
     centered = picked
     if counts.size:
@@ -448,13 +521,15 @@ def segment_moments(mu: ArrayLike, logvar: ArrayLike, groups: Segments) -> Var:
 
 
 def diag_gaussian_kl(stats: Var, rows, means: np.ndarray, precisions: np.ndarray,
-                     logdets: np.ndarray) -> Var:
+                     logdets: np.ndarray, bounds=None) -> Var:
     """Sum over k of KL(N(mean_k, diag var_k) || N(means[k], precisions[k]^-1)).
 
     stats is a (C, 2d) [mean | var] node and rows picks, for each frozen
     target k, the distinct stats row it is compared with. precisions must
     be symmetric and logdets are the targets' covariance log-determinants.
-    A nonpositive variance raises NumericError.
+    With bounds, targets bounds[m]:bounds[m + 1] belong to member m and the
+    value holds one sum per member (0 for a member without targets). A
+    nonpositive variance raises NumericError naming its members.
     """
     sv = _matrix(stats)
     d = sv.shape[1] // 2
@@ -469,55 +544,77 @@ def diag_gaussian_kl(stats: Var, rows, means: np.ndarray, precisions: np.ndarray
             or logdets.shape != (k,) or sv.shape[1] != 2 * d):
         raise ShapeError(f"targets {means.shape}, {precisions.shape}, {logdets.shape}"
                          f" do not match {k} rows of stats {sv.shape}")
+    stacked = bounds is not None
+    bounds = _bounds(bounds, k, "target")
+    member = _per_member(bounds)
     var = sv[rows, d:]
-    if np.any(var <= 0):
-        raise NumericError("diagonal class variances must be positive")
+    nonpositive = np.any(var <= 0, axis=1)
+    if nonpositive.any():
+        raise NumericError("diagonal class variances must be positive",
+                           members=np.unique(member[nonpositive]))
     delta = sv[rows, :d] - means
     p_delta = np.matmul(precisions, delta[:, :, None])[:, :, 0]
     p_diag = np.diagonal(precisions, axis1=1, axis2=2)
-    total = (np.sum(var * p_diag) + np.sum(delta * p_delta) - k * d
-             + np.sum(logdets) - np.sum(np.log(var)))
-    return _fused("diag_gaussian_kl", (stats,), np.array([[0.5 * total]]),
-                  {"rows": rows, "p_delta": p_delta, "p_diag": p_diag})
+    trace, quad, log_var = var * p_diag, delta * p_delta, np.log(var)
+    value = np.array([0.5 * (np.sum(trace[a:b]) + np.sum(quad[a:b]) - (b - a) * d
+                             + np.sum(logdets[a:b]) - np.sum(log_var[a:b]))
+                      for a, b in zip(bounds[:-1], bounds[1:])])
+    return _fused("diag_gaussian_kl", (stats,), value.reshape(_loss_shape(bounds, stacked)),
+                  {"rows": rows, "p_delta": p_delta, "p_diag": p_diag, "member": member})
 
 
-def pair_bce(z: Var, pairs, y) -> Var:
-    """Mean binary cross entropy of inner-product scores z_i . z_j over pairs.
+def pair_bce(z: Var, pairs, y, bounds=None) -> Var:
+    """Mean binary cross entropy of inner-product scores z_i . z_j over pairs,
+    one mean per member (0 for a member without pairs).
 
-    pairs is an (P, 2) index array with P >= 1 and y the (P,) 0/1 targets.
+    pairs is a (P, 2) array of flat row indices with P >= 1, and y the (P,)
+    0/1 targets. The indices are not checked here: the caller validates
+    them (each client's edges once, its sampled non-edges per draw).
     """
     zv = _matrix(z)
-    pairs = _index_vector(pairs, zv.shape[0], "pair").reshape(-1, 2)
+    d = zv.shape[-1]
+    flat = zv.reshape(-1, d)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if pairs.shape[0] == 0 or y.size != pairs.shape[0]:
         raise ShapeError(f"need one target per pair and at least one pair,"
                          f" got {y.size} targets for {pairs.shape[0]} pairs")
-    scores = np.sum(zv[pairs[:, 0]] * zv[pairs[:, 1]], axis=1)
-    value = np.mean(np.logaddexp(0.0, scores) - y * scores)
-    return _fused("pair_bce", (z,), np.array([[value]]),
-                  {"pairs": pairs, "y": y, "scores": scores})
+    bounds = _bounds(bounds, pairs.shape[0], "pair")
+    _member_count(zv, bounds, "pair")
+    scores = np.empty(pairs.shape[0])
+    value = np.zeros(bounds.size - 1)
+    # One member at a time, so the gathered rows stay member-sized.
+    for m, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if a == b:
+            continue
+        scores[a:b] = np.sum(flat[pairs[a:b, 0]] * flat[pairs[a:b, 1]], axis=1)
+        value[m] = np.mean(np.logaddexp(0.0, scores[a:b]) - y[a:b] * scores[a:b])
+    return _fused("pair_bce", (z,), value.reshape(_loss_shape(bounds, zv.ndim == 3)),
+                  {"pairs": pairs, "y": y, "scores": scores, "bounds": bounds})
 
 
 def prior_kl(mu: ArrayLike, logvar: ArrayLike) -> Var:
-    """Mean over rows of KL(N(mu_i, diag exp(logvar_i)) || N(0, I))."""
+    """Mean over rows of KL(N(mu_i, diag exp(logvar_i)) || N(0, I)), per member."""
     mu_v, lv_v = _matrix(mu), _matrix(logvar)
     if mu_v.shape != lv_v.shape:
         raise ShapeError(f"prior_kl mismatch: {mu_v.shape} and {lv_v.shape}")
     inner = mu_v * mu_v + np.exp(lv_v) - lv_v - 1.0
-    value = np.array([[0.5 * inner.sum() / mu_v.shape[0]]])
-    return _fused("prior_kl", (mu, logvar), value, {})
+    return _fused("prior_kl", (mu, logvar), 0.5 * _sums(inner) / mu_v.shape[-2], {})
 
 
 def grad(tape: Tape, loss: Var) -> dict:
-    """Return the gradient of a scalar loss with respect to every leaf.
+    """Return the gradient of a loss with respect to every leaf.
 
-    Leaves that do not influence the loss map to zero arrays of their shape.
+    The loss is one 1x1 value, or one per member of a stack, and every
+    member's loss is differentiated with weight 1. Leaves that do not
+    influence the loss map to zero arrays of their shape. A non-finite
+    gradient raises NumericError naming every member that holds one.
     """
     if not isinstance(loss, Var) or loss.tape is not tape:
         raise ContractError("loss must be a variable recorded on this tape")
-    if loss.value.shape != (1, 1):
-        raise ShapeError(f"loss must be scalar (1x1), got {loss.value.shape}")
-    adjoint: dict[int, np.ndarray] = {loss.index: np.ones((1, 1))}
+    if loss.value.shape[-2:] != (1, 1):
+        raise ShapeError(f"loss must be scalar (1x1) per member, got {loss.value.shape}")
+    adjoint: dict[int, np.ndarray] = {loss.index: np.ones_like(loss.value)}
     for node in reversed(tape.nodes[: loss.index + 1]):
         if node.op == "leaf":
             continue
@@ -533,10 +630,15 @@ def grad(tape: Tape, loss: Var) -> dict:
             seen = adjoint.get(inp.index)
             adjoint[inp.index] = contrib if seen is None else seen + contrib
     out = {}
+    bad: dict = {}
     for leaf in tape.leaves:
         g = adjoint.get(leaf.index)
         g = np.zeros_like(leaf.value) if g is None else np.asarray(g, dtype=np.float64)
-        if not np.isfinite(g).all():
-            raise NumericError(f"gradient of leaf {leaf.name!r} is non-finite")
+        members = _nonfinite_members(g)
+        if members:
+            bad[leaf.name] = members
         out[leaf] = g
+    if bad:
+        raise NumericError(f"gradient of leaf {next(iter(bad))!r} is non-finite",
+                           members=sorted({m for ms in bad.values() for m in ms}))
     return out

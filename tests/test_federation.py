@@ -1,7 +1,8 @@
-"""Federation loop checks: schedule invariance, bit-reproducibility, upload
-privacy, fixed spectral-energy frames and the rank-deficient client rule,
-fedavg fixed points, divergence rollback, server protocol errors, and
-structural cluster recovery from hand-built uploads."""
+"""Federation loop checks: schedule invariance, bit-reproducibility, stacked
+groups against clients trained alone, upload privacy, fixed spectral-energy
+frames and the rank-deficient client rule, fedavg fixed points, divergence
+rollback, server protocol errors, and structural cluster recovery from
+hand-built uploads."""
 
 import dataclasses
 import json
@@ -14,15 +15,16 @@ from fedssa import federation
 from fedssa.config import build_dataset, parse_config, two_regime_federation
 from fedssa.errors import (ConfigError, ContractError, ProtocolError,
                            ShapeError, TrainingDivergenceError)
-from fedssa.federation import (ClientUpload, RunConfig, _loss_parts, client_round,
-                               init_client_state, run_federation_detailed,
-                               server_step, upload_payload)
+from fedssa.federation import (ClientUpload, RunConfig, _cluster_coefficients,
+                               _loss_parts, group_clients, init_client_state,
+                               local_round, run_federation_detailed, server_step,
+                               upload_payload)
 from fedssa.graphs import (FederationDataset, LocalGraph, SynthSpec,
                            stratified_split, synth_dataset)
 from fedssa.linalg import qr_thin
 from fedssa.models import ClassGaussian, init_params, sample_nonedges
 from fedssa.rng import stream
-from fedssa.semantic import kl_targets
+from fedssa.semantic import client_kl_targets
 from fedssa.structural import SpectralEnergy
 
 ORDER = 3
@@ -55,6 +57,23 @@ def _client_state(graph, cfg, seed=0, client_id=0):
     return init_client_state(client_id, graph, 2, "multiclass", cfg, params)
 
 
+def _alone(state):
+    """The one-member training group of a client state."""
+    return group_clients([state], [0])
+
+
+def _forward(group, cfg, broadcasts=None):
+    """One training forward of a group on fixed draws: (tape, leaves, parts)."""
+    broadcasts = broadcasts or {}
+    eps = stream(0, "eps").standard_normal((group.plan.n, cfg.latent_dim))
+    nonedges = [sample_nonedges(p, p.graph.edges.shape[0], stream(0, "ne"))
+                for p in group.plan.members]
+    targets = client_kl_targets({cid: b.class_representatives
+                                 for cid, b in broadcasts.items()})
+    return _loss_parts(group, _cluster_coefficients(group, broadcasts), cfg, eps,
+                       nonedges, [targets.get(s.client_id) for s in group.states])
+
+
 # --- training memory -----------------------------------------------------------
 
 
@@ -65,16 +84,14 @@ def test_training_tape_holds_no_rows_by_nodes_constant():
     num_edges = graph.edges.shape[0]
     assert num_edges > 1000
     cfg = _tiny_cfg(latent_dim=8, hidden=16)
-    state = _client_state(graph, cfg)
-    eps = stream(0, "eps").standard_normal((n, cfg.latent_dim))
-    nonedges = sample_nonedges(state.plan, num_edges, stream(0, "ne"))
-    tape, _leaves, _parts = _loss_parts(state, None, cfg, eps, nonedges)
+    tape, _leaves, _parts = _forward(_alone(_client_state(graph, cfg))[0], cfg)
     arrays = {}
     for node in tape.nodes:
         constants = [x for x in node.inputs if isinstance(x, np.ndarray)]
         constants += [x for x in node.aux.values() if isinstance(x, np.ndarray)]
         for x in constants:
-            rows, cols = np.atleast_2d(x).shape
+            mat = np.atleast_2d(x)
+            rows, cols = mat.reshape(-1, mat.shape[-1]).shape  # stacked rows
             assert not (cols >= n and rows >= num_edges), \
                 f"{node.op} holds a {x.shape} constant"
             arrays[id(x)] = x.nbytes
@@ -94,30 +111,30 @@ def test_training_forward_records_at_most_35_tape_nodes():
     params = init_params(24, 4, cfg.order, cfg.hidden, cfg.latent_dim, stream(0, "init"))
     states = [init_client_state(i, g, 4, "multiclass", cfg, params)
               for i, g in enumerate(ds.clients)]
-    uploads = {i: client_round(s, None, cfg, 0, 1)[1] for i, s in enumerate(states)}
-    broadcast = server_step(uploads, cfg.k_node, cfg.k_struct, 0).broadcasts[0]
-    graph = states[0].graph
-    eps = stream(0, "eps").standard_normal((graph.n, cfg.latent_dim))
-    nonedges = sample_nonedges(states[0].plan, graph.edges.shape[0], stream(0, "ne"))
-    tape, _leaves, parts = _loss_parts(states[0], broadcast, cfg, eps, nonedges,
-                                       kl_targets(broadcast.class_representatives))
-    assert parts["node"] is not None and broadcast.cluster_coefficients is not None
+    groups = group_clients(states, [0, 1])
+    assert len(groups) == 1  # the bound holds per group forward, not per client
+    uploads = local_round(groups, {}, cfg, 0, 1)
+    broadcasts = server_step(uploads, cfg.k_node, cfg.k_struct, 0).broadcasts
+    tape, _leaves, parts = _forward(groups[0], cfg, broadcasts)
+    assert parts["node"] is not None and broadcasts[0].cluster_coefficients is not None
     assert len(tape.nodes) <= 35, f"{len(tape.nodes)} tape nodes per forward"
 
 
 def test_forward_reads_the_plan_built_at_setup():
     cfg = _tiny_cfg()
     state = _client_state(_tiny_dataset(1).clients[0], cfg)
-    plan = state.plan
-    eps = stream(0, "eps").standard_normal((state.graph.n, cfg.latent_dim))
-    nonedges = sample_nonedges(plan, state.graph.edges.shape[0], stream(0, "ne"))
-    tape, _leaves, parts = _loss_parts(state, None, cfg, eps, nonedges)
+    client_plan = state.plan
+    groups = _alone(state)
+    plan = groups[0].plan
+    assert plan.members == (client_plan,)
+    tape, _leaves, parts = _forward(groups[0], cfg)
     by_op = {node.op: node for node in tape.nodes}
     assert by_op["softmax_ce"].aux["onehot"] is plan.ce_onehot
     assert by_op["segment_moments"].aux["segments"] is plan.classes
     assert parts["stats"].labels is plan.class_labels
-    client_round(state, None, cfg, 0, 1)
-    assert state.plan is plan
+    assert np.shares_memory(by_op["pair_bce"].aux["y"], plan.pair_y)
+    local_round(groups, {}, cfg, 0, 1)
+    assert groups[0].plan is plan and state.plan is client_plan
 
 
 def test_client_plan_checks_fire_at_setup_and_name_the_client():
@@ -159,12 +176,36 @@ def test_setup_and_round_memory_targets():
         synth_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         state = init_client_state(0, graph, c, "multiclass", cfg, params)
-        client_round(state, None, cfg, 0, 1)
+        local_round(_alone(state), {}, cfg, 0, 1)
         client_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert synth_peak < 32 * 2 ** 20, f"synth_dataset peak {synth_peak / 2 ** 20:.1f} MB"
     assert client_peak < 200 * 2 ** 20, f"10k-node client peak {client_peak / 2 ** 20:.1f} MB"
+
+
+def test_full_stacked_group_memory():
+    # one round of a full 1,024-row group: 8 quickstart-sized clients (128
+    # nodes, 4 classes, 24 features, K = 3, d_z = 8, h = 16)
+    ds = two_regime_federation({
+        "clients_per_regime": 4, "nodes_per_client": 128, "classes": 4,
+        "features": 24, "p_intra_a": 0.10, "p_inter_a": 0.01, "p_intra_b": 0.01,
+        "p_inter_b": 0.10, "mean_scale": 1.0, "noise": 1.0, "task": "multiclass"}, 0)
+    cfg = RunConfig(method="fedssa", rounds=1, epochs=2, order=3, k_node=2,
+                    k_struct=2, lr=0.15, latent_dim=8, hidden=16)
+    params = init_params(24, 4, cfg.order, cfg.hidden, cfg.latent_dim, stream(0, "init"))
+    states = [init_client_state(i, g, 4, "multiclass", cfg, params)
+              for i, g in enumerate(ds.clients)]
+    groups = group_clients(states, range(8))
+    assert [len(g.states) for g in groups] == [8]
+    assert groups[0].h_stack.shape[0] * groups[0].plan.n == federation.STACK_ROWS
+    tracemalloc.start()
+    try:
+        local_round(groups, {}, cfg, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20, f"1,024-row group round peak {peak / 2 ** 20:.1f} MB"
 
 
 # --- determinism and schedule invariance -------------------------------------
@@ -186,6 +227,114 @@ def test_client_order_cannot_change_results():
     fwd = run_federation_detailed(ds, _tiny_cfg(), seed=3, client_order=[0, 1, 2])
     rev = run_federation_detailed(ds, _tiny_cfg(), seed=3, client_order=[2, 1, 0])
     assert _signatures(fwd.history) == _signatures(rev.history)
+
+
+def _ragged_dataset() -> FederationDataset:
+    """Five 14-node clients with different edge counts and train-row counts."""
+    clients = []
+    for i, g in enumerate(_tiny_dataset(num_clients=5, seed=20).clients):
+        train = np.sort(np.concatenate([g.train_idx, g.val_idx[:i]]))
+        clients.append(LocalGraph(g.features, g.labels, g.edges[: g.edges.shape[0] - 2 * i],
+                                  train, g.val_idx[i:], g.test_idx))
+    return FederationDataset(clients=tuple(clients), num_classes=2, feature_dim=DIM,
+                             task="multiclass")
+
+
+_GROUP_CLIENTS = federation.group_clients
+_CLIENT_ROUND = federation.client_round
+
+
+def _recorded_run(monkeypatch, ds, cfg, stack_rows, client_order=None):
+    """Run with the given row cap; returns (result, groups, uploads by round)."""
+    monkeypatch.setattr(federation, "STACK_ROWS", stack_rows)
+    groups, uploads = [], []
+    real_group, real_round = _GROUP_CLIENTS, _CLIENT_ROUND
+
+    def recording_group(states, order):
+        groups.extend(real_group(states, order))
+        return groups
+
+    def recording_round(group, member, evaluation, cfg, round_index):
+        upload = real_round(group, member, evaluation, cfg, round_index)
+        uploads.append((round_index, group.states[member].client_id, upload))
+        return upload
+
+    monkeypatch.setattr(federation, "group_clients", recording_group)
+    monkeypatch.setattr(federation, "client_round", recording_round)
+    result = run_federation_detailed(ds, cfg, seed=2, client_order=client_order)
+    return result, groups, sorted(uploads, key=lambda item: item[:2])
+
+
+def _adam_of(groups) -> dict:
+    """{client_id: (m bytes, v bytes, t)} read from each client's group row."""
+    return {s.client_id: ({k: a[i].tobytes() for k, a in g.adam.m.items()},
+                          {k: a[i].tobytes() for k, a in g.adam.v.items()}, g.adam.t)
+            for g in groups for i, s in enumerate(g.states)}
+
+
+def _upload_bytes(upload) -> tuple:
+    return (upload.coefficients.tobytes(),
+            tuple((g.label, g.mean.tobytes(), g.cov.tobytes(), g.count)
+                  for g in upload.class_gaussians))
+
+
+@pytest.mark.parametrize("stack_rows, client_order, sizes", [
+    (1024, None, [5]),                  # one stacked group
+    (30, None, [2, 2, 1]),              # the row cap splits the client list
+    (30, [3, 1, 4, 0, 2], [2, 2, 1]),   # the schedule changes group membership
+])
+def test_stacked_groups_match_clients_trained_alone(monkeypatch, stack_rows,
+                                                    client_order, sizes):
+    ds = _ragged_dataset()
+    assert len({g.edges.shape[0] for g in ds.clients}) == 5
+    assert len({g.train_idx.size for g in ds.clients}) > 1
+    cfg = _tiny_cfg(rounds=3, epochs=2)
+    alone, alone_groups, alone_uploads = _recorded_run(monkeypatch, ds, cfg, 1)
+    assert [len(g.states) for g in alone_groups] == [1] * 5
+    stacked, groups, uploads = _recorded_run(monkeypatch, ds, _tiny_cfg(rounds=3, epochs=2),
+                                             stack_rows, client_order)
+    assert [len(g.states) for g in groups] == sizes
+    if client_order is not None:
+        assert [s.client_id for s in groups[0].states] == client_order[:2]
+    assert _signatures(stacked.history) == _signatures(alone.history)
+    for a, b in zip(stacked.states, alone.states):
+        assert {k: v.tobytes() for k, v in a.params.items()} == \
+            {k: v.tobytes() for k, v in b.params.items()}
+        assert a.last_losses == b.last_losses
+        assert a.last_metrics == b.last_metrics
+    assert _adam_of(groups) == _adam_of(alone_groups)
+    assert [(r, c, _upload_bytes(u)) for r, c, u in uploads] == \
+        [(r, c, _upload_bytes(u)) for r, c, u in alone_uploads]
+    assert stacked.history[-1].per_client[0].node != 0.0  # the alignment KL ran
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("diverging, named", [((0,), 1), ((0, 1), 0)])
+def test_group_divergence_names_lowest_client_and_rolls_back(monkeypatch, diverging,
+                                                             named):
+    ds = _tiny_dataset(num_clients=2)
+    cfg = _tiny_cfg(epochs=2)
+    states = [_client_state(g, cfg, client_id=i) for i, g in enumerate(ds.clients)]
+    groups = group_clients(states, [1, 0])  # member 0 is client 1
+    assert len(groups) == 1 and [s.client_id for s in groups[0].states] == [1, 0]
+    local_round(groups, {}, cfg, 0, 1)
+    before = _group_snapshot(groups[0])
+    real = federation.elbo_path
+    calls = []
+
+    def poisoned(mu, logvar, plan, eps, nonedges):
+        out = real(mu, logvar, plan, eps, nonedges)
+        calls.append(1)
+        if len(calls) == 2:  # the second epoch, after one stacked step
+            out.value[list(diverging)] = np.nan
+        return out
+
+    monkeypatch.setattr(federation, "elbo_path", poisoned)
+    with pytest.raises(TrainingDivergenceError,
+                       match=f"client {named} diverged in round 2: non-finite loss"):
+        local_round(groups, {}, cfg, 0, 2)
+    assert len(calls) == 2
+    assert _group_snapshot(groups[0]) == before
 
 
 def test_seed_changes_results():
@@ -251,7 +400,7 @@ def test_upload_carries_only_statistics():
     ds = _tiny_dataset(num_clients=1)
     cfg = _tiny_cfg()
     state = _client_state(ds.clients[0], cfg)
-    state, upload = client_round(state, None, cfg, seed=0, round_index=1)
+    upload = local_round(_alone(state), {}, cfg, seed=0, round_index=1)[0]
     field_names = {f.name for f in dataclasses.fields(ClientUpload)}
     assert field_names == {"client_id", "coefficients", "class_gaussians",
                            "spectral_energy"}
@@ -273,18 +422,18 @@ def test_local_and_fedavg_clients_never_build_uploads():
     for method in ("local", "fedavg"):
         cfg = _tiny_cfg(method=method)
         state = _client_state(ds.clients[0], cfg)
-        _state, upload = client_round(state, None, cfg, seed=0, round_index=1)
-        assert upload is None
+        assert local_round(_alone(state), {}, cfg, seed=0, round_index=1) == {}
+        assert state.last_metrics and state.last_losses
 
 
 def test_ablated_uploads_shrink():
     ds = _tiny_dataset(num_clients=1)
     full_cfg = _tiny_cfg()
     bare_cfg = _tiny_cfg(semantic=False, structural=False)
-    _s, full = client_round(_client_state(ds.clients[0], full_cfg), None,
-                            full_cfg, seed=0, round_index=1)
-    _s, bare = client_round(_client_state(ds.clients[0], bare_cfg), None,
-                            bare_cfg, seed=0, round_index=1)
+    full = local_round(_alone(_client_state(ds.clients[0], full_cfg)), {},
+                       full_cfg, seed=0, round_index=1)[0]
+    bare = local_round(_alone(_client_state(ds.clients[0], bare_cfg)), {},
+                       bare_cfg, seed=0, round_index=1)[0]
     assert bare.class_gaussians == ()
     assert bare.spectral_energy is None
     nbytes = lambda u: len(json.dumps(upload_payload(u)).encode())
@@ -413,34 +562,37 @@ def test_divergence_rolls_back_and_raises():
     ds = _tiny_dataset(num_clients=1)
     cfg = _tiny_cfg(method="local", epochs=2, lr=1e200)
     state = _client_state(ds.clients[0], cfg)
+    groups = _alone(state)
     before = {name: state.params[name].copy() for name in ("w", "head_w1", "mu_w")}
     with pytest.raises(TrainingDivergenceError, match="client 0"):
-        client_round(state, None, cfg, seed=0, round_index=1)
+        local_round(groups, {}, cfg, seed=0, round_index=1)
     for name, arr in before.items():
         assert state.params[name].tobytes() == arr.tobytes()
-    assert state.adam.t == 0
-    assert all(not m.any() for m in state.adam.m.values())
+    assert groups[0].adam.t == 0
+    assert all(not m.any() for m in groups[0].adam.m.values())
 
 
 def _semantic_round_inputs():
-    """Client 0 of a two-client fedssa run, its config and its round-2 broadcast."""
+    """A two-client fedssa group after round 1, its config and its round-2 broadcasts."""
     ds = _tiny_dataset(num_clients=2)
     cfg = _tiny_cfg()
-    states = [_client_state(g, cfg, client_id=i) for i, g in enumerate(ds.clients)]
-    uploads = {i: client_round(s, None, cfg, 0, 1)[1] for i, s in enumerate(states)}
-    broadcast = server_step(uploads, cfg.k_node, cfg.k_struct, 0).broadcasts[0]
-    assert broadcast.class_representatives
-    return states[0], cfg, broadcast
+    groups = group_clients([_client_state(g, cfg, client_id=i)
+                            for i, g in enumerate(ds.clients)], [0, 1])
+    uploads = local_round(groups, {}, cfg, 0, 1)
+    broadcasts = server_step(uploads, cfg.k_node, cfg.k_struct, 0).broadcasts
+    assert len(groups) == 1 and broadcasts[0].class_representatives
+    return groups[0], cfg, broadcasts
 
 
-def _assert_rolled_back(state, before):
-    assert state.params["mu_w"].tobytes() == before[0]
-    assert state.params["head_w1"].tobytes() == before[1]
-    assert state.adam.t == before[2]
+def _group_snapshot(group):
+    """Bytes of every member's parameters plus the group's Adam state."""
+    return ([{name: a.tobytes() for name, a in s.params.items()} for s in group.states],
+            {name: a.tobytes() for name, a in group.adam.m.items()},
+            {name: a.tobytes() for name, a in group.adam.v.items()}, group.adam.t)
 
 
 def test_nonpositive_class_variance_rolls_back(monkeypatch):
-    state, cfg, broadcast = _semantic_round_inputs()
+    group, cfg, broadcasts = _semantic_round_inputs()
     real = federation.class_stat_paths
 
     def zero_variances(mu, logvar, plan):
@@ -449,25 +601,24 @@ def test_nonpositive_class_variance_rolls_back(monkeypatch):
         return stats
 
     monkeypatch.setattr(federation, "class_stat_paths", zero_variances)
-    before = (state.params["mu_w"].tobytes(), state.params["head_w1"].tobytes(),
-              state.adam.t)
-    with pytest.raises(TrainingDivergenceError, match="variances must be positive"):
-        client_round(state, broadcast, cfg, seed=0, round_index=2)
-    _assert_rolled_back(state, before)
+    before = _group_snapshot(group)
+    with pytest.raises(TrainingDivergenceError,
+                       match="client 0 .*variances must be positive"):
+        local_round([group], broadcasts, cfg, seed=0, round_index=2)
+    assert _group_snapshot(group) == before
 
 
 def test_indefinite_representative_rolls_back():
-    state, cfg, broadcast = _semantic_round_inputs()
+    group, cfg, broadcasts = _semantic_round_inputs()
     dz = cfg.latent_dim
     indefinite = np.eye(dz) + 2.0 * (np.ones((dz, dz)) - np.eye(dz))
-    bad = dataclasses.replace(broadcast, class_representatives={
+    bad = dataclasses.replace(broadcasts[1], class_representatives={
         label: ClassGaussian(label, np.zeros(dz), indefinite, 1)
-        for label in broadcast.class_representatives})
-    before = (state.params["mu_w"].tobytes(), state.params["head_w1"].tobytes(),
-              state.adam.t)
-    with pytest.raises(TrainingDivergenceError, match="positive definite"):
-        client_round(state, bad, cfg, seed=0, round_index=2)
-    _assert_rolled_back(state, before)
+        for label in broadcasts[1].class_representatives})
+    before = _group_snapshot(group)
+    with pytest.raises(TrainingDivergenceError, match="client 1 .*positive definite"):
+        local_round([group], {**broadcasts, 1: bad}, cfg, seed=0, round_index=2)
+    assert _group_snapshot(group) == before
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

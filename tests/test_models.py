@@ -65,7 +65,8 @@ def _encode(params, g, num_classes):
     """Posterior mean, log-variance and class Gaussians from the tape builders."""
     t = tp.Tape()
     mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, num_classes))
-    gaussians = class_gaussians(class_stat_paths(mu, logvar, _plan(g, num_classes)))
+    stats = class_stat_paths(mu, logvar, _plan(g, num_classes))
+    gaussians = class_gaussians(stats.labels, stats.counts, stats.moments.value)
     return mu.value, logvar.value, gaussians
 
 
@@ -268,7 +269,7 @@ def test_class_stat_paths_without_train_rows():
     mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, 2))
     stats = class_stat_paths(mu, logvar, _plan(g, 2))
     assert stats.labels.size == 0 and stats.moments.shape == (0, 6)
-    assert class_gaussians(stats) == ()
+    assert class_gaussians(stats.labels, stats.counts, stats.moments.value) == ()
     reps = {0: ClassGaussian(0, np.zeros(3), np.eye(3), 1)}
     assert alignment_path(stats, kl_targets(reps)) is None
 

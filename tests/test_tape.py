@@ -474,6 +474,95 @@ def test_grad_random_composition_battery(seed):
     _grad_check(build, arrays, tol=1e-4)
 
 
+# --- stacked members ---------------------------------------------------------------
+
+
+def _member_data(rng, n=6, k=4, h=5, c=3, d=2):
+    """One member's leaves and ragged inputs; the counts differ by member."""
+    leaves = {"x": rng.standard_normal((n, k)), "w": rng.standard_normal((k, h)),
+              "b": rng.standard_normal((1, h)), "w2": rng.standard_normal((h, c)),
+              "b2": rng.standard_normal((1, c)), "wl": rng.standard_normal((h, d)),
+              "coef": rng.standard_normal((1, 4))}
+    rows = rng.integers(0, n, size=int(rng.integers(1, 6)))
+    pairs = rng.integers(0, n, size=(int(rng.integers(0, 5)), 2))
+    split = int(rng.integers(1, n - 1))
+    groups = [np.arange(split), np.arange(split, n - 1)]
+    covs = np.stack([random_spd(rng, d)])
+    return {"leaves": leaves, "rows": rows, "onehot": np.eye(c)[rng.integers(0, c, rows.size)],
+            "pairs": pairs, "y": (np.arange(pairs.shape[0]) % 2).astype(float),
+            "groups": groups, "eps": rng.standard_normal((n, d)),
+            "target": (rng.standard_normal((1, d)), np.linalg.inv(covs),
+                       np.linalg.slogdet(covs)[1]), "w_bar": rng.standard_normal(4)}
+
+
+def _member_loss(t, lv, data, n):
+    """Every op on one member or, with leading-axis leaves, on the stack."""
+    members = len(data)
+    stacked = lv["x"].value.ndim == 3
+    bounds = lambda sizes: np.concatenate([[0], np.cumsum(sizes)]) if stacked else None
+    hidden = tp.dense(lv["x"], lv["w"], lv["b"], tanh=True)
+    logits = tp.dense(hidden, lv["w2"], lv["b2"])
+    ce = tp.softmax_ce(logits, np.concatenate([m["rows"] + i * n for i, m in enumerate(data)]),
+                       np.concatenate([m["onehot"] for m in data]),
+                       bounds([m["rows"].size for m in data]))
+    mu = tp.dense(hidden, lv["wl"], np.zeros(lv["wl"].shape[:-2] + (1, 2)))
+    mix = np.broadcast_to(np.eye(2 * n) * 0.3, mu.shape[:-2] + (2 * n, 2 * n))
+    logvar = tp.clip(tp.reshape(tp.matmul(tp.reshape(mu, mu.shape[:-2] + (1, 2 * n)), mix),
+                                mu.shape), -2.0, 2.0)
+    z = tp.gaussian_sample(mu, logvar, data[0]["eps"])
+    total = tp.add(tp.add(ce, tp.prior_kl(mu, logvar)),
+                   tp.coefficient_penalty(lv["coef"], np.stack([m["w_bar"] for m in data]),
+                                          0.3, 0.2))
+    pairs = np.concatenate([m["pairs"] + i * n for i, m in enumerate(data)])
+    if pairs.size:
+        total = tp.add(total, tp.pair_bce(z, pairs, np.concatenate([m["y"] for m in data]),
+                                          bounds([m["pairs"].shape[0] for m in data])))
+    stats = tp.segment_moments(mu, logvar, tp.segments(
+        [g + i * n for i, m in enumerate(data) for g in m["groups"]], members * n))
+    kl = tp.diag_gaussian_kl(stats, 2 * np.arange(members), *(
+        np.concatenate([m["target"][j] for m in data]) for j in range(3)),
+        bounds([1] * members))
+    return tp.add(total, kl)
+
+
+def test_stacked_ops_match_each_member_alone():
+    # every op, ragged row, pair and target counts (one member has no pairs):
+    # each member of the stacked tape holds the bits of its own 2-D tape
+    rng = np.random.default_rng(8)
+    data = [_member_data(rng) for _ in range(3)]
+    data[1]["pairs"], data[1]["y"] = np.zeros((0, 2), dtype=np.int64), np.zeros(0)
+    data[2]["eps"] = data[0]["eps"]  # a stack shares one noise draw
+    data[1]["eps"] = data[0]["eps"]
+    n = data[0]["leaves"]["x"].shape[0]
+    t = tp.Tape()
+    lv = {k: t.leaf(np.stack([m["leaves"][k] for m in data]), k) for k in data[0]["leaves"]}
+    loss = _member_loss(t, lv, data, n)
+    assert loss.shape == (3, 1, 1)
+    grads = tp.grad(t, loss)
+    for i, member in enumerate(data):
+        t1 = tp.Tape()
+        lv1 = {k: t1.leaf(v, k) for k, v in member["leaves"].items()}
+        alone = _member_loss(t1, lv1, [member], n)
+        assert alone.value[0, 0] == loss.value[i, 0, 0]
+        got = tp.grad(t1, alone)
+        for k in lv:
+            assert np.array_equal(grads[lv[k]][i], got[lv1[k]]), k
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stacked_grad_names_nonfinite_members():
+    t = tp.Tape()
+    logvar = np.zeros((3, 2, 2))
+    logvar[1, 0, 0] = 1000.0  # exp overflows in member 1 only
+    loss = tp.prior_kl(np.zeros((3, 2, 2)), t.leaf(logvar, "a"))
+    with pytest.raises(NumericError, match="'a'") as err:
+        tp.grad(t, loss)
+    assert err.value.members == (1,)
+    with pytest.raises(NumericError) as err:
+        t.leaf(np.array([[[1.0]], [[np.inf]], [[np.nan]]]), "bad")
+    assert err.value.members == (1, 2)
+
+
 # --- determinism ------------------------------------------------------------------
 
 

@@ -393,16 +393,12 @@ def _cluster_coefficients(group: ClientGroup, broadcasts: dict) -> Optional[np.n
     """The members' broadcast filter coefficients, stacked, or None before any."""
     rows = [getattr(broadcasts.get(s.client_id), "cluster_coefficients", None)
             for s in group.states]
-    if all(r is None for r in rows):
-        return None
-    if any(r is None for r in rows):
-        raise ContractError("cluster coefficients reached only some clients of a group")
-    return np.stack(rows)
+    return None if rows[0] is None else np.stack(rows)
 
 
 def _samples(plan: GroupPlan, seed: int, *path) -> list:
-    """Each member's non-edge draw, one per edge, from the stream at path."""
-    return [sample_nonedges(p, p.graph.edges.shape[0], stream(seed, *path))
+    """Each member's nonedge_count non-edges, drawn from the stream at path."""
+    return [sample_nonedges(p, p.nonedge_count, stream(seed, *path))
             for p in plan.members]
 
 

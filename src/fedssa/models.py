@@ -20,11 +20,11 @@ targets, the train rows grouped by class, the ELBO's constant label term
 and the non-edge sampler's offset tables. Clients with the same node count
 train on one stacked tape: `group_plan` lays their plans out once over the
 stacked rows, with member bounds for the ragged losses and each member's
-edge pairs and edge/non-edge split. Every builder takes either plan; with
-a `GroupPlan` the values carry a leading member axis and each loss holds
-one value per member. A group's evaluation pass records the builders once
-per round; its logits give the split metrics and its class statistics give
-the uploads' class Gaussians.
+edge pairs and edge/non-edge split. Every builder takes a `GroupPlan`: the
+values carry a leading member axis and each loss holds one value per
+member. A client trained alone is a group of one. A group's evaluation
+pass records the builders once per round; its logits give the split
+metrics and its class statistics give the uploads' class Gaussians.
 """
 
 from __future__ import annotations
@@ -123,6 +123,8 @@ class ClientPlan:
     class frequency, or None without train rows. row_start[i] is the
     row-major upper-triangle position of pair (i, i + 1), and
     absent_before_edge[k] counts the absent pairs before edge k.
+    nonedge_count is how many non-edges each forward samples: one per
+    edge, capped at the number of absent pairs.
     """
 
     graph: LocalGraph
@@ -133,24 +135,7 @@ class ClientPlan:
     label_term: Optional[float]
     row_start: np.ndarray
     absent_before_edge: np.ndarray
-
-    # A single client's plan is not stacked: its losses see one member.
-    ce_bounds = None
-    class_bounds = None
-
-    def pair_batch(self, nonedges: np.ndarray) -> tuple:
-        """(pairs, 0/1 targets, None) for the edges followed by the sampled non-edges."""
-        nonedges = _checked_nonedges(nonedges, self.graph.n)
-        edges = self.graph.edges
-        return (np.concatenate([edges, nonedges]),
-                np.repeat([1.0, 0.0], [edges.shape[0], nonedges.shape[0]]), None)
-
-
-def _checked_nonedges(nonedges, n: int) -> np.ndarray:
-    nonedges = np.asarray(nonedges, dtype=np.int64).reshape(-1, 2)
-    if nonedges.size and (nonedges.min() < 0 or nonedges.max() >= n):
-        raise ShapeError(f"non-edge index out of range for {n} nodes")
-    return nonedges
+    nonedge_count: int
 
 
 def client_plan(client_id: int, g: LocalGraph, num_classes: int) -> ClientPlan:
@@ -182,8 +167,9 @@ def client_plan(client_id: int, g: LocalGraph, num_classes: int) -> ClientPlan:
     row_start = heads * n - heads * (heads + 1) // 2
     u, v = g.edges[:, 0], g.edges[:, 1]
     absent_before_edge = row_start[u] + (v - u - 1) - np.arange(u.size)
+    nonedge_count = min(u.size, n * (n - 1) // 2 - u.size)
     return ClientPlan(g, rows, onehot, labels, classes, label_term, row_start,
-                      absent_before_edge)
+                      absent_before_edge, nonedge_count)
 
 
 @dataclass(frozen=True)
@@ -196,9 +182,9 @@ class GroupPlan:
     ragged tape ops expect. class_labels lists every member's labels in
     member order. label_term holds each member's ELBO constant as a
     (G, 1, 1) array, or is None when no member has train rows. edges holds
-    each member's edge list in stacked rows, nonedge_counts how many
-    non-edges each member samples per forward, and pair_y the 0/1 targets
-    of the pairs that pair_batch lays out.
+    each member's edge list in stacked rows, and pair_y and pair_bounds the
+    0/1 targets and member bounds of the pairs that pair_batch lays out,
+    with each member's nonedge_count sampled non-edges.
     """
 
     members: tuple
@@ -211,7 +197,6 @@ class GroupPlan:
     class_bounds: np.ndarray
     label_term: Optional[np.ndarray]
     edges: tuple
-    nonedge_counts: tuple
     pair_y: np.ndarray
     pair_bounds: np.ndarray
 
@@ -222,12 +207,10 @@ class GroupPlan:
         sampled non-edges are checked.
         """
         parts = []
-        for m, (edges, sampled, count) in enumerate(zip(self.edges, nonedges,
-                                                        self.nonedge_counts)):
-            sampled = _checked_nonedges(sampled, self.n)
-            if sampled.shape[0] != count:
-                raise ShapeError(f"member {m} sampled {sampled.shape[0]} non-edges,"
-                                 f" its plan holds {count}")
+        for m, (edges, sampled) in enumerate(zip(self.edges, nonedges)):
+            sampled = np.asarray(sampled, dtype=np.int64).reshape(-1, 2)
+            if sampled.size and (sampled.min() < 0 or sampled.max() >= self.n):
+                raise ShapeError(f"non-edge index out of range for {self.n} nodes")
             parts += [edges, sampled + m * self.n]
         return np.concatenate(parts), self.pair_y, self.pair_bounds
 
@@ -249,7 +232,7 @@ def group_plan(plans) -> GroupPlan:
     if any(p.label_term is not None for p in plans):
         label_term = np.array([p.label_term or 0.0 for p in plans]).reshape(-1, 1, 1)
     edge_counts = [p.graph.edges.shape[0] for p in plans]
-    nonedge_counts = tuple(min(e, n * (n - 1) // 2 - e) for e in edge_counts)
+    nonedge_counts = [p.nonedge_count for p in plans]
     return GroupPlan(
         members=tuple(plans), n=n,
         ce_rows=np.concatenate([p.ce_rows + off for p, off in zip(plans, offsets)]),
@@ -260,7 +243,6 @@ def group_plan(plans) -> GroupPlan:
         class_bounds=_offsets([p.class_labels.size for p in plans]),
         label_term=label_term,
         edges=tuple(p.graph.edges + off for p, off in zip(plans, offsets)),
-        nonedge_counts=nonedge_counts,
         pair_y=np.concatenate([np.repeat([1.0, 0.0], [e, c])
                                for e, c in zip(edge_counts, nonedge_counts)]),
         pair_bounds=_offsets([e + c for e, c in zip(edge_counts, nonedge_counts)]),
@@ -270,7 +252,7 @@ def group_plan(plans) -> GroupPlan:
 def logits_path(leaves: dict, h_stack: np.ndarray, n: int, d: int) -> tuple[tp.Var, tp.Var]:
     """Tape nodes for the propagated features P and the class logits.
 
-    h_stack may stack one (order+1, n*d) block per member under stacked leaves.
+    h_stack stacks one (order+1, n*d) block per member, as the leaves do.
     """
     p_flat = tp.matmul(leaves["w"], h_stack)
     p = tp.reshape(p_flat, h_stack.shape[:-2] + (n, d))
@@ -279,10 +261,9 @@ def logits_path(leaves: dict, h_stack: np.ndarray, n: int, d: int) -> tuple[tp.V
     return p, logits
 
 
-def ce_path(logits: tp.Var, plan) -> tp.Var:
+def ce_path(logits: tp.Var, plan: GroupPlan) -> tp.Var:
     """Mean cross entropy over each client's train rows, as one tape node."""
-    counts = [plan.ce_rows.size] if plan.ce_bounds is None else np.diff(plan.ce_bounds)
-    if min(counts) == 0:
+    if np.diff(plan.ce_bounds).min() == 0:
         raise ContractError("cross entropy needs a nonempty mask")
     return tp.softmax_ce(logits, plan.ce_rows, plan.ce_onehot, plan.ce_bounds)
 
@@ -309,18 +290,17 @@ class ClassStats:
     """Class-wise latent moments over the train rows, as one tape node.
 
     Row c of moments is [mean | var] of class labels[c], and counts[c] is
-    that class's number of train rows. With bounds (a group's forward),
-    rows bounds[m]:bounds[m + 1] belong to member m; each member's labels
-    ascend.
+    that class's number of train rows. Rows bounds[m]:bounds[m + 1] belong
+    to member m of the group; each member's labels ascend.
     """
 
     labels: np.ndarray
     counts: np.ndarray
     moments: tp.Var
-    bounds: Optional[np.ndarray] = None
+    bounds: np.ndarray
 
 
-def class_stat_paths(mu: tp.Var, logvar: tp.Var, plan) -> ClassStats:
+def class_stat_paths(mu: tp.Var, logvar: tp.Var, plan: GroupPlan) -> ClassStats:
     """Moment-matched class Gaussians over train rows, as one tape node.
 
     For class c the mixture of per-node diagonal posteriors has mean equal
@@ -348,13 +328,14 @@ def sample_nonedges(plan: ClientPlan, count: int, rng: np.random.Generator) -> n
     return np.column_stack([rows, flat - plan.row_start[rows] + rows + 1])
 
 
-def elbo_path(mu: tp.Var, logvar: tp.Var, plan, eps: np.ndarray, nonedges) -> tp.Var:
+def elbo_path(mu: tp.Var, logvar: tp.Var, plan: GroupPlan, eps: np.ndarray,
+              nonedges) -> tp.Var:
     """Negative ELBO: mean edge BCE + mean prior KL - mean label log-prob.
 
-    eps is one (n, d_z) draw, shared by every member of a group; nonedges
-    is one sampled array for a ClientPlan and one per member for a
-    GroupPlan. The label term uses empirical train-split class frequencies;
-    it is constant in the parameters and only shifts the reported value.
+    eps is one (n, d_z) draw, shared by every member of the group; nonedges
+    holds each member's sampled array of nonedge_count pairs. The label
+    term uses empirical train-split class frequencies; it is constant in the
+    parameters and only shifts the reported value.
     """
     n, dz = mu.value.shape[-2:]
     eps = np.asarray(eps, dtype=np.float64)

@@ -178,11 +178,6 @@ class KLTargets:
     logdets: np.ndarray
 
 
-def kl_targets(representatives: dict) -> KLTargets:
-    """Precision and log-determinant of each {label: ClassGaussian} representative."""
-    return client_kl_targets({0: representatives})[0]
-
-
 def client_kl_targets(received: dict) -> dict:
     """KLTargets per client from {client_id: {label: ClassGaussian}}.
 
@@ -220,15 +215,14 @@ def client_kl_targets(received: dict) -> dict:
 def alignment_path(stats: ClassStats, targets) -> tp.Var | None:
     """Tape node summing KL(local diagonal posterior || frozen representative).
 
-    stats comes from class_stat_paths and targets from kl_targets: one
-    KLTargets for a single client's stats, or one KLTargets or None per
-    member for a group's. Classes without a representative contribute
-    nothing. Returns None when no class of any member matches.
+    stats comes from class_stat_paths, and targets holds one KLTargets from
+    client_kl_targets, or None, per member of the group. Classes without a
+    representative contribute nothing. Returns None when no class of any
+    member matches.
     """
-    per_member, bounds = (([targets], [0, stats.labels.size]) if stats.bounds is None
-                          else (targets, stats.bounds))
+    bounds = stats.bounds
     rows, picks, sizes = [], [], []
-    for m, member in enumerate(per_member):
+    for m, member in enumerate(targets):
         a = bounds[m]
         local = np.zeros(0, dtype=np.int64)
         if member is not None:
@@ -246,4 +240,4 @@ def alignment_path(stats: ClassStats, targets) -> tp.Var | None:
         np.concatenate([t.means[p] for t, p in picks]),
         np.concatenate([t.precisions[p] for t, p in picks]),
         np.concatenate([t.logdets[p] for t, p in picks]),
-        None if stats.bounds is None else np.concatenate([[0], np.cumsum(sizes)]))
+        np.concatenate([[0], np.cumsum(sizes)]))

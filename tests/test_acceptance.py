@@ -22,9 +22,9 @@ from fedssa.graphs import (SynthSpec, laplacian_powers, partition_nonoverlap,
 from fedssa.linalg import qr_thin
 from fedssa.models import (ClassGaussian, ce_path, class_stat_paths,
                            client_plan, elbo_path, encoder_input, encoder_path,
-                           logits_path, sample_nonedges, stack_powers)
-from fedssa.semantic import (alignment_path, cluster_moments, gaussian_kl,
-                             gmm_of_cluster, kl_targets)
+                           group_plan, logits_path, sample_nonedges, stack_powers)
+from fedssa.semantic import (alignment_path, client_kl_targets, cluster_moments,
+                             gaussian_kl, gmm_of_cluster)
 from fedssa.structural import (SpectralEnergy, chordal_distance,
                                coeff_perturb_bound, coefficient_penalty_var,
                                filter_lipschitz_bound, projection_embedding)
@@ -51,7 +51,7 @@ def _grad_vs_fd(build, arrays):
     def value(vals):
         t = tp.Tape()
         lv = {k: t.leaf(v, k) for k, v in vals.items()}
-        return float(build(lv).value[0, 0])
+        return build(lv).value.item()
 
     want = central_diff(value, arrays)
     return max(rel_err(got[leaves[k]], want[k]) for k in arrays)
@@ -69,8 +69,11 @@ def test_a01_loss_gradients_match_central_differences():
         n, d, c, h, dz = g.n, g.feature_dim, 3, 5, 3
         if i >= 20:
             assert np.bincount(g.labels[g.train_idx], minlength=c).min() >= 2
-        plan = client_plan(i, g, c)
-        h_stack = stack_powers(laplacian_powers(g, 3))
+        # the builders read a one-member group: leaves and inputs gain a
+        # leading member axis of 1
+        member = client_plan(i, g, c)
+        plan = group_plan([member])
+        h_stack = stack_powers(laplacian_powers(g, 3))[None]
 
         # cross-entropy through the filter and head
         arrays = {"w": rng.standard_normal((1, 4)),
@@ -79,12 +82,13 @@ def test_a01_loss_gradients_match_central_differences():
                   "head_w2": rng.standard_normal((h, c)) * 0.5,
                   "head_b2": rng.standard_normal((1, c)) * 0.1}
         worst = max(worst, _grad_vs_fd(
-            lambda lv: ce_path(logits_path(lv, h_stack, n, d)[1], plan), arrays))
+            lambda lv: ce_path(logits_path(lv, h_stack, n, d)[1], plan),
+            {k: v[None] for k, v in arrays.items()}))
 
         # negative ELBO through the conditional encoder
-        x_in = encoder_input(g, c)
+        x_in = encoder_input(g, c)[None]
         eps = rng.standard_normal((n, dz))
-        nonedges = sample_nonedges(plan, g.edges.shape[0], rng)
+        nonedges = [sample_nonedges(member, member.nonedge_count, rng)]
         enc = {"enc_w1": rng.standard_normal((d + c, h)) * 0.4,
                "enc_b1": rng.standard_normal((1, h)) * 0.1,
                "mu_w": rng.standard_normal((h, dz)) * 0.4,
@@ -96,12 +100,12 @@ def test_a01_loss_gradients_match_central_differences():
             mu, logvar = encoder_path(lv, x_in)
             return elbo_path(mu, logvar, plan, eps, nonedges)
 
-        worst = max(worst, _grad_vs_fd(vgae_loss, {k: v.copy() for k, v in enc.items()}))
+        worst = max(worst, _grad_vs_fd(vgae_loss, {k: v[None].copy() for k, v in enc.items()}))
 
         # class-statistic alignment KL through the posterior mean/variance
-        targets = kl_targets({label: ClassGaussian(label, rng.standard_normal(dz),
-                                                   random_spd(rng, dz), 5)
-                              for label in range(c)})
+        targets = [client_kl_targets({0: {
+            label: ClassGaussian(label, rng.standard_normal(dz), random_spd(rng, dz), 5)
+            for label in range(c)}})[0]]
 
         def node_loss(lv):
             mu, logvar = encoder_path(lv, x_in)
@@ -109,7 +113,7 @@ def test_a01_loss_gradients_match_central_differences():
             assert term is not None
             return term
 
-        worst = max(worst, _grad_vs_fd(node_loss, {k: v.copy() for k, v in enc.items()}))
+        worst = max(worst, _grad_vs_fd(node_loss, {k: v[None].copy() for k, v in enc.items()}))
 
         # L1 pull toward broadcast coefficients plus the elastic-net
         # regularizer, coefficients kept away from both kinks (w_bar and 0)

@@ -66,7 +66,7 @@ def _forward(group, cfg, broadcasts=None):
     """One training forward of a group on fixed draws: (tape, leaves, parts)."""
     broadcasts = broadcasts or {}
     eps = stream(0, "eps").standard_normal((group.plan.n, cfg.latent_dim))
-    nonedges = [sample_nonedges(p, p.graph.edges.shape[0], stream(0, "ne"))
+    nonedges = [sample_nonedges(p, p.nonedge_count, stream(0, "ne"))
                 for p in group.plan.members]
     targets = client_kl_targets({cid: b.class_representatives
                                  for cid, b in broadcasts.items()})

@@ -13,10 +13,10 @@ from fedssa.linalg import qr_thin
 from fedssa.models import (COV_FLOOR, LOGVAR_MAX, LOGVAR_MIN, ClassGaussian,
                            ce_path, class_gaussians, class_stat_paths,
                            client_plan, elbo_path, encoder_input, encoder_path,
-                           init_params, logits_path, sample_nonedges,
+                           group_plan, init_params, logits_path, sample_nonedges,
                            spectral_energy, stack_powers)
 from fedssa.rng import stream
-from fedssa.semantic import alignment_path, kl_targets
+from fedssa.semantic import alignment_path, client_kl_targets
 from helpers import central_diff, pool_draw, rel_err
 
 
@@ -33,41 +33,48 @@ def _params(g, order=2, hidden=6, dz=4, seed=0):
 
 
 def _leaves(t, params):
-    return {name: t.leaf(a, name) for name, a in params.items()}
+    """One-member stacked leaves: each array gains a leading axis of 1."""
+    return {name: t.leaf(a[None], name) for name, a in params.items()}
 
 
 def _forward(g, params, powers):
     """Propagated features and logits from the tape builders."""
     t = tp.Tape()
-    p, logits = logits_path(_leaves(t, params), stack_powers(powers), g.n, g.feature_dim)
-    return p.value, logits.value
+    p, logits = logits_path(_leaves(t, params), stack_powers(powers)[None], g.n,
+                            g.feature_dim)
+    return p.value[0], logits.value[0]
 
 
 def _plan(g, num_classes=None):
     return client_plan(0, g, g.num_classes() if num_classes is None else num_classes)
 
 
+def _group(g, num_classes=None):
+    """The one-member group plan the builders read."""
+    return group_plan([_plan(g, num_classes)])
+
+
 def _ce_plan(labels, mask, num_classes):
-    """Plan of a featureless graph whose train rows are mask."""
+    """Group plan of one featureless graph whose train rows are mask."""
     n = len(labels)
     g = LocalGraph(np.zeros((n, 1)), labels, [], train_idx=mask, val_idx=[], test_idx=[])
-    return client_plan(0, g, num_classes)
+    return group_plan([client_plan(0, g, num_classes)])
 
 
 def _ce(logits, labels, mask):
     logits = np.asarray(logits, dtype=np.float64)
     t = tp.Tape()
-    var = t.leaf(logits, "logits")
-    return float(ce_path(var, _ce_plan(labels, mask, logits.shape[1])).value[0, 0])
+    var = t.leaf(logits[None], "logits")
+    return float(ce_path(var, _ce_plan(labels, mask, logits.shape[1])).value[0, 0, 0])
 
 
 def _encode(params, g, num_classes):
     """Posterior mean, log-variance and class Gaussians from the tape builders."""
     t = tp.Tape()
-    mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, num_classes))
-    stats = class_stat_paths(mu, logvar, _plan(g, num_classes))
+    mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, num_classes)[None])
+    stats = class_stat_paths(mu, logvar, _group(g, num_classes))
     gaussians = class_gaussians(stats.labels, stats.counts, stats.moments.value)
-    return mu.value, logvar.value, gaussians
+    return mu.value[0], logvar.value[0], gaussians
 
 
 # --- spectral GNN forward -------------------------------------------------------
@@ -144,9 +151,9 @@ def test_ce_gradient_matches_softmax_formula():
     labels = np.array([0, 2, 1, 1, 0])
     mask = np.array([0, 2, 4])
     t = tp.Tape()
-    var = t.leaf(logits_v, "logits")
+    var = t.leaf(logits_v[None], "logits")
     loss = ce_path(var, _ce_plan(labels, mask, 3))
-    g = tp.grad(t, loss)[var]
+    g = tp.grad(t, loss)[var][0]
     # softmax minus onehot on masked rows, zero elsewhere
     want = np.zeros_like(logits_v)
     for r in mask:
@@ -161,15 +168,16 @@ def test_full_classifier_gradient_matches_finite_differences():
     g = _small_graph(n=12, c=2, d=4)
     params = _params(g, order=2, hidden=5)
     powers = laplacian_powers(g, 2)
-    h_stack = stack_powers(powers)
-    plan = _plan(g, 2)
-    arrays = {k: params[k].copy() for k in ("w", "head_w1", "head_b1", "head_w2", "head_b2")}
+    h_stack = stack_powers(powers)[None]
+    plan = _group(g, 2)
+    arrays = {k: params[k][None].copy()
+              for k in ("w", "head_w1", "head_b1", "head_w2", "head_b2")}
 
     def value(vals):
         t = tp.Tape()
         leaves = {k: t.leaf(v, k) for k, v in vals.items()}
         _, logits = logits_path(leaves, h_stack, g.n, g.feature_dim)
-        return float(ce_path(logits, plan).value[0, 0])
+        return float(ce_path(logits, plan).value[0, 0, 0])
 
     t = tp.Tape()
     leaves = {k: t.leaf(v, k) for k, v in arrays.items()}
@@ -236,15 +244,16 @@ def test_class_stat_paths_match_numpy_recompute():
     g = _small_graph(n=40, c=3, d=4, seed=4)
     params = init_params(4, 3, 1, 6, 3, stream(14, "init"))
     t = tp.Tape()
-    mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, 3))
-    stats = class_stat_paths(mu, logvar, _plan(g, 3))
+    mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, 3)[None])
+    stats = class_stat_paths(mu, logvar, _group(g, 3))
     assert np.array_equal(stats.labels, np.unique(g.labels[g.train_idx]))
     assert stats.moments.shape == (stats.labels.size, 6)
     for label, count, row in zip(stats.labels, stats.counts, stats.moments.value):
         rows = g.train_idx[g.labels[g.train_idx] == label]
-        mu_rows = mu.value[rows]
+        mu_rows = mu.value[0][rows]
         want = np.concatenate([mu_rows.mean(axis=0),
-                               np.exp(logvar.value[rows]).mean(axis=0) + mu_rows.var(axis=0)])
+                               np.exp(logvar.value[0][rows]).mean(axis=0)
+                               + mu_rows.var(axis=0)])
         assert rel_err(row, want) < 1e-12
         assert count == rows.size
 
@@ -255,9 +264,10 @@ def test_class_stat_paths_singleton_spread_is_exactly_zero():
                    train_idx=[0, 1, 4], val_idx=[2], test_idx=[3])
     params = init_params(2, 2, 1, 4, 3, stream(15, "init"))
     t = tp.Tape()
-    mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, 2))
-    moments = class_stat_paths(mu, logvar, _plan(g, 2)).moments.value
-    assert np.array_equal(moments[0], np.concatenate([mu.value[0], np.exp(logvar.value[0])]))
+    mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, 2)[None])
+    moments = class_stat_paths(mu, logvar, _group(g, 2)).moments.value
+    assert np.array_equal(moments[0], np.concatenate([mu.value[0, 0],
+                                                      np.exp(logvar.value[0, 0])]))
 
 
 def test_class_stat_paths_without_train_rows():
@@ -266,12 +276,12 @@ def test_class_stat_paths_without_train_rows():
                    train_idx=[], val_idx=[0], test_idx=[1, 2])
     params = init_params(2, 2, 1, 4, 3, stream(16, "init"))
     t = tp.Tape()
-    mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, 2))
-    stats = class_stat_paths(mu, logvar, _plan(g, 2))
+    mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, 2)[None])
+    stats = class_stat_paths(mu, logvar, _group(g, 2))
     assert stats.labels.size == 0 and stats.moments.shape == (0, 6)
     assert class_gaussians(stats.labels, stats.counts, stats.moments.value) == ()
     reps = {0: ClassGaussian(0, np.zeros(3), np.eye(3), 1)}
-    assert alignment_path(stats, kl_targets(reps)) is None
+    assert alignment_path(stats, [client_kl_targets({0: reps})[0]]) is None
 
 
 def test_logvar_is_clamped():
@@ -313,10 +323,10 @@ def test_elbo_matches_numpy_recompute():
     params = init_params(4, 2, 1, 5, 3, stream(12, "init"))
     eps = stream(0, "eps").standard_normal((g.n, 3))
     plan = _plan(g, 2)
-    nonedges = sample_nonedges(plan, g.edges.shape[0], stream(0, "ne"))
+    nonedges = sample_nonedges(plan, plan.nonedge_count, stream(0, "ne"))
     t = tp.Tape()
-    mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, 2))
-    got = float(elbo_path(mu, logvar, plan, eps, nonedges).value[0, 0])
+    mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, 2)[None])
+    got = float(elbo_path(mu, logvar, group_plan([plan]), eps, [nonedges]).value[0, 0, 0])
     want = _elbo_numpy(params, g, eps, nonedges, 2)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -326,20 +336,21 @@ def test_elbo_gradient_matches_finite_differences():
     params = init_params(3, 2, 1, 4, 2, stream(13, "init"))
     eps = stream(1, "eps").standard_normal((g.n, 2))
     plan = _plan(g, 2)
-    nonedges = sample_nonedges(plan, 6, stream(1, "ne"))
-    arrays = {name: params[name].copy() for name in ENCODER}
-    x_in = encoder_input(g, 2)
+    nonedges = [sample_nonedges(plan, plan.nonedge_count, stream(1, "ne"))]
+    group = group_plan([plan])
+    arrays = {name: params[name][None].copy() for name in ENCODER}
+    x_in = encoder_input(g, 2)[None]
 
     def value(vals):
         t = tp.Tape()
         leaves = {k: t.leaf(v, k) for k, v in vals.items()}
         mu, logvar = encoder_path(leaves, x_in)
-        return float(elbo_path(mu, logvar, plan, eps, nonedges).value[0, 0])
+        return float(elbo_path(mu, logvar, group, eps, nonedges).value[0, 0, 0])
 
     t = tp.Tape()
     leaves = {k: t.leaf(v, k) for k, v in arrays.items()}
     mu, logvar = encoder_path(leaves, x_in)
-    loss = elbo_path(mu, logvar, plan, eps, nonedges)
+    loss = elbo_path(mu, logvar, group, eps, nonedges)
     got = tp.grad(t, loss)
     want = central_diff(value, arrays)
     worst = max(rel_err(got[leaves[k]], want[k]) for k in arrays)

@@ -10,8 +10,8 @@ from fedssa.errors import ContractError, NumericError, ShapeError
 from fedssa.models import COV_FLOOR, ClassGaussian, ClassStats
 from fedssa.rng import stream
 from fedssa.semantic import (alignment_path, build_semantic_map,
-                             cluster_moments, gaussian_kl, gmm_of_cluster,
-                             kl_targets, semantic_cluster)
+                             client_kl_targets, cluster_moments, gaussian_kl,
+                             gmm_of_cluster, semantic_cluster)
 from helpers import central_diff, mc_gaussian_kl, random_spd, rel_err
 
 
@@ -209,11 +209,17 @@ def test_representative_counts_accumulate():
 
 
 def _stats(tape, labels, means, variances):
-    """ClassStats over one [mean | var] leaf, one row per label."""
+    """One member's ClassStats over one [mean | var] leaf, one row per label."""
     moments = tape.leaf(np.concatenate([np.atleast_2d(means), np.atleast_2d(variances)],
                                        axis=1), "moments")
     return ClassStats(np.asarray(labels, dtype=np.int64),
-                      np.ones(len(labels), dtype=np.int64), moments)
+                      np.ones(len(labels), dtype=np.int64), moments,
+                      np.array([0, len(labels)]))
+
+
+def _targets(representatives):
+    """The one member's alignment targets from {label: ClassGaussian}."""
+    return [client_kl_targets({0: representatives})[0]]
 
 
 def test_semantic_alignment_loss_sums_matching_classes():
@@ -222,9 +228,9 @@ def test_semantic_alignment_loss_sums_matching_classes():
     want = gaussian_kl(local[0], reps[0])
     t = tp.Tape()
     stats = _stats(t, [0, 1], [[0.0], [1.0]], [[1.0], [1.0]])
-    loss = alignment_path(stats, kl_targets(reps))
-    assert float(loss.value[0, 0]) == pytest.approx(want)
-    assert alignment_path(stats, kl_targets({})) is None
+    loss = alignment_path(stats, _targets(reps))
+    assert float(loss.value[0, 0, 0]) == pytest.approx(want)
+    assert alignment_path(stats, _targets({})) is None
 
 
 def test_alignment_path_matches_closed_form():
@@ -235,30 +241,30 @@ def test_alignment_path_matches_closed_form():
     means = rng.standard_normal((2, d))
     variances = 0.5 + rng.random((2, d))
     t = tp.Tape()
-    loss = alignment_path(_stats(t, [0, 1], means, variances), kl_targets(reps))
+    loss = alignment_path(_stats(t, [0, 1], means, variances), _targets(reps))
     want = sum(gaussian_kl(_gauss(c, means[c], np.diag(variances[c])), reps[c])
                for c in (0, 1))
-    assert float(loss.value[0, 0]) == pytest.approx(want, rel=1e-10)
+    assert float(loss.value[0, 0, 0]) == pytest.approx(want, rel=1e-10)
 
 
 def test_alignment_path_skips_unmatched_and_returns_none():
     t = tp.Tape()
     one = _stats(t, [0], np.zeros((1, 2)), np.ones((1, 2)))
-    assert alignment_path(one, kl_targets({})) is None
+    assert alignment_path(one, _targets({})) is None
     reps = {0: _gauss(0, np.zeros(2), np.eye(2))}
     assert alignment_path(_stats(t, [3], np.zeros((1, 2)), np.ones((1, 2))),
-                          kl_targets(reps)) is None
+                          _targets(reps)) is None
     # label 5 has no representative: no value and no gradient
     two = _stats(t, [0, 5], np.zeros((2, 2)), [[1.0, 1.0], [2.0, 3.0]])
-    out = alignment_path(two, kl_targets(reps))
+    out = alignment_path(two, _targets(reps))
     assert out is not None
-    assert float(out.value[0, 0]) == pytest.approx(0.0, abs=1e-12)
+    assert float(out.value[0, 0, 0]) == pytest.approx(0.0, abs=1e-12)
     g = tp.grad(t, out)[two.moments]
     assert np.array_equal(g[1], np.zeros(4))
 
 
 def test_alignment_path_rejects_nonpositive_variance():
-    reps = kl_targets({0: _gauss(0, np.zeros(2), np.eye(2))})
+    reps = _targets({0: _gauss(0, np.zeros(2), np.eye(2))})
     for bad in (0.0, -1e-3):
         t = tp.Tape()
         stats = _stats(t, [0], np.zeros((1, 2)), [[1.0, bad]])
@@ -268,24 +274,26 @@ def test_alignment_path_rejects_nonpositive_variance():
 
 def test_kl_targets_rejects_indefinite_representative():
     with pytest.raises(NumericError):
-        kl_targets({0: _gauss(0, np.zeros(2), [[1.0, 2.0], [2.0, 1.0]])})
+        _targets({0: _gauss(0, np.zeros(2), [[1.0, 2.0], [2.0, 1.0]])})
 
 
 def test_alignment_path_gradient_matches_finite_differences():
     rng = np.random.default_rng(6)
     d = 2
-    targets = kl_targets({0: _gauss(0, rng.standard_normal(d), random_spd(rng, d))})
+    targets = _targets({0: _gauss(0, rng.standard_normal(d), random_spd(rng, d))})
     arrays = {"moments": np.concatenate([rng.standard_normal((1, d)),
                                          0.5 + rng.random((1, d))], axis=1)}
 
     def build(t, moments):
-        stats = ClassStats(np.array([0]), np.array([1]), t.leaf(moments, "moments"))
+        stats = ClassStats(np.array([0]), np.array([1]), t.leaf(moments, "moments"),
+                           np.array([0, 1]))
         return stats, alignment_path(stats, targets)
 
     t = tp.Tape()
     stats, loss = build(t, arrays["moments"])
     got = tp.grad(t, loss)[stats.moments]
-    want = central_diff(lambda vals: float(build(tp.Tape(), vals["moments"])[1].value[0, 0]),
-                        arrays)["moments"]
+    want = central_diff(
+        lambda vals: float(build(tp.Tape(), vals["moments"])[1].value[0, 0, 0]),
+        arrays)["moments"]
     assert rel_err(got[:, :d], want[:, :d]) < 1e-6
     assert rel_err(got[:, d:], want[:, d:]) < 1e-6

@@ -14,10 +14,10 @@ from .errors import (ConfigError, ContractError, FedssaError, InfeasibleError,
 from .federation import (ClientUpload, RoundMetrics, RunConfig, ServerBroadcast,
                          client_round, evaluate_client,
                          run_federation_detailed, server_step)
-from .graphs import (FederationDataset, LocalGraph, SynthSpec, homophily_ratio,
-                     laplacian_powers, load_dataset, load_graph,
-                     partition_nonoverlap, partition_overlap, save_dataset,
-                     save_graph, stratified_split, synth_dataset)
+from .graphs import (FederationDataset, LocalGraph, SynthSpec, laplacian_powers,
+                     load_dataset, load_graph, partition_nonoverlap,
+                     partition_overlap, save_dataset, save_graph,
+                     stratified_split, synth_dataset)
 from .linalg import qr_thin
 from .metrics import accuracy, auc
 from .models import ClassGaussian, init_params, spectral_energy
@@ -25,7 +25,7 @@ from .rng import spawn_key, stream
 from .semantic import (GaussianMixture, SemanticClusterMap, cluster_moments,
                        gaussian_kl, gmm_of_cluster, build_semantic_map,
                        semantic_cluster)
-from .structural import (SpectralEnergy, StructuralClusterMap, chordal_distance,
+from .structural import (SpectralEnergy, StructuralClusterMap,
                          build_structural_map, coeff_perturb_bound,
                          filter_lipschitz_bound, pairwise_chordal,
                          projection_embedding, structural_cluster)
@@ -47,11 +47,11 @@ __all__ = [
     "SynthSpec", "Tape", "TrainingDivergenceError",
     "UndefinedMetricError", "Var", "accuracy", "auc",
     "build_dataset", "build_global_graph", "build_semantic_map",
-    "build_structural_map", "chordal_distance", "client_round",
+    "build_structural_map", "client_round",
     "cluster_moments", "coeff_perturb_bound", "contraction_simulate",
     "error_floor",
     "evaluate_client", "filter_lipschitz_bound", "gaussian_kl",
-    "gmm_of_cluster", "grad", "homophily_ratio", "init_params",
+    "gmm_of_cluster", "grad", "init_params",
     "kl_bound_audit", "kmeans", "laplacian_powers", "load_config",
     "load_dataset", "load_graph", "measure_heterogeneity",
     "pairwise_chordal", "parse_config",

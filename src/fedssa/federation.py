@@ -21,8 +21,8 @@ Methods:
   local   - isolated training; no messages exist at all.
 
 Uploads carry only statistics: filter coefficients, class-wise latent
-Gaussians with their sample counts, and (in round 1) the spectral-energy
-frame. Raw features, labels and edges never leave the client.
+means, diagonal variances and sample counts, and (in round 1) the
+spectral-energy frame. Raw features, labels and edges never leave the client.
 """
 
 from __future__ import annotations
@@ -244,9 +244,19 @@ class RoundMetrics:
 # --- payload serialization (byte accounting and checkpoints) ----------------
 
 
-def _gaussian_payload(g: ClassGaussian) -> dict:
-    return {"label": g.label, "mean": g.mean.tolist(), "cov": g.cov.tolist(),
-            "count": g.count}
+def _class_payload(g: ClassGaussian) -> dict:
+    """A client's class Gaussian; its covariance is diagonal, so only the variances go."""
+    if np.any(g.cov[~np.eye(g.dim, dtype=bool)]):
+        raise ContractError(f"class {g.label} covariance has a nonzero off-diagonal entry")
+    return {"label": g.label, "mean": g.mean.tolist(),
+            "var": np.diagonal(g.cov).tolist(), "count": g.count}
+
+
+def _representative_payload(g: ClassGaussian) -> dict:
+    """A representative as its mean and the row-major upper triangle of its cov."""
+    if not np.array_equal(g.cov, g.cov.T):
+        raise ContractError(f"class {g.label} representative covariance is not symmetric")
+    return {"mean": g.mean.tolist(), "cov": g.cov[np.triu_indices(g.dim)].tolist()}
 
 
 def _energy_payload(e: SpectralEnergy) -> dict:
@@ -257,15 +267,17 @@ def upload_payload(u: ClientUpload) -> dict:
     return {
         "client_id": u.client_id,
         "coefficients": u.coefficients.tolist(),
-        "class_gaussians": [_gaussian_payload(g) for g in u.class_gaussians],
+        "class_gaussians": [_class_payload(g) for g in u.class_gaussians],
         "spectral_energy": _energy_payload(u.spectral_energy)
         if u.spectral_energy is not None else None,
     }
 
 
-def broadcast_payload(b: ServerBroadcast) -> dict:
+def broadcast_payload(b: ServerBroadcast, representative=_representative_payload) -> dict:
+    """Wire form of a broadcast; `representative` encodes each representative,
+    keyed by its label."""
     return {
-        "class_representatives": {str(label): _gaussian_payload(g)
+        "class_representatives": {str(label): representative(g)
                                   for label, g in sorted(b.class_representatives.items())},
         "cluster_coefficients": b.cluster_coefficients.tolist()
         if b.cluster_coefficients is not None else None,
@@ -285,6 +297,20 @@ def params_payload(params: dict, w_max: float) -> dict:
 
 def payload_nbytes(obj) -> int:
     return len(canonical_json(obj).encode("utf-8"))
+
+
+def broadcast_nbytes(broadcasts: dict) -> dict:
+    """{client_id: payload_nbytes(broadcast_payload(bc))}, encoding each
+    distinct representative once (clients of one semantic cluster share the
+    objects): the skeleton, with representatives as null, plus each
+    representative's size less those 4 bytes."""
+    distinct = {id(rep): rep for bc in broadcasts.values()
+                for rep in bc.class_representatives.values()}
+    rep_bytes = {key: payload_nbytes(_representative_payload(rep)) - len("null")
+                 for key, rep in distinct.items()}
+    return {cid: payload_nbytes(broadcast_payload(bc, representative=lambda g: None))
+            + sum(rep_bytes[id(rep)] for rep in bc.class_representatives.values())
+            for cid, bc in broadcasts.items()}
 
 
 # --- client side ------------------------------------------------------------
@@ -651,8 +677,7 @@ def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig, seed: in
                 structure = server.structural_map.assignments
             for cid, up in uploads.items():
                 bytes_up[cid] = payload_nbytes(upload_payload(up))
-            for cid, bc in broadcasts.items():
-                bytes_down[cid] = payload_nbytes(broadcast_payload(bc))
+            bytes_down.update(broadcast_nbytes(broadcasts))
             heterogeneity = measure_heterogeneity(
                 {cid: up.class_gaussians for cid, up in uploads.items()},
                 chordal, server.semantic_map, server.structural_map)

@@ -169,14 +169,6 @@ def laplacian_powers(g: LocalGraph, order: int) -> list[np.ndarray]:
     return powers
 
 
-def homophily_ratio(g: LocalGraph) -> float:
-    """Fraction of edges joining same-label endpoints."""
-    if not g.edges.size:
-        return float("nan")
-    same = g.labels[g.edges[:, 0]] == g.labels[g.edges[:, 1]]
-    return float(np.mean(same))
-
-
 def stratified_split(labels: np.ndarray, rng: np.random.Generator,
                      fractions: tuple = SPLIT_FRACTIONS) -> tuple:
     """Per-class shuffled split into (train, val, test) index arrays.

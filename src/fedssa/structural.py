@@ -64,9 +64,6 @@ class StructuralClusterMap:
     assignments: dict
     mean_coefficients: dict
 
-    def cluster_of(self, client_id: int) -> int:
-        return self.assignments[client_id]
-
     def coefficients_for(self, client_id: int) -> np.ndarray:
         return self.mean_coefficients[self.assignments[client_id]]
 
@@ -75,18 +72,6 @@ def projection_embedding(e: SpectralEnergy) -> np.ndarray:
     """Flattened projection matrix Q Q^T; basis-invariant subspace embedding."""
     p = e.q @ e.q.T
     return p.ravel()
-
-
-def chordal_distance(a: SpectralEnergy, b: SpectralEnergy) -> float:
-    """Chordal distance ||Qa Qa^T - Qb Qb^T||_F / sqrt(2) between client subspaces.
-
-    It equals sqrt(K+1 - ||Qa^T Qb||_F^2), without that form's cancellation,
-    which costs about sqrt(eps) for nearby subspaces.
-    """
-    if a.q.shape != b.q.shape:
-        raise ShapeError(f"frame shapes differ: {a.q.shape} vs {b.q.shape}")
-    diff = projection_embedding(a) - projection_embedding(b)
-    return float(np.linalg.norm(diff) / np.sqrt(2.0))
 
 
 def _sorted_embeddings(energies: list) -> tuple[list, np.ndarray]:
@@ -101,7 +86,12 @@ def _sorted_embeddings(energies: list) -> tuple[list, np.ndarray]:
 
 
 def pairwise_chordal(energies: list) -> tuple[list, np.ndarray]:
-    """Full symmetric chordal distance matrix over clients sorted by id."""
+    """Full symmetric chordal distance matrix over clients sorted by id.
+
+    Each entry is ||Qa Qa^T - Qb Qb^T||_F / sqrt(2). It equals
+    sqrt(K+1 - ||Qa^T Qb||_F^2) without that form's cancellation, which
+    costs about sqrt(eps) for nearby subspaces.
+    """
     ids, points = _sorted_embeddings(energies)
     return ids, pairwise_distances(points) / np.sqrt(2.0)
 
@@ -162,17 +152,6 @@ def filter_lipschitz_bound(w) -> float:
     k = np.arange(wv.size, dtype=np.float64)
     powers = np.concatenate([[0.0], 2.0 ** (k[1:] - 1.0)]) if wv.size > 1 else np.zeros(1)
     return float(np.sum(k * np.abs(wv) * powers))
-
-
-def filter_derivative_sup(w, grid_points: int = 2001) -> float:
-    """Max |h'(lambda)| on a uniform grid over the spectral range [0, 2]."""
-    wv = np.asarray(w, dtype=np.float64).reshape(-1)
-    if wv.size <= 1:
-        return 0.0
-    lam = np.linspace(0.0, 2.0, grid_points)
-    k = np.arange(1, wv.size, dtype=np.float64)
-    deriv = (k * wv[1:]) @ np.power(lam[None, :], (k - 1)[:, None])
-    return float(np.max(np.abs(deriv)))
 
 
 def coeff_perturb_bound(w_a, w_b, powers: list) -> tuple[float, float]:

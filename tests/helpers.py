@@ -9,10 +9,14 @@ closed forms) so agreement is evidence, not tautology.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
-from fedssa.graphs import LocalGraph, stratified_split
+from fedssa.errors import ShapeError
+from fedssa.graphs import LocalGraph, canonical_json, stratified_split
 from fedssa.rng import stream
+from fedssa.structural import projection_embedding
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -66,6 +70,15 @@ def residual_chordal(q1: np.ndarray, q2: np.ndarray) -> float:
     return float(np.linalg.norm(q2 - q1 @ (q1.T @ q2)))
 
 
+def chordal_distance(a, b) -> float:
+    """Chordal distance ||Qa Qa^T - Qb Qb^T||_F / sqrt(2) between the frames of
+    two SpectralEnergy objects, one pair at a time."""
+    if a.q.shape != b.q.shape:
+        raise ShapeError(f"frame shapes differ: {a.q.shape} vs {b.q.shape}")
+    diff = projection_embedding(a) - projection_embedding(b)
+    return float(np.linalg.norm(diff) / np.sqrt(2.0))
+
+
 def mc_gaussian_kl(mu_p, cov_p, mu_q, cov_q, n: int, rng) -> float:
     """Monte Carlo estimate of KL(p || q) from n draws of p."""
     d = mu_p.shape[0]
@@ -88,6 +101,18 @@ def grid_filter_sup(w: np.ndarray, num: int = 20001) -> float:
     deriv = np.zeros_like(lam)
     for k in range(1, w.shape[0]):
         deriv += k * w[k] * lam ** (k - 1)
+    return float(np.max(np.abs(deriv)))
+
+
+def filter_derivative_sup(w, grid_points: int = 2001) -> float:
+    """Max |h'(lambda)| on a uniform grid over [0, 2], from one vectorised
+    power table (grid_filter_sup accumulates the same sum term by term)."""
+    wv = np.asarray(w, dtype=np.float64).reshape(-1)
+    if wv.size <= 1:
+        return 0.0
+    lam = np.linspace(0.0, 2.0, grid_points)
+    k = np.arange(1, wv.size, dtype=np.float64)
+    deriv = (k * wv[1:]) @ np.power(lam[None, :], (k - 1)[:, None])
     return float(np.max(np.abs(deriv)))
 
 
@@ -137,6 +162,14 @@ def pool_draw(g, count: int, rng) -> np.ndarray:
     return pool[np.sort(rng.choice(pool.shape[0], size=take, replace=False))]
 
 
+def homophily_ratio(g) -> float:
+    """Fraction of edges joining same-label endpoints; nan without edges."""
+    if not g.edges.size:
+        return float("nan")
+    same = g.labels[g.edges[:, 0]] == g.labels[g.edges[:, 1]]
+    return float(np.mean(same))
+
+
 def adjacency(g) -> np.ndarray:
     """Dense symmetric 0/1 adjacency matrix."""
     a = np.zeros((g.n, g.n))
@@ -184,3 +217,42 @@ def dense_synth_dataset(spec, seed: int):
     edges = np.column_stack([iu[hit], ju[hit]])
     train, val, test = stratified_split(labels, stream(seed, "synth-split"))
     return LocalGraph(features, labels, edges, train, val, test)
+
+
+# --- wire-format decoders ------------------------------------------------------
+# Each reads a payload back from its canonical JSON text, filling matrices
+# entry by entry, so a lossless wire form decodes to the in-memory arrays.
+
+
+def decode_upload(payload: dict) -> dict:
+    """client_id, coefficients, classes [(label, count, mean, cov)] with cov
+    the diagonal matrix of the sent variances, and the frame's q (or None)."""
+    wire = json.loads(canonical_json(payload))
+    classes = []
+    for c in wire["class_gaussians"]:
+        cov = np.zeros((len(c["var"]), len(c["var"])))
+        for i, var in enumerate(c["var"]):
+            cov[i, i] = var
+        classes.append((c["label"], c["count"], np.array(c["mean"]), cov))
+    energy = wire["spectral_energy"]
+    return {"client_id": wire["client_id"],
+            "coefficients": np.array(wire["coefficients"]), "classes": classes,
+            "q": None if energy is None else np.array(energy["q"])}
+
+
+def decode_broadcast(payload: dict) -> tuple:
+    """({label: (mean, cov)}, cluster coefficients or None); each cov is
+    mirrored from its row-major upper triangle."""
+    wire = json.loads(canonical_json(payload))
+    reps = {}
+    for key, rep in wire["class_representatives"].items():
+        d = len(rep["mean"])
+        cov = np.zeros((d, d))
+        upper = iter(rep["cov"])
+        for i in range(d):
+            for j in range(i, d):
+                cov[i, j] = cov[j, i] = next(upper)
+        assert next(upper, None) is None, "upper triangle longer than d(d+1)/2"
+        reps[int(key)] = (np.array(rep["mean"]), cov)
+    coeffs = wire["cluster_coefficients"]
+    return reps, None if coeffs is None else np.array(coeffs)

@@ -25,9 +25,9 @@ from fedssa.models import (ClassGaussian, ce_path, class_stat_paths,
                            group_plan, logits_path, sample_nonedges, stack_powers)
 from fedssa.semantic import (alignment_path, client_kl_targets, cluster_moments,
                              gaussian_kl, gmm_of_cluster)
-from fedssa.structural import (SpectralEnergy, chordal_distance,
-                               coeff_perturb_bound, coefficient_penalty_var,
-                               filter_lipschitz_bound, projection_embedding)
+from fedssa.structural import (SpectralEnergy, coeff_perturb_bound,
+                               coefficient_penalty_var, filter_lipschitz_bound,
+                               pairwise_chordal, projection_embedding)
 from fedssa.theory import contraction_simulate, kl_bound_audit, rounds_to_reach
 from helpers import (central_diff, grid_filter_sup, random_spd, rel_err,
                      residual_chordal)
@@ -142,7 +142,7 @@ def test_a02_chordal_distance_matches_principal_angles():
         qb, _ = qr_thin(rng.standard_normal((d, k)))
         ea = SpectralEnergy(0, qa)
         eb = SpectralEnergy(1, qb)
-        dist = chordal_distance(ea, eb)
+        dist = pairwise_chordal([ea, eb])[1][0, 1]
         worst_dist = max(worst_dist, abs(dist - residual_chordal(qa, qb)))
         gap = np.linalg.norm(projection_embedding(ea) - projection_embedding(eb))
         worst_iso = max(worst_iso, abs(gap - np.sqrt(2.0) * dist))

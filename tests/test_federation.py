@@ -1,8 +1,8 @@
 """Federation loop checks: schedule invariance, bit-reproducibility, stacked
-groups against clients trained alone, upload privacy, fixed spectral-energy
-frames and the rank-deficient client rule, fedavg fixed points, divergence
-rollback, server protocol errors, and structural cluster recovery from
-hand-built uploads."""
+groups against clients trained alone, upload privacy, the lossless wire form
+and its byte accounting, fixed spectral-energy frames and the rank-deficient
+client rule, fedavg fixed points, divergence rollback, server protocol
+errors, and structural cluster recovery from hand-built uploads."""
 
 import dataclasses
 import json
@@ -15,17 +15,20 @@ from fedssa import federation
 from fedssa.config import build_dataset, parse_config, two_regime_federation
 from fedssa.errors import (ConfigError, ContractError, ProtocolError,
                            ShapeError, TrainingDivergenceError)
-from fedssa.federation import (ClientUpload, RunConfig, _cluster_coefficients,
-                               _loss_parts, group_clients, init_client_state,
-                               local_round, run_federation_detailed, server_step,
+from fedssa.federation import (ClientUpload, RunConfig, ServerBroadcast,
+                               _cluster_coefficients, _loss_parts,
+                               broadcast_nbytes, broadcast_payload, group_clients,
+                               init_client_state, local_round,
+                               run_federation_detailed, server_step,
                                upload_payload)
 from fedssa.graphs import (FederationDataset, LocalGraph, SynthSpec,
-                           stratified_split, synth_dataset)
+                           canonical_json, stratified_split, synth_dataset)
 from fedssa.linalg import qr_thin
 from fedssa.models import ClassGaussian, init_params, sample_nonedges
 from fedssa.rng import stream
 from fedssa.semantic import client_kl_targets
 from fedssa.structural import SpectralEnergy
+from helpers import decode_broadcast, decode_upload
 
 ORDER = 3
 DIM = 8
@@ -453,6 +456,101 @@ def test_byte_accounting_by_method():
         assert fedavg.per_client[cid].bytes_up > 0
     down = {fedavg.per_client[cid].bytes_down for cid in range(3)}
     assert len(down) == 1  # everyone receives the same averaged parameters
+
+
+def _wire_bytes(payload) -> int:
+    return len(canonical_json(payload).encode())
+
+
+def _captured_run(monkeypatch, rounds=3):
+    """A small fedssa run plus each round's (uploads, server round)."""
+    captured = []
+    step = federation.server_step
+
+    def capture(uploads, *args, **kwargs):
+        out = step(uploads, *args, **kwargs)
+        captured.append((dict(uploads), out))
+        return out
+
+    monkeypatch.setattr(federation, "server_step", capture)
+    run = run_federation_detailed(_tiny_dataset(), _tiny_cfg(rounds=rounds), seed=0)
+    assert len(captured) == rounds
+    return run.history, captured
+
+
+def test_wire_form_is_lossless(monkeypatch):
+    _history, captured = _captured_run(monkeypatch)
+    for round_index, (uploads, server) in enumerate(captured, start=1):
+        for cid, up in uploads.items():
+            wire = decode_upload(upload_payload(up))
+            assert wire["client_id"] == cid
+            assert np.array_equal(wire["coefficients"], up.coefficients)
+            assert len(wire["classes"]) == len(up.class_gaussians) > 0
+            for (label, count, mean, cov), g in zip(wire["classes"], up.class_gaussians):
+                assert (label, count) == (g.label, g.count)
+                assert np.array_equal(mean, g.mean) and np.array_equal(cov, g.cov)
+            if round_index == 1:
+                assert np.array_equal(wire["q"], up.spectral_energy.q)
+            else:
+                assert wire["q"] is None and up.spectral_energy is None
+        for bc in server.broadcasts.values():
+            reps, coeffs = decode_broadcast(broadcast_payload(bc))
+            assert sorted(reps) == sorted(bc.class_representatives)
+            for label, (mean, cov) in reps.items():
+                rep = bc.class_representatives[label]
+                assert np.array_equal(mean, rep.mean) and np.array_equal(cov, rep.cov)
+            assert np.array_equal(coeffs, bc.cluster_coefficients)
+
+
+def test_run_counts_the_bytes_of_its_payloads(monkeypatch):
+    history, captured = _captured_run(monkeypatch)
+    shared = 0
+    for metrics, (uploads, server) in zip(history, captured):
+        for cid, up in uploads.items():
+            assert metrics.per_client[cid].bytes_up == _wire_bytes(upload_payload(up))
+        for cid, bc in server.broadcasts.items():
+            assert metrics.per_client[cid].bytes_down == _wire_bytes(broadcast_payload(bc))
+        reps = [r for bc in server.broadcasts.values()
+                for r in bc.class_representatives.values()]
+        shared += len(reps) - len({id(r) for r in reps})
+    assert shared > 0  # clients of one cluster share representatives
+
+
+def _rep(label, d=3, skew=0.0):
+    rng = np.random.default_rng(label)
+    a = rng.standard_normal((d, d))
+    cov = a @ a.T
+    cov = 0.5 * (cov + cov.T) + np.eye(d)
+    cov[0, 1] += skew
+    return ClassGaussian(label, rng.standard_normal(d), cov, 5)
+
+
+def test_broadcast_nbytes_matches_direct_encoding():
+    # labels >= 10 sort differently as JSON keys ("10" < "2") than as ints
+    r2, r10, r11 = _rep(2), _rep(10), _rep(11)
+    broadcasts = {
+        0: ServerBroadcast({2: r2, 10: r10, 11: r11}, np.array([0.5, -1.25, 3.0])),
+        1: ServerBroadcast({10: r10}, None),
+        2: ServerBroadcast({}, np.array([1.0, 2.0, 3.0])),
+        3: ServerBroadcast({}, None),
+        4: ServerBroadcast({11: r11, 12: _rep(12)}, None),
+    }
+    want = {cid: _wire_bytes(broadcast_payload(bc)) for cid, bc in broadcasts.items()}
+    assert broadcast_nbytes(broadcasts) == want
+    assert broadcast_nbytes({}) == {}
+
+
+def test_wire_form_rejects_what_it_would_drop():
+    cov = np.array([[1.0, 0.25], [0.25, 1.0]])
+    upload = ClientUpload(0, np.ones(3), (ClassGaussian(0, np.zeros(2), cov, 4),), None)
+    with pytest.raises(ContractError, match="off-diagonal"):
+        upload_payload(upload)
+    skewed = _rep(1, skew=1e-12)  # within ClassGaussian's symmetry tolerance
+    broadcast = ServerBroadcast({1: skewed}, None)
+    with pytest.raises(ContractError, match="not symmetric"):
+        broadcast_payload(broadcast)
+    with pytest.raises(ContractError, match="not symmetric"):
+        broadcast_nbytes({0: broadcast})
 
 
 # --- spectral-energy frames -------------------------------------------------------

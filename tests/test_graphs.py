@@ -12,12 +12,13 @@ import pytest
 from fedssa.errors import ConfigError, ContractError, InfeasibleError
 from fedssa.graphs import (PAIR_BLOCK, FederationDataset, LocalGraph,
                            SynthSpec, graph_from_dict, graph_to_dict,
-                           homophily_ratio, laplacian_powers, load_dataset,
-                           load_graph, partition_nonoverlap, partition_overlap,
+                           laplacian_powers, load_dataset, load_graph,
+                           partition_nonoverlap, partition_overlap,
                            save_dataset, save_graph, stratified_split,
                            synth_dataset)
 from fedssa.rng import stream
-from helpers import dense_synth_dataset, induced_edges_loop, normalized_laplacian
+from helpers import (dense_synth_dataset, homophily_ratio, induced_edges_loop,
+                     normalized_laplacian)
 
 
 def _graph(features, labels, edges, train=None, val=None, test=None):

@@ -1,6 +1,7 @@
-"""Structural sharing checks: chordal distance against an SVD principal-angle
-oracle, projection-embedding isometry, basis invariance, planted subspace
-recovery, coefficient pooling, and the two filter stability bounds."""
+"""Structural sharing checks: the server's chordal distance against an SVD
+principal-angle oracle, projection-embedding isometry, basis invariance,
+planted subspace recovery, coefficient pooling, and the two filter stability
+bounds."""
 
 import numpy as np
 import pytest
@@ -10,12 +11,12 @@ from fedssa.errors import ConfigError, ContractError, ShapeError
 from fedssa.graphs import SynthSpec, laplacian_powers, synth_dataset
 from fedssa.linalg import qr_thin
 from fedssa.structural import (SpectralEnergy, build_structural_map,
-                               chordal_distance, cluster_coeff_mean,
-                               coeff_perturb_bound, coefficient_penalty_var,
-                               filter_derivative_sup, filter_lipschitz_bound,
+                               cluster_coeff_mean, coeff_perturb_bound,
+                               coefficient_penalty_var, filter_lipschitz_bound,
                                pairwise_chordal, projection_embedding,
                                structural_cluster)
-from helpers import grid_filter_sup, rel_err, residual_chordal
+from helpers import (chordal_distance, filter_derivative_sup, grid_filter_sup,
+                     rel_err, residual_chordal)
 
 
 def _energy(client_id, mat):
@@ -27,6 +28,11 @@ def _random_energy(client_id, rng, d=8, k1=3):
     return _energy(client_id, rng.standard_normal((d, k1)))
 
 
+def _chordal(a, b):
+    """The server's chordal distance between two frames (pairwise_chordal)."""
+    return pairwise_chordal([a, b])[1][0, 1]
+
+
 # --- chordal distance ------------------------------------------------------------
 
 
@@ -35,7 +41,7 @@ def test_chordal_matches_svd_principal_angle_oracle():
     for _ in range(50):
         a = _random_energy(0, rng)
         b = _random_energy(1, rng)
-        got = chordal_distance(a, b)
+        got = _chordal(a, b)
         want = residual_chordal(a.q, b.q)
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -43,7 +49,7 @@ def test_chordal_matches_svd_principal_angle_oracle():
 def test_chordal_identical_subspace_is_zero():
     rng = np.random.default_rng(1)
     a = _random_energy(0, rng)
-    assert chordal_distance(a, a) == 0.0
+    assert _chordal(a, a) == 0.0
 
 
 @pytest.mark.parametrize("angle", [1e-8, 1e-10])
@@ -57,8 +63,7 @@ def test_chordal_resolves_nearby_subspaces(angle):
     qb[:, 0] = np.cos(angle) * basis[:, 0] + np.sin(angle) * basis[:, 5]
     want = residual_chordal(qa, qb)
     a, b = SpectralEnergy(0, qa), SpectralEnergy(1, qb)
-    assert abs(chordal_distance(a, b) - want) <= 1e-12
-    assert abs(pairwise_chordal([a, b])[1][0, 1] - want) <= 1e-12
+    assert abs(_chordal(a, b) - want) <= 1e-12
 
 
 def test_chordal_invariant_to_orthogonal_rebasing():
@@ -68,8 +73,7 @@ def test_chordal_invariant_to_orthogonal_rebasing():
     # re-express b's frame in a rotated basis of the same subspace
     rot, _ = qr_thin(rng.standard_normal((3, 3)))
     b_rot = SpectralEnergy(1, b.q @ rot)
-    assert chordal_distance(a, b_rot) == pytest.approx(chordal_distance(a, b),
-                                                       abs=1e-9)
+    assert _chordal(a, b_rot) == pytest.approx(_chordal(a, b), abs=1e-9)
 
 
 def test_chordal_orthogonal_subspaces_hit_max():
@@ -77,7 +81,7 @@ def test_chordal_orthogonal_subspaces_hit_max():
     q2 = np.eye(6)[:, 2:4]
     a = SpectralEnergy(0, q1)
     b = SpectralEnergy(1, q2)
-    assert chordal_distance(a, b) == pytest.approx(np.sqrt(2.0))
+    assert _chordal(a, b) == pytest.approx(np.sqrt(2.0))
 
 
 def test_chordal_range():
@@ -85,15 +89,15 @@ def test_chordal_range():
     for _ in range(30):
         a = _random_energy(0, rng, d=6, k1=2)
         b = _random_energy(1, rng, d=6, k1=2)
-        d = chordal_distance(a, b)
+        d = _chordal(a, b)
         assert -1e-12 <= d <= np.sqrt(2.0) + 1e-12
 
 
 def test_chordal_shape_mismatch():
     rng = np.random.default_rng(4)
     with pytest.raises(ShapeError):
-        chordal_distance(_random_energy(0, rng, d=6, k1=2),
-                         _random_energy(1, rng, d=6, k1=3))
+        _chordal(_random_energy(0, rng, d=6, k1=2),
+                 _random_energy(1, rng, d=6, k1=3))
 
 
 def test_pairwise_chordal_sorted_symmetric():
@@ -127,8 +131,7 @@ def test_projection_embedding_isometry_factor():
         a = _random_energy(0, rng)
         b = _random_energy(1, rng)
         emb = np.linalg.norm(projection_embedding(a) - projection_embedding(b))
-        assert emb == pytest.approx(np.sqrt(2.0) * chordal_distance(a, b),
-                                    abs=1e-9)
+        assert emb == pytest.approx(np.sqrt(2.0) * _chordal(a, b), abs=1e-9)
 
 
 def test_spectral_energy_contract():
@@ -185,8 +188,8 @@ def test_build_structural_map_mean_coefficients():
     energies = _planted_energies(rng, per_group=3)
     coeffs = {cid: np.full(4, float(cid)) for cid in range(6)}
     smap = build_structural_map(structural_cluster(energies, 2, 1), coeffs)
-    for cluster, members in ((smap.cluster_of(0), [0, 1, 2]),
-                             (smap.cluster_of(3), [3, 4, 5])):
+    for cluster, members in ((smap.assignments[0], [0, 1, 2]),
+                             (smap.assignments[3], [3, 4, 5])):
         want = np.mean([coeffs[c] for c in members], axis=0)
         assert np.allclose(smap.mean_coefficients[cluster], want)
         for cid in members:

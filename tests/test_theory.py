@@ -12,11 +12,11 @@ from fedssa.models import ClassGaussian
 from fedssa.semantic import (SemanticClusterMap, build_semantic_map, cluster_moments,
                              gmm_of_cluster)
 from fedssa.structural import (SpectralEnergy, StructuralClusterMap, build_structural_map,
-                               chordal_distance, pairwise_chordal, structural_cluster)
+                               pairwise_chordal, structural_cluster)
 from fedssa.theory import (ErrorFloorReport, contraction_simulate, error_floor,
                            kl_bound_audit, measure_heterogeneity,
                            rounds_to_reach)
-from helpers import random_spd
+from helpers import chordal_distance, random_spd
 
 
 # --- error floor -----------------------------------------------------------------

@@ -423,9 +423,18 @@ def _cluster_coefficients(group: ClientGroup, broadcasts: dict) -> Optional[np.n
 
 
 def _samples(plan: GroupPlan, seed: int, *path) -> list:
-    """Each member's nonedge_count non-edges, drawn from the stream at path."""
-    return [sample_nonedges(p, p.nonedge_count, stream(seed, *path))
-            for p in plan.members]
+    """Each member's nonedge_count non-edges, drawn from the stream at path.
+
+    Every member draws from the start of that stream: one generator is
+    built and rewound to its start state before each member's draw.
+    """
+    rng = stream(seed, *path)
+    start = rng.bit_generator.state
+    draws = []
+    for p in plan.members:
+        rng.bit_generator.state = start
+        draws.append(sample_nonedges(p, p.nonedge_count, rng))
+    return draws
 
 
 def train_group(group: ClientGroup, broadcasts: dict, targets: dict, cfg: RunConfig,

@@ -17,6 +17,7 @@ base part overlap while never crossing part boundaries.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -76,7 +77,8 @@ class LocalGraph:
                 raise ContractError("self loops are not allowed")
             lo = np.minimum(edges[:, 0], edges[:, 1])
             hi = np.maximum(edges[:, 0], edges[:, 1])
-            edges = np.unique(np.column_stack([lo, hi]), axis=0)
+            keys = np.unique(lo * n + hi)
+            edges = np.column_stack([keys // n, keys % n])
         else:
             edges = edges.reshape(0, 2)
         train = _index_array(self.train_idx, n, "train")
@@ -261,70 +263,88 @@ def synth_dataset(spec: SynthSpec, seed: int) -> LocalGraph:
     return LocalGraph(features, labels, edges, train, val, test)
 
 
-def _neighbor_lists(n: int, edges: np.ndarray) -> list[list[int]]:
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        neighbors[int(u)].append(int(v))
-        neighbors[int(v)].append(int(u))
-    return [sorted(lst) for lst in neighbors]
+def _neighbor_lists(n: int, edges: np.ndarray) -> tuple:
+    """CSR adjacency (indptr, indices); each node's neighbours ascend."""
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[order]
 
 
-def _bfs_order(n: int, neighbors: list[list[int]], root: int) -> list[int]:
+def _bfs_order(n: int, indptr: np.ndarray, indices: np.ndarray, root: int) -> list[int]:
+    """Breadth-first order from root; an exhausted queue restarts at the
+    lowest unseen node."""
     order: list[int] = []
     seen = np.zeros(n, dtype=bool)
-    queue = [root]
+    queue = deque([root])
     seen[root] = True
+    restart = 0
     while len(order) < n:
         if not queue:
-            nxt = int(np.flatnonzero(~seen)[0])
-            seen[nxt] = True
-            queue.append(nxt)
-        node = queue.pop(0)
+            while seen[restart]:
+                restart += 1
+            seen[restart] = True
+            queue.append(restart)
+        node = queue.popleft()
         order.append(node)
-        for nb in neighbors[node]:
-            if not seen[nb]:
-                seen[nb] = True
-                queue.append(nb)
+        nbrs = indices[indptr[node]:indptr[node + 1]]
+        fresh = nbrs[~seen[nbrs]]
+        seen[fresh] = True
+        queue.extend(fresh.tolist())
     return order
 
 
 def _greedy_assignment(n: int, edges: np.ndarray, num_parts: int,
                        rng: np.random.Generator) -> np.ndarray:
-    """Streaming greedy partition with per-part quotas differing by <= 1."""
+    """Streaming greedy partition with per-part quotas differing by <= 1.
+
+    A node's score for a part is its count of neighbours already there
+    minus the part's fill size/quota; full parts score -inf and ties go to
+    the lowest part index.
+    """
     base, rem = divmod(n, num_parts)
     quotas = np.array([base + (1 if i < rem else 0) for i in range(num_parts)])
-    neighbors = _neighbor_lists(n, edges)
-    order = _bfs_order(n, neighbors, int(rng.integers(n)))
+    indptr, indices = _neighbor_lists(n, edges)
+    order = _bfs_order(n, indptr, indices, int(rng.integers(n)))
     assign = np.full(n, -1, dtype=np.int64)
     sizes = np.zeros(num_parts, dtype=np.int64)
+    fill = np.where(quotas > 0, 0.0, np.inf)
     for node in order:
-        best_part, best_score = -1, -np.inf
-        assigned_nbrs = [assign[nb] for nb in neighbors[node] if assign[nb] >= 0]
-        for part in range(num_parts):
-            if sizes[part] >= quotas[part]:
-                continue
-            affinity = sum(1 for p in assigned_nbrs if p == part)
-            score = affinity - sizes[part] / quotas[part]
-            if score > best_score:
-                best_part, best_score = part, score
-        assign[node] = best_part
-        sizes[best_part] += 1
+        parts = assign[indices[indptr[node]:indptr[node + 1]]]
+        score = np.bincount(parts[parts >= 0], minlength=num_parts) - fill
+        part = int(np.argmax(score))
+        assign[node] = part
+        sizes[part] += 1
+        fill[part] = sizes[part] / quotas[part]
+        if sizes[part] == quotas[part]:
+            fill[part] = np.inf
     return assign
 
 
-def _induce(g: LocalGraph, nodes: np.ndarray, split_rng: np.random.Generator) -> tuple:
-    """Induced subgraph on sorted global node ids, with fresh splits."""
-    nodes = np.sort(np.asarray(nodes, dtype=np.int64))
+def _part_edges(edges: np.ndarray, assign: np.ndarray, num_parts: int) -> list:
+    """Each part's internal edges, in the original edge order."""
+    part = assign[edges[:, 0]]
+    internal = np.flatnonzero(part == assign[edges[:, 1]])
+    internal = internal[np.argsort(part[internal], kind="stable")]
+    bounds = np.cumsum(np.bincount(part[internal], minlength=num_parts))[:-1]
+    return [edges[rows] for rows in np.split(internal, bounds)]
+
+
+def _induce(g: LocalGraph, nodes: np.ndarray, edges: np.ndarray, degree: np.ndarray,
+            split_rng: np.random.Generator) -> tuple:
+    """Subgraph induced on sorted global node ids, with fresh splits, and
+    its cut-edge count. edges must hold every edge of g inside nodes (it may
+    hold more); degree is g's degree vector."""
     pos = np.full(g.n, -1, dtype=np.int64)
     pos[nodes] = np.arange(nodes.size)
-    local = pos[g.edges]
-    inside = local >= 0
-    both = inside.all(axis=1)
-    dropped = int(np.count_nonzero(inside.any(axis=1) & ~both))
+    local = pos[edges]
+    local = local[(local >= 0).all(axis=1)]
+    dropped = int(degree[nodes].sum()) - 2 * local.shape[0]
     labels = g.labels[nodes]
     train, val, test = stratified_split(labels, split_rng)
-    sub = LocalGraph(g.features[nodes], labels, local[both], train, val, test)
-    return sub, nodes, dropped
+    return LocalGraph(g.features[nodes], labels, local, train, val, test), dropped
 
 
 def partition_nonoverlap(g: LocalGraph, num_clients: int, seed: int,
@@ -339,13 +359,16 @@ def partition_nonoverlap(g: LocalGraph, num_clients: int, seed: int,
     if num_clients > g.n:
         raise InfeasibleError(f"cannot split {g.n} nodes into {num_clients} nonempty parts")
     assign = _greedy_assignment(g.n, g.edges, num_clients, stream(seed, "partition"))
+    degree = np.bincount(g.edges.ravel(), minlength=g.n)
+    part_edges = _part_edges(g.edges, assign, num_clients)
     clients, maps = [], []
     dropped_total = 0
     for part in range(num_clients):
         nodes = np.flatnonzero(assign == part)
-        sub, node_map, dropped = _induce(g, nodes, stream(seed, "partition-split", part))
+        sub, dropped = _induce(g, nodes, part_edges[part], degree,
+                               stream(seed, "partition-split", part))
         clients.append(sub)
-        maps.append(node_map)
+        maps.append(nodes)
         dropped_total += dropped
     return FederationDataset(tuple(clients), g.num_classes(), g.feature_dim, task,
                              tuple(maps), dropped_total // 2)
@@ -366,6 +389,8 @@ def partition_overlap(g: LocalGraph, num_clients: int, seed: int,
         assign = _greedy_assignment(g.n, g.edges, num_parts, stream(seed, "partition"))
     else:
         assign = np.zeros(g.n, dtype=np.int64)
+    degree = np.bincount(g.edges.ravel(), minlength=g.n)
+    part_edges = _part_edges(g.edges, assign, num_parts)
     clients, maps = [], []
     dropped_total = 0
     client_idx = 0
@@ -379,9 +404,10 @@ def partition_overlap(g: LocalGraph, num_clients: int, seed: int,
             pick_rng = stream(seed, "overlap-sample", client_idx)
             pick = pick_rng.choice(base_nodes.size, size=half, replace=False)
             nodes = base_nodes[np.sort(pick)]
-            sub, node_map, dropped = _induce(g, nodes, stream(seed, "partition-split", client_idx))
+            sub, dropped = _induce(g, nodes, part_edges[part], degree,
+                                   stream(seed, "partition-split", client_idx))
             clients.append(sub)
-            maps.append(node_map)
+            maps.append(nodes)
             dropped_total += dropped
             client_idx += 1
     return FederationDataset(tuple(clients), g.num_classes(), g.feature_dim, task,

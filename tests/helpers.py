@@ -141,6 +141,84 @@ def induced_edges_loop(edges: np.ndarray, nodes: np.ndarray) -> tuple:
     return np.asarray(kept, dtype=np.int64).reshape(-1, 2), dropped
 
 
+def greedy_assignment_loop(n: int, edges: np.ndarray, num_parts: int, rng) -> np.ndarray:
+    """Streaming greedy partition, one node and one part at a time.
+
+    Python neighbour lists, a BFS from rng's root that restarts at the
+    lowest unseen node, and per part the score (assigned neighbours in the
+    part) - size / quota over parts below quota; the first best part wins.
+    """
+    base, rem = divmod(n, num_parts)
+    quotas = np.array([base + (1 if i < rem else 0) for i in range(num_parts)])
+    neighbors = [[] for _ in range(n)]
+    for u, v in edges:
+        neighbors[int(u)].append(int(v))
+        neighbors[int(v)].append(int(u))
+    neighbors = [sorted(lst) for lst in neighbors]
+    order = []
+    seen = np.zeros(n, dtype=bool)
+    root = int(rng.integers(n))
+    queue = [root]
+    seen[root] = True
+    while len(order) < n:
+        if not queue:
+            nxt = int(np.flatnonzero(~seen)[0])
+            seen[nxt] = True
+            queue.append(nxt)
+        node = queue.pop(0)
+        order.append(node)
+        for nb in neighbors[node]:
+            if not seen[nb]:
+                seen[nb] = True
+                queue.append(nb)
+    assign = np.full(n, -1, dtype=np.int64)
+    sizes = np.zeros(num_parts, dtype=np.int64)
+    for node in order:
+        best_part, best_score = -1, -np.inf
+        assigned_nbrs = [assign[nb] for nb in neighbors[node] if assign[nb] >= 0]
+        for part in range(num_parts):
+            if sizes[part] >= quotas[part]:
+                continue
+            affinity = sum(1 for p in assigned_nbrs if p == part)
+            score = affinity - sizes[part] / quotas[part]
+            if score > best_score:
+                best_part, best_score = part, score
+        assign[node] = best_part
+        sizes[best_part] += 1
+    return assign
+
+
+def partition_loop(g, num_clients: int, seed: int, overlap: bool) -> tuple:
+    """partition_overlap (overlap=True) or partition_nonoverlap from
+    greedy_assignment_loop and induced_edges_loop, on the same streams.
+
+    Returns (clients, node_maps, dropped_edges); each client is a tuple
+    (edges, train, val, test) of arrays in local node ids.
+    """
+    num_parts = num_clients // 5 if overlap else num_clients
+    if num_parts >= 2:
+        assign = greedy_assignment_loop(g.n, g.edges, num_parts, stream(seed, "partition"))
+    else:
+        assign = np.zeros(g.n, dtype=np.int64)
+    shards = []
+    for part in range(num_parts):
+        members = np.flatnonzero(assign == part)
+        if not overlap:
+            shards.append(members)
+            continue
+        for _ in range(5):
+            pick = stream(seed, "overlap-sample", len(shards)).choice(
+                members.size, size=members.size // 2, replace=False)
+            shards.append(members[np.sort(pick)])
+    clients, dropped = [], 0
+    for i, nodes in enumerate(shards):
+        kept, cut = induced_edges_loop(g.edges, nodes)
+        splits = stratified_split(g.labels[nodes], stream(seed, "partition-split", i))
+        clients.append((kept,) + tuple(splits))
+        dropped += cut
+    return clients, shards, dropped if overlap else dropped // 2
+
+
 def nonedge_pool(g) -> np.ndarray:
     """Every absent pair (i < j) of a graph, in row-major upper-triangle order."""
     if g.n < 2:

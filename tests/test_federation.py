@@ -211,6 +211,21 @@ def test_full_stacked_group_memory():
     assert peak < 6 * 2 ** 20, f"1,024-row group round peak {peak / 2 ** 20:.1f} MB"
 
 
+def test_group_nonedge_draws_match_one_fresh_stream_per_member():
+    cfg = _tiny_cfg()
+    states = [_client_state(g, cfg, client_id=i)
+              for i, g in enumerate(_tiny_dataset(num_clients=4).clients)]
+    (group,) = group_clients(states, range(4))
+    for path in (("train-nonedges", 3, 1), ("eval-nonedges", 2)):
+        got = federation._samples(group.plan, 7, *path)
+        want = [sample_nonedges(p, p.nonedge_count, stream(7, *path))
+                for p in group.plan.members]
+        assert len(got) == 4
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert len({a.tobytes() for a in got}) > 1
+
+
 # --- determinism and schedule invariance -------------------------------------
 
 

@@ -1,6 +1,8 @@
 """Graph substrate checks: Laplacian hand values and spectral range,
 edge-list powers and row-blocked synthesis against dense references,
-split/partition properties, SBM synthesis determinism, strict JSON I/O."""
+edge canonicalisation, split/partition properties and the array
+partitioner against a loop oracle, SBM synthesis determinism, strict JSON
+I/O."""
 
 import json
 import math
@@ -11,14 +13,14 @@ import pytest
 
 from fedssa.errors import ConfigError, ContractError, InfeasibleError
 from fedssa.graphs import (PAIR_BLOCK, FederationDataset, LocalGraph,
-                           SynthSpec, graph_from_dict, graph_to_dict,
-                           laplacian_powers, load_dataset, load_graph,
+                           SynthSpec, _greedy_assignment, graph_from_dict,
+                           graph_to_dict, laplacian_powers, load_dataset, load_graph,
                            partition_nonoverlap, partition_overlap,
                            save_dataset, save_graph, stratified_split,
                            synth_dataset)
 from fedssa.rng import stream
-from helpers import (dense_synth_dataset, homophily_ratio, induced_edges_loop,
-                     normalized_laplacian)
+from helpers import (dense_synth_dataset, greedy_assignment_loop, homophily_ratio,
+                     induced_edges_loop, normalized_laplacian, partition_loop)
 
 
 def _graph(features, labels, edges, train=None, val=None, test=None):
@@ -134,6 +136,37 @@ def test_homophily_ratio():
 def test_graph_canonicalizes_edges():
     g = _graph(np.eye(3), [0, 1, 0], [[2, 0], [0, 2], [1, 0]])
     assert np.array_equal(g.edges, [[0, 1], [0, 2]])
+
+
+@pytest.mark.parametrize("n, edges", [
+    (5, [[0, 1], [0, 1], [1, 0], [3, 4], [4, 3], [3, 4]]),      # duplicates
+    (6, [[5, 0], [4, 1], [3, 2], [2, 1]]),                    # reversed pairs
+    (7, [[4, 6], [0, 5], [2, 3], [0, 1], [6, 1], [2, 4]]),    # unsorted input
+    (2, [[1, 0]]),                                            # a single edge
+    (1, np.zeros((0, 2), dtype=np.int64)),                    # n = 1
+    (40, "random"),
+])
+def test_graph_edge_keys_match_row_unique(n, edges):
+    if isinstance(edges, str):
+        rng = np.random.default_rng(n)
+        edges = rng.integers(0, n, (300, 2))
+        edges = edges[edges[:, 0] != edges[:, 1]]
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    g = _graph(np.eye(n), [0] * n, edges)
+    lo = np.minimum(edges[:, 0], edges[:, 1])
+    hi = np.maximum(edges[:, 0], edges[:, 1])
+    want = np.unique(np.column_stack([lo, hi]), axis=0).reshape(-1, 2)
+    assert g.edges.dtype == np.int64 and g.edges.shape == want.shape
+    assert np.array_equal(g.edges, want)
+
+
+@pytest.mark.parametrize("n, edges", [
+    (1, [[0, 0]]), (4, [[0, 1], [2, 2], [1, 3]]),             # self loops
+    (1, [[0, 1]]), (4, [[0, 1], [3, 4]]), (4, [[-1, 2]]),      # out of range
+])
+def test_graph_edge_keys_keep_rejections(n, edges):
+    with pytest.raises(ContractError):
+        _graph(np.eye(n), [0] * n, edges)
 
 
 def test_graph_rejects_self_loop():
@@ -351,6 +384,62 @@ def test_partition_edges_match_loop_oracle():
                 assert np.array_equal(sub.edges, kept)
                 dropped += cut
             assert ds.dropped_edges == dropped // cut_sides
+
+
+PARTITION_SHAPES = ("isolated", "components", "edgeless", "remainder", "one-per-part")
+
+
+def _partition_case(case):
+    """(graph, parts) for one of PARTITION_SHAPES, or an SBM for an int case."""
+    if isinstance(case, int):
+        g = synth_dataset(SynthSpec(90, 4, 4, 0.15, 0.02), 600 + case)
+        return g, 2 + case % 6
+    rng = np.random.default_rng(500 + PARTITION_SHAPES.index(case))
+    if case == "isolated":          # the last 9 nodes touch no edge
+        return _random_graph(rng, 40, 60, isolated=9), 3
+    if case == "components":        # four cliques: BFS restarts three times
+        blocks = [(0, 6), (6, 13), (13, 17), (17, 30)]
+        edges = [(i, j) for a, b in blocks for i in range(a, b) for j in range(i + 1, b)]
+        return _graph(rng.standard_normal((30, 5)), rng.integers(0, 3, 30), edges), 4
+    if case == "edgeless":
+        return _random_graph(rng, 23, 0), 5
+    if case == "remainder":         # 47 % 6 != 0: quotas differ by one
+        return synth_dataset(SynthSpec(47, 3, 4, 0.2, 0.03), 503), 6
+    assert case == "one-per-part"
+    return _random_graph(rng, 12, 20), 12
+
+
+@pytest.mark.parametrize("case", PARTITION_SHAPES + (0, 1, 2, 3))
+def test_greedy_assignment_matches_loop_oracle(case):
+    g, parts = _partition_case(case)
+    for seed in range(4):
+        got = _greedy_assignment(g.n, g.edges, parts, stream(seed, "partition"))
+        want = greedy_assignment_loop(g.n, g.edges, parts, stream(seed, "partition"))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(np.sort(np.bincount(got, minlength=parts)),
+                              np.sort([g.n // parts + (i < g.n % parts) for i in range(parts)]))
+
+
+@pytest.mark.parametrize("case", ["isolated", "components", "remainder", 0, 1])
+@pytest.mark.parametrize("overlap", [False, True])
+def test_partition_datasets_match_loop_oracle(case, overlap):
+    g, parts = _partition_case(case)
+    num_clients = 5 * parts if overlap else parts
+    scheme = partition_overlap if overlap else partition_nonoverlap
+    for seed in range(3):
+        ds = scheme(g, num_clients, seed=seed)
+        clients, maps, dropped = partition_loop(g, num_clients, seed, overlap)
+        assert ds.dropped_edges == dropped
+        assert len(ds.clients) == len(clients) == len(ds.node_maps) == len(maps)
+        for sub, node_map, want, want_map in zip(ds.clients, ds.node_maps, clients, maps):
+            assert node_map.dtype == want_map.dtype
+            assert node_map.tobytes() == want_map.tobytes()
+            for got_arr, want_arr in zip((sub.edges, sub.train_idx, sub.val_idx,
+                                          sub.test_idx), want):
+                assert got_arr.shape == want_arr.shape
+                assert got_arr.tobytes() == want_arr.astype(np.int64).tobytes()
+            assert sub.features.tobytes() == g.features[node_map].tobytes()
+            assert sub.labels.tobytes() == g.labels[node_map].tobytes()
 
 
 def test_partition_overlap_errors():

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +66,7 @@ def write_run_artifacts(out_dir: Path, history, states, seed: int,
     for rm in history:
         for cid in sorted(rm.per_client):
             s = rm.per_client[cid]
-            rows.append((rm.round_index, cid) + s.as_tuple())
+            rows.append((rm.round_index, cid) + astuple(s))
             total_up += s.bytes_up
             total_down += s.bytes_down
     _write_csv(out_dir / "metrics.csv", METRICS_HEADER, rows)
@@ -89,15 +89,6 @@ def write_run_artifacts(out_dir: Path, history, states, seed: int,
                ("round", "cluster", "eps_u"), struct_rows)
     _write_csv(out_dir / "diagnostics_floor.csv",
                ("round", "error_floor"), floor_rows)
-
-    for rm in history:
-        if rm.distance_matrix is not None:
-            ids = list(rm.distance_ids)
-            header = ["client"] + [str(i) for i in ids]
-            mat_rows = [[ids[i]] + [float(x) for x in rm.distance_matrix[i]]
-                        for i in range(len(ids))]
-            _write_csv(out_dir / "distances" / f"distances_r{rm.round_index:04d}.csv",
-                       header, mat_rows)
 
     checkpoint = {
         "seed": seed,
@@ -135,10 +126,17 @@ def write_run_artifacts(out_dir: Path, history, states, seed: int,
 
 def _run_once(cfg: ExperimentConfig, run_cfg: RunConfig, seed: int, out_dir: Path,
               dump_distances: bool) -> dict:
+    """Run and write the artifacts, plus round 1's chordal distance matrix
+    when dump_distances is set and the run has frames."""
     dataset = build_dataset(cfg, seed)
-    result = run_federation_detailed(dataset, run_cfg, seed,
-                                     dump_distances=dump_distances)
-    return write_run_artifacts(out_dir, result.history, result.states, seed, run_cfg)
+    result = run_federation_detailed(dataset, run_cfg, seed)
+    summary = write_run_artifacts(out_dir, result.history, result.states, seed, run_cfg)
+    if dump_distances and result.chordal is not None:
+        ids, matrix = result.chordal
+        _write_csv(out_dir / "distances" / "distances_r0001.csv",
+                   ["client"] + [str(i) for i in ids],
+                   [[cid] + [float(x) for x in row] for cid, row in zip(ids, matrix)])
+    return summary
 
 
 def cmd_synth(args) -> int:

@@ -14,6 +14,9 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 
+MAX_ITER = 50  # Lloyd iterations per restart
+RESTARTS = 10  # independent k-means++ seedings per call
+
 
 def _pairwise_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     diff = points[:, None, :] - centers[None, :, :]
@@ -42,13 +45,12 @@ def _seed_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     return centers
 
 
-def _lloyd(pts: np.ndarray, k: int, centers: np.ndarray,
-           max_iter: int) -> tuple[np.ndarray, float]:
+def _lloyd(pts: np.ndarray, k: int, centers: np.ndarray) -> tuple[np.ndarray, float]:
     """Lloyd iterations from given centers; returns (labels, inertia)."""
     m = pts.shape[0]
     labels = np.full(m, -1, dtype=np.int64)
     dists = _pairwise_sq_dist(pts, centers)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         new_labels = np.argmin(dists, axis=1)
         for c in range(k):
             members = new_labels == c
@@ -67,11 +69,10 @@ def _lloyd(pts: np.ndarray, k: int, centers: np.ndarray,
     return labels, inertia
 
 
-def kmeans(points, k: int, rng: np.random.Generator, max_iter: int = 50,
-           restarts: int = 10) -> np.ndarray:
+def kmeans(points, k: int, rng: np.random.Generator) -> np.ndarray:
     """Cluster rows of `points` into k groups; returns integer labels.
 
-    k is clamped to the number of points. Runs `restarts` independent
+    k is clamped to the number of points. Runs RESTARTS independent
     k-means++ seedings and keeps the lowest-inertia solution (earliest
     restart wins ties), consuming the generator sequentially so the result
     is still a pure function of (points, k, rng stream). Assignment ties
@@ -86,14 +87,12 @@ def kmeans(points, k: int, rng: np.random.Generator, max_iter: int = 50,
         raise ContractError("kmeans needs at least one point")
     if k < 1:
         raise ContractError(f"kmeans needs k >= 1, got {k}")
-    if restarts < 1:
-        raise ContractError(f"kmeans needs restarts >= 1, got {restarts}")
     k = min(k, m)
     best_labels = None
     best_inertia = np.inf
-    for _ in range(restarts):
+    for _ in range(RESTARTS):
         centers = _seed_centers(pts, k, rng)
-        labels, inertia = _lloyd(pts, k, centers, max_iter)
+        labels, inertia = _lloyd(pts, k, centers)
         if inertia < best_inertia - 1e-12:
             best_labels, best_inertia = labels, inertia
     return best_labels

@@ -28,7 +28,7 @@ spectral-energy frame. Raw features, labels and edges never leave the client.
 from __future__ import annotations
 
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -45,8 +45,7 @@ from .models import (ClassGaussian, ClientPlan, GroupPlan, ce_path, class_gaussi
 from .rng import spawn_key, stream
 from .semantic import (SemanticClusterMap, alignment_path, build_semantic_map,
                        client_kl_targets)
-from .structural import (SpectralEnergy, StructuralClusterMap,
-                         build_structural_map, coefficient_penalty_var,
+from .structural import (SpectralEnergy, StructuralClusterMap, build_structural_map,
                          pairwise_chordal, structural_cluster)
 from .theory import (ErrorFloorReport, HeterogeneityReport, error_floor,
                      measure_heterogeneity)
@@ -209,10 +208,6 @@ class ClientRoundStats:
     bytes_up: int
     bytes_down: int
 
-    def as_tuple(self) -> tuple:
-        """Field values in declaration order, which is the metrics.csv column order."""
-        return astuple(self)
-
 
 @dataclass
 class RoundMetrics:
@@ -223,22 +218,7 @@ class RoundMetrics:
     mean_test_metric: float
     heterogeneity: Optional[HeterogeneityReport]
     floor: Optional[ErrorFloorReport]
-    distance_ids: tuple = ()
-    distance_matrix: Optional[np.ndarray] = None
     wall_ms: float = 0.0
-
-    def signature(self) -> tuple:
-        """Canonical content tuple for equality checks; ignores wall time."""
-        per_client = tuple((cid, self.per_client[cid].as_tuple())
-                           for cid in sorted(self.per_client))
-        het = None
-        if self.heterogeneity is not None:
-            h = self.heterogeneity
-            het = (h.worst_delta_mu, h.worst_delta_sigma, h.worst_eps_u,
-                   h.global_delta_mu, h.global_delta_sigma, h.global_eps_u)
-        floor = self.floor.total if self.floor is not None else None
-        return (self.round_index, per_client, self.mean_train_metric,
-                self.mean_val_metric, self.mean_test_metric, het, floor)
 
 
 # --- payload serialization (byte accounting and checkpoints) ----------------
@@ -387,7 +367,7 @@ def _loss_parts(group: ClientGroup, w_bar: Optional[np.ndarray], cfg: RunConfig,
     w_bar stacks the members' broadcast coefficients (or is None), and
     targets holds each member's KLTargets or None. Besides the per-member
     loss terms, parts holds the logits and, for fedssa with the semantic
-    branch, the class statistics (None otherwise).
+    branch, the class [mean | var] moments (None otherwise).
     """
     plan = group.plan
     tape = tp.Tape()
@@ -398,20 +378,20 @@ def _loss_parts(group: ClientGroup, w_bar: Optional[np.ndarray], cfg: RunConfig,
     mu, logvar = encoder_path(leaves, group.x_in)
     vgae_term = elbo_path(mu, logvar, plan, eps, nonedges)
     total = tp.add(ce, vgae_term)
-    stats = None
+    moments = None
     node_term = None
     struct_term = None
     if cfg.method == "fedssa" and cfg.semantic:
-        stats = class_stat_paths(mu, logvar, plan)
-        node_term = alignment_path(stats, targets)
+        moments = class_stat_paths(mu, logvar, plan)
+        node_term = alignment_path(moments, plan, targets)
         if node_term is not None:
             total = tp.add(total, node_term)
     if cfg.method == "fedssa" and cfg.structural:
-        struct_term = coefficient_penalty_var(leaves["w"], w_bar, cfg.lambda1,
-                                              cfg.lambda2)
+        struct_term = tp.coefficient_penalty(leaves["w"], w_bar, cfg.lambda1, cfg.lambda2)
         total = tp.add(total, struct_term)
     parts = {"ce": ce, "vgae": vgae_term, "node": node_term,
-             "struct": struct_term, "total": total, "logits": logits, "stats": stats}
+             "struct": struct_term, "total": total, "logits": logits,
+             "moments": moments}
     return tape, leaves, parts
 
 
@@ -477,7 +457,7 @@ def train_group(group: ClientGroup, broadcasts: dict, targets: dict, cfg: RunCon
               else parts[name].value.reshape(-1) for name in ("ce", "vgae", "node", "struct")}
     return GroupEvaluation(
         losses=losses, logits=parts["logits"].value,
-        class_moments=parts["stats"].moments.value if parts["stats"] is not None else None)
+        class_moments=parts["moments"].value if parts["moments"] is not None else None)
 
 
 def _train_step(group: ClientGroup, w_bar: Optional[np.ndarray], cfg: RunConfig,
@@ -573,23 +553,15 @@ def evaluate_client(state: ClientState, logits: np.ndarray) -> dict:
 # --- server side -------------------------------------------------------------
 
 
-def server_step(uploads, k_node: int, k_struct: int, seed: int,
+def server_step(uploads: dict, k_node: int, k_struct: int, seed: int,
                 expected_clients=None, structure: Optional[dict] = None) -> ServerRound:
-    """Cluster this round's uploads and assemble per-client broadcasts.
+    """Cluster this round's {client_id: upload} and assemble per-client broadcasts.
 
     Uploads that carry frames are grouped by k-means, and only then is their
     chordal distance matrix returned. Frameless uploads keep `structure`, an
     earlier round's {client_id: cluster}; every clustered client must upload.
     """
-    if isinstance(uploads, dict):
-        upload_list = [uploads[cid] for cid in sorted(uploads)]
-    else:
-        upload_list = list(uploads)
-    by_id: dict = {}
-    for u in upload_list:
-        if u.client_id in by_id:
-            raise ProtocolError(f"duplicate upload from client {u.client_id}")
-        by_id[u.client_id] = u
+    by_id = {cid: uploads[cid] for cid in sorted(uploads)}
     missing = sorted(set(expected_clients or ()).union(structure or ()) - set(by_id))
     if missing:
         raise ProtocolError(f"missing upload from client {missing[0]}")
@@ -636,15 +608,19 @@ def server_step(uploads, k_node: int, k_struct: int, seed: int,
 
 @dataclass(frozen=True)
 class FederationResult:
-    """Round history plus the final client states (for checkpointing)."""
+    """Round history plus the final client states (for checkpointing).
+
+    chordal is round 1's (client ids, chordal distance matrix) over the
+    uploaded frames, or None when no client uploads a frame.
+    """
 
     history: list
     states: list
+    chordal: Optional[tuple]
 
 
 def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig, seed: int,
-                            client_order=None,
-                            dump_distances: bool = False) -> FederationResult:
+                            client_order=None) -> FederationResult:
     """Run T synchronous rounds; return per-round metrics and final states.
 
     client_order optionally fixes the schedule clients train in; it must be
@@ -674,8 +650,6 @@ def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig, seed: in
         bytes_down = {cid: 0 for cid in range(m)}
         heterogeneity = None
         floor = None
-        distance_ids: tuple = ()
-        distance_matrix = None
         if cfg.method == "fedssa":
             server = server_step(uploads, cfg.k_node, cfg.k_struct,
                                  spawn_key(seed, "server", round_index),
@@ -691,9 +665,6 @@ def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig, seed: in
                 {cid: up.class_gaussians for cid, up in uploads.items()},
                 chordal, server.semantic_map, server.structural_map)
             floor = error_floor(heterogeneity, cfg.order, cfg.lambda1, cfg.lambda2)
-            if dump_distances:
-                distance_ids = server.distance_ids
-                distance_matrix = server.distance_matrix
         elif cfg.method == "fedavg":
             for cid in range(m):
                 bytes_up[cid] = payload_nbytes(params_payload(states[cid].params,
@@ -723,6 +694,5 @@ def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig, seed: in
             round_index=round_index, per_client=per_client,
             mean_train_metric=means["train"], mean_val_metric=means["val"],
             mean_test_metric=means["test"], heterogeneity=heterogeneity,
-            floor=floor, distance_ids=distance_ids, distance_matrix=distance_matrix,
-            wall_ms=(time.perf_counter() - t_start) * 1e3))
-    return FederationResult(history=history, states=states)
+            floor=floor, wall_ms=(time.perf_counter() - t_start) * 1e3))
+    return FederationResult(history=history, states=states, chordal=chordal)

@@ -171,14 +171,13 @@ def laplacian_powers(g: LocalGraph, order: int) -> list[np.ndarray]:
     return powers
 
 
-def stratified_split(labels: np.ndarray, rng: np.random.Generator,
-                     fractions: tuple = SPLIT_FRACTIONS) -> tuple:
+def stratified_split(labels: np.ndarray, rng: np.random.Generator) -> tuple:
     """Per-class shuffled split into (train, val, test) index arrays.
 
     Every class with at least one node contributes at least one training
-    node; remaining nodes go to val then test by the given fractions.
+    node; remaining nodes go to val then test by SPLIT_FRACTIONS.
     """
-    f_train, f_val, _ = fractions
+    f_train, f_val, _ = SPLIT_FRACTIONS
     train, val, test = [], [], []
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)

@@ -16,16 +16,6 @@ import numpy as np
 from .errors import NumericError, RankError, ShapeError
 
 
-def as_matrix(a) -> np.ndarray:
-    """Validate and coerce to a finite 2-D float64 array."""
-    out = np.asarray(a, dtype=np.float64)
-    if out.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim {out.ndim}")
-    if not np.isfinite(out).all():
-        raise NumericError("matrix has non-finite entries")
-    return np.ascontiguousarray(out)
-
-
 def qr_thin(s) -> tuple[np.ndarray, np.ndarray]:
     """Thin QR factorization with a nonnegative diagonal in R.
 
@@ -33,7 +23,12 @@ def qr_thin(s) -> tuple[np.ndarray, np.ndarray]:
     diag(r) >= 0. Raises RankError naming the first numerically dependent
     column when |r_jj| <= m * eps * max(1, ||s||).
     """
-    a = as_matrix(s)
+    a = np.asarray(s, dtype=np.float64)
+    if a.ndim != 2:
+        raise ShapeError(f"expected a 2-D matrix, got ndim {a.ndim}")
+    if not np.isfinite(a).all():
+        raise NumericError("matrix has non-finite entries")
+    a = np.ascontiguousarray(a)
     m, n = a.shape
     if m < n:
         raise ShapeError(f"qr_thin needs rows >= cols, got {a.shape}")

@@ -15,8 +15,8 @@ Both components are expressed as tape builders over fused ops: each head,
 trunk and encoder layer is one `dense` node, the cross entropy one
 `softmax_ce` node and the reparameterised draw one `gaussian_sample` node.
 A `ClientPlan`, built once per client by `client_plan`, holds what every
-forward reads from the client's data: the cross-entropy rows and one-hot
-targets, the train rows grouped by class, the ELBO's constant label term
+forward reads from the client's data: the cross-entropy rows and their
+labels, the train rows grouped by class, the ELBO's constant label term
 and the non-edge sampler's offset tables. Clients with the same node count
 train on one stacked tape: `group_plan` lays their plans out once over the
 stacked rows, with member bounds for the ragged losses and each member's
@@ -117,7 +117,7 @@ def stack_powers(powers: list) -> np.ndarray:
 class ClientPlan:
     """Index arrays and constants of one client's data, built once at setup.
 
-    ce_rows are the train rows and ce_onehot their one-hot labels. classes
+    ce_rows are the train rows and ce_labels their labels. classes
     groups the train rows by ascending class label (class_labels) for
     segment_moments. label_term is the ELBO's constant -mean log empirical
     class frequency, or None without train rows. row_start[i] is the
@@ -129,7 +129,7 @@ class ClientPlan:
 
     graph: LocalGraph
     ce_rows: np.ndarray
-    ce_onehot: np.ndarray
+    ce_labels: np.ndarray
     class_labels: np.ndarray
     classes: tp.Segments
     label_term: Optional[float]
@@ -149,8 +149,6 @@ def client_plan(client_id: int, g: LocalGraph, num_classes: int) -> ClientPlan:
     if np.any(train_labels >= num_classes):
         raise ContractError(f"client {client_id}: train label {int(train_labels.max())}"
                             f" outside the class range 0..{num_classes - 1}")
-    onehot = np.zeros((rows.size, num_classes))
-    onehot[np.arange(rows.size), train_labels] = 1.0
     order = np.argsort(train_labels, kind="stable")
     labels, starts = np.unique(train_labels[order], return_index=True)
     try:
@@ -168,7 +166,7 @@ def client_plan(client_id: int, g: LocalGraph, num_classes: int) -> ClientPlan:
     u, v = g.edges[:, 0], g.edges[:, 1]
     absent_before_edge = row_start[u] + (v - u - 1) - np.arange(u.size)
     nonedge_count = min(u.size, n * (n - 1) // 2 - u.size)
-    return ClientPlan(g, rows, onehot, labels, classes, label_term, row_start,
+    return ClientPlan(g, rows, train_labels, labels, classes, label_term, row_start,
                       absent_before_edge, nonedge_count)
 
 
@@ -190,7 +188,7 @@ class GroupPlan:
     members: tuple
     n: int
     ce_rows: np.ndarray
-    ce_onehot: np.ndarray
+    ce_labels: np.ndarray
     ce_bounds: np.ndarray
     class_labels: np.ndarray
     classes: tp.Segments
@@ -236,7 +234,7 @@ def group_plan(plans) -> GroupPlan:
     return GroupPlan(
         members=tuple(plans), n=n,
         ce_rows=np.concatenate([p.ce_rows + off for p, off in zip(plans, offsets)]),
-        ce_onehot=np.concatenate([p.ce_onehot for p in plans]),
+        ce_labels=np.concatenate([p.ce_labels for p in plans]),
         ce_bounds=_offsets([p.ce_rows.size for p in plans]),
         class_labels=np.concatenate([p.class_labels for p in plans]),
         classes=tp.segments(groups, n * len(plans)),
@@ -265,7 +263,7 @@ def ce_path(logits: tp.Var, plan: GroupPlan) -> tp.Var:
     """Mean cross entropy over each client's train rows, as one tape node."""
     if np.diff(plan.ce_bounds).min() == 0:
         raise ContractError("cross entropy needs a nonempty mask")
-    return tp.softmax_ce(logits, plan.ce_rows, plan.ce_onehot, plan.ce_bounds)
+    return tp.softmax_ce(logits, plan.ce_rows, plan.ce_labels, plan.ce_bounds)
 
 
 def encoder_input(g: LocalGraph, num_classes: int) -> np.ndarray:
@@ -285,30 +283,17 @@ def encoder_path(leaves: dict, x_in: np.ndarray) -> tuple[tp.Var, tp.Var]:
     return mu, logvar
 
 
-@dataclass(frozen=True)
-class ClassStats:
-    """Class-wise latent moments over the train rows, as one tape node.
-
-    Row c of moments is [mean | var] of class labels[c], and counts[c] is
-    that class's number of train rows. Rows bounds[m]:bounds[m + 1] belong
-    to member m of the group; each member's labels ascend.
-    """
-
-    labels: np.ndarray
-    counts: np.ndarray
-    moments: tp.Var
-    bounds: np.ndarray
-
-
-def class_stat_paths(mu: tp.Var, logvar: tp.Var, plan: GroupPlan) -> ClassStats:
+def class_stat_paths(mu: tp.Var, logvar: tp.Var, plan: GroupPlan) -> tp.Var:
     """Moment-matched class Gaussians over train rows, as one tape node.
 
-    For class c the mixture of per-node diagonal posteriors has mean equal
-    to the average posterior mean, and variance equal to the average
-    posterior variance plus the population variance of the means.
+    Row c is [mean | var] of class plan.class_labels[c], over the
+    plan.classes.counts[c] train rows of that class; plan.class_bounds
+    splits the rows by member. For class c the mixture of per-node diagonal
+    posteriors has mean equal to the average posterior mean, and variance
+    equal to the average posterior variance plus the population variance
+    of the means.
     """
-    return ClassStats(plan.class_labels, plan.classes.counts,
-                      tp.segment_moments(mu, logvar, plan.classes), plan.class_bounds)
+    return tp.segment_moments(mu, logvar, plan.classes)
 
 
 def sample_nonedges(plan: ClientPlan, count: int, rng: np.random.Generator) -> np.ndarray:

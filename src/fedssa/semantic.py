@@ -19,7 +19,7 @@ import numpy as np
 from . import tape as tp
 from .cluster import kmeans
 from .errors import ConfigError, ContractError, NumericError, ShapeError
-from .models import COV_FLOOR, ClassGaussian, ClassStats
+from .models import COV_FLOOR, ClassGaussian, GroupPlan
 from .rng import stream
 
 
@@ -212,22 +212,23 @@ def client_kl_targets(received: dict) -> dict:
     return out
 
 
-def alignment_path(stats: ClassStats, targets) -> tp.Var | None:
+def alignment_path(moments: tp.Var, plan: GroupPlan, targets) -> tp.Var | None:
     """Tape node summing KL(local diagonal posterior || frozen representative).
 
-    stats comes from class_stat_paths, and targets holds one KLTargets from
-    client_kl_targets, or None, per member of the group. Classes without a
-    representative contribute nothing. Returns None when no class of any
-    member matches.
+    moments comes from class_stat_paths, with one row per entry of
+    plan.class_labels, which plan.class_bounds splits by member; targets
+    holds one KLTargets from client_kl_targets, or None, per member of the
+    group. Classes without a representative contribute nothing. Returns None
+    when no class of any member matches.
     """
-    bounds = stats.bounds
+    bounds = plan.class_bounds
     rows, picks, sizes = [], [], []
     for m, member in enumerate(targets):
         a = bounds[m]
         local = np.zeros(0, dtype=np.int64)
         if member is not None:
             _common, local, picked = np.intersect1d(
-                stats.labels[a:bounds[m + 1]], member.labels, assume_unique=True,
+                plan.class_labels[a:bounds[m + 1]], member.labels, assume_unique=True,
                 return_indices=True)
             if local.size:
                 picks.append((member, picked))
@@ -236,7 +237,7 @@ def alignment_path(stats: ClassStats, targets) -> tp.Var | None:
     if sum(sizes) == 0:
         return None
     return tp.diag_gaussian_kl(
-        stats.moments, np.concatenate(rows),
+        moments, np.concatenate(rows),
         np.concatenate([t.means[p] for t, p in picks]),
         np.concatenate([t.precisions[p] for t, p in picks]),
         np.concatenate([t.logdets[p] for t, p in picks]),

@@ -11,7 +11,7 @@ subspaces and which is invariant to the basis chosen for each frame.
 Because the frames are fixed, the server groups them once per run; every
 later round only averages coefficients within those groups.
 
-Locally, one tape node (`coefficient_penalty_var`) holds the coefficient
+Locally, one tape node (`tape.coefficient_penalty`) holds the coefficient
 loss: the L1 pull toward the cluster's mean coefficients, when a broadcast
 carries them, plus the elastic-net regulariser.
 
@@ -23,11 +23,9 @@ range [0, 2], and a Frobenius bound on the propagated-feature change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from . import tape as tp
 from .cluster import kmeans
 from .errors import ConfigError, ContractError, ShapeError
 from .linalg import pairwise_distances
@@ -132,18 +130,6 @@ def build_structural_map(assignments: dict, coefficients: dict) -> StructuralClu
         members = [cid for cid in sorted(assignments) if assignments[cid] == cluster]
         mean_coeffs[cluster] = cluster_coeff_mean([coefficients[cid] for cid in members])
     return StructuralClusterMap(assignments, mean_coeffs)
-
-
-def coefficient_penalty_var(w_var: tp.Var, w_bar: Optional[np.ndarray], lam1: float,
-                            lam2: float) -> tp.Var:
-    """Tape node for the coefficient loss ||w - w_bar||_1 + lam1 ||w||_1 + lam2/2 ||w||^2.
-
-    The L1 alignment term is left out when w_bar is None; the subgradient
-    is 0 where w equals w_bar and, for the regulariser's L1 term, where w is 0.
-    """
-    if lam1 < 0 or lam2 < 0:
-        raise ConfigError(f"regularizer weights must be >= 0, got {lam1}, {lam2}")
-    return tp.coefficient_penalty(w_var, w_bar, lam1, lam2)
 
 
 def filter_lipschitz_bound(w) -> float:

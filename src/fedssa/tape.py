@@ -254,9 +254,10 @@ def _bw_dense(vals, aux, out, g, need):
 
 
 def _bw_softmax_ce(vals, aux, out, g, need):
-    # d/dlogits of mean(lse - correct): -onehot plus softmax, per picked row
+    # d/dlogits of mean(lse - correct): softmax, less 1 at the label, per picked row
     per_row = (g.reshape(-1) * aux["scale"])[aux["member"]][:, None]
-    picked = (per_row * -1.0) * aux["onehot"] + (per_row / aux["z"]) * aux["e"]
+    picked = (per_row / aux["z"]) * aux["e"]
+    picked[np.arange(picked.shape[0]), aux["labels"]] += per_row[:, 0] * -1.0
     acc = np.zeros_like(vals[0])
     np.add.at(acc.reshape(-1, acc.shape[-1]), aux["rows"], picked)
     return (acc,)
@@ -422,11 +423,11 @@ def dense(x: ArrayLike, w: ArrayLike, b: ArrayLike, tanh: bool = False) -> Var:
     return _fused("dense", (x, w, b), value, {"tanh": bool(tanh)})
 
 
-def softmax_ce(logits: Var, rows, onehot: np.ndarray, bounds=None) -> Var:
-    """Mean softmax cross entropy of logits[rows] against one-hot targets,
+def softmax_ce(logits: Var, rows, labels, bounds=None) -> Var:
+    """Mean softmax cross entropy of logits[rows] against class labels,
     one mean per member.
 
-    rows may repeat; onehot holds one target row per entry of rows, and
+    rows may repeat; labels holds one class index per entry of rows, and
     every member needs at least one. Each row is shifted by its own
     maximum, a frozen constant, before exp.
     """
@@ -436,23 +437,23 @@ def softmax_ce(logits: Var, rows, onehot: np.ndarray, bounds=None) -> Var:
     rows = _index_vector(rows, flat.shape[0], "row")
     bounds = _bounds(bounds, rows.size, "row")
     _member_count(lv, bounds, "row")
-    onehot = np.asarray(onehot, dtype=np.float64)
+    labels = _index_vector(labels, classes, "label")
     counts = np.diff(bounds)
-    if counts.min() == 0 or onehot.shape != (rows.size, classes):
-        raise ShapeError(f"need one-hot targets of shape {(rows.size, classes)}"
-                         f" for at least one row per member, got {onehot.shape}")
+    if counts.min() == 0 or labels.size != rows.size:
+        raise ShapeError(f"need {rows.size} labels for at least one row per member,"
+                         f" got {labels.size}")
     picked = flat[rows]
     shift = picked.max(axis=1, keepdims=True)
     sum_cols = np.ones((classes, 1))
     e = np.exp(picked - shift)
     z = e @ sum_cols
     lse = np.log(z) + shift
-    correct = (picked * onehot) @ sum_cols
+    correct = picked[np.arange(rows.size), labels][:, None]
     terms = np.add(lse, correct * -1.0)
     scale = 1.0 / counts
     value = np.array([terms[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])]) * scale
     return _fused("softmax_ce", (logits,), value.reshape(_loss_shape(bounds, lv.ndim == 3)),
-                  {"rows": rows, "onehot": onehot, "e": e, "z": z, "scale": scale,
+                  {"rows": rows, "labels": labels, "e": e, "z": z, "scale": scale,
                    "member": _per_member(bounds)})
 
 

@@ -122,16 +122,14 @@ def measure_heterogeneity(class_gaussians: dict, chordal: tuple | None,
 
 @dataclass(frozen=True)
 class ErrorFloorReport:
-    """Additive error floor split into its three sources."""
+    """Additive error floor split into its three sources: semantic
+    delta_mu + delta_mu^2 + delta_sigma, structural (K + 1) eps_U and the
+    regulariser's lambda1 + lambda2."""
 
     delta_mu: float
     delta_sigma: float
     eps_u: float
     order: int
-    c1: float
-    c2: float
-    c3: float
-    c4: float
     lambda1: float
     lambda2: float
     semantic_term: float = field(init=False)
@@ -140,29 +138,23 @@ class ErrorFloorReport:
     total: float = field(init=False)
 
     def __post_init__(self):
-        for name, c in (("c1", self.c1), ("c2", self.c2), ("c3", self.c3), ("c4", self.c4)):
-            if c <= 0:
-                raise ConfigError(f"floor constant {name} must be positive, got {c}")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ConfigError("regularizer weights must be >= 0")
-        semantic = self.c1 * (self.delta_mu + self.delta_mu ** 2 + self.delta_sigma)
-        structural = self.c2 * (self.order + 1) * self.eps_u
-        reg = self.lambda1 * self.c3 + self.lambda2 * self.c4
+        semantic = self.delta_mu + self.delta_mu ** 2 + self.delta_sigma
+        structural = (self.order + 1) * self.eps_u
+        reg = self.lambda1 + self.lambda2
         object.__setattr__(self, "semantic_term", semantic)
         object.__setattr__(self, "structural_term", structural)
         object.__setattr__(self, "reg_term", reg)
         object.__setattr__(self, "total", semantic + structural + reg)
 
 
-def error_floor(report: HeterogeneityReport, order: int, lambda1: float, lambda2: float,
-                c1: float = 1.0, c2: float = 1.0, c3: float = 1.0,
-                c4: float = 1.0) -> ErrorFloorReport:
+def error_floor(report: HeterogeneityReport, order: int, lambda1: float,
+                lambda2: float) -> ErrorFloorReport:
     """Error floor from a round's worst-case clustered divergences."""
-    delta_mu = report.worst_delta_mu
-    delta_sigma = report.worst_delta_sigma
-    return ErrorFloorReport(delta_mu=delta_mu, delta_sigma=delta_sigma,
+    return ErrorFloorReport(delta_mu=report.worst_delta_mu,
+                            delta_sigma=report.worst_delta_sigma,
                             eps_u=report.worst_eps_u, order=int(order),
-                            c1=c1, c2=c2, c3=c3, c4=c4,
                             lambda1=lambda1, lambda2=lambda2)
 
 

@@ -9,6 +9,7 @@ closed forms) so agreement is evidence, not tautology.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -295,6 +296,48 @@ def dense_synth_dataset(spec, seed: int):
     edges = np.column_stack([iu[hit], ju[hit]])
     train, val, test = stratified_split(labels, stream(seed, "synth-split"))
     return LocalGraph(features, labels, edges, train, val, test)
+
+
+def onehot_softmax_ce(logits: np.ndarray, rows, onehot: np.ndarray, bounds) -> tuple:
+    """(per-member values, gradient) of mean softmax cross entropy against
+    dense one-hot targets, each member's loss weighted 1.
+
+    This is the dense-target arithmetic the tape's label-indexed op
+    replaces: the correct logit is the row sum of picked * onehot, and the
+    backward adds -onehot to the softmax before scattering into the rows.
+    """
+    classes = logits.shape[-1]
+    flat = logits.reshape(-1, classes)
+    picked = flat[rows]
+    shift = picked.max(axis=1, keepdims=True)
+    sum_cols = np.ones((classes, 1))
+    e = np.exp(picked - shift)
+    z = e @ sum_cols
+    lse = np.log(z) + shift
+    correct = (picked * onehot) @ sum_cols
+    terms = np.add(lse, correct * -1.0)
+    scale = 1.0 / np.diff(bounds)
+    values = np.array([terms[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])]) * scale
+    per_row = np.repeat(scale, np.diff(bounds))[:, None]
+    picked_grad = (per_row * -1.0) * onehot + (per_row / z) * e
+    grad = np.zeros_like(logits)
+    np.add.at(grad.reshape(-1, classes), rows, picked_grad)
+    return values, grad
+
+
+def round_signature(rm) -> tuple:
+    """Canonical content tuple of a RoundMetrics for equality checks; leaves
+    out the wall time."""
+    per_client = tuple((cid, dataclasses.astuple(rm.per_client[cid]))
+                       for cid in sorted(rm.per_client))
+    het = None
+    if rm.heterogeneity is not None:
+        h = rm.heterogeneity
+        het = (h.worst_delta_mu, h.worst_delta_sigma, h.worst_eps_u,
+               h.global_delta_mu, h.global_delta_sigma, h.global_eps_u)
+    floor = rm.floor.total if rm.floor is not None else None
+    return (rm.round_index, per_client, rm.mean_train_metric,
+            rm.mean_val_metric, rm.mean_test_metric, het, floor)
 
 
 # --- wire-format decoders ------------------------------------------------------

@@ -26,8 +26,8 @@ from fedssa.models import (ClassGaussian, ce_path, class_stat_paths,
 from fedssa.semantic import (alignment_path, client_kl_targets, cluster_moments,
                              gaussian_kl, gmm_of_cluster)
 from fedssa.structural import (SpectralEnergy, coeff_perturb_bound,
-                               coefficient_penalty_var, filter_lipschitz_bound,
-                               pairwise_chordal, projection_embedding)
+                               filter_lipschitz_bound, pairwise_chordal,
+                               projection_embedding)
 from fedssa.theory import contraction_simulate, kl_bound_audit, rounds_to_reach
 from helpers import (central_diff, grid_filter_sup, random_spd, rel_err,
                      residual_chordal)
@@ -109,7 +109,7 @@ def test_a01_loss_gradients_match_central_differences():
 
         def node_loss(lv):
             mu, logvar = encoder_path(lv, x_in)
-            term = alignment_path(class_stat_paths(mu, logvar, plan), targets)
+            term = alignment_path(class_stat_paths(mu, logvar, plan), plan, targets)
             assert term is not None
             return term
 
@@ -123,7 +123,7 @@ def test_a01_loss_gradients_match_central_differences():
         lam1, lam2 = rng.uniform(0.1, 2.0, size=2)
         for target in (w_bar, None):
             worst = max(worst, _grad_vs_fd(
-                lambda lv: coefficient_penalty_var(lv["w"], target, lam1, lam2),
+                lambda lv: tp.coefficient_penalty(lv["w"], target, lam1, lam2),
                 {"w": w.copy()}))
     elapsed = time.monotonic() - t0
     assert worst <= GRAD_TOL, f"worst gradient relative error {worst:.3e}"

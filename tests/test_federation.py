@@ -28,7 +28,7 @@ from fedssa.models import ClassGaussian, init_params, sample_nonedges
 from fedssa.rng import stream
 from fedssa.semantic import client_kl_targets
 from fedssa.structural import SpectralEnergy
-from helpers import decode_broadcast, decode_upload
+from helpers import decode_broadcast, decode_upload, round_signature
 
 ORDER = 3
 DIM = 8
@@ -51,7 +51,7 @@ def _tiny_dataset(num_clients=3, seed=0, task="multiclass") -> FederationDataset
 
 
 def _signatures(history) -> tuple:
-    return tuple(r.signature() for r in history)
+    return tuple(round_signature(r) for r in history)
 
 
 def _client_state(graph, cfg, seed=0, client_id=0):
@@ -132,9 +132,9 @@ def test_forward_reads_the_plan_built_at_setup():
     assert plan.members == (client_plan,)
     tape, _leaves, parts = _forward(groups[0], cfg)
     by_op = {node.op: node for node in tape.nodes}
-    assert by_op["softmax_ce"].aux["onehot"] is plan.ce_onehot
+    assert np.shares_memory(by_op["softmax_ce"].aux["labels"], plan.ce_labels)
     assert by_op["segment_moments"].aux["segments"] is plan.classes
-    assert parts["stats"].labels is plan.class_labels
+    assert parts["moments"] is by_op["segment_moments"]
     assert np.shares_memory(by_op["pair_bce"].aux["y"], plan.pair_y)
     local_round(groups, {}, cfg, 0, 1)
     assert groups[0].plan is plan and state.plan is client_plan
@@ -397,18 +397,25 @@ def test_order_too_high_for_feature_dim_rejected():
         run_federation_detailed(ds, _tiny_cfg(order=DIM), seed=0)
 
 
-def test_distance_dump_only_on_request():
-    ds = _tiny_dataset()
-    plain = run_federation_detailed(ds, _tiny_cfg(), seed=0).history
-    dumped = run_federation_detailed(ds, _tiny_cfg(), seed=0, dump_distances=True).history
-    assert all(r.distance_matrix is None for r in plain)
-    # the frames travel once, so only round 1 has a matrix to dump
-    assert dumped[1].distance_matrix is None and dumped[1].distance_ids == ()
-    mat = dumped[0].distance_matrix
-    assert dumped[0].distance_ids == (0, 1, 2)
+def test_run_returns_round_one_chordal_matrix(monkeypatch):
+    # the frames travel once, so round 1's server matrix covers the run
+    run, captured = _captured_run(monkeypatch)
+    chordal = run.chordal
+    first = captured[0][1]
+    assert chordal[0] == first.distance_ids == (0, 1, 2)
+    assert chordal[1] is first.distance_matrix
+    assert all(server.distance_matrix is None for _uploads, server in captured[1:])
+    mat = chordal[1]
     assert mat.shape == (3, 3)
-    assert np.allclose(mat, mat.T)
+    assert np.array_equal(mat, mat.T)
     assert np.allclose(np.diag(mat), 0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("overrides", [dict(structural=False), dict(method="fedavg"),
+                                       dict(method="local")])
+def test_run_without_frames_has_no_chordal_matrix(overrides):
+    run = run_federation_detailed(_tiny_dataset(), _tiny_cfg(**overrides), seed=0)
+    assert run.chordal is None
 
 
 # --- privacy of the wire format -----------------------------------------------
@@ -490,11 +497,11 @@ def _captured_run(monkeypatch, rounds=3):
     monkeypatch.setattr(federation, "server_step", capture)
     run = run_federation_detailed(_tiny_dataset(), _tiny_cfg(rounds=rounds), seed=0)
     assert len(captured) == rounds
-    return run.history, captured
+    return run, captured
 
 
 def test_wire_form_is_lossless(monkeypatch):
-    _history, captured = _captured_run(monkeypatch)
+    _run, captured = _captured_run(monkeypatch)
     for round_index, (uploads, server) in enumerate(captured, start=1):
         for cid, up in uploads.items():
             wire = decode_upload(upload_payload(up))
@@ -518,9 +525,9 @@ def test_wire_form_is_lossless(monkeypatch):
 
 
 def test_run_counts_the_bytes_of_its_payloads(monkeypatch):
-    history, captured = _captured_run(monkeypatch)
+    run, captured = _captured_run(monkeypatch)
     shared = 0
-    for metrics, (uploads, server) in zip(history, captured):
+    for metrics, (uploads, server) in zip(run.history, captured):
         for cid, up in uploads.items():
             assert metrics.per_client[cid].bytes_up == _wire_bytes(upload_payload(up))
         for cid, bc in server.broadcasts.items():
@@ -709,9 +716,9 @@ def test_nonpositive_class_variance_rolls_back(monkeypatch):
     real = federation.class_stat_paths
 
     def zero_variances(mu, logvar, plan):
-        stats = real(mu, logvar, plan)
-        stats.moments.value[:, cfg.latent_dim:] = 0.0
-        return stats
+        moments = real(mu, logvar, plan)
+        moments.value[:, cfg.latent_dim:] = 0.0
+        return moments
 
     monkeypatch.setattr(federation, "class_stat_paths", zero_variances)
     before = _group_snapshot(group)
@@ -750,19 +757,19 @@ def _frame(rng, base):
 
 
 def _hand_uploads(seed=0):
-    """Four clients in two structural regimes, no semantic branch."""
+    """{client_id: upload} of four clients in two structural regimes, no
+    semantic branch."""
     rng = np.random.default_rng(seed)
     base_a = rng.standard_normal((DIM, ORDER + 1))
     base_b = rng.standard_normal((DIM, ORDER + 1))
     w_a = np.array([1.0, 0.5, 0.0, 0.0])
     w_b = np.array([-1.0, 0.0, 0.5, 2.0])
-    uploads = []
+    uploads = {}
     for cid in range(4):
         base = base_a if cid < 2 else base_b
         w = (w_a if cid < 2 else w_b) + 0.01 * cid
-        uploads.append(ClientUpload(client_id=cid, coefficients=w,
-                                    class_gaussians=(),
-                                    spectral_energy=SpectralEnergy(cid, _frame(rng, base))))
+        uploads[cid] = ClientUpload(client_id=cid, coefficients=w, class_gaussians=(),
+                                    spectral_energy=SpectralEnergy(cid, _frame(rng, base)))
     return uploads
 
 
@@ -782,8 +789,8 @@ def test_server_recovers_semantic_groups():
     def gaussians(center):
         return (ClassGaussian(0, np.full(3, center), 0.05 * np.eye(3), 10),)
 
-    uploads = [ClientUpload(cid, np.ones(4), gaussians(-50.0 if cid < 2 else 50.0), None)
-               for cid in range(4)]
+    uploads = {cid: ClientUpload(cid, np.ones(4), gaussians(-50.0 if cid < 2 else 50.0), None)
+               for cid in range(4)}
     server = server_step(uploads, k_node=2, k_struct=2, seed=0)
     assert server.structural_map is None
     reps = {cid: server.broadcasts[cid].class_representatives[0] for cid in range(4)}
@@ -795,7 +802,8 @@ def test_server_recovers_semantic_groups():
 
 def test_server_step_keeps_given_clusters_for_frameless_uploads():
     framed = _hand_uploads()
-    frameless = [dataclasses.replace(u, spectral_energy=None) for u in framed]
+    frameless = {cid: dataclasses.replace(u, spectral_energy=None)
+                 for cid, u in framed.items()}
     structure = {0: 1, 1: 0, 2: 1, 3: 0}  # not the regimes the frames hold
     server = server_step(frameless, k_node=2, k_struct=2, seed=0, structure=structure)
     assert server.structural_map.assignments == structure
@@ -805,7 +813,8 @@ def test_server_step_keeps_given_clusters_for_frameless_uploads():
         want = np.mean([framed[c].coefficients for c in members], axis=0)
         assert np.allclose(server.broadcasts[cid].cluster_coefficients, want)
     with pytest.raises(ProtocolError, match="missing upload from client 3"):
-        server_step(frameless[:3], 2, 2, 0, structure=structure)
+        server_step({cid: frameless[cid] for cid in range(3)}, 2, 2, 0,
+                    structure=structure)
     assert server_step(frameless, 2, 2, 0).structural_map is None
 
 
@@ -819,20 +828,11 @@ def test_server_protocol_errors():
     uploads = _hand_uploads()
     with pytest.raises(ProtocolError, match="missing upload from client 4"):
         server_step(uploads, 2, 2, 0, expected_clients=range(5))
-    with pytest.raises(ProtocolError, match="duplicate"):
-        server_step(uploads + [uploads[0]], 2, 2, 0)
-    with pytest.raises(ProtocolError):
-        server_step([], 2, 2, 0)
+    with pytest.raises(ProtocolError, match="no uploads"):
+        server_step({}, 2, 2, 0)
     short = ClientUpload(9, np.ones(3), (), None)
     with pytest.raises(ShapeError, match="lengths differ"):
-        server_step(uploads + [short], 2, 2, 0)
-
-
-def test_server_step_accepts_dict_and_list_equally():
-    uploads = _hand_uploads()
-    as_list = server_step(uploads, 2, 2, 0)
-    as_dict = server_step({u.client_id: u for u in uploads}, 2, 2, 0)
-    assert as_list.structural_map.assignments == as_dict.structural_map.assignments
+        server_step({**uploads, 9: short}, 2, 2, 0)
 
 
 # --- config validation -----------------------------------------------------------

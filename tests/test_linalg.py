@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedssa.errors import RankError, ShapeError
+from fedssa.errors import NumericError, RankError, ShapeError
 from fedssa.linalg import pairwise_distances, qr_thin
 
 
@@ -57,6 +57,18 @@ def test_qr_identity_is_fixed_point():
 def test_qr_rejects_wide_matrix():
     with pytest.raises(ShapeError):
         qr_thin(np.ones((2, 3)))
+
+
+def test_qr_rejects_non_matrix_and_nonfinite_input():
+    with pytest.raises(ShapeError, match="ndim 1"):
+        qr_thin(np.ones(3))
+    with pytest.raises(ShapeError, match="ndim 3"):
+        qr_thin(np.ones((2, 2, 1)))
+    for bad in (np.nan, np.inf):
+        a = np.eye(3)
+        a[1, 2] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            qr_thin(a)
 
 
 def test_qr_rank_deficient_names_column():

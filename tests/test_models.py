@@ -72,8 +72,9 @@ def _encode(params, g, num_classes):
     """Posterior mean, log-variance and class Gaussians from the tape builders."""
     t = tp.Tape()
     mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, num_classes)[None])
-    stats = class_stat_paths(mu, logvar, _group(g, num_classes))
-    gaussians = class_gaussians(stats.labels, stats.counts, stats.moments.value)
+    plan = _group(g, num_classes)
+    moments = class_stat_paths(mu, logvar, plan)
+    gaussians = class_gaussians(plan.class_labels, plan.classes.counts, moments.value)
     return mu.value[0], logvar.value[0], gaussians
 
 
@@ -245,10 +246,11 @@ def test_class_stat_paths_match_numpy_recompute():
     params = init_params(4, 3, 1, 6, 3, stream(14, "init"))
     t = tp.Tape()
     mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, 3)[None])
-    stats = class_stat_paths(mu, logvar, _group(g, 3))
-    assert np.array_equal(stats.labels, np.unique(g.labels[g.train_idx]))
-    assert stats.moments.shape == (stats.labels.size, 6)
-    for label, count, row in zip(stats.labels, stats.counts, stats.moments.value):
+    plan = _group(g, 3)
+    moments = class_stat_paths(mu, logvar, plan)
+    assert np.array_equal(plan.class_labels, np.unique(g.labels[g.train_idx]))
+    assert moments.shape == (plan.class_labels.size, 6)
+    for label, count, row in zip(plan.class_labels, plan.classes.counts, moments.value):
         rows = g.train_idx[g.labels[g.train_idx] == label]
         mu_rows = mu.value[0][rows]
         want = np.concatenate([mu_rows.mean(axis=0),
@@ -265,7 +267,7 @@ def test_class_stat_paths_singleton_spread_is_exactly_zero():
     params = init_params(2, 2, 1, 4, 3, stream(15, "init"))
     t = tp.Tape()
     mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, 2)[None])
-    moments = class_stat_paths(mu, logvar, _group(g, 2)).moments.value
+    moments = class_stat_paths(mu, logvar, _group(g, 2)).value
     assert np.array_equal(moments[0], np.concatenate([mu.value[0, 0],
                                                       np.exp(logvar.value[0, 0])]))
 
@@ -277,11 +279,12 @@ def test_class_stat_paths_without_train_rows():
     params = init_params(2, 2, 1, 4, 3, stream(16, "init"))
     t = tp.Tape()
     mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, 2)[None])
-    stats = class_stat_paths(mu, logvar, _group(g, 2))
-    assert stats.labels.size == 0 and stats.moments.shape == (0, 6)
-    assert class_gaussians(stats.labels, stats.counts, stats.moments.value) == ()
+    plan = _group(g, 2)
+    moments = class_stat_paths(mu, logvar, plan)
+    assert plan.class_labels.size == 0 and moments.shape == (0, 6)
+    assert class_gaussians(plan.class_labels, plan.classes.counts, moments.value) == ()
     reps = {0: ClassGaussian(0, np.zeros(3), np.eye(3), 1)}
-    assert alignment_path(stats, [client_kl_targets({0: reps})[0]]) is None
+    assert alignment_path(moments, plan, [client_kl_targets({0: reps})[0]]) is None
 
 
 def test_logvar_is_clamped():

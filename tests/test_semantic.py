@@ -2,12 +2,14 @@
 Monte Carlo, mixture weighting, moment matching, planted cluster recovery,
 and the differentiable alignment path against the closed form."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from fedssa import tape as tp
 from fedssa.errors import ContractError, NumericError, ShapeError
-from fedssa.models import COV_FLOOR, ClassGaussian, ClassStats
+from fedssa.models import COV_FLOOR, ClassGaussian
 from fedssa.rng import stream
 from fedssa.semantic import (alignment_path, build_semantic_map,
                              client_kl_targets, cluster_moments, gaussian_kl,
@@ -209,12 +211,14 @@ def test_representative_counts_accumulate():
 
 
 def _stats(tape, labels, means, variances):
-    """One member's ClassStats over one [mean | var] leaf, one row per label."""
+    """(moments, plan) of one member: a [mean | var] leaf with one row per
+    label, and the class labels and bounds that alignment_path reads from
+    the group plan."""
     moments = tape.leaf(np.concatenate([np.atleast_2d(means), np.atleast_2d(variances)],
                                        axis=1), "moments")
-    return ClassStats(np.asarray(labels, dtype=np.int64),
-                      np.ones(len(labels), dtype=np.int64), moments,
-                      np.array([0, len(labels)]))
+    plan = SimpleNamespace(class_labels=np.asarray(labels, dtype=np.int64),
+                           class_bounds=np.array([0, len(labels)]))
+    return moments, plan
 
 
 def _targets(representatives):
@@ -228,9 +232,9 @@ def test_semantic_alignment_loss_sums_matching_classes():
     want = gaussian_kl(local[0], reps[0])
     t = tp.Tape()
     stats = _stats(t, [0, 1], [[0.0], [1.0]], [[1.0], [1.0]])
-    loss = alignment_path(stats, _targets(reps))
+    loss = alignment_path(*stats, _targets(reps))
     assert float(loss.value[0, 0, 0]) == pytest.approx(want)
-    assert alignment_path(stats, _targets({})) is None
+    assert alignment_path(*stats, _targets({})) is None
 
 
 def test_alignment_path_matches_closed_form():
@@ -241,7 +245,7 @@ def test_alignment_path_matches_closed_form():
     means = rng.standard_normal((2, d))
     variances = 0.5 + rng.random((2, d))
     t = tp.Tape()
-    loss = alignment_path(_stats(t, [0, 1], means, variances), _targets(reps))
+    loss = alignment_path(*_stats(t, [0, 1], means, variances), _targets(reps))
     want = sum(gaussian_kl(_gauss(c, means[c], np.diag(variances[c])), reps[c])
                for c in (0, 1))
     assert float(loss.value[0, 0, 0]) == pytest.approx(want, rel=1e-10)
@@ -250,16 +254,16 @@ def test_alignment_path_matches_closed_form():
 def test_alignment_path_skips_unmatched_and_returns_none():
     t = tp.Tape()
     one = _stats(t, [0], np.zeros((1, 2)), np.ones((1, 2)))
-    assert alignment_path(one, _targets({})) is None
+    assert alignment_path(*one, _targets({})) is None
     reps = {0: _gauss(0, np.zeros(2), np.eye(2))}
-    assert alignment_path(_stats(t, [3], np.zeros((1, 2)), np.ones((1, 2))),
+    assert alignment_path(*_stats(t, [3], np.zeros((1, 2)), np.ones((1, 2))),
                           _targets(reps)) is None
     # label 5 has no representative: no value and no gradient
-    two = _stats(t, [0, 5], np.zeros((2, 2)), [[1.0, 1.0], [2.0, 3.0]])
-    out = alignment_path(two, _targets(reps))
+    moments, plan = _stats(t, [0, 5], np.zeros((2, 2)), [[1.0, 1.0], [2.0, 3.0]])
+    out = alignment_path(moments, plan, _targets(reps))
     assert out is not None
     assert float(out.value[0, 0, 0]) == pytest.approx(0.0, abs=1e-12)
-    g = tp.grad(t, out)[two.moments]
+    g = tp.grad(t, out)[moments]
     assert np.array_equal(g[1], np.zeros(4))
 
 
@@ -269,7 +273,7 @@ def test_alignment_path_rejects_nonpositive_variance():
         t = tp.Tape()
         stats = _stats(t, [0], np.zeros((1, 2)), [[1.0, bad]])
         with pytest.raises(NumericError):
-            alignment_path(stats, reps)
+            alignment_path(*stats, reps)
 
 
 def test_kl_targets_rejects_indefinite_representative():
@@ -284,14 +288,13 @@ def test_alignment_path_gradient_matches_finite_differences():
     arrays = {"moments": np.concatenate([rng.standard_normal((1, d)),
                                          0.5 + rng.random((1, d))], axis=1)}
 
-    def build(t, moments):
-        stats = ClassStats(np.array([0]), np.array([1]), t.leaf(moments, "moments"),
-                           np.array([0, 1]))
-        return stats, alignment_path(stats, targets)
+    def build(t, values):
+        moments, plan = _stats(t, [0], values[:, :d], values[:, d:])
+        return moments, alignment_path(moments, plan, targets)
 
     t = tp.Tape()
-    stats, loss = build(t, arrays["moments"])
-    got = tp.grad(t, loss)[stats.moments]
+    moments, loss = build(t, arrays["moments"])
+    got = tp.grad(t, loss)[moments]
     want = central_diff(
         lambda vals: float(build(tp.Tape(), vals["moments"])[1].value[0, 0, 0]),
         arrays)["moments"]

@@ -11,7 +11,7 @@ import pytest
 
 from fedssa import tape as tp
 from fedssa.errors import ContractError, NumericError, ShapeError
-from helpers import central_diff, naive_matmul, random_spd, rel_err
+from helpers import central_diff, naive_matmul, onehot_softmax_ce, random_spd, rel_err
 
 # --- forward values -----------------------------------------------------------
 
@@ -67,9 +67,8 @@ def test_fused_layer_ops_forward_match_unfused_chains():
     assert np.array_equal(tp.dense(x, wv, bv, tanh=True).value, np.tanh(np.add(x @ w, b)))
     rows = np.array([4, 1, 4, 0])
     labels = np.array([2, 0, 2, 3])
-    onehot = np.eye(4)[labels]
     logits = 3.0 * rng.standard_normal((5, 4))
-    got = tp.softmax_ce(t.leaf(logits, "logits"), rows, onehot).value[0, 0]
+    got = tp.softmax_ce(t.leaf(logits, "logits"), rows, labels).value[0, 0]
     assert got == pytest.approx(_ce_loop(logits, rows, labels), rel=1e-12)
     coeffs = np.array([[0.5, -1.5, 0.0, 2.0]])
     w_bar = np.array([0.5, 1.0, -0.25, 1.5])
@@ -172,7 +171,7 @@ def test_grad_log_exp_sqrt():
     eps = rng.standard_normal((4, 3))
     labels = np.array([2, 0, 1, 1])
     _grad_check(lambda t, lv: tp.softmax_ce(tp.gaussian_sample(lv["mu"], lv["logvar"], eps),
-                                            [3, 1, 0, 3], np.eye(3)[labels]),
+                                            [3, 1, 0, 3], labels),
                 {"mu": rng.standard_normal((4, 3)), "logvar": 0.5 * rng.standard_normal((4, 3))},
                 tol=1e-4)
 
@@ -239,7 +238,7 @@ def test_grad_constant_operand_gets_no_gradient():
 def _logit_layer(t, lv, rows, labels):
     """softmax_ce over the given rows of tanh-dense logits."""
     return tp.softmax_ce(tp.dense(lv["a"], lv["m"], np.zeros((1, 3)), tanh=True), rows,
-                         np.eye(3)[labels])
+                         labels)
 
 
 def test_grad_take_rows_repeated_and_out_of_order():
@@ -288,8 +287,32 @@ def test_grad_add_row_constant_sides():
 def test_grad_softmax_ce():
     rng = np.random.default_rng(24)
     labels = np.array([3, 0, 0, 2, 1])
-    _grad_check(lambda t, lv: tp.softmax_ce(lv["logits"], [0, 2, 3, 5, 1], np.eye(4)[labels]),
+    _grad_check(lambda t, lv: tp.softmax_ce(lv["logits"], [0, 2, 3, 5, 1], labels),
                 {"logits": 2.0 * rng.standard_normal((6, 4))}, tol=1e-4)
+
+
+def test_softmax_ce_labels_match_onehot_reference_bit_for_bit():
+    # three stacked members: repeated rows, an all-negative member of one row
+    rng = np.random.default_rng(31)
+    n, c = 6, 4
+    logits = 3.0 * rng.standard_normal((3, n, c)) - 2.0
+    logits[1] = -np.abs(logits[1]) - 5.0
+    member_rows = [[0, 3, 3, 5, 0], [2], [1, 4, 4, 4]]
+    rows = np.concatenate([np.array(r) + m * n for m, r in enumerate(member_rows)])
+    labels = rng.integers(0, c, rows.size)
+    bounds = np.array([0, 5, 6, 10])
+    cases = [(logits, rows, labels, bounds),
+             (logits[0], rows[:5], labels[:5], None)]  # one 2-D member
+    for values, case_rows, case_labels, case_bounds in cases:
+        t = tp.Tape()
+        leaf = t.leaf(values, "logits")
+        loss = tp.softmax_ce(leaf, case_rows, case_labels, case_bounds)
+        got_grad = tp.grad(t, loss)[leaf]
+        want_value, want_grad = onehot_softmax_ce(
+            values, case_rows, np.eye(c)[case_labels],
+            np.array([0, case_rows.size]) if case_bounds is None else case_bounds)
+        assert np.array_equal(loss.value.reshape(-1), want_value)
+        assert np.array_equal(got_grad, want_grad)
 
 
 def test_grad_gaussian_sample():
@@ -454,7 +477,7 @@ def _random_composition(rng):
         r, c = x.shape
         rows = row_draws[6] % r
         if reduction == "softmax_ce":
-            return tp.softmax_ce(x, rows, np.eye(c)[rows % c])
+            return tp.softmax_ce(x, rows, rows % c)
         if reduction == "prior_kl":
             return tp.prior_kl(x, other if x.shape == other.shape else np.zeros((r, c)))
         if reduction == "pair_bce":
@@ -488,7 +511,7 @@ def _member_data(rng, n=6, k=4, h=5, c=3, d=2):
     split = int(rng.integers(1, n - 1))
     groups = [np.arange(split), np.arange(split, n - 1)]
     covs = np.stack([random_spd(rng, d)])
-    return {"leaves": leaves, "rows": rows, "onehot": np.eye(c)[rng.integers(0, c, rows.size)],
+    return {"leaves": leaves, "rows": rows, "labels": rng.integers(0, c, rows.size),
             "pairs": pairs, "y": (np.arange(pairs.shape[0]) % 2).astype(float),
             "groups": groups, "eps": rng.standard_normal((n, d)),
             "target": (rng.standard_normal((1, d)), np.linalg.inv(covs),
@@ -503,7 +526,7 @@ def _member_loss(t, lv, data, n):
     hidden = tp.dense(lv["x"], lv["w"], lv["b"], tanh=True)
     logits = tp.dense(hidden, lv["w2"], lv["b2"])
     ce = tp.softmax_ce(logits, np.concatenate([m["rows"] + i * n for i, m in enumerate(data)]),
-                       np.concatenate([m["onehot"] for m in data]),
+                       np.concatenate([m["labels"] for m in data]),
                        bounds([m["rows"].size for m in data]))
     mu = tp.dense(hidden, lv["wl"], np.zeros(lv["wl"].shape[:-2] + (1, 2)))
     mix = np.broadcast_to(np.eye(2 * n) * 0.3, mu.shape[:-2] + (2 * n, 2 * n))
@@ -646,9 +669,9 @@ def test_take_rows_rejects_out_of_range():
     t = tp.Tape()
     a = t.leaf(np.ones((3, 2)), "a")
     with pytest.raises(ShapeError):
-        tp.softmax_ce(a, [0, 3], np.eye(2))
+        tp.softmax_ce(a, [0, 3], [0, 1])
     with pytest.raises(ShapeError):
-        tp.softmax_ce(a, [-1], np.eye(2)[:1])
+        tp.softmax_ce(a, [-1], [0])
 
 
 def test_add_row_rejects_non_row_bias():
@@ -688,9 +711,11 @@ def test_fused_ops_reject_bad_inputs():
         tp.segment_moments(m, lv, tp.segments([[0]], 8))
     assert tp.segment_moments(m, lv, tp.segments([], 7)).shape == (0, 6)
     with pytest.raises(ShapeError):
-        tp.softmax_ce(m, [], np.zeros((0, 3)))
+        tp.softmax_ce(m, [], [])
     with pytest.raises(ShapeError):
-        tp.softmax_ce(m, [0, 1], np.eye(3)[:1])
+        tp.softmax_ce(m, [0, 1], [0])
+    with pytest.raises(ShapeError, match="label index out of range"):
+        tp.softmax_ce(m, [0, 1], [0, 6])
     with pytest.raises(ShapeError):
         tp.gaussian_sample(m, lv, np.zeros((7, 2)))
     with pytest.raises(ShapeError):

@@ -23,36 +23,34 @@ from helpers import chordal_distance, random_spd
 
 
 def test_error_floor_structural_hand_value():
-    # order K=3, c2=2, eps_u=0.5 -> (K+1) * c2 * eps_u = 4.0
+    # order K=3, eps_u=0.5 -> (K+1) * eps_u = 2.0
     rep = ErrorFloorReport(delta_mu=0.0, delta_sigma=0.0, eps_u=0.5, order=3,
-                           c1=1.0, c2=2.0, c3=1.0, c4=1.0,
                            lambda1=0.0, lambda2=0.0)
-    assert rep.structural_term == pytest.approx(4.0)
-    assert rep.total == pytest.approx(4.0)
+    assert rep.structural_term == 2.0
+    assert rep.total == 2.0
 
 
 def test_error_floor_full_decomposition():
     rep = ErrorFloorReport(delta_mu=0.5, delta_sigma=0.25, eps_u=0.5, order=3,
-                           c1=1.0, c2=2.0, c3=1.0, c4=1.0,
                            lambda1=0.1, lambda2=0.2)
     assert rep.semantic_term == pytest.approx(0.5 + 0.25 + 0.25)
-    assert rep.structural_term == pytest.approx(4.0)
+    assert rep.structural_term == pytest.approx(2.0)
     assert rep.reg_term == pytest.approx(0.3)
     assert rep.total == pytest.approx(rep.semantic_term + rep.structural_term
                                       + rep.reg_term)
 
 
 def test_error_floor_monotone_in_divergence():
-    lo = ErrorFloorReport(0.1, 0.1, 0.1, 2, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
-    hi = ErrorFloorReport(0.2, 0.2, 0.2, 2, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
+    lo = ErrorFloorReport(0.1, 0.1, 0.1, 2, 0.0, 0.0)
+    hi = ErrorFloorReport(0.2, 0.2, 0.2, 2, 0.0, 0.0)
     assert hi.total > lo.total
 
 
 def test_error_floor_constant_contracts():
     with pytest.raises(ConfigError):
-        ErrorFloorReport(0.1, 0.1, 0.1, 2, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0)
+        ErrorFloorReport(0.1, 0.1, 0.1, 2, -0.1, 0.0)
     with pytest.raises(ConfigError):
-        ErrorFloorReport(0.1, 0.1, 0.1, 2, 1.0, 1.0, 1.0, 1.0, -0.1, 0.0)
+        ErrorFloorReport(0.1, 0.1, 0.1, 2, 0.0, -0.1)
 
 
 # --- contraction -----------------------------------------------------------------

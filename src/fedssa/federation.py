@@ -43,8 +43,8 @@ from .models import (ClassGaussian, ClientPlan, GroupPlan, ce_path, class_gaussi
                      encoder_path, group_plan, init_params, logits_path,
                      sample_nonedges, spectral_energy, stack_powers)
 from .rng import spawn_key, stream
-from .semantic import (SemanticClusterMap, alignment_path, build_semantic_map,
-                       client_kl_targets)
+from .semantic import (SemanticClusterMap, alignment_inputs, alignment_path,
+                       build_semantic_map, client_kl_targets)
 from .structural import (SpectralEnergy, StructuralClusterMap, build_structural_map,
                          pairwise_chordal, structural_cluster)
 from .theory import (ErrorFloorReport, HeterogeneityReport, error_floor,
@@ -361,13 +361,14 @@ def _adam_step(arrays: dict, grads: dict, st: AdamState, lr: float) -> None:
 
 
 def _loss_parts(group: ClientGroup, w_bar: Optional[np.ndarray], cfg: RunConfig,
-                eps: np.ndarray, nonedges: list, targets: list) -> tuple:
+                eps: np.ndarray, nonedges: list, aligned: Optional[tuple]) -> tuple:
     """Assemble one stacked forward pass; returns (tape, leaves, parts dict).
 
     w_bar stacks the members' broadcast coefficients (or is None), and
-    targets holds each member's KLTargets or None. Besides the per-member
-    loss terms, parts holds the logits and, for fedssa with the semantic
-    branch, the class [mean | var] moments (None otherwise).
+    aligned holds the group's alignment_inputs (None without a matching
+    representative). Besides the per-member loss terms, parts holds the
+    logits and, for fedssa with the semantic branch, the class [mean | var]
+    moments (None otherwise).
     """
     plan = group.plan
     tape = tp.Tape()
@@ -383,8 +384,8 @@ def _loss_parts(group: ClientGroup, w_bar: Optional[np.ndarray], cfg: RunConfig,
     struct_term = None
     if cfg.method == "fedssa" and cfg.semantic:
         moments = class_stat_paths(mu, logvar, plan)
-        node_term = alignment_path(moments, plan, targets)
-        if node_term is not None:
+        if aligned is not None:
+            node_term = alignment_path(moments, aligned)
             total = tp.add(total, node_term)
     if cfg.method == "fedssa" and cfg.structural:
         struct_term = tp.coefficient_penalty(leaves["w"], w_bar, cfg.lambda1, cfg.lambda2)
@@ -422,9 +423,10 @@ def train_group(group: ClientGroup, broadcasts: dict, targets: dict, cfg: RunCon
     """Train E local epochs on one stacked tape per epoch, then evaluate.
 
     broadcasts and targets map client ids to last round's ServerBroadcast
-    and its representatives prepared by client_kl_targets. Every member
-    reads the same train-eps and eval-eps draw, and samples its own
-    non-edges. A non-finite loss or gradient, or a nonpositive class
+    and its representatives prepared by client_kl_targets, which are
+    matched with the members' classes once for every forward of the round.
+    Every member reads the same train-eps and eval-eps draw, and samples
+    its own non-edges. A non-finite loss or gradient, or a nonpositive class
     variance, in any member rolls every member's parameters and the
     group's Adam state back to their values at round entry and raises
     TrainingDivergenceError naming the lowest-id diverging client. With
@@ -433,14 +435,14 @@ def train_group(group: ClientGroup, broadcasts: dict, targets: dict, cfg: RunCon
     plan = group.plan
     shape = (plan.n, cfg.latent_dim)
     snapshot = ({name: a.copy() for name, a in group.params.items()}, group.adam.copy())
-    member_targets = [targets.get(s.client_id) for s in group.states]
+    aligned = alignment_inputs(plan, [targets.get(s.client_id) for s in group.states])
     try:
         w_bar = _cluster_coefficients(group, broadcasts)
         for epoch in range(cfg.epochs):
             eps = stream(seed, "train-eps", round_index, epoch).standard_normal(shape)
             _train_step(group, w_bar, cfg, eps,
                         _samples(plan, seed, "train-nonedges", round_index, epoch),
-                        member_targets)
+                        aligned)
     except NumericError as exc:
         for name, arr in snapshot[0].items():
             group.params[name][...] = arr
@@ -451,7 +453,7 @@ def train_group(group: ClientGroup, broadcasts: dict, targets: dict, cfg: RunCon
     eval_eps = stream(seed, "eval-eps", round_index).standard_normal(shape)
     _tape, _leaves, parts = _loss_parts(group, w_bar, cfg, eval_eps,
                                         _samples(plan, seed, "eval-nonedges", round_index),
-                                        member_targets)
+                                        aligned)
     members = len(group.states)
     losses = {name: np.zeros(members) if parts[name] is None
               else parts[name].value.reshape(-1) for name in ("ce", "vgae", "node", "struct")}
@@ -461,10 +463,10 @@ def train_group(group: ClientGroup, broadcasts: dict, targets: dict, cfg: RunCon
 
 
 def _train_step(group: ClientGroup, w_bar: Optional[np.ndarray], cfg: RunConfig,
-                eps: np.ndarray, nonedges: list, targets: list) -> None:
+                eps: np.ndarray, nonedges: list, aligned: Optional[tuple]) -> None:
     """One stacked forward, backward and Adam step; the tape dies on return,
     before the next forward is recorded."""
-    tape, leaves, parts = _loss_parts(group, w_bar, cfg, eps, nonedges, targets)
+    tape, leaves, parts = _loss_parts(group, w_bar, cfg, eps, nonedges, aligned)
     loss = parts["total"].value
     if not np.isfinite(loss).all():
         raise NumericError("non-finite loss",

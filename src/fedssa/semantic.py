@@ -212,14 +212,15 @@ def client_kl_targets(received: dict) -> dict:
     return out
 
 
-def alignment_path(moments: tp.Var, plan: GroupPlan, targets) -> tp.Var | None:
-    """Tape node summing KL(local diagonal posterior || frozen representative).
+def alignment_inputs(plan: GroupPlan, targets) -> tuple | None:
+    """The frozen arguments of a group's alignment KL, built once per round.
 
-    moments comes from class_stat_paths, with one row per entry of
-    plan.class_labels, which plan.class_bounds splits by member; targets
-    holds one KLTargets from client_kl_targets, or None, per member of the
-    group. Classes without a representative contribute nothing. Returns None
-    when no class of any member matches.
+    targets holds one KLTargets from client_kl_targets, or None, per member
+    of the group. Each member's classes in plan.class_labels, which
+    plan.class_bounds splits by member, are matched with its target labels.
+    Returns (rows, means, precisions, logdets, bounds) as diag_gaussian_kl
+    takes them after the class moments, or None when no class of any
+    member has a representative.
     """
     bounds = plan.class_bounds
     rows, picks, sizes = [], [], []
@@ -236,9 +237,18 @@ def alignment_path(moments: tp.Var, plan: GroupPlan, targets) -> tp.Var | None:
         sizes.append(local.size)
     if sum(sizes) == 0:
         return None
-    return tp.diag_gaussian_kl(
-        moments, np.concatenate(rows),
-        np.concatenate([t.means[p] for t, p in picks]),
-        np.concatenate([t.precisions[p] for t, p in picks]),
-        np.concatenate([t.logdets[p] for t, p in picks]),
-        np.concatenate([[0], np.cumsum(sizes)]))
+    return (np.concatenate(rows),
+            np.concatenate([t.means[p] for t, p in picks]),
+            np.concatenate([t.precisions[p] for t, p in picks]),
+            np.concatenate([t.logdets[p] for t, p in picks]),
+            np.concatenate([[0], np.cumsum(sizes)]))
+
+
+def alignment_path(moments: tp.Var, inputs: tuple) -> tp.Var:
+    """Tape node summing KL(local diagonal posterior || frozen representative).
+
+    moments comes from class_stat_paths, with one row per class of the
+    group plan, and inputs from alignment_inputs. Classes without a
+    representative contribute nothing.
+    """
+    return tp.diag_gaussian_kl(moments, *inputs)

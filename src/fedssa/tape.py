@@ -32,7 +32,10 @@ match that chain bit for bit.
   row groups validated once as `Segments`.
 - `diag_gaussian_kl`: summed KL from diagonal class posteriors to frozen
   full-covariance targets.
-- `pair_bce`: mean inner-product decoder BCE over node pairs.
+- `pair_bce`: mean inner-product decoder BCE over node pairs. Its backward
+  scatters one latent column at a time, with one stack-wide `np.bincount`
+  over the pairs' [heads | tails] rows each: laying out per-entry
+  row * d + column slots and their weights costs more than the bincounts.
 - `prior_kl`: mean KL from the per-node posteriors to N(0, I).
 """
 
@@ -181,13 +184,14 @@ def _loss_shape(bounds, stacked: bool) -> tuple:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function, split by sign so neither branch overflows."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function, split by sign so neither branch overflows.
+
+    e = exp(-|x|) is taken as exp(min(x, -x)), which keeps a NaN's sign,
+    so every entry, NaN included, has the bits of 1 / (1 + exp(-x)) for
+    x >= 0 and exp(x) / (1 + exp(x)) otherwise.
+    """
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -308,24 +312,22 @@ def _bw_diag_gaussian_kl(vals, aux, out, g, need):
 
 def _bw_pair_bce(vals, aux, out, g, need):
     z = vals[0]
-    n, d = z.shape[-2:]
-    bounds = aux["bounds"]
+    d = z.shape[-1]
+    bounds, pairs = aux["bounds"], aux["pairs"]
     per_pair = (g.reshape(-1) / np.maximum(np.diff(bounds), 1))[_per_member(bounds)]
-    coefs = per_pair[:, None] * (_sigmoid(aux["scores"]) - aux["y"])[:, None]
-    flat = z.reshape(-1, d)
-    acc = np.zeros_like(z)
-    by_member = acc.reshape(-1, n * d)
-    # One member at a time, so the slot and weight arrays stay member-sized.
-    for m, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-        if a == b:
-            continue
-        heads, tails = aux["pairs"][a:b, 0], aux["pairs"][a:b, 1]
-        coef = coefs[a:b]
-        local = np.concatenate([heads, tails]) - m * n
-        slots = (local[:, None] * d + np.arange(d)).ravel()
-        weights = np.concatenate([coef * flat[tails], coef * flat[heads]]).ravel()
-        by_member[m] = np.bincount(slots, weights=weights, minlength=n * d)
-    return (acc,)
+    coef = per_pair * (_sigmoid(aux["scores"]) - aux["y"])
+    coef = np.concatenate([coef, coef])
+    # Row [heads | tails][i] receives coef[i] times its partner's row. Members'
+    # rows are disjoint and bincount adds in input order, so each entry sums
+    # its head terms in pair order, then its tail terms.
+    rows = pairs.T.reshape(-1)
+    partners = pairs[:, ::-1].T.reshape(-1)
+    cols = z.reshape(-1, d).T.copy()
+    acc = np.empty((cols.shape[1], d))
+    for c in range(d):
+        acc[:, c] = np.bincount(rows, weights=coef * cols[c].take(partners),
+                                minlength=cols.shape[1])
+    return (acc.reshape(z.shape),)
 
 
 def _bw_prior_kl(vals, aux, out, g, need):
@@ -582,14 +584,13 @@ def pair_bce(z: Var, pairs, y, bounds=None) -> Var:
                          f" got {y.size} targets for {pairs.shape[0]} pairs")
     bounds = _bounds(bounds, pairs.shape[0], "pair")
     _member_count(zv, bounds, "pair")
-    scores = np.empty(pairs.shape[0])
+    heads, tails = pairs.T.copy()
+    scores = np.sum(flat.take(heads, axis=0) * flat.take(tails, axis=0), axis=1)
+    terms = np.logaddexp(0.0, scores) - y * scores
     value = np.zeros(bounds.size - 1)
-    # One member at a time, so the gathered rows stay member-sized.
     for m, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-        if a == b:
-            continue
-        scores[a:b] = np.sum(flat[pairs[a:b, 0]] * flat[pairs[a:b, 1]], axis=1)
-        value[m] = np.mean(np.logaddexp(0.0, scores[a:b]) - y[a:b] * scores[a:b])
+        if a < b:
+            value[m] = np.mean(terms[a:b])
     return _fused("pair_bce", (z,), value.reshape(_loss_shape(bounds, zv.ndim == 3)),
                   {"pairs": pairs, "y": y, "scores": scores, "bounds": bounds})
 

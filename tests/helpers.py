@@ -325,6 +325,46 @@ def onehot_softmax_ce(logits: np.ndarray, rows, onehot: np.ndarray, bounds) -> t
     return values, grad
 
 
+def masked_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function filled in through boolean masks, one sign at a time."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def slot_pair_bce(z: np.ndarray, pairs: np.ndarray, y: np.ndarray, bounds, g) -> tuple:
+    """(per-member values, scores, gradient) of pair_bce, member by member,
+    with member m's loss weighted g[m].
+
+    This is the per-member arithmetic the tape's column scatter replaces:
+    the scores gather rows through the strided index columns, and the
+    backward scatters every (row, column) term with one flattened bincount
+    over row * d + column slots.
+    """
+    n, d = z.shape[-2:]
+    flat = z.reshape(-1, d)
+    g = np.asarray(g, dtype=np.float64).reshape(-1)
+    scores = np.empty(pairs.shape[0])
+    values = np.zeros(bounds.size - 1)
+    grad = np.zeros_like(z)
+    by_member = grad.reshape(-1, n * d)
+    for m, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if a == b:
+            continue
+        heads, tails = pairs[a:b, 0], pairs[a:b, 1]
+        scores[a:b] = np.sum(flat[heads] * flat[tails], axis=1)
+        values[m] = np.mean(np.logaddexp(0.0, scores[a:b]) - y[a:b] * scores[a:b])
+        coef = (g[m] / (b - a)) * (masked_sigmoid(scores[a:b]) - y[a:b])[:, None]
+        local = np.concatenate([heads, tails]) - m * n
+        slots = (local[:, None] * d + np.arange(d)).ravel()
+        weights = np.concatenate([coef * flat[tails], coef * flat[heads]]).ravel()
+        by_member[m] = np.bincount(slots, weights=weights, minlength=n * d)
+    return values, scores, grad
+
+
 def round_signature(rm) -> tuple:
     """Canonical content tuple of a RoundMetrics for equality checks; leaves
     out the wall time."""

@@ -23,8 +23,8 @@ from fedssa.linalg import qr_thin
 from fedssa.models import (ClassGaussian, ce_path, class_stat_paths,
                            client_plan, elbo_path, encoder_input, encoder_path,
                            group_plan, logits_path, sample_nonedges, stack_powers)
-from fedssa.semantic import (alignment_path, client_kl_targets, cluster_moments,
-                             gaussian_kl, gmm_of_cluster)
+from fedssa.semantic import (alignment_inputs, alignment_path, client_kl_targets,
+                             cluster_moments, gaussian_kl, gmm_of_cluster)
 from fedssa.structural import (SpectralEnergy, coeff_perturb_bound,
                                filter_lipschitz_bound, pairwise_chordal,
                                projection_embedding)
@@ -103,15 +103,14 @@ def test_a01_loss_gradients_match_central_differences():
         worst = max(worst, _grad_vs_fd(vgae_loss, {k: v[None].copy() for k, v in enc.items()}))
 
         # class-statistic alignment KL through the posterior mean/variance
-        targets = [client_kl_targets({0: {
+        aligned = alignment_inputs(plan, [client_kl_targets({0: {
             label: ClassGaussian(label, rng.standard_normal(dz), random_spd(rng, dz), 5)
-            for label in range(c)}})[0]]
+            for label in range(c)}})[0]])
+        assert aligned is not None
 
         def node_loss(lv):
             mu, logvar = encoder_path(lv, x_in)
-            term = alignment_path(class_stat_paths(mu, logvar, plan), plan, targets)
-            assert term is not None
-            return term
+            return alignment_path(class_stat_paths(mu, logvar, plan), aligned)
 
         worst = max(worst, _grad_vs_fd(node_loss, {k: v[None].copy() for k, v in enc.items()}))
 

@@ -26,7 +26,7 @@ from fedssa.graphs import (FederationDataset, LocalGraph, SynthSpec,
 from fedssa.linalg import qr_thin
 from fedssa.models import ClassGaussian, init_params, sample_nonedges
 from fedssa.rng import stream
-from fedssa.semantic import client_kl_targets
+from fedssa.semantic import alignment_inputs, client_kl_targets
 from fedssa.structural import SpectralEnergy
 from helpers import decode_broadcast, decode_upload, round_signature
 
@@ -73,8 +73,9 @@ def _forward(group, cfg, broadcasts=None):
                 for p in group.plan.members]
     targets = client_kl_targets({cid: b.class_representatives
                                  for cid, b in broadcasts.items()})
+    aligned = alignment_inputs(group.plan, [targets.get(s.client_id) for s in group.states])
     return _loss_parts(group, _cluster_coefficients(group, broadcasts), cfg, eps,
-                       nonedges, [targets.get(s.client_id) for s in group.states])
+                       nonedges, aligned)
 
 
 # --- training memory -----------------------------------------------------------

@@ -16,7 +16,7 @@ from fedssa.models import (COV_FLOOR, LOGVAR_MAX, LOGVAR_MIN, ClassGaussian,
                            group_plan, init_params, logits_path, sample_nonedges,
                            spectral_energy, stack_powers)
 from fedssa.rng import stream
-from fedssa.semantic import alignment_path, client_kl_targets
+from fedssa.semantic import alignment_inputs, client_kl_targets
 from helpers import central_diff, pool_draw, rel_err
 
 
@@ -284,7 +284,7 @@ def test_class_stat_paths_without_train_rows():
     assert plan.class_labels.size == 0 and moments.shape == (0, 6)
     assert class_gaussians(plan.class_labels, plan.classes.counts, moments.value) == ()
     reps = {0: ClassGaussian(0, np.zeros(3), np.eye(3), 1)}
-    assert alignment_path(moments, plan, [client_kl_targets({0: reps})[0]]) is None
+    assert alignment_inputs(plan, [client_kl_targets({0: reps})[0]]) is None
 
 
 def test_logvar_is_clamped():

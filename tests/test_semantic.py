@@ -11,7 +11,7 @@ from fedssa import tape as tp
 from fedssa.errors import ContractError, NumericError, ShapeError
 from fedssa.models import COV_FLOOR, ClassGaussian
 from fedssa.rng import stream
-from fedssa.semantic import (alignment_path, build_semantic_map,
+from fedssa.semantic import (alignment_inputs, alignment_path, build_semantic_map,
                              client_kl_targets, cluster_moments, gaussian_kl,
                              gmm_of_cluster, semantic_cluster)
 from helpers import central_diff, mc_gaussian_kl, random_spd, rel_err
@@ -212,7 +212,7 @@ def test_representative_counts_accumulate():
 
 def _stats(tape, labels, means, variances):
     """(moments, plan) of one member: a [mean | var] leaf with one row per
-    label, and the class labels and bounds that alignment_path reads from
+    label, and the class labels and bounds that alignment_inputs reads from
     the group plan."""
     moments = tape.leaf(np.concatenate([np.atleast_2d(means), np.atleast_2d(variances)],
                                        axis=1), "moments")
@@ -226,15 +226,21 @@ def _targets(representatives):
     return [client_kl_targets({0: representatives})[0]]
 
 
+def _align(moments, plan, targets):
+    """The alignment node of the member's classes, or None when none matches."""
+    inputs = alignment_inputs(plan, targets)
+    return None if inputs is None else alignment_path(moments, inputs)
+
+
 def test_semantic_alignment_loss_sums_matching_classes():
     local = [_gauss(0, [0.0], [[1.0]]), _gauss(1, [1.0], [[1.0]])]
     reps = {0: _gauss(0, [0.5], [[1.0]])}
     want = gaussian_kl(local[0], reps[0])
     t = tp.Tape()
     stats = _stats(t, [0, 1], [[0.0], [1.0]], [[1.0], [1.0]])
-    loss = alignment_path(*stats, _targets(reps))
+    loss = _align(*stats, _targets(reps))
     assert float(loss.value[0, 0, 0]) == pytest.approx(want)
-    assert alignment_path(*stats, _targets({})) is None
+    assert _align(*stats, _targets({})) is None
 
 
 def test_alignment_path_matches_closed_form():
@@ -245,7 +251,7 @@ def test_alignment_path_matches_closed_form():
     means = rng.standard_normal((2, d))
     variances = 0.5 + rng.random((2, d))
     t = tp.Tape()
-    loss = alignment_path(*_stats(t, [0, 1], means, variances), _targets(reps))
+    loss = _align(*_stats(t, [0, 1], means, variances), _targets(reps))
     want = sum(gaussian_kl(_gauss(c, means[c], np.diag(variances[c])), reps[c])
                for c in (0, 1))
     assert float(loss.value[0, 0, 0]) == pytest.approx(want, rel=1e-10)
@@ -254,13 +260,13 @@ def test_alignment_path_matches_closed_form():
 def test_alignment_path_skips_unmatched_and_returns_none():
     t = tp.Tape()
     one = _stats(t, [0], np.zeros((1, 2)), np.ones((1, 2)))
-    assert alignment_path(*one, _targets({})) is None
+    assert _align(*one, _targets({})) is None
     reps = {0: _gauss(0, np.zeros(2), np.eye(2))}
-    assert alignment_path(*_stats(t, [3], np.zeros((1, 2)), np.ones((1, 2))),
-                          _targets(reps)) is None
+    assert _align(*_stats(t, [3], np.zeros((1, 2)), np.ones((1, 2))),
+                  _targets(reps)) is None
     # label 5 has no representative: no value and no gradient
     moments, plan = _stats(t, [0, 5], np.zeros((2, 2)), [[1.0, 1.0], [2.0, 3.0]])
-    out = alignment_path(moments, plan, _targets(reps))
+    out = _align(moments, plan, _targets(reps))
     assert out is not None
     assert float(out.value[0, 0, 0]) == pytest.approx(0.0, abs=1e-12)
     g = tp.grad(t, out)[moments]
@@ -273,7 +279,7 @@ def test_alignment_path_rejects_nonpositive_variance():
         t = tp.Tape()
         stats = _stats(t, [0], np.zeros((1, 2)), [[1.0, bad]])
         with pytest.raises(NumericError):
-            alignment_path(*stats, reps)
+            _align(*stats, reps)
 
 
 def test_kl_targets_rejects_indefinite_representative():
@@ -290,7 +296,7 @@ def test_alignment_path_gradient_matches_finite_differences():
 
     def build(t, values):
         moments, plan = _stats(t, [0], values[:, :d], values[:, d:])
-        return moments, alignment_path(moments, plan, targets)
+        return moments, _align(moments, plan, targets)
 
     t = tp.Tape()
     moments, loss = build(t, arrays["moments"])

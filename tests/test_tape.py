@@ -11,7 +11,8 @@ import pytest
 
 from fedssa import tape as tp
 from fedssa.errors import ContractError, NumericError, ShapeError
-from helpers import central_diff, naive_matmul, onehot_softmax_ce, random_spd, rel_err
+from helpers import (central_diff, masked_sigmoid, naive_matmul, onehot_softmax_ce, random_spd,
+                     rel_err, slot_pair_bce)
 
 # --- forward values -----------------------------------------------------------
 
@@ -127,6 +128,15 @@ def test_sigmoid_is_stable_for_large_inputs():
     assert np.all(np.isfinite(out))
     assert out[0, 0] == pytest.approx(1.0)
     assert out[0, 1] == pytest.approx(0.0)
+    # the same bits as the sign-masked form, NaN's sign included
+    edge = np.array([0.0, 5e-324, 1e-300, 36.7, 709.0, 745.0, 800.0, np.inf])
+    x = np.concatenate([edge, -edge, [np.nan, -np.nan]])
+    with np.errstate(all="raise", under="ignore"):
+        got = tp._sigmoid(x)
+    assert np.array_equal(got.view(np.uint64), masked_sigmoid(x).view(np.uint64))
+    wide = np.random.default_rng(40).standard_normal((50, 40)) * np.logspace(-3, 3, 40)
+    assert np.array_equal(tp._sigmoid(wide).view(np.uint64),
+                          masked_sigmoid(wide).view(np.uint64))
 
 
 def test_softplus_is_stable_for_large_inputs():
@@ -381,6 +391,48 @@ def test_grad_diag_gaussian_kl_through_segment_moments():
 def test_grad_pair_bce_with_repeated_and_self_pairs():
     mu, *_, pairs, y = _fused_inputs(21)
     _grad_check(lambda t, lv: tp.pair_bce(lv["z"], pairs, y), {"z": mu}, tol=1e-4)
+
+
+def _ragged_pairs(rng, n, counts):
+    """Flat (P, 2) pairs and bounds over stacked members with counts[m] pairs
+    each, every member holding a repeated pair and a self pair when it can."""
+    parts = []
+    for m, count in enumerate(counts):
+        local = rng.integers(0, n, size=(count, 2))
+        if count >= 3:
+            local[1] = local[0]
+            local[2, 1] = local[2, 0]
+        parts.append(local + m * n)
+    return np.concatenate(parts), np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+
+
+def test_pair_bce_matches_slot_bincount_oracle_bit_for_bit():
+    rng = np.random.default_rng(41)
+    n = 7
+    for d in (1, 3, 8, 13):
+        for counts in ([5, 0, 12, 3], [9], [0, 4], [1, 30, 2]):
+            pairs, bounds = _ragged_pairs(rng, n, counts)
+            y = (rng.random(pairs.shape[0]) < 0.5).astype(float)
+            z = 1.5 * rng.standard_normal((len(counts), n, d))
+            upstream = rng.uniform(0.25, 4.0, size=(len(counts), 1, 1))
+            t = tp.Tape()
+            leaf = t.leaf(z, "z")
+            loss = tp.pair_bce(leaf, pairs, y, bounds)
+            got_grad = tp.grad(t, tp.matmul(loss, upstream))[leaf]
+            values, scores, grad = slot_pair_bce(z, pairs, y, bounds, upstream)
+            assert np.array_equal(loss.value.reshape(-1), values)
+            assert np.array_equal(loss.aux["scores"], scores)
+            assert np.array_equal(got_grad, grad)
+        # one 2-D member, without bounds
+        pairs, bounds = _ragged_pairs(rng, n, [6])
+        y = (rng.random(6) < 0.5).astype(float)
+        t = tp.Tape()
+        leaf = t.leaf(rng.standard_normal((n, d)), "z")
+        loss = tp.pair_bce(leaf, pairs, y)
+        got_grad = tp.grad(t, tp.matmul(loss, np.array([[0.3]])))[leaf]
+        values, scores, grad = slot_pair_bce(leaf.value, pairs, y, bounds, [0.3])
+        assert np.array_equal(loss.value.reshape(-1), values)
+        assert np.array_equal(got_grad, grad)
 
 
 def test_grad_prior_kl():

@@ -22,9 +22,8 @@ from .linalg import qr_thin
 from .metrics import accuracy, auc
 from .models import ClassGaussian, init_params, spectral_energy
 from .rng import spawn_key, stream
-from .semantic import (GaussianMixture, SemanticClusterMap, cluster_moments,
-                       gaussian_kl, gmm_of_cluster, build_semantic_map,
-                       semantic_cluster)
+from .semantic import (SemanticClusterMap, build_semantic_map, cluster_moments,
+                       gaussian_kl)
 from .structural import (SpectralEnergy, StructuralClusterMap,
                          build_structural_map, coeff_perturb_bound,
                          filter_lipschitz_bound, pairwise_chordal,
@@ -39,8 +38,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ClassGaussian", "ClientUpload", "ConfigError", "ContractError",
     "ContractionResult", "ErrorFloorReport", "ExperimentConfig", "FedssaError",
-    "FederationDataset", "GaussianMixture", "HeterogeneityReport",
-    "InfeasibleError", "KLAudit", "LocalGraph", "NumericError",
+    "FederationDataset", "HeterogeneityReport", "InfeasibleError", "KLAudit",
+    "LocalGraph", "NumericError",
     "PartitionSpec", "ProtocolError", "RankError", "RoundMetrics",
     "RunConfig", "SemanticClusterMap", "ServerBroadcast", "ShapeError",
     "SpectralEnergy", "StructuralClusterMap",
@@ -50,15 +49,14 @@ __all__ = [
     "build_structural_map", "client_round",
     "cluster_moments", "coeff_perturb_bound", "contraction_simulate",
     "error_floor",
-    "evaluate_client", "filter_lipschitz_bound", "gaussian_kl",
-    "gmm_of_cluster", "grad", "init_params",
+    "evaluate_client", "filter_lipschitz_bound", "gaussian_kl", "grad",
+    "init_params",
     "kl_bound_audit", "kmeans", "laplacian_powers", "load_config",
     "load_dataset", "load_graph", "measure_heterogeneity",
     "pairwise_chordal", "parse_config",
     "partition_nonoverlap", "partition_overlap", "projection_embedding",
     "qr_thin", "rounds_to_reach", "run_federation_detailed", "save_dataset",
-    "save_graph", "semantic_cluster",
-    "server_step", "spawn_key", "spectral_energy", "stratified_split",
+    "save_graph", "server_step", "spawn_key", "spectral_energy", "stratified_split",
     "stream", "structural_cluster", "synth_dataset",
     "two_regime_federation",
 ]

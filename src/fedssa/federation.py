@@ -663,9 +663,8 @@ def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig, seed: in
             for cid, up in uploads.items():
                 bytes_up[cid] = payload_nbytes(upload_payload(up))
             bytes_down.update(broadcast_nbytes(broadcasts))
-            heterogeneity = measure_heterogeneity(
-                {cid: up.class_gaussians for cid, up in uploads.items()},
-                chordal, server.semantic_map, server.structural_map)
+            heterogeneity = measure_heterogeneity(chordal, server.semantic_map,
+                                                  server.structural_map)
             floor = error_floor(heterogeneity, cfg.order, cfg.lambda1, cfg.lambda2)
         elif cfg.method == "fedavg":
             for cid in range(m):

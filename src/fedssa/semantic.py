@@ -1,13 +1,16 @@
 """Semantic knowledge sharing: clustering class Gaussians across clients.
 
-For every class label the server gathers each holder's latent Gaussian,
-k-means the holders' class means into at most k_node groups, and collapses
-every group into a single moment-matched Gaussian weighted by sample counts.
-Clients then pull their local class posteriors toward their own group's
-representative with a closed-form Gaussian KL, recorded as one tape node.
+In one pass per class label the server gathers each holder's latent
+Gaussian, k-means the holders' class means into at most k_node groups, and
+collapses every group into one Gaussian: a count-weighted moment match
+reduced over the stacked member means and covariances. The cluster map
+keeps each group's members, so the heterogeneity diagnostics read the same
+grouping. Clients then pull their local class posteriors toward their own
+group's representative with a closed-form Gaussian KL, recorded as one
+tape node.
 
-All clustering is canonicalized by ascending client id, so results are
-invariant to message arrival order.
+Holders are gathered by ascending client id, so results are invariant to
+message arrival order.
 """
 
 from __future__ import annotations
@@ -24,31 +27,14 @@ from .rng import stream
 
 
 @dataclass(frozen=True)
-class GaussianMixture:
-    """Count-weighted mixture of class Gaussians from one cluster."""
-
-    weights: np.ndarray
-    members: tuple
-
-    def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        if weights.size != len(self.members):
-            raise ShapeError("one weight per member is required")
-        if weights.size == 0:
-            raise ContractError("mixture needs at least one member")
-        if np.any(weights < 0) or abs(float(weights.sum()) - 1.0) > 1e-9:
-            raise ContractError("weights must be nonnegative and sum to 1")
-        weights.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "members", tuple(self.members))
-
-
-@dataclass(frozen=True)
 class SemanticClusterMap:
-    """Per-class cluster assignments and moment-matched representatives."""
+    """Per-class cluster assignments, moment-matched representatives and
+    members: members[(label, cluster)] is the tuple of that cluster's
+    ClassGaussians in ascending client id order."""
 
     assignments: dict
     representatives: dict
+    members: dict
 
     def representative_for(self, label: int, client_id: int):
         by_client = self.assignments.get(label)
@@ -57,45 +43,37 @@ class SemanticClusterMap:
         return self.representatives[(label, by_client[client_id])]
 
 
-def gmm_of_cluster(members: list) -> GaussianMixture:
-    """Mixture over one cluster, weighted by labeled-sample counts."""
-    members = tuple(members)
-    if not members:
-        raise ContractError("gmm_of_cluster needs at least one member")
-    labels = {m.label for m in members}
-    if len(labels) != 1:
-        raise ContractError(f"mixture mixes class labels {sorted(labels)}")
-    counts = np.array([m.count for m in members], dtype=np.float64)
-    total = float(counts.sum())
-    if total <= 0:
-        raise ContractError("mixture has zero total sample count")
-    return GaussianMixture(counts / total, members)
+def cluster_moments(members) -> ClassGaussian:
+    """Single Gaussian matching the first two moments of the count-weighted
+    mixture of one cluster's class Gaussians.
 
-
-def cluster_moments(mixture: GaussianMixture) -> ClassGaussian:
-    """Single Gaussian matching the mixture's first two moments.
-
-    The covariance is symmetrized and eigenvalue-floored at 1e-6 so every
+    The weighted sums are running sums over the stacked members, added in
+    member order, so the bits equal a member-by-member loop at every latent
+    width; numpy's pairwise sum regroups a contiguous axis. The covariance
+    is symmetrized and eigenvalue-floored at COV_FLOOR so every
     representative stays safely positive definite.
     """
-    members = mixture.members
-    dim = members[0].dim
-    for m in members:
-        if m.dim != dim:
-            raise ShapeError("mixture members have inconsistent dimensions")
-    mean = np.zeros(dim)
-    for wgt, m in zip(mixture.weights, members):
-        mean = mean + wgt * m.mean
-    cov = np.zeros((dim, dim))
-    for wgt, m in zip(mixture.weights, members):
-        cov = cov + wgt * (m.cov + np.outer(m.mean, m.mean))
-    cov = cov - np.outer(mean, mean)
+    members = tuple(members)
+    if not members:
+        raise ContractError("cluster_moments needs at least one member")
+    labels = {m.label for m in members}
+    if len(labels) != 1:
+        raise ContractError(f"cluster mixes class labels {sorted(labels)}")
+    if len({m.dim for m in members}) != 1:
+        raise ShapeError("cluster members have inconsistent dimensions")
+    counts = np.array([m.count for m in members], dtype=np.float64)
+    total = float(counts.sum())
+    weights = counts / total
+    means = np.stack([m.mean for m in members])
+    covs = np.stack([m.cov for m in members])
+    mean = np.cumsum(weights[:, None] * means, axis=0)[-1]
+    second = weights[:, None, None] * (covs + means[:, :, None] * means[:, None, :])
+    cov = np.cumsum(second, axis=0)[-1] - np.outer(mean, mean)
     cov = 0.5 * (cov + cov.T)
     eigvals, eigvecs = np.linalg.eigh(cov)
     floored = eigvecs @ np.diag(np.maximum(eigvals, COV_FLOOR)) @ eigvecs.T
     floored = 0.5 * (floored + floored.T)
-    count = int(sum(m.count for m in members))
-    return ClassGaussian(members[0].label, mean, floored, count)
+    return ClassGaussian(members[0].label, mean, floored, int(total))
 
 
 def gaussian_kl(p: ClassGaussian, q: ClassGaussian) -> float:
@@ -122,46 +100,30 @@ def gaussian_kl(p: ClassGaussian, q: ClassGaussian) -> float:
     return float(value)
 
 
-def _holders(class_gaussians: dict) -> dict:
-    """Regroup {client: gaussians} into {label: [(client, gaussian), ...]}."""
-    by_class: dict = {}
-    for client_id in sorted(class_gaussians):
-        for g in class_gaussians[client_id]:
-            by_class.setdefault(g.label, []).append((client_id, g))
-    return by_class
+def build_semantic_map(class_gaussians: dict, k_node: int, seed: int) -> SemanticClusterMap:
+    """Cluster every class and moment-match each cluster's representative.
 
-
-def semantic_cluster(class_gaussians: dict, k_node: int, seed: int) -> dict:
-    """Per-class k-means over the holders' class means.
-
-    class_gaussians maps client id to that client's ClassGaussian list.
-    Returns {label: {client_id: cluster_index}}. The effective number of
-    clusters for a class is min(k_node, number of holders).
+    class_gaussians maps client id to that client's ClassGaussian list. Each
+    class's holders are gathered once, in ascending client id order, and
+    k-means groups their class means into min(k_node, holders) clusters.
     """
     if k_node < 1:
         raise ConfigError(f"k_node must be >= 1, got {k_node}")
-    assignments: dict = {}
-    for label, holders in sorted(_holders(class_gaussians).items()):
-        points = np.stack([gaussian.mean for _, gaussian in holders])
-        labels = kmeans(points, min(k_node, len(holders)),
-                        stream(seed, "kmeans-sem", int(label)))
-        assignments[int(label)] = {client_id: int(c)
-                                   for (client_id, _), c in zip(holders, labels)}
-    return assignments
-
-
-def build_semantic_map(class_gaussians: dict, k_node: int, seed: int) -> SemanticClusterMap:
-    """Cluster every class and moment-match each cluster's representative."""
-    assignments = semantic_cluster(class_gaussians, k_node, seed)
-    by_class = _holders(class_gaussians)
-    representatives = {}
-    for label, by_client in assignments.items():
-        gaussians = dict(by_class[label])
-        for cluster in sorted(set(by_client.values())):
-            members = [gaussians[cid] for cid in sorted(by_client)
-                       if by_client[cid] == cluster]
-            representatives[(label, cluster)] = cluster_moments(gmm_of_cluster(members))
-    return SemanticClusterMap(assignments, representatives)
+    by_class: dict = {}
+    for client_id in sorted(class_gaussians):
+        for g in class_gaussians[client_id]:
+            by_class.setdefault(int(g.label), []).append((client_id, g))
+    assignments, representatives, members = {}, {}, {}
+    for label in sorted(by_class):
+        ids, gaussians = zip(*by_class[label])
+        clusters = kmeans(np.stack([g.mean for g in gaussians]), min(k_node, len(ids)),
+                          stream(seed, "kmeans-sem", label)).tolist()
+        assignments[label] = dict(zip(ids, clusters))
+        for cluster in sorted(set(clusters)):
+            cell = tuple(g for g, c in zip(gaussians, clusters) if c == cluster)
+            members[(label, cluster)] = cell
+            representatives[(label, cluster)] = cluster_moments(cell)
+    return SemanticClusterMap(assignments, representatives, members)
 
 
 @dataclass(frozen=True)

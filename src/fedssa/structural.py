@@ -111,24 +111,17 @@ def structural_cluster(energies: list, k_struct: int, seed: int) -> dict:
     return {cid: int(lab) for cid, lab in zip(ids, labels)}
 
 
-def cluster_coeff_mean(coefficients: list) -> np.ndarray:
-    """Elementwise mean of member coefficient vectors."""
-    if not coefficients:
-        raise ContractError("cluster_coeff_mean needs at least one member")
-    arrs = [np.asarray(c, dtype=np.float64).reshape(-1) for c in coefficients]
-    length = arrs[0].size
-    for a in arrs:
-        if a.size != length:
-            raise ShapeError(f"coefficient length mismatch: {a.size} vs {length}")
-    return np.mean(np.stack(arrs), axis=0)
-
-
 def build_structural_map(assignments: dict, coefficients: dict) -> StructuralClusterMap:
-    """Average the coefficients of each cluster of a fixed assignment."""
+    """Average the coefficients of each cluster of a fixed assignment.
+
+    Each cluster's mean is taken over its members' stacked coefficient
+    vectors, in ascending client id order.
+    """
     mean_coeffs = {}
     for cluster in sorted(set(assignments.values())):
         members = [cid for cid in sorted(assignments) if assignments[cid] == cluster]
-        mean_coeffs[cluster] = cluster_coeff_mean([coefficients[cid] for cid in members])
+        mean_coeffs[cluster] = np.mean(np.stack([coefficients[cid] for cid in members]),
+                                       axis=0)
     return StructuralClusterMap(assignments, mean_coeffs)
 
 

@@ -1,7 +1,7 @@
 """Theory diagnostics: heterogeneity measurement and convergence accounting.
 
-These routines turn a round's uploads and cluster maps into the quantities
-the convergence story is written in: per-cluster semantic divergences
+These routines turn a round's cluster maps into the quantities the
+convergence story is written in: per-cluster semantic divergences
 (delta_mu, delta_sigma), per-cluster structural divergence (eps_U), the
 representative's smallest covariance eigenvalue, the resulting error floor,
 and the contraction recursion it feeds. The KL audit checks the closed-form
@@ -66,36 +66,28 @@ def _spreads(gaussians: list) -> tuple[float, float]:
     return float(delta_mu), float(delta_sigma)
 
 
-def measure_heterogeneity(class_gaussians: dict, chordal: tuple | None,
-                          semantic_map: SemanticClusterMap | None,
+def measure_heterogeneity(chordal: tuple | None, semantic_map: SemanticClusterMap | None,
                           structural_map: StructuralClusterMap | None) -> HeterogeneityReport:
     """Summarize divergences per cluster and over the whole federation.
 
-    class_gaussians maps client id to that client's ClassGaussian list;
-    chordal is the (ids, matrix) pair of `pairwise_chordal` over the
-    clients' frames, or None without a structural branch. The global_*
-    fields ignore cluster structure (max over all holder pairs), which is
-    the baseline the clustered values are compared against.
+    The semantic cells are read from semantic_map.members, and a class's
+    holders are the union of its cells. chordal is the (ids, matrix) pair of
+    `pairwise_chordal` over the clients' frames, or None without a
+    structural branch. The global_* fields ignore cluster structure (max
+    over all holder pairs), which is the baseline the clustered values are
+    compared against.
     """
-    by_class: dict = {}
-    for client_id, gaussians in class_gaussians.items():
-        for g in gaussians:
-            by_class.setdefault(g.label, {})[client_id] = g
     semantic_stats = []
-    sigma_min_sq = math.inf
+    holders: dict = {}
     if semantic_map is not None:
-        for label in sorted(semantic_map.assignments):
-            by_client = semantic_map.assignments[label]
-            for cluster in sorted(set(by_client.values())):
-                members = [by_class[label][cid] for cid in sorted(by_client)
-                           if by_client[cid] == cluster]
-                delta_mu, delta_sigma = _spreads(members)
-                rep = semantic_map.representatives[(label, cluster)]
-                sig = float(np.linalg.eigvalsh(rep.cov)[0])
-                sigma_min_sq = min(sigma_min_sq, sig)
-                semantic_stats.append(SemanticClusterStats(
-                    label=int(label), cluster=int(cluster), size=len(members),
-                    delta_mu=delta_mu, delta_sigma=delta_sigma, sigma_min_sq=sig))
+        for (label, cluster), members in sorted(semantic_map.members.items()):
+            delta_mu, delta_sigma = _spreads(members)
+            rep = semantic_map.representatives[(label, cluster)]
+            semantic_stats.append(SemanticClusterStats(
+                label=int(label), cluster=int(cluster), size=len(members),
+                delta_mu=delta_mu, delta_sigma=delta_sigma,
+                sigma_min_sq=float(np.linalg.eigvalsh(rep.cov)[0])))
+            holders.setdefault(label, []).extend(members)
     ids, matrix = chordal if chordal is not None else ((), np.zeros((0, 0)))
     structural_stats = []
     if structural_map is not None and chordal is not None:
@@ -106,11 +98,11 @@ def measure_heterogeneity(class_gaussians: dict, chordal: tuple | None,
             structural_stats.append(StructuralClusterStats(
                 cluster=int(cluster), size=len(rows),
                 eps_u=float(matrix[np.ix_(rows, rows)].max())))
-    global_spreads = [_spreads(list(by_class[label].values())) for label in sorted(by_class)]
+    global_spreads = [_spreads(holders[label]) for label in sorted(holders)]
     return HeterogeneityReport(
         semantic=tuple(semantic_stats),
         structural=tuple(structural_stats),
-        sigma_min_sq=float(sigma_min_sq) if semantic_stats else float("nan"),
+        sigma_min_sq=min((s.sigma_min_sq for s in semantic_stats), default=math.nan),
         worst_delta_mu=max((s.delta_mu for s in semantic_stats), default=0.0),
         worst_delta_sigma=max((s.delta_sigma for s in semantic_stats), default=0.0),
         worst_eps_u=max((s.eps_u for s in structural_stats), default=0.0),

@@ -16,6 +16,7 @@ import numpy as np
 
 from fedssa.errors import ShapeError
 from fedssa.graphs import LocalGraph, canonical_json, stratified_split
+from fedssa.models import COV_FLOOR
 from fedssa.rng import stream
 from fedssa.structural import projection_embedding
 
@@ -363,6 +364,29 @@ def slot_pair_bce(z: np.ndarray, pairs: np.ndarray, y: np.ndarray, bounds, g) ->
         weights = np.concatenate([coef * flat[tails], coef * flat[heads]]).ravel()
         by_member[m] = np.bincount(slots, weights=weights, minlength=n * d)
     return values, scores, grad
+
+
+def loop_cluster_moments(members) -> tuple:
+    """(mean, cov) of cluster_moments, member by member.
+
+    This is the arithmetic the array moment match replaces: count weights,
+    then running sums of the weighted means and second moments in member
+    order, then the same symmetrise, eigenvalue floor and symmetrise.
+    """
+    counts = np.array([m.count for m in members], dtype=np.float64)
+    weights = counts / float(counts.sum())
+    dim = members[0].dim
+    mean = np.zeros(dim)
+    for wgt, m in zip(weights, members):
+        mean = mean + wgt * m.mean
+    cov = np.zeros((dim, dim))
+    for wgt, m in zip(weights, members):
+        cov = cov + wgt * (m.cov + np.outer(m.mean, m.mean))
+    cov = cov - np.outer(mean, mean)
+    cov = 0.5 * (cov + cov.T)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    floored = eigvecs @ np.diag(np.maximum(eigvals, COV_FLOOR)) @ eigvecs.T
+    return mean, 0.5 * (floored + floored.T)
 
 
 def round_signature(rm) -> tuple:

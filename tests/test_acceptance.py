@@ -7,12 +7,17 @@ distances, Monte Carlo for moments and KL, dense grids for filter bounds,
 and explicit iteration for the contraction recursion.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import fedssa
 import fedssa.tape as tp
 from fedssa.cli import main
 from fedssa.config import two_regime_federation
@@ -24,7 +29,7 @@ from fedssa.models import (ClassGaussian, ce_path, class_stat_paths,
                            client_plan, elbo_path, encoder_input, encoder_path,
                            group_plan, logits_path, sample_nonedges, stack_powers)
 from fedssa.semantic import (alignment_inputs, alignment_path, client_kl_targets,
-                             cluster_moments, gaussian_kl, gmm_of_cluster)
+                             cluster_moments, gaussian_kl)
 from fedssa.structural import (SpectralEnergy, coeff_perturb_bound,
                                filter_lipschitz_bound, pairwise_chordal,
                                projection_embedding)
@@ -151,11 +156,13 @@ def test_a02_chordal_distance_matches_principal_angles():
     assert elapsed < 10.0, f"chordal battery took {elapsed:.1f}s"
 
 
-def _sample_mixture(mixture, count, rng):
-    comp = rng.choice(len(mixture.members), size=count, p=mixture.weights)
-    d = mixture.members[0].dim
+def _sample_mixture(members, count, rng):
+    """count draws from the mixture of members, weighted by their counts."""
+    weights = np.array([m.count for m in members], dtype=np.float64)
+    comp = rng.choice(len(members), size=count, p=weights / weights.sum())
+    d = members[0].dim
     out = np.empty((count, d))
-    for idx, member in enumerate(mixture.members):
+    for idx, member in enumerate(members):
         mask = comp == idx
         z = rng.standard_normal((int(mask.sum()), d))
         out[mask] = member.mean + z @ np.linalg.cholesky(member.cov).T
@@ -170,9 +177,8 @@ def test_a03_moment_matching_agrees_with_mixture_sampling():
         members = [ClassGaussian(1, 2.0 * rng.standard_normal(d),
                                  random_spd(rng, d), int(rng.integers(1, 50)))
                    for _ in range(int(rng.integers(2, 6)))]
-        mixture = gmm_of_cluster(members)
-        rep = cluster_moments(mixture)
-        draws = _sample_mixture(mixture, 100_000, rng)
+        rep = cluster_moments(members)
+        draws = _sample_mixture(members, 100_000, rng)
         mean_err = (np.linalg.norm(draws.mean(axis=0) - rep.mean)
                     / max(1.0, np.linalg.norm(rep.mean)))
         emp_cov = np.cov(draws, rowvar=False, ddof=0)
@@ -184,7 +190,7 @@ def test_a03_moment_matching_agrees_with_mixture_sampling():
         d = int(rng.integers(2, 5))
         g = ClassGaussian(0, rng.standard_normal(d), random_spd(rng, d),
                           int(rng.integers(1, 30)))
-        rep = cluster_moments(gmm_of_cluster([g]))
+        rep = cluster_moments([g])
         assert np.allclose(rep.mean, g.mean, rtol=0.0, atol=1e-12)
         assert np.allclose(rep.cov, g.cov, rtol=0.0, atol=1e-9)
         assert rep.count == g.count
@@ -240,7 +246,7 @@ def _planted_cluster(rng, d, n_members, mu_spread=0.05, cov_spread=0.01):
         pert = cov_spread * rng.standard_normal((d, d))
         members[cid] = ClassGaussian(0, mean, base_cov + 0.5 * (pert + pert.T),
                                      int(rng.integers(1, 20)))
-    rep = cluster_moments(gmm_of_cluster([members[c] for c in sorted(members)]))
+    rep = cluster_moments([members[c] for c in sorted(members)])
     return members, rep
 
 
@@ -395,6 +401,10 @@ DETERMINISM_CONFIG = {
 }
 
 
+A10_ARTIFACTS = ("metrics.csv", "diagnostics_semantic.csv", "diagnostics_structural.csv",
+                 "diagnostics_floor.csv", "checkpoint.json", "summary.json")
+
+
 def test_a10_repeated_runs_are_byte_identical(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(yaml.safe_dump(DETERMINISM_CONFIG))
@@ -402,11 +412,41 @@ def test_a10_repeated_runs_are_byte_identical(tmp_path):
     out_b = tmp_path / "b"
     assert main(["run", "--config", str(cfg), "--out", str(out_a)]) == 0
     assert main(["run", "--config", str(cfg), "--out", str(out_b)]) == 0
-    names = ["metrics.csv", "diagnostics_semantic.csv",
-             "diagnostics_structural.csv", "diagnostics_floor.csv",
-             "checkpoint.json", "summary.json"]
-    for name in names:
+    for name in A10_ARTIFACTS:
         left = (out_a / name).read_bytes()
         right = (out_b / name).read_bytes()
         assert left == right, f"{name} differs between identical runs"
         assert left, f"{name} is empty"
+
+
+# A large-graph-shaped run: one SBM split into four 1,200-node clients, two
+# rounds, so the matrix products are far larger than in a10's config.
+LARGE_GRAPH_CONFIG = {
+    "dataset": {"kind": "synthetic", "nodes": 4800, "classes": 4, "features": 24,
+                "p_intra": 0.006, "p_inter": 0.0012, "mean_scale": 1.0, "noise": 1.0},
+    "partition": {"scheme": "nonoverlap", "clients": 4},
+    "method": "fedssa",
+    "hyperparams": {"T": 2, "E": 2, "K": 3, "k_node": 2, "k_struct": 2,
+                    "lambda1": 1.0e-3, "lambda2": 1.0e-3, "lr": 0.15, "d_z": 8, "h": 16},
+    "seed": 0,
+}
+
+
+@pytest.mark.parametrize("config", [DETERMINISM_CONFIG, LARGE_GRAPH_CONFIG],
+                         ids=["a10-config", "large-graph"])
+def test_a10_artifacts_do_not_depend_on_blas_thread_count(tmp_path, config):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(config))
+    # the children import the package this suite imported, installed or not
+    src = str(Path(fedssa.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedssa.cli", "run", "--config", str(cfg),
+             "--out", str(tmp_path / threads)], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+    for name in A10_ARTIFACTS:
+        one = (tmp_path / "1" / name).read_bytes()
+        assert one == (tmp_path / "2" / name).read_bytes(), \
+            f"{name} differs between 1 and 2 BLAS threads"

@@ -1,5 +1,6 @@
 """Semantic sharing checks: closed-form Gaussian KL against hand values and
-Monte Carlo, mixture weighting, moment matching, planted cluster recovery,
+Monte Carlo, count-weighted moment matching against the member loop,
+planted cluster recovery, the cluster members the map keeps,
 and the differentiable alignment path against the closed form."""
 
 from types import SimpleNamespace
@@ -10,11 +11,9 @@ import pytest
 from fedssa import tape as tp
 from fedssa.errors import ContractError, NumericError, ShapeError
 from fedssa.models import COV_FLOOR, ClassGaussian
-from fedssa.rng import stream
 from fedssa.semantic import (alignment_inputs, alignment_path, build_semantic_map,
-                             client_kl_targets, cluster_moments, gaussian_kl,
-                             gmm_of_cluster, semantic_cluster)
-from helpers import central_diff, mc_gaussian_kl, random_spd, rel_err
+                             client_kl_targets, cluster_moments, gaussian_kl)
+from helpers import central_diff, loop_cluster_moments, mc_gaussian_kl, random_spd, rel_err
 
 
 def _gauss(label, mean, cov, count=1):
@@ -76,29 +75,59 @@ def test_kl_dimension_mismatch():
         gaussian_kl(_gauss(0, [0.0], [[1.0]]), _gauss(0, [0.0, 0.0], np.eye(2)))
 
 
-# --- mixtures and moment matching ---------------------------------------------------
+# --- moment matching ------------------------------------------------------------------
 
 
-def test_gmm_weights_proportional_to_counts():
+def test_cluster_moments_unequal_count_hand_value():
+    # counts 10 and 30 weight N(0,1) and N(2,1) by 1/4 and 3/4:
+    # mean 1.5, var = E[var] + Var(mean) = 1 + (0.25 * 1.5^2 + 0.75 * 0.5^2) = 1.75
     a = _gauss(1, [0.0], [[1.0]], count=10)
     b = _gauss(1, [2.0], [[1.0]], count=30)
-    mix = gmm_of_cluster([a, b])
-    assert np.allclose(mix.weights, [0.25, 0.75])
+    rep = cluster_moments([a, b])
+    assert rep.mean[0] == pytest.approx(1.5)
+    assert rep.cov[0, 0] == pytest.approx(1.75)
+    assert rep.count == 40
 
 
-def test_gmm_rejects_mixed_labels():
+def test_cluster_moments_rejects_mixed_labels():
     with pytest.raises(ContractError):
-        gmm_of_cluster([_gauss(0, [0.0], [[1.0]]), _gauss(1, [0.0], [[1.0]])])
+        cluster_moments([_gauss(0, [0.0], [[1.0]]), _gauss(1, [0.0], [[1.0]])])
 
 
-def test_gmm_rejects_empty():
+def test_cluster_moments_rejects_empty():
     with pytest.raises(ContractError):
-        gmm_of_cluster([])
+        cluster_moments([])
+
+
+def test_cluster_moments_rejects_mixed_dimensions():
+    with pytest.raises(ShapeError):
+        cluster_moments([_gauss(0, [0.0], [[1.0]]), _gauss(0, [0.0, 0.0], np.eye(2))])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 13])
+def test_cluster_moments_bit_identical_to_member_loop(d):
+    # The reductions over the member axis must add members in order, as the
+    # loop does. numpy's pairwise sum (.sum(axis=0)) regroups the additions
+    # at d = 1, where the member axis is contiguous, once a cluster has 8 or
+    # more members, and then changes the bits.
+    rng = np.random.default_rng(700 + d)
+    for size in range(1, 61):
+        for full in (False, True):
+            members = [_gauss(4, rng.standard_normal(d),
+                              random_spd(rng, d, 0.3) if full
+                              else np.diag(rng.uniform(COV_FLOOR, 2.0, d)),
+                              count=int(rng.integers(1, 200)))
+                       for _ in range(size)]
+            rep = cluster_moments(members)
+            mean, cov = loop_cluster_moments(members)
+            assert np.array_equal(rep.mean, mean), (size, full)
+            assert np.array_equal(rep.cov, cov), (size, full)
+            assert rep.count == sum(m.count for m in members)
 
 
 def test_cluster_moments_singleton_is_identity():
     g = _gauss(2, [1.0, -3.0], [[2.0, 0.4], [0.4, 1.5]], count=7)
-    rep = cluster_moments(gmm_of_cluster([g]))
+    rep = cluster_moments([g])
     assert rep.label == 2
     assert rep.count == 7
     assert np.allclose(rep.mean, g.mean)
@@ -110,7 +139,7 @@ def test_cluster_moments_two_member_hand_value():
     # mean 1, var = E[var] + Var(mean) = 1 + 1 = 2
     a = _gauss(0, [0.0], [[1.0]], count=5)
     b = _gauss(0, [2.0], [[1.0]], count=5)
-    rep = cluster_moments(gmm_of_cluster([a, b]))
+    rep = cluster_moments([a, b])
     assert rep.mean[0] == pytest.approx(1.0)
     assert rep.cov[0, 0] == pytest.approx(2.0)
     assert rep.count == 10
@@ -120,11 +149,11 @@ def test_cluster_moments_matches_direct_formula():
     rng = np.random.default_rng(2)
     members = [_gauss(3, rng.standard_normal(3), random_spd(rng, 3),
                       count=int(rng.integers(1, 20))) for _ in range(4)]
-    mix = gmm_of_cluster(members)
-    rep = cluster_moments(mix)
-    mean = sum(w * m.mean for w, m in zip(mix.weights, members))
+    rep = cluster_moments(members)
+    weights = np.array([m.count for m in members]) / sum(m.count for m in members)
+    mean = sum(w * m.mean for w, m in zip(weights, members))
     cov = sum(w * (m.cov + np.outer(m.mean, m.mean))
-              for w, m in zip(mix.weights, members)) - np.outer(mean, mean)
+              for w, m in zip(weights, members)) - np.outer(mean, mean)
     assert np.allclose(rep.mean, mean)
     assert np.allclose(rep.cov, (cov + cov.T) / 2.0, atol=1e-8)
 
@@ -132,7 +161,7 @@ def test_cluster_moments_matches_direct_formula():
 def test_cluster_moments_floors_degenerate_covariance():
     a = _gauss(0, [1.0, 1.0], np.diag([COV_FLOOR, COV_FLOOR]), count=1)
     b = _gauss(0, [1.0, 1.0], np.diag([COV_FLOOR, COV_FLOOR]), count=1)
-    rep = cluster_moments(gmm_of_cluster([a, b]))
+    rep = cluster_moments([a, b])
     vals = np.linalg.eigvalsh(rep.cov)
     assert vals.min() >= COV_FLOOR - 1e-12
 
@@ -152,7 +181,7 @@ def _planted_gaussians(num_clients=6, sep=50.0):
 
 def test_semantic_cluster_recovers_planted_groups():
     for seed in range(10):
-        assignments = semantic_cluster(_planted_gaussians(), 2, seed)
+        assignments = build_semantic_map(_planted_gaussians(), 2, seed).assignments
         groups = assignments[0]
         left = {groups[c] for c in (0, 1, 2)}
         right = {groups[c] for c in (3, 4, 5)}
@@ -161,7 +190,7 @@ def test_semantic_cluster_recovers_planted_groups():
 
 
 def test_semantic_cluster_mean_feature_variant():
-    assignments = semantic_cluster(_planted_gaussians(), 2, 0)
+    assignments = build_semantic_map(_planted_gaussians(), 2, 0).assignments
     groups = assignments[0]
     assert {groups[0], groups[1], groups[2]} != {groups[3], groups[4], groups[5]}
     # Clustering reads the class means only: swapping in far wider covariances
@@ -170,20 +199,20 @@ def test_semantic_cluster_mean_feature_variant():
         cid: [_gauss(0, g.mean, 1e4 * np.eye(2), count=10) for g in gs]
         for cid, gs in _planted_gaussians().items()
     }
-    assert semantic_cluster(widened, 2, 0) == assignments
+    assert build_semantic_map(widened, 2, 0).assignments == assignments
 
 
 def test_semantic_cluster_caps_k_at_holders():
     gaussians = {0: [_gauss(0, [0.0], [[1.0]])], 1: [_gauss(0, [5.0], [[1.0]])]}
-    assignments = semantic_cluster(gaussians, 10, 0)
+    assignments = build_semantic_map(gaussians, 10, 0).assignments
     assert set(assignments[0].values()) <= {0, 1}
 
 
 def test_semantic_cluster_deterministic_and_order_invariant():
     base = _planted_gaussians()
     reordered = {cid: base[cid] for cid in reversed(sorted(base))}
-    a = semantic_cluster(base, 2, 3)
-    b = semantic_cluster(reordered, 2, 3)
+    a = build_semantic_map(base, 2, 3).assignments
+    b = build_semantic_map(reordered, 2, 3).assignments
     assert a == b
 
 
@@ -306,3 +335,26 @@ def test_alignment_path_gradient_matches_finite_differences():
         arrays)["moments"]
     assert rel_err(got[:, :d], want[:, :d]) < 1e-6
     assert rel_err(got[:, d:], want[:, d:]) < 1e-6
+
+
+def test_build_semantic_map_members_partition_holders():
+    rng = np.random.default_rng(8)
+    gaussians = {cid: [_gauss(lab, rng.standard_normal(2), np.eye(2), count=cid + 1)
+                       for lab in range(3) if (cid + lab) % 3]
+                 for cid in (7, 2, 5, 0, 9, 4, 6)}
+    smap = build_semantic_map(gaussians, 2, 0)
+    assert sorted(smap.members) == sorted(smap.representatives)
+    for label, by_client in smap.assignments.items():
+        holders = sorted(cid for cid, gs in gaussians.items()
+                         if any(g.label == label for g in gs))
+        assert sorted(by_client) == holders
+        covered = []
+        for cluster in sorted(set(by_client.values())):
+            ids = [cid for cid in holders if by_client[cid] == cluster]
+            want = [g for cid in ids for g in gaussians[cid] if g.label == label]
+            cell = smap.members[(label, cluster)]
+            assert [id(g) for g in cell] == [id(g) for g in want]
+            rep = smap.representatives[(label, cluster)]
+            assert np.array_equal(rep.cov, cluster_moments(cell).cov)
+            covered += ids
+        assert sorted(covered) == holders

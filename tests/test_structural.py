@@ -10,12 +10,11 @@ from fedssa import tape as tp
 from fedssa.errors import ConfigError, ContractError, ShapeError
 from fedssa.graphs import SynthSpec, laplacian_powers, synth_dataset
 from fedssa.linalg import qr_thin
-from fedssa.structural import (SpectralEnergy, build_structural_map,
-                               cluster_coeff_mean, coeff_perturb_bound,
+from fedssa.structural import (SpectralEnergy, build_structural_map, coeff_perturb_bound,
                                filter_lipschitz_bound, pairwise_chordal,
                                projection_embedding, structural_cluster)
 from helpers import (chordal_distance, filter_derivative_sup, grid_filter_sup,
-                     rel_err, residual_chordal)
+                     residual_chordal)
 
 
 def _energy(client_id, mat):
@@ -193,13 +192,6 @@ def test_build_structural_map_mean_coefficients():
         assert np.allclose(smap.mean_coefficients[cluster], want)
         for cid in members:
             assert np.allclose(smap.coefficients_for(cid), want)
-
-
-def test_cluster_coeff_mean_contracts():
-    with pytest.raises(ContractError):
-        cluster_coeff_mean([])
-    with pytest.raises(ShapeError):
-        cluster_coeff_mean([np.zeros(3), np.zeros(4)])
 
 
 # --- coefficient losses --------------------------------------------------------------

@@ -9,8 +9,7 @@ import pytest
 from fedssa.errors import ConfigError, ContractError
 from fedssa.linalg import qr_thin
 from fedssa.models import ClassGaussian
-from fedssa.semantic import (SemanticClusterMap, build_semantic_map, cluster_moments,
-                             gmm_of_cluster)
+from fedssa.semantic import SemanticClusterMap, build_semantic_map, cluster_moments
 from fedssa.structural import (SpectralEnergy, StructuralClusterMap, build_structural_map,
                                pairwise_chordal, structural_cluster)
 from fedssa.theory import (ErrorFloorReport, contraction_simulate, error_floor,
@@ -150,7 +149,7 @@ def _planted_cluster(rng, d=3, n_members=4, mu_spread=0.05, cov_spread=0.01):
         cov = base_cov + 0.5 * (pert + pert.T)
         members[cid] = ClassGaussian(0, mean, 0.5 * (cov + cov.T),
                                      int(rng.integers(1, 20)))
-    rep = cluster_moments(gmm_of_cluster([members[c] for c in sorted(members)]))
+    rep = cluster_moments([members[c] for c in sorted(members)])
     return members, rep
 
 
@@ -183,7 +182,7 @@ def test_kl_audit_wide_cluster_fails_precondition_without_violations():
     rng = np.random.default_rng(2)
     members = {0: ClassGaussian(0, np.zeros(2), 0.01 * np.eye(2), 5),
                1: ClassGaussian(0, 10.0 * np.ones(2), 0.01 * np.eye(2), 5)}
-    rep = cluster_moments(gmm_of_cluster([members[0], members[1]]))
+    rep = cluster_moments([members[0], members[1]])
     audit = kl_bound_audit(members, rep)
     assert not audit.precondition_ok
     assert audit.violations == 0
@@ -200,7 +199,7 @@ def test_kl_audit_contracts():
 
 def test_kl_audit_singleton_member_of_its_own_cluster():
     g = ClassGaussian(0, np.array([1.0, 2.0]), np.diag([0.5, 0.8]), 4)
-    rep = cluster_moments(gmm_of_cluster([g]))
+    rep = cluster_moments([g])
     audit = kl_bound_audit({0: g}, rep)
     assert audit.precondition_ok
     assert audit.violations == 0
@@ -230,7 +229,7 @@ def test_measure_heterogeneity_end_to_end():
     smap = build_semantic_map(class_gaussians, 2, seed=0)
     stmap = build_structural_map(structural_cluster(energies, 2, seed=0),
                                  {cid: np.ones(2) for cid in range(4)})
-    report = measure_heterogeneity(class_gaussians, pairwise_chordal(energies), smap, stmap)
+    report = measure_heterogeneity(pairwise_chordal(energies), smap, stmap)
     # clustered spreads are tiny, global spreads are huge
     assert report.worst_delta_mu < 0.1
     assert report.global_delta_mu > 10.0
@@ -243,22 +242,11 @@ def test_measure_heterogeneity_end_to_end():
     assert all(s.size == 2 for s in report.structural)
 
 
-def test_measure_heterogeneity_without_maps():
-    class_gaussians = {0: [ClassGaussian(0, np.zeros(2), np.eye(2), 1)],
-                       1: [ClassGaussian(0, np.ones(2), np.eye(2), 1)]}
-    report = measure_heterogeneity(class_gaussians, None, None, None)
-    assert report.semantic == ()
-    assert report.structural == ()
-    assert np.isnan(report.sigma_min_sq)
-    assert report.worst_delta_mu == 0.0
-    assert report.global_delta_mu == pytest.approx(np.sqrt(2.0))
-
-
 def test_error_floor_from_report():
     class_gaussians = {0: [ClassGaussian(0, np.zeros(2), np.eye(2), 1)],
                        1: [ClassGaussian(0, np.ones(2), np.eye(2), 1)]}
     smap = build_semantic_map(class_gaussians, 1, seed=0)
-    report = measure_heterogeneity(class_gaussians, None, smap, None)
+    report = measure_heterogeneity(None, smap, None)
     floor = error_floor(report, order=2, lambda1=0.01, lambda2=0.02)
     assert floor.delta_mu == pytest.approx(report.worst_delta_mu)
     assert floor.total == pytest.approx(floor.semantic_term + floor.reg_term)
@@ -296,13 +284,13 @@ def test_heterogeneity_and_kl_audit_match_pair_loops(m):
     holders = {lab: {cid: g for cid, gs in class_gaussians.items() for g in gs
                      if g.label == lab} for lab in range(4)}
     sem_assign = {lab: clusters(sorted(holders[lab])) for lab in range(4)}
-    cells = {(lab, c): [holders[lab][cid] for cid in sorted(by_client)
-                        if by_client[cid] == c]
+    cells = {(lab, c): tuple(holders[lab][cid] for cid in sorted(by_client)
+                             if by_client[cid] == c)
              for lab, by_client in sem_assign.items() for c in set(by_client.values())}
-    reps = {key: cluster_moments(gmm_of_cluster(members)) for key, members in cells.items()}
+    reps = {key: cluster_moments(members) for key, members in cells.items()}
     struct_assign = clusters(list(range(m)))
-    report = measure_heterogeneity(class_gaussians, pairwise_chordal(energies),
-                                   SemanticClusterMap(sem_assign, reps),
+    report = measure_heterogeneity(pairwise_chordal(energies),
+                                   SemanticClusterMap(sem_assign, reps, cells),
                                    StructuralClusterMap(struct_assign, {}))
 
     assert sorted((s.label, s.cluster) for s in report.semantic) == sorted(cells)

@@ -32,6 +32,8 @@ TASKS = ("multiclass", "binary-auc")
 # synth_dataset draws its node-pair uniforms this many at a time, in blocks
 # of whole rows: consecutive row blocks of one stream give the same doubles
 # as a single (n, n) draw, so the edges do not depend on the block size.
+# Each block keeps only its candidates, the entries below the larger edge
+# probability, and tests each of them against its own probability.
 PAIR_BLOCK = 1 << 17
 
 
@@ -235,10 +237,15 @@ def synth_dataset(spec: SynthSpec, seed: int) -> LocalGraph:
     """Sample one stochastic block model graph with Gaussian features.
 
     Labels are balanced up to remainder and shuffled; features are the
-    class mean plus isotropic noise; each node pair draws an edge with
+    class mean plus isotropic noise; each node pair i < j draws an edge with
     probability p_intra (same label) or p_inter (otherwise), from one
     uniform per entry of a row-major n x n draw taken a row block at a time.
-    Splits are stratified 20/40/40. Deterministic given (spec, seed).
+    Each block is drawn, the candidates below max(p_intra, p_inter) are
+    kept, and each candidate in the upper triangle is tested against its own
+    probability. A uniform below its own probability is below the larger
+    one too, so the edges, and their row-major order, are those of one
+    (n, n) draw compared entrywise. Splits are stratified 20/40/40.
+    Deterministic given (spec, seed).
     """
     rng = stream(seed, "synth")
     c, d, n = spec.num_classes, spec.feature_dim, spec.num_nodes
@@ -250,13 +257,19 @@ def synth_dataset(spec: SynthSpec, seed: int) -> LocalGraph:
     rng.shuffle(labels)
     features = means[labels] + spec.noise * rng.standard_normal((n, d))
     step = max(1, PAIR_BLOCK // n)
+    cut = max(spec.p_intra, spec.p_inter)
+    buf = np.empty(min(step, n) * n)
     parts = []
     for start in range(0, n, step):
-        rows = labels[start:start + step]
-        draws = rng.random((rows.size, n))
-        prob = np.where(rows[:, None] == labels[None, :], spec.p_intra, spec.p_inter)
-        hi, hj = np.nonzero(np.triu(draws < prob, k=start + 1))
-        parts.append(np.column_stack([start + hi, hj]))
+        draws = buf[:min(step, n - start) * n]
+        rng.random(out=draws)
+        flat = np.flatnonzero(draws < cut)
+        i, j = np.divmod(flat, n)
+        i += start
+        upper = j > i
+        flat, i, j = flat[upper], i[upper], j[upper]
+        hit = draws[flat] < np.where(labels[i] == labels[j], spec.p_intra, spec.p_inter)
+        parts.append(np.column_stack([i[hit], j[hit]]))
     edges = np.concatenate(parts)
     train, val, test = stratified_split(labels, stream(seed, "synth-split"))
     return LocalGraph(features, labels, edges, train, val, test)

@@ -18,7 +18,7 @@ from fedssa.graphs import (PAIR_BLOCK, FederationDataset, LocalGraph,
                            partition_nonoverlap, partition_overlap,
                            save_dataset, save_graph, stratified_split,
                            synth_dataset)
-from fedssa.rng import stream
+from fedssa.rng import spawn_key, stream
 from helpers import (dense_synth_dataset, greedy_assignment_loop, homophily_ratio,
                      induced_edges_loop, normalized_laplacian, partition_loop)
 
@@ -275,17 +275,30 @@ def test_synth_spec_validation():
 # one block holds exactly all n rows.
 SIDE = math.isqrt(PAIR_BLOCK)
 
+# (n, p_intra, p_inter, means): "two-regime" fixes the class means and the
+# seed as config.two_regime_federation does for its clients; None draws the
+# means from the graph's own stream.
+SYNTH_CASES = [
+    (1, 0.3, 0.1, None), (2, 1.0, 1.0, None), (2, 0.0, 0.0, None),
+    (SIDE - 1, 0.05, 0.01, None), (SIDE, 1.0, 0.0, None), (SIDE + 1, 0.0, 1.0, None),
+    (SIDE + 1, 1.0, 1.0, None), (SIDE + 1, 0.0, 0.0, None),
+    (512, 0.05, 0.005, None), (4 * SIDE, 0.01, 0.002, None),
+    (4 * SIDE, 0.002, 0.01, None), (SIDE + 1, 0.03, 0.03, None),
+    (150, 0.01, 0.1, "two-regime"),
+]
 
-@pytest.mark.parametrize("n,p_intra,p_inter", [
-    (1, 0.3, 0.1), (2, 1.0, 1.0), (2, 0.0, 0.0),
-    (SIDE - 1, 0.05, 0.01), (SIDE, 1.0, 0.0), (SIDE + 1, 0.0, 1.0),
-    (SIDE + 1, 1.0, 1.0), (SIDE + 1, 0.0, 0.0),
-    (512, 0.05, 0.005), (4 * SIDE, 0.01, 0.002),
-])
-def test_synth_matches_dense_reference(n, p_intra, p_inter):
+
+@pytest.mark.parametrize("n,p_intra,p_inter,means", SYNTH_CASES,
+                         ids=["-".join(str(v) for v in case if v is not None)
+                              for case in SYNTH_CASES])
+def test_synth_matches_dense_reference(n, p_intra, p_inter, means):
     assert PAIR_BLOCK // SIDE == SIDE
-    spec = SynthSpec(n, 3, 4, p_intra, p_inter)
-    got, want = synth_dataset(spec, n), dense_synth_dataset(spec, n)
+    spec, seed = SynthSpec(n, 3, 4, p_intra, p_inter), n
+    if means == "two-regime":
+        fixed = stream(n, "two-regime-means").standard_normal((3, 4))
+        spec = SynthSpec(n, 3, 4, p_intra, p_inter, class_means=fixed)
+        seed = spawn_key(n, "regime-client", 1)
+    got, want = synth_dataset(spec, seed), dense_synth_dataset(spec, seed)
     for name in ("edges", "features", "labels", "train_idx", "val_idx", "test_idx"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name

@@ -26,7 +26,7 @@ import numpy as np
 from .config import ExperimentConfig, build_dataset, load_config, synth_spec_from
 from .errors import ConfigError, FedssaError, InfeasibleError, TrainingDivergenceError
 from .federation import RunConfig, params_payload, run_federation_detailed
-from .graphs import dump_json, save_dataset, save_graph, synth_dataset
+from .graphs import canonical_json, dump_json, save_dataset, save_graph, synth_dataset
 from .theory import contraction_simulate, rounds_to_reach
 
 METRICS_HEADER = ("round", "client", "ce", "vgae", "node", "struct",
@@ -56,25 +56,16 @@ def _json_safe(value):
     return value
 
 
-def write_run_artifacts(out_dir: Path, history, states, seed: int,
-                        run_cfg: RunConfig) -> dict:
-    """Write metrics, diagnostics, checkpoint and summary; returns summary."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+def write_history_csvs(out_dir: Path, history) -> None:
+    """Write metrics.csv and the three diagnostics CSVs for the rounds in
+    history; a CSV with no rows gets its header line only."""
     rows = []
-    total_up = 0
-    total_down = 0
-    for rm in history:
-        for cid in sorted(rm.per_client):
-            s = rm.per_client[cid]
-            rows.append((rm.round_index, cid) + astuple(s))
-            total_up += s.bytes_up
-            total_down += s.bytes_down
-    _write_csv(out_dir / "metrics.csv", METRICS_HEADER, rows)
-
     sem_rows = []
     struct_rows = []
     floor_rows = []
     for rm in history:
+        for cid in sorted(rm.per_client):
+            rows.append((rm.round_index, cid) + astuple(rm.per_client[cid]))
         if rm.heterogeneity is not None:
             for cell in rm.heterogeneity.semantic:
                 sem_rows.append((rm.round_index, cell.label, cell.cluster,
@@ -83,6 +74,7 @@ def write_run_artifacts(out_dir: Path, history, states, seed: int,
                 struct_rows.append((rm.round_index, cell.cluster, cell.eps_u))
         if rm.floor is not None:
             floor_rows.append((rm.round_index, rm.floor.total))
+    _write_csv(out_dir / "metrics.csv", METRICS_HEADER, rows)
     _write_csv(out_dir / "diagnostics_semantic.csv",
                ("round", "class", "cluster", "delta_mu", "delta_sigma"), sem_rows)
     _write_csv(out_dir / "diagnostics_structural.csv",
@@ -90,13 +82,33 @@ def write_run_artifacts(out_dir: Path, history, states, seed: int,
     _write_csv(out_dir / "diagnostics_floor.csv",
                ("round", "error_floor"), floor_rows)
 
-    checkpoint = {
-        "seed": seed,
-        "rounds_completed": len(history),
-        "clients": [dict(params_payload(st.params, run_cfg.w_max), client_id=st.client_id)
-                    for st in states],
-    }
-    dump_json(checkpoint, out_dir / "checkpoint.json")
+
+def _write_checkpoint(path: Path, states, seed: int, rounds_completed: int,
+                      w_max: float) -> None:
+    """Write dump_json({"clients": [...], "rounds_completed", "seed"}) one
+    client at a time, so only one client's payload is in memory at once.
+
+    "clients" sorts before the other two keys and every client goes through
+    canonical_json, so the bytes equal those of the dict form.
+    """
+    tail = canonical_json({"rounds_completed": rounds_completed, "seed": seed})
+    with open(path, "w") as fh:
+        fh.write('{"clients":[')
+        for i, st in enumerate(states):
+            if i:
+                fh.write(",")
+            fh.write(canonical_json(dict(params_payload(st.params, w_max),
+                                         client_id=st.client_id)))
+        fh.write("]," + tail[1:] + "\n")
+
+
+def write_run_artifacts(out_dir: Path, history, states, seed: int,
+                        run_cfg: RunConfig) -> dict:
+    """Write metrics, diagnostics, checkpoint and summary; returns summary."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_history_csvs(out_dir, history)
+    _write_checkpoint(out_dir / "checkpoint.json", states, seed, len(history),
+                      run_cfg.w_max)
 
     best_round = None
     if history:
@@ -117,8 +129,9 @@ def write_run_artifacts(out_dir: Path, history, states, seed: int,
         "best_round": best_round,
         "error_floor_trajectory": [rm.floor.total if rm.floor is not None else None
                                    for rm in history],
-        "total_bytes_up": total_up,
-        "total_bytes_down": total_down,
+        "total_bytes_up": sum(s.bytes_up for rm in history for s in rm.per_client.values()),
+        "total_bytes_down": sum(s.bytes_down for rm in history
+                                for s in rm.per_client.values()),
     }
     dump_json(summary, out_dir / "summary.json")
     return summary
@@ -127,9 +140,19 @@ def write_run_artifacts(out_dir: Path, history, states, seed: int,
 def _run_once(cfg: ExperimentConfig, run_cfg: RunConfig, seed: int, out_dir: Path,
               dump_distances: bool) -> dict:
     """Run and write the artifacts, plus round 1's chordal distance matrix
-    when dump_distances is set and the run has frames."""
+    when dump_distances is set and the run has frames.
+
+    On a divergence only the CSVs of the rounds that completed are written
+    before the error propagates: the diverging group's parameters are rolled
+    back to round entry while groups trained before it finished the round,
+    so the final parameters belong to no single round.
+    """
     dataset = build_dataset(cfg, seed)
-    result = run_federation_detailed(dataset, run_cfg, seed)
+    try:
+        result = run_federation_detailed(dataset, run_cfg, seed)
+    except TrainingDivergenceError as exc:
+        write_history_csvs(out_dir, exc.history)
+        raise
     summary = write_run_artifacts(out_dir, result.history, result.states, seed, run_cfg)
     if dump_distances and result.chordal is not None:
         ids, matrix = result.chordal

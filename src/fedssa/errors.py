@@ -49,7 +49,13 @@ class ProtocolError(FedssaError, RuntimeError):
 
 
 class TrainingDivergenceError(FedssaError, RuntimeError):
-    """Local optimization produced a non-finite loss; parameters rolled back."""
+    """Local optimization produced a non-finite loss; parameters rolled back.
+
+    history holds the RoundMetrics of the rounds that completed before the
+    diverging one, once run_federation_detailed has seen the error.
+    """
+
+    history = ()
 
 
 class UndefinedMetricError(FedssaError, ValueError):

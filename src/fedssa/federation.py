@@ -627,7 +627,16 @@ def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig, seed: in
 
     client_order optionally fixes the schedule clients train in; it must be
     a permutation of range(M) and cannot affect any result (asserted by the
-    test suite, guaranteed by id-keyed streams and id-sorted aggregation).
+    test suite). No draw depends on the schedule: the client streams
+    (train-eps, eval-eps, train-nonedges, eval-nonedges) are keyed by round
+    (and epoch) but not by client, so every client reads the same noise,
+    and each member's non-edge draw starts from its stream's start state.
+    Stacked training is row by row, so a client's result does not depend
+    on its group either, and aggregation is id-sorted. Keying the client
+    streams by client id is ROADMAP item 2.
+
+    A TrainingDivergenceError leaves with history set to the RoundMetrics
+    of the rounds completed before the diverging one.
     """
     cfg.validate()
     if dataset.num_clients < 1:
@@ -647,7 +656,11 @@ def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig, seed: in
     history: list[RoundMetrics] = []
     for round_index in range(1, cfg.rounds + 1):
         t_start = time.perf_counter()
-        uploads = local_round(groups, broadcasts, cfg, seed, round_index)
+        try:
+            uploads = local_round(groups, broadcasts, cfg, seed, round_index)
+        except TrainingDivergenceError as exc:
+            exc.history = tuple(history)
+            raise
         bytes_up = {cid: 0 for cid in range(m)}
         bytes_down = {cid: 0 for cid in range(m)}
         heterogeneity = None

@@ -5,9 +5,15 @@ All randomness in the simulator flows through `stream`, which hashes a
 are independent of each other and of draw order elsewhere in the program:
 two streams with different paths never share state, and re-deriving the
 same path always yields the same sequence. Stream paths are keyed by
-purpose and logical identity (round index, client id, class label), never
-by execution order, which is what makes client-permutation invariance and
-bit-reproducibility possible.
+purpose and logical identity (round, epoch, partition part, class label),
+never by execution order, which makes runs bit-reproducible and
+independent of the order clients train in.
+
+The four client training streams, "train-eps", "eval-eps",
+"train-nonedges" and "eval-nonedges", carry the round (and epoch) but not
+the client id: every client of a round reads the same latent noise, and
+each client's non-edge draw starts from the start of the same stream.
+Keying them by client id is ROADMAP item 2.
 """
 
 from __future__ import annotations

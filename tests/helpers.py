@@ -15,6 +15,7 @@ import json
 import numpy as np
 
 from fedssa.errors import ShapeError
+from fedssa.federation import params_payload
 from fedssa.graphs import LocalGraph, canonical_json, stratified_split
 from fedssa.models import COV_FLOOR
 from fedssa.rng import stream
@@ -441,3 +442,15 @@ def decode_broadcast(payload: dict) -> tuple:
         reps[int(key)] = (np.array(rep["mean"]), cov)
     coeffs = wire["cluster_coefficients"]
     return reps, None if coeffs is None else np.array(coeffs)
+
+
+def dict_checkpoint(states, seed: int, rounds_completed: int, w_max: float) -> bytes:
+    """checkpoint.json built as one dict and encoded by one canonical_json
+    call, as dump_json writes it: the reference for the streamed writer."""
+    checkpoint = {
+        "seed": seed,
+        "rounds_completed": rounds_completed,
+        "clients": [dict(params_payload(st.params, w_max), client_id=st.client_id)
+                    for st in states],
+    }
+    return (canonical_json(checkpoint) + "\n").encode("utf-8")

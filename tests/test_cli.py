@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,13 +14,13 @@ import pytest
 import yaml
 
 import fedssa
-from fedssa import cli
+from fedssa import cli, federation
 from fedssa.cli import main
 from fedssa.config import build_dataset, load_config, two_regime_federation
 from fedssa.errors import (ContractError, NumericError, ProtocolError, RankError,
-                           ShapeError, UndefinedMetricError)
+                           ShapeError, TrainingDivergenceError, UndefinedMetricError)
 from fedssa.graphs import FederationDataset, LocalGraph, load_graph, save_dataset
-from helpers import normalized_laplacian
+from helpers import dict_checkpoint, normalized_laplacian
 
 TWO_REGIME = {
     "dataset": {"kind": "two-regime", "clients_per_regime": 1,
@@ -115,6 +116,30 @@ def test_checkpoint_reproduces_last_round_metrics(tmp_path):
                 float(last[cid][f"{split}_metric"]), f"client {cid} {split}"
 
 
+@pytest.mark.parametrize("case", ["fedssa", "fedavg", "local", "zero-rounds", "one-client"])
+def test_streamed_checkpoint_matches_dict_form(tmp_path, case):
+    cfg = load_config(_write_cfg(tmp_path, TWO_REGIME))
+    dataset = build_dataset(cfg, cfg.seed)
+    run_cfg = cfg.run
+    if case in ("fedavg", "local"):
+        run_cfg = replace(run_cfg, method=case)
+    elif case == "zero-rounds":
+        run_cfg = replace(run_cfg, rounds=0)
+    elif case == "one-client":
+        dataset = replace(dataset, clients=dataset.clients[:1])
+        run_cfg = replace(run_cfg, k_node=1, k_struct=1)
+    result = federation.run_federation_detailed(dataset, run_cfg, cfg.seed)
+    cli.write_run_artifacts(tmp_path / "out", result.history, result.states, cfg.seed,
+                            run_cfg)
+    streamed = (tmp_path / "out" / "checkpoint.json").read_bytes()
+    assert streamed == dict_checkpoint(result.states, cfg.seed, run_cfg.rounds,
+                                       run_cfg.w_max)
+    checkpoint = json.loads(streamed)
+    assert checkpoint["rounds_completed"] == run_cfg.rounds
+    assert [c["client_id"] for c in checkpoint["clients"]] == \
+        list(range(dataset.num_clients))
+
+
 def test_run_artifacts_are_byte_identical_across_reruns(tmp_path):
     cfg = _write_cfg(tmp_path, TWO_REGIME)
     a, b = tmp_path / "a", tmp_path / "b"
@@ -202,8 +227,44 @@ def test_divergence_exits_3(tmp_path, capsys):
                            "lr": 1e200},
            "seed": 0}
     cfg = _write_cfg(tmp_path, raw)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
-    assert "diverged" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    assert "diverged in round 1" in capsys.readouterr().err
+    # no round completed: every CSV holds its header only, and no parameters
+    # or summary are written
+    assert sorted(p.name for p in out.iterdir()) == [
+        "diagnostics_floor.csv", "diagnostics_semantic.csv",
+        "diagnostics_structural.csv", "metrics.csv"]
+    for path in out.iterdir():
+        assert len(path.read_text().splitlines()) == 1
+    assert _read_rows(out / "metrics.csv") == (list(cli.METRICS_HEADER), [])
+
+
+def test_divergence_in_round_3_leaves_rounds_1_and_2(tmp_path, capsys, monkeypatch):
+    train = federation.local_round
+
+    def diverge_in_round_3(groups, broadcasts, cfg, seed, round_index):
+        if round_index == 3:
+            raise TrainingDivergenceError("client 1 diverged in round 3: injected")
+        return train(groups, broadcasts, cfg, seed, round_index)
+
+    two_rounds = tmp_path / "two_rounds"
+    assert main(["run", "--config", _write_cfg(tmp_path, TWO_REGIME),
+                 "--out", str(two_rounds)]) == 0
+    monkeypatch.setattr(federation, "local_round", diverge_in_round_3)
+    raw = dict(TWO_REGIME, hyperparams=dict(TWO_REGIME["hyperparams"], T=3))
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write_cfg(tmp_path, raw, "t3.yaml"),
+                 "--out", str(out)]) == 3
+    assert "diverged in round 3" in capsys.readouterr().err
+    _, rows = _read_rows(out / "metrics.csv")
+    assert sorted({row[0] for row in rows}) == ["1", "2"]
+    assert not (out / "checkpoint.json").exists()
+    assert not (out / "summary.json").exists()
+    # the CSVs are those of a run that stops after round 2
+    for name in ("metrics.csv", "diagnostics_semantic.csv",
+                 "diagnostics_structural.csv", "diagnostics_floor.csv"):
+        assert (out / name).read_bytes() == (two_rounds / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("edges", ["edgeless", "cycle"])

@@ -7,11 +7,12 @@ errors, and structural cluster recovery from hand-built uploads."""
 import dataclasses
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fedssa import federation
+from fedssa import cli, federation
 from fedssa.config import build_dataset, parse_config, two_regime_federation
 from fedssa.errors import (ConfigError, ContractError, ProtocolError,
                            ShapeError, TrainingDivergenceError)
@@ -186,6 +187,25 @@ def test_setup_and_round_memory_targets():
         tracemalloc.stop()
     assert synth_peak < 32 * 2 ** 20, f"synth_dataset peak {synth_peak / 2 ** 20:.1f} MB"
     assert client_peak < 200 * 2 ** 20, f"10k-node client peak {client_peak / 2 ** 20:.1f} MB"
+
+
+def test_checkpoint_is_written_one_client_at_a_time(tmp_path):
+    # 100 clients at the many-clients sizes (24 features, 4 classes, K = 3,
+    # h = 16, d_z = 8): all of them as one dict of float lists and its JSON
+    # text take about 10 MB, one client's payload about 0.1 MB.
+    # write_run_artifacts reads only .client_id and .params of a state.
+    cfg = RunConfig(order=3, hidden=16, latent_dim=8)
+    params = init_params(24, 4, cfg.order, cfg.hidden, cfg.latent_dim, stream(0, "init"))
+    states = [SimpleNamespace(client_id=i, params=params) for i in range(100)]
+    tracemalloc.start()
+    try:
+        cli.write_run_artifacts(tmp_path, [], states, 0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, f"write_run_artifacts peak {peak / 2 ** 20:.2f} MB"
+    checkpoint = json.loads((tmp_path / "checkpoint.json").read_text())
+    assert [c["client_id"] for c in checkpoint["clients"]] == list(range(100))
 
 
 def test_full_stacked_group_memory():

@@ -38,13 +38,13 @@ from .errors import (ConfigError, ContractError, NumericError, ProtocolError,
                      ShapeError, TrainingDivergenceError, UndefinedMetricError)
 from .graphs import FederationDataset, LocalGraph, canonical_json, laplacian_powers
 from .metrics import accuracy, auc
-from .models import (ClassGaussian, ClientPlan, GroupPlan, ce_path, class_gaussians,
-                     class_stat_paths, client_plan, elbo_path, encoder_input,
-                     encoder_path, group_plan, init_params, logits_path,
-                     sample_nonedges, spectral_energy, stack_powers)
+from .models import (ClassGaussian, GroupPlan, ce_path, class_gaussians,
+                     class_stat_paths, elbo_path, encoder_input, encoder_path,
+                     group_plan, init_params, logits_path, sample_nonedges,
+                     spectral_energy, stack_powers)
 from .rng import spawn_key, stream
 from .semantic import (SemanticClusterMap, alignment_inputs, alignment_path,
-                       build_semantic_map, client_kl_targets)
+                       build_semantic_map)
 from .structural import (SpectralEnergy, StructuralClusterMap, build_structural_map,
                          pairwise_chordal, structural_cluster)
 from .theory import (ErrorFloorReport, HeterogeneityReport, error_floor,
@@ -121,7 +121,7 @@ class ClientState:
     params holds the trainable arrays from init_params, keyed by tape-leaf
     name. Once group_clients stacks the client, params, h_stack and x_in
     are views of its row of the group's stacks, and the group holds the
-    Adam moments.
+    Adam moments and the plan its forwards read.
     """
 
     client_id: int
@@ -130,7 +130,6 @@ class ClientState:
     params: dict
     h_stack: np.ndarray
     x_in: np.ndarray
-    plan: ClientPlan
     energy: Optional[SpectralEnergy]
     last_losses: dict = field(default_factory=dict)
     last_metrics: dict = field(default_factory=dict)
@@ -298,11 +297,8 @@ def broadcast_nbytes(broadcasts: dict) -> dict:
 
 def init_client_state(client_id: int, graph: LocalGraph, num_classes: int, task: str,
                       cfg: RunConfig, params: dict) -> ClientState:
-    """Fresh client state with its own copy of params and its forward plan;
-    fedssa with the structural branch also fixes the frame. A label outside
-    the class range or overlapping class groups raise ContractError naming
-    the client."""
-    plan = client_plan(client_id, graph, num_classes)
+    """Fresh client state with its own copy of params; fedssa with the
+    structural branch also fixes the frame."""
     powers = laplacian_powers(graph, cfg.order)
     energy = None
     if cfg.method == "fedssa" and cfg.structural:
@@ -311,17 +307,19 @@ def init_client_state(client_id: int, graph: LocalGraph, num_classes: int, task:
         client_id=client_id, graph=graph, task=task,
         params={name: a.copy() for name, a in params.items()},
         h_stack=stack_powers(powers), x_in=encoder_input(graph, num_classes),
-        plan=plan, energy=energy,
+        energy=energy,
     )
 
 
-def group_clients(states: list, order) -> list[ClientGroup]:
+def group_clients(states: list, order, num_classes: int) -> list[ClientGroup]:
     """Stack the states, taken in `order`, into training groups.
 
     A group holds clients of one (n, d) and at most STACK_ROWS node rows; a
     client with more rows trains as a group of one. Stacking re-points each
-    state's params, h_stack and x_in at its row of the group's arrays and
-    starts the group's Adam moments at zero.
+    state's params, h_stack and x_in at its row of the group's arrays,
+    starts the group's Adam moments at zero and builds its plan, so a train
+    label outside range(num_classes) or overlapping class groups raise
+    ContractError naming the client here, before any round.
     """
     by_shape: dict = {}
     members: list = []
@@ -333,17 +331,18 @@ def group_clients(states: list, order) -> list[ClientGroup]:
             group = by_shape[shape] = []
             members.append(group)
         group.append(state)
-    return [_stack(group) for group in members]
+    return [_stack(group, num_classes) for group in members]
 
 
-def _stack(states: list) -> ClientGroup:
+def _stack(states: list, num_classes: int) -> ClientGroup:
     params = {name: np.stack([s.params[name] for s in states]) for name in states[0].params}
     h_stack = np.stack([s.h_stack for s in states])
     x_in = np.stack([s.x_in for s in states])
     for i, s in enumerate(states):
         s.params = {name: a[i] for name, a in params.items()}
         s.h_stack, s.x_in = h_stack[i], x_in[i]
-    return ClientGroup(states=states, plan=group_plan([s.plan for s in states]),
+    plan = group_plan([s.client_id for s in states], [s.graph for s in states], num_classes)
+    return ClientGroup(states=states, plan=plan,
                        params=params, adam=AdamState.fresh(params),
                        h_stack=h_stack, x_in=x_in)
 
@@ -404,7 +403,7 @@ def _cluster_coefficients(group: ClientGroup, broadcasts: dict) -> Optional[np.n
 
 
 def _samples(plan: GroupPlan, seed: int, *path) -> list:
-    """Each member's nonedge_count non-edges, drawn from the stream at path.
+    """Each member's nonedge_counts[m] non-edges, drawn from the stream at path.
 
     Every member draws from the start of that stream: one generator is
     built and rewound to its start state before each member's draw.
@@ -412,19 +411,19 @@ def _samples(plan: GroupPlan, seed: int, *path) -> list:
     rng = stream(seed, *path)
     start = rng.bit_generator.state
     draws = []
-    for p in plan.members:
+    for member, count in enumerate(plan.nonedge_counts):
         rng.bit_generator.state = start
-        draws.append(sample_nonedges(p, p.nonedge_count, rng))
+        draws.append(sample_nonedges(plan, member, count, rng))
     return draws
 
 
-def train_group(group: ClientGroup, broadcasts: dict, targets: dict, cfg: RunConfig,
-                seed: int, round_index: int) -> GroupEvaluation:
+def train_group(group: ClientGroup, broadcasts: dict, aligned: Optional[tuple],
+                cfg: RunConfig, seed: int, round_index: int) -> GroupEvaluation:
     """Train E local epochs on one stacked tape per epoch, then evaluate.
 
-    broadcasts and targets map client ids to last round's ServerBroadcast
-    and its representatives prepared by client_kl_targets, which are
-    matched with the members' classes once for every forward of the round.
+    broadcasts maps client ids to last round's ServerBroadcast, and aligned
+    holds the group's alignment_inputs from those broadcasts, which every
+    forward of the round reads (None without a matching representative).
     Every member reads the same train-eps and eval-eps draw, and samples
     its own non-edges. A non-finite loss or gradient, or a nonpositive class
     variance, in any member rolls every member's parameters and the
@@ -435,7 +434,6 @@ def train_group(group: ClientGroup, broadcasts: dict, targets: dict, cfg: RunCon
     plan = group.plan
     shape = (plan.n, cfg.latent_dim)
     snapshot = ({name: a.copy() for name, a in group.params.items()}, group.adam.copy())
-    aligned = alignment_inputs(plan, [targets.get(s.client_id) for s in group.states])
     try:
         w_bar = _cluster_coefficients(group, broadcasts)
         for epoch in range(cfg.epochs):
@@ -482,20 +480,25 @@ def local_round(groups: list, broadcasts: dict, cfg: RunConfig, seed: int,
     """The client side of one round: train every group, then finish each
     client's round with client_round; returns {client_id: upload}.
 
-    Each distinct representative in the broadcasts is prepared for the
-    alignment KL once; one that is not positive definite raises
-    TrainingDivergenceError naming the lowest-id client receiving it,
-    before any client trains.
+    Every group's alignment inputs are built from the broadcasts before any
+    group trains: a received representative that is not positive definite
+    raises TrainingDivergenceError naming the lowest-id client, across all
+    groups, that receives one.
     """
-    received = {cid: bc.class_representatives for cid, bc in broadcasts.items()
-                if bc.class_representatives}
-    try:
-        targets = client_kl_targets(received)
-    except NumericError as exc:
-        raise _diverged(exc.members, round_index, exc) from exc
-    uploads: dict = {}
+    inputs, diverged = [], []
     for group in groups:
-        evaluation = train_group(group, broadcasts, targets, cfg, seed, round_index)
+        try:
+            inputs.append(alignment_inputs(group.plan, [
+                getattr(broadcasts.get(s.client_id), "class_representatives", {})
+                for s in group.states]))
+        except NumericError as exc:
+            diverged += [group.states[m].client_id for m in exc.members]
+            error = exc
+    if diverged:
+        raise _diverged(diverged, round_index, error) from error
+    uploads: dict = {}
+    for group, aligned in zip(groups, inputs):
+        evaluation = train_group(group, broadcasts, aligned, cfg, seed, round_index)
         for member, state in enumerate(group.states):
             upload = client_round(group, member, evaluation, cfg, round_index)
             if upload is not None:
@@ -649,7 +652,7 @@ def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig, seed: in
                           cfg.hidden, cfg.latent_dim, stream(seed, "init"))
     states = [init_client_state(i, g, dataset.num_classes, dataset.task, cfg, params0)
               for i, g in enumerate(dataset.clients)]
-    groups = group_clients(states, order)
+    groups = group_clients(states, order, dataset.num_classes)
     broadcasts: dict = {}
     structure = None  # round 1's structural clusters, kept for the run
     chordal = None  # round 1's (ids, chordal distance matrix)

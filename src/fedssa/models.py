@@ -14,17 +14,17 @@ moments and the arrays FedAvg averages alike.
 Both components are expressed as tape builders over fused ops: each head,
 trunk and encoder layer is one `dense` node, the cross entropy one
 `softmax_ce` node and the reparameterised draw one `gaussian_sample` node.
-A `ClientPlan`, built once per client by `client_plan`, holds what every
-forward reads from the client's data: the cross-entropy rows and their
-labels, the train rows grouped by class, the ELBO's constant label term
-and the non-edge sampler's offset tables. Clients with the same node count
-train on one stacked tape: `group_plan` lays their plans out once over the
-stacked rows, with member bounds for the ragged losses and each member's
-edge pairs and edge/non-edge split. Every builder takes a `GroupPlan`: the
-values carry a leading member axis and each loss holds one value per
-member. A client trained alone is a group of one. A group's evaluation
-pass records the builders once per round; its logits give the split
-metrics and its class statistics give the uploads' class Gaussians.
+Clients with the same node count train on one stacked tape: `group_plan`
+validates the members' graphs and lays out, once per run, what every
+forward reads from them over the stacked rows: the cross-entropy rows and
+their labels, the train rows grouped by class, the ELBO's constant label
+term, each member's edge pairs and edge/non-edge split, and the non-edge
+sampler's offset tables, with member bounds for the ragged losses. Every
+builder takes a `GroupPlan`: the values carry a leading member axis and
+each loss holds one value per member. A client trained alone is a group of
+one. A group's evaluation pass records the builders once per round; its
+logits give the split metrics and its class statistics give the uploads'
+class Gaussians.
 """
 
 from __future__ import annotations
@@ -114,78 +114,26 @@ def stack_powers(powers: list) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ClientPlan:
-    """Index arrays and constants of one client's data, built once at setup.
-
-    ce_rows are the train rows and ce_labels their labels. classes
-    groups the train rows by ascending class label (class_labels) for
-    segment_moments. label_term is the ELBO's constant -mean log empirical
-    class frequency, or None without train rows. row_start[i] is the
-    row-major upper-triangle position of pair (i, i + 1), and
-    absent_before_edge[k] counts the absent pairs before edge k.
-    nonedge_count is how many non-edges each forward samples: one per
-    edge, capped at the number of absent pairs.
-    """
-
-    graph: LocalGraph
-    ce_rows: np.ndarray
-    ce_labels: np.ndarray
-    class_labels: np.ndarray
-    classes: tp.Segments
-    label_term: Optional[float]
-    row_start: np.ndarray
-    absent_before_edge: np.ndarray
-    nonedge_count: int
-
-
-def client_plan(client_id: int, g: LocalGraph, num_classes: int) -> ClientPlan:
-    """Validate and lay out one client's data for its forwards.
-
-    Raises ContractError naming the client when a train label falls outside
-    range(num_classes) or the class groups overlap.
-    """
-    rows = g.train_idx
-    train_labels = g.labels[rows]
-    if np.any(train_labels >= num_classes):
-        raise ContractError(f"client {client_id}: train label {int(train_labels.max())}"
-                            f" outside the class range 0..{num_classes - 1}")
-    order = np.argsort(train_labels, kind="stable")
-    labels, starts = np.unique(train_labels[order], return_index=True)
-    try:
-        classes = tp.segments(np.split(rows[order], starts[1:]) if labels.size else [],
-                              g.n)
-    except ContractError as exc:
-        raise ContractError(f"client {client_id}: {exc}") from exc
-    label_term = None
-    if rows.size:
-        freqs = np.bincount(train_labels)[train_labels] / train_labels.size
-        label_term = -float(np.mean(np.log(freqs)))
-    n = g.n
-    heads = np.arange(n - 1)
-    row_start = heads * n - heads * (heads + 1) // 2
-    u, v = g.edges[:, 0], g.edges[:, 1]
-    absent_before_edge = row_start[u] + (v - u - 1) - np.arange(u.size)
-    nonedge_count = min(u.size, n * (n - 1) // 2 - u.size)
-    return ClientPlan(g, rows, train_labels, labels, classes, label_term, row_start,
-                      absent_before_edge, nonedge_count)
-
-
-@dataclass(frozen=True)
 class GroupPlan:
     """Stacked layout of clients with the same node count n, built once per run.
 
     Row r of member m is row m * n + r of the stacked rows, which ce_rows,
-    classes and the pairs index. ce_bounds, class_bounds and pair_bounds
-    split the ce rows, the class groups and the pairs by member, as the
-    ragged tape ops expect. class_labels lists every member's labels in
-    member order. label_term holds each member's ELBO constant as a
-    (G, 1, 1) array, or is None when no member has train rows. edges holds
-    each member's edge list in stacked rows, and pair_y and pair_bounds the
-    0/1 targets and member bounds of the pairs that pair_batch lays out,
-    with each member's nonedge_count sampled non-edges.
+    classes and the pairs index. ce_rows are the members' train rows and
+    ce_labels their labels; classes groups each member's train rows by
+    ascending class label, and class_labels lists those labels in member
+    order. ce_bounds, class_bounds and pair_bounds split the ce rows, the
+    class groups and the pairs by member, as the ragged tape ops expect.
+    label_term holds each member's ELBO constant, -mean log empirical class
+    frequency, as a (G, 1, 1) array, or is None when no member has train
+    rows. edges holds each member's edge list in stacked rows, and pair_y
+    and pair_bounds the 0/1 targets and member bounds of the pairs that
+    pair_batch lays out. The non-edge sampler reads the rest: row_start[i]
+    is the row-major upper-triangle position of pair (i, i + 1), shared by
+    the members; absent_before_edge[m][k] counts the absent pairs before
+    member m's edge k; nonedge_counts[m] is how many non-edges member m
+    samples per forward, one per edge capped at its number of absent pairs.
     """
 
-    members: tuple
     n: int
     ce_rows: np.ndarray
     ce_labels: np.ndarray
@@ -197,6 +145,9 @@ class GroupPlan:
     edges: tuple
     pair_y: np.ndarray
     pair_bounds: np.ndarray
+    row_start: np.ndarray
+    absent_before_edge: tuple
+    nonedge_counts: tuple
 
     def pair_batch(self, nonedges) -> tuple:
         """(pairs, 0/1 targets, bounds) from one sampled non-edge array per member.
@@ -217,33 +168,64 @@ def _offsets(sizes) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
 
 
-def group_plan(plans) -> GroupPlan:
-    """Lay the plans of clients with one node count out over their stacked rows."""
-    n = plans[0].graph.n
-    if any(p.graph.n != n for p in plans):
+def group_plan(client_ids, graphs, num_classes: int) -> GroupPlan:
+    """Validate the graphs of clients with one node count and lay them out
+    over their stacked rows.
+
+    Raises ContractError naming the client when a train label falls outside
+    range(num_classes) or the class groups overlap.
+    """
+    n = graphs[0].n
+    if any(g.n != n for g in graphs):
         raise ShapeError("a group's clients must have the same node count")
-    offsets = [m * n for m in range(len(plans))]
-    groups = [p.classes.rows[start:start + count] + off
-              for p, off in zip(plans, offsets)
-              for start, count in zip(p.classes.starts, p.classes.counts)]
+    heads = np.arange(n - 1)
+    row_start = heads * n - heads * (heads + 1) // 2
+    ce_rows, ce_labels, class_labels, groups = [], [], [], []
+    label_terms, absent_before_edge, nonedge_counts = [], [], []
+    for m, (client_id, g) in enumerate(zip(client_ids, graphs)):
+        rows = g.train_idx
+        train_labels = g.labels[rows]
+        if np.any(train_labels >= num_classes):
+            raise ContractError(f"client {client_id}: train label {int(train_labels.max())}"
+                                f" outside the class range 0..{num_classes - 1}")
+        order = np.argsort(train_labels, kind="stable")
+        labels, starts = np.unique(train_labels[order], return_index=True)
+        if labels.size:
+            groups += np.split(rows[order] + m * n, starts[1:])
+        ce_rows.append(rows + m * n)
+        ce_labels.append(train_labels)
+        class_labels.append(labels)
+        label_term = None
+        if rows.size:
+            freqs = np.bincount(train_labels)[train_labels] / train_labels.size
+            label_term = -float(np.mean(np.log(freqs)))
+        label_terms.append(label_term)
+        u, v = g.edges[:, 0], g.edges[:, 1]
+        absent_before_edge.append(row_start[u] + (v - u - 1) - np.arange(u.size))
+        nonedge_counts.append(min(u.size, n * (n - 1) // 2 - u.size))
+    try:
+        classes = tp.segments(groups, n * len(graphs))
+    except ContractError as exc:
+        # members own disjoint row ranges and their class groups split their
+        # train rows, so groups overlap only where a member repeats a train row
+        client_id = next(cid for cid, g in zip(client_ids, graphs)
+                         if np.unique(g.train_idx).size != g.train_idx.size)
+        raise ContractError(f"client {client_id}: {exc}") from exc
     label_term = None
-    if any(p.label_term is not None for p in plans):
-        label_term = np.array([p.label_term or 0.0 for p in plans]).reshape(-1, 1, 1)
-    edge_counts = [p.graph.edges.shape[0] for p in plans]
-    nonedge_counts = [p.nonedge_count for p in plans]
+    if any(t is not None for t in label_terms):
+        label_term = np.array([t or 0.0 for t in label_terms]).reshape(-1, 1, 1)
+    edge_counts = [g.edges.shape[0] for g in graphs]
     return GroupPlan(
-        members=tuple(plans), n=n,
-        ce_rows=np.concatenate([p.ce_rows + off for p, off in zip(plans, offsets)]),
-        ce_labels=np.concatenate([p.ce_labels for p in plans]),
-        ce_bounds=_offsets([p.ce_rows.size for p in plans]),
-        class_labels=np.concatenate([p.class_labels for p in plans]),
-        classes=tp.segments(groups, n * len(plans)),
-        class_bounds=_offsets([p.class_labels.size for p in plans]),
-        label_term=label_term,
-        edges=tuple(p.graph.edges + off for p, off in zip(plans, offsets)),
+        n=n, ce_rows=np.concatenate(ce_rows), ce_labels=np.concatenate(ce_labels),
+        ce_bounds=_offsets([r.size for r in ce_rows]),
+        class_labels=np.concatenate(class_labels), classes=classes,
+        class_bounds=_offsets([c.size for c in class_labels]), label_term=label_term,
+        edges=tuple(g.edges + m * n for m, g in enumerate(graphs)),
         pair_y=np.concatenate([np.repeat([1.0, 0.0], [e, c])
                                for e, c in zip(edge_counts, nonedge_counts)]),
         pair_bounds=_offsets([e + c for e, c in zip(edge_counts, nonedge_counts)]),
+        row_start=row_start, absent_before_edge=tuple(absent_before_edge),
+        nonedge_counts=tuple(nonedge_counts),
     )
 
 
@@ -296,19 +278,21 @@ def class_stat_paths(mu: tp.Var, logvar: tp.Var, plan: GroupPlan) -> tp.Var:
     return tp.segment_moments(mu, logvar, plan.classes)
 
 
-def sample_nonedges(plan: ClientPlan, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample of absent node pairs (i < j), without replacement.
+def sample_nonedges(plan: GroupPlan, member: int, count: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Uniform sample of member's absent node pairs (i < j), without replacement.
 
     Draws positions among the absent pairs in row-major upper-triangle order
     and maps each back to (i, j) in closed form: the edges are sorted, so
-    flat(edge k) - k absent pairs precede edge k.
+    flat(edge k) - k absent pairs precede edge k. The pairs index the
+    member's own rows.
     """
-    n = plan.graph.n
-    absent = n * (n - 1) // 2 - plan.graph.edges.shape[0]
+    n = plan.n
+    absent = n * (n - 1) // 2 - plan.edges[member].shape[0]
     if count <= 0 or absent <= 0:
         return np.zeros((0, 2), dtype=np.int64)
     pick = np.sort(rng.choice(absent, size=min(count, absent), replace=False))
-    flat = pick + np.searchsorted(plan.absent_before_edge, pick, side="right")
+    flat = pick + np.searchsorted(plan.absent_before_edge[member], pick, side="right")
     rows = np.searchsorted(plan.row_start, flat, side="right") - 1
     return np.column_stack([rows, flat - plan.row_start[rows] + rows + 1])
 
@@ -318,7 +302,7 @@ def elbo_path(mu: tp.Var, logvar: tp.Var, plan: GroupPlan, eps: np.ndarray,
     """Negative ELBO: mean edge BCE + mean prior KL - mean label log-prob.
 
     eps is one (n, d_z) draw, shared by every member of the group; nonedges
-    holds each member's sampled array of nonedge_count pairs. The label
+    holds each member's sampled array of nonedge_counts[m] pairs. The label
     term uses empirical train-split class frequencies; it is constant in the
     parameters and only shifts the reported value.
     """

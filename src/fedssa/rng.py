@@ -28,14 +28,12 @@ def stream(seed: int, *path: object) -> np.random.Generator:
 
     Path elements must have stable reprs (ints and strings in practice).
     """
-    token = repr((int(seed),) + tuple(path)).encode("utf-8")
-    digest = hashlib.sha256(token).digest()
-    key = int.from_bytes(digest[:16], "little")
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=spawn_key(seed, *path)))
 
 
 def spawn_key(seed: int, *path: object) -> int:
-    """Return the integer key `stream` would use, for checkpoint metadata."""
+    """The Philox key of `stream(seed, *path)`: the first 16 bytes, little
+    endian, of the SHA-256 digest of the path's repr."""
     token = repr((int(seed),) + tuple(path)).encode("utf-8")
     digest = hashlib.sha256(token).digest()
     return int.from_bytes(digest[:16], "little")

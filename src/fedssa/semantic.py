@@ -126,83 +126,38 @@ def build_semantic_map(class_gaussians: dict, k_node: int, seed: int) -> Semanti
     return SemanticClusterMap(assignments, representatives, members)
 
 
-@dataclass(frozen=True)
-class KLTargets:
-    """Frozen representatives prepared for the alignment KL, by ascending label.
-
-    Each representative's symmetrised precision and covariance
-    log-determinant are computed once, when its broadcast is received.
-    """
-
-    labels: np.ndarray
-    means: np.ndarray
-    precisions: np.ndarray
-    logdets: np.ndarray
-
-
-def client_kl_targets(received: dict) -> dict:
-    """KLTargets per client from {client_id: {label: ClassGaussian}}.
-
-    Clients of one semantic cluster receive the same representative
-    objects, so each distinct object is inverted and its log-determinant
-    taken once. A representative that is not positive definite raises
-    NumericError whose members are the ids of the clients receiving it.
-    """
-    distinct = {id(rep): rep for reps in received.values() for rep in reps.values()}
-    slot = {key: i for i, key in enumerate(distinct)}
-    if distinct:
-        covs = np.stack([rep.cov for rep in distinct.values()])
-        signs, logdets = np.linalg.slogdet(covs)
-        if np.any(signs <= 0):
-            bad = {key for key, i in slot.items() if signs[i] <= 0}
-            raise NumericError("representative covariance is not positive definite",
-                               members=sorted(cid for cid, reps in received.items()
-                                              if any(id(r) in bad for r in reps.values())))
-        precisions = np.linalg.inv(covs)
-        precisions = 0.5 * (precisions + np.swapaxes(precisions, 1, 2))
-    out = {}
-    for cid, reps in received.items():
-        labels = sorted(reps)
-        if not labels:
-            out[cid] = KLTargets(np.zeros(0, dtype=np.int64), np.zeros((0, 0)),
-                                 np.zeros((0, 0, 0)), np.zeros(0))
-            continue
-        picked = [slot[id(reps[c])] for c in labels]
-        out[cid] = KLTargets(np.array(labels, dtype=np.int64),
-                             np.stack([reps[c].mean for c in labels]),
-                             precisions[picked], logdets[picked])
-    return out
-
-
-def alignment_inputs(plan: GroupPlan, targets) -> tuple | None:
+def alignment_inputs(plan: GroupPlan, received) -> tuple | None:
     """The frozen arguments of a group's alignment KL, built once per round.
 
-    targets holds one KLTargets from client_kl_targets, or None, per member
-    of the group. Each member's classes in plan.class_labels, which
-    plan.class_bounds splits by member, are matched with its target labels.
+    received holds, per member of the group, the {label: ClassGaussian}
+    representatives of its broadcast (empty before the first). Each
+    member's classes in plan.class_labels, which plan.class_bounds splits by
+    member, are matched with those labels, and each picked representative's
+    symmetrised precision and covariance log-determinant are computed.
     Returns (rows, means, precisions, logdets, bounds) as diag_gaussian_kl
-    takes them after the class moments, or None when no class of any
-    member has a representative.
+    takes them after the class moments, or None when no class of any member
+    has a representative. A picked representative that is not positive
+    definite raises NumericError whose members are the receiving members.
     """
     bounds = plan.class_bounds
-    rows, picks, sizes = [], [], []
-    for m, member in enumerate(targets):
-        a = bounds[m]
-        local = np.zeros(0, dtype=np.int64)
-        if member is not None:
-            _common, local, picked = np.intersect1d(
-                plan.class_labels[a:bounds[m + 1]], member.labels, assume_unique=True,
-                return_indices=True)
-            if local.size:
-                picks.append((member, picked))
-        rows.append(local + a)
+    rows, picks, owners, sizes = [], [], [], []
+    for m, reps in enumerate(received):
+        labels = plan.class_labels[bounds[m]:bounds[m + 1]]
+        local = np.flatnonzero(np.isin(labels, list(reps)))
+        rows.append(local + bounds[m])
+        picks += [reps[int(label)] for label in labels[local]]
+        owners += [m] * local.size
         sizes.append(local.size)
-    if sum(sizes) == 0:
+    if not picks:
         return None
-    return (np.concatenate(rows),
-            np.concatenate([t.means[p] for t, p in picks]),
-            np.concatenate([t.precisions[p] for t, p in picks]),
-            np.concatenate([t.logdets[p] for t, p in picks]),
+    covs = np.stack([rep.cov for rep in picks])
+    signs, logdets = np.linalg.slogdet(covs)
+    if np.any(signs <= 0):
+        raise NumericError("representative covariance is not positive definite",
+                           members=sorted({owners[i] for i in np.flatnonzero(signs <= 0)}))
+    precisions = np.linalg.inv(covs)
+    return (np.concatenate(rows), np.stack([rep.mean for rep in picks]),
+            0.5 * (precisions + np.swapaxes(precisions, 1, 2)), logdets,
             np.concatenate([[0], np.cumsum(sizes)]))
 
 

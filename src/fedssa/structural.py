@@ -50,10 +50,6 @@ class SpectralEnergy:
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
 
-    @property
-    def order(self) -> int:
-        return self.q.shape[1] - 1
-
 
 @dataclass(frozen=True)
 class StructuralClusterMap:

@@ -390,6 +390,64 @@ def loop_cluster_moments(members) -> tuple:
     return mean, 0.5 * (floored + floored.T)
 
 
+def distinct_kl_targets(received: dict) -> dict:
+    """{client_id: (labels, means, precisions, logdets)} from
+    {client_id: {label: ClassGaussian}}, in ascending label order.
+
+    This is the per-client layout the group's alignment_inputs replaces:
+    each distinct representative object is inverted and its
+    log-determinant taken once, however many clients receive it. Returns
+    None when some representative is not positive definite.
+    """
+    distinct = {id(rep): rep for reps in received.values() for rep in reps.values()}
+    slot = {key: i for i, key in enumerate(distinct)}
+    if distinct:
+        covs = np.stack([rep.cov for rep in distinct.values()])
+        signs, logdets = np.linalg.slogdet(covs)
+        if np.any(signs <= 0):
+            return None
+        precisions = np.linalg.inv(covs)
+        precisions = 0.5 * (precisions + np.swapaxes(precisions, 1, 2))
+    out = {}
+    for cid, reps in received.items():
+        labels = sorted(reps)
+        if not labels:
+            out[cid] = (np.zeros(0, dtype=np.int64), np.zeros((0, 0)),
+                        np.zeros((0, 0, 0)), np.zeros(0))
+            continue
+        picked = [slot[id(reps[c])] for c in labels]
+        out[cid] = (np.array(labels, dtype=np.int64),
+                    np.stack([reps[c].mean for c in labels]),
+                    precisions[picked], logdets[picked])
+    return out
+
+
+def matched_alignment_inputs(plan, targets) -> tuple | None:
+    """alignment_inputs from one distinct_kl_targets entry, or None, per
+    member: each member's classes are matched with its target labels by
+    np.intersect1d."""
+    bounds = plan.class_bounds
+    rows, picks, sizes = [], [], []
+    for m, member in enumerate(targets):
+        a = bounds[m]
+        local = np.zeros(0, dtype=np.int64)
+        if member is not None:
+            _common, local, picked = np.intersect1d(
+                plan.class_labels[a:bounds[m + 1]], member[0], assume_unique=True,
+                return_indices=True)
+            if local.size:
+                picks.append((member, picked))
+        rows.append(local + a)
+        sizes.append(local.size)
+    if sum(sizes) == 0:
+        return None
+    return (np.concatenate(rows),
+            np.concatenate([t[1][p] for t, p in picks]),
+            np.concatenate([t[2][p] for t, p in picks]),
+            np.concatenate([t[3][p] for t, p in picks]),
+            np.concatenate([[0], np.cumsum(sizes)]))
+
+
 def round_signature(rm) -> tuple:
     """Canonical content tuple of a RoundMetrics for equality checks; leaves
     out the wall time."""

@@ -25,11 +25,11 @@ from fedssa.federation import RunConfig, run_federation_detailed
 from fedssa.graphs import (SynthSpec, laplacian_powers, partition_nonoverlap,
                            partition_overlap, synth_dataset)
 from fedssa.linalg import qr_thin
-from fedssa.models import (ClassGaussian, ce_path, class_stat_paths,
-                           client_plan, elbo_path, encoder_input, encoder_path,
-                           group_plan, logits_path, sample_nonedges, stack_powers)
-from fedssa.semantic import (alignment_inputs, alignment_path, client_kl_targets,
-                             cluster_moments, gaussian_kl)
+from fedssa.models import (ClassGaussian, ce_path, class_stat_paths, elbo_path,
+                           encoder_input, encoder_path, group_plan, logits_path,
+                           sample_nonedges, stack_powers)
+from fedssa.semantic import (alignment_inputs, alignment_path, cluster_moments,
+                             gaussian_kl)
 from fedssa.structural import (SpectralEnergy, coeff_perturb_bound,
                                filter_lipschitz_bound, pairwise_chordal,
                                projection_embedding)
@@ -76,8 +76,7 @@ def test_a01_loss_gradients_match_central_differences():
             assert np.bincount(g.labels[g.train_idx], minlength=c).min() >= 2
         # the builders read a one-member group: leaves and inputs gain a
         # leading member axis of 1
-        member = client_plan(i, g, c)
-        plan = group_plan([member])
+        plan = group_plan([i], [g], c)
         h_stack = stack_powers(laplacian_powers(g, 3))[None]
 
         # cross-entropy through the filter and head
@@ -93,7 +92,7 @@ def test_a01_loss_gradients_match_central_differences():
         # negative ELBO through the conditional encoder
         x_in = encoder_input(g, c)[None]
         eps = rng.standard_normal((n, dz))
-        nonedges = [sample_nonedges(member, member.nonedge_count, rng)]
+        nonedges = [sample_nonedges(plan, 0, plan.nonedge_counts[0], rng)]
         enc = {"enc_w1": rng.standard_normal((d + c, h)) * 0.4,
                "enc_b1": rng.standard_normal((1, h)) * 0.1,
                "mu_w": rng.standard_normal((h, dz)) * 0.4,
@@ -108,9 +107,9 @@ def test_a01_loss_gradients_match_central_differences():
         worst = max(worst, _grad_vs_fd(vgae_loss, {k: v[None].copy() for k, v in enc.items()}))
 
         # class-statistic alignment KL through the posterior mean/variance
-        aligned = alignment_inputs(plan, [client_kl_targets({0: {
+        aligned = alignment_inputs(plan, [{
             label: ClassGaussian(label, rng.standard_normal(dz), random_spd(rng, dz), 5)
-            for label in range(c)}})[0]])
+            for label in range(c)}])
         assert aligned is not None
 
         def node_loss(lv):

@@ -25,9 +25,9 @@ from fedssa.federation import (ClientUpload, RunConfig, ServerBroadcast,
 from fedssa.graphs import (FederationDataset, LocalGraph, SynthSpec,
                            canonical_json, stratified_split, synth_dataset)
 from fedssa.linalg import qr_thin
-from fedssa.models import ClassGaussian, init_params, sample_nonedges
+from fedssa.models import ClassGaussian, group_plan, init_params, sample_nonedges
 from fedssa.rng import stream
-from fedssa.semantic import alignment_inputs, client_kl_targets
+from fedssa.semantic import alignment_inputs
 from fedssa.structural import SpectralEnergy
 from helpers import decode_broadcast, decode_upload, round_signature
 
@@ -61,20 +61,20 @@ def _client_state(graph, cfg, seed=0, client_id=0):
     return init_client_state(client_id, graph, 2, "multiclass", cfg, params)
 
 
-def _alone(state):
+def _alone(state, num_classes=2):
     """The one-member training group of a client state."""
-    return group_clients([state], [0])
+    return group_clients([state], [0], num_classes)
 
 
 def _forward(group, cfg, broadcasts=None):
     """One training forward of a group on fixed draws: (tape, leaves, parts)."""
     broadcasts = broadcasts or {}
     eps = stream(0, "eps").standard_normal((group.plan.n, cfg.latent_dim))
-    nonedges = [sample_nonedges(p, p.nonedge_count, stream(0, "ne"))
-                for p in group.plan.members]
-    targets = client_kl_targets({cid: b.class_representatives
-                                 for cid, b in broadcasts.items()})
-    aligned = alignment_inputs(group.plan, [targets.get(s.client_id) for s in group.states])
+    nonedges = [sample_nonedges(group.plan, m, count, stream(0, "ne"))
+                for m, count in enumerate(group.plan.nonedge_counts)]
+    aligned = alignment_inputs(group.plan, [
+        broadcasts[s.client_id].class_representatives if s.client_id in broadcasts else {}
+        for s in group.states])
     return _loss_parts(group, _cluster_coefficients(group, broadcasts), cfg, eps,
                        nonedges, aligned)
 
@@ -116,7 +116,7 @@ def test_training_forward_records_at_most_35_tape_nodes():
     params = init_params(24, 4, cfg.order, cfg.hidden, cfg.latent_dim, stream(0, "init"))
     states = [init_client_state(i, g, 4, "multiclass", cfg, params)
               for i, g in enumerate(ds.clients)]
-    groups = group_clients(states, [0, 1])
+    groups = group_clients(states, [0, 1], 4)
     assert len(groups) == 1  # the bound holds per group forward, not per client
     uploads = local_round(groups, {}, cfg, 0, 1)
     broadcasts = server_step(uploads, cfg.k_node, cfg.k_struct, 0).broadcasts
@@ -128,10 +128,9 @@ def test_training_forward_records_at_most_35_tape_nodes():
 def test_forward_reads_the_plan_built_at_setup():
     cfg = _tiny_cfg()
     state = _client_state(_tiny_dataset(1).clients[0], cfg)
-    client_plan = state.plan
     groups = _alone(state)
     plan = groups[0].plan
-    assert plan.members == (client_plan,)
+    assert np.array_equal(plan.ce_rows, state.graph.train_idx)
     tape, _leaves, parts = _forward(groups[0], cfg)
     by_op = {node.op: node for node in tape.nodes}
     assert np.shares_memory(by_op["softmax_ce"].aux["labels"], plan.ce_labels)
@@ -139,7 +138,7 @@ def test_forward_reads_the_plan_built_at_setup():
     assert parts["moments"] is by_op["segment_moments"]
     assert np.shares_memory(by_op["pair_bce"].aux["y"], plan.pair_y)
     local_round(groups, {}, cfg, 0, 1)
-    assert groups[0].plan is plan and state.plan is client_plan
+    assert groups[0].plan is plan
 
 
 def test_client_plan_checks_fire_at_setup_and_name_the_client():
@@ -150,14 +149,19 @@ def test_client_plan_checks_fire_at_setup_and_name_the_client():
     wide = LocalGraph(graph.features, labels, graph.edges, graph.train_idx,
                       graph.val_idx, graph.test_idx)
     with pytest.raises(ContractError, match="client 4: train label 2 outside"):
-        _client_state(wide, cfg, client_id=4)
+        group_plan([3, 4], [graph, wide], 2)
     # a LocalGraph rejects duplicate train rows, so corrupt one after the fact
     overlapping = LocalGraph(graph.features, graph.labels, graph.edges,
                              graph.train_idx, graph.val_idx, graph.test_idx)
     object.__setattr__(overlapping, "train_idx",
                        np.concatenate([graph.train_idx, graph.train_idx[:1]]))
     with pytest.raises(ContractError, match="client 5: segment groups must be disjoint"):
-        _client_state(overlapping, cfg, client_id=5)
+        group_plan([3, 5], [graph, overlapping], 2)
+    # group_clients builds the plans at setup, before any round
+    states = [_client_state(graph, cfg, client_id=3),
+              _client_state(overlapping, cfg, client_id=5)]
+    with pytest.raises(ContractError, match="client 5: segment groups must be disjoint"):
+        group_clients(states, [0, 1], 2)
 
 
 def test_setup_and_round_memory_targets():
@@ -181,7 +185,7 @@ def test_setup_and_round_memory_targets():
         synth_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         state = init_client_state(0, graph, c, "multiclass", cfg, params)
-        local_round(_alone(state), {}, cfg, 0, 1)
+        local_round(_alone(state, c), {}, cfg, 0, 1)
         client_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -220,7 +224,7 @@ def test_full_stacked_group_memory():
     params = init_params(24, 4, cfg.order, cfg.hidden, cfg.latent_dim, stream(0, "init"))
     states = [init_client_state(i, g, 4, "multiclass", cfg, params)
               for i, g in enumerate(ds.clients)]
-    groups = group_clients(states, range(8))
+    groups = group_clients(states, range(8), 4)
     assert [len(g.states) for g in groups] == [8]
     assert groups[0].h_stack.shape[0] * groups[0].plan.n == federation.STACK_ROWS
     tracemalloc.start()
@@ -236,11 +240,11 @@ def test_group_nonedge_draws_match_one_fresh_stream_per_member():
     cfg = _tiny_cfg()
     states = [_client_state(g, cfg, client_id=i)
               for i, g in enumerate(_tiny_dataset(num_clients=4).clients)]
-    (group,) = group_clients(states, range(4))
+    (group,) = group_clients(states, range(4), 2)
     for path in (("train-nonedges", 3, 1), ("eval-nonedges", 2)):
         got = federation._samples(group.plan, 7, *path)
-        want = [sample_nonedges(p, p.nonedge_count, stream(7, *path))
-                for p in group.plan.members]
+        want = [sample_nonedges(group.plan, m, count, stream(7, *path))
+                for m, count in enumerate(group.plan.nonedge_counts)]
         assert len(got) == 4
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -289,8 +293,8 @@ def _recorded_run(monkeypatch, ds, cfg, stack_rows, client_order=None):
     groups, uploads = [], []
     real_group, real_round = _GROUP_CLIENTS, _CLIENT_ROUND
 
-    def recording_group(states, order):
-        groups.extend(real_group(states, order))
+    def recording_group(states, order, num_classes):
+        groups.extend(real_group(states, order, num_classes))
         return groups
 
     def recording_round(group, member, evaluation, cfg, round_index):
@@ -354,7 +358,7 @@ def test_group_divergence_names_lowest_client_and_rolls_back(monkeypatch, diverg
     ds = _tiny_dataset(num_clients=2)
     cfg = _tiny_cfg(epochs=2)
     states = [_client_state(g, cfg, client_id=i) for i, g in enumerate(ds.clients)]
-    groups = group_clients(states, [1, 0])  # member 0 is client 1
+    groups = group_clients(states, [1, 0], 2)  # member 0 is client 1
     assert len(groups) == 1 and [s.client_id for s in groups[0].states] == [1, 0]
     local_round(groups, {}, cfg, 0, 1)
     before = _group_snapshot(groups[0])
@@ -718,7 +722,7 @@ def _semantic_round_inputs():
     ds = _tiny_dataset(num_clients=2)
     cfg = _tiny_cfg()
     groups = group_clients([_client_state(g, cfg, client_id=i)
-                            for i, g in enumerate(ds.clients)], [0, 1])
+                            for i, g in enumerate(ds.clients)], [0, 1], 2)
     uploads = local_round(groups, {}, cfg, 0, 1)
     broadcasts = server_step(uploads, cfg.k_node, cfg.k_struct, 0).broadcasts
     assert len(groups) == 1 and broadcasts[0].class_representatives
@@ -760,6 +764,31 @@ def test_indefinite_representative_rolls_back():
     with pytest.raises(TrainingDivergenceError, match="client 1 .*positive definite"):
         local_round([group], {**broadcasts, 1: bad}, cfg, seed=0, round_index=2)
     assert _group_snapshot(group) == before
+
+
+def test_indefinite_representative_in_two_groups_names_lowest_client(monkeypatch):
+    # 14-node clients in groups of two, the higher ids scheduled first: the
+    # representative reaches client 3 in the first group and client 1 in the
+    # second, and no group trains
+    monkeypatch.setattr(federation, "STACK_ROWS", 28)
+    ds = _tiny_dataset(num_clients=4)
+    cfg = _tiny_cfg()
+    groups = group_clients([_client_state(g, cfg, client_id=i)
+                            for i, g in enumerate(ds.clients)], [3, 2, 1, 0], 2)
+    assert [[s.client_id for s in g.states] for g in groups] == [[3, 2], [1, 0]]
+    broadcasts = server_step(local_round(groups, {}, cfg, 0, 1),
+                             cfg.k_node, cfg.k_struct, 0).broadcasts
+    dz = cfg.latent_dim
+    indefinite = np.eye(dz) + 2.0 * (np.ones((dz, dz)) - np.eye(dz))
+    for cid in (3, 1):
+        broadcasts[cid] = dataclasses.replace(broadcasts[cid], class_representatives={
+            label: ClassGaussian(label, np.zeros(dz), indefinite, 1)
+            for label in broadcasts[cid].class_representatives})
+    before = [_group_snapshot(g) for g in groups]
+    with pytest.raises(TrainingDivergenceError,
+                       match="client 1 diverged in round 2: .*positive definite"):
+        local_round(groups, broadcasts, cfg, seed=0, round_index=2)
+    assert [_group_snapshot(g) for g in groups] == before
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -11,12 +11,12 @@ from fedssa.errors import ConfigError, ContractError, ShapeError
 from fedssa.graphs import LocalGraph, SynthSpec, laplacian_powers, synth_dataset
 from fedssa.linalg import qr_thin
 from fedssa.models import (COV_FLOOR, LOGVAR_MAX, LOGVAR_MIN, ClassGaussian,
-                           ce_path, class_gaussians, class_stat_paths,
-                           client_plan, elbo_path, encoder_input, encoder_path,
-                           group_plan, init_params, logits_path, sample_nonedges,
-                           spectral_energy, stack_powers)
+                           ce_path, class_gaussians, class_stat_paths, elbo_path,
+                           encoder_input, encoder_path, group_plan, init_params,
+                           logits_path, sample_nonedges, spectral_energy,
+                           stack_powers)
 from fedssa.rng import stream
-from fedssa.semantic import alignment_inputs, client_kl_targets
+from fedssa.semantic import alignment_inputs
 from helpers import central_diff, pool_draw, rel_err
 
 
@@ -45,20 +45,16 @@ def _forward(g, params, powers):
     return p.value[0], logits.value[0]
 
 
-def _plan(g, num_classes=None):
-    return client_plan(0, g, g.num_classes() if num_classes is None else num_classes)
-
-
 def _group(g, num_classes=None):
     """The one-member group plan the builders read."""
-    return group_plan([_plan(g, num_classes)])
+    return group_plan([0], [g], g.num_classes() if num_classes is None else num_classes)
 
 
 def _ce_plan(labels, mask, num_classes):
     """Group plan of one featureless graph whose train rows are mask."""
     n = len(labels)
     g = LocalGraph(np.zeros((n, 1)), labels, [], train_idx=mask, val_idx=[], test_idx=[])
-    return group_plan([client_plan(0, g, num_classes)])
+    return group_plan([0], [g], num_classes)
 
 
 def _ce(logits, labels, mask):
@@ -284,7 +280,7 @@ def test_class_stat_paths_without_train_rows():
     assert plan.class_labels.size == 0 and moments.shape == (0, 6)
     assert class_gaussians(plan.class_labels, plan.classes.counts, moments.value) == ()
     reps = {0: ClassGaussian(0, np.zeros(3), np.eye(3), 1)}
-    assert alignment_inputs(plan, [client_kl_targets({0: reps})[0]]) is None
+    assert alignment_inputs(plan, [reps]) is None
 
 
 def test_logvar_is_clamped():
@@ -325,11 +321,11 @@ def test_elbo_matches_numpy_recompute():
     g = _small_graph(n=15, c=2, d=4, seed=6)
     params = init_params(4, 2, 1, 5, 3, stream(12, "init"))
     eps = stream(0, "eps").standard_normal((g.n, 3))
-    plan = _plan(g, 2)
-    nonedges = sample_nonedges(plan, plan.nonedge_count, stream(0, "ne"))
+    plan = _group(g, 2)
+    nonedges = sample_nonedges(plan, 0, plan.nonedge_counts[0], stream(0, "ne"))
     t = tp.Tape()
     mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, 2)[None])
-    got = float(elbo_path(mu, logvar, group_plan([plan]), eps, [nonedges]).value[0, 0, 0])
+    got = float(elbo_path(mu, logvar, plan, eps, [nonedges]).value[0, 0, 0])
     want = _elbo_numpy(params, g, eps, nonedges, 2)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -338,9 +334,8 @@ def test_elbo_gradient_matches_finite_differences():
     g = _small_graph(n=10, c=2, d=3, seed=7)
     params = init_params(3, 2, 1, 4, 2, stream(13, "init"))
     eps = stream(1, "eps").standard_normal((g.n, 2))
-    plan = _plan(g, 2)
-    nonedges = [sample_nonedges(plan, plan.nonedge_count, stream(1, "ne"))]
-    group = group_plan([plan])
+    group = _group(g, 2)
+    nonedges = [sample_nonedges(group, 0, group.nonedge_counts[0], stream(1, "ne"))]
     arrays = {name: params[name][None].copy() for name in ENCODER}
     x_in = encoder_input(g, 2)[None]
 
@@ -362,7 +357,7 @@ def test_elbo_gradient_matches_finite_differences():
 
 def test_sample_nonedges_are_absent_pairs():
     g = _small_graph(n=12, c=2, d=3, seed=8)
-    ne = sample_nonedges(_plan(g), 10, stream(2, "ne"))
+    ne = sample_nonedges(_group(g), 0, 10, stream(2, "ne"))
     present = set(map(tuple, g.edges.tolist()))
     for u, v in ne.tolist():
         assert u < v
@@ -373,7 +368,7 @@ def test_sample_nonedges_are_absent_pairs():
 def test_sample_nonedges_complete_graph_empty():
     g = LocalGraph(np.eye(3), [0, 1, 0], [[0, 1], [0, 2], [1, 2]],
                    train_idx=[0], val_idx=[], test_idx=[])
-    assert sample_nonedges(_plan(g), 5, stream(0, "ne")).shape == (0, 2)
+    assert sample_nonedges(_group(g), 0, 5, stream(0, "ne")).shape == (0, 2)
 
 
 def _graph_from_edges(n, edges):
@@ -382,8 +377,11 @@ def _graph_from_edges(n, edges):
                       train_idx=[], val_idx=[], test_idx=[])
 
 
-def _assert_matches_pool(g, count, seed):
-    got = sample_nonedges(_plan(g, 1), count, stream(seed, "ne"))
+def _assert_matches_pool(g, count, seed, plan=None, member=0):
+    """member's draw from plan (by default g's one-member group) against
+    pool_draw on g."""
+    plan = _group(g, 1) if plan is None else plan
+    got = sample_nonedges(plan, member, count, stream(seed, "ne"))
     want = pool_draw(g, count, stream(seed, "ne"))
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
@@ -391,15 +389,24 @@ def _assert_matches_pool(g, count, seed):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_sample_nonedges_matches_pool_draw(seed):
+    # member 0 alone, then members 1 and 2 of a three-member group, whose
+    # offset tables are indexed by member
     rng = np.random.default_rng(500 + seed)
     n = int(rng.integers(2, 40))
-    density = float(rng.uniform(0.0, 1.0))
     iu, ju = np.triu_indices(n, k=1)
-    hit = rng.random(iu.size) < density
-    g = _graph_from_edges(n, np.column_stack([iu[hit], ju[hit]]))
-    absent = n * (n - 1) // 2 - g.edges.shape[0]
-    for count in (g.edges.shape[0], int(rng.integers(1, absent + 2)), absent, absent + 7):
-        _assert_matches_pool(g, count, seed)
+    graphs, counts = [], []
+    for _ in range(3):
+        density = float(rng.uniform(0.0, 1.0))
+        hit = rng.random(iu.size) < density
+        g = _graph_from_edges(n, np.column_stack([iu[hit], ju[hit]]))
+        absent = n * (n - 1) // 2 - g.edges.shape[0]
+        graphs.append(g)
+        counts.append((g.edges.shape[0], int(rng.integers(1, absent + 2)), absent,
+                       absent + 7))
+    plan = group_plan([0, 1, 2], graphs, 1)
+    for member, (g, member_counts) in enumerate(zip(graphs, counts)):
+        for count in member_counts:
+            _assert_matches_pool(g, count, seed, plan if member else None, member)
 
 
 def test_sample_nonedges_matches_pool_draw_edge_cases():
@@ -414,9 +421,9 @@ def test_sample_nonedges_matches_pool_draw_edge_cases():
     for seed in range(10):
         for g, count in cases:
             _assert_matches_pool(g, count, seed)
-    assert sample_nonedges(_plan(edgeless, 1), 100, stream(0, "ne")).shape == (36, 2)
-    assert sample_nonedges(_plan(complete, 1), 4, stream(0, "ne")).shape == (0, 2)
-    assert sample_nonedges(_plan(path, 1), 0, stream(0, "ne")).shape == (0, 2)
+    assert sample_nonedges(_group(edgeless, 1), 0, 100, stream(0, "ne")).shape == (36, 2)
+    assert sample_nonedges(_group(complete, 1), 0, 4, stream(0, "ne")).shape == (0, 2)
+    assert sample_nonedges(_group(path, 1), 0, 0, stream(0, "ne")).shape == (0, 2)
 
 
 # --- class Gaussians ----------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Semantic sharing checks: closed-form Gaussian KL against hand values and
 Monte Carlo, count-weighted moment matching against the member loop,
-planted cluster recovery, the cluster members the map keeps,
-and the differentiable alignment path against the closed form."""
+planted cluster recovery, the cluster members the map keeps, the
+alignment inputs against the per-client targets they replace, and the
+differentiable alignment path against the closed form."""
 
 from types import SimpleNamespace
 
@@ -10,10 +11,12 @@ import pytest
 
 from fedssa import tape as tp
 from fedssa.errors import ContractError, NumericError, ShapeError
-from fedssa.models import COV_FLOOR, ClassGaussian
+from fedssa.graphs import LocalGraph
+from fedssa.models import COV_FLOOR, ClassGaussian, group_plan
 from fedssa.semantic import (alignment_inputs, alignment_path, build_semantic_map,
-                             client_kl_targets, cluster_moments, gaussian_kl)
-from helpers import central_diff, loop_cluster_moments, mc_gaussian_kl, random_spd, rel_err
+                             cluster_moments, gaussian_kl)
+from helpers import (central_diff, distinct_kl_targets, loop_cluster_moments,
+                     matched_alignment_inputs, mc_gaussian_kl, random_spd, rel_err)
 
 
 def _gauss(label, mean, cov, count=1):
@@ -250,14 +253,10 @@ def _stats(tape, labels, means, variances):
     return moments, plan
 
 
-def _targets(representatives):
-    """The one member's alignment targets from {label: ClassGaussian}."""
-    return [client_kl_targets({0: representatives})[0]]
-
-
-def _align(moments, plan, targets):
-    """The alignment node of the member's classes, or None when none matches."""
-    inputs = alignment_inputs(plan, targets)
+def _align(moments, plan, representatives):
+    """The alignment node of the member's classes against its {label:
+    ClassGaussian} broadcast, or None when none matches."""
+    inputs = alignment_inputs(plan, [representatives])
     return None if inputs is None else alignment_path(moments, inputs)
 
 
@@ -267,9 +266,9 @@ def test_semantic_alignment_loss_sums_matching_classes():
     want = gaussian_kl(local[0], reps[0])
     t = tp.Tape()
     stats = _stats(t, [0, 1], [[0.0], [1.0]], [[1.0], [1.0]])
-    loss = _align(*stats, _targets(reps))
+    loss = _align(*stats, reps)
     assert float(loss.value[0, 0, 0]) == pytest.approx(want)
-    assert _align(*stats, _targets({})) is None
+    assert _align(*stats, {}) is None
 
 
 def test_alignment_path_matches_closed_form():
@@ -280,7 +279,7 @@ def test_alignment_path_matches_closed_form():
     means = rng.standard_normal((2, d))
     variances = 0.5 + rng.random((2, d))
     t = tp.Tape()
-    loss = _align(*_stats(t, [0, 1], means, variances), _targets(reps))
+    loss = _align(*_stats(t, [0, 1], means, variances), reps)
     want = sum(gaussian_kl(_gauss(c, means[c], np.diag(variances[c])), reps[c])
                for c in (0, 1))
     assert float(loss.value[0, 0, 0]) == pytest.approx(want, rel=1e-10)
@@ -289,21 +288,57 @@ def test_alignment_path_matches_closed_form():
 def test_alignment_path_skips_unmatched_and_returns_none():
     t = tp.Tape()
     one = _stats(t, [0], np.zeros((1, 2)), np.ones((1, 2)))
-    assert _align(*one, _targets({})) is None
+    assert _align(*one, {}) is None
     reps = {0: _gauss(0, np.zeros(2), np.eye(2))}
     assert _align(*_stats(t, [3], np.zeros((1, 2)), np.ones((1, 2))),
-                  _targets(reps)) is None
+                  reps) is None
     # label 5 has no representative: no value and no gradient
     moments, plan = _stats(t, [0, 5], np.zeros((2, 2)), [[1.0, 1.0], [2.0, 3.0]])
-    out = _align(moments, plan, _targets(reps))
+    out = _align(moments, plan, reps)
     assert out is not None
     assert float(out.value[0, 0, 0]) == pytest.approx(0.0, abs=1e-12)
     g = tp.grad(t, out)[moments]
     assert np.array_equal(g[1], np.zeros(4))
 
 
+def _train_graph(train_labels, n=12):
+    """A featureless n-node graph whose first rows are train rows with these labels."""
+    labels = np.zeros(n, dtype=np.int64)
+    labels[:len(train_labels)] = train_labels
+    return LocalGraph(np.zeros((n, 1)), labels, [], train_idx=np.arange(len(train_labels)),
+                      val_idx=[], test_idx=[])
+
+
+@pytest.mark.parametrize("dz", [1, 2, 8])
+def test_alignment_inputs_match_distinct_targets_reference(dz):
+    # two groups of three clients; client 2 has no broadcast, clients 0 and
+    # 1 lack some of their classes, client 4 has no train rows, and the
+    # shared representative objects reach members of both groups
+    rng = np.random.default_rng(40 + dz)
+    train = {0: [0, 1, 2, 3], 1: [1, 1, 3], 2: [0, 2], 3: [2, 3, 3], 4: [], 5: [3, 0, 1, 2]}
+    shared = {label: _gauss(label, rng.standard_normal(dz), random_spd(rng, dz), 3)
+              for label in range(4)}
+    received = {0: {0: shared[0], 2: shared[2]},
+                1: {1: shared[1], 3: shared[3]},
+                3: {2: _gauss(2, rng.standard_normal(dz), random_spd(rng, dz), 2),
+                    3: shared[3]},
+                4: {0: shared[0]},
+                5: dict(shared)}
+    targets = distinct_kl_targets(received)
+    for ids in ([0, 1, 2], [3, 4, 5], [2, 4]):
+        plan = group_plan(ids, [_train_graph(train[i]) for i in ids], 4)
+        got = alignment_inputs(plan, [received.get(i, {}) for i in ids])
+        want = matched_alignment_inputs(plan, [targets.get(i) for i in ids])
+        if ids == [2, 4]:  # no class of either member has a representative
+            assert got is None and want is None
+            continue
+        assert len(got) == len(want) == 5
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
 def test_alignment_path_rejects_nonpositive_variance():
-    reps = _targets({0: _gauss(0, np.zeros(2), np.eye(2))})
+    reps = {0: _gauss(0, np.zeros(2), np.eye(2))}
     for bad in (0.0, -1e-3):
         t = tp.Tape()
         stats = _stats(t, [0], np.zeros((1, 2)), [[1.0, bad]])
@@ -312,20 +347,23 @@ def test_alignment_path_rejects_nonpositive_variance():
 
 
 def test_kl_targets_rejects_indefinite_representative():
-    with pytest.raises(NumericError):
-        _targets({0: _gauss(0, np.zeros(2), [[1.0, 2.0], [2.0, 1.0]])})
+    t = tp.Tape()
+    _moments, plan = _stats(t, [0], np.zeros((1, 2)), np.ones((1, 2)))
+    with pytest.raises(NumericError, match="not positive definite") as err:
+        alignment_inputs(plan, [{0: _gauss(0, np.zeros(2), [[1.0, 2.0], [2.0, 1.0]])}])
+    assert err.value.members == (0,)
 
 
 def test_alignment_path_gradient_matches_finite_differences():
     rng = np.random.default_rng(6)
     d = 2
-    targets = _targets({0: _gauss(0, rng.standard_normal(d), random_spd(rng, d))})
+    reps = {0: _gauss(0, rng.standard_normal(d), random_spd(rng, d))}
     arrays = {"moments": np.concatenate([rng.standard_normal((1, d)),
                                          0.5 + rng.random((1, d))], axis=1)}
 
     def build(t, values):
         moments, plan = _stats(t, [0], values[:, :d], values[:, d:])
-        return moments, _align(moments, plan, targets)
+        return moments, _align(moments, plan, reps)
 
     t = tp.Tape()
     moments, loss = build(t, arrays["moments"])

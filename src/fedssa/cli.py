@@ -181,8 +181,11 @@ def cmd_partition(args) -> int:
     out = Path(args.out)
     save_dataset(dataset, out)
     sizes = [g.n for g in dataset.clients]
+    cut = (f"{dataset.dropped_edges} cross edges dropped"
+           if cfg.partition.scheme == "nonoverlap" else
+           f"{dataset.dropped_edges} edges cut, counted once per client they leave")
     print(f"wrote {dataset.num_clients} clients (sizes {min(sizes)}..{max(sizes)},"
-          f" {dataset.dropped_edges} cross edges dropped) to {out}")
+          f" {cut}) to {out}")
     return 0
 
 

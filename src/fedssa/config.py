@@ -145,6 +145,9 @@ def _parse_dataset(obj, where: str = "dataset") -> dict:
     else:
         raise ConfigError(f"{where}.kind must be synthetic, two-regime or file,"
                           f" got {kind!r}")
+    if task == "binary-auc" and parsed.get("classes", 2) != 2:
+        raise ConfigError(f"{where}: binary-auc task requires exactly 2 classes,"
+                          f" got classes: {parsed['classes']}")
     return parsed
 
 
@@ -213,7 +216,7 @@ def synth_spec_from(dataset: dict) -> SynthSpec:
     return SynthSpec(num_nodes=dataset["nodes"], num_classes=dataset["classes"],
                      feature_dim=dataset["features"], p_intra=dataset["p_intra"],
                      p_inter=dataset["p_inter"], mean_scale=dataset["mean_scale"],
-                     noise=dataset["noise"], task=dataset["task"])
+                     noise=dataset["noise"])
 
 
 def two_regime_federation(dataset: dict, seed: int) -> FederationDataset:
@@ -235,8 +238,7 @@ def two_regime_federation(dataset: dict, seed: int) -> FederationDataset:
         p_intra, p_inter = densities[regime]
         spec = SynthSpec(num_nodes=dataset["nodes_per_client"], num_classes=c,
                          feature_dim=d, p_intra=p_intra, p_inter=p_inter,
-                         noise=dataset["noise"], class_means=means[regime],
-                         task=dataset["task"])
+                         noise=dataset["noise"], class_means=means[regime])
         clients.append(synth_dataset(spec, spawn_key(seed, "regime-client", i)))
     maps = tuple(np.arange(g.n) for g in clients)
     return FederationDataset(tuple(clients), c, d, dataset["task"], maps, 0)

@@ -4,14 +4,13 @@ One round proceeds in lockstep: every client trains E local epochs against
 the representatives it received last round, evaluates, and produces an
 upload; the server then clusters the class Gaussians afresh and broadcasts
 per-client representatives for the next round. Clients with the same
-(n, d) train together: `group_clients` stacks them, in client order, into
+(n, d) train together: `group_clients` stacks them, in id order, into
 groups of at most STACK_ROWS node rows, and each group records one tape
 per epoch (`train_group`). `client_round` then finishes each client's
 round from its slice of the group's evaluation forward. Spectral-energy
 frames are fixed at setup, so they travel in round 1 only: the server
-groups them once and later rounds reuse those groups. Client work is keyed by client
-id, never by execution order, so permuting the schedule cannot change any
-result.
+groups them once and later rounds reuse those groups. Clients train in id
+order, and the client streams are keyed by round, not by client id.
 
 Methods:
   fedssa  - the full protocol (semantic and structural branches can be
@@ -311,38 +310,34 @@ def init_client_state(client_id: int, graph: LocalGraph, num_classes: int, task:
     )
 
 
-def group_clients(states: list, order, num_classes: int) -> list[ClientGroup]:
-    """Stack the states, taken in `order`, into training groups.
+def group_clients(states: list) -> list[ClientGroup]:
+    """Stack the states, in id order, into training groups.
 
     A group holds clients of one (n, d) and at most STACK_ROWS node rows; a
     client with more rows trains as a group of one. Stacking re-points each
     state's params, h_stack and x_in at its row of the group's arrays,
-    starts the group's Adam moments at zero and builds its plan, so a train
-    label outside range(num_classes) or overlapping class groups raise
-    ContractError naming the client here, before any round.
+    starts the group's Adam moments at zero and builds its plan.
     """
     by_shape: dict = {}
     members: list = []
-    for index in order:
-        state = states[index]
+    for state in states:
         shape = state.graph.features.shape
         group = by_shape.get(shape)
         if group is None or (len(group) + 1) * shape[0] > STACK_ROWS:
             group = by_shape[shape] = []
             members.append(group)
         group.append(state)
-    return [_stack(group, num_classes) for group in members]
+    return [_stack(group) for group in members]
 
 
-def _stack(states: list, num_classes: int) -> ClientGroup:
+def _stack(states: list) -> ClientGroup:
     params = {name: np.stack([s.params[name] for s in states]) for name in states[0].params}
     h_stack = np.stack([s.h_stack for s in states])
     x_in = np.stack([s.x_in for s in states])
     for i, s in enumerate(states):
         s.params = {name: a[i] for name, a in params.items()}
         s.h_stack, s.x_in = h_stack[i], x_in[i]
-    plan = group_plan([s.client_id for s in states], [s.graph for s in states], num_classes)
-    return ClientGroup(states=states, plan=plan,
+    return ClientGroup(states=states, plan=group_plan([s.graph for s in states]),
                        params=params, adam=AdamState.fresh(params),
                        h_stack=h_stack, x_in=x_in)
 
@@ -624,19 +619,15 @@ class FederationResult:
     chordal: Optional[tuple]
 
 
-def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig, seed: int,
-                            client_order=None) -> FederationResult:
+def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig,
+                            seed: int) -> FederationResult:
     """Run T synchronous rounds; return per-round metrics and final states.
 
-    client_order optionally fixes the schedule clients train in; it must be
-    a permutation of range(M) and cannot affect any result (asserted by the
-    test suite). No draw depends on the schedule: the client streams
-    (train-eps, eval-eps, train-nonedges, eval-nonedges) are keyed by round
-    (and epoch) but not by client, so every client reads the same noise,
-    and each member's non-edge draw starts from its stream's start state.
-    Stacked training is row by row, so a client's result does not depend
-    on its group either, and aggregation is id-sorted. Keying the client
-    streams by client id is ROADMAP item 2.
+    The client streams (train-eps, eval-eps, train-nonedges, eval-nonedges)
+    are keyed by round (and epoch) but not by client, so every client reads
+    the same noise, and each member's non-edge draw starts from its
+    stream's start state. Stacked training is row by row, so a client's
+    result does not depend on its group, and aggregation is id-sorted.
 
     A TrainingDivergenceError leaves with history set to the RoundMetrics
     of the rounds completed before the diverging one.
@@ -645,14 +636,11 @@ def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig, seed: in
     if dataset.num_clients < 1:
         raise ContractError("federation needs at least one client")
     m = dataset.num_clients
-    order = list(range(m)) if client_order is None else [int(i) for i in client_order]
-    if sorted(order) != list(range(m)):
-        raise ContractError("client_order must be a permutation of range(num_clients)")
     params0 = init_params(dataset.feature_dim, dataset.num_classes, cfg.order,
                           cfg.hidden, cfg.latent_dim, stream(seed, "init"))
     states = [init_client_state(i, g, dataset.num_classes, dataset.task, cfg, params0)
               for i, g in enumerate(dataset.clients)]
-    groups = group_clients(states, order, dataset.num_classes)
+    groups = group_clients(states)
     broadcasts: dict = {}
     structure = None  # round 1's structural clusters, kept for the run
     chordal = None  # round 1's (ids, chordal distance matrix)

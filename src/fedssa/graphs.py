@@ -118,7 +118,15 @@ class LocalGraph:
 
 @dataclass(frozen=True)
 class FederationDataset:
-    """A fixed roster of client shards plus federation-wide metadata."""
+    """A fixed roster of client shards plus federation-wide metadata.
+
+    dropped_edges counts the source graph's edges that partitioning cut.
+    Under the nonoverlap scheme it is the number of edges whose ends lie in
+    different clients. Under the overlap scheme it is the sum, over
+    clients, of the client's edges with one end outside it, so an edge
+    counts once for each client it leaves and the sum can exceed the
+    graph's edge count.
+    """
 
     clients: tuple
     num_classes: int
@@ -132,11 +140,13 @@ class FederationDataset:
             raise ConfigError(f"unknown task {self.task!r}, expected one of {TASKS}")
         if self.task == "binary-auc" and self.num_classes != 2:
             raise ConfigError("binary-auc task requires exactly 2 classes")
-        for g in self.clients:
+        for client_id, g in enumerate(self.clients):
             if g.feature_dim != self.feature_dim:
                 raise ShapeError("client feature dimension differs from federation")
             if g.labels.size and int(g.labels.max()) >= self.num_classes:
-                raise ContractError("client label exceeds federation class count")
+                raise ContractError(f"client {client_id}: label {int(g.labels.max())}"
+                                    " exceeds federation class count"
+                                    f" {self.num_classes}")
 
     @property
     def num_clients(self) -> int:
@@ -206,7 +216,6 @@ class SynthSpec:
     mean_scale: float = 2.0
     noise: float = 1.0
     class_means: Optional[np.ndarray] = None
-    task: str = "multiclass"
 
     def __post_init__(self):
         if self.num_nodes < 1:
@@ -220,10 +229,6 @@ class SynthSpec:
                 raise ConfigError(f"{name} must lie in [0, 1], got {p}")
         if self.noise < 0:
             raise ConfigError("noise must be >= 0")
-        if self.task not in TASKS:
-            raise ConfigError(f"unknown task {self.task!r}, expected one of {TASKS}")
-        if self.task == "binary-auc" and self.num_classes != 2:
-            raise ConfigError("binary-auc task requires exactly 2 classes")
         if self.class_means is not None:
             means = np.ascontiguousarray(np.asarray(self.class_means, dtype=np.float64))
             if means.shape != (self.num_classes, self.feature_dim):

@@ -15,11 +15,11 @@ Both components are expressed as tape builders over fused ops: each head,
 trunk and encoder layer is one `dense` node, the cross entropy one
 `softmax_ce` node and the reparameterised draw one `gaussian_sample` node.
 Clients with the same node count train on one stacked tape: `group_plan`
-validates the members' graphs and lays out, once per run, what every
-forward reads from them over the stacked rows: the cross-entropy rows and
-their labels, the train rows grouped by class, the ELBO's constant label
-term, each member's edge pairs and edge/non-edge split, and the non-edge
-sampler's offset tables, with member bounds for the ragged losses. Every
+lays out, once per run, what every forward reads from the members' graphs
+over the stacked rows: the cross-entropy rows and their labels, the train
+rows grouped by class, the ELBO's constant label term, each member's edge
+pairs and edge/non-edge split, and the non-edge sampler's offset tables,
+with member bounds for the ragged losses. Every
 builder takes a `GroupPlan`: the values carry a leading member axis and
 each loss holds one value per member. A client trained alone is a group of
 one. A group's evaluation pass records the builders once per round; its
@@ -168,13 +168,8 @@ def _offsets(sizes) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
 
 
-def group_plan(client_ids, graphs, num_classes: int) -> GroupPlan:
-    """Validate the graphs of clients with one node count and lay them out
-    over their stacked rows.
-
-    Raises ContractError naming the client when a train label falls outside
-    range(num_classes) or the class groups overlap.
-    """
+def group_plan(graphs) -> GroupPlan:
+    """Lay out the graphs of clients with one node count over their stacked rows."""
     n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise ShapeError("a group's clients must have the same node count")
@@ -182,12 +177,9 @@ def group_plan(client_ids, graphs, num_classes: int) -> GroupPlan:
     row_start = heads * n - heads * (heads + 1) // 2
     ce_rows, ce_labels, class_labels, groups = [], [], [], []
     label_terms, absent_before_edge, nonedge_counts = [], [], []
-    for m, (client_id, g) in enumerate(zip(client_ids, graphs)):
+    for m, g in enumerate(graphs):
         rows = g.train_idx
         train_labels = g.labels[rows]
-        if np.any(train_labels >= num_classes):
-            raise ContractError(f"client {client_id}: train label {int(train_labels.max())}"
-                                f" outside the class range 0..{num_classes - 1}")
         order = np.argsort(train_labels, kind="stable")
         labels, starts = np.unique(train_labels[order], return_index=True)
         if labels.size:
@@ -203,14 +195,7 @@ def group_plan(client_ids, graphs, num_classes: int) -> GroupPlan:
         u, v = g.edges[:, 0], g.edges[:, 1]
         absent_before_edge.append(row_start[u] + (v - u - 1) - np.arange(u.size))
         nonedge_counts.append(min(u.size, n * (n - 1) // 2 - u.size))
-    try:
-        classes = tp.segments(groups, n * len(graphs))
-    except ContractError as exc:
-        # members own disjoint row ranges and their class groups split their
-        # train rows, so groups overlap only where a member repeats a train row
-        client_id = next(cid for cid, g in zip(client_ids, graphs)
-                         if np.unique(g.train_idx).size != g.train_idx.size)
-        raise ContractError(f"client {client_id}: {exc}") from exc
+    classes = tp.segments(groups, n * len(graphs))
     label_term = None
     if any(t is not None for t in label_terms):
         label_term = np.array([t or 0.0 for t in label_terms]).reshape(-1, 1, 1)

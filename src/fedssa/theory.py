@@ -3,9 +3,8 @@
 These routines turn a round's cluster maps into the quantities the
 convergence story is written in: per-cluster semantic divergences
 (delta_mu, delta_sigma), per-cluster structural divergence (eps_U), the
-representative's smallest covariance eigenvalue, the resulting error floor,
-and the contraction recursion it feeds. The KL audit checks the closed-form
-alignment bound member by member.
+resulting error floor, and the contraction recursion it feeds. The KL
+audit checks the closed-form alignment bound member by member.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ class SemanticClusterStats:
     size: int
     delta_mu: float
     delta_sigma: float
-    sigma_min_sq: float
 
 
 @dataclass(frozen=True)
@@ -49,7 +47,6 @@ class HeterogeneityReport:
 
     semantic: tuple
     structural: tuple
-    sigma_min_sq: float
     worst_delta_mu: float
     worst_delta_sigma: float
     worst_eps_u: float
@@ -82,11 +79,9 @@ def measure_heterogeneity(chordal: tuple | None, semantic_map: SemanticClusterMa
     if semantic_map is not None:
         for (label, cluster), members in sorted(semantic_map.members.items()):
             delta_mu, delta_sigma = _spreads(members)
-            rep = semantic_map.representatives[(label, cluster)]
             semantic_stats.append(SemanticClusterStats(
                 label=int(label), cluster=int(cluster), size=len(members),
-                delta_mu=delta_mu, delta_sigma=delta_sigma,
-                sigma_min_sq=float(np.linalg.eigvalsh(rep.cov)[0])))
+                delta_mu=delta_mu, delta_sigma=delta_sigma))
             holders.setdefault(label, []).extend(members)
     ids, matrix = chordal if chordal is not None else ((), np.zeros((0, 0)))
     structural_stats = []
@@ -102,7 +97,6 @@ def measure_heterogeneity(chordal: tuple | None, semantic_map: SemanticClusterMa
     return HeterogeneityReport(
         semantic=tuple(semantic_stats),
         structural=tuple(structural_stats),
-        sigma_min_sq=min((s.sigma_min_sq for s in semantic_stats), default=math.nan),
         worst_delta_mu=max((s.delta_mu for s in semantic_stats), default=0.0),
         worst_delta_sigma=max((s.delta_sigma for s in semantic_stats), default=0.0),
         worst_eps_u=max((s.eps_u for s in structural_stats), default=0.0),
@@ -220,7 +214,6 @@ class KLAudit:
     label: int
     delta_mu: float
     delta_sigma: float
-    sigma_min_sq: float
     precondition_ok: bool
     entries: tuple
 
@@ -247,16 +240,16 @@ def kl_bound_audit(members: dict, representative: ClassGaussian) -> KLAudit:
         if g.label != representative.label:
             raise ContractError("member class label differs from representative")
     delta_mu, delta_sigma = _spreads(gaussians)
-    sigma_min_sq = float(np.linalg.eigvalsh(representative.cov)[0])
-    precondition_ok = (delta_sigma + delta_mu ** 2) <= sigma_min_sq / 2.0
+    sigma_sq = float(np.linalg.eigvalsh(representative.cov)[0])
+    precondition_ok = (delta_sigma + delta_mu ** 2) <= sigma_sq / 2.0
     d = representative.dim
-    bound = (delta_mu ** 2 / (2.0 * sigma_min_sq)
-             + 3.0 * d * (delta_sigma + delta_mu ** 2) / (2.0 * sigma_min_sq))
+    bound = (delta_mu ** 2 / (2.0 * sigma_sq)
+             + 3.0 * d * (delta_sigma + delta_mu ** 2) / (2.0 * sigma_sq))
     entries = []
     for cid, g in ordered:
         actual = gaussian_kl(g, representative)
         entries.append(KLAuditEntry(client_id=int(cid), actual=actual, bound=bound,
                                     within=actual <= bound + 1e-9))
     return KLAudit(label=int(representative.label), delta_mu=delta_mu,
-                   delta_sigma=delta_sigma, sigma_min_sq=sigma_min_sq,
-                   precondition_ok=precondition_ok, entries=tuple(entries))
+                   delta_sigma=delta_sigma, precondition_ok=precondition_ok,
+                   entries=tuple(entries))

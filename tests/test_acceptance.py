@@ -76,7 +76,7 @@ def test_a01_loss_gradients_match_central_differences():
             assert np.bincount(g.labels[g.train_idx], minlength=c).min() >= 2
         # the builders read a one-member group: leaves and inputs gain a
         # leading member axis of 1
-        plan = group_plan([i], [g], c)
+        plan = group_plan([g])
         h_stack = stack_powers(laplacian_powers(g, 3))[None]
 
         # cross-entropy through the filter and head

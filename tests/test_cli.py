@@ -313,11 +313,19 @@ def test_synth_rejects_non_synthetic_dataset(tmp_path):
     assert main(["synth", "--config", cfg, "--out", str(tmp_path / "g.json")]) == 2
 
 
-def test_partition_writes_dataset_dir(tmp_path):
+def test_synth_rejects_binary_auc_with_three_classes(tmp_path, capsys):
+    raw = dict(SYNTH, dataset=dict(SYNTH["dataset"], task="binary-auc", classes=3))
+    cfg = _write_cfg(tmp_path, raw)
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path / "g.json")]) == 2
+    assert "binary-auc task requires exactly 2 classes" in capsys.readouterr().err
+
+
+def test_partition_writes_dataset_dir(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, SYNTH)
     out = tmp_path / "clients"
     assert main(["partition", "--config", cfg, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
+    assert f"{manifest['dropped_edges']} cross edges dropped" in capsys.readouterr().out
     assert manifest["clients"] == 2
     assert len(manifest["files"]) == 2
     run_raw = {"dataset": {"kind": "file", "path": str(out)},
@@ -325,6 +333,23 @@ def test_partition_writes_dataset_dir(tmp_path):
                "hyperparams": {"T": 1, "E": 1, "K": 3, "d_z": 4, "h": 8}}
     run_cfg = _write_cfg(tmp_path, run_raw, name="run.yaml")
     assert main(["run", "--config", run_cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_overlap_partition_reports_cuts_per_client(tmp_path, capsys):
+    # each client counts its own edges with one end outside it, so the sum
+    # can exceed the graph's edge count
+    raw = dict(SYNTH, dataset=dict(SYNTH["dataset"], nodes=200, p_intra=0.1),
+               partition={"scheme": "overlap", "clients": 5})
+    cfg = _write_cfg(tmp_path, raw)
+    graph = tmp_path / "graph.json"
+    assert main(["synth", "--config", cfg, "--out", str(graph)]) == 0
+    out = tmp_path / "clients"
+    assert main(["partition", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(manifest["files"]) == 5
+    assert manifest["dropped_edges"] > load_graph(graph).edges.shape[0]
+    assert (f"{manifest['dropped_edges']} edges cut, counted once per client they leave"
+            in capsys.readouterr().out)
 
 
 def test_partition_requires_partition_section(tmp_path):

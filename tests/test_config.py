@@ -86,6 +86,14 @@ def test_dataset_kind_requirements():
         parse_config({"dataset": {"kind": "synthetic", "task": "regression"}})
 
 
+@pytest.mark.parametrize("kind", ["synthetic", "two-regime"])
+def test_binary_auc_needs_two_classes(kind):
+    with pytest.raises(ConfigError, match="binary-auc task requires exactly 2 classes"):
+        parse_config({"dataset": {"kind": kind, "task": "binary-auc", "classes": 3}})
+    cfg = parse_config({"dataset": {"kind": kind, "task": "binary-auc", "classes": 2}})
+    assert cfg.dataset["task"] == "binary-auc"
+
+
 def test_two_regime_forbids_partition():
     raw = {"dataset": {"kind": "two-regime"},
            "partition": {"scheme": "nonoverlap", "clients": 4}}

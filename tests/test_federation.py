@@ -1,5 +1,5 @@
-"""Federation loop checks: schedule invariance, bit-reproducibility, stacked
-groups against clients trained alone, upload privacy, the lossless wire form
+"""Federation loop checks: bit-reproducibility, stacked groups against
+clients trained alone, upload privacy, the lossless wire form
 and its byte accounting, fixed spectral-energy frames and the rank-deficient
 client rule, fedavg fixed points, divergence rollback, server protocol
 errors, and structural cluster recovery from hand-built uploads."""
@@ -25,7 +25,7 @@ from fedssa.federation import (ClientUpload, RunConfig, ServerBroadcast,
 from fedssa.graphs import (FederationDataset, LocalGraph, SynthSpec,
                            canonical_json, stratified_split, synth_dataset)
 from fedssa.linalg import qr_thin
-from fedssa.models import ClassGaussian, group_plan, init_params, sample_nonedges
+from fedssa.models import ClassGaussian, init_params, sample_nonedges
 from fedssa.rng import stream
 from fedssa.semantic import alignment_inputs
 from fedssa.structural import SpectralEnergy
@@ -45,7 +45,7 @@ def _tiny_cfg(**overrides) -> RunConfig:
 
 def _tiny_dataset(num_clients=3, seed=0, task="multiclass") -> FederationDataset:
     spec = SynthSpec(num_nodes=14, num_classes=2, feature_dim=DIM,
-                     p_intra=0.6, p_inter=0.1, task=task)
+                     p_intra=0.6, p_inter=0.1)
     clients = tuple(synth_dataset(spec, seed + i) for i in range(num_clients))
     return FederationDataset(clients=clients, num_classes=2, feature_dim=DIM,
                              task=task)
@@ -61,9 +61,9 @@ def _client_state(graph, cfg, seed=0, client_id=0):
     return init_client_state(client_id, graph, 2, "multiclass", cfg, params)
 
 
-def _alone(state, num_classes=2):
+def _alone(state):
     """The one-member training group of a client state."""
-    return group_clients([state], [0], num_classes)
+    return group_clients([state])
 
 
 def _forward(group, cfg, broadcasts=None):
@@ -116,7 +116,7 @@ def test_training_forward_records_at_most_35_tape_nodes():
     params = init_params(24, 4, cfg.order, cfg.hidden, cfg.latent_dim, stream(0, "init"))
     states = [init_client_state(i, g, 4, "multiclass", cfg, params)
               for i, g in enumerate(ds.clients)]
-    groups = group_clients(states, [0, 1], 4)
+    groups = group_clients(states)
     assert len(groups) == 1  # the bound holds per group forward, not per client
     uploads = local_round(groups, {}, cfg, 0, 1)
     broadcasts = server_step(uploads, cfg.k_node, cfg.k_struct, 0).broadcasts
@@ -141,29 +141,6 @@ def test_forward_reads_the_plan_built_at_setup():
     assert groups[0].plan is plan
 
 
-def test_client_plan_checks_fire_at_setup_and_name_the_client():
-    cfg = _tiny_cfg()
-    graph = _tiny_dataset(1).clients[0]
-    labels = graph.labels.copy()
-    labels[graph.train_idx[0]] = 2
-    wide = LocalGraph(graph.features, labels, graph.edges, graph.train_idx,
-                      graph.val_idx, graph.test_idx)
-    with pytest.raises(ContractError, match="client 4: train label 2 outside"):
-        group_plan([3, 4], [graph, wide], 2)
-    # a LocalGraph rejects duplicate train rows, so corrupt one after the fact
-    overlapping = LocalGraph(graph.features, graph.labels, graph.edges,
-                             graph.train_idx, graph.val_idx, graph.test_idx)
-    object.__setattr__(overlapping, "train_idx",
-                       np.concatenate([graph.train_idx, graph.train_idx[:1]]))
-    with pytest.raises(ContractError, match="client 5: segment groups must be disjoint"):
-        group_plan([3, 5], [graph, overlapping], 2)
-    # group_clients builds the plans at setup, before any round
-    states = [_client_state(graph, cfg, client_id=3),
-              _client_state(overlapping, cfg, client_id=5)]
-    with pytest.raises(ContractError, match="client 5: segment groups must be disjoint"):
-        group_clients(states, [0, 1], 2)
-
-
 def test_setup_and_round_memory_targets():
     # dataset setup of the 4,800-node benchmark graph, then one 10,000-node
     # client (60k edges) through setup and a training round; a dense n x n
@@ -185,7 +162,7 @@ def test_setup_and_round_memory_targets():
         synth_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         state = init_client_state(0, graph, c, "multiclass", cfg, params)
-        local_round(_alone(state, c), {}, cfg, 0, 1)
+        local_round(_alone(state), {}, cfg, 0, 1)
         client_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -224,7 +201,7 @@ def test_full_stacked_group_memory():
     params = init_params(24, 4, cfg.order, cfg.hidden, cfg.latent_dim, stream(0, "init"))
     states = [init_client_state(i, g, 4, "multiclass", cfg, params)
               for i, g in enumerate(ds.clients)]
-    groups = group_clients(states, range(8), 4)
+    groups = group_clients(states)
     assert [len(g.states) for g in groups] == [8]
     assert groups[0].h_stack.shape[0] * groups[0].plan.n == federation.STACK_ROWS
     tracemalloc.start()
@@ -240,7 +217,7 @@ def test_group_nonedge_draws_match_one_fresh_stream_per_member():
     cfg = _tiny_cfg()
     states = [_client_state(g, cfg, client_id=i)
               for i, g in enumerate(_tiny_dataset(num_clients=4).clients)]
-    (group,) = group_clients(states, range(4), 2)
+    (group,) = group_clients(states)
     for path in (("train-nonedges", 3, 1), ("eval-nonedges", 2)):
         got = federation._samples(group.plan, 7, *path)
         want = [sample_nonedges(group.plan, m, count, stream(7, *path))
@@ -251,7 +228,7 @@ def test_group_nonedge_draws_match_one_fresh_stream_per_member():
         assert len({a.tobytes() for a in got}) > 1
 
 
-# --- determinism and schedule invariance -------------------------------------
+# --- determinism and stacking ---------------------------------------------------
 
 
 def test_rerun_is_bit_reproducible():
@@ -263,13 +240,6 @@ def test_rerun_is_bit_reproducible():
     for sa, sb in zip(a.states, b.states):
         assert sa.params["w"].tobytes() == sb.params["w"].tobytes()
         assert sa.params["mu_w"].tobytes() == sb.params["mu_w"].tobytes()
-
-
-def test_client_order_cannot_change_results():
-    ds = _tiny_dataset()
-    fwd = run_federation_detailed(ds, _tiny_cfg(), seed=3, client_order=[0, 1, 2])
-    rev = run_federation_detailed(ds, _tiny_cfg(), seed=3, client_order=[2, 1, 0])
-    assert _signatures(fwd.history) == _signatures(rev.history)
 
 
 def _ragged_dataset() -> FederationDataset:
@@ -287,14 +257,14 @@ _GROUP_CLIENTS = federation.group_clients
 _CLIENT_ROUND = federation.client_round
 
 
-def _recorded_run(monkeypatch, ds, cfg, stack_rows, client_order=None):
+def _recorded_run(monkeypatch, ds, cfg, stack_rows):
     """Run with the given row cap; returns (result, groups, uploads by round)."""
     monkeypatch.setattr(federation, "STACK_ROWS", stack_rows)
     groups, uploads = [], []
     real_group, real_round = _GROUP_CLIENTS, _CLIENT_ROUND
 
-    def recording_group(states, order, num_classes):
-        groups.extend(real_group(states, order, num_classes))
+    def recording_group(states):
+        groups.extend(real_group(states))
         return groups
 
     def recording_round(group, member, evaluation, cfg, round_index):
@@ -304,7 +274,7 @@ def _recorded_run(monkeypatch, ds, cfg, stack_rows, client_order=None):
 
     monkeypatch.setattr(federation, "group_clients", recording_group)
     monkeypatch.setattr(federation, "client_round", recording_round)
-    result = run_federation_detailed(ds, cfg, seed=2, client_order=client_order)
+    result = run_federation_detailed(ds, cfg, seed=2)
     return result, groups, sorted(uploads, key=lambda item: item[:2])
 
 
@@ -321,13 +291,13 @@ def _upload_bytes(upload) -> tuple:
                   for g in upload.class_gaussians))
 
 
-@pytest.mark.parametrize("stack_rows, client_order, sizes", [
-    (1024, None, [5]),                  # one stacked group
-    (30, None, [2, 2, 1]),              # the row cap splits the client list
-    (30, [3, 1, 4, 0, 2], [2, 2, 1]),   # the schedule changes group membership
+@pytest.mark.parametrize("stack_rows, members, sizes", [
+    (1024, None, [5]),                     # one stacked group
+    (30, None, [2, 2, 1]),                 # the row cap splits the client list
+    (45, [[0, 1, 2], [3, 4]], [3, 2]),     # clients 2 and 4 get new partners
 ])
 def test_stacked_groups_match_clients_trained_alone(monkeypatch, stack_rows,
-                                                    client_order, sizes):
+                                                    members, sizes):
     ds = _ragged_dataset()
     assert len({g.edges.shape[0] for g in ds.clients}) == 5
     assert len({g.train_idx.size for g in ds.clients}) > 1
@@ -335,10 +305,10 @@ def test_stacked_groups_match_clients_trained_alone(monkeypatch, stack_rows,
     alone, alone_groups, alone_uploads = _recorded_run(monkeypatch, ds, cfg, 1)
     assert [len(g.states) for g in alone_groups] == [1] * 5
     stacked, groups, uploads = _recorded_run(monkeypatch, ds, _tiny_cfg(rounds=3, epochs=2),
-                                             stack_rows, client_order)
+                                             stack_rows)
     assert [len(g.states) for g in groups] == sizes
-    if client_order is not None:
-        assert [s.client_id for s in groups[0].states] == client_order[:2]
+    if members is not None:
+        assert [[s.client_id for s in g.states] for g in groups] == members
     assert _signatures(stacked.history) == _signatures(alone.history)
     for a, b in zip(stacked.states, alone.states):
         assert {k: v.tobytes() for k, v in a.params.items()} == \
@@ -351,25 +321,39 @@ def test_stacked_groups_match_clients_trained_alone(monkeypatch, stack_rows,
     assert stacked.history[-1].per_client[0].node != 0.0  # the alignment KL ran
 
 
+def _interleaved_groups(cfg):
+    """Training groups of four clients of 14, 15, 14 and 15 nodes: in id
+    order they stack as [0, 2] and [1, 3], so member 0 of the second group
+    is client 1."""
+    graphs = [synth_dataset(SynthSpec(num_nodes=14 + i % 2, num_classes=2, feature_dim=DIM,
+                                      p_intra=0.6, p_inter=0.1), i) for i in range(4)]
+    groups = group_clients([_client_state(g, cfg, client_id=i)
+                            for i, g in enumerate(graphs)])
+    assert [[s.client_id for s in g.states] for g in groups] == [[0, 2], [1, 3]]
+    return groups
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("diverging, named", [((0,), 1), ((0, 1), 0)])
+@pytest.mark.parametrize("diverging, named", [((1,), 1), ((0, 2), 0), ((3,), 3)])
 def test_group_divergence_names_lowest_client_and_rolls_back(monkeypatch, diverging,
                                                              named):
-    ds = _tiny_dataset(num_clients=2)
     cfg = _tiny_cfg(epochs=2)
-    states = [_client_state(g, cfg, client_id=i) for i, g in enumerate(ds.clients)]
-    groups = group_clients(states, [1, 0], 2)  # member 0 is client 1
-    assert len(groups) == 1 and [s.client_id for s in groups[0].states] == [1, 0]
+    groups = _interleaved_groups(cfg)
     local_round(groups, {}, cfg, 0, 1)
-    before = _group_snapshot(groups[0])
+    poisoned_group = next(i for i, g in enumerate(groups)
+                          if any(s.client_id in diverging for s in g.states))
+    before = [_group_snapshot(g) for g in groups]
     real = federation.elbo_path
     calls = []
 
     def poisoned(mu, logvar, plan, eps, nonedges):
         out = real(mu, logvar, plan, eps, nonedges)
-        calls.append(1)
-        if len(calls) == 2:  # the second epoch, after one stacked step
-            out.value[list(diverging)] = np.nan
+        group = groups[poisoned_group]
+        if plan is group.plan:
+            calls.append(1)
+            if len(calls) == 2:  # the second epoch, after one stacked step
+                out.value[[m for m, s in enumerate(group.states)
+                           if s.client_id in diverging]] = np.nan
         return out
 
     monkeypatch.setattr(federation, "elbo_path", poisoned)
@@ -377,7 +361,9 @@ def test_group_divergence_names_lowest_client_and_rolls_back(monkeypatch, diverg
                        match=f"client {named} diverged in round 2: non-finite loss"):
         local_round(groups, {}, cfg, 0, 2)
     assert len(calls) == 2
-    assert _group_snapshot(groups[0]) == before
+    # the diverging group rolled back, and no later group trained
+    after = [_group_snapshot(g) for g in groups]
+    assert after[poisoned_group:] == before[poisoned_group:]
 
 
 def test_seed_changes_results():
@@ -385,12 +371,6 @@ def test_seed_changes_results():
     a = run_federation_detailed(ds, _tiny_cfg(), seed=1).history
     b = run_federation_detailed(ds, _tiny_cfg(), seed=2).history
     assert _signatures(a) != _signatures(b)
-
-
-def test_bad_client_order_rejected():
-    ds = _tiny_dataset()
-    with pytest.raises(ContractError):
-        run_federation_detailed(ds, _tiny_cfg(), seed=0, client_order=[0, 0, 1])
 
 
 def test_zero_epochs_leaves_parameters_untouched():
@@ -722,7 +702,7 @@ def _semantic_round_inputs():
     ds = _tiny_dataset(num_clients=2)
     cfg = _tiny_cfg()
     groups = group_clients([_client_state(g, cfg, client_id=i)
-                            for i, g in enumerate(ds.clients)], [0, 1], 2)
+                            for i, g in enumerate(ds.clients)])
     uploads = local_round(groups, {}, cfg, 0, 1)
     broadcasts = server_step(uploads, cfg.k_node, cfg.k_struct, 0).broadcasts
     assert len(groups) == 1 and broadcasts[0].class_representatives
@@ -766,21 +746,16 @@ def test_indefinite_representative_rolls_back():
     assert _group_snapshot(group) == before
 
 
-def test_indefinite_representative_in_two_groups_names_lowest_client(monkeypatch):
-    # 14-node clients in groups of two, the higher ids scheduled first: the
-    # representative reaches client 3 in the first group and client 1 in the
-    # second, and no group trains
-    monkeypatch.setattr(federation, "STACK_ROWS", 28)
-    ds = _tiny_dataset(num_clients=4)
+def test_indefinite_representative_in_two_groups_names_lowest_client():
+    # the representative reaches client 2 in the first group and client 1
+    # in the second, and no group trains
     cfg = _tiny_cfg()
-    groups = group_clients([_client_state(g, cfg, client_id=i)
-                            for i, g in enumerate(ds.clients)], [3, 2, 1, 0], 2)
-    assert [[s.client_id for s in g.states] for g in groups] == [[3, 2], [1, 0]]
+    groups = _interleaved_groups(cfg)
     broadcasts = server_step(local_round(groups, {}, cfg, 0, 1),
                              cfg.k_node, cfg.k_struct, 0).broadcasts
     dz = cfg.latent_dim
     indefinite = np.eye(dz) + 2.0 * (np.ones((dz, dz)) - np.eye(dz))
-    for cid in (3, 1):
+    for cid in (2, 1):
         broadcasts[cid] = dataclasses.replace(broadcasts[cid], class_representatives={
             label: ClassGaussian(label, np.zeros(dz), indefinite, 1)
             for label in broadcasts[cid].class_representatives})

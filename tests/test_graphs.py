@@ -184,6 +184,14 @@ def test_graph_rejects_overlapping_splits():
         _graph(np.eye(3), [0, 1, 0], [[0, 1]], train=[0, 1], val=[1])
 
 
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+def test_graph_rejects_repeated_split_index(split):
+    splits = {"train": [0], "val": [1], "test": [2]}
+    splits[split] = splits[split] * 2
+    with pytest.raises(ContractError, match=f"{split} indices contain duplicates"):
+        _graph(np.eye(3), [0, 1, 0], [[0, 1]], **splits)
+
+
 def test_graph_arrays_are_read_only():
     g = _two_nodes_one_edge()
     with pytest.raises(ValueError):
@@ -194,8 +202,14 @@ def test_graph_arrays_are_read_only():
 
 def test_dataset_validates_clients():
     g = _two_nodes_one_edge()
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="client 0: label 1 exceeds"):
         FederationDataset((g,), num_classes=1, feature_dim=2, task="multiclass")
+    # with two bad clients the error names the lower id
+    wide = _graph(np.eye(2), [0, 2], [[0, 1]])
+    with pytest.raises(ContractError, match="client 1: label 2 exceeds federation class"
+                                            " count 2"):
+        FederationDataset((g, wide, g, wide), num_classes=2, feature_dim=2,
+                          task="multiclass")
     with pytest.raises(ConfigError):
         FederationDataset((g,), num_classes=2, feature_dim=2, task="nonsense")
     with pytest.raises(ConfigError):

@@ -45,30 +45,30 @@ def _forward(g, params, powers):
     return p.value[0], logits.value[0]
 
 
-def _group(g, num_classes=None):
+def _group(g):
     """The one-member group plan the builders read."""
-    return group_plan([0], [g], g.num_classes() if num_classes is None else num_classes)
+    return group_plan([g])
 
 
-def _ce_plan(labels, mask, num_classes):
+def _ce_plan(labels, mask):
     """Group plan of one featureless graph whose train rows are mask."""
     n = len(labels)
     g = LocalGraph(np.zeros((n, 1)), labels, [], train_idx=mask, val_idx=[], test_idx=[])
-    return group_plan([0], [g], num_classes)
+    return group_plan([g])
 
 
 def _ce(logits, labels, mask):
     logits = np.asarray(logits, dtype=np.float64)
     t = tp.Tape()
     var = t.leaf(logits[None], "logits")
-    return float(ce_path(var, _ce_plan(labels, mask, logits.shape[1])).value[0, 0, 0])
+    return float(ce_path(var, _ce_plan(labels, mask)).value[0, 0, 0])
 
 
 def _encode(params, g, num_classes):
     """Posterior mean, log-variance and class Gaussians from the tape builders."""
     t = tp.Tape()
     mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, num_classes)[None])
-    plan = _group(g, num_classes)
+    plan = _group(g)
     moments = class_stat_paths(mu, logvar, plan)
     gaussians = class_gaussians(plan.class_labels, plan.classes.counts, moments.value)
     return mu.value[0], logvar.value[0], gaussians
@@ -138,7 +138,8 @@ def test_ce_is_shift_stable():
 def test_ce_contract_errors():
     with pytest.raises(ContractError):
         _ce(np.zeros((2, 2)), np.array([0, 1]), np.zeros(0, dtype=int))
-    with pytest.raises(ContractError):
+    # a label without a logit column is out of range for the tape op
+    with pytest.raises(ShapeError, match="label index out of range for 2 rows"):
         _ce(np.zeros((2, 2)), np.array([0, 2]), np.arange(2))
 
 
@@ -149,7 +150,7 @@ def test_ce_gradient_matches_softmax_formula():
     mask = np.array([0, 2, 4])
     t = tp.Tape()
     var = t.leaf(logits_v[None], "logits")
-    loss = ce_path(var, _ce_plan(labels, mask, 3))
+    loss = ce_path(var, _ce_plan(labels, mask))
     g = tp.grad(t, loss)[var][0]
     # softmax minus onehot on masked rows, zero elsewhere
     want = np.zeros_like(logits_v)
@@ -166,7 +167,7 @@ def test_full_classifier_gradient_matches_finite_differences():
     params = _params(g, order=2, hidden=5)
     powers = laplacian_powers(g, 2)
     h_stack = stack_powers(powers)[None]
-    plan = _group(g, 2)
+    plan = _group(g)
     arrays = {k: params[k][None].copy()
               for k in ("w", "head_w1", "head_b1", "head_w2", "head_b2")}
 
@@ -242,7 +243,7 @@ def test_class_stat_paths_match_numpy_recompute():
     params = init_params(4, 3, 1, 6, 3, stream(14, "init"))
     t = tp.Tape()
     mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, 3)[None])
-    plan = _group(g, 3)
+    plan = _group(g)
     moments = class_stat_paths(mu, logvar, plan)
     assert np.array_equal(plan.class_labels, np.unique(g.labels[g.train_idx]))
     assert moments.shape == (plan.class_labels.size, 6)
@@ -263,7 +264,7 @@ def test_class_stat_paths_singleton_spread_is_exactly_zero():
     params = init_params(2, 2, 1, 4, 3, stream(15, "init"))
     t = tp.Tape()
     mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, 2)[None])
-    moments = class_stat_paths(mu, logvar, _group(g, 2)).value
+    moments = class_stat_paths(mu, logvar, _group(g)).value
     assert np.array_equal(moments[0], np.concatenate([mu.value[0, 0],
                                                       np.exp(logvar.value[0, 0])]))
 
@@ -275,7 +276,7 @@ def test_class_stat_paths_without_train_rows():
     params = init_params(2, 2, 1, 4, 3, stream(16, "init"))
     t = tp.Tape()
     mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, 2)[None])
-    plan = _group(g, 2)
+    plan = _group(g)
     moments = class_stat_paths(mu, logvar, plan)
     assert plan.class_labels.size == 0 and moments.shape == (0, 6)
     assert class_gaussians(plan.class_labels, plan.classes.counts, moments.value) == ()
@@ -321,7 +322,7 @@ def test_elbo_matches_numpy_recompute():
     g = _small_graph(n=15, c=2, d=4, seed=6)
     params = init_params(4, 2, 1, 5, 3, stream(12, "init"))
     eps = stream(0, "eps").standard_normal((g.n, 3))
-    plan = _group(g, 2)
+    plan = _group(g)
     nonedges = sample_nonedges(plan, 0, plan.nonedge_counts[0], stream(0, "ne"))
     t = tp.Tape()
     mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, 2)[None])
@@ -334,7 +335,7 @@ def test_elbo_gradient_matches_finite_differences():
     g = _small_graph(n=10, c=2, d=3, seed=7)
     params = init_params(3, 2, 1, 4, 2, stream(13, "init"))
     eps = stream(1, "eps").standard_normal((g.n, 2))
-    group = _group(g, 2)
+    group = _group(g)
     nonedges = [sample_nonedges(group, 0, group.nonedge_counts[0], stream(1, "ne"))]
     arrays = {name: params[name][None].copy() for name in ENCODER}
     x_in = encoder_input(g, 2)[None]
@@ -380,7 +381,7 @@ def _graph_from_edges(n, edges):
 def _assert_matches_pool(g, count, seed, plan=None, member=0):
     """member's draw from plan (by default g's one-member group) against
     pool_draw on g."""
-    plan = _group(g, 1) if plan is None else plan
+    plan = _group(g) if plan is None else plan
     got = sample_nonedges(plan, member, count, stream(seed, "ne"))
     want = pool_draw(g, count, stream(seed, "ne"))
     assert got.dtype == want.dtype and got.shape == want.shape
@@ -403,7 +404,7 @@ def test_sample_nonedges_matches_pool_draw(seed):
         graphs.append(g)
         counts.append((g.edges.shape[0], int(rng.integers(1, absent + 2)), absent,
                        absent + 7))
-    plan = group_plan([0, 1, 2], graphs, 1)
+    plan = group_plan(graphs)
     for member, (g, member_counts) in enumerate(zip(graphs, counts)):
         for count in member_counts:
             _assert_matches_pool(g, count, seed, plan if member else None, member)
@@ -421,9 +422,9 @@ def test_sample_nonedges_matches_pool_draw_edge_cases():
     for seed in range(10):
         for g, count in cases:
             _assert_matches_pool(g, count, seed)
-    assert sample_nonedges(_group(edgeless, 1), 0, 100, stream(0, "ne")).shape == (36, 2)
-    assert sample_nonedges(_group(complete, 1), 0, 4, stream(0, "ne")).shape == (0, 2)
-    assert sample_nonedges(_group(path, 1), 0, 0, stream(0, "ne")).shape == (0, 2)
+    assert sample_nonedges(_group(edgeless), 0, 100, stream(0, "ne")).shape == (36, 2)
+    assert sample_nonedges(_group(complete), 0, 4, stream(0, "ne")).shape == (0, 2)
+    assert sample_nonedges(_group(path), 0, 0, stream(0, "ne")).shape == (0, 2)
 
 
 # --- class Gaussians ----------------------------------------------------------------

@@ -326,7 +326,7 @@ def test_alignment_inputs_match_distinct_targets_reference(dz):
                 5: dict(shared)}
     targets = distinct_kl_targets(received)
     for ids in ([0, 1, 2], [3, 4, 5], [2, 4]):
-        plan = group_plan(ids, [_train_graph(train[i]) for i in ids], 4)
+        plan = group_plan([_train_graph(train[i]) for i in ids])
         got = alignment_inputs(plan, [received.get(i, {}) for i in ids])
         want = matched_alignment_inputs(plan, [targets.get(i) for i in ids])
         if ids == [2, 4]:  # no class of either member has a representative

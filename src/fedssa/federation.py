@@ -35,12 +35,12 @@ import numpy as np
 from . import tape as tp
 from .errors import (ConfigError, ContractError, NumericError, ProtocolError,
                      ShapeError, TrainingDivergenceError, UndefinedMetricError)
-from .graphs import FederationDataset, LocalGraph, canonical_json, laplacian_powers
+from .graphs import FederationDataset, LocalGraph, laplacian_powers
 from .metrics import accuracy, auc
-from .models import (ClassGaussian, GroupPlan, ce_path, class_gaussians,
-                     class_stat_paths, elbo_path, encoder_input, encoder_path,
-                     group_plan, init_params, logits_path, sample_nonedges,
-                     spectral_energy, stack_powers)
+from .models import (GroupPlan, ce_path, class_gaussians, class_stat_paths,
+                     elbo_path, encoder_input, encoder_path, group_plan,
+                     init_params, logits_path, sample_nonedges, spectral_energy,
+                     stack_powers)
 from .rng import spawn_key, stream
 from .semantic import (SemanticClusterMap, alignment_inputs, alignment_path,
                        build_semantic_map)
@@ -219,76 +219,68 @@ class RoundMetrics:
     wall_ms: float = 0.0
 
 
-# --- payload serialization (byte accounting and checkpoints) ----------------
+# --- wire form (byte accounting) and checkpoints ------------------------------
+# Every message is a little-endian int32 header of ids and counts followed by
+# float64 arrays, row-major, in a fixed order. Its length is the bytes it puts
+# on the wire, and it holds every value exactly.
 
 
-def _class_payload(g: ClassGaussian) -> dict:
-    """A client's class Gaussian; its covariance is diagonal, so only the variances go."""
-    if np.any(g.cov[~np.eye(g.dim, dtype=bool)]):
-        raise ContractError(f"class {g.label} covariance has a nonzero off-diagonal entry")
-    return {"label": g.label, "mean": g.mean.tolist(),
-            "var": np.diagonal(g.cov).tolist(), "count": g.count}
+def _message(header: list, arrays: list) -> bytes:
+    return (np.asarray(header, dtype="<i4").tobytes()
+            + b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays))
 
 
-def _representative_payload(g: ClassGaussian) -> dict:
-    """A representative as its mean and the row-major upper triangle of its cov."""
-    if not np.array_equal(g.cov, g.cov.T):
-        raise ContractError(f"class {g.label} representative covariance is not symmetric")
-    return {"mean": g.mean.tolist(), "cov": g.cov[np.triu_indices(g.dim)].tolist()}
+def encode_upload(u: ClientUpload) -> bytes:
+    """Header: client id, coefficient count, class count, latent dim d, frame
+    rows and columns (0 without a frame), then each class's label and count.
+    Floats: the coefficients, each class's mean and d variances (a client's
+    class covariance is diagonal), then the frame Q."""
+    q = u.spectral_energy.q if u.spectral_energy is not None else np.zeros((0, 0))
+    d = u.class_gaussians[0].dim if u.class_gaussians else 0
+    header = [u.client_id, u.coefficients.size, len(u.class_gaussians), d, *q.shape]
+    arrays = [u.coefficients]
+    for g in u.class_gaussians:
+        if np.any(g.cov[~np.eye(g.dim, dtype=bool)]):
+            raise ContractError(f"class {g.label} covariance has a nonzero off-diagonal entry")
+        header += [g.label, g.count]
+        arrays += [g.mean, np.diagonal(g.cov)]
+    return _message(header, arrays + [q])
 
 
-def _energy_payload(e: SpectralEnergy) -> dict:
-    return {"client_id": e.client_id, "q": e.q.tolist()}
+def encode_broadcast(b: ServerBroadcast) -> bytes:
+    """Header: coefficient count (0 without cluster coefficients),
+    representative count, latent dim d, then each representative's label in
+    ascending order. Floats: the cluster coefficients, then each
+    representative's mean and the row-major upper triangle of its
+    covariance (a moment-matched covariance is exactly symmetric)."""
+    reps = sorted(b.class_representatives.items())
+    coeffs = b.cluster_coefficients if b.cluster_coefficients is not None else np.zeros(0)
+    d = reps[0][1].dim if reps else 0
+    header = [coeffs.size, len(reps), d]
+    arrays = [coeffs]
+    for label, g in reps:
+        if not np.array_equal(g.cov, g.cov.T):
+            raise ContractError(f"class {label} representative covariance is not symmetric")
+        header.append(label)
+        arrays += [g.mean, g.cov[np.triu_indices(g.dim)]]
+    return _message(header, arrays)
 
 
-def upload_payload(u: ClientUpload) -> dict:
-    return {
-        "client_id": u.client_id,
-        "coefficients": u.coefficients.tolist(),
-        "class_gaussians": [_class_payload(g) for g in u.class_gaussians],
-        "spectral_energy": _energy_payload(u.spectral_energy)
-        if u.spectral_energy is not None else None,
-    }
-
-
-def broadcast_payload(b: ServerBroadcast, representative=_representative_payload) -> dict:
-    """Wire form of a broadcast; `representative` encodes each representative,
-    keyed by its label."""
-    return {
-        "class_representatives": {str(label): representative(g)
-                                  for label, g in sorted(b.class_representatives.items())},
-        "cluster_coefficients": b.cluster_coefficients.tolist()
-        if b.cluster_coefficients is not None else None,
-    }
+def encode_params(params: dict) -> bytes:
+    """A FedAvg message, up or down: each array's entry count, then every
+    array, in init_params key order."""
+    return _message([a.size for a in params.values()], list(params.values()))
 
 
 def params_payload(params: dict, w_max: float) -> dict:
-    """Checkpoint (and FedAvg message) form of one client's parameter dict:
-    the flat filter row, the head_* arrays and the encoder arrays."""
+    """Checkpoint form of one client's parameter dict: the flat filter row,
+    the head_* arrays and the encoder arrays."""
     head = {name[len("head_"):]: a.tolist() for name, a in params.items()
             if name.startswith("head_")}
     encoder = {name.removeprefix("enc_"): a.tolist() for name, a in params.items()
                if name != "w" and not name.startswith("head_")}
     return {"K": params["w"].size - 1, "w": params["w"].ravel().tolist(),
             "head": dict(head, w_max=w_max), "encoder": encoder}
-
-
-def payload_nbytes(obj) -> int:
-    return len(canonical_json(obj).encode("utf-8"))
-
-
-def broadcast_nbytes(broadcasts: dict) -> dict:
-    """{client_id: payload_nbytes(broadcast_payload(bc))}, encoding each
-    distinct representative once (clients of one semantic cluster share the
-    objects): the skeleton, with representatives as null, plus each
-    representative's size less those 4 bytes."""
-    distinct = {id(rep): rep for bc in broadcasts.values()
-                for rep in bc.class_representatives.values()}
-    rep_bytes = {key: payload_nbytes(_representative_payload(rep)) - len("null")
-                 for key, rep in distinct.items()}
-    return {cid: payload_nbytes(broadcast_payload(bc, representative=lambda g: None))
-            + sum(rep_bytes[id(rep)] for rep in bc.class_representatives.values())
-            for cid, bc in broadcasts.items()}
 
 
 # --- client side ------------------------------------------------------------
@@ -665,20 +657,20 @@ def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig,
                 chordal = (server.distance_ids, server.distance_matrix)
                 structure = server.structural_map.assignments
             for cid, up in uploads.items():
-                bytes_up[cid] = payload_nbytes(upload_payload(up))
-            bytes_down.update(broadcast_nbytes(broadcasts))
+                bytes_up[cid] = len(encode_upload(up))
+            for cid, bc in broadcasts.items():
+                bytes_down[cid] = len(encode_broadcast(bc))
             heterogeneity = measure_heterogeneity(chordal, server.semantic_map,
                                                   server.structural_map)
             floor = error_floor(heterogeneity, cfg.order, cfg.lambda1, cfg.lambda2)
         elif cfg.method == "fedavg":
             for cid in range(m):
-                bytes_up[cid] = payload_nbytes(params_payload(states[cid].params,
-                                                              cfg.w_max))
+                bytes_up[cid] = len(encode_params(states[cid].params))
             for name in states[0].params:
                 mean = np.mean([s.params[name] for s in states], axis=0)
                 for s in states:
                     s.params[name][...] = mean
-            size = payload_nbytes(params_payload(states[0].params, cfg.w_max))
+            size = len(encode_params(states[0].params))
             for cid in range(m):
                 bytes_down[cid] = size
         per_client = {}

@@ -13,7 +13,7 @@ The four client training streams, "train-eps", "eval-eps",
 "train-nonedges" and "eval-nonedges", carry the round (and epoch) but not
 the client id: every client of a round reads the same latent noise, and
 each client's non-edge draw starts from the start of the same stream.
-Keying them by client id is ROADMAP item 2.
+Keying them by client id is ROADMAP item 3.
 """
 
 from __future__ import annotations

@@ -154,10 +154,10 @@ def _matrix(item) -> np.ndarray:
     return item.value if isinstance(item, Var) else _as_matrix(item)
 
 
-def _index_vector(rows, size: int, what: str) -> np.ndarray:
+def _index_vector(rows, size: int, what: str, of: str = "rows") -> np.ndarray:
     rows = np.asarray(rows, dtype=np.int64).reshape(-1)
     if rows.size and (rows.min() < 0 or rows.max() >= size):
-        raise ShapeError(f"{what} index out of range for {size} rows")
+        raise ShapeError(f"{what} index out of range for {size} {of}")
     return rows
 
 
@@ -439,7 +439,7 @@ def softmax_ce(logits: Var, rows, labels, bounds=None) -> Var:
     rows = _index_vector(rows, flat.shape[0], "row")
     bounds = _bounds(bounds, rows.size, "row")
     _member_count(lv, bounds, "row")
-    labels = _index_vector(labels, classes, "label")
+    labels = _index_vector(labels, classes, "label", of="classes")
     counts = np.diff(bounds)
     if counts.min() == 0 or labels.size != rows.size:
         raise ShapeError(f"need {rows.size} labels for at least one row per member,"

@@ -10,7 +10,7 @@ closed forms) so agreement is evidence, not tautology.
 from __future__ import annotations
 
 import dataclasses
-import json
+import struct
 
 import numpy as np
 
@@ -464,42 +464,87 @@ def round_signature(rm) -> tuple:
 
 
 # --- wire-format decoders ------------------------------------------------------
-# Each reads a payload back from its canonical JSON text, filling matrices
-# entry by entry, so a lossless wire form decodes to the in-memory arrays.
+# Each parses a message with the struct module, not numpy, and fills
+# matrices entry by entry, so a lossless wire form decodes to the in-memory
+# arrays. Every decoder checks that it read the whole message.
 
 
-def decode_upload(payload: dict) -> dict:
+class _WireReader:
+    def __init__(self, message: bytes):
+        self.message = message
+        self.offset = 0
+
+    def _take(self, fmt: str, count: int) -> tuple:
+        fmt = f"<{count}{fmt}"
+        values = struct.unpack_from(fmt, self.message, self.offset)
+        self.offset += struct.calcsize(fmt)
+        return values
+
+    def ints(self, count: int) -> list:
+        return list(self._take("i", count))
+
+    def floats(self, count: int) -> np.ndarray:
+        return np.array(self._take("d", count), dtype=np.float64)
+
+    def matrix(self, rows: int, cols: int) -> np.ndarray:
+        out = np.zeros((rows, cols))
+        for i in range(rows):
+            for j in range(cols):
+                out[i, j] = self._take("d", 1)[0]
+        return out
+
+    def done(self) -> None:
+        assert self.offset == len(self.message), "message longer than its header says"
+
+
+def decode_upload(message: bytes) -> dict:
     """client_id, coefficients, classes [(label, count, mean, cov)] with cov
     the diagonal matrix of the sent variances, and the frame's q (or None)."""
-    wire = json.loads(canonical_json(payload))
+    r = _WireReader(message)
+    client_id, n_coef, n_classes, d, q_rows, q_cols = r.ints(6)
+    ids = r.ints(2 * n_classes)
+    coefficients = r.floats(n_coef)
     classes = []
-    for c in wire["class_gaussians"]:
-        cov = np.zeros((len(c["var"]), len(c["var"])))
-        for i, var in enumerate(c["var"]):
+    for label, count in zip(ids[0::2], ids[1::2]):
+        mean = r.floats(d)
+        cov = np.zeros((d, d))
+        for i, var in enumerate(r.floats(d)):
             cov[i, i] = var
-        classes.append((c["label"], c["count"], np.array(c["mean"]), cov))
-    energy = wire["spectral_energy"]
-    return {"client_id": wire["client_id"],
-            "coefficients": np.array(wire["coefficients"]), "classes": classes,
-            "q": None if energy is None else np.array(energy["q"])}
+        classes.append((label, count, mean, cov))
+    q = r.matrix(q_rows, q_cols) if q_rows else None
+    r.done()
+    return {"client_id": client_id, "coefficients": coefficients,
+            "classes": classes, "q": q}
 
 
-def decode_broadcast(payload: dict) -> tuple:
+def decode_broadcast(message: bytes) -> tuple:
     """({label: (mean, cov)}, cluster coefficients or None); each cov is
     mirrored from its row-major upper triangle."""
-    wire = json.loads(canonical_json(payload))
+    r = _WireReader(message)
+    n_coef, n_reps, d = r.ints(3)
+    labels = r.ints(n_reps)
+    coeffs = r.floats(n_coef)
     reps = {}
-    for key, rep in wire["class_representatives"].items():
-        d = len(rep["mean"])
+    for label in labels:
+        mean = r.floats(d)
         cov = np.zeros((d, d))
-        upper = iter(rep["cov"])
         for i in range(d):
             for j in range(i, d):
-                cov[i, j] = cov[j, i] = next(upper)
-        assert next(upper, None) is None, "upper triangle longer than d(d+1)/2"
-        reps[int(key)] = (np.array(rep["mean"]), cov)
-    coeffs = wire["cluster_coefficients"]
-    return reps, None if coeffs is None else np.array(coeffs)
+                cov[i, j] = cov[j, i] = r.floats(1)[0]
+        reps[label] = (mean, cov)
+    r.done()
+    return reps, coeffs if n_coef else None
+
+
+def decode_params(message: bytes, template: dict) -> dict:
+    """{name: array} of a FedAvg message, with the names and shapes of
+    `template` (an init_params dict, whose key order the message follows)."""
+    r = _WireReader(message)
+    sizes = r.ints(len(template))
+    assert sizes == [a.size for a in template.values()], sizes
+    out = {name: r.floats(a.size).reshape(a.shape) for name, a in template.items()}
+    r.done()
+    return out
 
 
 def dict_checkpoint(states, seed: int, rounds_completed: int, w_max: float) -> bytes:

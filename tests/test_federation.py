@@ -18,18 +18,17 @@ from fedssa.errors import (ConfigError, ContractError, ProtocolError,
                            ShapeError, TrainingDivergenceError)
 from fedssa.federation import (ClientUpload, RunConfig, ServerBroadcast,
                                _cluster_coefficients, _loss_parts,
-                               broadcast_nbytes, broadcast_payload, group_clients,
+                               encode_broadcast, encode_upload, group_clients,
                                init_client_state, local_round,
-                               run_federation_detailed, server_step,
-                               upload_payload)
-from fedssa.graphs import (FederationDataset, LocalGraph, SynthSpec,
-                           canonical_json, stratified_split, synth_dataset)
+                               run_federation_detailed, server_step)
+from fedssa.graphs import (FederationDataset, LocalGraph, SynthSpec, stratified_split,
+                           synth_dataset)
 from fedssa.linalg import qr_thin
 from fedssa.models import ClassGaussian, init_params, sample_nonedges
 from fedssa.rng import stream
 from fedssa.semantic import alignment_inputs
 from fedssa.structural import SpectralEnergy
-from helpers import decode_broadcast, decode_upload, round_signature
+from helpers import decode_broadcast, decode_params, decode_upload, round_signature
 
 ORDER = 3
 DIM = 8
@@ -424,6 +423,23 @@ def test_run_without_frames_has_no_chordal_matrix(overrides):
 
 
 # --- privacy of the wire format -----------------------------------------------
+# The README's closed-form message sizes, in bytes: int32 header entries cost
+# 4 bytes and float64 entries 8.
+
+
+def _upload_size(order: int, d: int, classes: int, frame: tuple) -> int:
+    rows, cols = frame
+    return 4 * (6 + 2 * classes) + 8 * (order + 1 + 2 * d * classes + rows * cols)
+
+
+def _broadcast_size(coefficients: int, d: int, reps: int) -> int:
+    return 4 * (3 + reps) + 8 * (coefficients + reps * (d + d * (d + 1) // 2))
+
+
+def _params_size(order: int, features: int, hidden: int, classes: int, d: int) -> int:
+    floats = (order + 1 + hidden * (features + 1) + classes * (hidden + 1)
+              + hidden * (features + classes + 1) + 2 * d * (hidden + 1))
+    return 4 * 11 + 8 * floats  # the 11 arrays of init_params
 
 
 def test_upload_carries_only_statistics():
@@ -434,17 +450,17 @@ def test_upload_carries_only_statistics():
     field_names = {f.name for f in dataclasses.fields(ClientUpload)}
     assert field_names == {"client_id", "coefficients", "class_gaussians",
                            "spectral_energy"}
-    payload = upload_payload(upload)
-    assert set(payload) == field_names
-    blob = json.dumps(payload)
-    for word in ("features", "labels", "edges", "train_idx"):
-        assert word not in blob
     # statistics have statistic-sized shapes, not node-table shapes
     assert upload.coefficients.shape == (cfg.order + 1,)
     for g in upload.class_gaussians:
         assert g.mean.shape == (cfg.latent_dim,)
     assert upload.spectral_energy.q.shape == (DIM, cfg.order + 1)
-    assert sum(g.count for g in upload.class_gaussians) == ds.clients[0].train_idx.size
+    graph = ds.clients[0]
+    assert sum(g.count for g in upload.class_gaussians) == graph.train_idx.size
+    # and nothing else can ride along in a message of exactly their length
+    classes = np.unique(graph.labels[graph.train_idx]).size
+    assert len(encode_upload(upload)) == _upload_size(cfg.order, cfg.latent_dim, classes,
+                                                      (DIM, cfg.order + 1))
 
 
 def test_local_and_fedavg_clients_never_build_uploads():
@@ -466,8 +482,8 @@ def test_ablated_uploads_shrink():
                        bare_cfg, seed=0, round_index=1)[0]
     assert bare.class_gaussians == ()
     assert bare.spectral_energy is None
-    nbytes = lambda u: len(json.dumps(upload_payload(u)).encode())
-    assert nbytes(bare) < nbytes(full)
+    assert (len(encode_upload(bare)) == _upload_size(ORDER, 0, 0, (0, 0))
+            < len(encode_upload(full)))
 
 
 def test_byte_accounting_by_method():
@@ -480,13 +496,10 @@ def test_byte_accounting_by_method():
         assert fedssa.per_client[cid].bytes_down > 0
         assert local.per_client[cid].bytes_up == 0
         assert local.per_client[cid].bytes_down == 0
-        assert fedavg.per_client[cid].bytes_up > 0
+        # the averaged parameters go down in the message shape they came up in
+        assert fedavg.per_client[cid].bytes_up == fedavg.per_client[cid].bytes_down > 0
     down = {fedavg.per_client[cid].bytes_down for cid in range(3)}
     assert len(down) == 1  # everyone receives the same averaged parameters
-
-
-def _wire_bytes(payload) -> int:
-    return len(canonical_json(payload).encode())
 
 
 def _captured_run(monkeypatch, rounds=3):
@@ -505,11 +518,28 @@ def _captured_run(monkeypatch, rounds=3):
     return run, captured
 
 
+def _fedavg_messages(monkeypatch, rounds=2) -> list:
+    """A small fedavg run's messages as (parameters sent, message) pairs."""
+    sent = []
+    encode = federation.encode_params
+
+    def capture(params):
+        message = encode(params)
+        sent.append(({name: a.copy() for name, a in params.items()}, message))
+        return message
+
+    monkeypatch.setattr(federation, "encode_params", capture)
+    run_federation_detailed(_tiny_dataset(), _tiny_cfg(method="fedavg", rounds=rounds),
+                            seed=0)
+    assert len(sent) == rounds * (3 + 1)  # three uploads and one averaged message
+    return sent
+
+
 def test_wire_form_is_lossless(monkeypatch):
     _run, captured = _captured_run(monkeypatch)
     for round_index, (uploads, server) in enumerate(captured, start=1):
         for cid, up in uploads.items():
-            wire = decode_upload(upload_payload(up))
+            wire = decode_upload(encode_upload(up))
             assert wire["client_id"] == cid
             assert np.array_equal(wire["coefficients"], up.coefficients)
             assert len(wire["classes"]) == len(up.class_gaussians) > 0
@@ -521,12 +551,18 @@ def test_wire_form_is_lossless(monkeypatch):
             else:
                 assert wire["q"] is None and up.spectral_energy is None
         for bc in server.broadcasts.values():
-            reps, coeffs = decode_broadcast(broadcast_payload(bc))
+            reps, coeffs = decode_broadcast(encode_broadcast(bc))
             assert sorted(reps) == sorted(bc.class_representatives)
             for label, (mean, cov) in reps.items():
                 rep = bc.class_representatives[label]
                 assert np.array_equal(mean, rep.mean) and np.array_equal(cov, rep.cov)
             assert np.array_equal(coeffs, bc.cluster_coefficients)
+    cfg = _tiny_cfg()
+    template = init_params(DIM, 2, cfg.order, cfg.hidden, cfg.latent_dim, stream(0, "init"))
+    for params, message in _fedavg_messages(monkeypatch):
+        decoded = decode_params(message, template)
+        assert list(decoded) == list(params)
+        assert all(np.array_equal(decoded[name], params[name]) for name in params)
 
 
 def test_run_counts_the_bytes_of_its_payloads(monkeypatch):
@@ -534,13 +570,40 @@ def test_run_counts_the_bytes_of_its_payloads(monkeypatch):
     shared = 0
     for metrics, (uploads, server) in zip(run.history, captured):
         for cid, up in uploads.items():
-            assert metrics.per_client[cid].bytes_up == _wire_bytes(upload_payload(up))
+            assert metrics.per_client[cid].bytes_up == len(encode_upload(up))
         for cid, bc in server.broadcasts.items():
-            assert metrics.per_client[cid].bytes_down == _wire_bytes(broadcast_payload(bc))
+            assert metrics.per_client[cid].bytes_down == len(encode_broadcast(bc))
         reps = [r for bc in server.broadcasts.values()
                 for r in bc.class_representatives.values()]
         shared += len(reps) - len({id(r) for r in reps})
     assert shared > 0  # clients of one cluster share representatives
+
+
+def test_message_lengths_match_the_closed_form(monkeypatch):
+    _run, captured = _captured_run(monkeypatch)
+    d = _tiny_cfg().latent_dim
+    for round_index, (uploads, server) in enumerate(captured, start=1):
+        frame = (DIM, ORDER + 1) if round_index == 1 else (0, 0)
+        for up in uploads.values():
+            assert len(encode_upload(up)) == _upload_size(ORDER, d, len(up.class_gaussians),
+                                                          frame)
+        for bc in server.broadcasts.values():
+            assert len(encode_broadcast(bc)) == _broadcast_size(
+                ORDER + 1, d, len(bc.class_representatives))
+    cfg = _tiny_cfg()
+    want = _params_size(ORDER, DIM, cfg.hidden, 2, cfg.latent_dim)
+    assert all(len(message) == want for _params, message in _fedavg_messages(monkeypatch))
+
+
+def test_byte_columns_repeat_across_seeds():
+    # the length of a message follows from its shapes, not from its values
+    ds = _tiny_dataset()
+    runs = [run_federation_detailed(ds, _tiny_cfg(rounds=3), seed=seed).history
+            for seed in (0, 1)]
+    columns = [[(s.bytes_up, s.bytes_down) for rm in h for s in rm.per_client.values()]
+               for h in runs]
+    assert columns[0] == columns[1]
+    assert _signatures(runs[0]) != _signatures(runs[1])
 
 
 def _rep(label, d=3, skew=0.0):
@@ -552,32 +615,39 @@ def _rep(label, d=3, skew=0.0):
     return ClassGaussian(label, rng.standard_normal(d), cov, 5)
 
 
-def test_broadcast_nbytes_matches_direct_encoding():
-    # labels >= 10 sort differently as JSON keys ("10" < "2") than as ints
+def test_hand_built_broadcasts_round_trip():
+    # labels go in ascending order whatever the dict order (10 sorts after 2);
+    # a broadcast may lack coefficients, representatives or both
     r2, r10, r11 = _rep(2), _rep(10), _rep(11)
-    broadcasts = {
-        0: ServerBroadcast({2: r2, 10: r10, 11: r11}, np.array([0.5, -1.25, 3.0])),
-        1: ServerBroadcast({10: r10}, None),
-        2: ServerBroadcast({}, np.array([1.0, 2.0, 3.0])),
-        3: ServerBroadcast({}, None),
-        4: ServerBroadcast({11: r11, 12: _rep(12)}, None),
-    }
-    want = {cid: _wire_bytes(broadcast_payload(bc)) for cid, bc in broadcasts.items()}
-    assert broadcast_nbytes(broadcasts) == want
-    assert broadcast_nbytes({}) == {}
+    broadcasts = [
+        ServerBroadcast({11: r11, 2: r2, 10: r10}, np.array([0.5, -1.25, 3.0])),
+        ServerBroadcast({10: r10}, None),
+        ServerBroadcast({}, np.array([1.0, 2.0, 3.0])),
+        ServerBroadcast({}, None),
+    ]
+    for bc in broadcasts:
+        message = encode_broadcast(bc)
+        reps, coeffs = decode_broadcast(message)
+        assert list(reps) == sorted(bc.class_representatives)
+        for label, (mean, cov) in reps.items():
+            rep = bc.class_representatives[label]
+            assert np.array_equal(mean, rep.mean) and np.array_equal(cov, rep.cov)
+        if bc.cluster_coefficients is None:
+            assert coeffs is None
+        else:
+            assert np.array_equal(coeffs, bc.cluster_coefficients)
+        sent = 0 if coeffs is None else coeffs.size
+        assert len(message) == _broadcast_size(sent, 3, len(reps))
 
 
 def test_wire_form_rejects_what_it_would_drop():
     cov = np.array([[1.0, 0.25], [0.25, 1.0]])
     upload = ClientUpload(0, np.ones(3), (ClassGaussian(0, np.zeros(2), cov, 4),), None)
     with pytest.raises(ContractError, match="off-diagonal"):
-        upload_payload(upload)
+        encode_upload(upload)
     skewed = _rep(1, skew=1e-12)  # within ClassGaussian's symmetry tolerance
-    broadcast = ServerBroadcast({1: skewed}, None)
     with pytest.raises(ContractError, match="not symmetric"):
-        broadcast_payload(broadcast)
-    with pytest.raises(ContractError, match="not symmetric"):
-        broadcast_nbytes({0: broadcast})
+        encode_broadcast(ServerBroadcast({1: skewed}, None))
 
 
 # --- spectral-energy frames -------------------------------------------------------

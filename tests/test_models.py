@@ -139,7 +139,7 @@ def test_ce_contract_errors():
     with pytest.raises(ContractError):
         _ce(np.zeros((2, 2)), np.array([0, 1]), np.zeros(0, dtype=int))
     # a label without a logit column is out of range for the tape op
-    with pytest.raises(ShapeError, match="label index out of range for 2 rows"):
+    with pytest.raises(ShapeError, match="label index out of range for 2 classes"):
         _ce(np.zeros((2, 2)), np.array([0, 2]), np.arange(2))
 
 

@@ -6,8 +6,8 @@ upload; the server then clusters the class Gaussians afresh and broadcasts
 per-client representatives for the next round. Clients with the same
 (n, d) train together: `group_clients` stacks them, in id order, into
 groups of at most STACK_ROWS node rows, and each group records one tape
-per epoch (`train_group`). `client_round` then finishes each client's
-round from its slice of the group's evaluation forward. Spectral-energy
+per epoch (`train_group`). `client_round` returns each client's stats
+and upload from its slice of the group's evaluation. Spectral-energy
 frames are fixed at setup, so they travel in round 1 only: the server
 groups them once and later rounds reuse those groups. Clients train in id
 order, and the client streams are keyed by round, not by client id.
@@ -26,8 +26,9 @@ spectral-energy frame. Raw features, labels and edges never leave the client.
 
 from __future__ import annotations
 
+import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -115,23 +116,18 @@ class AdamState:
 
 @dataclass
 class ClientState:
-    """One client's graph, parameters and caches.
+    """One client's graph, parameters and frame.
 
-    params holds the trainable arrays from init_params, keyed by tape-leaf
-    name. Once group_clients stacks the client, params, h_stack and x_in
-    are views of its row of the group's stacks, and the group holds the
-    Adam moments and the plan its forwards read.
+    params holds views of the client's row of its group's parameter stacks,
+    keyed by tape-leaf name; energy is the frame fixed at setup (None
+    without the structural branch).
     """
 
     client_id: int
     graph: LocalGraph
     task: str
     params: dict
-    h_stack: np.ndarray
-    x_in: np.ndarray
     energy: Optional[SpectralEnergy]
-    last_losses: dict = field(default_factory=dict)
-    last_metrics: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -139,7 +135,7 @@ class ClientGroup:
     """Clients with one (n, d), trained on one stacked tape per epoch.
 
     params, adam, h_stack and x_in hold one leading row per member, in the
-    order of states; each member's ClientState arrays are views of its row.
+    order of states; each member's ClientState params are views of its row.
     """
 
     states: list
@@ -154,10 +150,11 @@ class ClientGroup:
 class GroupEvaluation:
     """What a group's evaluation forward leaves for its members' client_round.
 
-    losses maps ce, vgae, node and struct to one value per member (0 for a
-    term the run does not use), logits stacks the members' logits, and
-    class_moments (None without the semantic branch) holds the class
-    [mean | var] rows that the group plan's class_bounds split by member.
+    losses maps ClientRoundStats' loss fields, ce, vgae, node and struct, to
+    one value per member (0 for a term the run does not use), logits stacks
+    the members' logits, and class_moments (None without the semantic
+    branch) holds the class [mean | var] rows that the group plan's
+    class_bounds split by member.
     """
 
     losses: dict
@@ -286,52 +283,49 @@ def params_payload(params: dict, w_max: float) -> dict:
 # --- client side ------------------------------------------------------------
 
 
-def init_client_state(client_id: int, graph: LocalGraph, num_classes: int, task: str,
-                      cfg: RunConfig, params: dict) -> ClientState:
-    """Fresh client state with its own copy of params; fedssa with the
-    structural branch also fixes the frame."""
-    powers = laplacian_powers(graph, cfg.order)
-    energy = None
-    if cfg.method == "fedssa" and cfg.structural:
-        energy = spectral_energy(powers, client_id)
-    return ClientState(
-        client_id=client_id, graph=graph, task=task,
-        params={name: a.copy() for name, a in params.items()},
-        h_stack=stack_powers(powers), x_in=encoder_input(graph, num_classes),
-        energy=energy,
-    )
-
-
-def group_clients(states: list) -> list[ClientGroup]:
-    """Stack the states, in id order, into training groups.
+def group_clients(dataset: FederationDataset, cfg: RunConfig,
+                  params0: dict) -> list[ClientGroup]:
+    """Build the training groups straight from the dataset's clients.
 
     A group holds clients of one (n, d) and at most STACK_ROWS node rows; a
-    client with more rows trains as a group of one. Stacking re-points each
-    state's params, h_stack and x_in at its row of the group's arrays,
-    starts the group's Adam moments at zero and builds its plan.
+    client with more rows trains as a group of one. Clients are walked in id
+    order, and each one's Laplacian powers, frame (fedssa with the
+    structural branch) and encoder input are computed once, so a
+    rank-deficient client is named before any later one. Each group stacks
+    its members' inputs and a copy of params0 per member, starts its Adam
+    moments at zero and builds its plan.
     """
+    framed = cfg.method == "fedssa" and cfg.structural
     by_shape: dict = {}
     members: list = []
-    for state in states:
-        shape = state.graph.features.shape
+    for client_id, graph in enumerate(dataset.clients):
+        powers = laplacian_powers(graph, cfg.order)
+        energy = spectral_energy(powers, client_id) if framed else None
+        shape = graph.features.shape
         group = by_shape.get(shape)
         if group is None or (len(group) + 1) * shape[0] > STACK_ROWS:
             group = by_shape[shape] = []
             members.append(group)
-        group.append(state)
-    return [_stack(group) for group in members]
+        group.append((client_id, graph, energy, stack_powers(powers),
+                      encoder_input(graph, dataset.num_classes)))
+        del powers  # free them before the next client's are built (peak memory)
+    groups = []
+    for group in members:
+        groups.append(_stack(group, dataset.task, params0))
+        group.clear()  # free the members' own rows; the group's stacks copy them
+    return groups
 
 
-def _stack(states: list) -> ClientGroup:
-    params = {name: np.stack([s.params[name] for s in states]) for name in states[0].params}
-    h_stack = np.stack([s.h_stack for s in states])
-    x_in = np.stack([s.x_in for s in states])
-    for i, s in enumerate(states):
-        s.params = {name: a[i] for name, a in params.items()}
-        s.h_stack, s.x_in = h_stack[i], x_in[i]
-    return ClientGroup(states=states, plan=group_plan([s.graph for s in states]),
-                       params=params, adam=AdamState.fresh(params),
-                       h_stack=h_stack, x_in=x_in)
+def _stack(members: list, task: str, params0: dict) -> ClientGroup:
+    """One group from its members' (client id, graph, frame, powers, encoder input)."""
+    ids, graphs, energies, h_rows, x_rows = zip(*members)
+    params = {name: np.repeat(a[None], len(ids), axis=0) for name, a in params0.items()}
+    states = [ClientState(client_id=cid, graph=graph, task=task,
+                          params={name: a[i] for name, a in params.items()}, energy=energy)
+              for i, (cid, graph, energy) in enumerate(zip(ids, graphs, energies))]
+    return ClientGroup(states=states, plan=group_plan(list(graphs)), params=params,
+                       adam=AdamState.fresh(params), h_stack=np.stack(h_rows),
+                       x_in=np.stack(x_rows))
 
 
 def _adam_step(arrays: dict, grads: dict, st: AdamState, lr: float) -> None:
@@ -463,9 +457,10 @@ def _train_step(group: ClientGroup, w_bar: Optional[np.ndarray], cfg: RunConfig,
 
 
 def local_round(groups: list, broadcasts: dict, cfg: RunConfig, seed: int,
-                round_index: int) -> dict:
+                round_index: int) -> tuple[dict, dict]:
     """The client side of one round: train every group, then finish each
-    client's round with client_round; returns {client_id: upload}.
+    client's round with client_round; returns ({client_id: ClientRoundStats},
+    {client_id: upload}), the stats with zero bytes.
 
     Every group's alignment inputs are built from the broadcasts before any
     group trains: a received representative that is not positive definite
@@ -483,14 +478,16 @@ def local_round(groups: list, broadcasts: dict, cfg: RunConfig, seed: int,
             error = exc
     if diverged:
         raise _diverged(diverged, round_index, error) from error
+    stats: dict = {}
     uploads: dict = {}
     for group, aligned in zip(groups, inputs):
         evaluation = train_group(group, broadcasts, aligned, cfg, seed, round_index)
         for member, state in enumerate(group.states):
-            upload = client_round(group, member, evaluation, cfg, round_index)
+            stats[state.client_id], upload = client_round(group, member, evaluation, cfg,
+                                                          round_index)
             if upload is not None:
                 uploads[state.client_id] = upload
-    return uploads
+    return stats, uploads
 
 
 def _diverged(client_ids, round_index: int, exc: Exception) -> TrainingDivergenceError:
@@ -499,26 +496,30 @@ def _diverged(client_ids, round_index: int, exc: Exception) -> TrainingDivergenc
 
 
 def client_round(group: ClientGroup, member: int, evaluation: GroupEvaluation,
-                 cfg: RunConfig, round_index: int) -> Optional[ClientUpload]:
+                 cfg: RunConfig, round_index: int
+                 ) -> tuple[ClientRoundStats, Optional[ClientUpload]]:
     """Finish one client's round from its row of the group's evaluation.
 
-    Sets the client's logged losses and split metrics and, for method
-    "fedssa", builds its upload: filter coefficients, the class Gaussians
-    of its class statistics, and the frame fixed at setup in round 1 only.
+    Returns the client's losses and split metrics as ClientRoundStats with
+    zero bytes, and, for method "fedssa", its upload (None otherwise):
+    filter coefficients, the class Gaussians of its class statistics, and
+    the frame fixed at setup in round 1 only.
     """
     state = group.states[member]
-    state.last_losses = {name: float(values[member])
-                         for name, values in evaluation.losses.items()}
-    state.last_metrics = evaluate_client(state, evaluation.logits[member])
+    metric = evaluate_client(state, evaluation.logits[member])
+    stats = ClientRoundStats(
+        **{name: float(values[member]) for name, values in evaluation.losses.items()},
+        train_metric=metric["train"], val_metric=metric["val"],
+        test_metric=metric["test"], bytes_up=0, bytes_down=0)
     if cfg.method != "fedssa":
-        return None
+        return stats, None
     gaussians = ()
     if evaluation.class_moments is not None:
         a, b = group.plan.class_bounds[member:member + 2]
         gaussians = class_gaussians(group.plan.class_labels[a:b],
                                     group.plan.classes.counts[a:b],
                                     evaluation.class_moments[a:b])
-    return ClientUpload(
+    return stats, ClientUpload(
         client_id=state.client_id,
         coefficients=state.params["w"].flatten(),
         class_gaussians=gaussians,
@@ -534,9 +535,9 @@ def evaluate_client(state: ClientState, logits: np.ndarray) -> dict:
         try:
             if state.task == "binary-auc":
                 scores = logits[:, 1] - logits[:, 0]
-                out[split] = auc(scores, state.graph.labels, mask, split).value
+                out[split] = auc(scores, state.graph.labels, mask, split)
             else:
-                out[split] = accuracy(logits, state.graph.labels, mask, split).value
+                out[split] = accuracy(logits, state.graph.labels, mask, split)
         except UndefinedMetricError:
             out[split] = float("nan")
     return out
@@ -630,9 +631,8 @@ def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig,
     m = dataset.num_clients
     params0 = init_params(dataset.feature_dim, dataset.num_classes, cfg.order,
                           cfg.hidden, cfg.latent_dim, stream(seed, "init"))
-    states = [init_client_state(i, g, dataset.num_classes, dataset.task, cfg, params0)
-              for i, g in enumerate(dataset.clients)]
-    groups = group_clients(states)
+    groups = group_clients(dataset, cfg, params0)
+    states = sorted((s for g in groups for s in g.states), key=lambda s: s.client_id)
     broadcasts: dict = {}
     structure = None  # round 1's structural clusters, kept for the run
     chordal = None  # round 1's (ids, chordal distance matrix)
@@ -640,12 +640,11 @@ def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig,
     for round_index in range(1, cfg.rounds + 1):
         t_start = time.perf_counter()
         try:
-            uploads = local_round(groups, broadcasts, cfg, seed, round_index)
+            stats, uploads = local_round(groups, broadcasts, cfg, seed, round_index)
         except TrainingDivergenceError as exc:
             exc.history = tuple(history)
             raise
-        bytes_up = {cid: 0 for cid in range(m)}
-        bytes_down = {cid: 0 for cid in range(m)}
+        bytes_up, bytes_down = {}, {}  # a client without a message counts 0 bytes
         heterogeneity = None
         floor = None
         if cfg.method == "fedssa":
@@ -656,36 +655,25 @@ def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig,
             if server.distance_matrix is not None:
                 chordal = (server.distance_ids, server.distance_matrix)
                 structure = server.structural_map.assignments
-            for cid, up in uploads.items():
-                bytes_up[cid] = len(encode_upload(up))
-            for cid, bc in broadcasts.items():
-                bytes_down[cid] = len(encode_broadcast(bc))
+            bytes_up = {cid: len(encode_upload(up)) for cid, up in uploads.items()}
+            bytes_down = {cid: len(encode_broadcast(bc)) for cid, bc in broadcasts.items()}
             heterogeneity = measure_heterogeneity(chordal, server.semantic_map,
                                                   server.structural_map)
             floor = error_floor(heterogeneity, cfg.order, cfg.lambda1, cfg.lambda2)
         elif cfg.method == "fedavg":
-            for cid in range(m):
-                bytes_up[cid] = len(encode_params(states[cid].params))
+            bytes_up = {s.client_id: len(encode_params(s.params)) for s in states}
             for name in states[0].params:
                 mean = np.mean([s.params[name] for s in states], axis=0)
                 for s in states:
                     s.params[name][...] = mean
-            size = len(encode_params(states[0].params))
-            for cid in range(m):
-                bytes_down[cid] = size
-        per_client = {}
-        for cid in range(m):
-            losses = states[cid].last_losses
-            metric = states[cid].last_metrics
-            per_client[cid] = ClientRoundStats(
-                ce=losses["ce"], vgae=losses["vgae"], node=losses["node"],
-                struct=losses["struct"], train_metric=metric["train"],
-                val_metric=metric["val"], test_metric=metric["test"],
-                bytes_up=bytes_up[cid], bytes_down=bytes_down[cid])
+            bytes_down = dict.fromkeys(range(m), len(encode_params(states[0].params)))
+        per_client = {cid: dataclasses.replace(stats[cid], bytes_up=bytes_up.get(cid, 0),
+                                               bytes_down=bytes_down.get(cid, 0))
+                      for cid in range(m)}
         means = {}
         for split in ("train", "val", "test"):
-            vals = [states[cid].last_metrics[split] for cid in range(m)
-                    if np.isfinite(states[cid].last_metrics[split])]
+            vals = [v for v in (getattr(s, f"{split}_metric") for s in per_client.values())
+                    if np.isfinite(v)]
             means[split] = float(np.mean(vals)) if vals else float("nan")
         history.append(RoundMetrics(
             round_index=round_index, per_client=per_client,

@@ -2,25 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractError, UndefinedMetricError
 
 
-@dataclass(frozen=True)
-class MetricValue:
-    kind: str
-    split: str
-    value: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.value <= 1.0):
-            raise ContractError(f"metric value {self.value} outside [0, 1]")
-
-
-def accuracy(logits, labels, mask, split: str = "test") -> MetricValue:
+def accuracy(logits, labels, mask, split: str = "test") -> float:
     """Fraction of masked rows whose argmax matches; ties pick the lowest class."""
     mask = np.asarray(mask, dtype=np.int64).reshape(-1)
     if mask.size == 0:
@@ -28,7 +15,7 @@ def accuracy(logits, labels, mask, split: str = "test") -> MetricValue:
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     pred = np.argmax(logits[mask], axis=1)
-    return MetricValue("accuracy", split, float(np.mean(pred == labels[mask])))
+    return float(np.mean(pred == labels[mask]))
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
@@ -45,7 +32,7 @@ def _average_ranks(scores: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def auc(scores, labels, mask, split: str = "test") -> MetricValue:
+def auc(scores, labels, mask, split: str = "test") -> float:
     """Mann-Whitney AUC of class-1 scores; tied pairs count one half."""
     mask = np.asarray(mask, dtype=np.int64).reshape(-1)
     if mask.size == 0:
@@ -61,4 +48,4 @@ def auc(scores, labels, mask, split: str = "test") -> MetricValue:
     ranks = _average_ranks(scores)
     rank_sum = float(np.sum(ranks[labels == 1]))
     value = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-    return MetricValue("auc", split, float(value))
+    return float(value)

@@ -19,8 +19,7 @@ from fedssa.errors import (ConfigError, ContractError, ProtocolError,
 from fedssa.federation import (ClientUpload, RunConfig, ServerBroadcast,
                                _cluster_coefficients, _loss_parts,
                                encode_broadcast, encode_upload, group_clients,
-                               init_client_state, local_round,
-                               run_federation_detailed, server_step)
+                               local_round, run_federation_detailed, server_step)
 from fedssa.graphs import (FederationDataset, LocalGraph, SynthSpec, stratified_split,
                            synth_dataset)
 from fedssa.linalg import qr_thin
@@ -54,15 +53,18 @@ def _signatures(history) -> tuple:
     return tuple(round_signature(r) for r in history)
 
 
-def _client_state(graph, cfg, seed=0, client_id=0):
+def _groups(graphs, cfg):
+    """The training groups of a two-class dataset of the given graphs, in id order."""
+    ds = FederationDataset(clients=tuple(graphs), num_classes=2, feature_dim=DIM,
+                           task="multiclass")
     params = init_params(DIM, 2, cfg.order, cfg.hidden, cfg.latent_dim,
-                         stream(seed, "init"))
-    return init_client_state(client_id, graph, 2, "multiclass", cfg, params)
+                         stream(0, "init"))
+    return group_clients(ds, cfg, params)
 
 
-def _alone(state):
-    """The one-member training group of a client state."""
-    return group_clients([state])
+def _alone(graph, cfg):
+    """The one-member training group of a client graph."""
+    return _groups([graph], cfg)
 
 
 def _forward(group, cfg, broadcasts=None):
@@ -88,7 +90,7 @@ def test_training_tape_holds_no_rows_by_nodes_constant():
     num_edges = graph.edges.shape[0]
     assert num_edges > 1000
     cfg = _tiny_cfg(latent_dim=8, hidden=16)
-    tape, _leaves, _parts = _forward(_alone(_client_state(graph, cfg))[0], cfg)
+    tape, _leaves, _parts = _forward(_alone(graph, cfg)[0], cfg)
     arrays = {}
     for node in tape.nodes:
         constants = [x for x in node.inputs if isinstance(x, np.ndarray)]
@@ -113,11 +115,9 @@ def test_training_forward_records_at_most_35_tape_nodes():
     cfg = RunConfig(method="fedssa", rounds=1, epochs=1, order=3, k_node=2,
                     k_struct=2, lr=0.15, latent_dim=8, hidden=16)
     params = init_params(24, 4, cfg.order, cfg.hidden, cfg.latent_dim, stream(0, "init"))
-    states = [init_client_state(i, g, 4, "multiclass", cfg, params)
-              for i, g in enumerate(ds.clients)]
-    groups = group_clients(states)
+    groups = group_clients(ds, cfg, params)
     assert len(groups) == 1  # the bound holds per group forward, not per client
-    uploads = local_round(groups, {}, cfg, 0, 1)
+    _stats, uploads = local_round(groups, {}, cfg, 0, 1)
     broadcasts = server_step(uploads, cfg.k_node, cfg.k_struct, 0).broadcasts
     tape, _leaves, parts = _forward(groups[0], cfg, broadcasts)
     assert parts["node"] is not None and broadcasts[0].cluster_coefficients is not None
@@ -126,10 +126,10 @@ def test_training_forward_records_at_most_35_tape_nodes():
 
 def test_forward_reads_the_plan_built_at_setup():
     cfg = _tiny_cfg()
-    state = _client_state(_tiny_dataset(1).clients[0], cfg)
-    groups = _alone(state)
+    graph = _tiny_dataset(1).clients[0]
+    groups = _alone(graph, cfg)
     plan = groups[0].plan
-    assert np.array_equal(plan.ce_rows, state.graph.train_idx)
+    assert np.array_equal(plan.ce_rows, graph.train_idx)
     tape, _leaves, parts = _forward(groups[0], cfg)
     by_op = {node.op: node for node in tape.nodes}
     assert np.shares_memory(by_op["softmax_ce"].aux["labels"], plan.ce_labels)
@@ -160,8 +160,9 @@ def test_setup_and_round_memory_targets():
         synth_dataset(spec, 0)
         synth_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        state = init_client_state(0, graph, c, "multiclass", cfg, params)
-        local_round(_alone(state), {}, cfg, 0, 1)
+        ds = FederationDataset(clients=(graph,), num_classes=c, feature_dim=d,
+                               task="multiclass")
+        local_round(group_clients(ds, cfg, params), {}, cfg, 0, 1)
         client_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -198,9 +199,7 @@ def test_full_stacked_group_memory():
     cfg = RunConfig(method="fedssa", rounds=1, epochs=2, order=3, k_node=2,
                     k_struct=2, lr=0.15, latent_dim=8, hidden=16)
     params = init_params(24, 4, cfg.order, cfg.hidden, cfg.latent_dim, stream(0, "init"))
-    states = [init_client_state(i, g, 4, "multiclass", cfg, params)
-              for i, g in enumerate(ds.clients)]
-    groups = group_clients(states)
+    groups = group_clients(ds, cfg, params)
     assert [len(g.states) for g in groups] == [8]
     assert groups[0].h_stack.shape[0] * groups[0].plan.n == federation.STACK_ROWS
     tracemalloc.start()
@@ -214,9 +213,7 @@ def test_full_stacked_group_memory():
 
 def test_group_nonedge_draws_match_one_fresh_stream_per_member():
     cfg = _tiny_cfg()
-    states = [_client_state(g, cfg, client_id=i)
-              for i, g in enumerate(_tiny_dataset(num_clients=4).clients)]
-    (group,) = group_clients(states)
+    (group,) = _groups(_tiny_dataset(num_clients=4).clients, cfg)
     for path in (("train-nonedges", 3, 1), ("eval-nonedges", 2)):
         got = federation._samples(group.plan, 7, *path)
         want = [sample_nonedges(group.plan, m, count, stream(7, *path))
@@ -257,24 +254,25 @@ _CLIENT_ROUND = federation.client_round
 
 
 def _recorded_run(monkeypatch, ds, cfg, stack_rows):
-    """Run with the given row cap; returns (result, groups, uploads by round)."""
+    """Run with the given row cap; returns (result, groups, client rounds),
+    the client rounds as (round, client id, stats, upload) in that order."""
     monkeypatch.setattr(federation, "STACK_ROWS", stack_rows)
-    groups, uploads = [], []
+    groups, rounds = [], []
     real_group, real_round = _GROUP_CLIENTS, _CLIENT_ROUND
 
-    def recording_group(states):
-        groups.extend(real_group(states))
+    def recording_group(dataset, cfg, params0):
+        groups.extend(real_group(dataset, cfg, params0))
         return groups
 
     def recording_round(group, member, evaluation, cfg, round_index):
-        upload = real_round(group, member, evaluation, cfg, round_index)
-        uploads.append((round_index, group.states[member].client_id, upload))
-        return upload
+        out = real_round(group, member, evaluation, cfg, round_index)
+        rounds.append((round_index, group.states[member].client_id, *out))
+        return out
 
     monkeypatch.setattr(federation, "group_clients", recording_group)
     monkeypatch.setattr(federation, "client_round", recording_round)
     result = run_federation_detailed(ds, cfg, seed=2)
-    return result, groups, sorted(uploads, key=lambda item: item[:2])
+    return result, groups, sorted(rounds, key=lambda item: item[:2])
 
 
 def _adam_of(groups) -> dict:
@@ -301,10 +299,10 @@ def test_stacked_groups_match_clients_trained_alone(monkeypatch, stack_rows,
     assert len({g.edges.shape[0] for g in ds.clients}) == 5
     assert len({g.train_idx.size for g in ds.clients}) > 1
     cfg = _tiny_cfg(rounds=3, epochs=2)
-    alone, alone_groups, alone_uploads = _recorded_run(monkeypatch, ds, cfg, 1)
+    alone, alone_groups, alone_rounds = _recorded_run(monkeypatch, ds, cfg, 1)
     assert [len(g.states) for g in alone_groups] == [1] * 5
-    stacked, groups, uploads = _recorded_run(monkeypatch, ds, _tiny_cfg(rounds=3, epochs=2),
-                                             stack_rows)
+    stacked, groups, rounds = _recorded_run(monkeypatch, ds, _tiny_cfg(rounds=3, epochs=2),
+                                            stack_rows)
     assert [len(g.states) for g in groups] == sizes
     if members is not None:
         assert [[s.client_id for s in g.states] for g in groups] == members
@@ -312,12 +310,27 @@ def test_stacked_groups_match_clients_trained_alone(monkeypatch, stack_rows,
     for a, b in zip(stacked.states, alone.states):
         assert {k: v.tobytes() for k, v in a.params.items()} == \
             {k: v.tobytes() for k, v in b.params.items()}
-        assert a.last_losses == b.last_losses
-        assert a.last_metrics == b.last_metrics
     assert _adam_of(groups) == _adam_of(alone_groups)
-    assert [(r, c, _upload_bytes(u)) for r, c, u in uploads] == \
-        [(r, c, _upload_bytes(u)) for r, c, u in alone_uploads]
+    assert [(r, c, stats, _upload_bytes(u)) for r, c, stats, u in rounds] == \
+        [(r, c, stats, _upload_bytes(u)) for r, c, stats, u in alone_rounds]
     assert stacked.history[-1].per_client[0].node != 0.0  # the alignment KL ran
+
+
+@pytest.mark.parametrize("method", ["fedssa", "fedavg", "local"])
+def test_client_round_runs_once_per_client_per_round(monkeypatch, method):
+    # client_round is the benchmark's unit of work: perfbench counts its
+    # calls through a wrapper of the module attribute, as this test does
+    ds = _ragged_dataset()
+    cfg = _tiny_cfg(method=method, rounds=2)
+    result, groups, rounds = _recorded_run(monkeypatch, ds, cfg, 30)
+    assert len(groups) >= 2
+    assert [(r, c) for r, c, _stats, _upload in rounds] == \
+        [(r, c) for r in (1, 2) for c in range(ds.num_clients)]
+    for r, c, stats, upload in rounds:
+        logged = result.history[r - 1].per_client[c]
+        assert stats.bytes_up == stats.bytes_down == 0
+        assert stats == dataclasses.replace(logged, bytes_up=0, bytes_down=0)
+        assert (upload is not None) == (method == "fedssa")
 
 
 def _interleaved_groups(cfg):
@@ -326,8 +339,7 @@ def _interleaved_groups(cfg):
     is client 1."""
     graphs = [synth_dataset(SynthSpec(num_nodes=14 + i % 2, num_classes=2, feature_dim=DIM,
                                       p_intra=0.6, p_inter=0.1), i) for i in range(4)]
-    groups = group_clients([_client_state(g, cfg, client_id=i)
-                            for i, g in enumerate(graphs)])
+    groups = _groups(graphs, cfg)
     assert [[s.client_id for s in g.states] for g in groups] == [[0, 2], [1, 3]]
     return groups
 
@@ -445,8 +457,9 @@ def _params_size(order: int, features: int, hidden: int, classes: int, d: int) -
 def test_upload_carries_only_statistics():
     ds = _tiny_dataset(num_clients=1)
     cfg = _tiny_cfg()
-    state = _client_state(ds.clients[0], cfg)
-    upload = local_round(_alone(state), {}, cfg, seed=0, round_index=1)[0]
+    _stats, uploads = local_round(_alone(ds.clients[0], cfg), {}, cfg, seed=0,
+                                  round_index=1)
+    upload = uploads[0]
     field_names = {f.name for f in dataclasses.fields(ClientUpload)}
     assert field_names == {"client_id", "coefficients", "class_gaussians",
                            "spectral_energy"}
@@ -467,19 +480,22 @@ def test_local_and_fedavg_clients_never_build_uploads():
     ds = _tiny_dataset(num_clients=1)
     for method in ("local", "fedavg"):
         cfg = _tiny_cfg(method=method)
-        state = _client_state(ds.clients[0], cfg)
-        assert local_round(_alone(state), {}, cfg, seed=0, round_index=1) == {}
-        assert state.last_metrics and state.last_losses
+        stats, uploads = local_round(_alone(ds.clients[0], cfg), {}, cfg, seed=0,
+                                     round_index=1)
+        assert uploads == {}
+        assert list(stats) == [0]
+        assert np.isfinite(dataclasses.astuple(stats[0])).all()
+        assert stats[0].bytes_up == stats[0].bytes_down == 0
 
 
 def test_ablated_uploads_shrink():
     ds = _tiny_dataset(num_clients=1)
     full_cfg = _tiny_cfg()
     bare_cfg = _tiny_cfg(semantic=False, structural=False)
-    full = local_round(_alone(_client_state(ds.clients[0], full_cfg)), {},
-                       full_cfg, seed=0, round_index=1)[0]
-    bare = local_round(_alone(_client_state(ds.clients[0], bare_cfg)), {},
-                       bare_cfg, seed=0, round_index=1)[0]
+    full = local_round(_alone(ds.clients[0], full_cfg), {},
+                       full_cfg, seed=0, round_index=1)[1][0]
+    bare = local_round(_alone(ds.clients[0], bare_cfg), {},
+                       bare_cfg, seed=0, round_index=1)[1][0]
     assert bare.class_gaussians == ()
     assert bare.spectral_energy is None
     assert (len(encode_upload(bare)) == _upload_size(ORDER, 0, 0, (0, 0))
@@ -727,6 +743,23 @@ def test_rank_deficient_client_rejected_at_run_start(odd_client):
         assert len(run_federation_detailed(ds, cfg, seed=0).history) == 2
 
 
+def test_setup_names_the_lowest_rank_deficient_client_across_groups():
+    # clients 0 and 2 have 14 nodes and train together, client 1 has 15 and
+    # trains alone; clients 1 and 2 are edgeless. Setup walks the clients in
+    # id order, so client 1 is named, not client 2 of the first group.
+    g0 = _tiny_dataset(num_clients=1).clients[0]
+    wide = synth_dataset(SynthSpec(num_nodes=15, num_classes=2, feature_dim=DIM,
+                                   p_intra=0.6, p_inter=0.1), 3)
+    g1 = LocalGraph(wide.features, wide.labels, np.zeros((0, 2), dtype=np.int64),
+                    wide.train_idx, wide.val_idx, wide.test_idx)
+    ds = FederationDataset(clients=(g0, g1, _edgeless_client(7)), num_classes=2,
+                           feature_dim=DIM, task="multiclass")
+    groups = _groups(ds.clients, _tiny_cfg(structural=False))
+    assert [[s.client_id for s in g.states] for g in groups] == [[0, 2], [1]]
+    with pytest.raises(ConfigError, match=r"client 1 has rank-deficient"):
+        run_federation_detailed(ds, _tiny_cfg(), seed=0)
+
+
 # --- fedavg fixed point ---------------------------------------------------------
 
 
@@ -756,8 +789,8 @@ def test_fedavg_with_identical_clients_matches_solo_training():
 def test_divergence_rolls_back_and_raises():
     ds = _tiny_dataset(num_clients=1)
     cfg = _tiny_cfg(method="local", epochs=2, lr=1e200)
-    state = _client_state(ds.clients[0], cfg)
-    groups = _alone(state)
+    groups = _alone(ds.clients[0], cfg)
+    state = groups[0].states[0]
     before = {name: state.params[name].copy() for name in ("w", "head_w1", "mu_w")}
     with pytest.raises(TrainingDivergenceError, match="client 0"):
         local_round(groups, {}, cfg, seed=0, round_index=1)
@@ -771,9 +804,8 @@ def _semantic_round_inputs():
     """A two-client fedssa group after round 1, its config and its round-2 broadcasts."""
     ds = _tiny_dataset(num_clients=2)
     cfg = _tiny_cfg()
-    groups = group_clients([_client_state(g, cfg, client_id=i)
-                            for i, g in enumerate(ds.clients)])
-    uploads = local_round(groups, {}, cfg, 0, 1)
+    groups = _groups(ds.clients, cfg)
+    _stats, uploads = local_round(groups, {}, cfg, 0, 1)
     broadcasts = server_step(uploads, cfg.k_node, cfg.k_struct, 0).broadcasts
     assert len(groups) == 1 and broadcasts[0].class_representatives
     return groups[0], cfg, broadcasts
@@ -821,7 +853,7 @@ def test_indefinite_representative_in_two_groups_names_lowest_client():
     # in the second, and no group trains
     cfg = _tiny_cfg()
     groups = _interleaved_groups(cfg)
-    broadcasts = server_step(local_round(groups, {}, cfg, 0, 1),
+    broadcasts = server_step(local_round(groups, {}, cfg, 0, 1)[1],
                              cfg.k_node, cfg.k_struct, 0).broadcasts
     dz = cfg.latent_dim
     indefinite = np.eye(dz) + 2.0 * (np.ones((dz, dz)) - np.eye(dz))

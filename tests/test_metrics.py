@@ -5,29 +5,26 @@ import numpy as np
 import pytest
 
 from fedssa.errors import ContractError, UndefinedMetricError
-from fedssa.metrics import MetricValue, accuracy, auc
+from fedssa.metrics import accuracy, auc
 
 
 def test_accuracy_hand_value():
     logits = np.array([[2.0, 1.0], [0.0, 3.0], [1.0, 0.0], [0.0, 1.0]])
     labels = np.array([0, 1, 1, 1])
-    out = accuracy(logits, labels, np.arange(4))
-    assert isinstance(out, MetricValue)
-    assert out.value == pytest.approx(0.75)
-    assert out.kind == "accuracy"
+    assert accuracy(logits, labels, np.arange(4)) == pytest.approx(0.75)
 
 
 def test_accuracy_respects_mask():
     logits = np.array([[2.0, 1.0], [0.0, 3.0], [1.0, 0.0]])
     labels = np.array([0, 0, 0])
-    assert accuracy(logits, labels, np.array([0])).value == 1.0
-    assert accuracy(logits, labels, np.array([1])).value == 0.0
+    assert accuracy(logits, labels, np.array([0])) == 1.0
+    assert accuracy(logits, labels, np.array([1])) == 0.0
 
 
 def test_accuracy_tie_prefers_lowest_class():
     logits = np.array([[1.0, 1.0, 0.0]])
-    assert accuracy(logits, np.array([0]), np.array([0])).value == 1.0
-    assert accuracy(logits, np.array([1]), np.array([0])).value == 0.0
+    assert accuracy(logits, np.array([0]), np.array([0])) == 1.0
+    assert accuracy(logits, np.array([1]), np.array([0])) == 0.0
 
 
 def test_accuracy_empty_raises():
@@ -36,7 +33,7 @@ def test_accuracy_empty_raises():
 
 
 def _auc(scores, labels):
-    return auc(scores, labels, np.arange(len(scores))).value
+    return auc(scores, labels, np.arange(len(scores)))
 
 
 def test_auc_hand_value():
@@ -67,8 +64,7 @@ def test_auc_partial_ties_hand_value():
 def test_auc_respects_mask():
     scores = np.array([0.9, 0.1, 0.5, 0.6])
     labels = np.array([1, 0, 1, 0])
-    out = auc(scores, labels, np.array([0, 1]))
-    assert out.value == 1.0
+    assert auc(scores, labels, np.array([0, 1])) == 1.0
 
 
 def test_auc_single_class_raises():
@@ -86,11 +82,6 @@ def test_auc_empty_mask_raises():
 def test_auc_rejects_nonbinary_labels():
     with pytest.raises(ContractError):
         _auc(np.array([0.3, 0.4, 0.5]), np.array([0, 1, 2]))
-
-
-def test_metric_value_range_contract():
-    with pytest.raises(ContractError):
-        MetricValue("accuracy", "test", 1.5)
 
 
 def test_auc_matches_pair_counting_oracle():

@@ -11,11 +11,16 @@ section supports three kinds:
               probabilities); no partition section.
   file        a saved graph JSON (partitioned per the partition section)
               or a saved dataset directory with manifest.json.
+
+Each section's keys, types and defaults are stated once: a table per
+dataset kind and for the partition, and for hyperparams and ablations a map
+onto `RunConfig` fields, so an omitted hyperparams or ablations key takes
+the `RunConfig` field default.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -31,17 +36,26 @@ from .rng import spawn_key, stream
 
 _TOP_KEYS = {"dataset", "partition", "method", "hyperparams", "ablations",
              "seed", "out_dir"}
-_SYNTH_KEYS = {"kind", "task", "nodes", "classes", "features", "p_intra",
-               "p_inter", "mean_scale", "noise"}
-_TWO_REGIME_KEYS = {"kind", "task", "clients_per_regime", "nodes_per_client",
-                    "classes", "features", "p_intra_a", "p_inter_a",
-                    "p_intra_b", "p_inter_b", "mean_scale", "noise"}
-_FILE_KEYS = {"kind", "task", "path"}
-_PARTITION_KEYS = {"scheme", "clients"}
-_HYPER_KEYS = {"T", "E", "K", "k_node", "k_struct", "lambda1", "lambda2",
-               "lr", "d_z", "h", "w_max"}
-_ABLATION_KEYS = {"semantic", "structural"}
+# Each dataset kind's keys besides kind and task, with their defaults; a
+# default of None marks a required string.
+_DATASET_KEYS = {
+    "synthetic": {"nodes": 600, "classes": 4, "features": 8, "p_intra": 0.05,
+                  "p_inter": 0.01, "mean_scale": 2.0, "noise": 1.0},
+    "two-regime": {"clients_per_regime": 5, "nodes_per_client": 150, "classes": 4,
+                   "features": 8, "p_intra_a": 0.10, "p_inter_a": 0.01,
+                   "p_intra_b": 0.01, "p_inter_b": 0.10, "mean_scale": 2.0,
+                   "noise": 1.0},
+    "file": {"path": None},
+}
+_PARTITION_KEYS = {"scheme": "nonoverlap", "clients": 10}
+# hyperparams key -> RunConfig field; ablation keys are RunConfig fields
+_HYPER_FIELDS = {"T": "rounds", "E": "epochs", "K": "order", "k_node": "k_node",
+                 "k_struct": "k_struct", "lambda1": "lambda1", "lambda2": "lambda2",
+                 "lr": "lr", "d_z": "latent_dim", "h": "hidden", "w_max": "w_max"}
+_ABLATION_KEYS = ("semantic", "structural")
+_RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 _SCHEMES = ("nonoverlap", "overlap")
+_EXPECTED = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
 
 def _require_mapping(obj, where: str) -> dict:
@@ -49,40 +63,24 @@ def _require_mapping(obj, where: str) -> dict:
         raise ConfigError(f"{where} must be a mapping")
     return obj
 
-def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
+def _reject_unknown(obj: dict, allowed, where: str) -> None:
+    unknown = sorted(set(obj).difference(allowed))
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
 
 
-def _get_int(obj: dict, key: str, default, where: str) -> int:
+def _get(obj: dict, key: str, default, where: str, kind=None, choices=None):
+    """obj[key], or default when absent, checked against kind (the type of
+    default unless given). An integer passes as a number and comes back as a
+    float; a bool passes only as a bool."""
     value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
-    return value
-
-
-def _get_float(obj: dict, key: str, default, where: str) -> float:
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _get_bool(obj: dict, key: str, default, where: str) -> bool:
-    value = obj.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}.{key} must be true or false, got {value!r}")
-    return value
-
-
-def _get_str(obj: dict, key: str, default, where: str, choices=None) -> str:
-    value = obj.get(key, default)
-    if not isinstance(value, str):
-        raise ConfigError(f"{where}.{key} must be a string, got {value!r}")
+    kind = kind or type(default)
+    if (isinstance(value, bool) != (kind is bool)
+            or not isinstance(value, (int, float) if kind is float else kind)):
+        raise ConfigError(f"{where}.{key} must be {_EXPECTED[kind]}, got {value!r}")
     if choices is not None and value not in choices:
         raise ConfigError(f"{where}.{key} must be one of {tuple(choices)}, got {value!r}")
-    return value
+    return float(value) if kind is float else value
 
 
 @dataclass(frozen=True)
@@ -104,47 +102,21 @@ class ExperimentConfig:
 
 def _parse_dataset(obj, where: str = "dataset") -> dict:
     obj = _require_mapping(obj, where)
-    kind = _get_str(obj, "kind", None, where) if "kind" in obj else None
-    if kind is None:
+    if "kind" not in obj:
         raise ConfigError(f"{where}.kind is required")
-    task = _get_str(obj, "task", "multiclass", where, choices=TASKS)
-    if kind == "synthetic":
-        _reject_unknown(obj, _SYNTH_KEYS, where)
-        parsed = {
-            "kind": kind, "task": task,
-            "nodes": _get_int(obj, "nodes", 600, where),
-            "classes": _get_int(obj, "classes", 4, where),
-            "features": _get_int(obj, "features", 8, where),
-            "p_intra": _get_float(obj, "p_intra", 0.05, where),
-            "p_inter": _get_float(obj, "p_inter", 0.01, where),
-            "mean_scale": _get_float(obj, "mean_scale", 2.0, where),
-            "noise": _get_float(obj, "noise", 1.0, where),
-        }
-    elif kind == "two-regime":
-        _reject_unknown(obj, _TWO_REGIME_KEYS, where)
-        parsed = {
-            "kind": kind, "task": task,
-            "clients_per_regime": _get_int(obj, "clients_per_regime", 5, where),
-            "nodes_per_client": _get_int(obj, "nodes_per_client", 150, where),
-            "classes": _get_int(obj, "classes", 4, where),
-            "features": _get_int(obj, "features", 8, where),
-            "p_intra_a": _get_float(obj, "p_intra_a", 0.10, where),
-            "p_inter_a": _get_float(obj, "p_inter_a", 0.01, where),
-            "p_intra_b": _get_float(obj, "p_intra_b", 0.01, where),
-            "p_inter_b": _get_float(obj, "p_inter_b", 0.10, where),
-            "mean_scale": _get_float(obj, "mean_scale", 2.0, where),
-            "noise": _get_float(obj, "noise", 1.0, where),
-        }
-        if parsed["clients_per_regime"] < 1:
-            raise ConfigError(f"{where}.clients_per_regime must be >= 1")
-    elif kind == "file":
-        _reject_unknown(obj, _FILE_KEYS, where)
-        if "path" not in obj:
-            raise ConfigError(f"{where}.path is required for kind 'file'")
-        parsed = {"kind": kind, "task": task, "path": _get_str(obj, "path", None, where)}
-    else:
+    kind = _get(obj, "kind", None, where, str)
+    task = _get(obj, "task", "multiclass", where, choices=TASKS)
+    if kind not in _DATASET_KEYS:
         raise ConfigError(f"{where}.kind must be synthetic, two-regime or file,"
                           f" got {kind!r}")
+    _reject_unknown(obj, {"kind", "task", *_DATASET_KEYS[kind]}, where)
+    parsed = {"kind": kind, "task": task}
+    for key, default in _DATASET_KEYS[kind].items():
+        if default is None and key not in obj:
+            raise ConfigError(f"{where}.{key} is required for kind {kind!r}")
+        parsed[key] = _get(obj, key, default, where, str if default is None else None)
+    if parsed.get("clients_per_regime", 1) < 1:
+        raise ConfigError(f"{where}.clients_per_regime must be >= 1")
     if task == "binary-auc" and parsed.get("classes", 2) != 2:
         raise ConfigError(f"{where}: binary-auc task requires exactly 2 classes,"
                           f" got classes: {parsed['classes']}")
@@ -154,8 +126,8 @@ def _parse_dataset(obj, where: str = "dataset") -> dict:
 def _parse_partition(obj, where: str = "partition") -> PartitionSpec:
     obj = _require_mapping(obj, where)
     _reject_unknown(obj, _PARTITION_KEYS, where)
-    scheme = _get_str(obj, "scheme", "nonoverlap", where, choices=_SCHEMES)
-    clients = _get_int(obj, "clients", 10, where)
+    scheme = _get(obj, "scheme", _PARTITION_KEYS["scheme"], where, choices=_SCHEMES)
+    clients = _get(obj, "clients", _PARTITION_KEYS["clients"], where)
     if clients < 2:
         raise ConfigError(f"{where}.clients must be >= 2, got {clients}")
     return PartitionSpec(scheme=scheme, clients=clients)
@@ -172,29 +144,19 @@ def parse_config(raw, where: str = "config") -> ExperimentConfig:
         raise ConfigError("two-regime datasets define their own clients;"
                           " remove the partition section")
     hyper = _require_mapping(raw.get("hyperparams", {}), "hyperparams")
-    _reject_unknown(hyper, _HYPER_KEYS, "hyperparams")
+    _reject_unknown(hyper, _HYPER_FIELDS, "hyperparams")
     ablations = _require_mapping(raw.get("ablations", {}), "ablations")
     _reject_unknown(ablations, _ABLATION_KEYS, "ablations")
-    method = _get_str(raw, "method", "fedssa", where, choices=METHODS)
-    run = RunConfig(
-        method=method,
-        rounds=_get_int(hyper, "T", 50, "hyperparams"),
-        epochs=_get_int(hyper, "E", 3, "hyperparams"),
-        order=_get_int(hyper, "K", 6, "hyperparams"),
-        k_node=_get_int(hyper, "k_node", 3, "hyperparams"),
-        k_struct=_get_int(hyper, "k_struct", 2, "hyperparams"),
-        lambda1=_get_float(hyper, "lambda1", 1e-3, "hyperparams"),
-        lambda2=_get_float(hyper, "lambda2", 1e-3, "hyperparams"),
-        lr=_get_float(hyper, "lr", 0.01, "hyperparams"),
-        latent_dim=_get_int(hyper, "d_z", 8, "hyperparams"),
-        hidden=_get_int(hyper, "h", 32, "hyperparams"),
-        w_max=_get_float(hyper, "w_max", 5.0, "hyperparams"),
-        semantic=_get_bool(ablations, "semantic", True, "ablations"),
-        structural=_get_bool(ablations, "structural", True, "ablations"),
-    )
+    values = {"method": _get(raw, "method", _RUN_DEFAULTS["method"], where,
+                             choices=METHODS)}
+    for key, name in _HYPER_FIELDS.items():
+        values[name] = _get(hyper, key, _RUN_DEFAULTS[name], "hyperparams")
+    for name in _ABLATION_KEYS:
+        values[name] = _get(ablations, name, _RUN_DEFAULTS[name], "ablations")
+    run = RunConfig(**values)
     run.validate()
-    seed = _get_int(raw, "seed", 0, where)
-    out_dir = _get_str(raw, "out_dir", "runs/out", where)
+    seed = _get(raw, "seed", 0, where)
+    out_dir = _get(raw, "out_dir", "runs/out", where)
     return ExperimentConfig(dataset=dataset, partition=partition, run=run,
                             seed=seed, out_dir=out_dir)
 

@@ -27,7 +27,6 @@ spectral-energy frame. Raw features, labels and edges never leave the client.
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -213,7 +212,6 @@ class RoundMetrics:
     mean_test_metric: float
     heterogeneity: Optional[HeterogeneityReport]
     floor: Optional[ErrorFloorReport]
-    wall_ms: float = 0.0
 
 
 # --- wire form (byte accounting) and checkpoints ------------------------------
@@ -638,7 +636,6 @@ def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig,
     chordal = None  # round 1's (ids, chordal distance matrix)
     history: list[RoundMetrics] = []
     for round_index in range(1, cfg.rounds + 1):
-        t_start = time.perf_counter()
         try:
             stats, uploads = local_round(groups, broadcasts, cfg, seed, round_index)
         except TrainingDivergenceError as exc:
@@ -679,5 +676,5 @@ def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig,
             round_index=round_index, per_client=per_client,
             mean_train_metric=means["train"], mean_val_metric=means["val"],
             mean_test_metric=means["test"], heterogeneity=heterogeneity,
-            floor=floor, wall_ms=(time.perf_counter() - t_start) * 1e3))
+            floor=floor))
     return FederationResult(history=history, states=states, chordal=chordal)

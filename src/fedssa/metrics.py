@@ -20,16 +20,9 @@ def accuracy(logits, labels, mask, split: str = "test") -> float:
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j < scores.size and scores[order[j]] == scores[order[i]]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j + 1)
-        i = j
-    return ranks
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (0.5 * (2 * ends - counts + 1))[inverse]
 
 
 def auc(scores, labels, mask, split: str = "test") -> float:
@@ -41,6 +34,8 @@ def auc(scores, labels, mask, split: str = "test") -> float:
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)[mask]
     if set(np.unique(labels)) - {0, 1}:
         raise ContractError("AUC requires binary labels in {0, 1}")
+    if np.isnan(scores).any():
+        raise ContractError("AUC requires scores that are not NaN")
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:

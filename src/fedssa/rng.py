@@ -13,7 +13,8 @@ The four client training streams, "train-eps", "eval-eps",
 "train-nonedges" and "eval-nonedges", carry the round (and epoch) but not
 the client id: every client of a round reads the same latent noise, and
 each client's non-edge draw starts from the start of the same stream.
-Keying them by client id is ROADMAP item 3.
+Keying them by client id is the first step of the ROADMAP item "Make
+the semantic channel carry shared knowledge to the classifier".
 """
 
 from __future__ import annotations

@@ -448,9 +448,23 @@ def matched_alignment_inputs(plan, targets) -> tuple | None:
             np.concatenate([[0], np.cumsum(sizes)]))
 
 
+def loop_average_ranks(scores: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties sharing their average rank, by walking each
+    run of equal scores in sorted order."""
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(scores.size)
+    i = 0
+    while i < scores.size:
+        j = i
+        while j < scores.size and scores[order[j]] == scores[order[i]]:
+            j += 1
+        ranks[order[i:j]] = 0.5 * (i + j + 1)
+        i = j
+    return ranks
+
+
 def round_signature(rm) -> tuple:
-    """Canonical content tuple of a RoundMetrics for equality checks; leaves
-    out the wall time."""
+    """Canonical content tuple of a RoundMetrics for equality checks."""
     per_client = tuple((cid, dataclasses.astuple(rm.per_client[cid]))
                        for cid in sorted(rm.per_client))
     het = None

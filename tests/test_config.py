@@ -1,14 +1,19 @@
 """Config schema checks: strict key rejection, typed getters, defaults, and
 dataset assembly for all three dataset kinds."""
 
+import copy
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
 import yaml
 
-from fedssa.config import (build_dataset, build_global_graph, load_config,
-                           parse_config, synth_spec_from,
+from fedssa.config import (_HYPER_FIELDS, build_dataset, build_global_graph,
+                           load_config, parse_config, synth_spec_from,
                            two_regime_federation)
 from fedssa.errors import ConfigError
+from fedssa.federation import RunConfig
 from fedssa.graphs import save_dataset
 
 
@@ -143,6 +148,117 @@ def test_load_config_file_handling(tmp_path):
     cfg = load_config(good)
     assert cfg.seed == 7
     assert cfg.dataset["nodes"] == 40
+
+
+# --- every key of every section ---------------------------------------------------
+
+_RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+# what an omitted dataset key parses to, per kind, in the parsed dict's order
+_DATASET_DEFAULTS = {
+    "synthetic": {"kind": "synthetic", "task": "multiclass", "nodes": 600,
+                  "classes": 4, "features": 8, "p_intra": 0.05, "p_inter": 0.01,
+                  "mean_scale": 2.0, "noise": 1.0},
+    "two-regime": {"kind": "two-regime", "task": "multiclass",
+                   "clients_per_regime": 5, "nodes_per_client": 150, "classes": 4,
+                   "features": 8, "p_intra_a": 0.1, "p_inter_a": 0.01,
+                   "p_intra_b": 0.01, "p_inter_b": 0.1, "mean_scale": 2.0,
+                   "noise": 1.0},
+}
+_SYNTH = {"dataset": {"kind": "synthetic"}}
+_EXPECTED = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+_WRONG = {int: ("x", True, 1.5, None), float: ("x", True, None, [1.0]),
+          bool: (1, 0, "yes", None), str: (3, True, None, ["a"])}
+
+
+def _key_cases():
+    """(section, key, base config, default) for every key the schema accepts;
+    a default of None marks a required string key. The section is the prefix
+    the error names: top-level keys are named config.<key>."""
+    cases = []
+    for kind, defaults in _DATASET_DEFAULTS.items():
+        cases += [("dataset", key, {"dataset": {"kind": kind}}, default)
+                  for key, default in defaults.items() if key != "kind"]
+    file = {"dataset": {"kind": "file", "path": "graph.json"}}
+    cases += [("dataset", "kind", file, None), ("dataset", "task", file, "multiclass"),
+              ("dataset", "path", file, None)]
+    cases += [("partition", "scheme", _SYNTH | {"partition": {}}, "nonoverlap"),
+              ("partition", "clients", _SYNTH | {"partition": {}}, 10)]
+    cases += [("hyperparams", key, _SYNTH, _RUN_DEFAULTS[name])
+              for key, name in _HYPER_FIELDS.items()]
+    cases += [("ablations", key, _SYNTH, _RUN_DEFAULTS[key])
+              for key in ("semantic", "structural")]
+    cases += [("config", "method", _SYNTH, _RUN_DEFAULTS["method"]),
+              ("config", "seed", _SYNTH, 0), ("config", "out_dir", _SYNTH, "runs/out")]
+    return [pytest.param(section, key, base, default, id=f"{section}.{key}"
+                         + (f"[{base['dataset']['kind']}]" if section == "dataset" else ""))
+            for section, key, base, default in cases]
+
+
+def _with(base: dict, section: str, key: str, value) -> dict:
+    raw = copy.deepcopy(base)
+    (raw if section == "config" else raw.setdefault(section, {}))[key] = value
+    return raw
+
+
+def _without(base: dict, section: str, key: str) -> dict:
+    raw = copy.deepcopy(base)
+    (raw if section == "config" else raw.get(section, {})).pop(key, None)
+    return raw
+
+
+def _parsed(cfg, section: str, key: str):
+    if section == "dataset":
+        return cfg.dataset[key]
+    if section == "partition":
+        return getattr(cfg.partition, key)
+    if section == "hyperparams":
+        return getattr(cfg.run, _HYPER_FIELDS[key])
+    return getattr(cfg.run if key in _RUN_DEFAULTS else cfg, key)
+
+
+@pytest.mark.parametrize("section, key, base, default", _key_cases())
+def test_every_key_rejects_wrong_types(section, key, base, default):
+    kind = str if default is None else type(default)
+    for value in _WRONG[kind]:
+        message = f"{section}.{key} must be {_EXPECTED[kind]}, got {value!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(_with(base, section, key, value))
+    if kind is float:  # an integer passes as a number and parses to a float
+        value = _parsed(parse_config(_with(base, section, key, 1)), section, key)
+        assert value == 1.0 and type(value) is float
+
+
+@pytest.mark.parametrize("section, key, base, default", _key_cases())
+def test_every_omitted_key_takes_its_default(section, key, base, default):
+    raw = _without(base, section, key)
+    if default is None:
+        with pytest.raises(ConfigError, match=f"{section}.{key} is required"):
+            parse_config(raw)
+        return
+    value = _parsed(parse_config(raw), section, key)
+    assert value == default and type(value) is type(default)
+
+
+@pytest.mark.parametrize("kind", sorted(_DATASET_DEFAULTS))
+def test_dataset_defaults_per_kind(kind):
+    parsed = parse_config({"dataset": {"kind": kind}}).dataset
+    want = _DATASET_DEFAULTS[kind]
+    assert list(parsed) == list(want)
+    assert [(v, type(v)) for v in parsed.values()] == [(v, type(v)) for v in want.values()]
+
+
+def test_every_run_field_is_reachable_from_one_hyperparams_key():
+    base = RunConfig()
+    reached = []
+    for key, default in ((k, _RUN_DEFAULTS[n]) for k, n in _HYPER_FIELDS.items()):
+        value = default + 1 if isinstance(default, int) else default * 2
+        run = parse_config(_SYNTH | {"hyperparams": {key: value}}).run
+        changed = [f.name for f in fields(RunConfig)
+                   if getattr(run, f.name) != getattr(base, f.name)]
+        assert len(changed) == 1, (key, changed)
+        reached += changed
+    others = {f.name for f in fields(RunConfig)} - {"method", "semantic", "structural"}
+    assert sorted(reached) == sorted(others)
 
 
 # --- dataset assembly --------------------------------------------------------------

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from fedssa.errors import ContractError, UndefinedMetricError
-from fedssa.metrics import accuracy, auc
+from fedssa.metrics import _average_ranks, accuracy, auc
+
+from helpers import loop_average_ranks
 
 
 def test_accuracy_hand_value():
@@ -97,3 +99,23 @@ def test_auc_matches_pair_counting_oracle():
         wins = sum((1.0 if p > q else 0.5 if p == q else 0.0)
                    for p in pos for q in neg)
         assert _auc(scores, labels) == pytest.approx(wins / (len(pos) * len(neg)))
+
+
+def test_auc_rejects_nan_scores():
+    with pytest.raises(ContractError, match="NaN"):
+        _auc(np.array([0.1, np.nan, 0.3, 0.2]), np.array([0, 1, 1, 0]))
+    # a NaN outside the mask is never ranked; infinities rank at the ends
+    assert auc(np.array([np.inf, -np.inf, np.nan]), np.array([1, 0, 1]),
+               np.array([0, 1])) == 1.0
+
+
+def test_average_ranks_match_the_loop_on_ties():
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        scores = np.round(rng.standard_normal(n), 1)
+        scores[rng.random(n) < 0.2] = -0.0
+        scores[rng.random(n) < 0.1] = 0.0
+        scores[rng.random(n) < 0.05] = np.inf
+        want = loop_average_ranks(scores)
+        assert _average_ranks(scores).tobytes() == want.tobytes()

@@ -64,7 +64,7 @@ def _require_mapping(obj, where: str) -> dict:
     return obj
 
 def _reject_unknown(obj: dict, allowed, where: str) -> None:
-    unknown = sorted(set(obj).difference(allowed))
+    unknown = sorted(set(obj).difference(allowed), key=lambda k: (type(k).__name__, str(k)))
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
 

@@ -56,7 +56,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 # Most node rows one stacked training tape holds; a larger client trains alone.
-STACK_ROWS = 1024
+STACK_ROWS = 2048
 
 
 @dataclass
@@ -234,8 +234,9 @@ def encode_upload(u: ClientUpload) -> bytes:
     d = u.class_gaussians[0].dim if u.class_gaussians else 0
     header = [u.client_id, u.coefficients.size, len(u.class_gaussians), d, *q.shape]
     arrays = [u.coefficients]
+    off = ~np.eye(d, dtype=bool)
     for g in u.class_gaussians:
-        if np.any(g.cov[~np.eye(g.dim, dtype=bool)]):
+        if np.any(g.cov[off]):
             raise ContractError(f"class {g.label} covariance has a nonzero off-diagonal entry")
         header += [g.label, g.count]
         arrays += [g.mean, np.diagonal(g.cov)]
@@ -253,11 +254,12 @@ def encode_broadcast(b: ServerBroadcast) -> bytes:
     d = reps[0][1].dim if reps else 0
     header = [coeffs.size, len(reps), d]
     arrays = [coeffs]
+    upper = np.triu_indices(d)
     for label, g in reps:
-        if not np.array_equal(g.cov, g.cov.T):
+        if not (g.cov == g.cov.T).all():
             raise ContractError(f"class {label} representative covariance is not symmetric")
         header.append(label)
-        arrays += [g.mean, g.cov[np.triu_indices(g.dim)]]
+        arrays += [g.mean, g.cov[upper]]
     return _message(header, arrays)
 
 

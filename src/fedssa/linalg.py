@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import NumericError, RankError, ShapeError
 
+PAIR_BLOCK_FLOATS = 1 << 16  # float64s one block of pair differences holds
+
 
 def qr_thin(s) -> tuple[np.ndarray, np.ndarray]:
     """Thin QR factorization with a nonnegative diagonal in R.
@@ -45,14 +47,18 @@ def qr_thin(s) -> tuple[np.ndarray, np.ndarray]:
 def pairwise_distances(points) -> np.ndarray:
     """Euclidean distance matrix between the flattened rows of points.
 
-    Built one row at a time, so memory stays O(M p) rather than the O(M^2 p)
-    of a broadcast difference block. Only the upper triangle is computed and
-    mirrored, so the result is exactly symmetric with a zero diagonal.
+    Upper-triangle pairs go in blocks of at most PAIR_BLOCK_FLOATS floats (or
+    one pair), each pair's squares summed on their own as norm(axis=1) does,
+    so the bits do not depend on the block; the mirror is exactly symmetric.
     """
-    flat = np.asarray(points, dtype=np.float64)
-    m = len(flat)
+    m = len(points)
+    flat = np.asarray(points, dtype=np.float64).reshape(m, -1) if m else np.zeros((0, 0))
+    left, right = np.triu_indices(m, 1)
+    step = max(1, PAIR_BLOCK_FLOATS // max(1, flat.shape[1]))
     dist = np.zeros((m, m))
-    for i in range(m - 1):
-        diff = (flat[i + 1:] - flat[i]).reshape(m - i - 1, -1)
-        dist[i, i + 1:] = np.linalg.norm(diff, axis=1)
+    for a in range(0, left.size, step):
+        i, j = left[a:a + step], right[a:a + step]
+        diff = flat[j]
+        diff -= flat[i]
+        dist[i, j] = np.sqrt(np.square(diff, out=diff).sum(axis=1))
     return dist + dist.T

@@ -63,10 +63,10 @@ class ClassGaussian:
         cov = np.ascontiguousarray(np.asarray(self.cov, dtype=np.float64))
         if cov.shape != (mean.size, mean.size):
             raise ShapeError(f"cov shape {cov.shape} does not match mean dim {mean.size}")
-        skew = float(np.max(np.abs(cov - cov.T))) if mean.size else 0.0
+        skew = float(abs(cov - cov.T).max()) if mean.size else 0.0
         if skew > 1e-10:
             raise ContractError(f"cov deviates from symmetry by {skew:.3e}")
-        if np.any(np.diag(cov) < COV_FLOOR - 1e-12):
+        if (cov.diagonal() < COV_FLOOR - 1e-12).any():
             raise ContractError(f"cov diagonal entries must be >= {COV_FLOOR}")
         mean.setflags(write=False)
         cov.setflags(write=False)
@@ -309,9 +309,10 @@ def class_gaussians(labels: np.ndarray, counts: np.ndarray, moments: np.ndarray)
     """ClassGaussians, in label order, from one client's class labels, train-row
     counts and [mean | var] rows (the values of class_stat_paths)."""
     d = moments.shape[1] // 2
-    return tuple(ClassGaussian(int(label), row[:d].copy(),
-                               np.diag(np.maximum(row[d:], COV_FLOOR)), int(count))
-                 for label, count, row in zip(labels, counts, moments))
+    covs = np.zeros((len(moments), d, d))
+    covs[:, np.arange(d), np.arange(d)] = np.maximum(moments[:, d:], COV_FLOOR)
+    return tuple(ClassGaussian(int(label), row[:d].copy(), cov, int(count))
+                 for label, count, row, cov in zip(labels, counts, moments, covs))
 
 
 def spectral_energy(powers: list, client_id: int) -> SpectralEnergy:

@@ -45,35 +45,52 @@ class SemanticClusterMap:
 
 def cluster_moments(members) -> ClassGaussian:
     """Single Gaussian matching the first two moments of the count-weighted
-    mixture of one cluster's class Gaussians.
+    mixture of one cluster's class Gaussians: match_cells of one cell."""
+    return match_cells([members])[0]
 
-    The weighted sums are running sums over the stacked members, added in
-    member order, so the bits equal a member-by-member loop at every latent
-    width; numpy's pairwise sum regroups a contiguous axis. The covariance
-    is symmetrized and eigenvalue-floored at COV_FLOOR so every
+
+def match_cells(cells) -> list:
+    """cluster_moments of every cell (one cluster's members) at once.
+
+    The cells are stacked with zero padding on the member axis. The weighted
+    sums are running sums read at each cell's last member, added in member
+    order, so the bits equal a member-by-member loop at every latent width;
+    numpy's pairwise sum regroups a contiguous axis. One stacked eigh
+    floors each symmetrized covariance's eigenvalues at COV_FLOOR, so every
     representative stays safely positive definite.
     """
-    members = tuple(members)
-    if not members:
-        raise ContractError("cluster_moments needs at least one member")
-    labels = {m.label for m in members}
-    if len(labels) != 1:
-        raise ContractError(f"cluster mixes class labels {sorted(labels)}")
-    if len({m.dim for m in members}) != 1:
+    cells = [tuple(members) for members in cells]
+    for members in cells:
+        labels = {m.label for m in members}
+        if len(labels) != 1:
+            raise ContractError(f"cluster mixes class labels {sorted(labels)}" if labels
+                                else "cluster_moments needs at least one member")
+    if not cells:
+        return []
+    if len({m.dim for members in cells for m in members}) != 1:
         raise ShapeError("cluster members have inconsistent dimensions")
-    counts = np.array([m.count for m in members], dtype=np.float64)
-    total = float(counts.sum())
-    weights = counts / total
-    means = np.stack([m.mean for m in members])
-    covs = np.stack([m.cov for m in members])
-    mean = np.cumsum(weights[:, None] * means, axis=0)[-1]
-    second = weights[:, None, None] * (covs + means[:, :, None] * means[:, None, :])
-    cov = np.cumsum(second, axis=0)[-1] - np.outer(mean, mean)
-    cov = 0.5 * (cov + cov.T)
+    d = cells[0][0].dim
+    sizes = np.array([len(members) for members in cells])
+    counts = np.zeros((len(cells), sizes.max()))
+    means, covs = np.zeros(counts.shape + (d,)), np.zeros(counts.shape + (d, d))
+    for i, members in enumerate(cells):
+        counts[i, :sizes[i]] = [m.count for m in members]
+        means[i, :sizes[i]] = [m.mean for m in members]
+        covs[i, :sizes[i]] = [m.cov for m in members]
+    totals = counts.sum(axis=1)
+    weights = counts / totals[:, None]
+    last = (np.arange(len(cells)), sizes - 1)
+    mean = np.cumsum(weights[..., None] * means, axis=1)[last]
+    second = weights[..., None, None] * (covs + means[..., :, None] * means[..., None, :])
+    cov = np.cumsum(second, axis=1)[last] - mean[:, :, None] * mean[:, None, :]
+    cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
     eigvals, eigvecs = np.linalg.eigh(cov)
-    floored = eigvecs @ np.diag(np.maximum(eigvals, COV_FLOOR)) @ eigvecs.T
-    floored = 0.5 * (floored + floored.T)
-    return ClassGaussian(members[0].label, mean, floored, int(total))
+    floor = np.zeros_like(cov)
+    floor[:, np.arange(d), np.arange(d)] = np.maximum(eigvals, COV_FLOOR)
+    floored = eigvecs @ floor @ np.swapaxes(eigvecs, 1, 2)
+    floored = 0.5 * (floored + np.swapaxes(floored, 1, 2))
+    return [ClassGaussian(members[0].label, mu, sigma, int(total))
+            for members, mu, sigma, total in zip(cells, mean, floored, totals)]
 
 
 def gaussian_kl(p: ClassGaussian, q: ClassGaussian) -> float:
@@ -113,16 +130,15 @@ def build_semantic_map(class_gaussians: dict, k_node: int, seed: int) -> Semanti
     for client_id in sorted(class_gaussians):
         for g in class_gaussians[client_id]:
             by_class.setdefault(int(g.label), []).append((client_id, g))
-    assignments, representatives, members = {}, {}, {}
+    assignments, members = {}, {}
     for label in sorted(by_class):
         ids, gaussians = zip(*by_class[label])
         clusters = kmeans(np.stack([g.mean for g in gaussians]), min(k_node, len(ids)),
                           stream(seed, "kmeans-sem", label)).tolist()
         assignments[label] = dict(zip(ids, clusters))
-        for cluster in sorted(set(clusters)):
-            cell = tuple(g for g, c in zip(gaussians, clusters) if c == cluster)
-            members[(label, cluster)] = cell
-            representatives[(label, cluster)] = cluster_moments(cell)
+        for c in sorted(set(clusters)):
+            members[(label, c)] = tuple(g for g, gc in zip(gaussians, clusters) if gc == c)
+    representatives = dict(zip(members, match_cells(members.values())))
     return SemanticClusterMap(assignments, representatives, members)
 
 
@@ -132,33 +148,33 @@ def alignment_inputs(plan: GroupPlan, received) -> tuple | None:
     received holds, per member of the group, the {label: ClassGaussian}
     representatives of its broadcast (empty before the first). Each
     member's classes in plan.class_labels, which plan.class_bounds splits by
-    member, are matched with those labels, and each picked representative's
-    symmetrised precision and covariance log-determinant are computed.
+    member, are matched with those labels, and the symmetrised precision and
+    covariance log-determinant of each distinct picked representative are
+    computed once.
     Returns (rows, means, precisions, logdets, bounds) as diag_gaussian_kl
     takes them after the class moments, or None when no class of any member
     has a representative. A picked representative that is not positive
     definite raises NumericError whose members are the receiving members.
     """
-    bounds = plan.class_bounds
-    rows, picks, owners, sizes = [], [], [], []
-    for m, reps in enumerate(received):
-        labels = plan.class_labels[bounds[m]:bounds[m + 1]]
-        local = np.flatnonzero(np.isin(labels, list(reps)))
-        rows.append(local + bounds[m])
-        picks += [reps[int(label)] for label in labels[local]]
-        owners += [m] * local.size
-        sizes.append(local.size)
-    if not picks:
+    owners = np.repeat(np.arange(len(received)), np.diff(plan.class_bounds))
+    found = [received[m].get(label)
+             for m, label in zip(owners.tolist(), plan.class_labels.tolist())]
+    rows = np.array([i for i, rep in enumerate(found) if rep is not None], dtype=np.int64)
+    if not rows.size:
         return None
-    covs = np.stack([rep.cov for rep in picks])
+    picks, owners = [found[i] for i in rows], owners[rows]
+    slots: dict = {}  # id of each distinct representative -> (slot, representative)
+    index = [slots.setdefault(id(rep), (len(slots), rep))[0] for rep in picks]
+    distinct = [rep for _, rep in slots.values()]
+    covs = np.stack([rep.cov for rep in distinct])
     signs, logdets = np.linalg.slogdet(covs)
-    if np.any(signs <= 0):
+    if np.any(signs[index] <= 0):
         raise NumericError("representative covariance is not positive definite",
-                           members=sorted({owners[i] for i in np.flatnonzero(signs <= 0)}))
+                           members=sorted(set(owners[signs[index] <= 0].tolist())))
     precisions = np.linalg.inv(covs)
-    return (np.concatenate(rows), np.stack([rep.mean for rep in picks]),
-            0.5 * (precisions + np.swapaxes(precisions, 1, 2)), logdets,
-            np.concatenate([[0], np.cumsum(sizes)]))
+    return (rows, np.stack([rep.mean for rep in distinct])[index],
+            (0.5 * (precisions + np.swapaxes(precisions, 1, 2)))[index], logdets[index],
+            np.concatenate([[0], np.cumsum(np.bincount(owners, minlength=len(received)))]))
 
 
 def alignment_path(moments: tp.Var, inputs: tuple) -> tp.Var:

@@ -55,34 +55,34 @@ class HeterogeneityReport:
     global_eps_u: float
 
 
-def _spreads(gaussians: list) -> tuple[float, float]:
-    """(delta_mu, delta_sigma): the largest distance between any two members'
-    means, and between any two members' covariances (Frobenius)."""
-    delta_mu = pairwise_distances([g.mean for g in gaussians]).max(initial=0.0)
-    delta_sigma = pairwise_distances([g.cov for g in gaussians]).max(initial=0.0)
-    return float(delta_mu), float(delta_sigma)
-
-
 def measure_heterogeneity(chordal: tuple | None, semantic_map: SemanticClusterMap | None,
                           structural_map: StructuralClusterMap | None) -> HeterogeneityReport:
     """Summarize divergences per cluster and over the whole federation.
 
     The semantic cells are read from semantic_map.members, and a class's
-    holders are the union of its cells. chordal is the (ids, matrix) pair of
+    holders are the union of its cells: one distance matrix per class, over
+    its holders' means and over their covariances, gives the spreads of the
+    class and of each cell (its block). chordal is the (ids, matrix) pair of
     `pairwise_chordal` over the clients' frames, or None without a
     structural branch. The global_* fields ignore cluster structure (max
     over all holder pairs), which is the baseline the clustered values are
     compared against.
     """
-    semantic_stats = []
-    holders: dict = {}
-    if semantic_map is not None:
-        for (label, cluster), members in sorted(semantic_map.members.items()):
-            delta_mu, delta_sigma = _spreads(members)
+    cells = sorted(semantic_map.members.items()) if semantic_map is not None else []
+    semantic_stats, global_spreads = [], []
+    for label in sorted({label for (label, _), _ in cells}):
+        own = [(cluster, members) for (lab, cluster), members in cells if lab == label]
+        holders = [g for _, members in own for g in members]
+        mu = pairwise_distances([g.mean for g in holders])
+        sigma = pairwise_distances([g.cov for g in holders])
+        global_spreads.append((float(mu.max(initial=0.0)), float(sigma.max(initial=0.0))))
+        ends = np.cumsum([len(members) for _, members in own])
+        for (cluster, members), end in zip(own, ends):
+            block = slice(end - len(members), end)
             semantic_stats.append(SemanticClusterStats(
                 label=int(label), cluster=int(cluster), size=len(members),
-                delta_mu=delta_mu, delta_sigma=delta_sigma))
-            holders.setdefault(label, []).extend(members)
+                delta_mu=float(mu[block, block].max(initial=0.0)),
+                delta_sigma=float(sigma[block, block].max(initial=0.0))))
     ids, matrix = chordal if chordal is not None else ((), np.zeros((0, 0)))
     structural_stats = []
     if structural_map is not None and chordal is not None:
@@ -93,7 +93,6 @@ def measure_heterogeneity(chordal: tuple | None, semantic_map: SemanticClusterMa
             structural_stats.append(StructuralClusterStats(
                 cluster=int(cluster), size=len(rows),
                 eps_u=float(matrix[np.ix_(rows, rows)].max())))
-    global_spreads = [_spreads(holders[label]) for label in sorted(holders)]
     return HeterogeneityReport(
         semantic=tuple(semantic_stats),
         structural=tuple(structural_stats),
@@ -239,7 +238,8 @@ def kl_bound_audit(members: dict, representative: ClassGaussian) -> KLAudit:
     for g in gaussians:
         if g.label != representative.label:
             raise ContractError("member class label differs from representative")
-    delta_mu, delta_sigma = _spreads(gaussians)
+    delta_mu = float(pairwise_distances([g.mean for g in gaussians]).max(initial=0.0))
+    delta_sigma = float(pairwise_distances([g.cov for g in gaussians]).max(initial=0.0))
     sigma_sq = float(np.linalg.eigvalsh(representative.cov)[0])
     precondition_ok = (delta_sigma + delta_mu ** 2) <= sigma_sq / 2.0
     d = representative.dim

@@ -390,6 +390,66 @@ def loop_cluster_moments(members) -> tuple:
     return mean, 0.5 * (floored + floored.T)
 
 
+def reference_kmeans(points, k: int, rng, restarts: int = 10, max_iter: int = 50,
+                     repairs: list | None = None) -> np.ndarray:
+    """cluster.kmeans one restart at a time: seed a restart, run its Lloyd
+    iterations to convergence, then seed the next.
+
+    This is the per-restart route the batched Lloyd replaces, with the same
+    seeding draws, assignment ties, empty-cluster repair and earliest-restart
+    rule, so its labels must be identical. Each repair of an empty cluster
+    appends its cluster index to repairs, when given.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    m = pts.shape[0]
+    k = min(k, m)
+
+    def sq_dist(centers):
+        diff = pts[:, None, :] - centers[None, :, :]
+        return np.einsum("ikj,ikj->ik", diff, diff)
+
+    def seed_centers():
+        centers = np.empty((k, pts.shape[1]))
+        centers[0] = pts[int(rng.integers(m))]
+        closest = np.square(pts - centers[0]).sum(axis=1)
+        for i in range(1, k):
+            total = float(closest.sum())
+            if total <= 0:
+                centers[i:] = centers[0]
+                break
+            probs = np.cumsum(closest / total)
+            pick = min(int(np.searchsorted(probs, float(rng.random()), side="right")), m - 1)
+            centers[i] = pts[pick]
+            closest = np.minimum(closest, np.square(pts - centers[i]).sum(axis=1))
+        return centers
+
+    best_labels, best_inertia = None, np.inf
+    for _ in range(restarts):
+        centers = seed_centers()
+        labels = np.full(m, -1, dtype=np.int64)
+        dists = sq_dist(centers)
+        for _ in range(max_iter):
+            new_labels = np.argmin(dists, axis=1)
+            for c in range(k):
+                members = new_labels == c
+                if not np.any(members):
+                    if repairs is not None:
+                        repairs.append(c)
+                    far = int(np.argmax(dists[np.arange(m), new_labels]))
+                    centers[c] = pts[far]
+                    new_labels[far] = c
+                    members = new_labels == c
+                centers[c] = pts[members].mean(axis=0)
+            dists = sq_dist(centers)
+            if np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+        inertia = float(dists[np.arange(m), labels].sum())
+        if inertia < best_inertia - 1e-12:
+            best_labels, best_inertia = labels, inertia
+    return best_labels
+
+
 def distinct_kl_targets(received: dict) -> dict:
     """{client_id: (labels, means, precisions, logdets)} from
     {client_id: {label: ClassGaussian}}, in ascending label order.

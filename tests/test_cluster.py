@@ -1,8 +1,12 @@
 """K-means checks: planted-structure recovery, determinism, empty-cluster
-repair, and contract errors."""
+repair, contract errors, and the batched restarts against the per-restart
+reference."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import reference_kmeans
 
 from fedssa.cluster import kmeans
 from fedssa.errors import ContractError
@@ -83,3 +87,62 @@ def test_kmeans_improves_or_matches_random_assignment():
     rand_centers = np.vstack([pts[rand_labels == j].mean(axis=0) for j in range(3)])
     rand_inertia = np.sum((pts - rand_centers[rand_labels]) ** 2)
     assert inertia <= rand_inertia + 1e-9
+
+
+def _battery_case(i: int) -> tuple:
+    """Case i of the seeded battery: (points, k)."""
+    rng = np.random.default_rng(i)
+    kind = 2 if i % 12 == 7 else i % 6  # half the duplicate slots: coincident ones cycle
+    m = int(rng.integers(1, 16))
+    p = int(rng.choice([1, 2, 3, 5, 8]))
+    k = int(rng.integers(1, 6))
+    if i % 500 == 0:
+        return rng.standard_normal((100, 576)), 2
+    if kind == 0:  # integer grid: assignment and seeding ties
+        return rng.integers(0, 3, (m, p)).astype(float), k
+    if kind == 1:  # duplicated points: coincident seeds and empty clusters
+        base = rng.standard_normal((int(rng.integers(1, 4)), p))
+        return base[rng.integers(0, len(base), min(m, 6))], min(k, 3)
+    if kind == 2:  # near-coincident groups
+        base = 5.0 * rng.standard_normal((int(rng.integers(1, 5)), p))
+        return base[rng.integers(0, len(base), m)] + 1e-9 * rng.standard_normal((m, p)), k
+    if kind == 3:
+        return rng.standard_normal((m, p)), 1
+    if kind == 4:  # k > m: clamped to m
+        m = min(m, 6)
+        return rng.standard_normal((m, p)), m + int(rng.integers(1, 4))
+    return rng.standard_normal((m, p)) * 10.0 ** int(rng.integers(-3, 4)), k
+
+
+def test_kmeans_matches_per_restart_reference():
+    """The batched restarts give the reference's labels, bit for bit, on a
+    battery that takes the empty-cluster repair, ties and wide points."""
+    repairs = []
+    for i in range(3000):
+        points, k = _battery_case(i)
+        want = reference_kmeans(points, k, stream(i, "battery"), repairs=repairs)
+        got = kmeans(points, k, stream(i, "battery"))
+        assert np.array_equal(got, want), f"case {i}: {points.shape}, k={k}"
+    assert len(repairs) > 100
+
+
+def _peak_bytes(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kmeans_peak_memory_within_reference():
+    """100 x 576 points, k = 2: one restart's (m, k, p) block already fills
+    the budget, so the batched call peaks where the reference does. The
+    4 KiB margin covers the Python objects tracemalloc also counts; an
+    unchunked stack of ten restarts would add about 8 MB."""
+    points = np.random.default_rng(3).standard_normal((100, 576))
+    _peak_bytes(kmeans, points, 2, stream(0, "peak"))
+    _peak_bytes(reference_kmeans, points, 2, stream(0, "peak"))
+    ours = min(_peak_bytes(kmeans, points, 2, stream(0, "peak")) for _ in range(2))
+    ref = min(_peak_bytes(reference_kmeans, points, 2, stream(0, "peak")) for _ in range(2))
+    assert ours <= ref + 4096

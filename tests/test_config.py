@@ -63,6 +63,13 @@ def test_unknown_keys_are_named():
         parse_config(_minimal(partition={"parts": 4}))
 
 
+def test_unknown_keys_of_mixed_types_are_named():
+    with pytest.raises(ConfigError, match="unknown key 1 in hyperparams"):
+        parse_config({"dataset": {"kind": "synthetic"}, "hyperparams": {1: 2, "foo": 3}})
+    with pytest.raises(ConfigError, match="unknown key 10 in hyperparams"):
+        parse_config({"dataset": {"kind": "synthetic"}, "hyperparams": {2: 1, 10: 1}})
+
+
 def test_typed_getters_reject_wrong_types():
     with pytest.raises(ConfigError, match="must be an integer"):
         parse_config(_minimal(hyperparams={"T": "many"}))

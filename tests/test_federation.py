@@ -190,17 +190,17 @@ def test_checkpoint_is_written_one_client_at_a_time(tmp_path):
 
 
 def test_full_stacked_group_memory():
-    # one round of a full 1,024-row group: 8 quickstart-sized clients (128
+    # one round of a full 2,048-row group: 16 quickstart-sized clients (128
     # nodes, 4 classes, 24 features, K = 3, d_z = 8, h = 16)
     ds = two_regime_federation({
-        "clients_per_regime": 4, "nodes_per_client": 128, "classes": 4,
+        "clients_per_regime": 8, "nodes_per_client": 128, "classes": 4,
         "features": 24, "p_intra_a": 0.10, "p_inter_a": 0.01, "p_intra_b": 0.01,
         "p_inter_b": 0.10, "mean_scale": 1.0, "noise": 1.0, "task": "multiclass"}, 0)
     cfg = RunConfig(method="fedssa", rounds=1, epochs=2, order=3, k_node=2,
                     k_struct=2, lr=0.15, latent_dim=8, hidden=16)
     params = init_params(24, 4, cfg.order, cfg.hidden, cfg.latent_dim, stream(0, "init"))
     groups = group_clients(ds, cfg, params)
-    assert [len(g.states) for g in groups] == [8]
+    assert [len(g.states) for g in groups] == [16]
     assert groups[0].h_stack.shape[0] * groups[0].plan.n == federation.STACK_ROWS
     tracemalloc.start()
     try:
@@ -208,7 +208,7 @@ def test_full_stacked_group_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 2 ** 20, f"1,024-row group round peak {peak / 2 ** 20:.1f} MB"
+    assert peak < 6 * 2 ** 20, f"2,048-row group round peak {peak / 2 ** 20:.1f} MB"
 
 
 def test_group_nonedge_draws_match_one_fresh_stream_per_member():

@@ -95,7 +95,20 @@ def test_qr_property_random(seed, m, n_raw):
     _qr_checks(a)
 
 
-@pytest.mark.parametrize("shape", [(0, 3), (1, 3), (6, 4), (9, 3, 3)])
+def _row_loop_distances(points) -> np.ndarray:
+    """The distance matrix built one row at a time: each row's differences
+    to the later rows, reduced by np.linalg.norm(axis=1)."""
+    flat = np.asarray(points, dtype=np.float64)
+    m = len(flat)
+    dist = np.zeros((m, m))
+    for i in range(m - 1):
+        diff = (flat[i + 1:] - flat[i]).reshape(m - i - 1, -1)
+        dist[i, i + 1:] = np.linalg.norm(diff, axis=1)
+    return dist + dist.T
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (1, 3), (6, 4), (9, 3, 3), (2, 5), (100, 1),
+                                   (100, 2), (100, 8), (100, 64), (100, 576), (2, 576)])
 def test_pairwise_distances_matches_pair_loop(shape):
     points = np.random.default_rng(11).standard_normal(shape)
     dist = pairwise_distances(points)
@@ -103,6 +116,7 @@ def test_pairwise_distances_matches_pair_loop(shape):
     assert dist.shape == (m, m)
     assert np.array_equal(dist, dist.T)
     assert np.all(np.diag(dist) == 0.0)
+    assert np.array_equal(dist, _row_loop_distances(points))
     for i in range(m):
         for j in range(m):
             want = np.linalg.norm((points[i] - points[j]).ravel())

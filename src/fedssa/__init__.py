@@ -22,8 +22,7 @@ from .linalg import qr_thin
 from .metrics import accuracy, auc
 from .models import ClassGaussian, init_params, spectral_energy
 from .rng import spawn_key, stream
-from .semantic import (SemanticClusterMap, build_semantic_map, cluster_moments,
-                       gaussian_kl)
+from .semantic import SemanticClusterMap, build_semantic_map, gaussian_kl
 from .structural import (SpectralEnergy, StructuralClusterMap,
                          build_structural_map, coeff_perturb_bound,
                          filter_lipschitz_bound, pairwise_chordal,
@@ -47,7 +46,7 @@ __all__ = [
     "UndefinedMetricError", "Var", "accuracy", "auc",
     "build_dataset", "build_global_graph", "build_semantic_map",
     "build_structural_map", "client_round",
-    "cluster_moments", "coeff_perturb_bound", "contraction_simulate",
+    "coeff_perturb_bound", "contraction_simulate",
     "error_floor",
     "evaluate_client", "filter_lipschitz_bound", "gaussian_kl", "grad",
     "init_params",

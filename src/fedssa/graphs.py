@@ -447,6 +447,28 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"missing key {sorted(missing)[0]!r} in {where}")
 
 
+def _json_int(value, where: str, field: str) -> int:
+    """A nonnegative JSON integer; ConfigError naming the file and field otherwise."""
+    if type(value) is not int or value < 0:
+        raise ConfigError(f"{where}: {field} must be a nonnegative integer, got {value!r}")
+    return value
+
+
+def _json_ints(value, where: str, field: str, pairs: bool = False) -> list:
+    """A JSON list of integers, or of [u, v] integer pairs; ConfigError naming
+    the file and field otherwise, so 1.5, true or null never become an index."""
+    entries = value if isinstance(value, list) else [value]
+    if pairs:
+        entries = [x for e in entries
+                   for x in (e if isinstance(e, list) and len(e) == 2 else [e])]
+    bad = [x for x in entries if type(x) is not int]
+    if bad or not isinstance(value, list):
+        kind = "[u, v] integer pairs" if pairs else "integers"
+        raise ConfigError(f"{where}: {field} must be a list of {kind},"
+                          f" got {(bad or [value])[0]!r}")
+    return value
+
+
 def graph_to_dict(g: LocalGraph) -> dict:
     return {
         "n": g.n,
@@ -471,9 +493,12 @@ def graph_from_dict(obj: dict, where: str = "graph file") -> LocalGraph:
     if not isinstance(feats, dict):
         raise ConfigError(f"{where}: features must be an object")
     _check_keys(feats, _FEATURE_KEYS, f"{where} features")
-    n, d = int(feats["rows"]), int(feats["cols"])
-    if n != int(obj["n"]):
+    n, d = (_json_int(feats[key], where, f"features.{key}") for key in ("rows", "cols"))
+    if n != _json_int(obj["n"], where, "n"):
         raise ConfigError(f"{where}: feature rows {n} != n {obj['n']}")
+    if not isinstance(feats["data"], list) or any(type(x) not in (int, float)
+                                                  for x in feats["data"]):
+        raise ConfigError(f"{where}: features.data must be a list of numbers")
     data = np.asarray(feats["data"], dtype=np.float64)
     if data.size != n * d:
         raise ConfigError(f"{where}: feature data length {data.size} != rows*cols {n * d}")
@@ -481,8 +506,10 @@ def graph_from_dict(obj: dict, where: str = "graph file") -> LocalGraph:
     if not isinstance(masks, dict):
         raise ConfigError(f"{where}: masks must be an object")
     _check_keys(masks, _MASK_KEYS, f"{where} masks")
-    return LocalGraph(data.reshape(n, d), obj["labels"], obj["edges"],
-                      masks["train"], masks["val"], masks["test"])
+    return LocalGraph(data.reshape(n, d), _json_ints(obj["labels"], where, "labels"),
+                      _json_ints(obj["edges"], where, "edges", pairs=True),
+                      *(_json_ints(masks[key], where, f"masks.{key}")
+                        for key in ("train", "val", "test")))
 
 
 def canonical_json(obj) -> str:
@@ -544,11 +571,20 @@ def load_dataset(path) -> FederationDataset:
         raise ConfigError(f"{root / 'manifest.json'} is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise ConfigError("manifest.json must contain a JSON object")
-    _check_keys(manifest, _MANIFEST_KEYS, "manifest.json")
+    where = str(root / "manifest.json")
+    _check_keys(manifest, _MANIFEST_KEYS, where)
     clients = tuple(load_graph(root / name) for name in manifest["files"])
-    if len(clients) != int(manifest["clients"]):
+    if len(clients) != _json_int(manifest["clients"], where, "clients"):
         raise ConfigError("manifest client count does not match file list")
-    maps = tuple(np.asarray(m, dtype=np.int64) for m in manifest["node_maps"])
-    return FederationDataset(clients, int(manifest["num_classes"]),
-                             int(manifest["feature_dim"]), manifest["task"],
-                             maps, int(manifest["dropped_edges"]))
+    maps = manifest["node_maps"]
+    if not isinstance(maps, list) or len(maps) != len(clients):
+        raise ConfigError(f"{where}: node_maps must hold one map per client file"
+                          f" ({len(clients)})")
+    for i, (node_map, g) in enumerate(zip(maps, clients)):
+        if len(_json_ints(node_map, where, f"node_maps[{i}]")) != g.n:
+            raise ConfigError(f"{where}: node_maps[{i}] has {len(node_map)} entries,"
+                              f" client {i} has {g.n} nodes")
+    return FederationDataset(clients, _json_int(manifest["num_classes"], where, "num_classes"),
+                             _json_int(manifest["feature_dim"], where, "feature_dim"),
+                             manifest["task"], tuple(np.asarray(m, dtype=np.int64) for m in maps),
+                             _json_int(manifest["dropped_edges"], where, "dropped_edges"))

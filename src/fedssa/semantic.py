@@ -43,14 +43,10 @@ class SemanticClusterMap:
         return self.representatives[(label, by_client[client_id])]
 
 
-def cluster_moments(members) -> ClassGaussian:
-    """Single Gaussian matching the first two moments of the count-weighted
-    mixture of one cluster's class Gaussians: match_cells of one cell."""
-    return match_cells([members])[0]
-
-
 def match_cells(cells) -> list:
-    """cluster_moments of every cell (one cluster's members) at once.
+    """For every cell (one cluster's class Gaussians), the single Gaussian
+    matching the first two moments of its count-weighted mixture, all cells
+    at once.
 
     The cells are stacked with zero padding on the member axis. The weighted
     sums are running sums read at each cell's last member, added in member
@@ -64,7 +60,7 @@ def match_cells(cells) -> list:
         labels = {m.label for m in members}
         if len(labels) != 1:
             raise ContractError(f"cluster mixes class labels {sorted(labels)}" if labels
-                                else "cluster_moments needs at least one member")
+                                else "a cluster needs at least one member")
     if not cells:
         return []
     if len({m.dim for members in cells for m in members}) != 1:

@@ -4,14 +4,16 @@ The design is a flat tape: every operation eagerly computes its value with
 numpy and appends a node recording the op name, its inputs and any static
 attributes. `grad` walks the tape once in reverse accumulating adjoints.
 
-Values are 2-D float64 matrices (scalars are 1x1) or stacks of them with a
-leading member axis, one member per client of equal shape. Products, bias
-sums and per-member reductions act on the last two axes, so member m of a
-stacked node holds exactly the bits a 2-D tape of member m alone would
-hold. Ragged ops take flat row indices into the stacked rows (row r of
-member m is row m * n + r) plus a `bounds` table: entries
-bounds[m]:bounds[m + 1] of the index list belong to member m, and the op's
-value is one 1x1 loss per member. Without bounds an op sees one 2-D member.
+Every value is a stack of float64 matrices with a leading member axis, one
+member per client of equal shape; a lone client is a stack of one.
+Products, bias sums and per-member reductions act on the last two axes, so
+member m of a stack holds exactly the bits a one-member stack of m alone
+would hold, and every loss holds one 1x1 value per member. Ragged ops take
+flat row indices into the stacked rows (row r of member m is row m * n + r)
+plus a `bounds` table: entries bounds[m]:bounds[m + 1] of the index list
+belong to member m. Two values are 2-D: the class-statistics table that
+`segment_moments` builds over every member's groups and `diag_gaussian_kl`
+reads, and the noise matrix that every member of a `gaussian_sample` shares.
 Inputs to an op may be other Vars or plain ndarrays; plain arrays are
 closed-over constants that receive no gradient, which is how frozen server
 broadcasts enter local losses without being differentiated. A Var refers to
@@ -54,10 +56,6 @@ ArrayLike = Union["Var", np.ndarray]
 
 def _as_matrix(value) -> np.ndarray:
     out = np.asarray(value, dtype=np.float64)
-    if out.ndim == 0:
-        out = out.reshape(1, 1)
-    elif out.ndim == 1:
-        out = out.reshape(1, -1)
     if out.ndim not in (2, 3):
         raise ShapeError(f"expected a matrix or a stack of matrices, got array of"
                          f" ndim {out.ndim}")
@@ -65,12 +63,9 @@ def _as_matrix(value) -> np.ndarray:
 
 
 def _nonfinite_members(x: np.ndarray) -> tuple:
-    """Leading-axis members of a stacked value holding a non-finite entry
-    ((0,) for a 2-D value that holds one)."""
+    """Leading-axis members of a stack holding a non-finite entry."""
     if np.isfinite(x).all():
         return ()
-    if x.ndim == 2:
-        return (0,)
     return tuple(int(m) for m in np.flatnonzero(~np.isfinite(x).all(axis=(1, 2))))
 
 
@@ -113,11 +108,10 @@ class Tape:
         self.leaves: list[Var] = []
 
     def leaf(self, value, name: Optional[str] = None) -> Var:
-        """Register a differentiable input: a 2-D array or a stack of them."""
-        if np.asarray(value).ndim not in (2, 3):
-            raise ShapeError(f"leaf {name!r} must be 2-D or 3-D,"
-                             f" got ndim {np.asarray(value).ndim}")
-        mat = _as_matrix(value).copy()
+        """Register a differentiable input: a stack of matrices, one per member."""
+        mat = np.array(value, dtype=np.float64, order="C")
+        if mat.ndim != 3:
+            raise ShapeError(f"leaf {name!r} must be a 3-D stack, got ndim {mat.ndim}")
         bad = _nonfinite_members(mat)
         if bad:
             raise NumericError(f"leaf {name or len(self.leaves)} has non-finite entries",
@@ -162,10 +156,7 @@ def _index_vector(rows, size: int, what: str, of: str = "rows") -> np.ndarray:
 
 
 def _bounds(bounds, size: int, what: str) -> np.ndarray:
-    """Validated member offsets into an index list of `size` entries; None
-    means one member that owns them all."""
-    if bounds is None:
-        return np.array([0, size], dtype=np.int64)
+    """Validated member offsets into an index list of `size` entries."""
     bounds = np.asarray(bounds, dtype=np.int64).reshape(-1)
     if (bounds.size < 2 or bounds[0] != 0 or bounds[-1] != size
             or np.any(np.diff(bounds) < 0)):
@@ -176,11 +167,6 @@ def _bounds(bounds, size: int, what: str) -> np.ndarray:
 def _per_member(bounds: np.ndarray) -> np.ndarray:
     """Member index of every entry of the index list that bounds splits."""
     return np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
-
-
-def _loss_shape(bounds, stacked: bool) -> tuple:
-    """(1, 1) for one 2-D member, else one 1x1 loss per member."""
-    return (bounds.size - 1, 1, 1) if stacked else (1, 1)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -402,10 +388,9 @@ def _fused(op: str, operands: tuple, value: np.ndarray, aux: dict) -> Var:
 
 
 def _member_count(value: np.ndarray, bounds: np.ndarray, what: str) -> None:
-    members = value.shape[0] if value.ndim == 3 else 1
-    if bounds.size - 1 != members:
+    if value.ndim != 3 or bounds.size - 1 != value.shape[0]:
         raise ShapeError(f"{what} bounds split {bounds.size - 1} members,"
-                         f" the value stacks {members}")
+                         f" the value has shape {value.shape}")
 
 
 def _sums(x: np.ndarray) -> np.ndarray:
@@ -425,7 +410,7 @@ def dense(x: ArrayLike, w: ArrayLike, b: ArrayLike, tanh: bool = False) -> Var:
     return _fused("dense", (x, w, b), value, {"tanh": bool(tanh)})
 
 
-def softmax_ce(logits: Var, rows, labels, bounds=None) -> Var:
+def softmax_ce(logits: Var, rows, labels, bounds) -> Var:
     """Mean softmax cross entropy of logits[rows] against class labels,
     one mean per member.
 
@@ -454,17 +439,17 @@ def softmax_ce(logits: Var, rows, labels, bounds=None) -> Var:
     terms = np.add(lse, correct * -1.0)
     scale = 1.0 / counts
     value = np.array([terms[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])]) * scale
-    return _fused("softmax_ce", (logits,), value.reshape(_loss_shape(bounds, lv.ndim == 3)),
+    return _fused("softmax_ce", (logits,), value.reshape(-1, 1, 1),
                   {"rows": rows, "labels": labels, "e": e, "z": z, "scale": scale,
                    "member": _per_member(bounds)})
 
 
 def gaussian_sample(mu: ArrayLike, logvar: ArrayLike, eps) -> Var:
-    """Reparameterised draw mu + sqrt(exp(logvar)) * eps with fixed noise eps,
-    which a stack of members may share as one matrix."""
+    """Reparameterised draw mu + sqrt(exp(logvar)) * eps with fixed noise: one
+    matrix eps that every member of the stack shares."""
     mu_v, lv_v = _matrix(mu), _matrix(logvar)
     eps = _as_matrix(eps)
-    if lv_v.shape != mu_v.shape or eps.shape not in (mu_v.shape, mu_v.shape[-2:]):
+    if lv_v.shape != mu_v.shape or eps.shape != mu_v.shape[-2:]:
         raise ShapeError(f"gaussian_sample mismatch: mu {mu_v.shape},"
                          f" logvar {lv_v.shape}, eps {eps.shape}")
     var = np.exp(lv_v)
@@ -498,9 +483,9 @@ def segment_moments(mu: ArrayLike, logvar: ArrayLike, groups: Segments) -> Var:
 
     Row c holds the mean of mu over group c and the mixture variance: the
     mean of exp(logvar) plus the population variance of mu, computed about
-    the group mean (so a one-row group has exactly its own variance). For
-    stacked inputs the groups index the flat stacked rows and the value is
-    one 2-D table over every member's groups.
+    the group mean (so a one-row group has exactly its own variance). The
+    groups index the flat stacked rows, and the value is one 2-D table over
+    every member's groups.
     """
     mu_v, lv_v = _matrix(mu), _matrix(logvar)
     d = mu_v.shape[-1]
@@ -524,18 +509,18 @@ def segment_moments(mu: ArrayLike, logvar: ArrayLike, groups: Segments) -> Var:
 
 
 def diag_gaussian_kl(stats: Var, rows, means: np.ndarray, precisions: np.ndarray,
-                     logdets: np.ndarray, bounds=None) -> Var:
+                     logdets: np.ndarray, bounds) -> Var:
     """Sum over k of KL(N(mean_k, diag var_k) || N(means[k], precisions[k]^-1)).
 
-    stats is a (C, 2d) [mean | var] node and rows picks, for each frozen
+    stats is the (C, 2d) [mean | var] table and rows picks, for each frozen
     target k, the distinct stats row it is compared with. precisions must
     be symmetric and logdets are the targets' covariance log-determinants.
-    With bounds, targets bounds[m]:bounds[m + 1] belong to member m and the
-    value holds one sum per member (0 for a member without targets). A
-    nonpositive variance raises NumericError naming its members.
+    Targets bounds[m]:bounds[m + 1] belong to member m, and the value holds
+    one sum per member (0 for a member without targets). A nonpositive
+    variance raises NumericError naming its members.
     """
     sv = _matrix(stats)
-    d = sv.shape[1] // 2
+    d = sv.shape[-1] // 2
     rows = _index_vector(rows, sv.shape[0], "stats")
     if np.unique(rows).size != rows.size:
         raise ContractError("diag_gaussian_kl rows must be distinct")
@@ -544,10 +529,9 @@ def diag_gaussian_kl(stats: Var, rows, means: np.ndarray, precisions: np.ndarray
     logdets = np.asarray(logdets, dtype=np.float64).reshape(-1)
     k = rows.size
     if (means.shape != (k, d) or precisions.shape != (k, d, d)
-            or logdets.shape != (k,) or sv.shape[1] != 2 * d):
+            or logdets.shape != (k,) or sv.shape != (sv.shape[0], 2 * d)):
         raise ShapeError(f"targets {means.shape}, {precisions.shape}, {logdets.shape}"
                          f" do not match {k} rows of stats {sv.shape}")
-    stacked = bounds is not None
     bounds = _bounds(bounds, k, "target")
     member = _per_member(bounds)
     var = sv[rows, d:]
@@ -562,11 +546,11 @@ def diag_gaussian_kl(stats: Var, rows, means: np.ndarray, precisions: np.ndarray
     value = np.array([0.5 * (np.sum(trace[a:b]) + np.sum(quad[a:b]) - (b - a) * d
                              + np.sum(logdets[a:b]) - np.sum(log_var[a:b]))
                       for a, b in zip(bounds[:-1], bounds[1:])])
-    return _fused("diag_gaussian_kl", (stats,), value.reshape(_loss_shape(bounds, stacked)),
+    return _fused("diag_gaussian_kl", (stats,), value.reshape(-1, 1, 1),
                   {"rows": rows, "p_delta": p_delta, "p_diag": p_diag, "member": member})
 
 
-def pair_bce(z: Var, pairs, y, bounds=None) -> Var:
+def pair_bce(z: Var, pairs, y, bounds) -> Var:
     """Mean binary cross entropy of inner-product scores z_i . z_j over pairs,
     one mean per member (0 for a member without pairs).
 
@@ -591,7 +575,7 @@ def pair_bce(z: Var, pairs, y, bounds=None) -> Var:
     for m, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
         if a < b:
             value[m] = np.mean(terms[a:b])
-    return _fused("pair_bce", (z,), value.reshape(_loss_shape(bounds, zv.ndim == 3)),
+    return _fused("pair_bce", (z,), value.reshape(-1, 1, 1),
                   {"pairs": pairs, "y": y, "scores": scores, "bounds": bounds})
 
 
@@ -607,15 +591,15 @@ def prior_kl(mu: ArrayLike, logvar: ArrayLike) -> Var:
 def grad(tape: Tape, loss: Var) -> dict:
     """Return the gradient of a loss with respect to every leaf.
 
-    The loss is one 1x1 value, or one per member of a stack, and every
+    The loss holds one 1x1 value per member of the stack, and every
     member's loss is differentiated with weight 1. Leaves that do not
     influence the loss map to zero arrays of their shape. A non-finite
     gradient raises NumericError naming every member that holds one.
     """
     if not isinstance(loss, Var) or loss.tape is not tape:
         raise ContractError("loss must be a variable recorded on this tape")
-    if loss.value.shape[-2:] != (1, 1):
-        raise ShapeError(f"loss must be scalar (1x1) per member, got {loss.value.shape}")
+    if loss.value.ndim != 3 or loss.value.shape[1:] != (1, 1):
+        raise ShapeError(f"loss must be one 1x1 value per member, got {loss.value.shape}")
     adjoint: dict[int, np.ndarray] = {loss.index: np.ones_like(loss.value)}
     for node in reversed(tape.nodes[: loss.index + 1]):
         if node.op == "leaf":

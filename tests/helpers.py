@@ -368,7 +368,7 @@ def slot_pair_bce(z: np.ndarray, pairs: np.ndarray, y: np.ndarray, bounds, g) ->
 
 
 def loop_cluster_moments(members) -> tuple:
-    """(mean, cov) of cluster_moments, member by member.
+    """(mean, cov) of match_cells for one cell, member by member.
 
     This is the arithmetic the array moment match replaces: count weights,
     then running sums of the weighted means and second moments in member

@@ -28,8 +28,7 @@ from fedssa.linalg import qr_thin
 from fedssa.models import (ClassGaussian, ce_path, class_stat_paths, elbo_path,
                            encoder_input, encoder_path, group_plan, logits_path,
                            sample_nonedges, stack_powers)
-from fedssa.semantic import (alignment_inputs, alignment_path, cluster_moments,
-                             gaussian_kl)
+from fedssa.semantic import alignment_inputs, alignment_path, gaussian_kl, match_cells
 from fedssa.structural import (SpectralEnergy, coeff_perturb_bound,
                                filter_lipschitz_bound, pairwise_chordal,
                                projection_embedding)
@@ -127,7 +126,7 @@ def test_a01_loss_gradients_match_central_differences():
         for target in (w_bar, None):
             worst = max(worst, _grad_vs_fd(
                 lambda lv: tp.coefficient_penalty(lv["w"], target, lam1, lam2),
-                {"w": w.copy()}))
+                {"w": w[None].copy()}))
     elapsed = time.monotonic() - t0
     assert worst <= GRAD_TOL, f"worst gradient relative error {worst:.3e}"
     assert elapsed < 30.0, f"gradient battery took {elapsed:.1f}s"
@@ -176,7 +175,7 @@ def test_a03_moment_matching_agrees_with_mixture_sampling():
         members = [ClassGaussian(1, 2.0 * rng.standard_normal(d),
                                  random_spd(rng, d), int(rng.integers(1, 50)))
                    for _ in range(int(rng.integers(2, 6)))]
-        rep = cluster_moments(members)
+        rep = match_cells([members])[0]
         draws = _sample_mixture(members, 100_000, rng)
         mean_err = (np.linalg.norm(draws.mean(axis=0) - rep.mean)
                     / max(1.0, np.linalg.norm(rep.mean)))
@@ -189,7 +188,7 @@ def test_a03_moment_matching_agrees_with_mixture_sampling():
         d = int(rng.integers(2, 5))
         g = ClassGaussian(0, rng.standard_normal(d), random_spd(rng, d),
                           int(rng.integers(1, 30)))
-        rep = cluster_moments([g])
+        rep = match_cells([[g]])[0]
         assert np.allclose(rep.mean, g.mean, rtol=0.0, atol=1e-12)
         assert np.allclose(rep.cov, g.cov, rtol=0.0, atol=1e-9)
         assert rep.count == g.count
@@ -245,7 +244,7 @@ def _planted_cluster(rng, d, n_members, mu_spread=0.05, cov_spread=0.01):
         pert = cov_spread * rng.standard_normal((d, d))
         members[cid] = ClassGaussian(0, mean, base_cov + 0.5 * (pert + pert.T),
                                      int(rng.integers(1, 20)))
-    rep = cluster_moments([members[c] for c in sorted(members)])
+    rep = match_cells([[members[c] for c in sorted(members)]])[0]
     return members, rep
 
 

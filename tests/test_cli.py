@@ -211,6 +211,19 @@ def test_invalid_config_exits_2(tmp_path):
     assert main(["run", "--config", cfg]) == 2
 
 
+def test_fractional_label_in_graph_file_exits_2(tmp_path, capsys):
+    graph = tmp_path / "graph.json"
+    assert main(["synth", "--config", _write_cfg(tmp_path, SYNTH), "--out", str(graph)]) == 0
+    obj = json.loads(graph.read_text())
+    obj["labels"][0] = 0.5
+    graph.write_text(json.dumps(obj))
+    raw = dict(SYNTH, dataset={"kind": "file", "path": str(graph)})
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write_cfg(tmp_path, raw), "--out", str(out)]) == 2
+    assert "labels must be a list of integers, got 0.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_w_max_below_one_exits_2(tmp_path, capsys):
     raw = dict(TWO_REGIME, hyperparams=dict(TWO_REGIME["hyperparams"], w_max=0.5))
     out = tmp_path / "out"

@@ -518,6 +518,33 @@ def test_graph_dict_rejects_directed():
         graph_from_dict(obj)
 
 
+@pytest.mark.parametrize("path, value", [
+    (("labels",), [0.5, 1.5]),          # fractional labels once ran as 0 and 1
+    (("labels",), None),
+    (("labels",), [0, True]),
+    (("edges",), [[0, 1.5]]),           # fractional endpoints were truncated
+    (("edges",), [[0, 1, 1]]),
+    (("edges",), "0-1"),
+    (("masks", "train"), [0.5]),        # fractional train indices were truncated
+    (("masks", "test"), None),
+    (("features", "rows"), "abc"),
+    (("features", "cols"), 2.0),
+    (("features", "data"), "abc"),
+    (("n",), -2),
+], ids=["fractional-labels", "null-labels", "bool-label", "fractional-endpoint", "triple-edge",
+        "string-edges", "fractional-train", "null-test", "string-rows", "float-cols",
+        "string-data", "negative-n"])
+def test_graph_dict_rejects_non_integer_fields(path, value):
+    obj = graph_to_dict(_two_nodes_one_edge())
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ConfigError) as err:
+        graph_from_dict(obj, where="g.json")
+    assert str(err.value).startswith(f"g.json: {'.'.join(path)}")
+
+
 def test_dataset_roundtrip(tmp_path):
     g = synth_dataset(SynthSpec(40, 2, 3, 0.2, 0.05), 5)
     ds = partition_nonoverlap(g, 4, seed=6, task="binary-auc")
@@ -546,6 +573,24 @@ def test_dataset_manifest_rejects_unknown_key(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_dataset(out)
     assert "extra" in str(err.value)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda maps: maps[:1], "one map per client file"),
+    (lambda maps: [maps[0], maps[1][:-1], maps[2]], "node_maps[1] has"),
+    (lambda maps: [maps[0], maps[1], maps[2][:-1] + [0.5]], "node_maps[2] must be a list"),
+    (lambda maps: [maps[0], "abc", maps[2]], "node_maps[1] must be a list"),
+    (lambda maps: None, "one map per client file"),
+], ids=["one-map", "short-map", "fractional-entry", "string-map", "null-maps"])
+def test_dataset_manifest_rejects_bad_node_maps(tmp_path, edit, message):
+    g = synth_dataset(SynthSpec(30, 2, 3, 0.2, 0.05), 5)
+    out = tmp_path / "ds"
+    save_dataset(partition_nonoverlap(g, 3, seed=6), out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["node_maps"] = edit(manifest["node_maps"])
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match=message.replace("[", r"\[")):
+        load_dataset(out)
 
 
 def test_load_graph_missing_file(tmp_path):

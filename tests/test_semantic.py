@@ -14,7 +14,7 @@ from fedssa.errors import ContractError, NumericError, ShapeError
 from fedssa.graphs import LocalGraph
 from fedssa.models import COV_FLOOR, ClassGaussian, group_plan
 from fedssa.semantic import (alignment_inputs, alignment_path, build_semantic_map,
-                             cluster_moments, gaussian_kl)
+                             gaussian_kl, match_cells)
 from helpers import (central_diff, distinct_kl_targets, loop_cluster_moments,
                      matched_alignment_inputs, mc_gaussian_kl, random_spd, rel_err)
 
@@ -86,7 +86,7 @@ def test_cluster_moments_unequal_count_hand_value():
     # mean 1.5, var = E[var] + Var(mean) = 1 + (0.25 * 1.5^2 + 0.75 * 0.5^2) = 1.75
     a = _gauss(1, [0.0], [[1.0]], count=10)
     b = _gauss(1, [2.0], [[1.0]], count=30)
-    rep = cluster_moments([a, b])
+    rep = match_cells([[a, b]])[0]
     assert rep.mean[0] == pytest.approx(1.5)
     assert rep.cov[0, 0] == pytest.approx(1.75)
     assert rep.count == 40
@@ -94,17 +94,17 @@ def test_cluster_moments_unequal_count_hand_value():
 
 def test_cluster_moments_rejects_mixed_labels():
     with pytest.raises(ContractError):
-        cluster_moments([_gauss(0, [0.0], [[1.0]]), _gauss(1, [0.0], [[1.0]])])
+        match_cells([[_gauss(0, [0.0], [[1.0]]), _gauss(1, [0.0], [[1.0]])]])
 
 
 def test_cluster_moments_rejects_empty():
     with pytest.raises(ContractError):
-        cluster_moments([])
+        match_cells([[]])
 
 
 def test_cluster_moments_rejects_mixed_dimensions():
     with pytest.raises(ShapeError):
-        cluster_moments([_gauss(0, [0.0], [[1.0]]), _gauss(0, [0.0, 0.0], np.eye(2))])
+        match_cells([[_gauss(0, [0.0], [[1.0]]), _gauss(0, [0.0, 0.0], np.eye(2))]])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 13])
@@ -121,7 +121,7 @@ def test_cluster_moments_bit_identical_to_member_loop(d):
                               else np.diag(rng.uniform(COV_FLOOR, 2.0, d)),
                               count=int(rng.integers(1, 200)))
                        for _ in range(size)]
-            rep = cluster_moments(members)
+            rep = match_cells([members])[0]
             mean, cov = loop_cluster_moments(members)
             assert np.array_equal(rep.mean, mean), (size, full)
             assert np.array_equal(rep.cov, cov), (size, full)
@@ -130,7 +130,7 @@ def test_cluster_moments_bit_identical_to_member_loop(d):
 
 def test_cluster_moments_singleton_is_identity():
     g = _gauss(2, [1.0, -3.0], [[2.0, 0.4], [0.4, 1.5]], count=7)
-    rep = cluster_moments([g])
+    rep = match_cells([[g]])[0]
     assert rep.label == 2
     assert rep.count == 7
     assert np.allclose(rep.mean, g.mean)
@@ -142,7 +142,7 @@ def test_cluster_moments_two_member_hand_value():
     # mean 1, var = E[var] + Var(mean) = 1 + 1 = 2
     a = _gauss(0, [0.0], [[1.0]], count=5)
     b = _gauss(0, [2.0], [[1.0]], count=5)
-    rep = cluster_moments([a, b])
+    rep = match_cells([[a, b]])[0]
     assert rep.mean[0] == pytest.approx(1.0)
     assert rep.cov[0, 0] == pytest.approx(2.0)
     assert rep.count == 10
@@ -152,7 +152,7 @@ def test_cluster_moments_matches_direct_formula():
     rng = np.random.default_rng(2)
     members = [_gauss(3, rng.standard_normal(3), random_spd(rng, 3),
                       count=int(rng.integers(1, 20))) for _ in range(4)]
-    rep = cluster_moments(members)
+    rep = match_cells([members])[0]
     weights = np.array([m.count for m in members]) / sum(m.count for m in members)
     mean = sum(w * m.mean for w, m in zip(weights, members))
     cov = sum(w * (m.cov + np.outer(m.mean, m.mean))
@@ -164,7 +164,7 @@ def test_cluster_moments_matches_direct_formula():
 def test_cluster_moments_floors_degenerate_covariance():
     a = _gauss(0, [1.0, 1.0], np.diag([COV_FLOOR, COV_FLOOR]), count=1)
     b = _gauss(0, [1.0, 1.0], np.diag([COV_FLOOR, COV_FLOOR]), count=1)
-    rep = cluster_moments([a, b])
+    rep = match_cells([[a, b]])[0]
     vals = np.linalg.eigvalsh(rep.cov)
     assert vals.min() >= COV_FLOOR - 1e-12
 
@@ -243,11 +243,11 @@ def test_representative_counts_accumulate():
 
 
 def _stats(tape, labels, means, variances):
-    """(moments, plan) of one member: a [mean | var] leaf with one row per
-    label, and the class labels and bounds that alignment_inputs reads from
-    the group plan."""
+    """(moments, plan) of one member: a one-member [mean | var] leaf with one
+    row per label, and the class labels and bounds that alignment_inputs
+    reads from the group plan."""
     moments = tape.leaf(np.concatenate([np.atleast_2d(means), np.atleast_2d(variances)],
-                                       axis=1), "moments")
+                                       axis=1)[None], "moments")
     plan = SimpleNamespace(class_labels=np.asarray(labels, dtype=np.int64),
                            class_bounds=np.array([0, len(labels)]))
     return moments, plan
@@ -255,9 +255,11 @@ def _stats(tape, labels, means, variances):
 
 def _align(moments, plan, representatives):
     """The alignment node of the member's classes against its {label:
-    ClassGaussian} broadcast, or None when none matches."""
+    ClassGaussian} broadcast, or None when none matches; the leaf is read as
+    the 2-D statistics table."""
     inputs = alignment_inputs(plan, [representatives])
-    return None if inputs is None else alignment_path(moments, inputs)
+    return None if inputs is None else alignment_path(tp.reshape(moments, moments.shape[1:]),
+                                                      inputs)
 
 
 def test_semantic_alignment_loss_sums_matching_classes():
@@ -298,7 +300,7 @@ def test_alignment_path_skips_unmatched_and_returns_none():
     assert out is not None
     assert float(out.value[0, 0, 0]) == pytest.approx(0.0, abs=1e-12)
     g = tp.grad(t, out)[moments]
-    assert np.array_equal(g[1], np.zeros(4))
+    assert np.array_equal(g[0, 1], np.zeros(4))
 
 
 def _train_graph(train_labels, n=12):
@@ -367,7 +369,7 @@ def test_alignment_path_gradient_matches_finite_differences():
 
     t = tp.Tape()
     moments, loss = build(t, arrays["moments"])
-    got = tp.grad(t, loss)[moments]
+    got = tp.grad(t, loss)[moments][0]
     want = central_diff(
         lambda vals: float(build(tp.Tape(), vals["moments"])[1].value[0, 0, 0]),
         arrays)["moments"]
@@ -393,6 +395,6 @@ def test_build_semantic_map_members_partition_holders():
             cell = smap.members[(label, cluster)]
             assert [id(g) for g in cell] == [id(g) for g in want]
             rep = smap.representatives[(label, cluster)]
-            assert np.array_equal(rep.cov, cluster_moments(cell).cov)
+            assert np.array_equal(rep.cov, match_cells([cell])[0].cov)
             covered += ids
         assert sorted(covered) == holders

@@ -199,7 +199,7 @@ def test_build_structural_map_mean_coefficients():
 
 def _coefficient_loss(build, w):
     t = tp.Tape()
-    return float(build(t.leaf(np.asarray(w, dtype=float).reshape(1, -1), "w")).value[0, 0])
+    return float(build(t.leaf(np.asarray(w, dtype=float).reshape(1, 1, -1), "w")).value[0, 0, 0])
 
 
 def test_coefficient_alignment_loss_hand_value():
@@ -220,23 +220,23 @@ def test_tape_losses_match_numeric_forms():
     w = np.array([[0.5, -1.5, 2.0]])
     w_bar = np.array([0.0, -1.0, 2.5])
     t = tp.Tape()
-    wv = t.leaf(w, "w")
+    wv = t.leaf(w[None], "w")
     align = float(np.sum(np.abs(w.ravel() - w_bar)))
     reg = 0.3 * float(np.sum(np.abs(w))) + 0.35 * float(np.sum(w * w))
-    assert float(tp.coefficient_penalty(wv, w_bar, 0.0, 0.0).value[0, 0]) == \
+    assert float(tp.coefficient_penalty(wv, w_bar, 0.0, 0.0).value[0, 0, 0]) == \
         pytest.approx(align, rel=1e-12)
-    assert float(tp.coefficient_penalty(wv, None, 0.3, 0.7).value[0, 0]) == \
+    assert float(tp.coefficient_penalty(wv, None, 0.3, 0.7).value[0, 0, 0]) == \
         pytest.approx(reg, rel=1e-12)
-    assert float(tp.coefficient_penalty(wv, w_bar, 0.3, 0.7).value[0, 0]) == \
+    assert float(tp.coefficient_penalty(wv, w_bar, 0.3, 0.7).value[0, 0, 0]) == \
         pytest.approx(align + reg, rel=1e-12)
 
 
 def test_alignment_var_gradient_is_sign():
     t = tp.Tape()
-    wv = t.leaf(np.array([[1.0, -1.0, 0.5]]), "w")
+    wv = t.leaf(np.array([[[1.0, -1.0, 0.5]]]), "w")
     loss = tp.coefficient_penalty(wv, np.array([0.0, 0.0, 0.5]), 0.0, 0.0)
     g = tp.grad(t, loss)[wv]
-    assert np.array_equal(g, np.array([[1.0, -1.0, 0.0]]))
+    assert np.array_equal(g, np.array([[[1.0, -1.0, 0.0]]]))
 
 
 # --- filter bounds ----------------------------------------------------------------------

@@ -23,16 +23,21 @@ def test_matmul_matches_triple_loop_oracle():
         a = rng.standard_normal((4, 3))
         b = rng.standard_normal((3, 5))
         t = tp.Tape()
-        va = t.leaf(a, "a")
-        vb = t.leaf(b, "b")
+        va = t.leaf(a[None], "a")
+        vb = t.leaf(b[None], "b")
         out = tp.matmul(va, vb)
-        assert rel_err(out.value, naive_matmul(a, b)) < 1e-12
+        assert rel_err(out.value[0], naive_matmul(a, b)) < 1e-12
 
 
 def _total(x):
-    """Sum of every entry of a tape variable, as two matmuls with constants."""
-    rows, cols = x.shape
-    return tp.matmul(tp.matmul(np.ones((1, rows)), x), np.ones((cols, 1)))
+    """Sum of every entry of each member of a stack, as two matmuls with constants."""
+    members, rows, cols = x.shape
+    return tp.matmul(tp.matmul(np.ones((members, 1, rows)), x), np.ones((members, cols, 1)))
+
+
+def _stack(x):
+    """A 2-D class-statistics table as a one-member stack."""
+    return tp.reshape(x, (1,) + x.shape)
 
 
 def test_elementwise_forward_values():
@@ -41,10 +46,11 @@ def test_elementwise_forward_values():
     y = rng.standard_normal((3, 4))
     eps = rng.standard_normal((3, 4))
     t = tp.Tape()
-    v, w = t.leaf(x, "x"), t.leaf(y, "y")
-    assert np.array_equal(tp.add(v, w).value, x + y)
-    assert np.array_equal(tp.clip(v, -0.5, 0.5).value, np.clip(x, -0.5, 0.5))
-    assert np.array_equal(tp.gaussian_sample(v, w, eps).value, x + np.sqrt(np.exp(y)) * eps)
+    v, w = t.leaf(x[None], "x"), t.leaf(y[None], "y")
+    assert np.array_equal(tp.add(v, w).value[0], x + y)
+    assert np.array_equal(tp.clip(v, -0.5, 0.5).value[0], np.clip(x, -0.5, 0.5))
+    assert np.array_equal(tp.gaussian_sample(v, w, eps).value[0],
+                          x + np.sqrt(np.exp(y)) * eps)
 
 
 def _ce_loop(logits, rows, labels):
@@ -62,22 +68,23 @@ def test_fused_layer_ops_forward_match_unfused_chains():
     w = rng.standard_normal((3, 4))
     b = rng.standard_normal((1, 4))
     t = tp.Tape()
-    xv, wv, bv = t.leaf(x, "x"), t.leaf(w, "w"), t.leaf(b, "b")
+    xv, wv, bv = t.leaf(x[None], "x"), t.leaf(w[None], "w"), t.leaf(b[None], "b")
     # the unfused chains: matmul, then add_row, then tanh
-    assert np.array_equal(tp.dense(xv, wv, bv).value, np.add(x @ w, b))
-    assert np.array_equal(tp.dense(x, wv, bv, tanh=True).value, np.tanh(np.add(x @ w, b)))
+    assert np.array_equal(tp.dense(xv, wv, bv).value[0], np.add(x @ w, b))
+    assert np.array_equal(tp.dense(x[None], wv, bv, tanh=True).value[0],
+                          np.tanh(np.add(x @ w, b)))
     rows = np.array([4, 1, 4, 0])
     labels = np.array([2, 0, 2, 3])
     logits = 3.0 * rng.standard_normal((5, 4))
-    got = tp.softmax_ce(t.leaf(logits, "logits"), rows, labels).value[0, 0]
+    got = tp.softmax_ce(t.leaf(logits[None], "logits"), rows, labels, [0, 4]).value[0, 0, 0]
     assert got == pytest.approx(_ce_loop(logits, rows, labels), rel=1e-12)
     coeffs = np.array([[0.5, -1.5, 0.0, 2.0]])
     w_bar = np.array([0.5, 1.0, -0.25, 1.5])
-    wc = t.leaf(coeffs, "coeffs")
+    wc = t.leaf(coeffs[None], "coeffs")
     reg = 0.3 * np.sum(np.abs(coeffs)) + 0.35 * np.sum(coeffs ** 2)
-    assert tp.coefficient_penalty(wc, None, 0.3, 0.7).value[0, 0] == \
+    assert tp.coefficient_penalty(wc, None, 0.3, 0.7).value[0, 0, 0] == \
         pytest.approx(reg, rel=1e-12)
-    assert tp.coefficient_penalty(wc, w_bar, 0.3, 0.7).value[0, 0] == \
+    assert tp.coefficient_penalty(wc, w_bar, 0.3, 0.7).value[0, 0, 0] == \
         pytest.approx(np.sum(np.abs(coeffs - w_bar)) + reg, rel=1e-12)
 
 
@@ -99,7 +106,8 @@ def _fused_inputs(seed=16):
 def test_fused_ops_forward_match_loop_oracles():
     mu, logvar, groups, stats, covs, targets, pairs, y = _fused_inputs()
     t = tp.Tape()
-    m, lv, st = t.leaf(mu, "mu"), t.leaf(logvar, "logvar"), t.leaf(stats, "stats")
+    m, lv = t.leaf(mu[None], "mu"), t.leaf(logvar[None], "logvar")
+    st = tp.reshape(t.leaf(stats[None], "stats"), stats.shape)
     moments = tp.segment_moments(m, lv, groups).value
     for c, rows in enumerate(np.split(groups.rows, groups.starts[1:])):
         mean = sum(mu[r] for r in rows) / len(rows)
@@ -113,14 +121,15 @@ def test_fused_ops_forward_match_loop_oracles():
         want += 0.5 * (np.trace(np.linalg.solve(covs[k], np.diag(var)))
                        + delta @ np.linalg.solve(covs[k], delta) - 3
                        + np.linalg.slogdet(covs[k])[1] - np.sum(np.log(var)))
-    got = tp.diag_gaussian_kl(st, rows, means, precisions, logdets).value[0, 0]
+    got = tp.diag_gaussian_kl(st, rows, means, precisions, logdets, [0, 2]).value[0, 0, 0]
     assert got == pytest.approx(want, rel=1e-12)
     bce = [np.logaddexp(0.0, mu[i] @ mu[j]) - yk * (mu[i] @ mu[j])
            for (i, j), yk in zip(pairs, y)]
-    assert tp.pair_bce(m, pairs, y).value[0, 0] == pytest.approx(np.mean(bce), rel=1e-12)
+    assert tp.pair_bce(m, pairs, y, [0, 6]).value[0, 0, 0] == \
+        pytest.approx(np.mean(bce), rel=1e-12)
     prior = [0.5 * np.sum(mu[i] ** 2 + np.exp(logvar[i]) - logvar[i] - 1.0)
              for i in range(mu.shape[0])]
-    assert tp.prior_kl(m, lv).value[0, 0] == pytest.approx(np.mean(prior), rel=1e-12)
+    assert tp.prior_kl(m, lv).value[0, 0, 0] == pytest.approx(np.mean(prior), rel=1e-12)
 
 
 def test_sigmoid_is_stable_for_large_inputs():
@@ -143,9 +152,9 @@ def test_softplus_is_stable_for_large_inputs():
     # pair_bce's softplus(score) - y * score at scores of +800 and -800
     root = np.sqrt(800.0)
     t = tp.Tape()
-    z = t.leaf(np.array([[root], [root], [-root]]), "z")
-    loss = tp.pair_bce(z, np.array([[0, 1], [0, 2]]), np.array([0.0, 1.0]))
-    assert loss.value[0, 0] == pytest.approx(800.0)
+    z = t.leaf(np.array([[[root], [root], [-root]]]), "z")
+    loss = tp.pair_bce(z, np.array([[0, 1], [0, 2]]), np.array([0.0, 1.0]), [0, 2])
+    assert loss.value[0, 0, 0] == pytest.approx(800.0)
     assert np.all(np.isfinite(tp.grad(t, loss)[z]))
 
 
@@ -153,12 +162,12 @@ def test_softplus_is_stable_for_large_inputs():
 
 
 def _grad_check(build, arrays, tol=1e-6):
-    """build(tape, {name: Var}) -> scalar Var; compares grad to central FD."""
+    """build(tape, {name: Var}) -> one-member loss Var; compares grad to central FD."""
 
     def run_value(vals):
         t = tp.Tape()
         leaves = {k: t.leaf(v, k) for k, v in vals.items()}
-        return float(build(t, leaves).value[0, 0])
+        return float(build(t, leaves).value[0, 0, 0])
 
     t = tp.Tape()
     leaves = {k: t.leaf(v, k) for k, v in arrays.items()}
@@ -171,7 +180,7 @@ def _grad_check(build, arrays, tol=1e-6):
 
 def test_grad_matmul_chain():
     rng = np.random.default_rng(2)
-    arrays = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal((4, 2))}
+    arrays = {"a": rng.standard_normal((1, 3, 4)), "b": rng.standard_normal((1, 4, 2))}
     _grad_check(lambda t, lv: _total(tp.matmul(lv["a"], lv["b"])), arrays)
 
 
@@ -181,8 +190,9 @@ def test_grad_log_exp_sqrt():
     eps = rng.standard_normal((4, 3))
     labels = np.array([2, 0, 1, 1])
     _grad_check(lambda t, lv: tp.softmax_ce(tp.gaussian_sample(lv["mu"], lv["logvar"], eps),
-                                            [3, 1, 0, 3], labels),
-                {"mu": rng.standard_normal((4, 3)), "logvar": 0.5 * rng.standard_normal((4, 3))},
+                                            [3, 1, 0, 3], labels, [0, 4]),
+                {"mu": rng.standard_normal((1, 4, 3)),
+                 "logvar": 0.5 * rng.standard_normal((1, 4, 3))},
                 tol=1e-4)
 
 
@@ -193,49 +203,49 @@ def test_grad_tanh_sigmoid_softplus_mean():
     pairs = np.array([[0, 1], [2, 3], [1, 3], [0, 0]])
     y = np.array([1.0, 0.0, 1.0, 0.0])
     _grad_check(lambda t, lv: tp.pair_bce(tp.dense(lv["a"], lv["m"], lv["b"], tanh=True),
-                                          pairs, y),
-                {"a": rng.standard_normal((4, 3)), "m": rng.standard_normal((3, 2)),
-                 "b": rng.standard_normal((1, 2))}, tol=1e-4)
+                                          pairs, y, [0, 4]),
+                {"a": rng.standard_normal((1, 4, 3)), "m": rng.standard_normal((1, 3, 2)),
+                 "b": rng.standard_normal((1, 1, 2))}, tol=1e-4)
 
 
 def test_grad_absval_away_from_kink():
     # the absolute values inside coefficient_penalty, entries away from 0
     # and from w_bar
     rng = np.random.default_rng(7)
-    a = rng.standard_normal((3, 3))
+    a = rng.standard_normal((1, 3, 3))
     a[np.abs(a) < 0.2] = 0.5
     w_bar = a.ravel() + np.where(rng.random(9) < 0.5, -0.3, 0.3)
     _grad_check(lambda t, lv: tp.coefficient_penalty(lv["a"], w_bar, 0.4, 0.0), {"a": a})
 
 
 def test_grad_clip_strict_interior_and_exterior():
-    a = np.array([[-2.0, -0.5, 0.3, 0.9, 2.5]])
+    a = np.array([[[-2.0, -0.5, 0.3, 0.9, 2.5]]])
     t = tp.Tape()
     v = t.leaf(a, "a")
     loss = _total(tp.clip(v, -1.0, 1.0))
     g = tp.grad(t, loss)[v]
-    assert np.array_equal(g, np.array([[0.0, 1.0, 1.0, 1.0, 0.0]]))
+    assert np.array_equal(g, np.array([[[0.0, 1.0, 1.0, 1.0, 0.0]]]))
 
 
 def test_grad_unused_leaf_is_zero():
     t = tp.Tape()
-    a = t.leaf(np.ones((2, 2)), "a")
-    b = t.leaf(np.ones((3, 1)), "b")
+    a = t.leaf(np.ones((1, 2, 2)), "a")
+    b = t.leaf(np.ones((1, 3, 1)), "b")
     loss = _total(tp.add(a, a))
     g = tp.grad(t, loss)
-    assert np.array_equal(g[b], np.zeros((3, 1)))
-    assert np.array_equal(g[a], 2.0 * np.ones((2, 2)))
+    assert np.array_equal(g[b], np.zeros((1, 3, 1)))
+    assert np.array_equal(g[a], 2.0 * np.ones((1, 2, 2)))
 
 
 def test_grad_leaf_used_twice_accumulates():
-    arrays = {"a": np.array([[1.5, -0.4], [0.2, 2.0]])}
+    arrays = {"a": np.array([[[1.5, -0.4], [0.2, 2.0]]])}
     _grad_check(lambda t, lv: _total(tp.matmul(lv["a"], lv["a"])), arrays)
 
 
 def test_grad_constant_operand_gets_no_gradient():
     rng = np.random.default_rng(8)
-    a = rng.standard_normal((2, 3))
-    const = rng.standard_normal((3, 2))
+    a = rng.standard_normal((1, 2, 3))
+    const = rng.standard_normal((1, 3, 2))
     t = tp.Tape()
     v = t.leaf(a, "a")
     loss = _total(tp.matmul(v, const))
@@ -247,33 +257,33 @@ def test_grad_constant_operand_gets_no_gradient():
 
 def _logit_layer(t, lv, rows, labels):
     """softmax_ce over the given rows of tanh-dense logits."""
-    return tp.softmax_ce(tp.dense(lv["a"], lv["m"], np.zeros((1, 3)), tanh=True), rows,
-                         labels)
+    return tp.softmax_ce(tp.dense(lv["a"], lv["m"], np.zeros((1, 1, 3)), tanh=True), rows,
+                         labels, [0, len(rows)])
 
 
 def test_grad_take_rows_repeated_and_out_of_order():
     # softmax_ce's row gather: repeated rows accumulate their adjoints
     rng = np.random.default_rng(12)
-    arrays = {"a": rng.standard_normal((5, 3)), "m": rng.standard_normal((3, 3))}
+    arrays = {"a": rng.standard_normal((1, 5, 3)), "m": rng.standard_normal((1, 3, 3))}
     _grad_check(lambda t, lv: _logit_layer(t, lv, [4, 1, 4, 0, 1, 4], [0, 2, 1, 1, 0, 2]),
                 arrays)
 
 
 def test_grad_take_rows_single_row():
     rng = np.random.default_rng(13)
-    arrays = {"a": rng.standard_normal((4, 3)), "m": rng.standard_normal((3, 3))}
+    arrays = {"a": rng.standard_normal((1, 4, 3)), "m": rng.standard_normal((1, 3, 3))}
     _grad_check(lambda t, lv: _logit_layer(t, lv, [2], [1]), arrays)
 
 
 def test_grad_add_row_bias():
     # dense's bias row, with and without the tanh
     rng = np.random.default_rng(14)
-    arrays = {"a": rng.standard_normal((4, 3)), "w": rng.standard_normal((3, 2)),
-              "b": rng.standard_normal((1, 2))}
-    out = rng.standard_normal((2, 3))
+    arrays = {"a": rng.standard_normal((1, 4, 3)), "w": rng.standard_normal((1, 3, 2)),
+              "b": rng.standard_normal((1, 1, 2))}
+    out = rng.standard_normal((1, 2, 3))
     for tanh in (True, False):
         _grad_check(lambda t, lv: _total(tp.dense(
-            tp.dense(lv["a"], lv["w"], lv["b"], tanh=tanh), out, np.zeros((1, 3)),
+            tp.dense(lv["a"], lv["w"], lv["b"], tanh=tanh), out, np.zeros((1, 1, 3)),
             tanh=True)), arrays, tol=1e-4)
 
 
@@ -283,8 +293,9 @@ def test_grad_add_row_constant_sides():
     rng = np.random.default_rng(15)
     x = np.concatenate([rng.standard_normal((4, 3)), np.eye(4)[:, :2]], axis=1)
     x[2:, 3:] = 0.0
-    w = rng.standard_normal((5, 2))
-    b = rng.standard_normal((1, 2))
+    x = x[None]
+    w = rng.standard_normal((1, 5, 2))
+    b = rng.standard_normal((1, 1, 2))
     for tanh in (True, False):
         _grad_check(lambda t, lv: _total(tp.dense(x, lv["w"], lv["b"], tanh=tanh)),
                     {"w": w, "b": b}, tol=1e-4)
@@ -297,8 +308,8 @@ def test_grad_add_row_constant_sides():
 def test_grad_softmax_ce():
     rng = np.random.default_rng(24)
     labels = np.array([3, 0, 0, 2, 1])
-    _grad_check(lambda t, lv: tp.softmax_ce(lv["logits"], [0, 2, 3, 5, 1], labels),
-                {"logits": 2.0 * rng.standard_normal((6, 4))}, tol=1e-4)
+    _grad_check(lambda t, lv: tp.softmax_ce(lv["logits"], [0, 2, 3, 5, 1], labels, [0, 5]),
+                {"logits": 2.0 * rng.standard_normal((1, 6, 4))}, tol=1e-4)
 
 
 def test_softmax_ce_labels_match_onehot_reference_bit_for_bit():
@@ -312,30 +323,29 @@ def test_softmax_ce_labels_match_onehot_reference_bit_for_bit():
     labels = rng.integers(0, c, rows.size)
     bounds = np.array([0, 5, 6, 10])
     cases = [(logits, rows, labels, bounds),
-             (logits[0], rows[:5], labels[:5], None)]  # one 2-D member
+             (logits[:1], rows[:5], labels[:5], bounds[:2])]  # a one-member stack
     for values, case_rows, case_labels, case_bounds in cases:
         t = tp.Tape()
         leaf = t.leaf(values, "logits")
         loss = tp.softmax_ce(leaf, case_rows, case_labels, case_bounds)
         got_grad = tp.grad(t, loss)[leaf]
-        want_value, want_grad = onehot_softmax_ce(
-            values, case_rows, np.eye(c)[case_labels],
-            np.array([0, case_rows.size]) if case_bounds is None else case_bounds)
+        want_value, want_grad = onehot_softmax_ce(values, case_rows, np.eye(c)[case_labels],
+                                                  case_bounds)
         assert np.array_equal(loss.value.reshape(-1), want_value)
         assert np.array_equal(got_grad, want_grad)
 
 
 def test_grad_gaussian_sample():
     rng = np.random.default_rng(25)
-    mu, logvar = rng.standard_normal((5, 3)), 0.5 * rng.standard_normal((5, 3))
+    mu, logvar = rng.standard_normal((1, 5, 3)), 0.5 * rng.standard_normal((1, 5, 3))
     eps = rng.standard_normal((5, 3))
-    m = rng.standard_normal((3, 2))
+    m = rng.standard_normal((1, 3, 2))
     _grad_check(lambda t, lv: _total(tp.dense(tp.gaussian_sample(lv["mu"], lv["logvar"], eps),
-                                              m, np.zeros((1, 2)), tanh=True)),
+                                              m, np.zeros((1, 1, 2)), tanh=True)),
                 {"mu": mu, "logvar": logvar}, tol=1e-4)
     # constant mean: only the log-variance side is differentiated
     _grad_check(lambda t, lv: _total(tp.dense(tp.gaussian_sample(mu, lv["logvar"], eps),
-                                              m, np.zeros((1, 2)), tanh=True)),
+                                              m, np.zeros((1, 1, 2)), tanh=True)),
                 {"logvar": logvar}, tol=1e-4)
 
 
@@ -345,7 +355,7 @@ def test_grad_coefficient_penalty():
     w_bar = (w + np.sign(rng.standard_normal((1, 5))) * 0.3).ravel()
     for target in (None, w_bar):
         _grad_check(lambda t, lv: tp.coefficient_penalty(lv["w"], target, 0.7, 1.3),
-                    {"w": w}, tol=1e-4)
+                    {"w": w[None]}, tol=1e-4)
 
 
 def test_coefficient_penalty_subgradient_is_zero_at_kinks():
@@ -356,8 +366,8 @@ def test_coefficient_penalty_subgradient_is_zero_at_kinks():
     smooth = lam2 * w + lam1 * np.sign(w)
     for target, pull in ((None, 0.0), (w_bar, np.sign(w - w_bar))):
         t = tp.Tape()
-        v = t.leaf(w, "w")
-        g = tp.grad(t, tp.coefficient_penalty(v, target, lam1, lam2))[v]
+        v = t.leaf(w[None], "w")
+        g = tp.grad(t, tp.coefficient_penalty(v, target, lam1, lam2))[v][0]
         assert np.allclose(g, pull + smooth, rtol=0.0, atol=1e-15)
     assert np.array_equal(np.sign(w - w_bar)[0, [0, 2]], [0.0, 0.0])
     assert np.array_equal(smooth[0, [1, 2]], [0.0, 0.0])
@@ -365,19 +375,21 @@ def test_coefficient_penalty_subgradient_is_zero_at_kinks():
 
 def test_grad_segment_moments():
     mu, logvar, groups, *_ = _fused_inputs(17)
-    weights = np.random.default_rng(18).standard_normal((6, 2))
+    weights = np.random.default_rng(18).standard_normal((1, 6, 2))
     _grad_check(lambda t, lv: _total(tp.dense(
-        tp.segment_moments(lv["mu"], lv["logvar"], groups), weights, np.zeros((1, 2)),
-        tanh=True)), {"mu": mu, "logvar": logvar}, tol=1e-4)
+        _stack(tp.segment_moments(lv["mu"], lv["logvar"], groups)), weights,
+        np.zeros((1, 1, 2)), tanh=True)), {"mu": mu[None], "logvar": logvar[None]}, tol=1e-4)
     # constant log-variances: only the means side is differentiated
     _grad_check(lambda t, lv: _total(tp.matmul(
-        tp.segment_moments(lv["mu"], logvar, groups), weights)), {"mu": mu}, tol=1e-4)
+        _stack(tp.segment_moments(lv["mu"], logvar[None], groups)), weights)),
+        {"mu": mu[None]}, tol=1e-4)
 
 
 def test_grad_diag_gaussian_kl():
     *_, stats, _covs, (rows, means, precisions, logdets), _pairs, _y = _fused_inputs(19)
-    _grad_check(lambda t, lv: tp.diag_gaussian_kl(lv["stats"], rows, means, precisions,
-                                                  logdets), {"stats": stats}, tol=1e-4)
+    _grad_check(lambda t, lv: tp.diag_gaussian_kl(tp.reshape(lv["stats"], stats.shape), rows,
+                                                  means, precisions, logdets, [0, 2]),
+                {"stats": stats[None]}, tol=1e-4)
 
 
 def test_grad_diag_gaussian_kl_through_segment_moments():
@@ -385,12 +397,13 @@ def test_grad_diag_gaussian_kl_through_segment_moments():
         _fused_inputs(20)
     _grad_check(lambda t, lv: tp.diag_gaussian_kl(
         tp.segment_moments(lv["mu"], lv["logvar"], groups), rows, means, precisions,
-        logdets), {"mu": mu, "logvar": logvar}, tol=1e-4)
+        logdets, [0, 2]), {"mu": mu[None], "logvar": logvar[None]}, tol=1e-4)
 
 
 def test_grad_pair_bce_with_repeated_and_self_pairs():
     mu, *_, pairs, y = _fused_inputs(21)
-    _grad_check(lambda t, lv: tp.pair_bce(lv["z"], pairs, y), {"z": mu}, tol=1e-4)
+    _grad_check(lambda t, lv: tp.pair_bce(lv["z"], pairs, y, [0, 6]), {"z": mu[None]},
+                tol=1e-4)
 
 
 def _ragged_pairs(rng, n, counts):
@@ -423,23 +436,14 @@ def test_pair_bce_matches_slot_bincount_oracle_bit_for_bit():
             assert np.array_equal(loss.value.reshape(-1), values)
             assert np.array_equal(loss.aux["scores"], scores)
             assert np.array_equal(got_grad, grad)
-        # one 2-D member, without bounds
-        pairs, bounds = _ragged_pairs(rng, n, [6])
-        y = (rng.random(6) < 0.5).astype(float)
-        t = tp.Tape()
-        leaf = t.leaf(rng.standard_normal((n, d)), "z")
-        loss = tp.pair_bce(leaf, pairs, y)
-        got_grad = tp.grad(t, tp.matmul(loss, np.array([[0.3]])))[leaf]
-        values, scores, grad = slot_pair_bce(leaf.value, pairs, y, bounds, [0.3])
-        assert np.array_equal(loss.value.reshape(-1), values)
-        assert np.array_equal(got_grad, grad)
 
 
 def test_grad_prior_kl():
     mu, logvar, *_ = _fused_inputs(22)
     _grad_check(lambda t, lv: tp.prior_kl(lv["mu"], lv["logvar"]),
-                {"mu": mu, "logvar": logvar}, tol=1e-4)
-    _grad_check(lambda t, lv: tp.prior_kl(mu, lv["logvar"]), {"logvar": logvar}, tol=1e-4)
+                {"mu": mu[None], "logvar": logvar[None]}, tol=1e-4)
+    _grad_check(lambda t, lv: tp.prior_kl(mu[None], lv["logvar"]), {"logvar": logvar[None]},
+                tol=1e-4)
 
 
 def test_every_backward_rule_is_gradient_checked(monkeypatch):
@@ -462,15 +466,15 @@ def test_every_backward_rule_is_gradient_checked(monkeypatch):
 
 
 def test_constant_operand_adjoint_is_not_computed():
-    a = np.ones((2, 3))
-    b = np.ones((3, 4))
-    g = np.ones((2, 4))
+    a = np.ones((1, 2, 3))
+    b = np.ones((1, 3, 4))
+    g = np.ones((1, 2, 4))
     ga, gb = tp._BACKWARD["matmul"]((a, b), {}, a @ b, g, (True, False))
-    assert gb is None and np.array_equal(ga, g @ b.T)
-    bias = np.zeros((1, 4))
+    assert gb is None and np.array_equal(ga, g @ b.transpose(0, 2, 1))
+    bias = np.zeros((1, 1, 4))
     gx, gw, gbias = tp._BACKWARD["dense"]((a, b, bias), {"tanh": False}, a @ b, g,
                                           (False, True, False))
-    assert gx is None and gbias is None and np.array_equal(gw, a.T @ g)
+    assert gx is None and gbias is None and np.array_equal(gw, a.transpose(0, 2, 1) @ g)
 
 
 RANDOM_OPS = ("add", "matmul_const", "matmul_var", "dense", "dense_tanh", "reshape",
@@ -479,7 +483,8 @@ REDUCTIONS = ("total", "softmax_ce", "prior_kl", "pair_bce", "coefficient_penalt
 
 
 def _random_composition(rng):
-    """Random chain of 6 ops over three leaves, reduced to a scalar by a random loss."""
+    """Random chain of 6 ops over three one-member leaves, reduced to a loss by a
+    random op."""
     shape = (int(rng.integers(2, 5)), int(rng.integers(2, 5)))
     a0 = rng.standard_normal(shape)
     b0 = rng.standard_normal(shape)
@@ -496,50 +501,52 @@ def _random_composition(rng):
     def const(key, rows, cols):
         if (key, rows, cols) not in mats:
             mats[key, rows, cols] = np.random.default_rng(100 + key).standard_normal(
-                (rows, cols)) / np.sqrt(rows)
+                (1, rows, cols)) / np.sqrt(rows)
         return mats[key, rows, cols]
 
     def build(t, lv):
         x = lv["a"]
         other = lv["b"]
         for i, op in enumerate(ops):
-            r, c = x.shape
+            r, c = x.shape[-2:]
             same = x.shape == other.shape
             if op == "add":
                 x = tp.add(x, other if same else x)
             elif op == "matmul_const":
                 x = tp.matmul(x, const(i, c, c))
             elif op == "matmul_var":
-                x = tp.matmul(x, other) if c == other.shape[0] else tp.matmul(const(i, r, r), x)
+                x = tp.matmul(x, other) if c == other.shape[-2] else tp.matmul(const(i, r, r), x)
             elif op in ("dense", "dense_tanh"):
-                bias = lv["c"] if c == lv["c"].shape[1] else np.zeros((1, c))
+                bias = lv["c"] if c == lv["c"].shape[-1] else np.zeros((1, 1, c))
                 x = tp.dense(x, const(i, c, c), bias, tanh=op == "dense_tanh")
             elif op == "reshape":
-                x = tp.reshape(x, (c, r))
+                x = tp.reshape(x, (1, c, r))
             elif op == "clip":
                 # bounds far outside the values: the interior branch
                 x = tp.clip(x, -50.0, 50.0)
             elif op == "gaussian_sample":
-                logvar = other if same else np.zeros((r, c))
+                logvar = other if same else np.zeros((1, r, c))
                 x = tp.gaussian_sample(x, logvar, noise[:r, :c])
             else:
                 rows = np.unique(row_draws[i] % r)
                 groups = tp.segments([rows[:1], rows[1:]] if rows.size > 1 else [rows], r)
-                x = tp.segment_moments(x, other if same else np.zeros((r, c)), groups)
-        r, c = x.shape
+                x = _stack(tp.segment_moments(x, other if same else np.zeros((1, r, c)),
+                                              groups))
+        r, c = x.shape[-2:]
         rows = row_draws[6] % r
         if reduction == "softmax_ce":
-            return tp.softmax_ce(x, rows, rows % c)
+            return tp.softmax_ce(x, rows, rows % c, [0, rows.size])
         if reduction == "prior_kl":
-            return tp.prior_kl(x, other if x.shape == other.shape else np.zeros((r, c)))
+            return tp.prior_kl(x, other if x.shape == other.shape else np.zeros((1, r, c)))
         if reduction == "pair_bce":
             pairs = np.column_stack([rows, rows[::-1]])
-            return tp.pair_bce(x, pairs, (np.arange(rows.size) % 2).astype(float))
+            return tp.pair_bce(x, pairs, (np.arange(rows.size) % 2).astype(float),
+                               [0, rows.size])
         if reduction == "coefficient_penalty":
             return tp.coefficient_penalty(x, w_bar[:r * c] if rows.size % 2 else None, 0.5, 0.8)
         return _total(x)
 
-    return build, {"a": a0, "b": b0, "c": c0}
+    return build, {"a": a0[None], "b": b0[None], "c": c0[None]}
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -571,10 +578,9 @@ def _member_data(rng, n=6, k=4, h=5, c=3, d=2):
 
 
 def _member_loss(t, lv, data, n):
-    """Every op on one member or, with leading-axis leaves, on the stack."""
+    """Every op on a stack of len(data) members."""
     members = len(data)
-    stacked = lv["x"].value.ndim == 3
-    bounds = lambda sizes: np.concatenate([[0], np.cumsum(sizes)]) if stacked else None
+    bounds = lambda sizes: np.concatenate([[0], np.cumsum(sizes)])
     hidden = tp.dense(lv["x"], lv["w"], lv["b"], tanh=True)
     logits = tp.dense(hidden, lv["w2"], lv["b2"])
     ce = tp.softmax_ce(logits, np.concatenate([m["rows"] + i * n for i, m in enumerate(data)]),
@@ -602,7 +608,8 @@ def _member_loss(t, lv, data, n):
 
 def test_stacked_ops_match_each_member_alone():
     # every op, ragged row, pair and target counts (one member has no pairs):
-    # each member of the stacked tape holds the bits of its own 2-D tape
+    # each member of the 3-member stack holds the bits of its own one-member
+    # stack
     rng = np.random.default_rng(8)
     data = [_member_data(rng) for _ in range(3)]
     data[1]["pairs"], data[1]["y"] = np.zeros((0, 2), dtype=np.int64), np.zeros(0)
@@ -616,12 +623,12 @@ def test_stacked_ops_match_each_member_alone():
     grads = tp.grad(t, loss)
     for i, member in enumerate(data):
         t1 = tp.Tape()
-        lv1 = {k: t1.leaf(v, k) for k, v in member["leaves"].items()}
+        lv1 = {k: t1.leaf(v[None], k) for k, v in member["leaves"].items()}
         alone = _member_loss(t1, lv1, [member], n)
-        assert alone.value[0, 0] == loss.value[i, 0, 0]
+        assert alone.value[0, 0, 0] == loss.value[i, 0, 0]
         got = tp.grad(t1, alone)
         for k in lv:
-            assert np.array_equal(grads[lv[k]][i], got[lv1[k]]), k
+            assert np.array_equal(grads[lv[k]][i], got[lv1[k]][0]), k
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -661,8 +668,8 @@ def test_finished_tape_is_freed_by_reference_counting():
     gc.disable()
     try:
         t = tp.Tape()
-        a = t.leaf(np.ones((3, 2)), "a")
-        loss = _total(tp.dense(a, np.ones((2, 2)), np.ones((1, 2)), tanh=True))
+        a = t.leaf(np.ones((1, 3, 2)), "a")
+        loss = _total(tp.dense(a, np.ones((1, 2, 2)), np.ones((1, 1, 2)), tanh=True))
         grads = tp.grad(t, loss)
         alive = weakref.ref(t)
         del t, a, loss, grads
@@ -674,7 +681,7 @@ def test_finished_tape_is_freed_by_reference_counting():
 
 def test_var_of_freed_tape_raises():
     t = tp.Tape()
-    a = t.leaf(np.ones((2, 2)), "a")
+    a = t.leaf(np.ones((1, 2, 2)), "a")
     del t
     with pytest.raises(ContractError):
         tp.add(a, a)
@@ -687,30 +694,35 @@ def test_leaf_rejects_bad_inputs():
     t = tp.Tape()
     with pytest.raises(ShapeError):
         t.leaf(np.ones(3), "vec")
+    with pytest.raises(ShapeError, match="3-D stack"):
+        t.leaf(np.ones((2, 3)), "matrix")
     with pytest.raises(NumericError):
-        t.leaf(np.array([[np.nan]]), "nan")
+        t.leaf(np.array([[[np.nan]]]), "nan")
 
 
 def test_matmul_shape_mismatch():
     t = tp.Tape()
-    a = t.leaf(np.ones((2, 3)), "a")
-    b = t.leaf(np.ones((2, 3)), "b")
+    a = t.leaf(np.ones((1, 2, 3)), "a")
+    b = t.leaf(np.ones((1, 2, 3)), "b")
     with pytest.raises(ShapeError):
         tp.matmul(a, b)
 
 
 def test_grad_requires_scalar_loss():
     t = tp.Tape()
-    a = t.leaf(np.ones((2, 2)), "a")
+    a = t.leaf(np.ones((1, 2, 2)), "a")
     out = tp.add(a, a)
     with pytest.raises(ShapeError):
         tp.grad(t, out)
+    # a 2-D 1x1 value is not a loss: losses hold one 1x1 value per member
+    with pytest.raises(ShapeError, match="per member"):
+        tp.grad(t, tp.reshape(_total(a), (1, 1)))
 
 
 def test_grad_rejects_foreign_tape():
     t1 = tp.Tape()
     t2 = tp.Tape()
-    a = t1.leaf(np.ones((1, 1)), "a")
+    a = t1.leaf(np.ones((1, 1, 1)), "a")
     loss = tp.add(a, a)
     with pytest.raises(ContractError):
         tp.grad(t2, loss)
@@ -719,29 +731,29 @@ def test_grad_rejects_foreign_tape():
 def test_take_rows_rejects_out_of_range():
     # softmax_ce's row gather
     t = tp.Tape()
-    a = t.leaf(np.ones((3, 2)), "a")
+    a = t.leaf(np.ones((1, 3, 2)), "a")
     with pytest.raises(ShapeError):
-        tp.softmax_ce(a, [0, 3], [0, 1])
+        tp.softmax_ce(a, [0, 3], [0, 1], [0, 2])
     with pytest.raises(ShapeError):
-        tp.softmax_ce(a, [-1], [0])
+        tp.softmax_ce(a, [-1], [0], [0, 1])
 
 
 def test_add_row_rejects_non_row_bias():
     # dense's bias row
     t = tp.Tape()
-    a = t.leaf(np.ones((3, 2)), "a")
-    w = np.ones((2, 2))
+    a = t.leaf(np.ones((1, 3, 2)), "a")
+    w = np.ones((1, 2, 2))
     with pytest.raises(ShapeError):
-        tp.dense(a, w, np.ones((3, 2)))
+        tp.dense(a, w, np.ones((1, 3, 2)))
     with pytest.raises(ShapeError):
-        tp.dense(a, w, t.leaf(np.ones((1, 3)), "b"))
+        tp.dense(a, w, t.leaf(np.ones((1, 1, 3)), "b"))
 
 
 def test_mixing_tapes_raises():
     t1 = tp.Tape()
     t2 = tp.Tape()
-    a = t1.leaf(np.ones((2, 2)), "a")
-    b = t2.leaf(np.ones((2, 2)), "b")
+    a = t1.leaf(np.ones((1, 2, 2)), "a")
+    b = t2.leaf(np.ones((1, 2, 2)), "b")
     with pytest.raises(ContractError):
         tp.add(a, b)
 
@@ -750,7 +762,7 @@ def test_fused_ops_reject_bad_inputs():
     mu, logvar, _groups, stats, _covs, (rows, means, precisions, logdets), pairs, y = \
         _fused_inputs()
     t = tp.Tape()
-    m, lv = t.leaf(mu, "mu"), t.leaf(logvar, "logvar")
+    m, lv = t.leaf(mu[None], "mu"), t.leaf(logvar[None], "logvar")
     with pytest.raises(ContractError, match="disjoint"):
         tp.segments([np.array([0, 1]), np.array([1])], 7)
     with pytest.raises(ContractError, match="nonempty"):
@@ -758,30 +770,43 @@ def test_fused_ops_reject_bad_inputs():
     with pytest.raises(ShapeError):
         tp.segments([np.array([7])], 7)
     with pytest.raises(ShapeError):
-        tp.segment_moments(m, t.leaf(logvar[:, :2], "short"), tp.segments([[0]], 7))
+        tp.segment_moments(m, t.leaf(logvar[None, :, :2], "short"), tp.segments([[0]], 7))
     with pytest.raises(ShapeError):
         tp.segment_moments(m, lv, tp.segments([[0]], 8))
     assert tp.segment_moments(m, lv, tp.segments([], 7)).shape == (0, 6)
     with pytest.raises(ShapeError):
-        tp.softmax_ce(m, [], [])
+        tp.softmax_ce(m, [], [], [0, 0])
     with pytest.raises(ShapeError):
-        tp.softmax_ce(m, [0, 1], [0])
+        tp.softmax_ce(m, [0, 1], [0], [0, 2])
     with pytest.raises(ShapeError, match="label index out of range"):
-        tp.softmax_ce(m, [0, 1], [0, 6])
+        tp.softmax_ce(m, [0, 1], [0, 6], [0, 2])
+    with pytest.raises(ShapeError, match="bounds split 2 members"):
+        tp.softmax_ce(m, [0, 1], [0, 1], [0, 1, 2])
     with pytest.raises(ShapeError):
         tp.gaussian_sample(m, lv, np.zeros((7, 2)))
+    with pytest.raises(ShapeError):  # the noise is one matrix every member shares
+        tp.gaussian_sample(m, lv, np.zeros((1, 7, 3)))
     with pytest.raises(ShapeError):
         tp.coefficient_penalty(m, np.zeros(20), 0.1, 0.1)
     with pytest.raises(ShapeError):
-        tp.pair_bce(m, pairs[:0], y[:0])
+        tp.pair_bce(m, pairs[:0], y[:0], [0, 0])
     with pytest.raises(ShapeError):
-        tp.pair_bce(m, pairs, y[:-1])
-    st = t.leaf(stats, "stats")
+        tp.pair_bce(m, pairs, y[:-1], [0, 5])
+    st = tp.reshape(t.leaf(stats[None], "stats"), stats.shape)
     with pytest.raises(ShapeError):
-        tp.diag_gaussian_kl(st, rows, means[:, :2], precisions, logdets)
+        tp.diag_gaussian_kl(st, rows, means[:, :2], precisions, logdets, [0, 2])
+    with pytest.raises(ShapeError):  # the statistics are one 2-D table
+        tp.diag_gaussian_kl(t.leaf(stats[None], "stack"), rows, means, precisions, logdets,
+                            [0, 2])
     with pytest.raises(ContractError):
-        tp.diag_gaussian_kl(st, [0, 0], means, precisions, logdets)
+        tp.diag_gaussian_kl(st, [0, 0], means, precisions, logdets, [0, 2])
     bad = stats.copy()
     bad[rows[0], 4] = 0.0
     with pytest.raises(NumericError):
-        tp.diag_gaussian_kl(t.leaf(bad, "bad"), rows, means, precisions, logdets)
+        tp.diag_gaussian_kl(tp.reshape(t.leaf(bad[None], "bad"), bad.shape), rows, means,
+                            precisions, logdets, [0, 2])
+
+
+def test_ragged_losses_take_bounds_without_default():
+    for op in (tp.softmax_ce, tp.pair_bce, tp.diag_gaussian_kl):
+        assert inspect.signature(op).parameters["bounds"].default is inspect.Parameter.empty

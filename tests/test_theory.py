@@ -9,7 +9,7 @@ import pytest
 from fedssa.errors import ConfigError, ContractError
 from fedssa.linalg import qr_thin
 from fedssa.models import ClassGaussian
-from fedssa.semantic import SemanticClusterMap, build_semantic_map, cluster_moments
+from fedssa.semantic import SemanticClusterMap, build_semantic_map, match_cells
 from fedssa.structural import (SpectralEnergy, StructuralClusterMap, build_structural_map,
                                pairwise_chordal, structural_cluster)
 from fedssa.theory import (ErrorFloorReport, contraction_simulate, error_floor,
@@ -149,7 +149,7 @@ def _planted_cluster(rng, d=3, n_members=4, mu_spread=0.05, cov_spread=0.01):
         cov = base_cov + 0.5 * (pert + pert.T)
         members[cid] = ClassGaussian(0, mean, 0.5 * (cov + cov.T),
                                      int(rng.integers(1, 20)))
-    rep = cluster_moments([members[c] for c in sorted(members)])
+    rep = match_cells([[members[c] for c in sorted(members)]])[0]
     return members, rep
 
 
@@ -182,7 +182,7 @@ def test_kl_audit_wide_cluster_fails_precondition_without_violations():
     rng = np.random.default_rng(2)
     members = {0: ClassGaussian(0, np.zeros(2), 0.01 * np.eye(2), 5),
                1: ClassGaussian(0, 10.0 * np.ones(2), 0.01 * np.eye(2), 5)}
-    rep = cluster_moments([members[0], members[1]])
+    rep = match_cells([[members[0], members[1]]])[0]
     audit = kl_bound_audit(members, rep)
     assert not audit.precondition_ok
     assert audit.violations == 0
@@ -199,7 +199,7 @@ def test_kl_audit_contracts():
 
 def test_kl_audit_singleton_member_of_its_own_cluster():
     g = ClassGaussian(0, np.array([1.0, 2.0]), np.diag([0.5, 0.8]), 4)
-    rep = cluster_moments([g])
+    rep = match_cells([[g]])[0]
     audit = kl_bound_audit({0: g}, rep)
     assert audit.precondition_ok
     assert audit.violations == 0
@@ -285,7 +285,7 @@ def test_heterogeneity_and_kl_audit_match_pair_loops(m):
     cells = {(lab, c): tuple(holders[lab][cid] for cid in sorted(by_client)
                              if by_client[cid] == c)
              for lab, by_client in sem_assign.items() for c in set(by_client.values())}
-    reps = {key: cluster_moments(members) for key, members in cells.items()}
+    reps = {key: match_cells([members])[0] for key, members in cells.items()}
     struct_assign = clusters(list(range(m)))
     report = measure_heterogeneity(pairwise_chordal(energies),
                                    SemanticClusterMap(sem_assign, reps, cells),

@@ -37,13 +37,11 @@ from .errors import (ConfigError, ContractError, NumericError, ProtocolError,
                      ShapeError, TrainingDivergenceError, UndefinedMetricError)
 from .graphs import FederationDataset, LocalGraph, laplacian_powers
 from .metrics import accuracy, auc
-from .models import (GroupPlan, ce_path, class_gaussians, class_stat_paths,
-                     elbo_path, encoder_input, encoder_path, group_plan,
-                     init_params, logits_path, sample_nonedges, spectral_energy,
-                     stack_powers)
+from .models import (GroupPlan, ce_path, class_gaussians, elbo_path, encoder_input,
+                     encoder_path, group_plan, init_params, logits_path,
+                     sample_nonedges, spectral_energy, stack_powers)
 from .rng import spawn_key, stream
-from .semantic import (SemanticClusterMap, alignment_inputs, alignment_path,
-                       build_semantic_map)
+from .semantic import SemanticClusterMap, alignment_inputs, build_semantic_map
 from .structural import (SpectralEnergy, StructuralClusterMap, build_structural_map,
                          pairwise_chordal, structural_cluster)
 from .theory import (ErrorFloorReport, HeterogeneityReport, error_floor,
@@ -363,9 +361,9 @@ def _loss_parts(group: ClientGroup, w_bar: Optional[np.ndarray], cfg: RunConfig,
     node_term = None
     struct_term = None
     if cfg.method == "fedssa" and cfg.semantic:
-        moments = class_stat_paths(mu, logvar, plan)
+        moments = tp.segment_moments(mu, logvar, plan.classes)
         if aligned is not None:
-            node_term = alignment_path(moments, aligned)
+            node_term = tp.diag_gaussian_kl(moments, *aligned)
             total = tp.add(total, node_term)
     if cfg.method == "fedssa" and cfg.structural:
         struct_term = tp.coefficient_penalty(leaves["w"], w_bar, cfg.lambda1, cfg.lambda2)
@@ -374,13 +372,6 @@ def _loss_parts(group: ClientGroup, w_bar: Optional[np.ndarray], cfg: RunConfig,
              "struct": struct_term, "total": total, "logits": logits,
              "moments": moments}
     return tape, leaves, parts
-
-
-def _cluster_coefficients(group: ClientGroup, broadcasts: dict) -> Optional[np.ndarray]:
-    """The members' broadcast filter coefficients, stacked, or None before any."""
-    rows = [getattr(broadcasts.get(s.client_id), "cluster_coefficients", None)
-            for s in group.states]
-    return None if rows[0] is None else np.stack(rows)
 
 
 def _samples(plan: GroupPlan, seed: int, *path) -> list:
@@ -398,12 +389,12 @@ def _samples(plan: GroupPlan, seed: int, *path) -> list:
     return draws
 
 
-def train_group(group: ClientGroup, broadcasts: dict, aligned: Optional[tuple],
+def train_group(group: ClientGroup, w_bar: Optional[np.ndarray], aligned: Optional[tuple],
                 cfg: RunConfig, seed: int, round_index: int) -> GroupEvaluation:
     """Train E local epochs on one stacked tape per epoch, then evaluate.
 
-    broadcasts maps client ids to last round's ServerBroadcast, and aligned
-    holds the group's alignment_inputs from those broadcasts, which every
+    w_bar stacks the members' broadcast cluster coefficients (None before
+    any), and aligned holds the group's alignment_inputs, which every
     forward of the round reads (None without a matching representative).
     Every member reads the same train-eps and eval-eps draw, and samples
     its own non-edges. A non-finite loss or gradient, or a nonpositive class
@@ -416,7 +407,6 @@ def train_group(group: ClientGroup, broadcasts: dict, aligned: Optional[tuple],
     shape = (plan.n, cfg.latent_dim)
     snapshot = ({name: a.copy() for name, a in group.params.items()}, group.adam.copy())
     try:
-        w_bar = _cluster_coefficients(group, broadcasts)
         for epoch in range(cfg.epochs):
             eps = stream(seed, "train-eps", round_index, epoch).standard_normal(shape)
             _train_step(group, w_bar, cfg, eps,
@@ -462,17 +452,20 @@ def local_round(groups: list, broadcasts: dict, cfg: RunConfig, seed: int,
     client's round with client_round; returns ({client_id: ClientRoundStats},
     {client_id: upload}), the stats with zero bytes.
 
-    Every group's alignment inputs are built from the broadcasts before any
-    group trains: a received representative that is not positive definite
-    raises TrainingDivergenceError naming the lowest-id client, across all
-    groups, that receives one.
+    Each group reads its members' broadcasts once, before any group trains:
+    their cluster coefficients, stacked (None before any), and their
+    representatives, as alignment_inputs. A received representative that
+    is not positive definite raises TrainingDivergenceError naming the
+    lowest-id client, across all groups, that receives one.
     """
     inputs, diverged = [], []
     for group in groups:
+        received = [broadcasts.get(s.client_id) for s in group.states]
+        coeffs = [getattr(b, "cluster_coefficients", None) for b in received]
         try:
-            inputs.append(alignment_inputs(group.plan, [
-                getattr(broadcasts.get(s.client_id), "class_representatives", {})
-                for s in group.states]))
+            inputs.append((None if coeffs[0] is None else np.stack(coeffs),
+                           alignment_inputs(group.plan, [getattr(b, "class_representatives", {})
+                                                         for b in received])))
         except NumericError as exc:
             diverged += [group.states[m].client_id for m in exc.members]
             error = exc
@@ -480,8 +473,8 @@ def local_round(groups: list, broadcasts: dict, cfg: RunConfig, seed: int,
         raise _diverged(diverged, round_index, error) from error
     stats: dict = {}
     uploads: dict = {}
-    for group, aligned in zip(groups, inputs):
-        evaluation = train_group(group, broadcasts, aligned, cfg, seed, round_index)
+    for group, (w_bar, aligned) in zip(groups, inputs):
+        evaluation = train_group(group, w_bar, aligned, cfg, seed, round_index)
         for member, state in enumerate(group.states):
             stats[state.client_id], upload = client_round(group, member, evaluation, cfg,
                                                           round_index)
@@ -553,8 +546,14 @@ def server_step(uploads: dict, k_node: int, k_struct: int, seed: int,
     Uploads that carry frames are grouped by k-means, and only then is their
     chordal distance matrix returned. Frameless uploads keep `structure`, an
     earlier round's {client_id: cluster}; every clustered client must upload.
+    An upload whose own client id, or whose frame's, differs from its key
+    raises ProtocolError.
     """
     by_id = {cid: uploads[cid] for cid in sorted(uploads)}
+    for cid, u in by_id.items():
+        claimed = {u.client_id, getattr(u.spectral_energy, "client_id", cid)}
+        if claimed != {cid}:
+            raise ProtocolError(f"upload keyed {cid} carries client ids {sorted(claimed)}")
     missing = sorted(set(expected_clients or ()).union(structure or ()) - set(by_id))
     if missing:
         raise ProtocolError(f"missing upload from client {missing[0]}")
@@ -582,13 +581,12 @@ def server_step(uploads: dict, k_node: int, k_struct: int, seed: int,
     for cid in sorted(by_id):
         reps = {}
         if semantic_map is not None:
-            for gaussian in by_id[cid].class_gaussians:
-                rep = semantic_map.representative_for(gaussian.label, cid)
-                if rep is not None:
-                    reps[gaussian.label] = rep
+            reps = {g.label: semantic_map.representatives[
+                (g.label, semantic_map.assignments[g.label][cid])]
+                for g in by_id[cid].class_gaussians}
         coeffs = None
         if structural_map is not None and cid in structural_map.assignments:
-            coeffs = structural_map.coefficients_for(cid).copy()
+            coeffs = structural_map.mean_coefficients[structural_map.assignments[cid]]
         broadcasts[cid] = ServerBroadcast(class_representatives=reps,
                                           cluster_coefficients=coeffs)
     return ServerRound(broadcasts=broadcasts, semantic_map=semantic_map,

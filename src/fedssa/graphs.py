@@ -142,7 +142,8 @@ class FederationDataset:
             raise ConfigError("binary-auc task requires exactly 2 classes")
         for client_id, g in enumerate(self.clients):
             if g.feature_dim != self.feature_dim:
-                raise ShapeError("client feature dimension differs from federation")
+                raise ShapeError(f"client {client_id}: feature dimension {g.feature_dim}"
+                                 f" differs from federation {self.feature_dim}")
             if g.labels.size and int(g.labels.max()) >= self.num_classes:
                 raise ContractError(f"client {client_id}: label {int(g.labels.max())}"
                                     " exceeds federation class count"
@@ -506,10 +507,13 @@ def graph_from_dict(obj: dict, where: str = "graph file") -> LocalGraph:
     if not isinstance(masks, dict):
         raise ConfigError(f"{where}: masks must be an object")
     _check_keys(masks, _MASK_KEYS, f"{where} masks")
-    return LocalGraph(data.reshape(n, d), _json_ints(obj["labels"], where, "labels"),
-                      _json_ints(obj["edges"], where, "edges", pairs=True),
-                      *(_json_ints(masks[key], where, f"masks.{key}")
-                        for key in ("train", "val", "test")))
+    try:
+        return LocalGraph(data.reshape(n, d), _json_ints(obj["labels"], where, "labels"),
+                          _json_ints(obj["edges"], where, "edges", pairs=True),
+                          *(_json_ints(masks[key], where, f"masks.{key}")
+                            for key in ("train", "val", "test")))
+    except (ContractError, ShapeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def canonical_json(obj) -> str:
@@ -574,6 +578,10 @@ def load_dataset(path) -> FederationDataset:
     where = str(root / "manifest.json")
     _check_keys(manifest, _MANIFEST_KEYS, where)
     clients = tuple(load_graph(root / name) for name in manifest["files"])
+    for name, g in zip(manifest["files"], clients):
+        if not g.train_idx.size:
+            raise ConfigError(f"{root / name}: masks.train is empty; every client"
+                              " needs train rows")
     if len(clients) != _json_int(manifest["clients"], where, "clients"):
         raise ConfigError("manifest client count does not match file list")
     maps = manifest["node_maps"]
@@ -584,7 +592,11 @@ def load_dataset(path) -> FederationDataset:
         if len(_json_ints(node_map, where, f"node_maps[{i}]")) != g.n:
             raise ConfigError(f"{where}: node_maps[{i}] has {len(node_map)} entries,"
                               f" client {i} has {g.n} nodes")
-    return FederationDataset(clients, _json_int(manifest["num_classes"], where, "num_classes"),
-                             _json_int(manifest["feature_dim"], where, "feature_dim"),
-                             manifest["task"], tuple(np.asarray(m, dtype=np.int64) for m in maps),
-                             _json_int(manifest["dropped_edges"], where, "dropped_edges"))
+    try:
+        return FederationDataset(
+            clients, _json_int(manifest["num_classes"], where, "num_classes"),
+            _json_int(manifest["feature_dim"], where, "feature_dim"), manifest["task"],
+            tuple(np.asarray(m, dtype=np.int64) for m in maps),
+            _json_int(manifest["dropped_edges"], where, "dropped_edges"))
+    except (ContractError, ShapeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc

@@ -23,8 +23,9 @@ with member bounds for the ragged losses. Every
 builder takes a `GroupPlan`: the values carry a leading member axis and
 each loss holds one value per member. A client trained alone is a group of
 one. A group's evaluation pass records the builders once per round; its
-logits give the split metrics and its class statistics give the uploads'
-class Gaussians.
+logits give the split metrics and its class statistics, one
+`tape.segment_moments` node over the plan's `classes`, the uploads' class
+Gaussians.
 """
 
 from __future__ import annotations
@@ -250,19 +251,6 @@ def encoder_path(leaves: dict, x_in: np.ndarray) -> tuple[tp.Var, tp.Var]:
     return mu, logvar
 
 
-def class_stat_paths(mu: tp.Var, logvar: tp.Var, plan: GroupPlan) -> tp.Var:
-    """Moment-matched class Gaussians over train rows, as one tape node.
-
-    Row c is [mean | var] of class plan.class_labels[c], over the
-    plan.classes.counts[c] train rows of that class; plan.class_bounds
-    splits the rows by member. For class c the mixture of per-node diagonal
-    posteriors has mean equal to the average posterior mean, and variance
-    equal to the average posterior variance plus the population variance
-    of the means.
-    """
-    return tp.segment_moments(mu, logvar, plan.classes)
-
-
 def sample_nonedges(plan: GroupPlan, member: int, count: int,
                     rng: np.random.Generator) -> np.ndarray:
     """Uniform sample of member's absent node pairs (i < j), without replacement.
@@ -307,7 +295,7 @@ def elbo_path(mu: tp.Var, logvar: tp.Var, plan: GroupPlan, eps: np.ndarray,
 
 def class_gaussians(labels: np.ndarray, counts: np.ndarray, moments: np.ndarray) -> tuple:
     """ClassGaussians, in label order, from one client's class labels, train-row
-    counts and [mean | var] rows (the values of class_stat_paths)."""
+    counts and [mean | var] rows (a slice of tape.segment_moments' value)."""
     d = moments.shape[1] // 2
     covs = np.zeros((len(moments), d, d))
     covs[:, np.arange(d), np.arange(d)] = np.maximum(moments[:, d:], COV_FLOOR)

@@ -6,8 +6,9 @@ collapses every group into one Gaussian: a count-weighted moment match
 reduced over the stacked member means and covariances. The cluster map
 keeps each group's members, so the heterogeneity diagnostics read the same
 grouping. Clients then pull their local class posteriors toward their own
-group's representative with a closed-form Gaussian KL, recorded as one
-tape node.
+group's representative with a closed-form Gaussian KL: `alignment_inputs`
+freezes the received representatives once per round into the arguments of
+`tape.diag_gaussian_kl`, the one tape node of that loss.
 
 Holders are gathered by ascending client id, so results are invariant to
 message arrival order.
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tape as tp
 from .cluster import kmeans
 from .errors import ConfigError, ContractError, NumericError, ShapeError
 from .models import COV_FLOOR, ClassGaussian, GroupPlan
@@ -35,12 +35,6 @@ class SemanticClusterMap:
     assignments: dict
     representatives: dict
     members: dict
-
-    def representative_for(self, label: int, client_id: int):
-        by_client = self.assignments.get(label)
-        if by_client is None or client_id not in by_client:
-            return None
-        return self.representatives[(label, by_client[client_id])]
 
 
 def match_cells(cells) -> list:
@@ -145,8 +139,8 @@ def alignment_inputs(plan: GroupPlan, received) -> tuple | None:
     representatives of its broadcast (empty before the first). Each
     member's classes in plan.class_labels, which plan.class_bounds splits by
     member, are matched with those labels, and the symmetrised precision and
-    covariance log-determinant of each distinct picked representative are
-    computed once.
+    covariance log-determinant of every matched representative are computed
+    from its values, one stacked factorisation per matrix.
     Returns (rows, means, precisions, logdets, bounds) as diag_gaussian_kl
     takes them after the class moments, or None when no class of any member
     has a representative. A picked representative that is not positive
@@ -159,25 +153,12 @@ def alignment_inputs(plan: GroupPlan, received) -> tuple | None:
     if not rows.size:
         return None
     picks, owners = [found[i] for i in rows], owners[rows]
-    slots: dict = {}  # id of each distinct representative -> (slot, representative)
-    index = [slots.setdefault(id(rep), (len(slots), rep))[0] for rep in picks]
-    distinct = [rep for _, rep in slots.values()]
-    covs = np.stack([rep.cov for rep in distinct])
+    covs = np.stack([rep.cov for rep in picks])
     signs, logdets = np.linalg.slogdet(covs)
-    if np.any(signs[index] <= 0):
+    if np.any(signs <= 0):
         raise NumericError("representative covariance is not positive definite",
-                           members=sorted(set(owners[signs[index] <= 0].tolist())))
+                           members=sorted(set(owners[signs <= 0].tolist())))
     precisions = np.linalg.inv(covs)
-    return (rows, np.stack([rep.mean for rep in distinct])[index],
-            (0.5 * (precisions + np.swapaxes(precisions, 1, 2)))[index], logdets[index],
+    return (rows, np.stack([rep.mean for rep in picks]),
+            0.5 * (precisions + np.swapaxes(precisions, 1, 2)), logdets,
             np.concatenate([[0], np.cumsum(np.bincount(owners, minlength=len(received)))]))
-
-
-def alignment_path(moments: tp.Var, inputs: tuple) -> tp.Var:
-    """Tape node summing KL(local diagonal posterior || frozen representative).
-
-    moments comes from class_stat_paths, with one row per class of the
-    group plan, and inputs from alignment_inputs. Classes without a
-    representative contribute nothing.
-    """
-    return tp.diag_gaussian_kl(moments, *inputs)

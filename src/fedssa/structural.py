@@ -58,9 +58,6 @@ class StructuralClusterMap:
     assignments: dict
     mean_coefficients: dict
 
-    def coefficients_for(self, client_id: int) -> np.ndarray:
-        return self.mean_coefficients[self.assignments[client_id]]
-
 
 def projection_embedding(e: SpectralEnergy) -> np.ndarray:
     """Flattened projection matrix Q Q^T; basis-invariant subspace embedding."""

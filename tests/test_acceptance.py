@@ -25,10 +25,10 @@ from fedssa.federation import RunConfig, run_federation_detailed
 from fedssa.graphs import (SynthSpec, laplacian_powers, partition_nonoverlap,
                            partition_overlap, synth_dataset)
 from fedssa.linalg import qr_thin
-from fedssa.models import (ClassGaussian, ce_path, class_stat_paths, elbo_path,
-                           encoder_input, encoder_path, group_plan, logits_path,
-                           sample_nonedges, stack_powers)
-from fedssa.semantic import alignment_inputs, alignment_path, gaussian_kl, match_cells
+from fedssa.models import (ClassGaussian, ce_path, elbo_path, encoder_input,
+                           encoder_path, group_plan, logits_path, sample_nonedges,
+                           stack_powers)
+from fedssa.semantic import alignment_inputs, gaussian_kl, match_cells
 from fedssa.structural import (SpectralEnergy, coeff_perturb_bound,
                                filter_lipschitz_bound, pairwise_chordal,
                                projection_embedding)
@@ -113,7 +113,8 @@ def test_a01_loss_gradients_match_central_differences():
 
         def node_loss(lv):
             mu, logvar = encoder_path(lv, x_in)
-            return alignment_path(class_stat_paths(mu, logvar, plan), aligned)
+            return tp.diag_gaussian_kl(tp.segment_moments(mu, logvar, plan.classes),
+                                       *aligned)
 
         worst = max(worst, _grad_vs_fd(node_loss, {k: v[None].copy() for k, v in enc.items()}))
 

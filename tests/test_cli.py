@@ -224,6 +224,23 @@ def test_fractional_label_in_graph_file_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_negative_label_in_dataset_dir_exits_2(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["partition", "--config", _write_cfg(tmp_path, SYNTH),
+                 "--out", str(data)]) == 0
+    client = data / "client_001.json"
+    obj = json.loads(client.read_text())
+    obj["labels"][0] = -1
+    client.write_text(json.dumps(obj))
+    raw = {key: SYNTH[key] for key in ("method", "hyperparams", "seed")}
+    raw["dataset"] = {"kind": "file", "path": str(data)}
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["run", "--config", _write_cfg(tmp_path, raw), "--out", str(out)]) == 2
+    assert f"{client}: labels must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_w_max_below_one_exits_2(tmp_path, capsys):
     raw = dict(TWO_REGIME, hyperparams=dict(TWO_REGIME["hyperparams"], w_max=0.5))
     out = tmp_path / "out"

@@ -12,12 +12,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fedssa import cli, federation
+from fedssa import cli, federation, tape as tp
 from fedssa.config import build_dataset, parse_config, two_regime_federation
 from fedssa.errors import (ConfigError, ContractError, ProtocolError,
                            ShapeError, TrainingDivergenceError)
-from fedssa.federation import (ClientUpload, RunConfig, ServerBroadcast,
-                               _cluster_coefficients, _loss_parts,
+from fedssa.federation import (ClientUpload, RunConfig, ServerBroadcast, _loss_parts,
                                encode_broadcast, encode_upload, group_clients,
                                local_round, run_federation_detailed, server_step)
 from fedssa.graphs import (FederationDataset, LocalGraph, SynthSpec, stratified_split,
@@ -73,10 +72,11 @@ def _forward(group, cfg, broadcasts=None):
     eps = stream(0, "eps").standard_normal((group.plan.n, cfg.latent_dim))
     nonedges = [sample_nonedges(group.plan, m, count, stream(0, "ne"))
                 for m, count in enumerate(group.plan.nonedge_counts)]
-    aligned = alignment_inputs(group.plan, [
-        broadcasts[s.client_id].class_representatives if s.client_id in broadcasts else {}
-        for s in group.states])
-    return _loss_parts(group, _cluster_coefficients(group, broadcasts), cfg, eps,
+    received = [broadcasts.get(s.client_id) for s in group.states]
+    coeffs = [getattr(b, "cluster_coefficients", None) for b in received]
+    aligned = alignment_inputs(group.plan, [getattr(b, "class_representatives", {})
+                                            for b in received])
+    return _loss_parts(group, None if coeffs[0] is None else np.stack(coeffs), cfg, eps,
                        nonedges, aligned)
 
 
@@ -819,14 +819,14 @@ def _group_snapshot(group):
 
 def test_nonpositive_class_variance_rolls_back(monkeypatch):
     group, cfg, broadcasts = _semantic_round_inputs()
-    real = federation.class_stat_paths
+    real = tp.segment_moments
 
-    def zero_variances(mu, logvar, plan):
-        moments = real(mu, logvar, plan)
+    def zero_variances(mu, logvar, groups):
+        moments = real(mu, logvar, groups)
         moments.value[:, cfg.latent_dim:] = 0.0
         return moments
 
-    monkeypatch.setattr(federation, "class_stat_paths", zero_variances)
+    monkeypatch.setattr(tp, "segment_moments", zero_variances)
     before = _group_snapshot(group)
     with pytest.raises(TrainingDivergenceError,
                        match="client 0 .*variances must be positive"):
@@ -959,6 +959,23 @@ def test_server_protocol_errors():
     short = ClientUpload(9, np.ones(3), (), None)
     with pytest.raises(ShapeError, match="lengths differ"):
         server_step({**uploads, 9: short}, 2, 2, 0)
+
+
+def _swap_frames(uploads):
+    return {**uploads,
+            0: dataclasses.replace(uploads[0], spectral_energy=uploads[3].spectral_energy),
+            3: dataclasses.replace(uploads[3], spectral_energy=uploads[0].spectral_energy)}
+
+
+@pytest.mark.parametrize("edit, key", [
+    (_swap_frames, 0),
+    (lambda ups: {**ups, 3: dataclasses.replace(ups[3], client_id=42)}, 3),
+    (lambda ups: {**ups, 3: dataclasses.replace(ups[3], spectral_energy=SpectralEnergy(
+        7, ups[3].spectral_energy.q))}, 3),
+], ids=["swapped-frames", "upload-id", "frame-id-not-a-key"])
+def test_server_step_rejects_ids_that_differ_from_the_key(edit, key):
+    with pytest.raises(ProtocolError, match=f"upload keyed {key} carries client ids"):
+        server_step(edit(_hand_uploads()), 2, 2, 0)
 
 
 # --- config validation -----------------------------------------------------------

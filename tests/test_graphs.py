@@ -593,6 +593,41 @@ def test_dataset_manifest_rejects_bad_node_maps(tmp_path, edit, message):
         load_dataset(out)
 
 
+def _set_cols(obj, cols):
+    """Narrow a graph dict's features to their first cols columns."""
+    rows, width = obj["features"]["rows"], obj["features"]["cols"]
+    data = np.asarray(obj["features"]["data"]).reshape(rows, width)[:, :cols]
+    obj["features"].update(cols=cols, data=data.ravel().tolist())
+
+
+@pytest.mark.parametrize("edit, named, message", [
+    (lambda g: g["labels"].__setitem__(0, -1), "client_001.json",
+     "labels must be nonnegative"),
+    (lambda g: g["edges"].append([0, g["n"]]), "client_001.json",
+     "edge endpoints out of range"),
+    (lambda g: g["masks"]["val"].append(g["masks"]["train"][0]), "client_001.json",
+     "train and val splits overlap"),
+    (lambda g: g["labels"].__setitem__(0, 2), "manifest.json",
+     "client 1: label 2 exceeds federation class count 2"),
+    (lambda g: _set_cols(g, 2), "manifest.json",
+     "client 1: feature dimension 2 differs from federation 3"),
+    (lambda g: g["masks"].__setitem__("train", []), "client_001.json",
+     "masks.train is empty"),
+], ids=["negative-label", "endpoint-out-of-range", "overlapping-masks",
+        "label-above-classes", "feature-width", "empty-train-mask"])
+def test_dataset_client_file_errors_name_the_file(tmp_path, edit, named, message):
+    g = synth_dataset(SynthSpec(30, 2, 3, 0.2, 0.05), 5)
+    out = tmp_path / "ds"
+    save_dataset(partition_nonoverlap(g, 3, seed=6), out)
+    client = json.loads((out / "client_001.json").read_text())
+    edit(client)
+    (out / "client_001.json").write_text(json.dumps(client))
+    with pytest.raises(ConfigError) as err:
+        load_dataset(out)
+    assert str(err.value).startswith(f"{out / named}: ")
+    assert message in str(err.value)
+
+
 def test_load_graph_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_graph(tmp_path / "absent.json")

@@ -11,10 +11,9 @@ from fedssa.errors import ConfigError, ContractError, ShapeError
 from fedssa.graphs import LocalGraph, SynthSpec, laplacian_powers, synth_dataset
 from fedssa.linalg import qr_thin
 from fedssa.models import (COV_FLOOR, LOGVAR_MAX, LOGVAR_MIN, ClassGaussian,
-                           ce_path, class_gaussians, class_stat_paths, elbo_path,
-                           encoder_input, encoder_path, group_plan, init_params,
-                           logits_path, sample_nonedges, spectral_energy,
-                           stack_powers)
+                           ce_path, class_gaussians, elbo_path, encoder_input,
+                           encoder_path, group_plan, init_params, logits_path,
+                           sample_nonedges, spectral_energy, stack_powers)
 from fedssa.rng import stream
 from fedssa.semantic import alignment_inputs
 from helpers import central_diff, pool_draw, rel_err
@@ -69,7 +68,7 @@ def _encode(params, g, num_classes):
     t = tp.Tape()
     mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, num_classes)[None])
     plan = _group(g)
-    moments = class_stat_paths(mu, logvar, plan)
+    moments = tp.segment_moments(mu, logvar, plan.classes)
     gaussians = class_gaussians(plan.class_labels, plan.classes.counts, moments.value)
     return mu.value[0], logvar.value[0], gaussians
 
@@ -244,7 +243,7 @@ def test_class_stat_paths_match_numpy_recompute():
     t = tp.Tape()
     mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, 3)[None])
     plan = _group(g)
-    moments = class_stat_paths(mu, logvar, plan)
+    moments = tp.segment_moments(mu, logvar, plan.classes)
     assert np.array_equal(plan.class_labels, np.unique(g.labels[g.train_idx]))
     assert moments.shape == (plan.class_labels.size, 6)
     for label, count, row in zip(plan.class_labels, plan.classes.counts, moments.value):
@@ -264,7 +263,7 @@ def test_class_stat_paths_singleton_spread_is_exactly_zero():
     params = init_params(2, 2, 1, 4, 3, stream(15, "init"))
     t = tp.Tape()
     mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, 2)[None])
-    moments = class_stat_paths(mu, logvar, _group(g)).value
+    moments = tp.segment_moments(mu, logvar, _group(g).classes).value
     assert np.array_equal(moments[0], np.concatenate([mu.value[0, 0],
                                                       np.exp(logvar.value[0, 0])]))
 
@@ -277,7 +276,7 @@ def test_class_stat_paths_without_train_rows():
     t = tp.Tape()
     mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, 2)[None])
     plan = _group(g)
-    moments = class_stat_paths(mu, logvar, plan)
+    moments = tp.segment_moments(mu, logvar, plan.classes)
     assert plan.class_labels.size == 0 and moments.shape == (0, 6)
     assert class_gaussians(plan.class_labels, plan.classes.counts, moments.value) == ()
     reps = {0: ClassGaussian(0, np.zeros(3), np.eye(3), 1)}

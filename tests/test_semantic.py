@@ -1,9 +1,11 @@
 """Semantic sharing checks: closed-form Gaussian KL against hand values and
 Monte Carlo, count-weighted moment matching against the member loop,
 planted cluster recovery, the cluster members the map keeps, the
-alignment inputs against the per-client targets they replace, and the
-differentiable alignment path against the closed form."""
+alignment inputs against the per-client targets they replace (with shared
+and with per-client copies of the representatives), and the alignment KL
+node on those inputs against the closed form."""
 
+import copy
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,8 +15,7 @@ from fedssa import tape as tp
 from fedssa.errors import ContractError, NumericError, ShapeError
 from fedssa.graphs import LocalGraph
 from fedssa.models import COV_FLOOR, ClassGaussian, group_plan
-from fedssa.semantic import (alignment_inputs, alignment_path, build_semantic_map,
-                             gaussian_kl, match_cells)
+from fedssa.semantic import alignment_inputs, build_semantic_map, gaussian_kl, match_cells
 from helpers import (central_diff, distinct_kl_targets, loop_cluster_moments,
                      matched_alignment_inputs, mc_gaussian_kl, random_spd, rel_err)
 
@@ -223,13 +224,10 @@ def test_build_semantic_map_representatives():
     gaussians = _planted_gaussians()
     smap = build_semantic_map(gaussians, 2, 1)
     for cid, cluster in smap.assignments[0].items():
-        rep = smap.representative_for(0, cid)
-        assert rep is smap.representatives[(0, cluster)]
+        rep = smap.representatives[(0, cluster)]
         # representative lives near its own group's center
         own_mean = gaussians[cid][0].mean
         assert np.linalg.norm(rep.mean - own_mean) < 5.0
-    assert smap.representative_for(9, 0) is None
-    assert smap.representative_for(0, 99) is None
 
 
 def test_representative_counts_accumulate():
@@ -254,12 +252,12 @@ def _stats(tape, labels, means, variances):
 
 
 def _align(moments, plan, representatives):
-    """The alignment node of the member's classes against its {label:
+    """The diag_gaussian_kl node of the member's classes against its {label:
     ClassGaussian} broadcast, or None when none matches; the leaf is read as
     the 2-D statistics table."""
     inputs = alignment_inputs(plan, [representatives])
-    return None if inputs is None else alignment_path(tp.reshape(moments, moments.shape[1:]),
-                                                      inputs)
+    return None if inputs is None else tp.diag_gaussian_kl(
+        tp.reshape(moments, moments.shape[1:]), *inputs)
 
 
 def test_semantic_alignment_loss_sums_matching_classes():
@@ -315,7 +313,9 @@ def _train_graph(train_labels, n=12):
 def test_alignment_inputs_match_distinct_targets_reference(dz):
     # two groups of three clients; client 2 has no broadcast, clients 0 and
     # 1 lack some of their classes, client 4 has no train rows, and the
-    # shared representative objects reach members of both groups
+    # shared representative objects reach members of both groups. The same
+    # broadcasts with every representative deep-copied per client, as
+    # decoded messages would hold them, give the same bits.
     rng = np.random.default_rng(40 + dz)
     train = {0: [0, 1, 2, 3], 1: [1, 1, 3], 2: [0, 2], 3: [2, 3, 3], 4: [], 5: [3, 0, 1, 2]}
     shared = {label: _gauss(label, rng.standard_normal(dz), random_spd(rng, dz), 3)
@@ -326,17 +326,19 @@ def test_alignment_inputs_match_distinct_targets_reference(dz):
                     3: shared[3]},
                 4: {0: shared[0]},
                 5: dict(shared)}
+    copied = {cid: copy.deepcopy(reps) for cid, reps in received.items()}
     targets = distinct_kl_targets(received)
     for ids in ([0, 1, 2], [3, 4, 5], [2, 4]):
         plan = group_plan([_train_graph(train[i]) for i in ids])
-        got = alignment_inputs(plan, [received.get(i, {}) for i in ids])
         want = matched_alignment_inputs(plan, [targets.get(i) for i in ids])
-        if ids == [2, 4]:  # no class of either member has a representative
-            assert got is None and want is None
-            continue
-        assert len(got) == len(want) == 5
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+        for source in (received, copied):
+            got = alignment_inputs(plan, [source.get(i, {}) for i in ids])
+            if ids == [2, 4]:  # no class of either member has a representative
+                assert got is None and want is None
+                continue
+            assert len(got) == len(want) == 5
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 
 
 def test_alignment_path_rejects_nonpositive_variance():

@@ -191,7 +191,7 @@ def test_build_structural_map_mean_coefficients():
         want = np.mean([coeffs[c] for c in members], axis=0)
         assert np.allclose(smap.mean_coefficients[cluster], want)
         for cid in members:
-            assert np.allclose(smap.coefficients_for(cid), want)
+            assert np.allclose(smap.mean_coefficients[smap.assignments[cid]], want)
 
 
 # --- coefficient losses --------------------------------------------------------------

@@ -159,9 +159,11 @@ def laplacian_powers(g: LocalGraph, order: int) -> list[np.ndarray]:
 
     L = I - D^{-1/2} A D^{-1/2} is applied from the edge list: each edge
     (u, v) of weight w = 1/sqrt(deg_u deg_v) moves w·x[v] out of row u and
-    w·x[u] out of row v. Isolated nodes keep the unit diagonal. One
-    `np.bincount` over flattened (row·d + column) slots sums, per slot, x
-    and then the row-u and row-v terms in edge order.
+    w·x[u] out of row v. Isolated nodes keep the unit diagonal. Per power,
+    one `np.bincount` per column x of rows [0..n-1 | u | v], weighted by
+    [1 | -w | -w]·x[0..n-1 | v | u], needs O(n + |E|) scratch. Each entry
+    sums 0, 1·x = x, its row-u then row-v terms in edge order: the order,
+    and so the bits, of one bincount over flattened (row·d + column) slots.
     """
     if order < 0:
         raise ContractError(f"order must be >= 0, got {order}")
@@ -171,16 +173,14 @@ def laplacian_powers(g: LocalGraph, order: int) -> list[np.ndarray]:
     inv_sqrt = np.zeros(n)
     pos = deg > 0
     inv_sqrt[pos] = 1.0 / np.sqrt(deg[pos])
-    weight = (inv_sqrt[u] * inv_sqrt[v])[:, None]
-    cols = np.arange(d)
-    slots = np.concatenate([np.arange(n * d), (u[:, None] * d + cols).ravel(),
-                            (v[:, None] * d + cols).ravel()])
-    powers = [np.ascontiguousarray(g.features.copy())]
+    neg_weight = -(inv_sqrt[u] * inv_sqrt[v])
+    rows, src = np.concatenate([np.arange(n), u, v]), np.concatenate([np.arange(n), v, u])
+    scale = np.concatenate([np.ones(n), neg_weight, neg_weight])
+    powers = [g.features.copy()]
+    x = powers[0].T
     for _ in range(order):
-        x = powers[-1]
-        terms = np.concatenate([x.ravel(), (-weight * x[v]).ravel(),
-                                (-weight * x[u]).ravel()])
-        powers.append(np.bincount(slots, weights=terms, minlength=n * d).reshape(n, d))
+        x = np.array([np.bincount(rows, scale * col[src], n) for col in x]).reshape(d, n)
+        powers.append(np.ascontiguousarray(x.T))
     return powers
 
 
@@ -577,13 +577,17 @@ def load_dataset(path) -> FederationDataset:
         raise ConfigError("manifest.json must contain a JSON object")
     where = str(root / "manifest.json")
     _check_keys(manifest, _MANIFEST_KEYS, where)
-    clients = tuple(load_graph(root / name) for name in manifest["files"])
-    for name, g in zip(manifest["files"], clients):
+    files = manifest["files"]
+    bad = [x for x in files if type(x) is not str] if isinstance(files, list) else [files]
+    if bad:
+        raise ConfigError(f"{where}: files must be a list of file names, got {bad[0]!r}")
+    clients = tuple(load_graph(root / name) for name in files)
+    for name, g in zip(files, clients):
         if not g.train_idx.size:
             raise ConfigError(f"{root / name}: masks.train is empty; every client"
                               " needs train rows")
     if len(clients) != _json_int(manifest["clients"], where, "clients"):
-        raise ConfigError("manifest client count does not match file list")
+        raise ConfigError(f"{where}: clients does not match the {len(clients)} files")
     maps = manifest["node_maps"]
     if not isinstance(maps, list) or len(maps) != len(clients):
         raise ConfigError(f"{where}: node_maps must hold one map per client file"
@@ -592,11 +596,10 @@ def load_dataset(path) -> FederationDataset:
         if len(_json_ints(node_map, where, f"node_maps[{i}]")) != g.n:
             raise ConfigError(f"{where}: node_maps[{i}] has {len(node_map)} entries,"
                               f" client {i} has {g.n} nodes")
+    num_classes, feature_dim, dropped = (_json_int(manifest[key], where, key) for key in
+                                         ("num_classes", "feature_dim", "dropped_edges"))
     try:
-        return FederationDataset(
-            clients, _json_int(manifest["num_classes"], where, "num_classes"),
-            _json_int(manifest["feature_dim"], where, "feature_dim"), manifest["task"],
-            tuple(np.asarray(m, dtype=np.int64) for m in maps),
-            _json_int(manifest["dropped_edges"], where, "dropped_edges"))
-    except (ContractError, ShapeError) as exc:
+        return FederationDataset(clients, num_classes, feature_dim, manifest["task"],
+                                 tuple(np.asarray(m, dtype=np.int64) for m in maps), dropped)
+    except (ConfigError, ContractError, ShapeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc

@@ -279,6 +279,32 @@ def normalized_laplacian(g) -> np.ndarray:
     return lap
 
 
+def reference_laplacian_powers(g, order: int) -> list:
+    """graphs.laplacian_powers as one bincount over all n·d entries per power.
+
+    Flattened (row·d + column) slots each sum x, then the row-u and the
+    row-v edge terms in edge order; the column-at-a-time library version
+    must give the same bits.
+    """
+    n, d = g.features.shape
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    deg = np.bincount(g.edges.ravel(), minlength=n)
+    inv_sqrt = np.zeros(n)
+    pos = deg > 0
+    inv_sqrt[pos] = 1.0 / np.sqrt(deg[pos])
+    weight = (inv_sqrt[u] * inv_sqrt[v])[:, None]
+    cols = np.arange(d)
+    slots = np.concatenate([np.arange(n * d), (u[:, None] * d + cols).ravel(),
+                            (v[:, None] * d + cols).ravel()])
+    powers = [g.features.copy()]
+    for _ in range(order):
+        x = powers[-1]
+        terms = np.concatenate([x.ravel(), (-weight * x[v]).ravel(),
+                                (-weight * x[u]).ravel()])
+        powers.append(np.bincount(slots, weights=terms, minlength=n * d).reshape(n, d))
+    return powers
+
+
 def dense_synth_dataset(spec, seed: int):
     """synth_dataset from one (n, n) uniform draw and full n x n masks."""
     rng = stream(seed, "synth")

@@ -143,7 +143,9 @@ def test_forward_reads_the_plan_built_at_setup():
 def test_setup_and_round_memory_targets():
     # dataset setup of the 4,800-node benchmark graph, then one 10,000-node
     # client (60k edges) through setup and a training round; a dense n x n
-    # float matrix alone would be 184 MB and 800 MB
+    # float matrix alone would be 184 MB and 800 MB. The client peaks at about
+    # 41 MiB; Laplacian powers built with one bincount over all n·d entries
+    # (O((n + |E|)·d) scratch) take it to 99 MiB and fail the 64 MiB bound.
     spec = SynthSpec(num_nodes=4800, num_classes=4, feature_dim=24,
                      p_intra=0.006, p_inter=0.0012, mean_scale=1.0)
     n, m, d, c = 10_000, 60_000, 24, 4
@@ -167,7 +169,7 @@ def test_setup_and_round_memory_targets():
     finally:
         tracemalloc.stop()
     assert synth_peak < 32 * 2 ** 20, f"synth_dataset peak {synth_peak / 2 ** 20:.1f} MB"
-    assert client_peak < 200 * 2 ** 20, f"10k-node client peak {client_peak / 2 ** 20:.1f} MB"
+    assert client_peak < 64 * 2 ** 20, f"10k-node client peak {client_peak / 2 ** 20:.1f} MB"
 
 
 def test_checkpoint_is_written_one_client_at_a_time(tmp_path):

@@ -1,5 +1,6 @@
 """Graph substrate checks: Laplacian hand values and spectral range,
-edge-list powers and row-blocked synthesis against dense references,
+edge-list powers and row-blocked synthesis against dense references, the
+column-at-a-time powers bit for bit against one flattened bincount,
 edge canonicalisation, split/partition properties and the array
 partitioner against a loop oracle, SBM synthesis determinism, strict JSON
 I/O."""
@@ -20,7 +21,8 @@ from fedssa.graphs import (PAIR_BLOCK, FederationDataset, LocalGraph,
                            synth_dataset)
 from fedssa.rng import spawn_key, stream
 from helpers import (dense_synth_dataset, greedy_assignment_loop, homophily_ratio,
-                     induced_edges_loop, normalized_laplacian, partition_loop)
+                     induced_edges_loop, normalized_laplacian, partition_loop,
+                     reference_laplacian_powers)
 
 
 def _graph(features, labels, edges, train=None, val=None, test=None):
@@ -116,6 +118,49 @@ def test_laplacian_powers_match_dense_reference(case):
     assert np.array_equal(got[0], g.features)
     for k in range(1, 5):
         assert np.max(np.abs(got[k] - want[k])) <= 1e-12
+
+
+def _complete_graph(rng, d):
+    n = 9
+    return _graph(rng.standard_normal((n, d)), [0] * n,
+                  [[i, j] for i in range(n) for j in range(i + 1, n)])
+
+
+def _signed_zero_graph(rng, d):
+    """Features of 0.0, -0.0 and a few nonzeros: a zero's sign shows in tobytes()."""
+    edges = rng.integers(0, 30, (60, 2))
+    return _graph(rng.choice([0.0, -0.0, -0.0, 1.5, -2.0], size=(40, d)), [0] * 40,
+                  edges[edges[:, 0] != edges[:, 1]])
+
+
+def _sbm(n):
+    """A seeded SBM of about 8 intra-class neighbours per node."""
+    return lambda rng, d: synth_dataset(
+        SynthSpec(n, 3, d, min(1.0, 8.0 / n), min(1.0, 1.5 / n)), int(rng.integers(100)))
+
+
+_POWER_GRAPHS = {
+    "edgeless": lambda rng, d: _graph(rng.standard_normal((7, d)), [0] * 7,
+                                      np.zeros((0, 2))),
+    "single-edge": lambda rng, d: _graph(rng.standard_normal((2, d)), [0, 1], [[0, 1]]),
+    "isolated-nodes": lambda rng, d: _graph(rng.standard_normal((12, d)), [0] * 12,
+                                            [[1, 3], [3, 5], [5, 1], [0, 7]]),
+    "complete": _complete_graph,
+    "signed-zeros": _signed_zero_graph,
+    **{f"sbm-{n}": _sbm(n) for n in (2, 75, 150, 1200)},
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 24, 33])
+@pytest.mark.parametrize("name", sorted(_POWER_GRAPHS))
+def test_laplacian_powers_bit_identical_to_flattened_bincount(name, d):
+    g = _POWER_GRAPHS[name](np.random.default_rng(d), d)
+    for order in (0, 1, 6):
+        got, want = laplacian_powers(g, order), reference_laplacian_powers(g, order)
+        assert len(got) == len(want) == order + 1
+        for a, b in zip(got, want):
+            assert a.shape == b.shape == g.features.shape and a.flags.c_contiguous
+            assert a.tobytes() == b.tobytes()
 
 
 def test_laplacian_powers_rejects_negative_order():
@@ -591,6 +636,30 @@ def test_dataset_manifest_rejects_bad_node_maps(tmp_path, edit, message):
     (out / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ConfigError, match=message.replace("[", r"\[")):
         load_dataset(out)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("files", [5, "client_001.json", "client_002.json"],
+     "files must be a list of file names, got 5"),
+    ("files", None, "files must be a list of file names, got None"),
+    ("files", "client_000.json",
+     "files must be a list of file names, got 'client_000.json'"),
+    ("task", "regression", "unknown task 'regression'"),
+    ("num_classes", 3, "binary-auc task requires exactly 2 classes"),
+    ("clients", 2, "clients does not match the 3 files"),
+], ids=["integer-file", "null-files", "string-files", "unknown-task", "auc-classes",
+        "client-count"])
+def test_dataset_manifest_errors_name_the_manifest(tmp_path, field, value, message):
+    g = synth_dataset(SynthSpec(30, 2, 3, 0.2, 0.05), 5)
+    out = tmp_path / "ds"
+    save_dataset(partition_nonoverlap(g, 3, seed=6, task="binary-auc"), out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest[field] = value
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError) as err:
+        load_dataset(out)
+    assert str(err.value).startswith(f"{out / 'manifest.json'}: ")
+    assert message in str(err.value)
 
 
 def _set_cols(obj, cols):

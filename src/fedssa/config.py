@@ -20,6 +20,7 @@ the `RunConfig` field default.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
@@ -72,12 +73,14 @@ def _reject_unknown(obj: dict, allowed, where: str) -> None:
 def _get(obj: dict, key: str, default, where: str, kind=None, choices=None):
     """obj[key], or default when absent, checked against kind (the type of
     default unless given). An integer passes as a number and comes back as a
-    float; a bool passes only as a bool."""
+    float; a bool passes only as a bool; a number must be finite."""
     value = obj.get(key, default)
     kind = kind or type(default)
     if (isinstance(value, bool) != (kind is bool)
             or not isinstance(value, (int, float) if kind is float else kind)):
         raise ConfigError(f"{where}.{key} must be {_EXPECTED[kind]}, got {value!r}")
+    if kind is float and not abs(value) <= sys.float_info.max:  # nan, inf or too large
+        raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
     if choices is not None and value not in choices:
         raise ConfigError(f"{where}.{key} must be one of {tuple(choices)}, got {value!r}")
     return float(value) if kind is float else value

@@ -86,6 +86,9 @@ class RunConfig:
         for name, value, low in checks:
             if int(value) != value or value < low:
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value}")
+        for name in ("lambda1", "lambda2", "lr", "w_max"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ConfigError("lambda1 and lambda2 must be >= 0")
         if self.lr <= 0:
@@ -131,8 +134,8 @@ class ClientState:
 class ClientGroup:
     """Clients with one (n, d), trained on one stacked tape per epoch.
 
-    params, adam, h_stack and x_in hold one leading row per member, in the
-    order of states; each member's ClientState params are views of its row.
+    params, adam, h_stack and x_in (None without the VGAE) hold one leading
+    row per member, in states order; each member's params view its row.
     """
 
     states: list
@@ -140,7 +143,7 @@ class ClientGroup:
     params: dict
     adam: AdamState
     h_stack: np.ndarray
-    x_in: np.ndarray
+    x_in: Optional[np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -291,9 +294,13 @@ def group_clients(dataset: FederationDataset, cfg: RunConfig,
     structural branch) and encoder input are computed once, so a
     rank-deficient client is named before any later one. Each group stacks
     its members' inputs and a copy of params0 per member, starts its Adam
-    moments at zero and builds its plan.
+    moments at zero and builds its plan. Only the semantic channel reads the
+    VGAE, so any other run keeps params0's w and head_* alone and no encoder input.
     """
     framed = cfg.method == "fedssa" and cfg.structural
+    vgae = cfg.method == "fedssa" and cfg.semantic
+    params0 = {name: a for name, a in params0.items()
+               if vgae or name == "w" or name.startswith("head_")}
     by_shape: dict = {}
     members: list = []
     for client_id, graph in enumerate(dataset.clients):
@@ -305,7 +312,7 @@ def group_clients(dataset: FederationDataset, cfg: RunConfig,
             group = by_shape[shape] = []
             members.append(group)
         group.append((client_id, graph, energy, stack_powers(powers),
-                      encoder_input(graph, dataset.num_classes)))
+                      encoder_input(graph, dataset.num_classes) if vgae else None))
         del powers  # free them before the next client's are built (peak memory)
     groups = []
     for group in members:
@@ -323,7 +330,7 @@ def _stack(members: list, task: str, params0: dict) -> ClientGroup:
               for i, (cid, graph, energy) in enumerate(zip(ids, graphs, energies))]
     return ClientGroup(states=states, plan=group_plan(list(graphs)), params=params,
                        adam=AdamState.fresh(params), h_stack=np.stack(h_rows),
-                       x_in=np.stack(x_rows))
+                       x_in=None if x_rows[0] is None else np.stack(x_rows))
 
 
 def _adam_step(arrays: dict, grads: dict, st: AdamState, lr: float) -> None:
@@ -338,29 +345,30 @@ def _adam_step(arrays: dict, grads: dict, st: AdamState, lr: float) -> None:
         arr -= step
 
 
-def _loss_parts(group: ClientGroup, w_bar: Optional[np.ndarray], cfg: RunConfig,
-                eps: np.ndarray, nonedges: list, aligned: Optional[tuple]) -> tuple:
+def _loss_parts(group: ClientGroup, w_bar: Optional[np.ndarray], aligned: Optional[tuple],
+                cfg: RunConfig, seed: int, phase: str, *key) -> tuple:
     """Assemble one stacked forward pass; returns (tape, leaves, parts dict).
 
     w_bar stacks the members' broadcast coefficients (or is None), and
     aligned holds the group's alignment_inputs (None without a matching
-    representative). Besides the per-member loss terms, parts holds the
-    logits and, for fedssa with the semantic branch, the class [mean | var]
-    moments (None otherwise).
+    representative). A group with an encoder input adds the VGAE, on eps
+    and non-edges from the {phase}-eps and {phase}-nonedges streams at key.
+    Besides the per-member loss terms (None when unused), parts holds the
+    logits and the class [mean | var] moments (None without the VGAE).
     """
     plan = group.plan
     tape = tp.Tape()
     leaves = {name: tape.leaf(a, name) for name, a in group.params.items()}
     _p, logits = logits_path(leaves, group.h_stack, plan.n,
                              group.h_stack.shape[-1] // plan.n)
-    ce = ce_path(logits, plan)
-    mu, logvar = encoder_path(leaves, group.x_in)
-    vgae_term = elbo_path(mu, logvar, plan, eps, nonedges)
-    total = tp.add(ce, vgae_term)
-    moments = None
-    node_term = None
-    struct_term = None
-    if cfg.method == "fedssa" and cfg.semantic:
+    total = ce = ce_path(logits, plan)
+    vgae_term = moments = node_term = struct_term = None
+    if group.x_in is not None:
+        eps = stream(seed, f"{phase}-eps", *key).standard_normal((plan.n, cfg.latent_dim))
+        mu, logvar = encoder_path(leaves, group.x_in)
+        vgae_term = elbo_path(mu, logvar, plan, eps,
+                              _samples(plan, seed, f"{phase}-nonedges", *key))
+        total = tp.add(total, vgae_term)
         moments = tp.segment_moments(mu, logvar, plan.classes)
         if aligned is not None:
             node_term = tp.diag_gaussian_kl(moments, *aligned)
@@ -368,6 +376,10 @@ def _loss_parts(group: ClientGroup, w_bar: Optional[np.ndarray], cfg: RunConfig,
     if cfg.method == "fedssa" and cfg.structural:
         struct_term = tp.coefficient_penalty(leaves["w"], w_bar, cfg.lambda1, cfg.lambda2)
         total = tp.add(total, struct_term)
+    loss = total.value
+    if not np.isfinite(loss).all():
+        raise NumericError("non-finite loss",
+                           members=np.flatnonzero(~np.isfinite(loss.reshape(-1))))
     parts = {"ce": ce, "vgae": vgae_term, "node": node_term,
              "struct": struct_term, "total": total, "logits": logits,
              "moments": moments}
@@ -396,33 +408,27 @@ def train_group(group: ClientGroup, w_bar: Optional[np.ndarray], aligned: Option
     w_bar stacks the members' broadcast cluster coefficients (None before
     any), and aligned holds the group's alignment_inputs, which every
     forward of the round reads (None without a matching representative).
-    Every member reads the same train-eps and eval-eps draw, and samples
-    its own non-edges. A non-finite loss or gradient, or a nonpositive class
-    variance, in any member rolls every member's parameters and the
-    group's Adam state back to their values at round entry and raises
-    TrainingDivergenceError naming the lowest-id diverging client. With
-    epochs == 0 the parameters are untouched.
+    With the VGAE, every member reads the same eps draw and samples its own
+    non-edges. A non-finite loss or gradient, or a nonpositive class
+    variance, in any member and any forward, the evaluation's too, rolls
+    every member's parameters and the group's Adam state back to their
+    values at round entry and raises TrainingDivergenceError naming the
+    lowest-id diverging client; a local or fedavg group has no VGAE value
+    to roll it back. With epochs == 0 the parameters are untouched.
     """
-    plan = group.plan
-    shape = (plan.n, cfg.latent_dim)
     snapshot = ({name: a.copy() for name, a in group.params.items()}, group.adam.copy())
     try:
         for epoch in range(cfg.epochs):
-            eps = stream(seed, "train-eps", round_index, epoch).standard_normal(shape)
-            _train_step(group, w_bar, cfg, eps,
-                        _samples(plan, seed, "train-nonedges", round_index, epoch),
-                        aligned)
+            _train_step(group, w_bar, aligned, cfg, seed, round_index, epoch)
+        # One evaluation pass on its own streams, for round metrics and the uploads.
+        _tape, _leaves, parts = _loss_parts(group, w_bar, aligned, cfg, seed, "eval",
+                                            round_index)
     except NumericError as exc:
         for name, arr in snapshot[0].items():
             group.params[name][...] = arr
         group.adam = snapshot[1]
         ids = [group.states[m].client_id for m in exc.members or range(len(group.states))]
         raise _diverged(ids, round_index, exc) from exc
-    # One evaluation pass on its own streams, for round metrics and the uploads.
-    eval_eps = stream(seed, "eval-eps", round_index).standard_normal(shape)
-    _tape, _leaves, parts = _loss_parts(group, w_bar, cfg, eval_eps,
-                                        _samples(plan, seed, "eval-nonedges", round_index),
-                                        aligned)
     members = len(group.states)
     losses = {name: np.zeros(members) if parts[name] is None
               else parts[name].value.reshape(-1) for name in ("ce", "vgae", "node", "struct")}
@@ -431,15 +437,12 @@ def train_group(group: ClientGroup, w_bar: Optional[np.ndarray], aligned: Option
         class_moments=parts["moments"].value if parts["moments"] is not None else None)
 
 
-def _train_step(group: ClientGroup, w_bar: Optional[np.ndarray], cfg: RunConfig,
-                eps: np.ndarray, nonedges: list, aligned: Optional[tuple]) -> None:
+def _train_step(group: ClientGroup, w_bar: Optional[np.ndarray], aligned: Optional[tuple],
+                cfg: RunConfig, seed: int, round_index: int, epoch: int) -> None:
     """One stacked forward, backward and Adam step; the tape dies on return,
     before the next forward is recorded."""
-    tape, leaves, parts = _loss_parts(group, w_bar, cfg, eps, nonedges, aligned)
-    loss = parts["total"].value
-    if not np.isfinite(loss).all():
-        raise NumericError("non-finite loss",
-                           members=np.flatnonzero(~np.isfinite(loss.reshape(-1))))
+    tape, leaves, parts = _loss_parts(group, w_bar, aligned, cfg, seed, "train",
+                                      round_index, epoch)
     grads = tp.grad(tape, parts["total"])
     _adam_step(group.params, {name: grads[var] for name, var in leaves.items()},
                group.adam, cfg.lr)

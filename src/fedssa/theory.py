@@ -153,6 +153,12 @@ class ContractionResult:
     fixed_point: float
 
 
+def _require_finite(**values) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ContractError(f"{name} must be finite, got {value}")
+
+
 def contraction_simulate(l_f: float, lam_f: float, dist0: float, floor: float,
                          rounds: int) -> ContractionResult:
     """Iterate d_{t+1} = rho d_t + floor / L_F and check the closed form.
@@ -161,6 +167,7 @@ def contraction_simulate(l_f: float, lam_f: float, dist0: float, floor: float,
     rho^t d_0 + ((L_F + lam_F) / (lam_F L_F)) * floor; the sequence must
     stay below it at every step (asserted to 1e-12).
     """
+    _require_finite(l_f=l_f, lam_f=lam_f, dist0=dist0, floor=floor)
     if not (0 < lam_f <= l_f):
         raise ContractError(f"need 0 < lam_f <= l_f, got lam_f={lam_f}, l_f={l_f}")
     if dist0 < 0 or floor < 0:
@@ -187,6 +194,7 @@ def rounds_to_reach(l_f: float, lam_f: float, dist0: float, xi: float) -> int:
 
     T = ceil(((L_F + lam_F) / lam_F) * ln(dist0 / xi)), clamped at 0.
     """
+    _require_finite(l_f=l_f, lam_f=lam_f, dist0=dist0, xi=xi)
     if not (0 < lam_f <= l_f):
         raise ContractError(f"need 0 < lam_f <= l_f, got lam_f={lam_f}, l_f={l_f}")
     if xi <= 0 or dist0 < 0:

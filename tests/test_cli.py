@@ -254,7 +254,7 @@ def test_divergence_exits_3(tmp_path, capsys):
     raw = {"dataset": dict(TWO_REGIME["dataset"]),
            "method": "local",
            "hyperparams": {"T": 1, "E": 2, "K": 3, "d_z": 4, "h": 8,
-                           "lr": 1e200},
+                           "lr": 1.0e+308},
            "seed": 0}
     cfg = _write_cfg(tmp_path, raw)
     out = tmp_path / "out"
@@ -268,6 +268,24 @@ def test_divergence_exits_3(tmp_path, capsys):
     for path in out.iterdir():
         assert len(path.read_text().splitlines()) == 1
     assert _read_rows(out / "metrics.csv") == (list(cli.METRICS_HEADER), [])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("method", ["local", "fedssa"])
+def test_divergence_in_the_evaluation_forward_exits_3(tmp_path, capsys, method):
+    # with E = 1 the first non-finite value appears in the evaluation
+    # forward, not in training; it still exits 3 before any round completes
+    raw = {"dataset": dict(TWO_REGIME["dataset"]),
+           "method": method,
+           "hyperparams": {"T": 2, "E": 1, "K": 3, "d_z": 4, "h": 8,
+                           "lr": 1.0e+308},
+           "seed": 0}
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write_cfg(tmp_path, raw), "--out", str(out)]) == 3
+    assert "diverged in round 1" in capsys.readouterr().err
+    assert not (out / "checkpoint.json").exists()
+    for path in out.iterdir():
+        assert len(path.read_text().splitlines()) == 1, path.name
 
 
 def test_divergence_in_round_3_leaves_rounds_1_and_2(tmp_path, capsys, monkeypatch):
@@ -425,6 +443,18 @@ def test_diagnose_after_run(tmp_path):
     assert len(payload["distances"]) == 11
     assert set(payload["schedule_rounds"]) == {"0.1", "0.001", "1e-06"}
     assert payload["error_floor"] >= 0.0
+
+
+def test_diagnose_rejects_nonfinite_flags_with_exit_4(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, TWO_REGIME)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    for flag, value, name in (("--dist0", "nan", "dist0"), ("--dist0", "inf", "dist0"),
+                              ("--l-f", "inf", "l_f")):
+        assert main(["diagnose", "--run", str(out), flag, value]) == 4
+        assert f"ContractError: {name} must be finite" in capsys.readouterr().err
+    assert not (out / "diagnose.json").exists()
 
 
 def test_diagnose_needs_finished_run(tmp_path):

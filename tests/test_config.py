@@ -134,6 +134,18 @@ def test_invalid_hyperparams_rejected_by_run_validation():
         parse_config(_minimal(hyperparams={"k_node": 0}))
     with pytest.raises(ConfigError, match="lr"):
         parse_config(_minimal(hyperparams={"lr": -0.1}))
+    nan, inf = float("nan"), float("inf")
+    for raw, key in ((_minimal(hyperparams={"lr": nan}), "hyperparams.lr"),
+                     (_minimal(hyperparams={"lambda1": inf}), "hyperparams.lambda1"),
+                     (_minimal(hyperparams={"w_max": nan}), "hyperparams.w_max"),
+                     ({"dataset": {"kind": "synthetic", "noise": nan}}, "dataset.noise"),
+                     (_minimal(hyperparams={"lr": 10 ** 400}), "hyperparams.lr")):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            parse_config(raw)
+    for name, value in (("lr", nan), ("lambda1", inf), ("lambda2", -inf), ("w_max", nan),
+                        ("w_max", inf)):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            RunConfig(**{name: value}).validate()
 
 
 def test_w_max_below_the_identity_start_is_rejected():
@@ -230,7 +242,11 @@ def test_every_key_rejects_wrong_types(section, key, base, default):
         message = f"{section}.{key} must be {_EXPECTED[kind]}, got {value!r}"
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(_with(base, section, key, value))
-    if kind is float:  # an integer passes as a number and parses to a float
+    if kind is float:  # a number must be finite
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigError, match=re.escape(f"{section}.{key} must be finite")):
+                parse_config(_with(base, section, key, value))
+        # an integer passes as a number and parses to a float
         value = _parsed(parse_config(_with(base, section, key, 1)), section, key)
         assert value == 1.0 and type(value) is float
 

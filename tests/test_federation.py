@@ -67,17 +67,14 @@ def _alone(graph, cfg):
 
 
 def _forward(group, cfg, broadcasts=None):
-    """One training forward of a group on fixed draws: (tape, leaves, parts)."""
+    """Round 1's first training forward of a group: (tape, leaves, parts)."""
     broadcasts = broadcasts or {}
-    eps = stream(0, "eps").standard_normal((group.plan.n, cfg.latent_dim))
-    nonedges = [sample_nonedges(group.plan, m, count, stream(0, "ne"))
-                for m, count in enumerate(group.plan.nonedge_counts)]
     received = [broadcasts.get(s.client_id) for s in group.states]
     coeffs = [getattr(b, "cluster_coefficients", None) for b in received]
     aligned = alignment_inputs(group.plan, [getattr(b, "class_representatives", {})
                                             for b in received])
-    return _loss_parts(group, None if coeffs[0] is None else np.stack(coeffs), cfg, eps,
-                       nonedges, aligned)
+    return _loss_parts(group, None if coeffs[0] is None else np.stack(coeffs), aligned, cfg,
+                       0, "train", 1, 0)
 
 
 # --- training memory -----------------------------------------------------------
@@ -392,10 +389,54 @@ def test_zero_epochs_leaves_parameters_untouched():
                                    seed=9)
     after = run_federation_detailed(ds, _tiny_cfg(method="local", rounds=1,
                                                   epochs=0), seed=9)
-    want = init.states[0].params["w"].tobytes()
-    assert after.states[0].params["w"].tobytes() == want
-    assert after.states[0].params["enc_w1"].tobytes() == \
-        init.states[0].params["enc_w1"].tobytes()
+    want = init.states[0].params
+    assert list(after.states[0].params) == list(want) == [
+        "w", "head_w1", "head_b1", "head_w2", "head_b2"]
+    for name, arr in after.states[0].params.items():
+        assert arr.tobytes() == want[name].tobytes(), name
+
+
+# the two-regime data of the CI console-script step
+CI_TWO_REGIME = {"clients_per_regime": 2, "nodes_per_client": 20, "classes": 2,
+                 "features": 6, "p_intra_a": 0.5, "p_inter_a": 0.1, "p_intra_b": 0.1,
+                 "p_inter_b": 0.5, "mean_scale": 2.0, "noise": 1.0, "task": "multiclass"}
+
+
+def _classifier_trace(history) -> bytes:
+    """Every round's per-client ce, struct and split metrics, as bits."""
+    return np.array([(s.ce, s.struct, s.train_metric, s.val_metric, s.test_metric)
+                     for rm in history for _cid, s in sorted(rm.per_client.items())]).tobytes()
+
+
+@pytest.mark.parametrize("run, reference", [
+    (dict(method="fedssa", semantic=False), dict(method="fedssa", semantic=True)),
+    (dict(method="local"), dict(method="fedssa", semantic=True, structural=False)),
+    (dict(method="local"), dict(method="fedssa", semantic=False, structural=False)),
+], ids=["no_semantic-vs-full", "local-vs-no_structural", "local-vs-neither"])
+def test_classifier_never_reads_the_vgae(run, reference):
+    # the semantic-on runs train the VGAE and align it; the classifier
+    # shares no parameter or draw with it, so it follows the same path
+    ds = two_regime_federation(CI_TWO_REGIME, 0)
+    base = dict(rounds=6, epochs=2, order=3, k_node=2, k_struct=2, lr=0.05,
+                latent_dim=4, hidden=8)
+    got = run_federation_detailed(ds, RunConfig(**base, **run), seed=0).history
+    want = run_federation_detailed(ds, RunConfig(**base, **reference), seed=0).history
+    assert _classifier_trace(got) == _classifier_trace(want)
+
+
+@pytest.mark.parametrize("overrides, vgae", [
+    (dict(), True), (dict(structural=False), True), (dict(semantic=False), False),
+    (dict(method="fedavg"), False), (dict(method="local"), False)],
+    ids=["full", "no_structural", "no_semantic", "fedavg", "local"])
+def test_only_the_semantic_channel_trains_a_vgae(overrides, vgae):
+    cfg = _tiny_cfg(**overrides)
+    (group,) = _groups(_tiny_dataset().clients, cfg)
+    assert (group.x_in is not None) == vgae
+    head = ["w", "head_w1", "head_b1", "head_w2", "head_b2"]
+    assert (list(group.params) == head) != vgae
+    assert list(group.adam.m) == list(group.params)
+    stats, _uploads = local_round([group], {}, cfg, 0, 1)
+    assert all((s.vgae != 0.0) == vgae for s in stats.values())
 
 
 def test_history_shape_and_round_indexing():
@@ -450,9 +491,8 @@ def _broadcast_size(coefficients: int, d: int, reps: int) -> int:
 
 
 def _params_size(order: int, features: int, hidden: int, classes: int, d: int) -> int:
-    floats = (order + 1 + hidden * (features + 1) + classes * (hidden + 1)
-              + hidden * (features + classes + 1) + 2 * d * (hidden + 1))
-    return 4 * 11 + 8 * floats  # the 11 arrays of init_params
+    floats = order + 1 + hidden * (features + 1) + classes * (hidden + 1)
+    return 4 * 5 + 8 * floats  # w and the 4 head arrays: FedAvg trains no VGAE
 
 
 def test_upload_carries_only_statistics():
@@ -575,7 +615,9 @@ def test_wire_form_is_lossless(monkeypatch):
                 assert np.array_equal(mean, rep.mean) and np.array_equal(cov, rep.cov)
             assert np.array_equal(coeffs, bc.cluster_coefficients)
     cfg = _tiny_cfg()
-    template = init_params(DIM, 2, cfg.order, cfg.hidden, cfg.latent_dim, stream(0, "init"))
+    template = {name: a for name, a in init_params(DIM, 2, cfg.order, cfg.hidden,
+                                                   cfg.latent_dim, stream(0, "init")).items()
+                if name == "w" or name.startswith("head_")}
     for params, message in _fedavg_messages(monkeypatch):
         decoded = decode_params(message, template)
         assert list(decoded) == list(params)
@@ -777,10 +819,10 @@ def test_fedavg_with_identical_clients_matches_solo_training():
     one = run_federation_detailed(solo, _tiny_cfg(method="local", rounds=3),
                                   seed=4)
     a, b = avg.states
-    assert a.params["w"].tobytes() == b.params["w"].tobytes()
-    assert a.params["mu_w"].tobytes() == b.params["mu_w"].tobytes()
-    assert a.params["w"].tobytes() == one.states[0].params["w"].tobytes()
-    assert a.params["head_w1"].tobytes() == one.states[0].params["head_w1"].tobytes()
+    assert list(a.params) == list(one.states[0].params)
+    for name, arr in a.params.items():
+        assert arr.tobytes() == b.params[name].tobytes(), name
+        assert arr.tobytes() == one.states[0].params[name].tobytes(), name
 
 
 # --- divergence rollback --------------------------------------------------------
@@ -789,16 +831,34 @@ def test_fedavg_with_identical_clients_matches_solo_training():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_rolls_back_and_raises():
     ds = _tiny_dataset(num_clients=1)
-    cfg = _tiny_cfg(method="local", epochs=2, lr=1e200)
+    cfg = _tiny_cfg(method="local", epochs=2, lr=1.0e308)
     groups = _alone(ds.clients[0], cfg)
     state = groups[0].states[0]
-    before = {name: state.params[name].copy() for name in ("w", "head_w1", "mu_w")}
+    before = {name: a.copy() for name, a in state.params.items()}
     with pytest.raises(TrainingDivergenceError, match="client 0"):
         local_round(groups, {}, cfg, seed=0, round_index=1)
     for name, arr in before.items():
         assert state.params[name].tobytes() == arr.tobytes()
     assert groups[0].adam.t == 0
     assert all(not m.any() for m in groups[0].adam.m.values())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("method", ["local", "fedssa"])
+def test_divergence_in_the_evaluation_forward_rolls_back(method):
+    # one epoch at lr 1e308 keeps the training forward finite; the
+    # evaluation forward then meets a non-finite loss (local) or encoder
+    # leaf (fedssa), and the round rolls back as a training divergence does
+    ds = _tiny_dataset(num_clients=2)
+    cfg = _tiny_cfg(method=method, epochs=1, lr=1.0e308)
+    groups = _groups(ds.clients, cfg)
+    before = _group_snapshot(groups[0])
+    with pytest.raises(TrainingDivergenceError, match="client 0 diverged in round 1"):
+        local_round(groups, {}, cfg, seed=0, round_index=1)
+    assert _group_snapshot(groups[0]) == before
+    with pytest.raises(TrainingDivergenceError) as info:
+        run_federation_detailed(ds, cfg, seed=0)
+    assert info.value.history == ()
 
 
 def _semantic_round_inputs():
@@ -873,7 +933,7 @@ def test_indefinite_representative_in_two_groups_names_lowest_client():
 def test_divergence_propagates_from_run_federation():
     ds = _tiny_dataset(num_clients=1)
     with pytest.raises(TrainingDivergenceError):
-        run_federation_detailed(ds, _tiny_cfg(method="local", epochs=2, lr=1e200), seed=0)
+        run_federation_detailed(ds, _tiny_cfg(method="local", epochs=2, lr=1.0e308), seed=0)
 
 
 # --- server protocol ------------------------------------------------------------

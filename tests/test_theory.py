@@ -83,6 +83,9 @@ def test_contraction_fixed_point_is_stationary():
     assert np.allclose(result.distances, fp)
 
 
+_NONFINITE = (float("nan"), float("inf"), -float("inf"))
+
+
 def test_contraction_contracts_errors():
     with pytest.raises(ContractError):
         contraction_simulate(1.0, 2.0, 1.0, 0.0, 5)  # lam > L
@@ -92,6 +95,11 @@ def test_contraction_contracts_errors():
         contraction_simulate(1.0, 1.0, -1.0, 0.0, 5)
     with pytest.raises(ContractError):
         contraction_simulate(1.0, 1.0, 1.0, 0.0, -1)
+    args = dict(l_f=4.0, lam_f=1.0, dist0=1.0, floor=0.1, rounds=5)
+    for name in ("l_f", "lam_f", "dist0", "floor"):
+        for bad in _NONFINITE:
+            with pytest.raises(ContractError, match=f"{name} must be finite"):
+                contraction_simulate(**dict(args, **{name: bad}))
 
 
 def test_contraction_bound_holds_for_gradient_descent_on_quadratic():
@@ -134,6 +142,11 @@ def test_rounds_to_reach_errors():
         rounds_to_reach(1.0, 2.0, 1.0, 0.1)
     with pytest.raises(ContractError):
         rounds_to_reach(1.0, 1.0, 1.0, 0.0)
+    args = dict(l_f=4.0, lam_f=1.0, dist0=1.0, xi=1e-3)
+    for name in ("l_f", "lam_f", "dist0", "xi"):
+        for bad in _NONFINITE:
+            with pytest.raises(ContractError, match=f"{name} must be finite"):
+                rounds_to_reach(**dict(args, **{name: bad}))
 
 
 # --- KL bound audit ---------------------------------------------------------------

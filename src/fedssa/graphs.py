@@ -29,21 +29,30 @@ from .rng import stream
 
 SPLIT_FRACTIONS = (0.2, 0.4, 0.4)
 TASKS = ("multiclass", "binary-auc")
-# synth_dataset draws its node-pair uniforms this many at a time, in blocks
-# of whole rows: consecutive row blocks of one stream give the same doubles
-# as a single (n, n) draw, so the edges do not depend on the block size.
-# Each block keeps only its candidates, the entries below the larger edge
-# probability, and tests each of them against its own probability.
+# synth_dataset draws its node-pair uniforms this many at a time: pair
+# (i, j > i) reads word i·n + j of the stream, so the edges are those of a
+# single (n, n) draw and do not depend on the block size. Each block keeps
+# only its candidates, the entries below the larger edge probability, and
+# tests each of them against its own probability.
 PAIR_BLOCK = 1 << 17
+# Row i's lower-triangle prefix, its i + 1 words up to the diagonal, is not
+# drawn when it is at least this long: Philox is counter-based, and
+# Philox4x64 makes 4 words per counter value (numpy's Philox docstring), so
+# the generator jumps past the prefix by moving its counter. One jump costs
+# about as much as drawing several hundred words, so shorter prefixes are
+# drawn and discarded, in blocks of whole rows.
+JUMP_WORDS = 1024
 
 
 def _index_array(values, n: int, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int64).reshape(-1)
+    """A sorted, frozen private copy of one split's indices."""
+    arr = np.array(values, dtype=np.int64).reshape(-1)
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         raise ContractError(f"{what} indices out of range for n={n}")
-    if arr.size != np.unique(arr).size:
-        raise ContractError(f"{what} indices contain duplicates")
-    arr = np.sort(arr)
+    if not (arr[1:] > arr[:-1]).all():
+        arr.sort()
+        if (arr[1:] == arr[:-1]).any():
+            raise ContractError(f"{what} indices contain duplicates")
     arr.setflags(write=False)
     return arr
 
@@ -79,18 +88,26 @@ class LocalGraph:
                 raise ContractError("self loops are not allowed")
             lo = np.minimum(edges[:, 0], edges[:, 1])
             hi = np.maximum(edges[:, 0], edges[:, 1])
-            keys = np.unique(lo * n + hi)
-            edges = np.column_stack([keys // n, keys % n])
+            keys = lo * n + hi
+            if (keys[1:] > keys[:-1]).all():
+                edges = np.column_stack([lo, hi])
+            else:
+                keys = np.unique(keys)
+                edges = np.column_stack([keys // n, keys % n])
         else:
             edges = edges.reshape(0, 2)
-        train = _index_array(self.train_idx, n, "train")
-        val = _index_array(self.val_idx, n, "val")
-        test = _index_array(self.test_idx, n, "test")
-        for a_name, a, b_name, b in (("train", train, "val", val),
-                                     ("train", train, "test", test),
-                                     ("val", val, "test", test)):
-            if np.intersect1d(a, b).size:
-                raise ContractError(f"{a_name} and {b_name} splits overlap")
+        # owner[v] is 1 + the index in names of the first split holding v, so
+        # a clash names the earliest pair: train/val, train/test, val/test.
+        names = ("train", "val", "test")
+        splits = [_index_array(getattr(self, f"{name}_idx"), n, name) for name in names]
+        owner = np.zeros(n, dtype=np.int8)
+        for code, (name, idx) in enumerate(zip(names, splits), 1):
+            held = owner[idx]
+            if held.any():
+                raise ContractError(f"{names[held[held > 0].min() - 1]} and {name}"
+                                    " splits overlap")
+            owner[idx] = code
+        train, val, test = splits
         feats.setflags(write=False)
         labels.setflags(write=False)
         edges.setflags(write=False)
@@ -244,14 +261,18 @@ def synth_dataset(spec: SynthSpec, seed: int) -> LocalGraph:
 
     Labels are balanced up to remainder and shuffled; features are the
     class mean plus isotropic noise; each node pair i < j draws an edge with
-    probability p_intra (same label) or p_inter (otherwise), from one
-    uniform per entry of a row-major n x n draw taken a row block at a time.
-    Each block is drawn, the candidates below max(p_intra, p_inter) are
-    kept, and each candidate in the upper triangle is tested against its own
-    probability. A uniform below its own probability is below the larger
-    one too, so the edges, and their row-major order, are those of one
-    (n, n) draw compared entrywise. Splits are stratified 20/40/40.
-    Deterministic given (spec, seed).
+    probability p_intra (same label) or p_inter (otherwise), from word
+    i·n + j of the stream past the features: the uniform of entry (i, j) of
+    one row-major (n, n) draw. Rows whose prefix up to the diagonal is
+    shorter than JUMP_WORDS are drawn whole, a block of rows at a time.
+    Every later row is drawn from column i + 1 only: the Philox counter
+    (4 words per value) is advanced over the whole blocks of the prefix and
+    `random_raw` reads the rest, so about half of the n² words are drawn.
+    Each block's candidates below max(p_intra, p_inter) are kept and each
+    is tested against its own probability. A uniform below its own
+    probability is below the larger one too, so the edges, and their
+    row-major order, are those of the (n, n) draw compared entrywise.
+    Splits are stratified 20/40/40. Deterministic given (spec, seed).
     """
     rng = stream(seed, "synth")
     c, d, n = spec.num_classes, spec.feature_dim, spec.num_nodes
@@ -266,16 +287,44 @@ def synth_dataset(spec: SynthSpec, seed: int) -> LocalGraph:
     cut = max(spec.p_intra, spec.p_inter)
     buf = np.empty(min(step, n) * n)
     parts = []
-    for start in range(0, n, step):
-        draws = buf[:min(step, n - start) * n]
+
+    def keep(draws, flat, i, j):
+        hit = draws[flat] < np.where(labels[i] == labels[j], spec.p_intra, spec.p_inter)
+        parts.append(np.column_stack([i[hit], j[hit]]))
+
+    whole = min(n, JUMP_WORDS - 1)
+    for start in range(0, whole, step):
+        draws = buf[:min(step, whole - start) * n]
         rng.random(out=draws)
         flat = np.flatnonzero(draws < cut)
         i, j = np.divmod(flat, n)
         i += start
         upper = j > i
-        flat, i, j = flat[upper], i[upper], j[upper]
-        hit = draws[flat] < np.where(labels[i] == labels[j], spec.p_intra, spec.p_inter)
-        parts.append(np.column_stack([i[hit], j[hit]]))
+        keep(draws, flat[upper], i[upper], j[upper])
+    if whole < n - 1:
+        # pos is the stream index of the next word, 4·counter + buffer_pos;
+        # after any read buffer_pos >= 1, so the counter is (pos - 1) // 4.
+        bits = rng.bit_generator
+        state = bits.state
+        pos = (4 * sum(int(w) << (64 * k) for k, w in enumerate(state["state"]["counter"]))
+               + state["buffer_pos"])
+        origin = pos - whole * n
+        row = whole
+        while row < n - 1:
+            first, starts, fill = row, [], 0
+            while row < n - 1 and fill + n - 1 - row <= buf.size:
+                length, target = n - 1 - row, origin + row * n + row + 1
+                bits.advance(target // 4 - 1 - (pos - 1) // 4)
+                if target % 4:
+                    bits.random_raw(target % 4)
+                starts.append(fill)
+                rng.random(out=buf[fill:fill + length])
+                pos, fill, row = target + length, fill + length, row + 1
+            draws = buf[:fill]
+            flat = np.flatnonzero(draws < cut)
+            starts = np.asarray(starts)
+            at = np.searchsorted(starts, flat, side="right") - 1
+            keep(draws, flat, first + at, first + at + 1 + flat - starts[at])
     edges = np.concatenate(parts)
     train, val, test = stratified_split(labels, stream(seed, "synth-split"))
     return LocalGraph(features, labels, edges, train, val, test)
@@ -474,13 +523,10 @@ def graph_to_dict(g: LocalGraph) -> dict:
     return {
         "n": g.n,
         "directed": False,
-        "edges": [[int(u), int(v)] for u, v in g.edges],
-        "features": {"rows": g.n, "cols": g.feature_dim,
-                     "data": [float(x) for x in g.features.ravel()]},
-        "labels": [int(x) for x in g.labels],
-        "masks": {"train": [int(i) for i in g.train_idx],
-                  "val": [int(i) for i in g.val_idx],
-                  "test": [int(i) for i in g.test_idx]},
+        "edges": g.edges.tolist(),
+        "features": {"rows": g.n, "cols": g.feature_dim, "data": g.features.ravel().tolist()},
+        "labels": g.labels.tolist(),
+        "masks": {name: g.split(name).tolist() for name in ("train", "val", "test")},
     }
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from fedssa.errors import ShapeError
 from fedssa.federation import params_payload
-from fedssa.graphs import LocalGraph, canonical_json, stratified_split
+from fedssa.graphs import PAIR_BLOCK, LocalGraph, canonical_json, stratified_split
 from fedssa.models import COV_FLOOR
 from fedssa.rng import stream
 from fedssa.structural import projection_embedding
@@ -305,8 +305,9 @@ def reference_laplacian_powers(g, order: int) -> list:
     return powers
 
 
-def dense_synth_dataset(spec, seed: int):
-    """synth_dataset from one (n, n) uniform draw and full n x n masks."""
+def synth_prefix(spec, seed: int) -> tuple:
+    """synth_dataset's "synth" stream, labels and features, up to the first
+    node-pair uniform."""
     rng = stream(seed, "synth")
     c, d, n = spec.num_classes, spec.feature_dim, spec.num_nodes
     if spec.class_means is not None:
@@ -316,6 +317,20 @@ def dense_synth_dataset(spec, seed: int):
     labels = np.tile(np.arange(c), (n + c - 1) // c)[:n]
     rng.shuffle(labels)
     features = means[labels] + spec.noise * rng.standard_normal((n, d))
+    return rng, labels, features
+
+
+def pair_draw_offset(spec, seed: int) -> int:
+    """The Philox buffer position (0-3) that synth_dataset's first node-pair
+    uniform is read from: the stream index of the next word, mod 4."""
+    rng, _, _ = synth_prefix(spec, seed)
+    return rng.bit_generator.state["buffer_pos"] % 4
+
+
+def dense_synth_dataset(spec, seed: int):
+    """synth_dataset from one (n, n) uniform draw and full n x n masks."""
+    rng, labels, features = synth_prefix(spec, seed)
+    n = spec.num_nodes
     draws = rng.random((n, n))
     same = labels[:, None] == labels[None, :]
     prob = np.where(same, spec.p_intra, spec.p_inter)
@@ -324,6 +339,29 @@ def dense_synth_dataset(spec, seed: int):
     edges = np.column_stack([iu[hit], ju[hit]])
     train, val, test = stratified_split(labels, stream(seed, "synth-split"))
     return LocalGraph(features, labels, edges, train, val, test)
+
+
+def rowblock_synth_dataset(spec, seed: int):
+    """synth_dataset drawing every row whole, lower triangle included:
+    PAIR_BLOCK // n rows of uniforms at a time, each block's candidates
+    below max(p_intra, p_inter) kept and tested in the upper triangle. It
+    holds no n x n array, so it checks sizes dense_synth_dataset cannot."""
+    rng, labels, features = synth_prefix(spec, seed)
+    n = spec.num_nodes
+    step = max(1, PAIR_BLOCK // n)
+    cut = max(spec.p_intra, spec.p_inter)
+    parts = []
+    for start in range(0, n, step):
+        draws = rng.random(min(step, n - start) * n)
+        flat = np.flatnonzero(draws < cut)
+        i, j = np.divmod(flat, n)
+        i += start
+        upper = j > i
+        flat, i, j = flat[upper], i[upper], j[upper]
+        hit = draws[flat] < np.where(labels[i] == labels[j], spec.p_intra, spec.p_inter)
+        parts.append(np.column_stack([i[hit], j[hit]]))
+    train, val, test = stratified_split(labels, stream(seed, "synth-split"))
+    return LocalGraph(features, labels, np.concatenate(parts), train, val, test)
 
 
 def onehot_softmax_ce(logits: np.ndarray, rows, onehot: np.ndarray, bounds) -> tuple:

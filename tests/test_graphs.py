@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fedssa.errors import ConfigError, ContractError, InfeasibleError
-from fedssa.graphs import (PAIR_BLOCK, FederationDataset, LocalGraph,
+from fedssa.graphs import (JUMP_WORDS, PAIR_BLOCK, FederationDataset, LocalGraph,
                            SynthSpec, _greedy_assignment, graph_from_dict,
                            graph_to_dict, laplacian_powers, load_dataset, load_graph,
                            partition_nonoverlap, partition_overlap,
@@ -21,8 +21,8 @@ from fedssa.graphs import (PAIR_BLOCK, FederationDataset, LocalGraph,
                            synth_dataset)
 from fedssa.rng import spawn_key, stream
 from helpers import (dense_synth_dataset, greedy_assignment_loop, homophily_ratio,
-                     induced_edges_loop, normalized_laplacian, partition_loop,
-                     reference_laplacian_powers)
+                     induced_edges_loop, normalized_laplacian, pair_draw_offset,
+                     partition_loop, reference_laplacian_powers, rowblock_synth_dataset)
 
 
 def _graph(features, labels, edges, train=None, val=None, test=None):
@@ -190,6 +190,9 @@ def test_graph_canonicalizes_edges():
     (2, [[1, 0]]),                                            # a single edge
     (1, np.zeros((0, 2), dtype=np.int64)),                    # n = 1
     (40, "random"),
+    (6, [[0, 1], [0, 4], [2, 3], [3, 5]]),                    # already canonical
+    (6, [[1, 0], [0, 4], [3, 2], [5, 3]]),                    # keys ascend, some reversed
+    (6, [[0, 1], [2, 3], [2, 3], [4, 5]]),                    # ascending with a repeat
 ])
 def test_graph_edge_keys_match_row_unique(n, edges):
     if isinstance(edges, str):
@@ -225,16 +228,39 @@ def test_graph_rejects_out_of_range_edge():
 
 
 def test_graph_rejects_overlapping_splits():
-    with pytest.raises(ContractError):
-        _graph(np.eye(3), [0, 1, 0], [[0, 1]], train=[0, 1], val=[1])
+    for splits, pair in (
+            ({"train": [0, 1], "val": [1]}, "train and val"),
+            ({"train": [0, 3], "val": [1], "test": [2, 3]}, "train and test"),
+            ({"train": [0], "val": [4, 1], "test": [2, 4]}, "val and test"),
+            ({"train": [0], "val": [3, 1], "test": [1, 2]}, "val and test"),
+            # test meets both earlier splits: the train pair is named first
+            ({"train": [4, 0], "val": [1, 3], "test": [3, 2, 4]}, "train and test"),
+            # a clash between train and val is named before one with test
+            ({"train": [0, 1], "val": [1, 2], "test": [2]}, "train and val")):
+        with pytest.raises(ContractError, match=f"^{pair} splits overlap$"):
+            _graph(np.eye(5), [0, 1, 0, 1, 0], [[0, 1]], **splits)
 
 
 @pytest.mark.parametrize("split", ["train", "val", "test"])
 def test_graph_rejects_repeated_split_index(split):
-    splits = {"train": [0], "val": [1], "test": [2]}
-    splits[split] = splits[split] * 2
-    with pytest.raises(ContractError, match=f"{split} indices contain duplicates"):
-        _graph(np.eye(3), [0, 1, 0], [[0, 1]], **splits)
+    # the repeat adjacent, and apart in unsorted input
+    for repeat in (lambda idx: idx * 2, lambda idx: [idx[0], 4, idx[0]]):
+        splits = {"train": [0], "val": [1], "test": [2]}
+        splits[split] = repeat(splits[split])
+        with pytest.raises(ContractError, match=f"{split} indices contain duplicates"):
+            _graph(np.eye(5), [0, 1, 0, 1, 0], [[0, 1]], **splits)
+
+
+def test_graph_splits_are_sorted_private_copies():
+    splits = {"train": np.array([3, 0]), "val": np.array([1, 4]), "test": np.array([2])}
+    g = _graph(np.eye(5), [0, 1, 0, 1, 0], [[0, 1]], **splits)
+    for name, arr in splits.items():
+        got = g.split(name)
+        assert got.dtype == np.int64 and np.array_equal(got, np.sort(arr))
+        assert not got.flags.writeable and not np.shares_memory(got, arr)
+        # the caller's array stays writable and unchanged
+        assert arr.flags.writeable
+    assert np.array_equal(splits["train"], [3, 0])
 
 
 def test_graph_arrays_are_read_only():
@@ -358,6 +384,43 @@ def test_synth_matches_dense_reference(n, p_intra, p_inter, means):
         spec = SynthSpec(n, 3, 4, p_intra, p_inter, class_means=fixed)
         seed = spawn_key(n, "regime-client", 1)
     got, want = synth_dataset(spec, seed), dense_synth_dataset(spec, seed)
+    for name in ("edges", "features", "labels", "train_idx", "val_idx", "test_idx"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+# Rows past the first JUMP_WORDS - 1 start at column i + 1, reached by moving
+# the Philox counter. Per size, four seeds whose first node-pair uniform is
+# read from Philox buffer positions 0, 1, 2 and 3 in turn.
+JUMP_SEEDS = {JUMP_WORDS - 1: (0, 1, 7, 9), JUMP_WORDS: (0, 1, 7, 9),
+              JUMP_WORDS + 1: (0, 1, 7, 8), 2 * JUMP_WORDS + 3: (9, 3, 2, 1)}
+JUMP_CASES = (
+    [(n, 0.05, 0.01, seed) for n, seeds in JUMP_SEEDS.items() for seed in seeds]
+    + [(n, p_intra, p_inter, JUMP_SEEDS[n][0]) for n in JUMP_SEEDS
+       for p_intra, p_inter in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.0, 0.0))])
+# perfbench's large-graph spec; dense_synth_dataset cannot afford its size.
+LARGE_GRAPH = SynthSpec(4800, 4, 24, 0.006, 0.0012, mean_scale=1.0)
+
+
+def test_stream_is_philox():
+    # synth_dataset jumps by moving the counter of Philox4x64
+    assert type(stream(0, "synth").bit_generator) is np.random.Philox
+
+
+def test_jump_seeds_cover_every_buffer_position():
+    for n, seeds in JUMP_SEEDS.items():
+        offsets = [pair_draw_offset(SynthSpec(n, 3, 4, 0.05, 0.01), seed) for seed in seeds]
+        assert offsets == [0, 1, 2, 3], n
+
+
+@pytest.mark.parametrize("spec, seed", [
+    *((SynthSpec(n, 3, 4, p_intra, p_inter), seed) for n, p_intra, p_inter, seed in JUMP_CASES),
+    (LARGE_GRAPH, 0), (LARGE_GRAPH, 1),
+], ids=[f"{n}-{p_intra}-{p_inter}-seed{seed}" for n, p_intra, p_inter, seed in JUMP_CASES]
+    + ["large-graph-seed0", "large-graph-seed1"])
+def test_synth_matches_rowblock_reference(spec, seed):
+    got, want = synth_dataset(spec, seed), rowblock_synth_dataset(spec, seed)
     for name in ("edges", "features", "labels", "train_idx", "val_idx", "test_idx"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name

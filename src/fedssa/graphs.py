@@ -69,13 +69,14 @@ class LocalGraph:
     test_idx: np.ndarray
 
     def __post_init__(self):
-        feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
+        # Private copies: the caller's arrays stay writable and unshared.
+        feats = np.array(self.features, dtype=np.float64, order="C")
         if feats.ndim != 2:
             raise ShapeError(f"features must be 2-D, got ndim {feats.ndim}")
         if not np.isfinite(feats).all():
             raise ContractError("features contain non-finite entries")
         n = feats.shape[0]
-        labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
+        labels = np.array(self.labels, dtype=np.int64).reshape(-1)
         if labels.shape[0] != n:
             raise ShapeError(f"labels length {labels.shape[0]} != n={n}")
         if labels.size and labels.min() < 0:

@@ -34,10 +34,14 @@ match that chain bit for bit.
   row groups validated once as `Segments`.
 - `diag_gaussian_kl`: summed KL from diagonal class posteriors to frozen
   full-covariance targets.
-- `pair_bce`: mean inner-product decoder BCE over node pairs. Its backward
-  scatters one latent column at a time, with one stack-wide `np.bincount`
-  over the pairs' [heads | tails] rows each: laying out per-entry
-  row * d + column slots and their weights costs more than the bincounts.
+- `pair_bce`: mean inner-product decoder BCE over node pairs, one latent
+  column at a time, so no (P, d) block is built for its P pairs. The
+  forward adds the columns' head-times-tail products in numpy's pairwise
+  order for a row sum (`_pairwise_sum`), so the scores are
+  np.sum(z[heads] * z[tails], axis=1) bit for bit. The backward scatters
+  each column with one stack-wide `np.bincount` over the heads, then
+  `np.add.at` over the tails, so each entry sums its head terms in pair
+  order, then its tail terms.
 - `prior_kl`: mean KL from the per-node posteriors to N(0, I).
 """
 
@@ -299,20 +303,20 @@ def _bw_diag_gaussian_kl(vals, aux, out, g, need):
 def _bw_pair_bce(vals, aux, out, g, need):
     z = vals[0]
     d = z.shape[-1]
-    bounds, pairs = aux["bounds"], aux["pairs"]
+    bounds, heads, tails = aux["bounds"], aux["heads"], aux["tails"]
     per_pair = (g.reshape(-1) / np.maximum(np.diff(bounds), 1))[_per_member(bounds)]
     coef = per_pair * (_sigmoid(aux["scores"]) - aux["y"])
-    coef = np.concatenate([coef, coef])
-    # Row [heads | tails][i] receives coef[i] times its partner's row. Members'
-    # rows are disjoint and bincount adds in input order, so each entry sums
-    # its head terms in pair order, then its tail terms.
-    rows = pairs.T.reshape(-1)
-    partners = pairs[:, ::-1].T.reshape(-1)
+    # Row heads[i] receives coef[i] times its tail's row and row tails[i]
+    # coef[i] times its head's row. Members' rows are disjoint; bincount adds
+    # from 0.0 in input order and add.at then adds in input order, so each
+    # entry sums its head terms in pair order, then its tail terms.
     cols = z.reshape(-1, d).T.copy()
     acc = np.empty((cols.shape[1], d))
     for c in range(d):
-        acc[:, c] = np.bincount(rows, weights=coef * cols[c].take(partners),
-                                minlength=cols.shape[1])
+        column = np.bincount(heads, weights=coef * cols[c].take(tails),
+                             minlength=cols.shape[1])
+        np.add.at(column, tails, coef * cols[c].take(heads))
+        acc[:, c] = column
     return (acc.reshape(z.shape),)
 
 
@@ -550,6 +554,41 @@ def diag_gaussian_kl(stats: Var, rows, means: np.ndarray, precisions: np.ndarray
                   {"rows": rows, "p_delta": p_delta, "p_diag": p_diag, "member": member})
 
 
+def _pairwise_sum(term: Callable, lo: int, n: int) -> np.ndarray:
+    """term(lo) + ... + term(lo + n - 1) in numpy's pairwise order for a row sum.
+
+    Below 8 terms they are added one after another; from 8 to 128, eight
+    accumulators take every eighth term and are combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) before the remainder
+    is added; above 128 the terms split at n / 2 rounded down to a multiple
+    of 8 and each half is summed the same way. 0.0 plus the result is then
+    np.sum over those n columns of a row, bit for bit. Each accumulator is
+    built whole and every pair is added as soon as both exist, so only a
+    few term-sized arrays are alive at once.
+    """
+    if n < 8:
+        total = term(lo)
+        for c in range(lo + 1, lo + n):
+            total += term(c)
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(term, lo, half) + _pairwise_sum(term, lo + half, n - half)
+    whole = lo + n - n % 8
+
+    def accumulator(j: int) -> np.ndarray:
+        r = term(lo + j)
+        for c in range(lo + j + 8, whole, 8):
+            r += term(c)
+        return r
+
+    total = (((accumulator(0) + accumulator(1)) + (accumulator(2) + accumulator(3)))
+             + ((accumulator(4) + accumulator(5)) + (accumulator(6) + accumulator(7))))
+    for c in range(whole, lo + n):
+        total += term(c)
+    return total
+
+
 def pair_bce(z: Var, pairs, y, bounds) -> Var:
     """Mean binary cross entropy of inner-product scores z_i . z_j over pairs,
     one mean per member (0 for a member without pairs).
@@ -560,7 +599,6 @@ def pair_bce(z: Var, pairs, y, bounds) -> Var:
     """
     zv = _matrix(z)
     d = zv.shape[-1]
-    flat = zv.reshape(-1, d)
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if pairs.shape[0] == 0 or y.size != pairs.shape[0]:
@@ -569,14 +607,17 @@ def pair_bce(z: Var, pairs, y, bounds) -> Var:
     bounds = _bounds(bounds, pairs.shape[0], "pair")
     _member_count(zv, bounds, "pair")
     heads, tails = pairs.T.copy()
-    scores = np.sum(flat.take(heads, axis=0) * flat.take(tails, axis=0), axis=1)
+    cols = zv.reshape(-1, d).T.copy()
+    scores = 0.0 + _pairwise_sum(lambda c: cols[c].take(heads) * cols[c].take(tails),
+                                 0, d)
     terms = np.logaddexp(0.0, scores) - y * scores
     value = np.zeros(bounds.size - 1)
     for m, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
         if a < b:
             value[m] = np.mean(terms[a:b])
     return _fused("pair_bce", (z,), value.reshape(-1, 1, 1),
-                  {"pairs": pairs, "y": y, "scores": scores, "bounds": bounds})
+                  {"heads": heads, "tails": tails, "y": y, "scores": scores,
+                   "bounds": bounds})
 
 
 def prior_kl(mu: ArrayLike, logvar: ArrayLike) -> Var:

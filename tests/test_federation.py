@@ -141,8 +141,9 @@ def test_setup_and_round_memory_targets():
     # dataset setup of the 4,800-node benchmark graph, then one 10,000-node
     # client (60k edges) through setup and a training round; a dense n x n
     # float matrix alone would be 184 MB and 800 MB. The client peaks at about
-    # 41 MiB; Laplacian powers built with one bincount over all n·d entries
-    # (O((n + |E|)·d) scratch) take it to 99 MiB and fail the 64 MiB bound.
+    # 31 MiB. Edge scores built from (P, d) row gathers take it to 40 MiB, and
+    # Laplacian powers built with one bincount over all n·d entries
+    # (O((n + |E|)·d) scratch) to 99 MiB; both fail the 36 MiB bound.
     spec = SynthSpec(num_nodes=4800, num_classes=4, feature_dim=24,
                      p_intra=0.006, p_inter=0.0012, mean_scale=1.0)
     n, m, d, c = 10_000, 60_000, 24, 4
@@ -166,7 +167,7 @@ def test_setup_and_round_memory_targets():
     finally:
         tracemalloc.stop()
     assert synth_peak < 32 * 2 ** 20, f"synth_dataset peak {synth_peak / 2 ** 20:.1f} MB"
-    assert client_peak < 64 * 2 ** 20, f"10k-node client peak {client_peak / 2 ** 20:.1f} MB"
+    assert client_peak < 36 * 2 ** 20, f"10k-node client peak {client_peak / 2 ** 20:.1f} MB"
 
 
 def test_checkpoint_is_written_one_client_at_a_time(tmp_path):
@@ -190,7 +191,8 @@ def test_checkpoint_is_written_one_client_at_a_time(tmp_path):
 
 def test_full_stacked_group_memory():
     # one round of a full 2,048-row group: 16 quickstart-sized clients (128
-    # nodes, 4 classes, 24 features, K = 3, d_z = 8, h = 16)
+    # nodes, 4 classes, 24 features, K = 3, d_z = 8, h = 16). It peaks at
+    # 4.0 MiB; edge scores built from (P, d) row gathers take it to 4.9 MiB.
     ds = two_regime_federation({
         "clients_per_regime": 8, "nodes_per_client": 128, "classes": 4,
         "features": 24, "p_intra_a": 0.10, "p_inter_a": 0.01, "p_intra_b": 0.01,
@@ -207,7 +209,7 @@ def test_full_stacked_group_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 2 ** 20, f"2,048-row group round peak {peak / 2 ** 20:.1f} MB"
+    assert peak < 4.5 * 2 ** 20, f"2,048-row group round peak {peak / 2 ** 20:.1f} MB"
 
 
 def test_group_nonedge_draws_match_one_fresh_stream_per_member():

@@ -263,6 +263,20 @@ def test_graph_splits_are_sorted_private_copies():
     assert np.array_equal(splits["train"], [3, 0])
 
 
+def test_graph_features_and_labels_are_private_copies():
+    features, labels = np.eye(3), np.array([0, 1, 0])
+    g = LocalGraph(features, labels, np.zeros((0, 2), dtype=np.int64), [0], [1], [2])
+    assert not np.shares_memory(g.features, features)
+    assert not np.shares_memory(g.labels, labels)
+    assert not g.features.flags.writeable and not g.labels.flags.writeable
+    # the caller's arrays stay writable, and writing them leaves the graph as built
+    assert features.flags.writeable and labels.flags.writeable
+    features[0, 0] = 5.0
+    labels[0] = 7
+    assert np.array_equal(g.features, np.eye(3))
+    assert np.array_equal(g.labels, [0, 1, 0])
+
+
 def test_graph_arrays_are_read_only():
     g = _two_nodes_one_edge()
     with pytest.raises(ValueError):

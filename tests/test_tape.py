@@ -4,6 +4,7 @@ deterministic gradients, tape lifetime, and error paths."""
 
 import gc
 import inspect
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -419,23 +420,73 @@ def _ragged_pairs(rng, n, counts):
     return np.concatenate(parts), np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
 
 
+def _same_bits(a, b) -> bool:
+    """Equal shapes and equal bits: a -0.0 against a 0.0 counts as a difference."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _pair_bce_against_oracle(z, pairs, y, bounds, upstream):
+    t = tp.Tape()
+    leaf = t.leaf(z, "z")
+    loss = tp.pair_bce(leaf, pairs, y, bounds)
+    got_grad = tp.grad(t, tp.matmul(loss, upstream))[leaf]
+    values, scores, grad = slot_pair_bce(z, pairs, y, bounds, upstream)
+    assert _same_bits(loss.value.reshape(-1), values)
+    assert _same_bits(loss.aux["scores"], scores)
+    assert _same_bits(got_grad, grad)
+    return loss.aux["scores"]
+
+
 def test_pair_bce_matches_slot_bincount_oracle_bit_for_bit():
+    # the column-wise score sum follows numpy's pairwise row sum: sequential
+    # below 8 columns, 8 accumulators up to 128, split in halves above
     rng = np.random.default_rng(41)
     n = 7
-    for d in (1, 3, 8, 13):
+    for d in (1, 3, 7, 8, 9, 13, 15, 16, 17, 24, 128, 129, 136, 257):
         for counts in ([5, 0, 12, 3], [9], [0, 4], [1, 30, 2]):
             pairs, bounds = _ragged_pairs(rng, n, counts)
             y = (rng.random(pairs.shape[0]) < 0.5).astype(float)
             z = 1.5 * rng.standard_normal((len(counts), n, d))
             upstream = rng.uniform(0.25, 4.0, size=(len(counts), 1, 1))
-            t = tp.Tape()
-            leaf = t.leaf(z, "z")
-            loss = tp.pair_bce(leaf, pairs, y, bounds)
-            got_grad = tp.grad(t, tp.matmul(loss, upstream))[leaf]
-            values, scores, grad = slot_pair_bce(z, pairs, y, bounds, upstream)
-            assert np.array_equal(loss.value.reshape(-1), values)
-            assert np.array_equal(loss.aux["scores"], scores)
-            assert np.array_equal(got_grad, grad)
+            _pair_bce_against_oracle(z, pairs, y, bounds, upstream)
+
+
+def test_pair_bce_scores_that_cancel_to_signed_zeros():
+    # small integers and signed zeros: every product and partial sum is
+    # exact, so many scores cancel to 0 through -0.0 and +0.0 partial sums
+    rng = np.random.default_rng(43)
+    n = 6
+    for d in (1, 2, 3, 8, 9, 16, 17, 129):
+        z = rng.integers(-2, 3, size=(2, n, d)).astype(float)
+        z[z == 0] *= rng.choice([-1.0, 1.0], size=int(np.sum(z == 0)))
+        z[0, 0] = -0.0
+        pairs, bounds = _ragged_pairs(rng, n, [40, 40])
+        y = (rng.random(pairs.shape[0]) < 0.5).astype(float)
+        scores = _pair_bce_against_oracle(z, pairs, y, bounds, np.ones((2, 1, 1)))
+        assert np.any(scores == 0.0)
+
+
+def test_pair_bce_builds_no_pair_by_column_block():
+    # one forward and backward over P = 100,000 pairs and d = 8 columns; the
+    # former (P, d) gathers and their product peaked at 13.7 MiB, the column
+    # path at 6.2 MiB (two P-length index vectors, the scores, the loss
+    # terms and a few P-length column products)
+    rng = np.random.default_rng(44)
+    p, d, n = 100_000, 8, 1_000
+    z = rng.standard_normal((1, n, d))
+    pairs = rng.integers(0, n, size=(p, 2))
+    y = (rng.random(p) < 0.5).astype(float)
+    t = tp.Tape()
+    leaf = t.leaf(z, "z")
+    tracemalloc.start()
+    try:
+        tp.grad(t, tp.pair_bce(leaf, pairs, y, [0, p]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = p * d * 8
+    assert peak < 1.5 * block, f"pair_bce peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_grad_prior_kl():

@@ -11,9 +11,9 @@ from .config import (ExperimentConfig, PartitionSpec, build_dataset,
 from .errors import (ConfigError, ContractError, FedssaError, InfeasibleError,
                      NumericError, ProtocolError, RankError, ShapeError,
                      TrainingDivergenceError, UndefinedMetricError)
-from .federation import (ClientUpload, RoundMetrics, RunConfig, ServerBroadcast,
-                         client_round, evaluate_client,
-                         run_federation_detailed, server_step)
+from .federation import (ClientUpload, RoundMetrics, RunConfig, RunState,
+                         ServerBroadcast, client_round, evaluate_client,
+                         run_federation_detailed, run_round, server_step)
 from .graphs import (FederationDataset, LocalGraph, SynthSpec, laplacian_powers,
                      load_dataset, load_graph, partition_nonoverlap,
                      partition_overlap, save_dataset, save_graph,
@@ -40,7 +40,7 @@ __all__ = [
     "FederationDataset", "HeterogeneityReport", "InfeasibleError", "KLAudit",
     "LocalGraph", "NumericError",
     "PartitionSpec", "ProtocolError", "RankError", "RoundMetrics",
-    "RunConfig", "SemanticClusterMap", "ServerBroadcast", "ShapeError",
+    "RunConfig", "RunState", "SemanticClusterMap", "ServerBroadcast", "ShapeError",
     "SpectralEnergy", "StructuralClusterMap",
     "SynthSpec", "Tape", "TrainingDivergenceError",
     "UndefinedMetricError", "Var", "accuracy", "auc",
@@ -54,8 +54,8 @@ __all__ = [
     "load_dataset", "load_graph", "measure_heterogeneity",
     "pairwise_chordal", "parse_config",
     "partition_nonoverlap", "partition_overlap", "projection_embedding",
-    "qr_thin", "rounds_to_reach", "run_federation_detailed", "save_dataset",
-    "save_graph", "server_step", "spawn_key", "spectral_energy", "stratified_split",
-    "stream", "structural_cluster", "synth_dataset",
+    "qr_thin", "rounds_to_reach", "run_federation_detailed", "run_round",
+    "save_dataset", "save_graph", "server_step", "spawn_key", "spectral_energy",
+    "stratified_split", "stream", "structural_cluster", "synth_dataset",
     "two_regime_federation",
 ]

@@ -52,7 +52,7 @@ class TrainingDivergenceError(FedssaError, RuntimeError):
     """Local optimization produced a non-finite loss; parameters rolled back.
 
     history holds the RoundMetrics of the rounds that completed before the
-    diverging one, once run_federation_detailed has seen the error.
+    diverging one, once run_round has seen the error.
     """
 
     history = ()

@@ -1,16 +1,17 @@
 """Synchronous federation loop: local training, uploads, server clustering.
 
-One round proceeds in lockstep: every client trains E local epochs against
-the representatives it received last round, evaluates, and produces an
-upload; the server then clusters the class Gaussians afresh and broadcasts
-per-client representatives for the next round. Clients with the same
-(n, d) train together: `group_clients` stacks them, in id order, into
-groups of at most STACK_ROWS node rows, and each group records one tape
-per epoch (`train_group`). `client_round` returns each client's stats
-and upload from its slice of the group's evaluation. Spectral-energy
-frames are fixed at setup, so they travel in round 1 only: the server
-groups them once and later rounds reuse those groups. Clients train in id
-order, and the client streams are keyed by round, not by client id.
+`run_round` advances a `RunState` one round: every client trains E local
+epochs against the representatives it received last round, evaluates, and
+produces an upload; the server then clusters the class Gaussians afresh and
+broadcasts per-client representatives for the next round.
+`run_federation_detailed` builds the state, runs T rounds and returns it.
+Clients with the same (n, d) train together: `group_clients` stacks them, in
+id order, into groups of at most STACK_ROWS node rows, and each group
+records one tape per epoch (`train_group`). `client_round` returns each
+client's stats and upload from its slice of the group's evaluation.
+Spectral-energy frames are fixed at setup, so they travel in round 1 only:
+the server groups them once and later rounds reuse those groups. The client
+streams are keyed by round, not by client id.
 
 Methods:
   fedssa  - the full protocol (semantic and structural branches can be
@@ -418,11 +419,12 @@ def train_group(group: ClientGroup, w_bar: Optional[np.ndarray], aligned: Option
     """
     snapshot = ({name: a.copy() for name, a in group.params.items()}, group.adam.copy())
     try:
-        for epoch in range(cfg.epochs):
-            _train_step(group, w_bar, aligned, cfg, seed, round_index, epoch)
-        # One evaluation pass on its own streams, for round metrics and the uploads.
-        _tape, _leaves, parts = _loss_parts(group, w_bar, aligned, cfg, seed, "eval",
-                                            round_index)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for epoch in range(cfg.epochs):
+                _train_step(group, w_bar, aligned, cfg, seed, round_index, epoch)
+            # One evaluation pass on its own streams, for round metrics and the uploads.
+            _tape, _leaves, parts = _loss_parts(group, w_bar, aligned, cfg, seed, "eval",
+                                                round_index)
     except NumericError as exc:
         for name, arr in snapshot[0].items():
             group.params[name][...] = arr
@@ -600,84 +602,90 @@ def server_step(uploads: dict, k_node: int, k_struct: int, seed: int,
 # --- top-level loop ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FederationResult:
-    """Round history plus the final client states (for checkpointing).
+@dataclass
+class RunState:
+    """What a run carries from round to round: the training groups (stacked
+    parameters and Adam moments), the server's last broadcasts by client id,
+    round 1's {client_id: structural cluster} and (client ids, chordal
+    distance matrix) over the uploaded frames (None without frames), and the
+    completed rounds' RoundMetrics. states lists every ClientState in id order."""
 
-    chordal is round 1's (client ids, chordal distance matrix) over the
-    uploaded frames, or None when no client uploads a frame.
-    """
+    groups: list
+    num_clients: int
+    broadcasts: dict = dataclasses.field(default_factory=dict)
+    structure: Optional[dict] = None
+    chordal: Optional[tuple] = None
+    history: list = dataclasses.field(default_factory=list)
 
-    history: list
-    states: list
-    chordal: Optional[tuple]
+    @property
+    def states(self) -> list:
+        return sorted((s for g in self.groups for s in g.states), key=lambda s: s.client_id)
+
+
+def run_round(state: RunState, cfg: RunConfig, seed: int) -> RoundMetrics:
+    """Advance the run one round: local_round, then the fedssa server step or
+    the fedavg average; append the round's RoundMetrics, bytes included, to
+    history. A TrainingDivergenceError leaves history (and exc.history) at
+    the completed rounds and broadcasts at the last completed round's."""
+    round_index, m = len(state.history) + 1, state.num_clients
+    try:
+        stats, uploads = local_round(state.groups, state.broadcasts, cfg, seed, round_index)
+    except TrainingDivergenceError as exc:
+        exc.history = tuple(state.history)
+        raise
+    bytes_up, bytes_down = {}, {}  # a client without a message counts 0 bytes
+    heterogeneity = floor = None
+    if cfg.method == "fedssa":
+        server = server_step(uploads, cfg.k_node, cfg.k_struct,
+                             spawn_key(seed, "server", round_index),
+                             expected_clients=range(m), structure=state.structure)
+        state.broadcasts = server.broadcasts
+        if server.distance_matrix is not None:
+            state.chordal = (server.distance_ids, server.distance_matrix)
+            state.structure = server.structural_map.assignments
+        bytes_up = {cid: len(encode_upload(up)) for cid, up in uploads.items()}
+        bytes_down = {cid: len(encode_broadcast(bc)) for cid, bc in state.broadcasts.items()}
+        heterogeneity = measure_heterogeneity(state.chordal, server.semantic_map,
+                                              server.structural_map)
+        floor = error_floor(heterogeneity, cfg.order, cfg.lambda1, cfg.lambda2)
+    elif cfg.method == "fedavg":
+        states = state.states
+        bytes_up = {s.client_id: len(encode_params(s.params)) for s in states}
+        for name in states[0].params:
+            mean = np.mean([s.params[name] for s in states], axis=0)
+            for s in states:
+                s.params[name][...] = mean
+        bytes_down = dict.fromkeys(range(m), len(encode_params(states[0].params)))
+    per_client = {cid: dataclasses.replace(stats[cid], bytes_up=bytes_up.get(cid, 0),
+                                           bytes_down=bytes_down.get(cid, 0))
+                  for cid in range(m)}
+    means = {}
+    for split in ("train", "val", "test"):
+        vals = [v for v in (getattr(s, f"{split}_metric") for s in per_client.values())
+                if np.isfinite(v)]
+        means[f"mean_{split}_metric"] = float(np.mean(vals)) if vals else float("nan")
+    state.history.append(RoundMetrics(round_index=round_index, per_client=per_client,
+                                      heterogeneity=heterogeneity, floor=floor, **means))
+    return state.history[-1]
 
 
 def run_federation_detailed(dataset: FederationDataset, cfg: RunConfig,
-                            seed: int) -> FederationResult:
-    """Run T synchronous rounds; return per-round metrics and final states.
+                            seed: int) -> RunState:
+    """Run T synchronous rounds (run_round) and return the final RunState.
 
     The client streams (train-eps, eval-eps, train-nonedges, eval-nonedges)
     are keyed by round (and epoch) but not by client, so every client reads
     the same noise, and each member's non-edge draw starts from its
     stream's start state. Stacked training is row by row, so a client's
     result does not depend on its group, and aggregation is id-sorted.
-
-    A TrainingDivergenceError leaves with history set to the RoundMetrics
-    of the rounds completed before the diverging one.
     """
     cfg.validate()
     if dataset.num_clients < 1:
         raise ContractError("federation needs at least one client")
-    m = dataset.num_clients
     params0 = init_params(dataset.feature_dim, dataset.num_classes, cfg.order,
                           cfg.hidden, cfg.latent_dim, stream(seed, "init"))
-    groups = group_clients(dataset, cfg, params0)
-    states = sorted((s for g in groups for s in g.states), key=lambda s: s.client_id)
-    broadcasts: dict = {}
-    structure = None  # round 1's structural clusters, kept for the run
-    chordal = None  # round 1's (ids, chordal distance matrix)
-    history: list[RoundMetrics] = []
-    for round_index in range(1, cfg.rounds + 1):
-        try:
-            stats, uploads = local_round(groups, broadcasts, cfg, seed, round_index)
-        except TrainingDivergenceError as exc:
-            exc.history = tuple(history)
-            raise
-        bytes_up, bytes_down = {}, {}  # a client without a message counts 0 bytes
-        heterogeneity = None
-        floor = None
-        if cfg.method == "fedssa":
-            server = server_step(uploads, cfg.k_node, cfg.k_struct,
-                                 spawn_key(seed, "server", round_index),
-                                 expected_clients=range(m), structure=structure)
-            broadcasts = server.broadcasts
-            if server.distance_matrix is not None:
-                chordal = (server.distance_ids, server.distance_matrix)
-                structure = server.structural_map.assignments
-            bytes_up = {cid: len(encode_upload(up)) for cid, up in uploads.items()}
-            bytes_down = {cid: len(encode_broadcast(bc)) for cid, bc in broadcasts.items()}
-            heterogeneity = measure_heterogeneity(chordal, server.semantic_map,
-                                                  server.structural_map)
-            floor = error_floor(heterogeneity, cfg.order, cfg.lambda1, cfg.lambda2)
-        elif cfg.method == "fedavg":
-            bytes_up = {s.client_id: len(encode_params(s.params)) for s in states}
-            for name in states[0].params:
-                mean = np.mean([s.params[name] for s in states], axis=0)
-                for s in states:
-                    s.params[name][...] = mean
-            bytes_down = dict.fromkeys(range(m), len(encode_params(states[0].params)))
-        per_client = {cid: dataclasses.replace(stats[cid], bytes_up=bytes_up.get(cid, 0),
-                                               bytes_down=bytes_down.get(cid, 0))
-                      for cid in range(m)}
-        means = {}
-        for split in ("train", "val", "test"):
-            vals = [v for v in (getattr(s, f"{split}_metric") for s in per_client.values())
-                    if np.isfinite(v)]
-            means[split] = float(np.mean(vals)) if vals else float("nan")
-        history.append(RoundMetrics(
-            round_index=round_index, per_client=per_client,
-            mean_train_metric=means["train"], mean_val_metric=means["val"],
-            mean_test_metric=means["test"], heterogeneity=heterogeneity,
-            floor=floor))
-    return FederationResult(history=history, states=states, chordal=chordal)
+    state = RunState(groups=group_clients(dataset, cfg, params0),
+                     num_clients=dataset.num_clients)
+    for _ in range(cfg.rounds):
+        run_round(state, cfg, seed)
+    return state

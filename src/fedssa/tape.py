@@ -599,6 +599,8 @@ def pair_bce(z: Var, pairs, y, bounds) -> Var:
     """
     zv = _matrix(z)
     d = zv.shape[-1]
+    if d == 0:
+        raise ShapeError(f"pair_bce needs a latent column, got z of shape {zv.shape}")
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if pairs.shape[0] == 0 or y.size != pairs.shape[0]:

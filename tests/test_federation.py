@@ -16,9 +16,10 @@ from fedssa import cli, federation, tape as tp
 from fedssa.config import build_dataset, parse_config, two_regime_federation
 from fedssa.errors import (ConfigError, ContractError, ProtocolError,
                            ShapeError, TrainingDivergenceError)
-from fedssa.federation import (ClientUpload, RunConfig, ServerBroadcast, _loss_parts,
-                               encode_broadcast, encode_upload, group_clients,
-                               local_round, run_federation_detailed, server_step)
+from fedssa.federation import (ClientUpload, RunConfig, RunState, ServerBroadcast,
+                               _loss_parts, encode_broadcast, encode_upload, group_clients,
+                               local_round, run_federation_detailed, run_round,
+                               server_step)
 from fedssa.graphs import (FederationDataset, LocalGraph, SynthSpec, stratified_split,
                            synth_dataset)
 from fedssa.linalg import qr_thin
@@ -237,6 +238,58 @@ def test_rerun_is_bit_reproducible():
     for sa, sb in zip(a.states, b.states):
         assert sa.params["w"].tobytes() == sb.params["w"].tobytes()
         assert sa.params["mu_w"].tobytes() == sb.params["mu_w"].tobytes()
+
+
+def _fresh_state(ds: FederationDataset, cfg: RunConfig, seed: int) -> RunState:
+    params0 = init_params(ds.feature_dim, ds.num_classes, cfg.order, cfg.hidden,
+                          cfg.latent_dim, stream(seed, "init"))
+    return RunState(groups=group_clients(ds, cfg, params0), num_clients=ds.num_clients)
+
+
+@pytest.mark.parametrize("method", ["fedssa", "fedavg", "local"])
+def test_run_round_steps_match_the_whole_run(method):
+    ds = _tiny_dataset()
+    cfg = _tiny_cfg(method=method, rounds=3)
+    whole = run_federation_detailed(ds, cfg, seed=4)
+    state = _fresh_state(ds, cfg, seed=4)
+    for round_index in range(1, cfg.rounds + 1):
+        metrics = run_round(state, cfg, seed=4)
+        assert metrics is state.history[-1]
+        assert metrics.round_index == round_index == len(state.history)
+    assert _signatures(state.history) == _signatures(whole.history)
+    assert [s.client_id for s in state.states] == [0, 1, 2]
+    for a, b in zip(state.states, whole.states):
+        assert list(a.params) == list(b.params)
+        for name, arr in a.params.items():
+            assert arr.tobytes() == b.params[name].tobytes(), name
+    assert (state.chordal is None) == (whole.chordal is None) == (method != "fedssa")
+    if method == "fedssa":
+        assert state.chordal[0] == whole.chordal[0]
+        assert state.chordal[1].tobytes() == whole.chordal[1].tobytes()
+        assert state.structure == whole.structure
+
+
+def test_divergence_in_round_3_keeps_round_2_state(monkeypatch):
+    ds = _tiny_dataset()
+    cfg = _tiny_cfg(rounds=3)
+    train = federation.local_round
+
+    def diverge_in_round_3(groups, broadcasts, cfg, seed, round_index):
+        if round_index == 3:
+            raise TrainingDivergenceError("client 1 diverged in round 3: injected")
+        return train(groups, broadcasts, cfg, seed, round_index)
+
+    monkeypatch.setattr(federation, "local_round", diverge_in_round_3)
+    state = _fresh_state(ds, cfg, seed=0)
+    run_round(state, cfg, seed=0)
+    run_round(state, cfg, seed=0)
+    round_2 = state.broadcasts
+    with pytest.raises(TrainingDivergenceError, match="round 3") as info:
+        run_round(state, cfg, seed=0)
+    assert [rm.round_index for rm in state.history] == [1, 2]
+    assert info.value.history == tuple(state.history)
+    assert state.broadcasts is round_2
+    assert sorted(round_2) == [0, 1, 2]
 
 
 def _ragged_dataset() -> FederationDataset:
@@ -931,11 +984,18 @@ def test_indefinite_representative_in_two_groups_names_lowest_client():
     assert [_group_snapshot(g) for g in groups] == before
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_divergence_propagates_from_run_federation():
     ds = _tiny_dataset(num_clients=1)
     with pytest.raises(TrainingDivergenceError):
         run_federation_detailed(ds, _tiny_cfg(method="local", epochs=2, lr=1.0e308), seed=0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_vgae_divergence_raises_no_floating_point_warning():
+    # the overflow is reported once, as the divergence, not as numpy warnings
+    with pytest.raises(TrainingDivergenceError, match="client 0 diverged in round 1"):
+        run_federation_detailed(_tiny_dataset(), _tiny_cfg(lr=1.0e200), seed=0)
 
 
 # --- server protocol ------------------------------------------------------------

@@ -843,6 +843,8 @@ def test_fused_ops_reject_bad_inputs():
         tp.pair_bce(m, pairs[:0], y[:0], [0, 0])
     with pytest.raises(ShapeError):
         tp.pair_bce(m, pairs, y[:-1], [0, 5])
+    with pytest.raises(ShapeError, match="latent column"):
+        tp.pair_bce(t.leaf(np.zeros((1, 7, 0)), "z0"), pairs, y, [0, 6])
     st = tp.reshape(t.leaf(stats[None], "stats"), stats.shape)
     with pytest.raises(ShapeError):
         tp.diag_gaussian_kl(st, rows, means[:, :2], precisions, logdets, [0, 2])

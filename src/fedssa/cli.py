@@ -252,20 +252,23 @@ def cmd_report(args) -> int:
     summary_file = run_dir / "summary.json"
     ablation_file = run_dir / "ablation.csv"
     if summary_file.exists():
-        summary = json.loads(summary_file.read_text())
-        print(f"method: {summary['method']} (semantic={summary['semantic']},"
-              f" structural={summary['structural']})")
-        print(f"clients: {summary['clients']}, rounds: {summary['rounds']},"
-              f" seed: {summary['seed']}")
-        print(f"final mean metrics: train={summary['final_mean_train_metric']}"
-              f" val={summary['final_mean_val_metric']}"
-              f" test={summary['final_mean_test_metric']}")
-        print(f"best round by val metric: {summary['best_round']}")
-        floors = [x for x in summary["error_floor_trajectory"] if x is not None]
-        if floors:
-            print(f"error floor: first={floors[0]} last={floors[-1]}")
-        print(f"bytes up: {summary['total_bytes_up']},"
-              f" bytes down: {summary['total_bytes_down']}")
+        try:  # read every field before printing any
+            summary = json.loads(summary_file.read_text())
+            floors = [x for x in summary["error_floor_trajectory"] if x is not None]
+            lines = [f"method: {summary['method']} (semantic={summary['semantic']},"
+                     f" structural={summary['structural']})",
+                     f"clients: {summary['clients']}, rounds: {summary['rounds']},"
+                     f" seed: {summary['seed']}",
+                     f"final mean metrics: train={summary['final_mean_train_metric']}"
+                     f" val={summary['final_mean_val_metric']}"
+                     f" test={summary['final_mean_test_metric']}",
+                     f"best round by val metric: {summary['best_round']}",
+                     *([f"error floor: first={floors[0]} last={floors[-1]}"] if floors else []),
+                     f"bytes up: {summary['total_bytes_up']},"
+                     f" bytes down: {summary['total_bytes_down']}"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{summary_file} is not a complete run summary: {exc!r}") from None
+        print("\n".join(lines))
         return 0
     if ablation_file.exists():
         print(ablation_file.read_text().rstrip())

@@ -110,10 +110,6 @@ class AdamState:
         return cls(m={k: np.zeros_like(a) for k, a in arrays.items()},
                    v={k: np.zeros_like(a) for k, a in arrays.items()}, t=0)
 
-    def copy(self) -> "AdamState":
-        return AdamState(m={k: a.copy() for k, a in self.m.items()},
-                         v={k: a.copy() for k, a in self.v.items()}, t=self.t)
-
 
 @dataclass
 class ClientState:
@@ -135,8 +131,8 @@ class ClientState:
 class ClientGroup:
     """Clients with one (n, d), trained on one stacked tape per epoch.
 
-    params, adam, h_stack and x_in (None without the VGAE) hold one leading
-    row per member, in states order; each member's params view its row.
+    params, adam and h_stack hold one leading row per member, in states order;
+    each member's params view its row. train_group builds the encoder input.
     """
 
     states: list
@@ -144,7 +140,6 @@ class ClientGroup:
     params: dict
     adam: AdamState
     h_stack: np.ndarray
-    x_in: Optional[np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -291,12 +286,12 @@ def group_clients(dataset: FederationDataset, cfg: RunConfig,
 
     A group holds clients of one (n, d) and at most STACK_ROWS node rows; a
     client with more rows trains as a group of one. Clients are walked in id
-    order, and each one's Laplacian powers, frame (fedssa with the
-    structural branch) and encoder input are computed once, so a
-    rank-deficient client is named before any later one. Each group stacks
-    its members' inputs and a copy of params0 per member, starts its Adam
-    moments at zero and builds its plan. Only the semantic channel reads the
-    VGAE, so any other run keeps params0's w and head_* alone and no encoder input.
+    order, and each one's Laplacian powers and frame (fedssa with the
+    structural branch) are computed once, so a rank-deficient client is
+    named before any later one. Each group stacks its members' powers and a
+    copy of params0 per member, starts its Adam moments at zero and builds
+    its plan. Only the semantic channel reads the VGAE, so any other run
+    keeps params0's w and head_* alone.
     """
     framed = cfg.method == "fedssa" and cfg.structural
     vgae = cfg.method == "fedssa" and cfg.semantic
@@ -312,8 +307,7 @@ def group_clients(dataset: FederationDataset, cfg: RunConfig,
         if group is None or (len(group) + 1) * shape[0] > STACK_ROWS:
             group = by_shape[shape] = []
             members.append(group)
-        group.append((client_id, graph, energy, stack_powers(powers),
-                      encoder_input(graph, dataset.num_classes) if vgae else None))
+        group.append((client_id, graph, energy, stack_powers(powers)))
         del powers  # free them before the next client's are built (peak memory)
     groups = []
     for group in members:
@@ -323,18 +317,26 @@ def group_clients(dataset: FederationDataset, cfg: RunConfig,
 
 
 def _stack(members: list, task: str, params0: dict) -> ClientGroup:
-    """One group from its members' (client id, graph, frame, powers, encoder input)."""
-    ids, graphs, energies, h_rows, x_rows = zip(*members)
+    """One group from its members' (client id, graph, frame, powers)."""
+    ids, graphs, energies, h_rows = zip(*members)
     params = {name: np.repeat(a[None], len(ids), axis=0) for name, a in params0.items()}
     states = [ClientState(client_id=cid, graph=graph, task=task,
                           params={name: a[i] for name, a in params.items()}, energy=energy)
               for i, (cid, graph, energy) in enumerate(zip(ids, graphs, energies))]
     return ClientGroup(states=states, plan=group_plan(list(graphs)), params=params,
-                       adam=AdamState.fresh(params), h_stack=np.stack(h_rows),
-                       x_in=None if x_rows[0] is None else np.stack(x_rows))
+                       adam=AdamState.fresh(params), h_stack=np.stack(h_rows))
+
+
+def _encoder_input(group: ClientGroup) -> Optional[np.ndarray]:
+    """The group's stacked [X | onehot(y)]; None when it trains no VGAE."""
+    if "enc_w1" in group.params:
+        d = group.h_stack.shape[-1] // group.plan.n
+        return encoder_input(group.h_stack, group.plan, group.params["enc_w1"].shape[-2] - d)
 
 
 def _adam_step(arrays: dict, grads: dict, st: AdamState, lr: float) -> None:
+    """One Adam step on arrays, in place. It rebinds st.m[name] and st.v[name]
+    to new arrays and never writes into the old ones, which rollback reads."""
     st.t += 1
     correct1 = 1.0 - ADAM_BETA1 ** st.t
     correct2 = 1.0 - ADAM_BETA2 ** st.t
@@ -346,14 +348,14 @@ def _adam_step(arrays: dict, grads: dict, st: AdamState, lr: float) -> None:
         arr -= step
 
 
-def _loss_parts(group: ClientGroup, w_bar: Optional[np.ndarray], aligned: Optional[tuple],
-                cfg: RunConfig, seed: int, phase: str, *key) -> tuple:
+def _loss_parts(group: ClientGroup, x_in: Optional[np.ndarray], w_bar: Optional[np.ndarray],
+                aligned: Optional[tuple], cfg: RunConfig, seed: int, phase: str, *key) -> tuple:
     """Assemble one stacked forward pass; returns (tape, leaves, parts dict).
 
     w_bar stacks the members' broadcast coefficients (or is None), and
     aligned holds the group's alignment_inputs (None without a matching
-    representative). A group with an encoder input adds the VGAE, on eps
-    and non-edges from the {phase}-eps and {phase}-nonedges streams at key.
+    representative). An encoder input x_in adds the VGAE, on eps and
+    non-edges from the {phase}-eps and {phase}-nonedges streams at key.
     Besides the per-member loss terms (None when unused), parts holds the
     logits and the class [mean | var] moments (None without the VGAE).
     """
@@ -364,9 +366,9 @@ def _loss_parts(group: ClientGroup, w_bar: Optional[np.ndarray], aligned: Option
                              group.h_stack.shape[-1] // plan.n)
     total = ce = ce_path(logits, plan)
     vgae_term = moments = node_term = struct_term = None
-    if group.x_in is not None:
+    if x_in is not None:
         eps = stream(seed, f"{phase}-eps", *key).standard_normal((plan.n, cfg.latent_dim))
-        mu, logvar = encoder_path(leaves, group.x_in)
+        mu, logvar = encoder_path(leaves, x_in)
         vgae_term = elbo_path(mu, logvar, plan, eps,
                               _samples(plan, seed, f"{phase}-nonedges", *key))
         total = tp.add(total, vgae_term)
@@ -409,26 +411,30 @@ def train_group(group: ClientGroup, w_bar: Optional[np.ndarray], aligned: Option
     w_bar stacks the members' broadcast cluster coefficients (None before
     any), and aligned holds the group's alignment_inputs, which every
     forward of the round reads (None without a matching representative).
-    With the VGAE, every member reads the same eps draw and samples its own
-    non-edges. A non-finite loss or gradient, or a nonpositive class
+    With the VGAE, the forwards read one encoder input, built here and
+    dropped on return; every member reads the same eps draw and samples its
+    own non-edges. A non-finite loss or gradient, or a nonpositive class
     variance, in any member and any forward, the evaluation's too, rolls
     every member's parameters and the group's Adam state back to their
     values at round entry and raises TrainingDivergenceError naming the
     lowest-id diverging client; a local or fedavg group has no VGAE value
     to roll it back. With epochs == 0 the parameters are untouched.
     """
-    snapshot = ({name: a.copy() for name, a in group.params.items()}, group.adam.copy())
+    # Adam writes params in place but rebinds its moments (_adam_step).
+    params = {name: a.copy() for name, a in group.params.items()}
+    adam = AdamState(dict(group.adam.m), dict(group.adam.v), group.adam.t)
+    x_in = _encoder_input(group)
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for epoch in range(cfg.epochs):
-                _train_step(group, w_bar, aligned, cfg, seed, round_index, epoch)
+                _train_step(group, x_in, w_bar, aligned, cfg, seed, round_index, epoch)
             # One evaluation pass on its own streams, for round metrics and the uploads.
-            _tape, _leaves, parts = _loss_parts(group, w_bar, aligned, cfg, seed, "eval",
-                                                round_index)
+            _tape, _leaves, parts = _loss_parts(group, x_in, w_bar, aligned, cfg, seed,
+                                                "eval", round_index)
     except NumericError as exc:
-        for name, arr in snapshot[0].items():
+        for name, arr in params.items():
             group.params[name][...] = arr
-        group.adam = snapshot[1]
+        group.adam = adam
         ids = [group.states[m].client_id for m in exc.members or range(len(group.states))]
         raise _diverged(ids, round_index, exc) from exc
     members = len(group.states)
@@ -439,11 +445,12 @@ def train_group(group: ClientGroup, w_bar: Optional[np.ndarray], aligned: Option
         class_moments=parts["moments"].value if parts["moments"] is not None else None)
 
 
-def _train_step(group: ClientGroup, w_bar: Optional[np.ndarray], aligned: Optional[tuple],
-                cfg: RunConfig, seed: int, round_index: int, epoch: int) -> None:
+def _train_step(group: ClientGroup, x_in: Optional[np.ndarray], w_bar: Optional[np.ndarray],
+                aligned: Optional[tuple], cfg: RunConfig, seed: int, round_index: int,
+                epoch: int) -> None:
     """One stacked forward, backward and Adam step; the tape dies on return,
     before the next forward is recorded."""
-    tape, leaves, parts = _loss_parts(group, w_bar, aligned, cfg, seed, "train",
+    tape, leaves, parts = _loss_parts(group, x_in, w_bar, aligned, cfg, seed, "train",
                                       round_index, epoch)
     grads = tp.grad(tape, parts["total"])
     _adam_step(group.params, {name: grads[var] for name, var in leaves.items()},

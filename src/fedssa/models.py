@@ -37,7 +37,6 @@ import numpy as np
 
 from . import tape as tp
 from .errors import ConfigError, ContractError, RankError, ShapeError
-from .graphs import LocalGraph
 from .linalg import qr_thin
 from .structural import SpectralEnergy
 
@@ -234,12 +233,13 @@ def ce_path(logits: tp.Var, plan: GroupPlan) -> tp.Var:
     return tp.softmax_ce(logits, plan.ce_rows, plan.ce_labels, plan.ce_bounds)
 
 
-def encoder_input(g: LocalGraph, num_classes: int) -> np.ndarray:
-    """[X | onehot(y)] with a zero condition vector outside the train split."""
-    onehot = np.zeros((g.n, num_classes))
-    if g.train_idx.size:
-        onehot[g.train_idx, g.labels[g.train_idx]] = 1.0
-    return np.concatenate([g.features, onehot], axis=1)
+def encoder_input(h_stack: np.ndarray, plan: GroupPlan, num_classes: int) -> np.ndarray:
+    """The members' [X | onehot(y)], X being hop 0 of their powers, as one stack."""
+    members, n, d = h_stack.shape[0], plan.n, h_stack.shape[-1] // plan.n
+    x_in = np.empty((members, n, d + num_classes))
+    x_in[..., :d], x_in[..., d:] = h_stack[:, 0].reshape(members, n, d), 0.0
+    x_in.reshape(-1, d + num_classes)[plan.ce_rows, d + plan.ce_labels] = 1.0
+    return x_in
 
 
 def encoder_path(leaves: dict, x_in: np.ndarray) -> tuple[tp.Var, tp.Var]:

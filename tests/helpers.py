@@ -364,6 +364,16 @@ def rowblock_synth_dataset(spec, seed: int):
     return LocalGraph(features, labels, np.concatenate(parts), train, val, test)
 
 
+def encoder_input(g, num_classes: int) -> np.ndarray:
+    """One graph's [X | onehot(y)] with a zero condition vector outside the
+    train split, read from its features and labels rather than the
+    propagated powers and group plan that models.encoder_input reads."""
+    onehot = np.zeros((g.n, num_classes))
+    if g.train_idx.size:
+        onehot[g.train_idx, g.labels[g.train_idx]] = 1.0
+    return np.concatenate([g.features, onehot], axis=1)
+
+
 def onehot_softmax_ce(logits: np.ndarray, rows, onehot: np.ndarray, bounds) -> tuple:
     """(per-member values, gradient) of mean softmax cross entropy against
     dense one-hot targets, each member's loss weighted 1.

@@ -89,7 +89,7 @@ def test_a01_loss_gradients_match_central_differences():
             {k: v[None] for k, v in arrays.items()}))
 
         # negative ELBO through the conditional encoder
-        x_in = encoder_input(g, c)[None]
+        x_in = encoder_input(h_stack, plan, c)
         eps = rng.standard_normal((n, dz))
         nonedges = [sample_nonedges(plan, 0, plan.nonedge_counts[0], rng)]
         enc = {"enc_w1": rng.standard_normal((d + c, h)) * 0.4,

@@ -479,6 +479,17 @@ def test_report_run_and_ablation(tmp_path, capsys):
     assert main(["report", "--run", str(tmp_path / "empty")]) == 2
 
 
+@pytest.mark.parametrize("text", ["{}", '{"method": "fedssa"', "[]"],
+                         ids=["empty", "truncated", "list"])
+def test_report_rejects_an_incomplete_summary_with_exit_2(tmp_path, capsys, text):
+    (tmp_path / "summary.json").write_text(text)
+    assert main(["report", "--run", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(tmp_path / "summary.json") in captured.err
+    assert "not a complete run summary" in captured.err
+
+
 def test_module_invocation():
     # the child imports the package this suite imported, installed or not
     src = str(Path(fedssa.__file__).resolve().parents[1])

@@ -14,7 +14,7 @@ import pytest
 
 from fedssa import cli, federation, tape as tp
 from fedssa.config import build_dataset, parse_config, two_regime_federation
-from fedssa.errors import (ConfigError, ContractError, ProtocolError,
+from fedssa.errors import (ConfigError, ContractError, NumericError, ProtocolError,
                            ShapeError, TrainingDivergenceError)
 from fedssa.federation import (ClientUpload, RunConfig, RunState, ServerBroadcast,
                                _loss_parts, encode_broadcast, encode_upload, group_clients,
@@ -27,7 +27,8 @@ from fedssa.models import ClassGaussian, init_params, sample_nonedges
 from fedssa.rng import stream
 from fedssa.semantic import alignment_inputs
 from fedssa.structural import SpectralEnergy
-from helpers import decode_broadcast, decode_params, decode_upload, round_signature
+from helpers import (decode_broadcast, decode_params, decode_upload, encoder_input,
+                     round_signature)
 
 ORDER = 3
 DIM = 8
@@ -74,7 +75,8 @@ def _forward(group, cfg, broadcasts=None):
     coeffs = [getattr(b, "cluster_coefficients", None) for b in received]
     aligned = alignment_inputs(group.plan, [getattr(b, "class_representatives", {})
                                             for b in received])
-    return _loss_parts(group, None if coeffs[0] is None else np.stack(coeffs), aligned, cfg,
+    return _loss_parts(group, federation._encoder_input(group),
+                       None if coeffs[0] is None else np.stack(coeffs), aligned, cfg,
                        0, "train", 1, 0)
 
 
@@ -193,7 +195,8 @@ def test_checkpoint_is_written_one_client_at_a_time(tmp_path):
 def test_full_stacked_group_memory():
     # one round of a full 2,048-row group: 16 quickstart-sized clients (128
     # nodes, 4 classes, 24 features, K = 3, d_z = 8, h = 16). It peaks at
-    # 4.0 MiB; edge scores built from (P, d) row gathers take it to 4.9 MiB.
+    # 4.2 MiB, the round's encoder input included; edge scores built from
+    # (P, d) row gathers add about 0.9 MiB.
     ds = two_regime_federation({
         "clients_per_regime": 8, "nodes_per_client": 128, "classes": 4,
         "features": 24, "p_intra_a": 0.10, "p_inter_a": 0.01, "p_intra_b": 0.01,
@@ -211,6 +214,29 @@ def test_full_stacked_group_memory():
     finally:
         tracemalloc.stop()
     assert peak < 4.5 * 2 ** 20, f"2,048-row group round peak {peak / 2 ** 20:.1f} MB"
+
+
+def test_groups_hold_powers_parameters_and_moments_alone():
+    # the many-clients dataset forms four groups; what group_clients leaves
+    # allocated is their powers, parameters and two Adam moments plus plans,
+    # frames and client records, about 0.7 MB. Keeping each client's
+    # [X | onehot(y)] beside its powers adds 1.7 MB and fails the 1 MB slack.
+    cfg = parse_config(MANY_CLIENTS)
+    ds = build_dataset(cfg, cfg.seed)
+    params = init_params(ds.feature_dim, ds.num_classes, cfg.run.order, cfg.run.hidden,
+                         cfg.run.latent_dim, stream(cfg.seed, "init"))
+    tracemalloc.start()
+    try:
+        groups = group_clients(ds, cfg.run, params)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(groups) >= 3
+    powers = sum(g.h_stack.nbytes for g in groups)
+    param_bytes = sum(a.nbytes for g in groups for a in g.params.values())
+    bound = powers + 3 * param_bytes + 2 ** 20
+    assert held <= bound, (f"groups hold {held / 2 ** 20:.2f} MB, bound"
+                           f" {bound / 2 ** 20:.2f} MB")
 
 
 def test_group_nonedge_draws_match_one_fresh_stream_per_member():
@@ -479,14 +505,38 @@ def test_classifier_never_reads_the_vgae(run, reference):
     assert _classifier_trace(got) == _classifier_trace(want)
 
 
+def _assert_encoder_input(group, graphs, vgae):
+    """The group's encoder input is its members' [X | onehot(y)], bit for
+    bit, with the VGAE, and None without it."""
+    x_in = federation._encoder_input(group)
+    if not vgae:
+        assert x_in is None
+        return
+    want = np.stack([encoder_input(g, 2) for g in graphs])
+    assert x_in.shape == want.shape and x_in.tobytes() == want.tobytes()
+
+
+def test_group_encoder_input_matches_each_member_alone():
+    # three members; the second one's train split holds no class-1 row
+    clients = _tiny_dataset(num_clients=3, seed=30).clients
+    g = clients[1]
+    train = g.train_idx[g.labels[g.train_idx] == 0]
+    clients = (clients[0], dataclasses.replace(g, train_idx=train), clients[2])
+    assert set(clients[1].labels[clients[1].train_idx]) == {0}
+    (group,) = _groups(clients, _tiny_cfg())
+    assert len(group.states) == 3
+    _assert_encoder_input(group, clients, vgae=True)
+
+
 @pytest.mark.parametrize("overrides, vgae", [
     (dict(), True), (dict(structural=False), True), (dict(semantic=False), False),
     (dict(method="fedavg"), False), (dict(method="local"), False)],
     ids=["full", "no_structural", "no_semantic", "fedavg", "local"])
 def test_only_the_semantic_channel_trains_a_vgae(overrides, vgae):
     cfg = _tiny_cfg(**overrides)
-    (group,) = _groups(_tiny_dataset().clients, cfg)
-    assert (group.x_in is not None) == vgae
+    ds = _tiny_dataset()
+    (group,) = _groups(ds.clients, cfg)
+    _assert_encoder_input(group, ds.clients, vgae)
     head = ["w", "head_w1", "head_b1", "head_w2", "head_b2"]
     assert (list(group.params) == head) != vgae
     assert list(group.adam.m) == list(group.params)
@@ -932,6 +982,33 @@ def _group_snapshot(group):
     return ([{name: a.tobytes() for name, a in s.params.items()} for s in group.states],
             {name: a.tobytes() for name, a in group.adam.m.items()},
             {name: a.tobytes() for name, a in group.adam.v.items()}, group.adam.t)
+
+
+def test_evaluation_divergence_after_adam_steps_restores_round_entry(monkeypatch):
+    # round 2 enters with nonzero moments and takes E Adam steps before its
+    # evaluation forward diverges; a snapshot that shared arrays those
+    # steps write would come back with the moments and parameters they left
+    group, cfg, broadcasts = _semantic_round_inputs()
+    cfg = dataclasses.replace(cfg, epochs=2)
+    real = federation._loss_parts
+    at_eval = []
+
+    def diverge_in_eval(group, x_in, w_bar, aligned, cfg, seed, phase, *key):
+        out = real(group, x_in, w_bar, aligned, cfg, seed, phase, *key)
+        if phase == "eval":
+            at_eval.append(_group_snapshot(group))
+            raise NumericError("non-finite loss", members=np.array([1]))
+        return out
+
+    monkeypatch.setattr(federation, "_loss_parts", diverge_in_eval)
+    before = _group_snapshot(group)
+    assert before[3] == 1 and any(a.any() for a in group.adam.m.values())
+    with pytest.raises(TrainingDivergenceError, match="client 1 diverged in round 2"):
+        local_round([group], broadcasts, cfg, seed=0, round_index=2)
+    (stepped,) = at_eval
+    assert stepped[3] == 3
+    assert all(stepped[i] != before[i] for i in range(3))
+    assert _group_snapshot(group) == before
 
 
 def test_nonpositive_class_variance_rolls_back(monkeypatch):

@@ -16,6 +16,7 @@ from fedssa.models import (COV_FLOOR, LOGVAR_MAX, LOGVAR_MIN, ClassGaussian,
                            sample_nonedges, spectral_energy, stack_powers)
 from fedssa.rng import stream
 from fedssa.semantic import alignment_inputs
+import helpers
 from helpers import central_diff, pool_draw, rel_err
 
 
@@ -66,7 +67,7 @@ def _ce(logits, labels, mask):
 def _encode(params, g, num_classes):
     """Posterior mean, log-variance and class Gaussians from the tape builders."""
     t = tp.Tape()
-    mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, num_classes)[None])
+    mu, logvar = encoder_path(_leaves(t, params), helpers.encoder_input(g, num_classes)[None])
     plan = _group(g)
     moments = tp.segment_moments(mu, logvar, plan.classes)
     gaussians = class_gaussians(plan.class_labels, plan.classes.counts, moments.value)
@@ -191,8 +192,9 @@ def test_full_classifier_gradient_matches_finite_differences():
 
 def test_encoder_input_layout():
     g = _small_graph(n=10, c=3, d=4)
-    x = encoder_input(g, 3)
-    assert x.shape == (10, 7)
+    x = encoder_input(stack_powers(laplacian_powers(g, 2))[None], _group(g), 3)
+    assert x.shape == (1, 10, 7)
+    x = x[0]
     assert np.array_equal(x[:, :4], g.features)
     onehot = x[:, 4:]
     train_set = set(g.train_idx.tolist())
@@ -241,7 +243,7 @@ def test_class_stat_paths_match_numpy_recompute():
     g = _small_graph(n=40, c=3, d=4, seed=4)
     params = init_params(4, 3, 1, 6, 3, stream(14, "init"))
     t = tp.Tape()
-    mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, 3)[None])
+    mu, logvar = encoder_path(_leaves(t, params), helpers.encoder_input(g, 3)[None])
     plan = _group(g)
     moments = tp.segment_moments(mu, logvar, plan.classes)
     assert np.array_equal(plan.class_labels, np.unique(g.labels[g.train_idx]))
@@ -262,7 +264,7 @@ def test_class_stat_paths_singleton_spread_is_exactly_zero():
                    train_idx=[0, 1, 4], val_idx=[2], test_idx=[3])
     params = init_params(2, 2, 1, 4, 3, stream(15, "init"))
     t = tp.Tape()
-    mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, 2)[None])
+    mu, logvar = encoder_path(_leaves(t, params), helpers.encoder_input(g, 2)[None])
     moments = tp.segment_moments(mu, logvar, _group(g).classes).value
     assert np.array_equal(moments[0], np.concatenate([mu.value[0, 0],
                                                       np.exp(logvar.value[0, 0])]))
@@ -274,7 +276,7 @@ def test_class_stat_paths_without_train_rows():
                    train_idx=[], val_idx=[0], test_idx=[1, 2])
     params = init_params(2, 2, 1, 4, 3, stream(16, "init"))
     t = tp.Tape()
-    mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, 2)[None])
+    mu, logvar = encoder_path(_leaves(t, params), helpers.encoder_input(g, 2)[None])
     plan = _group(g)
     moments = tp.segment_moments(mu, logvar, plan.classes)
     assert plan.class_labels.size == 0 and moments.shape == (0, 6)
@@ -324,7 +326,7 @@ def test_elbo_matches_numpy_recompute():
     plan = _group(g)
     nonedges = sample_nonedges(plan, 0, plan.nonedge_counts[0], stream(0, "ne"))
     t = tp.Tape()
-    mu, logvar = encoder_path(_leaves(t, params), encoder_input(g, 2)[None])
+    mu, logvar = encoder_path(_leaves(t, params), helpers.encoder_input(g, 2)[None])
     got = float(elbo_path(mu, logvar, plan, eps, [nonedges]).value[0, 0, 0])
     want = _elbo_numpy(params, g, eps, nonedges, 2)
     assert got == pytest.approx(want, rel=1e-12)
@@ -337,7 +339,7 @@ def test_elbo_gradient_matches_finite_differences():
     group = _group(g)
     nonedges = [sample_nonedges(group, 0, group.nonedge_counts[0], stream(1, "ne"))]
     arrays = {name: params[name][None].copy() for name in ENCODER}
-    x_in = encoder_input(g, 2)[None]
+    x_in = helpers.encoder_input(g, 2)[None]
 
     def value(vals):
         t = tp.Tape()

@@ -18,20 +18,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import astuple, replace
+from dataclasses import fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .config import ExperimentConfig, build_dataset, load_config, synth_spec_from
 from .errors import ConfigError, FedssaError, InfeasibleError, TrainingDivergenceError
-from .federation import RunConfig, params_payload, run_federation_detailed
+from .federation import ClientRoundStats, RunConfig, params_payload, run_federation_detailed
 from .graphs import canonical_json, dump_json, save_dataset, save_graph, synth_dataset
 from .theory import contraction_simulate, rounds_to_reach
 
 METRICS_HEADER = ("round", "client", "ce", "vgae", "node", "struct",
                   "train_metric", "val_metric", "test_metric",
                   "bytes_up", "bytes_down")
+# A ClientRoundStats' fields in declaration order, as a shallow tuple.
+_stats_row = attrgetter(*(f.name for f in fields(ClientRoundStats)))
 
 ABLATION_CELLS = (("full", True, True), ("no_semantic", False, True),
                   ("no_structural", True, False), ("neither", False, False))
@@ -65,7 +68,7 @@ def write_history_csvs(out_dir: Path, history) -> None:
     floor_rows = []
     for rm in history:
         for cid in sorted(rm.per_client):
-            rows.append((rm.round_index, cid) + astuple(rm.per_client[cid]))
+            rows.append((rm.round_index, cid) + _stats_row(rm.per_client[cid]))
         if rm.heterogeneity is not None:
             for cell in rm.heterogeneity.semantic:
                 sem_rows.append((rm.round_index, cell.label, cell.cluster,

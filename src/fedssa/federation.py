@@ -334,18 +334,19 @@ def _encoder_input(group: ClientGroup) -> Optional[np.ndarray]:
         return encoder_input(group.h_stack, group.plan, group.params["enc_w1"].shape[-2] - d)
 
 
-def _adam_step(arrays: dict, grads: dict, st: AdamState, lr: float) -> None:
-    """One Adam step on arrays, in place. It rebinds st.m[name] and st.v[name]
-    to new arrays and never writes into the old ones, which rollback reads."""
+def _adam_updates(grads: dict, st: AdamState, lr: float) -> dict:
+    """One Adam step: the update to subtract from each named array. It
+    rebinds st.m[name] and st.v[name] to new arrays and never writes into
+    the old ones, which rollback reads."""
     st.t += 1
     correct1 = 1.0 - ADAM_BETA1 ** st.t
     correct2 = 1.0 - ADAM_BETA2 ** st.t
-    for name, arr in arrays.items():
-        g = grads[name]
+    steps = {}
+    for name, g in grads.items():
         st.m[name] = ADAM_BETA1 * st.m[name] + (1.0 - ADAM_BETA1) * g
         st.v[name] = ADAM_BETA2 * st.v[name] + (1.0 - ADAM_BETA2) * (g * g)
-        step = lr * (st.m[name] / correct1) / (np.sqrt(st.v[name] / correct2) + ADAM_EPS)
-        arr -= step
+        steps[name] = lr * (st.m[name] / correct1) / (np.sqrt(st.v[name] / correct2) + ADAM_EPS)
+    return steps
 
 
 def _loss_parts(group: ClientGroup, x_in: Optional[np.ndarray], w_bar: Optional[np.ndarray],
@@ -420,7 +421,7 @@ def train_group(group: ClientGroup, w_bar: Optional[np.ndarray], aligned: Option
     lowest-id diverging client; a local or fedavg group has no VGAE value
     to roll it back. With epochs == 0 the parameters are untouched.
     """
-    # Adam writes params in place but rebinds its moments (_adam_step).
+    # Adam writes params in place but rebinds its moments (_adam_updates).
     params = {name: a.copy() for name, a in group.params.items()}
     adam = AdamState(dict(group.adam.m), dict(group.adam.v), group.adam.t)
     x_in = _encoder_input(group)
@@ -448,13 +449,21 @@ def train_group(group: ClientGroup, w_bar: Optional[np.ndarray], aligned: Option
 def _train_step(group: ClientGroup, x_in: Optional[np.ndarray], w_bar: Optional[np.ndarray],
                 aligned: Optional[tuple], cfg: RunConfig, seed: int, round_index: int,
                 epoch: int) -> None:
-    """One stacked forward, backward and Adam step; the tape dies on return,
-    before the next forward is recorded."""
+    """One stacked forward, backward and Adam step.
+
+    The tape's leaves reference group.params, so the tape is dropped before
+    the updates are written into them. The updates are built while it is
+    alive: freed first, the tape's blocks would be trimmed from the top of
+    the heap and faulted back in by the next forward.
+    """
     tape, leaves, parts = _loss_parts(group, x_in, w_bar, aligned, cfg, seed, "train",
                                       round_index, epoch)
     grads = tp.grad(tape, parts["total"])
-    _adam_step(group.params, {name: grads[var] for name, var in leaves.items()},
-               group.adam, cfg.lr)
+    steps = _adam_updates({name: grads[var] for name, var in leaves.items()}, group.adam,
+                          cfg.lr)
+    del tape, leaves, parts, grads
+    for name, arr in group.params.items():
+        arr -= steps[name]
     np.clip(group.params["w"], -cfg.w_max, cfg.w_max, out=group.params["w"])
 
 

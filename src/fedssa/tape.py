@@ -20,20 +20,38 @@ broadcasts enter local losses without being differentiated. A Var refers to
 its tape weakly, so reference counting frees a tape once the caller drops
 it.
 
+A node keeps its value, its inputs and an aux dict of what its backward
+rule reads besides them, and nothing else. A leaf keeps a float64
+C-contiguous array by reference (a training group's parameter stacks), so
+that array must not change while the tape is in use; no backward rule
+writes into a value, an input or an aux array. What is cheap to get again
+is recomputed in the backward with the numpy calls the forward made, on the
+same inputs, so it has the same bits.
+
 Besides `matmul`, `add`, `reshape` and `clip`, every op is a fused layer
 or loss: one tape node with a closed-form backward rule, written in the
 arithmetic order of the elementwise chain it stands for, so its gradients
-match that chain bit for bit.
+match that chain bit for bit. `matmul`, `add` and `reshape` keep no aux,
+`clip` its bounds. Per fused op:
 
-- `dense`: x @ W plus a bias row, optionally followed by tanh.
-- `softmax_ce`: mean softmax cross entropy over a set of logit rows.
-- `gaussian_sample`: the reparameterised draw mu + exp(logvar)^(1/2) * eps.
+- `dense`: x @ W plus a bias row, optionally followed by tanh, applied in
+  place; aux is the tanh flag, and the backward reads tanh from the value.
+- `softmax_ce`: mean softmax cross entropy over a set of logit rows; aux
+  keeps the rows, labels, exp of the shifted picked logits, their row sums,
+  the per-member scale and each row's member.
+- `gaussian_sample`: the reparameterised draw mu + exp(logvar)^(1/2) * eps;
+  aux keeps eps, and the backward recomputes exp(logvar) and its root.
 - `coefficient_penalty`: the filter coefficients' L1 pull toward a
-  broadcast plus their elastic-net regulariser.
+  broadcast plus their elastic-net regulariser; aux keeps w - w_bar and
+  the two weights.
 - `segment_moments`: class-wise [mean | var] of the posterior mixture, over
-  row groups validated once as `Segments`.
+  row groups validated once as `Segments`, its only aux; the backward
+  recomputes the grouped rows' exp(logvar) and their offsets from the
+  group means, which it reads from the value.
 - `diag_gaussian_kl`: summed KL from diagonal class posteriors to frozen
-  full-covariance targets.
+  full-covariance targets; aux keeps the compared rows, each target's
+  precision times the mean offset, the precisions' diagonals and each
+  target's member.
 - `pair_bce`: mean inner-product decoder BCE over node pairs, one latent
   column at a time, so no (P, d) block is built for its P pairs. The
   forward adds the columns' head-times-tail products in numpy's pairwise
@@ -41,8 +59,10 @@ match that chain bit for bit.
   np.sum(z[heads] * z[tails], axis=1) bit for bit. The backward scatters
   each column with one stack-wide `np.bincount` over the heads, then
   `np.add.at` over the tails, so each entry sums its head terms in pair
-  order, then its tail terms.
-- `prior_kl`: mean KL from the per-node posteriors to N(0, I).
+  order, then its tail terms. aux keeps the heads, tails, targets, scores
+  and member bounds.
+- `prior_kl`: mean KL from the per-node posteriors to N(0, I); no aux, the
+  backward recomputes exp(logvar).
 """
 
 from __future__ import annotations
@@ -112,8 +132,12 @@ class Tape:
         self.leaves: list[Var] = []
 
     def leaf(self, value, name: Optional[str] = None) -> Var:
-        """Register a differentiable input: a stack of matrices, one per member."""
-        mat = np.array(value, dtype=np.float64, order="C")
+        """Register a differentiable input: a stack of matrices, one per member.
+
+        A float64 C-contiguous array is kept by reference, not copied, so it
+        must not change while the tape is in use; any other input is copied.
+        """
+        mat = np.asarray(value, dtype=np.float64, order="C")
         if mat.ndim != 3:
             raise ShapeError(f"leaf {name!r} must be a 3-D stack, got ndim {mat.ndim}")
         bad = _nonfinite_members(mat)
@@ -260,7 +284,8 @@ def _bw_softmax_ce(vals, aux, out, g, need):
 def _bw_gaussian_sample(vals, aux, out, g, need):
     d_logvar = None
     if need[1]:
-        d_logvar = (g * aux["eps"]) * 0.5 / aux["std"] * aux["var"]
+        var = np.exp(vals[1])
+        d_logvar = (g * aux["eps"]) * 0.5 / np.sqrt(var) * var
     return (g if need[0] else None, d_logvar)
 
 
@@ -281,12 +306,16 @@ def _bw_segment_moments(vals, aux, out, g, need):
     g_var = (g[:, d:] * inv)[groups.seg]
     d_mu = d_logvar = None
     # Groups are disjoint, so each row receives exactly one contribution.
+    # The forward's centered rows and exp(logvar) rows are recomputed with
+    # the same numpy calls on the same inputs, so they have the same bits.
     if need[0]:
+        centered = mu.reshape(-1, d)[groups.rows] - out[:, :d][groups.seg]
         d_mu = np.zeros_like(mu)
-        d_mu.reshape(-1, d)[groups.rows] = g_mean + 2.0 * g_var * aux["centered"]
+        d_mu.reshape(-1, d)[groups.rows] = g_mean + 2.0 * g_var * centered
     if need[1]:
         d_logvar = np.zeros_like(logvar)
-        d_logvar.reshape(-1, d)[groups.rows] = g_var * aux["var_rows"]
+        var_rows = np.exp(logvar.reshape(-1, d)[groups.rows])
+        d_logvar.reshape(-1, d)[groups.rows] = g_var * var_rows
     return (d_mu, d_logvar)
 
 
@@ -375,8 +404,7 @@ def reshape(a: Var, shape: tuple) -> Var:
         raise ShapeError(f"reshape target must be 2-D or 3-D, got {shape}")
     if int(np.prod(shape)) != a.value.size:
         raise ShapeError(f"cannot reshape {a.value.shape} to {shape}")
-    return _unary("reshape", a, lambda x: np.ascontiguousarray(x.reshape(shape)),
-                  {"shape": shape})
+    return _unary("reshape", a, lambda x: np.ascontiguousarray(x.reshape(shape)))
 
 
 def clip(a: Var, lo: float, hi: float) -> Var:
@@ -410,7 +438,7 @@ def dense(x: ArrayLike, w: ArrayLike, b: ArrayLike, tanh: bool = False) -> Var:
         raise ShapeError(f"dense mismatch: x {xv.shape}, w {wv.shape}, b {bv.shape}")
     value = np.add(np.matmul(xv, wv), bv)
     if tanh:
-        value = np.tanh(value)
+        np.tanh(value, out=value)
     return _fused("dense", (x, w, b), value, {"tanh": bool(tanh)})
 
 
@@ -456,10 +484,8 @@ def gaussian_sample(mu: ArrayLike, logvar: ArrayLike, eps) -> Var:
     if lv_v.shape != mu_v.shape or eps.shape != mu_v.shape[-2:]:
         raise ShapeError(f"gaussian_sample mismatch: mu {mu_v.shape},"
                          f" logvar {lv_v.shape}, eps {eps.shape}")
-    var = np.exp(lv_v)
-    std = np.sqrt(var)
-    return _fused("gaussian_sample", (mu, logvar), np.add(mu_v, std * eps),
-                  {"eps": eps, "std": std, "var": var})
+    value = np.add(mu_v, np.sqrt(np.exp(lv_v)) * eps)
+    return _fused("gaussian_sample", (mu, logvar), value, {"eps": eps})
 
 
 def coefficient_penalty(w: ArrayLike, w_bar, lam1: float, lam2: float) -> Var:
@@ -508,8 +534,7 @@ def segment_moments(mu: ArrayLike, logvar: ArrayLike, groups: Segments) -> Var:
         spread = np.add.reduceat(var_rows + centered * centered, groups.starts,
                                  axis=0) * inv
         value = np.concatenate([mean, spread], axis=1)
-    return _fused("segment_moments", (mu, logvar), value,
-                  {"segments": groups, "centered": centered, "var_rows": var_rows})
+    return _fused("segment_moments", (mu, logvar), value, {"segments": groups})
 
 
 def diag_gaussian_kl(stats: Var, rows, means: np.ndarray, precisions: np.ndarray,

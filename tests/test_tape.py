@@ -497,22 +497,57 @@ def test_grad_prior_kl():
                 tol=1e-4)
 
 
-def test_every_backward_rule_is_gradient_checked(monkeypatch):
-    # Runs this module's unparametrised test_grad_* checks and collects the
-    # ops of every tape they differentiate; an op without a check fails here.
+def _run_grad_checks(monkeypatch, wrap) -> set:
+    """Run this module's unparametrised test_grad_* checks with every tp.grad
+    call going through wrap(real_grad, tape, loss); returns the ops of every
+    tape they differentiate."""
     seen = set()
     real_grad = tp.grad
 
-    def recording_grad(tape, loss):
-        out = real_grad(tape, loss)
+    def wrapped_grad(tape, loss):
         seen.update(node.op for node in tape.nodes)
-        return out
+        return wrap(real_grad, tape, loss)
 
-    monkeypatch.setattr(tp, "grad", recording_grad)
+    monkeypatch.setattr(tp, "grad", wrapped_grad)
     checks = [fn for name, fn in sorted(globals().items())
               if name.startswith("test_grad_") and not inspect.signature(fn).parameters]
     for check in checks:
         check()
+    return seen
+
+
+def test_every_backward_rule_is_gradient_checked(monkeypatch):
+    # an op without a check fails here
+    seen = _run_grad_checks(monkeypatch, lambda grad, tape, loss: grad(tape, loss))
+    assert set(tp._BACKWARD) - seen == set()
+
+
+def test_no_backward_rule_writes_into_what_the_tape_holds(monkeypatch):
+    # Leaves reference the caller's arrays (a training group's parameter
+    # stacks), so a backward rule that wrote into a leaf, an input, a node's
+    # value or its aux would change them silently. Every tape the gradient
+    # battery differentiates keeps the bytes of all of them through grad.
+    def held(tape):
+        arrays = {}
+        for node in tape.nodes:
+            arrays[node.index, "value"] = node.value
+            for i, x in enumerate(node.inputs):
+                arrays[node.index, f"input {i}"] = tp._value(x)
+            for key, x in node.aux.items():
+                if isinstance(x, np.ndarray):
+                    arrays[node.index, f"aux {key}"] = x
+        return arrays
+
+    def checked_grad(grad, tape, loss):
+        arrays = held(tape)
+        before = {key: x.tobytes() for key, x in arrays.items()}
+        out = grad(tape, loss)
+        changed = [(tape.nodes[i].op, what) for (i, what), x in arrays.items()
+                   if x.tobytes() != before[i, what]]
+        assert not changed, f"backward wrote into {changed}"
+        return out
+
+    seen = _run_grad_checks(monkeypatch, checked_grad)
     assert set(tp._BACKWARD) - seen == set()
 
 
@@ -712,6 +747,19 @@ def test_grad_is_deterministic():
 
 
 # --- tape lifetime ----------------------------------------------------------------
+
+
+def test_leaf_keeps_a_float64_c_contiguous_array_by_reference():
+    t = tp.Tape()
+    stack = np.ones((2, 2, 3))
+    assert t.leaf(stack, "stack").value is stack
+    # any other dtype or layout is copied; the caller's array is left alone
+    ints = np.ones((1, 2, 3), dtype=np.int64)
+    strided = np.ones((1, 3, 2)).transpose(0, 2, 1)
+    for value in (ints, strided):
+        leaf = t.leaf(value, "copied").value
+        assert leaf.dtype == np.float64 and leaf.flags.c_contiguous
+        assert not np.shares_memory(leaf, value) and np.array_equal(leaf, value)
 
 
 def test_finished_tape_is_freed_by_reference_counting():
